@@ -280,7 +280,13 @@ def cmd_eval(args) -> int:
             f"hits@1 {report.hits[1]:.4f}  hits@3 {report.hits[3]:.4f}  hits@10 {report.hits[10]:.4f}"
         )
     if len(reports) == 2:
-        assert reports["filtered"].mrr >= reports["raw"].mrr, "filtered MRR fell below raw MRR"
+        if reports["filtered"].mrr < reports["raw"].mrr:
+            print(
+                f"chainlens: error: filtered MRR {reports['filtered'].mrr:.4f} fell below "
+                f"raw MRR {reports['raw'].mrr:.4f}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"filtered MRR {reports['filtered'].mrr:.4f} >= raw MRR {reports['raw'].mrr:.4f}: OK")
     if args.per_relation:
         table = per_relation_table({params.kind.value: reports[settings[0]]})

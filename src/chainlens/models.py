@@ -9,6 +9,13 @@ higher-is-better convention (distance-based models are negated):
 * TransE      s = -|| e_s + w_r - e_o ||_1
 * RotatE      s = -sum_k | e_s[k] * exp(i theta_r[k]) - e_o[k] |
 
+RESCAL and TuckER share one bilinear path, s = e_s^T M_r e_o: RESCAL stores
+M_r, TuckER builds M_r = W x_2 w_r (Balazevic et al. 2019).  Batches are
+grouped by relation, so scores and gradients are per-relation matrix products
+(GEMMs): with the rows S, O of one relation, the entity gradients are O M_r^T
+and S M_r, and G_r = S^T O is RESCAL's relation gradient, from which TuckER's
+relation and core gradients are one contraction each with W and w.
+
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
 g = d/dRe + i * d/dIm, so viewing parameters and gradients as float64 makes
@@ -156,6 +163,29 @@ def apply_constraints(params: ModelParams) -> None:
 # Scoring
 # ---------------------------------------------------------------------------
 
+# Models scored as e_s^T M_r e_o; RESCAL is TuckER with M_r stored directly.
+_BILINEAR = (ModelKind.RESCAL, ModelKind.TUCKER)
+
+
+def _relation_matrices(params: ModelParams, rels: np.ndarray) -> np.ndarray:
+    """The (k, d, d) bilinear matrices M_r of relations ``rels``.
+
+    RESCAL stores them; TuckER's are M_r = W x_2 w_r, all k built by one
+    (k x d) . (d x d^2) matrix product.
+    """
+    R = params.blocks["relation"]
+    if params.kind is ModelKind.RESCAL:
+        return R[rels]
+    return np.tensordot(R[rels], params.blocks["core"], axes=(1, 1))
+
+
+def _relation_groups(r: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct relation ids of ``r`` and, for each, the rows that carry it."""
+    order = np.argsort(r, kind="stable")
+    rels, starts = np.unique(r[order], return_index=True)
+    return rels, np.split(order, starts[1:])
+
+
 def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     """Scores for an (B, 3) array of (subject, relation, object) id triples."""
     triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
@@ -164,13 +194,15 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     kind = params.kind
     if kind is ModelKind.TRANSE:
         return -np.abs(E[s] + R[r] - E[o]).sum(axis=1)
-    if kind is ModelKind.RESCAL:
-        return np.einsum("bi,bij,bj->b", E[s], R[r], E[o], optimize=True)
+    if kind in _BILINEAR:
+        out = np.empty(len(triples))
+        rels, groups = _relation_groups(r)
+        M = _relation_matrices(params, rels)
+        for k, rows in enumerate(groups):
+            out[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
+        return out
     if kind is ModelKind.COMPLEX:
         return np.real(np.sum(E[s] * R[r] * np.conj(E[o]), axis=1))
-    if kind is ModelKind.TUCKER:
-        W = params.blocks["core"]
-        return np.einsum("abc,ia,ib,ic->i", W, E[s], R[r], E[o], optimize=True)
     if kind is ModelKind.ROTATE:
         rot = np.exp(1j * R[r])
         return -np.abs(E[s] * rot - E[o]).sum(axis=1)
@@ -202,26 +234,8 @@ def score_objects(params: ModelParams, s: int, r: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Negative sampling and loss
+# Negative sampling
 # ---------------------------------------------------------------------------
-
-def negative_sample(triple: tuple[int, int, int], num_entities: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Corrupt one slot of a triple with a uniformly random other entity.
-
-    The subject is replaced with probability 1/2, otherwise the object; the
-    replacement is uniform over the remaining entities and never equals the
-    original occupant.  No filtering against known-true triples.
-    """
-    if num_entities < 2:
-        raise ValueError("negative sampling needs at least two entities")
-    s, r, o = triple
-    corrupt_subject = rng.random() < 0.5
-    orig = s if corrupt_subject else o
-    repl = int(rng.integers(num_entities - 1))
-    if repl >= orig:
-        repl += 1
-    return (repl, r, o) if corrupt_subject else (s, r, repl)
-
 
 def corrupt_batch(pos: np.ndarray, num_entities: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized negative sampling, one corrupted triple per positive."""
@@ -236,11 +250,6 @@ def corrupt_batch(pos: np.ndarray, num_entities: int, rng: np.random.Generator) 
     repl = repl + (repl >= orig)
     neg[idx, slot] = repl
     return neg
-
-
-def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> float:
-    """Hinge ranking loss max(0, margin + neg_score - pos_score)."""
-    return max(0.0, margin + neg_score - pos_score)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +271,29 @@ def _accumulate_score_grads(
         np.add.at(gE, s, -coeff * sgn)
         np.add.at(gR, r, -coeff * sgn)
         np.add.at(gE, o, coeff * sgn)
-    elif kind is ModelKind.RESCAL:
-        es, eo, M = E[s], E[o], R[r]
-        np.add.at(gE, s, coeff * np.einsum("bij,bj->bi", M, eo, optimize=True))
-        np.add.at(gE, o, coeff * np.einsum("bij,bi->bj", M, es, optimize=True))
-        np.add.at(gR, r, coeff * np.einsum("bi,bj->bij", es, eo))
+    elif kind in _BILINEAR:
+        rels, groups = _relation_groups(r)
+        M = _relation_matrices(params, rels)
+        es, eo = E[s], E[o]
+        g_s, g_o, G = np.empty_like(es), np.empty_like(eo), np.empty_like(M)
+        for k, rows in enumerate(groups):
+            g_s[rows] = eo[rows] @ M[k].T
+            g_o[rows] = es[rows] @ M[k]
+            G[k] = es[rows].T @ eo[rows]
+        np.add.at(gE, s, coeff * g_s)
+        np.add.at(gE, o, coeff * g_o)
+        # rels are distinct, so a fancy-indexed += adds each row once
+        if kind is ModelKind.RESCAL:
+            gR[rels] += coeff * G
+        else:
+            W = params.blocks["core"]
+            gR[rels] += coeff * np.einsum("abc,rac->rb", W, G, optimize=True)
+            grads["core"] += coeff * np.einsum("rac,rb->abc", G, R[rels], optimize=True)
     elif kind is ModelKind.COMPLEX:
         es, eo, w = E[s], E[o], R[r]
         np.add.at(gE, s, coeff * (np.conj(w) * eo))
         np.add.at(gR, r, coeff * (np.conj(es) * eo))
         np.add.at(gE, o, coeff * (es * w))
-    elif kind is ModelKind.TUCKER:
-        W = params.blocks["core"]
-        es, eo, w = E[s], E[o], R[r]
-        np.add.at(gE, s, coeff * np.einsum("abc,ib,ic->ia", W, w, eo, optimize=True))
-        np.add.at(gR, r, coeff * np.einsum("abc,ia,ic->ib", W, es, eo, optimize=True))
-        np.add.at(gE, o, coeff * np.einsum("abc,ia,ib->ic", W, es, w, optimize=True))
-        grads["core"] += coeff * np.einsum("ia,ib,ic->abc", es, w, eo, optimize=True)
     elif kind is ModelKind.ROTATE:
         theta = R[r]
         rot = np.exp(1j * theta)
@@ -313,27 +328,6 @@ def batch_loss_and_gradients(
         _accumulate_score_grads(params, grads, pos[active], -scale)
         _accumulate_score_grads(params, grads, neg[active], scale)
     return losses, grads
-
-
-def gradients(
-    params: ModelParams,
-    pos: tuple[int, int, int],
-    neg: tuple[int, int, int],
-    margin: float,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of the hinge loss of one (positive, negative) pair.
-
-    Dense arrays shaped like the parameter blocks; all-zero when the hinge
-    is inactive (pos_score - neg_score >= margin).
-    """
-    pos_arr = np.array([pos], dtype=np.int64)
-    neg_arr = np.array([neg], dtype=np.int64)
-    grads = zero_grads(params)
-    loss = margin + score_batch(params, neg_arr)[0] - score_batch(params, pos_arr)[0]
-    if loss > 0.0:
-        _accumulate_score_grads(params, grads, pos_arr, -1.0)
-        _accumulate_score_grads(params, grads, neg_arr, 1.0)
-    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,5 @@ def grid_search(
                 best_mrr=report.mrr,
                 runs=runs,
             )
-    assert result is not None
     result.runs = runs
     return result

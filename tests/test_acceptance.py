@@ -23,16 +23,11 @@ from chainlens.dataset import (
 from chainlens.evaluation import Query, build_filter_index, evaluate, rank_object
 from chainlens.exports import export_graph
 from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType
-from chainlens.models import (
-    ModelKind,
-    gradients,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from chainlens.models import ModelKind, init_params, load_checkpoint, save_checkpoint
 from chainlens.training import TrainConfig, train
 
 from conftest import random_typed_graph
+from reference_models import gradients
 from test_analytics import brute_betweenness, brute_closeness, brute_triangles
 from test_evaluation import table_params
 from test_models import active_hinge_pair, finite_difference

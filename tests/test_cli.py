@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -178,6 +179,33 @@ def test_eval_type_constrained_flag(workspace):
     ])
     assert code == 0
     assert (workspace / "eval_tc" / "eval_filtered.csv").exists()
+
+
+def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
+    import chainlens.cli as cli_mod
+
+    graph = workspace / "g.tsv"
+    splits = workspace / "splits"
+    ckpt = workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    main(["train", "--model", "TransE", "--split-dir", str(splits),
+          "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
+    real_evaluate = cli_mod.evaluate
+
+    def raw_above_filtered(*args, **kwargs):
+        report = real_evaluate(*args, **kwargs)
+        return dataclasses.replace(report, mrr=0.9 if report.setting == "raw" else 0.1)
+
+    monkeypatch.setattr(cli_mod, "evaluate", raw_above_filtered)
+    code = main([
+        "eval", "--checkpoint", str(ckpt), "--split-dir", str(splits),
+        "--setting", "both", "--out", str(workspace / "eval_bad"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "filtered MRR 0.1000 fell below raw MRR 0.9000" in captured.err
+    assert "OK" not in captured.out
 
 
 def test_analyze_threshold_above_cap_flags_nothing(workspace):

@@ -4,18 +4,24 @@ import pytest
 from chainlens.models import (
     ModelKind,
     ModelParams,
+    batch_loss_and_gradients,
     corrupt_batch,
-    gradients,
     init_params,
     load_checkpoint,
-    margin_ranking_loss,
-    negative_sample,
     save_checkpoint,
     score,
     score_batch,
     score_objects,
 )
 from chainlens.training import TrainConfig
+
+from reference_models import (
+    einsum_batch_loss_and_gradients,
+    einsum_score_batch,
+    gradients,
+    margin_ranking_loss,
+    negative_sample,
+)
 
 ALL_KINDS = list(ModelKind)
 
@@ -245,6 +251,46 @@ def test_tucker_core_gradient_is_rank_one_product():
     expected = -np.einsum("a,b,c->abc", E[pos[0]], R[pos[1]], E[pos[2]])
     expected += np.einsum("a,b,c->abc", E[neg[0]], R[neg[1]], E[neg[2]])
     np.testing.assert_allclose(grads["core"], expected, rtol=1e-12, atol=1e-12)
+
+
+# -- bilinear path against the einsum reference -----------------------------
+
+def bilinear_batch(name, n_ent, n_rel):
+    """Fixed (pos, neg, margin) batches that exercise grouping by relation."""
+    rng = np.random.default_rng(31)
+    if name == "repeated":  # 512 triples over few entities: repeated subjects and objects
+        pos = np.column_stack(
+            [rng.integers(n_ent, size=512), rng.integers(n_rel, size=512), rng.integers(n_ent, size=512)]
+        )
+        margin = 1.0
+    elif name == "some_relations":
+        pos = np.column_stack(
+            [rng.integers(n_ent, size=40), rng.choice([3, 1], size=40), rng.integers(n_ent, size=40)]
+        )
+        margin = 1.0
+    else:  # a single triple, with a margin that keeps its hinge active
+        pos = np.array([[4, 2, 17]])
+        margin = 1e3
+    return pos, corrupt_batch(pos, n_ent, rng), margin
+
+
+@pytest.mark.parametrize("batch", ["repeated", "some_relations", "single"])
+@pytest.mark.parametrize("kind", [ModelKind.RESCAL, ModelKind.TUCKER])
+def test_bilinear_path_matches_einsum_reference(kind, batch):
+    n_ent, n_rel = 30, 5
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=12, seed=6)
+    rng = np.random.default_rng(6)
+    for name, arr in p.blocks.items():  # unit-scale entries, so 1e-12 is a tight bound
+        p.blocks[name] = rng.normal(size=arr.shape)
+    pos, neg, margin = bilinear_batch(batch, n_ent, n_rel)
+    for triples in (pos, neg):
+        np.testing.assert_allclose(score_batch(p, triples), einsum_score_batch(p, triples), rtol=0, atol=1e-12)
+    losses, grads = batch_loss_and_gradients(p, pos, neg, margin)
+    ref_losses, ref_grads = einsum_batch_loss_and_gradients(p, pos, neg, margin)
+    assert (ref_losses > 0).any()
+    np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
+    for name in p.blocks:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 # -- checkpoints -------------------------------------------------------------
