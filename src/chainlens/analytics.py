@@ -23,7 +23,6 @@ interpretable):
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,36 +84,17 @@ def _brandes_source(adj: list[np.ndarray], source: int, acc: np.ndarray) -> None
             acc[w] += delta[w]
 
 
-def betweenness(graph: Graph, threads: int = 1) -> np.ndarray:
+def betweenness(graph: Graph) -> np.ndarray:
     """Exact directed betweenness, endpoints excluded, unnormalized."""
     n = graph.num_entities
     adj = _simple_out_adjacency(graph)
-    if threads > 1 and n > 1:
-        # contiguous source chunks reduced in node-id order: deterministic
-        # for a fixed thread count (grouping may shift the last float bit
-        # relative to a single-threaded run)
-        bounds = np.linspace(0, n, threads + 1).astype(int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(threads)]
-
-        def run(sources) -> np.ndarray:
-            acc = np.zeros(n)
-            for s in sources:
-                _brandes_source(adj, s, acc)
-            return acc
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, chunks))
-        total = np.zeros(n)
-        for part in partials:
-            total += part
-        return total
     acc = np.zeros(n)
     for s in range(n):
         _brandes_source(adj, s, acc)
     return acc
 
 
-def closeness(graph: Graph, threads: int = 1) -> np.ndarray:
+def closeness(graph: Graph) -> np.ndarray:
     """Wasserman-Faust closeness over outgoing shortest-path distances."""
     n = graph.num_entities
     adj = _simple_out_adjacency(graph)
@@ -137,18 +117,6 @@ def closeness(graph: Graph, threads: int = 1) -> np.ndarray:
             return 0.0
         return (reached / total) * (reached / (n - 1))
 
-    if threads > 1 and n > 1:
-        chunks = [list(range(i, n, threads)) for i in range(threads)]
-
-        def run(sources: list[int]) -> list[tuple[int, float]]:
-            return [(s, one(s)) for s in sources]
-
-        out = np.zeros(n)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run, chunks):
-                for s, val in part:
-                    out[s] = val
-        return out
     return np.array([one(s) for s in range(n)])
 
 
@@ -253,7 +221,7 @@ _CONVENTIONS = {
 }
 
 
-def criticality(graph: Graph, threshold: float = 10.0, threads: int = 1) -> CriticalityReport:
+def criticality(graph: Graph, threshold: float = 10.0) -> CriticalityReport:
     """Score every node: five normalized centralities summed, flagged above threshold.
 
     The caller is expected to pass the supplier/supplies_to projection, but
@@ -264,8 +232,8 @@ def criticality(graph: Graph, threshold: float = 10.0, threads: int = 1) -> Crit
     raw = {
         "in_degree": in_deg.astype(float),
         "out_degree": out_deg.astype(float),
-        "betweenness": betweenness(graph, threads=threads),
-        "closeness": closeness(graph, threads=threads),
+        "betweenness": betweenness(graph),
+        "closeness": closeness(graph),
         "triangle_count": triangle_count(graph).astype(float),
     }
     normalized = {m: normalize(raw[m]) for m in METRIC_NAMES}

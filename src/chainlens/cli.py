@@ -267,7 +267,7 @@ def cmd_eval(args) -> int:
     for setting in settings:
         report = evaluate(
             params, test_arr, filter_index, setting=setting, tie_policy=args.tie,
-            threads=args.threads, candidate_index=candidate_index,
+            candidate_index=candidate_index,
         )
         reports[setting] = report
         text_path = out_dir / f"eval_{setting}.txt"
@@ -298,8 +298,7 @@ def cmd_eval(args) -> int:
         out_dir / "manifest.json",
         "eval",
         {"checkpoint": str(args.checkpoint), "setting": args.setting, "tie_policy": args.tie,
-         "per_relation": bool(args.per_relation), "type_constrained": bool(args.type_constrained),
-         "threads": args.threads},
+         "per_relation": bool(args.per_relation), "type_constrained": bool(args.type_constrained)},
         [params.seed],
         [str(args.checkpoint), str(args.split_dir)],
         outputs,
@@ -313,7 +312,7 @@ def cmd_analyze(args) -> int:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     suppliers = graph.project_subgraph({EntityType.SUPPLIER}, {RelationType.SUPPLIES_TO})
-    report = criticality(suppliers, threshold=args.threshold, threads=args.threads)
+    report = criticality(suppliers, threshold=args.threshold)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "criticality.csv"
@@ -339,7 +338,7 @@ def cmd_analyze(args) -> int:
     _write_manifest(
         out_dir / "manifest.json",
         "analyze",
-        {"threshold": args.threshold, "sole_scopes": bool(args.sole_scopes), "threads": args.threads},
+        {"threshold": args.threshold, "sole_scopes": bool(args.sole_scopes)},
         [],
         [str(args.in_path)],
         outputs,
@@ -420,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type-constrained", action="store_true",
                    help="restrict candidate objects to schema-legal target types")
     p.add_argument("--schema", help="schema description file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_eval)
 
@@ -430,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sole-scopes", action="store_true",
                    help="also list business scopes with exactly one related supplier")
     p.add_argument("--schema", help="schema description file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_analyze)
 

@@ -8,19 +8,30 @@ Tie handling follows three policies: optimistic (1 + number of strictly
 better candidates), pessimistic (number of greater-or-equal candidates with
 the true object itself counted once at the end), and realistic (arithmetic
 mean of the two).  On an all-tie vector of length N the realistic rank is
-exactly (N + 1) / 2.
+exactly (N + 1) / 2.  A query whose true-object score is not finite ranks
+last, at the number of candidates, under every policy: NaN compares false
+with everything and would otherwise rank first.
+
+:func:`evaluate` ranks queries in blocks.  Queries are grouped by relation
+and each group is cut into blocks of k rows, sized so that the (k, N) score
+block takes about ``BLOCK_BYTES``; one :func:`~chainlens.models.score_objects`
+call scores a block, and each row's rank is read from counts of scores above
+and equal to its true-object score.  The known-true objects of the filtered
+setting come from a :class:`FilterIndex` in CSR form (one flat sorted object
+array with per-(s, r) offsets), whose objects are subtracted from those
+counts.  :func:`rank_object` ranks one query from its score vector and is
+the reference the blocks are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .models import ModelParams, score_objects
+from .models import ModelParams, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
@@ -103,17 +114,81 @@ class EvalReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-FilterIndex = dict[tuple[int, int], np.ndarray]
 CandidateIndex = dict[int, np.ndarray]
+
+# Target size of one (k, N) float64 score block.  At 6,940 entities on a
+# 2-vCPU Xeon, smaller blocks slowed every model (per-call overhead) and
+# larger ones slowed TransE and RotatE, whose (k, N) work buffers then
+# spill out of the L2 cache.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(num_entities: int) -> int:
+    """Queries per score block when ranking against ``num_entities`` candidates."""
+    return max(1, BLOCK_BYTES // (8 * num_entities))
+
+
+@dataclass(frozen=True, eq=False)
+class FilterIndex:
+    """Known-true object ids per (subject, relation), in CSR form.
+
+    ``keys`` holds the sorted distinct s * num_relations + r of the known
+    pairs; the objects of ``keys[i]`` are ``objects[offsets[i]:offsets[i + 1]]``,
+    sorted ascending.
+    """
+
+    num_relations: int
+    keys: np.ndarray
+    offsets: np.ndarray
+    objects: np.ndarray
+
+    def _spans(self, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end offsets of each pair (s[i], r[i]); start == end for unknown pairs."""
+        s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
+        if not len(self.keys):
+            return np.zeros(len(s), dtype=np.int64), np.zeros(len(s), dtype=np.int64)
+        key = s * self.num_relations + r
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        # a relation id outside [0, num_relations) would alias another pair's key
+        found = (self.keys[pos] == key) & (s >= 0) & (r >= 0) & (r < self.num_relations)
+        start = np.where(found, self.offsets[pos], 0)
+        end = np.where(found, self.offsets[pos + 1], 0)
+        return start, end
+
+    def get(self, key: tuple[int, int]) -> np.ndarray | None:
+        """Known-true objects of (s, r), or None when there are none."""
+        start, end = self._spans(np.array([key[0]]), np.array([key[1]]))
+        return self.objects[start[0]:end[0]] if end[0] > start[0] else None
+
+    def pairs(self, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, object) for every known-true object of every pair (s[row], r[row])."""
+        start, end = self._spans(s, r)
+        counts = end - start
+        rows = np.repeat(np.arange(len(counts)), counts)
+        run_start = np.cumsum(counts) - counts
+        positions = np.arange(counts.sum()) + np.repeat(start - run_start, counts)
+        return rows, self.objects[positions]
 
 
 def build_filter_index(triple_sets: list[np.ndarray]) -> FilterIndex:
-    """Map (subject, relation) to the array of known-true object ids."""
-    objects: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for arr in triple_sets:
-        for s, r, o in np.atleast_2d(np.asarray(arr, dtype=np.int64)):
-            objects[(int(s), int(r))].add(int(o))
-    return {key: np.fromiter(sorted(vals), dtype=np.int64) for key, vals in objects.items()}
+    """Index the known-true object ids of every (subject, relation) pair."""
+    triples = np.concatenate(
+        [np.empty((0, 3), dtype=np.int64)]
+        + [np.asarray(arr, dtype=np.int64).reshape(-1, 3) for arr in triple_sets]
+    )
+    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+    num_relations = int(r.max()) + 1 if len(r) else 0
+    num_objects = int(o.max()) + 1 if len(o) else 0
+    pair_key = s * num_relations + r
+    # one sort orders pairs and, within a pair, objects; it also drops duplicates
+    unique = np.unique(pair_key * num_objects + o)
+    keys, starts = np.unique(unique // max(num_objects, 1), return_index=True)
+    return FilterIndex(
+        num_relations=num_relations,
+        keys=keys,
+        offsets=np.append(starts, len(unique)),
+        objects=unique % max(num_objects, 1),
+    )
 
 
 def type_constrained_candidates(graph, schema) -> CandidateIndex:
@@ -133,6 +208,22 @@ def type_constrained_candidates(graph, schema) -> CandidateIndex:
         ids = sorted(i for t in schema.target_types(rel) for i in by_type.get(t, ()))
         out[idx] = np.asarray(ids, dtype=np.int64)
     return out
+
+
+def _tie_rank(greater, ties, n_candidates, true_score, tie_policy: str):
+    """Rank from the counts of candidates scoring above and equal to the true
+    object (the latter including it), under ``tie_policy``; elementwise."""
+    optimistic = 1 + greater
+    pessimistic = greater + ties
+    if tie_policy == "optimistic":
+        rank = optimistic
+    elif tie_policy == "pessimistic":
+        rank = pessimistic
+    elif tie_policy == "realistic":
+        rank = (optimistic + pessimistic) / 2.0
+    else:
+        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+    return np.where(np.isfinite(true_score), rank, n_candidates).astype(np.float64)
 
 
 def _rank_from_scores(
@@ -159,15 +250,12 @@ def _rank_from_scores(
         n_candidates = len(scores)
     greater = int((cand > true_score).sum())
     ties = int((cand == true_score).sum())  # includes the true object itself
-    optimistic = 1 + greater
-    pessimistic = greater + ties
-    if tie_policy == "optimistic":
-        return float(optimistic), n_candidates
-    if tie_policy == "pessimistic":
-        return float(pessimistic), n_candidates
-    if tie_policy == "realistic":
-        return (optimistic + pessimistic) / 2.0, n_candidates
-    raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+    return float(_tie_rank(greater, ties, n_candidates, true_score, tie_policy)), n_candidates
+
+
+def _check_setting(setting: str) -> None:
+    if setting not in SETTINGS:
+        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
 
 
 def rank_object(
@@ -183,8 +271,7 @@ def rank_object(
     All entities are candidates unless ``candidate_index`` restricts them to
     schema-legal target types (see :func:`type_constrained_candidates`).
     """
-    if setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    _check_setting(setting)
     if not 0 <= query.subject < params.num_entities or not 0 <= query.true_object < params.num_entities:
         raise KeyError(f"query references unknown entity: {query}")
     if not 0 <= query.predicate < params.num_relations:
@@ -198,10 +285,86 @@ def rank_object(
     return RankResult(query=query, rank=rank, num_candidates=n_candidates, setting=setting, tie_policy=tie_policy)
 
 
-def _as_queries(queries) -> list[Query]:
+def _rank_block(
+    scores: np.ndarray,
+    s: np.ndarray,
+    r: np.ndarray,
+    o: np.ndarray,
+    filter_index: FilterIndex | None,
+    allowed: np.ndarray | None,
+    tie_policy: str,
+) -> np.ndarray:
+    """Ranks of the k queries (s[i], r[i], o[i]) of one (k, N) score block.
+
+    ``allowed`` marks the candidate objects, None meaning all entities.
+    """
+    rows = np.arange(len(scores))
+    true_score = scores[rows, o]
+    ranked = scores if allowed is None else scores[:, allowed]
+    greater = (ranked > true_score[:, None]).sum(axis=1)
+    ties = (ranked == true_score[:, None]).sum(axis=1)
+    n_candidates = np.full(len(rows), ranked.shape[1])
+    if allowed is not None:
+        # a true object outside the candidates is still ranked, tying itself
+        outside = ~allowed[o]
+        ties += outside
+        n_candidates += outside
+    if filter_index is not None:
+        row, obj = filter_index.pairs(s, r)
+        drop = obj != o[row]
+        if allowed is not None:
+            drop &= allowed[obj]
+        row, obj = row[drop], obj[drop]
+        dropped = scores[row, obj]
+        greater -= np.bincount(row[dropped > true_score[row]], minlength=len(rows))
+        ties -= np.bincount(row[dropped == true_score[row]], minlength=len(rows))
+        n_candidates -= np.bincount(row, minlength=len(rows))
+    return _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+
+
+def rank_queries(
+    params: ModelParams,
+    queries: np.ndarray,
+    filter_index: FilterIndex | None = None,
+    setting: str = "filtered",
+    tie_policy: str = "realistic",
+    candidate_index: CandidateIndex | None = None,
+) -> np.ndarray:
+    """Ranks of the true objects of an (M, 3) query id array, in query order.
+
+    Each rank equals :func:`rank_object`'s for the same query and arguments.
+    Queries are ranked in blocks of :func:`block_rows` queries of one relation.
+    """
+    _check_setting(setting)
+    queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
+    s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
+    bad = (s < 0) | (s >= params.num_entities) | (o < 0) | (o >= params.num_entities)
+    bad |= (r < 0) | (r >= params.num_relations)
+    if bad.any():
+        raise KeyError(f"query references unknown ids: {tuple(queries[np.argmax(bad)].tolist())}")
+    if setting != "filtered":
+        filter_index = None
+    ranks = np.empty(len(queries))
+    step = block_rows(params.num_entities)
+    rels, groups = _relation_groups(r)
+    for rel, group in zip(rels.tolist(), groups):
+        allowed = None
+        candidates = None if candidate_index is None else candidate_index.get(rel)
+        if candidates is not None:
+            allowed = np.zeros(params.num_entities, dtype=bool)
+            allowed[candidates] = True
+        for start in range(0, len(group), step):
+            block = group[start:start + step]
+            scores = score_objects(params, s[block], r[block])
+            ranks[block] = _rank_block(scores, s[block], r[block], o[block], filter_index, allowed, tie_policy)
+    return ranks
+
+
+def _as_query_array(queries) -> np.ndarray:
     if isinstance(queries, np.ndarray):
-        return [Query(int(s), int(r), int(o)) for s, r, o in np.atleast_2d(queries)]
-    return [q if isinstance(q, Query) else Query(*q) for q in queries]
+        return np.asarray(queries, dtype=np.int64).reshape(-1, 3)
+    rows = [(q.subject, q.predicate, q.true_object) if isinstance(q, Query) else tuple(q) for q in queries]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def evaluate(
@@ -210,50 +373,31 @@ def evaluate(
     filter_set=None,
     setting: str = "filtered",
     tie_policy: str = "realistic",
-    threads: int = 1,
     candidate_index: CandidateIndex | None = None,
 ) -> EvalReport:
     """Aggregate MRR and hits@k over queries, overall and per relation type.
 
     ``queries`` may be Query objects, (s, r, o) tuples, or an (M, 3) id
-    array.  ``filter_set`` is either a prebuilt filter index or a list of
-    triple arrays covering all known-true triples.  Aggregation is
-    order-independent, so queries may be partitioned across threads.
+    array.  ``filter_set`` is either a :class:`FilterIndex` or a list of
+    triple arrays covering all known-true triples.  Queries are ranked by
+    :func:`rank_queries`.
     """
-    query_list = _as_queries(queries)
-    if not query_list:
+    query_array = _as_query_array(queries)
+    if not len(query_array):
         raise EmptyQuerySet("evaluate() needs at least one query")
-    if isinstance(filter_set, dict) or filter_set is None:
+    if filter_set is None or isinstance(filter_set, FilterIndex):
         filter_index = filter_set
     else:
         filter_index = build_filter_index(list(filter_set))
-
-    def rank_chunk(chunk: list[Query]) -> list[float]:
-        return [
-            rank_object(params, q, filter_index, setting, tie_policy, candidate_index).rank
-            for q in chunk
-        ]
-
-    if threads > 1 and len(query_list) > 1:
-        chunks = [query_list[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(rank_chunk, chunks))
-        ranks_by_query: dict[int, float] = {}
-        for ci, chunk in enumerate(chunks):
-            for qi, rank in zip(range(ci, len(query_list), threads), results[ci]):
-                ranks_by_query[qi] = rank
-        ranks = np.array([ranks_by_query[i] for i in range(len(query_list))])
-    else:
-        ranks = np.array(rank_chunk(query_list))
+    ranks = rank_queries(params, query_array, filter_index, setting, tie_policy, candidate_index)
 
     def metrics(idx: np.ndarray) -> tuple[float, dict[int, float]]:
         rs = ranks[idx]
         return float(np.mean(1.0 / rs)), {k: float(np.mean(rs <= k)) for k in HITS_KS}
 
-    all_idx = np.arange(len(query_list))
-    mrr, hits = metrics(all_idx)
+    mrr, hits = metrics(np.arange(len(query_array)))
     per_relation: dict[int, PerRelationMetrics] = {}
-    rels = np.array([q.predicate for q in query_list])
+    rels = query_array[:, 1]
     for rel in sorted(set(rels.tolist())):
         idx = np.where(rels == rel)[0]
         rel_mrr, rel_hits = metrics(idx)
@@ -264,7 +408,7 @@ def evaluate(
         per_relation=per_relation,
         setting=setting,
         tie_policy=tie_policy,
-        num_queries=len(query_list),
+        num_queries=len(query_array),
     )
 
 

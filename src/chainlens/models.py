@@ -16,6 +16,11 @@ grouped by relation, so scores and gradients are per-relation matrix products
 and S M_r, and G_r = S^T O is RESCAL's relation gradient, from which TuckER's
 relation and core gradients are one contraction each with W and w.
 
+``score_objects`` scores k queries against all N entities as one (k, N)
+block: a GEMM per relation for the bilinear models, one real GEMM on the
+float64 views for ComplEx, and a loop over the embedding dimension on (k, N)
+buffers for the distance models TransE and RotatE.
+
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
 g = d/dRe + i * d/dIm, so viewing parameters and gradients as float64 makes
@@ -214,23 +219,81 @@ def score(params: ModelParams, s: int, r: int, o: int) -> float:
     return float(score_batch(params, np.array([[s, r, o]]))[0])
 
 
-def score_objects(params: ModelParams, s: int, r: int) -> np.ndarray:
-    """Scores of every entity as candidate object of (s, r, ?)."""
+def score_objects(params: ModelParams, s, r) -> np.ndarray:
+    """Scores of every entity as candidate object of (s, r, ?).
+
+    ``s`` and ``r`` are ids, or equal-length id arrays of k queries.  Scalar
+    ids give the (N,) score vector, arrays a (k, N) block with one row per
+    query.  Each row is computed the same way whatever k is, apart from the
+    summation order BLAS picks for the bilinear models and ComplEx.
+    """
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=np.int64))
+    r = np.atleast_1d(np.asarray(r, dtype=np.int64))
     E, R = params.blocks["entity"], params.blocks["relation"]
     kind = params.kind
-    if kind is ModelKind.TRANSE:
-        return -np.abs((E[s] + R[r])[None, :] - E).sum(axis=1)
-    if kind is ModelKind.RESCAL:
-        return E @ (E[s] @ R[r])
-    if kind is ModelKind.COMPLEX:
-        return np.real(np.conj(E) @ (E[s] * R[r]))
-    if kind is ModelKind.TUCKER:
-        W = params.blocks["core"]
-        v = np.einsum("abc,a,b->c", W, E[s], R[r], optimize=True)
-        return E @ v
-    if kind is ModelKind.ROTATE:
-        return -np.abs((E[s] * np.exp(1j * R[r]))[None, :] - E).sum(axis=1)
-    raise ValueError(f"unhandled model kind {kind}")  # pragma: no cover
+    if kind in _BILINEAR:
+        out = np.empty((len(s), len(E)))
+        rels, groups = _relation_groups(r)
+        M = _relation_matrices(params, rels)
+        for k, rows in enumerate(groups):
+            out[rows] = (E[s[rows]] @ M[k]) @ E.T
+    elif kind is ModelKind.COMPLEX:
+        # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
+        out = (E[s] * R[r]).view(np.float64) @ E.view(np.float64).T
+    elif kind is ModelKind.TRANSE:
+        out = _negated_distance_sums(E[s] + R[r], E)
+    elif kind is ModelKind.ROTATE:
+        out = _negated_distance_sums(E[s] * np.exp(1j * R[r]), E)
+    else:  # pragma: no cover
+        raise ValueError(f"unhandled model kind {kind}")
+    return out[0] if scalar else out
+
+
+def _negated_distance_sums(q: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """-sum_d |q[i, d] - E[j, d]| for every query row i and entity j, as (k, N).
+
+    Complex entries (RotatE) contribute their modulus, sqrt(re^2 + im^2).  The
+    loop runs over the embedding dimension on (k, N) buffers, so no (k, N, d)
+    temporary is formed, and reads rows of E transposed once per call.
+    """
+    k, n = len(q), len(E)
+    out = np.zeros((k, n))
+    buf = np.empty((k, n))
+    if np.iscomplexobj(E):
+        # float64 views interleave (re, im): column 2d of q_v and row 2d of
+        # e_t hold the real parts of dimension d, 2d + 1 the imaginary parts
+        q_v = q.view(np.float64)
+        e_t = _transposed(E.view(np.float64))
+        buf_im = np.empty((k, n))
+        for d in range(0, e_t.shape[0], 2):
+            np.subtract(q_v[:, d, None], e_t[d], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.subtract(q_v[:, d + 1, None], e_t[d + 1], out=buf_im)
+            np.multiply(buf_im, buf_im, out=buf_im)
+            buf += buf_im
+            np.sqrt(buf, out=buf)
+            out -= buf
+    else:
+        e_t = _transposed(E)
+        for d in range(e_t.shape[0]):
+            np.subtract(q[:, d, None], e_t[d], out=buf)
+            np.abs(buf, out=buf)
+            out -= buf
+    return out
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a.T as a C-contiguous array, copied 64 rows of ``a`` at a time.
+
+    A plain copy of the transpose of a tall matrix reads a new cache line for
+    every element; copying in row blocks was 3-4x faster for a 6,940 x 128
+    float64 matrix on a 2-vCPU Xeon.
+    """
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for start in range(0, len(a), 64):
+        out[:, start:start + 64] = a[start:start + 64].T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,10 @@ def test_betweenness_matches_oracle_on_digraphs(seed):
     np.testing.assert_allclose(betweenness(g), brute_betweenness(g), atol=1e-9)
 
 
-def test_betweenness_threads_deterministic():
+def test_betweenness_and_closeness_deterministic():
     g = random_supplier_graph(np.random.default_rng(7), 30, 60)
-    np.testing.assert_allclose(betweenness(g, threads=4), betweenness(g, threads=1), atol=1e-9)
-    np.testing.assert_array_equal(betweenness(g, threads=4), betweenness(g, threads=4))
-    np.testing.assert_array_equal(closeness(g, threads=4), closeness(g, threads=1))
+    np.testing.assert_array_equal(betweenness(g), betweenness(g))
+    np.testing.assert_array_equal(closeness(g), closeness(g))
 
 
 # -- closeness ---------------------------------------------------------------

@@ -3,19 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens.evaluation as evaluation
 from chainlens.evaluation import (
+    TIE_POLICIES,
     EmptyQuerySet,
     EvalReport,
     PerRelationMetrics,
     Query,
     VocabularyMismatch,
+    block_rows,
     build_filter_index,
     evaluate,
     per_relation_table,
     rank_object,
+    rank_queries,
+    type_constrained_candidates,
 )
+from chainlens.graph import DEFAULT_SCHEMA, RelationType
 from chainlens.models import ModelKind, ModelParams, init_params
 from chainlens.training import TrainConfig, train
+
+from conftest import random_typed_graph
 
 
 def table_params(score_table: dict[int, np.ndarray], n_entities: int) -> ModelParams:
@@ -151,11 +159,13 @@ def test_evaluate_invariant_under_query_permutation():
     assert a.mrr == b.mrr and a.hits == b.hits
 
 
-def test_evaluate_threads_match_sequential():
+def test_evaluate_repeatable_and_invariant_to_repetition():
     p, queries = ranks_fixture_params()
-    seq = evaluate(p, queries * 10, None, setting="raw")
-    par = evaluate(p, queries * 10, None, setting="raw", threads=4)
-    assert seq.mrr == par.mrr and seq.hits == par.hits
+    once = evaluate(p, queries, None, setting="raw")
+    first = evaluate(p, queries * 10, None, setting="raw")
+    second = evaluate(p, queries * 10, None, setting="raw")
+    assert first.mrr == second.mrr and first.hits == second.hits
+    assert first.mrr == pytest.approx(once.mrr, abs=1e-12) and first.hits == once.hits
 
 
 def test_per_relation_counts_sum_to_total():
@@ -196,6 +206,99 @@ def test_filtered_mrr_at_least_raw_on_trained_model():
     filtered = evaluate(params, triples, filter_index, setting="filtered")
     raw = evaluate(params, triples, filter_index, setting="raw")
     assert filtered.mrr >= raw.mrr
+
+
+# -- filter index and batched ranking ---------------------------------------
+
+def test_filter_index_lookup():
+    index = build_filter_index([np.array([[0, 1, 5], [0, 1, 2]]), np.array([[0, 1, 5], [3, 0, 2]])])
+    np.testing.assert_array_equal(index.get((0, 1)), [2, 5])  # sorted, duplicates merged
+    np.testing.assert_array_equal(index.get((3, 0)), [2])
+    assert index.get((1, 0)) is None
+    assert index.get((0, 2)) is None  # 0 * 2 + 2 is the key of (1, 0): relations must not alias
+    assert build_filter_index([]).get((0, 0)) is None
+    rows, objects = index.pairs(np.array([3, 1, 0]), np.array([0, 0, 1]))
+    np.testing.assert_array_equal(rows, [0, 2, 2])
+    np.testing.assert_array_equal(objects, [2, 2, 5])
+
+
+def reference_ranks(params, queries, filter_index, setting, tie_policy, candidate_index=None):
+    return np.array([
+        rank_object(params, Query(int(s), int(r), int(o)), filter_index, setting, tie_policy, candidate_index).rank
+        for s, r, o in queries
+    ])
+
+
+@pytest.fixture(scope="module")
+def ranking_case():
+    """A typed graph whose queries cross score-block boundaries in one relation."""
+    rng = np.random.default_rng(17)
+    n_ent = 2048
+    graph = random_typed_graph(rng, n_ent, 300)
+    triples = np.array([t.key() for t in graph.triples], dtype=np.int64)
+    rows = block_rows(n_ent)
+    # supplies_to queries with random objects, some outside its candidate types
+    extra = np.column_stack([rng.integers(n_ent, size=2 * rows + 5), np.zeros(2 * rows + 5, dtype=np.int64),
+                             rng.integers(n_ent, size=2 * rows + 5)])
+    queries = np.concatenate([triples[:150], extra, triples[150:]])
+    return graph, triples, queries
+
+
+@pytest.mark.parametrize("constrained", [False, True], ids=["all", "typed"])
+@pytest.mark.parametrize("setting", ["raw", "filtered"])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batched_ranks_equal_rank_object(ranking_case, kind, setting, constrained):
+    graph, triples, queries = ranking_case
+    assert (queries[:, 1] == 0).sum() > 2 * block_rows(graph.num_entities)  # three blocks or more
+    params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+    index = build_filter_index([triples])
+    candidates = type_constrained_candidates(graph, DEFAULT_SCHEMA) if constrained else None
+    for policy in TIE_POLICIES:
+        batched = rank_queries(params, queries, index, setting, policy, candidates)
+        np.testing.assert_array_equal(batched, reference_ranks(params, queries, index, setting, policy, candidates))
+
+
+def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):
+    n = 9
+    rng = np.random.default_rng(8)
+    p = table_params({0: np.zeros((n, n)), 1: rng.integers(0, 3, size=(n, n)).astype(float)}, n)
+    queries = np.column_stack([rng.integers(n, size=60), rng.integers(2, size=60), rng.integers(n, size=60)])
+    index = build_filter_index([queries[::3]])
+    candidates = {0: np.array([1, 2, 4, 7]), 1: np.array([0, 3, 3, 8])}
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * n * 4)  # 4 queries per block
+    assert block_rows(n) == 4
+    for setting in ("raw", "filtered"):
+        for policy in TIE_POLICIES:
+            for cand in (None, candidates):
+                batched = rank_queries(p, queries, index, setting, policy, cand)
+                np.testing.assert_array_equal(batched, reference_ranks(p, queries, index, setting, policy, cand))
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_non_finite_true_score_ranks_last(policy):
+    n = 7
+    all_nan = init_params(ModelKind.COMPLEX, n, 2, TrainConfig(dim=4, seed=1))
+    all_nan.blocks["entity"][:] = np.nan
+    queries = np.array([[0, 0, 3], [1, 1, 2], [4, 0, 4]])
+    index = build_filter_index([np.array([[0, 0, 5]])])
+    for setting, first_rank in (("raw", n), ("filtered", n - 1)):
+        ranks = rank_queries(all_nan, queries, index, setting, policy)
+        np.testing.assert_array_equal(ranks, [first_rank, n, n])
+        np.testing.assert_array_equal(ranks, reference_ranks(all_nan, queries, index, setting, policy))
+        report = evaluate(all_nan, queries, index, setting=setting, tie_policy=policy)
+        assert report.mrr == pytest.approx(np.mean(1.0 / ranks)) and report.hits[1] == 0.0
+    # only the true object's score is NaN; every other candidate is finite
+    only_true = init_params(ModelKind.COMPLEX, n, 2, TrainConfig(dim=4, seed=1))
+    only_true.blocks["entity"][3] = np.nan
+    assert np.isfinite(np.delete(evaluation.score_objects(only_true, 0, 0), 3)).all()
+    result = rank_object(only_true, Query(0, 0, 3), setting="raw", tie_policy=policy)
+    assert result.rank == n == result.num_candidates
+    assert rank_queries(only_true, queries[:1], None, "raw", policy)[0] == n
+    # an infinite true score outranks nothing either
+    inf_true = ModelParams(kind=ModelKind.RESCAL, dim=1, num_entities=3, num_relations=1, seed=0,
+                           blocks={"entity": np.array([[1.0], [1.0], [np.inf]]), "relation": np.ones((1, 1, 1))})
+    assert rank_object(inf_true, Query(0, 0, 2), setting="raw", tie_policy=policy).rank == 3
+    assert rank_queries(inf_true, np.array([[0, 0, 2]]), None, "raw", policy)[0] == 3
 
 
 # -- per-relation table ------------------------------------------------------
@@ -269,8 +372,7 @@ def test_isolated_bipartite_relation_scores_worst():
 
 
 def test_type_constrained_candidates_restrict_ranking():
-    from chainlens.evaluation import type_constrained_candidates
-    from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RELATION_INDEX, RelationType
+    from chainlens.graph import EntityType, Graph, RELATION_INDEX
 
     g = Graph()
     s = g.add_entity("s", EntityType.SUPPLIER)

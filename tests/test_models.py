@@ -149,8 +149,25 @@ def test_score_objects_consistent_with_score_batch():
     for kind in ALL_KINDS:
         p = make_params(kind, n_ent=7, n_rel=2, dim=5, seed=9)
         per_obj = score_objects(p, 3, 1)
+        assert per_obj.shape == (7,)
         batch = score_batch(p, np.array([[3, 1, o] for o in range(7)]))
         np.testing.assert_allclose(per_obj, batch, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_objects_block_matches_score_batch(kind):
+    n_ent, n_rel = 23, 4
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=6, seed=12)
+    rng = np.random.default_rng(12)
+    s = rng.integers(n_ent, size=9)
+    r = np.array([2, 0, 2, 3, 1, 2, 0, 3, 2])  # mixed and repeated relations
+    block = score_objects(p, s, r)
+    assert block.shape == (9, n_ent)
+    objects = np.arange(n_ent)
+    for i in range(len(s)):
+        triples = np.column_stack([np.full(n_ent, s[i]), np.full(n_ent, r[i]), objects])
+        np.testing.assert_allclose(block[i], score_batch(p, triples), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block[i], score_objects(p, int(s[i]), int(r[i])), rtol=0, atol=1e-12)
 
 
 # -- negative sampling -------------------------------------------------------
