@@ -18,11 +18,16 @@ interpretable):
   strictly above the threshold are flagged critical;
 * the correlation matrix is Pearson on the raw metric vectors; a
   zero-variance metric correlates 0 with everything else.
+
+Betweenness and closeness share a level-synchronous BFS over batches of
+sources on a CSR adjacency (Brandes 2001; Kepner & Gilbert 2011).  Betweenness
+matches per-source Brandes up to summation order; closeness and the integer
+metrics are exact.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,84 +45,78 @@ class DegenerateGraph(Exception):
 def degree_centrality(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (in_degree, out_degree) as exact triple counts per direction."""
     n = graph.num_entities
-    in_deg = np.zeros(n, dtype=np.int64)
-    out_deg = np.zeros(n, dtype=np.int64)
-    for t in graph.triples:
-        out_deg[t.subject] += 1
-        in_deg[t.object] += 1
-    return in_deg, out_deg
+    t = graph.triples_array()
+    return np.bincount(t[:, 2], minlength=n), np.bincount(t[:, 0], minlength=n)
 
 
-def _simple_out_adjacency(graph: Graph) -> list[np.ndarray]:
-    """Distinct successors per node (parallel relation edges collapsed)."""
-    succ: list[set[int]] = [set() for _ in range(graph.num_entities)]
-    for t in graph.triples:
-        if t.subject != t.object:
-            succ[t.subject].add(t.object)
-    return [np.fromiter(sorted(s), dtype=np.int64) for s in succ]
+#: Bytes of one (k, n) float64 array of a BFS batch; sets k, the sources per batch.
+BFS_BYTES = 1 << 22
 
 
-def _brandes_source(adj: list[np.ndarray], source: int, acc: np.ndarray) -> None:
-    n = len(adj)
-    sigma = np.zeros(n)
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma[source] = 1.0
-    dist[source] = 0
-    order: list[int] = []
-    queue = deque([source])
-    preds: list[list[int]] = [[] for _ in range(n)]
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = np.zeros(n)
-    for w in reversed(order):
-        for v in preds[w]:
-            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-        if w != source:
-            acc[w] += delta[w]
+def _bfs_levels(graph: Graph):
+    """Level-synchronous BFS from every node, k sources at a time.
+
+    Yields ``(first, sigma, levels)`` per batch.  Flat key ``r * n + v`` is node
+    v in the BFS from ``first + r``; sigma (reused by the next batch) counts
+    shortest paths by key; levels[d-1] = ``(fresh, parents, children)`` holds the
+    sorted keys first reached at depth d and the DAG edges into them (last empty).
+    """
+    n = graph.num_entities
+    t = graph.triples_array()
+    keys = np.unique(t[:, 0] * n + t[:, 2])  # CSR; self-loops are never on a shortest path
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    k = max(1, min(n, BFS_BYTES // (8 * max(n, 1))))
+    dist = np.full(k * n, -1, dtype=np.int64)
+    sigma = np.zeros(k * n)
+    for first in range(0, n, k):
+        sources = np.arange(min(k, n - first)) * (n + 1) + first
+        dist[sources], sigma[sources] = 0, 1.0
+        frontier, depth, levels = sources, 0, []
+        while frontier.size:
+            depth += 1
+            starts = indptr[frontier % n]
+            deg = indptr[frontier % n + 1] - starts
+            parents = np.repeat(frontier, deg)
+            edge = np.arange(parents.size) + np.repeat(starts - (np.cumsum(deg) - deg), deg)
+            children = parents - parents % n + keys[edge] % n
+            fresh = children[dist[children] < 0]
+            dist[fresh] = depth
+            on_dag = dist[children] == depth
+            parents, children = parents[on_dag], children[on_dag]
+            np.add.at(sigma, children, sigma[parents])
+            frontier = np.unique(fresh)
+            levels.append((frontier, parents, children))
+        yield first, sigma, levels
+        touched = np.concatenate([sources] + [fresh for fresh, _, _ in levels])
+        dist[touched], sigma[touched] = -1, 0.0
 
 
 def betweenness(graph: Graph) -> np.ndarray:
     """Exact directed betweenness, endpoints excluded, unnormalized."""
     n = graph.num_entities
-    adj = _simple_out_adjacency(graph)
-    acc = np.zeros(n)
-    for s in range(n):
-        _brandes_source(adj, s, acc)
+    acc, delta = np.zeros(n), None
+    for _, sigma, levels in _bfs_levels(graph):
+        delta = np.zeros_like(sigma) if delta is None else delta
+        for _, parents, children in reversed(levels):
+            np.add.at(delta, parents, sigma[parents] / sigma[children] * (1.0 + delta[children]))
+        # sources excluded; sorted keys add each node's dependencies in source order
+        reached = np.sort(np.concatenate([fresh for fresh, _, _ in levels]))
+        np.add.at(acc, reached % n, delta[reached])
+        delta[np.concatenate([parents for _, parents, _ in levels])] = 0.0
     return acc
 
 
 def closeness(graph: Graph) -> np.ndarray:
     """Wasserman-Faust closeness over outgoing shortest-path distances."""
     n = graph.num_entities
-    adj = _simple_out_adjacency(graph)
-
-    def one(source: int) -> float:
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        queue = deque([source])
-        reached = 0
-        total = 0
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    reached += 1
-                    total += dist[w]
-                    queue.append(w)
-        if reached == 0 or n <= 1:
-            return 0.0
-        return (reached / total) * (reached / (n - 1))
-
-    return np.array([one(s) for s in range(n)])
+    reached, total = np.zeros((2, n), dtype=np.int64)
+    for first, _, levels in _bfs_levels(graph):
+        for depth, (fresh, _, _) in enumerate(levels, start=1):
+            np.add.at(reached, first + fresh // n, 1)
+            np.add.at(total, first + fresh // n, depth)
+    hit = reached > 0
+    return np.where(hit, (reached / np.where(hit, total, 1)) * (reached / max(n - 1, 1)), 0.0)
 
 
 def triangle_count(graph: Graph) -> np.ndarray:

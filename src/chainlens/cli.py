@@ -7,8 +7,8 @@ duration, so reruns are checkable.  All randomness flows from a single
 per-run seed.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 infeasible
-operation.  The environment variable CHAINLENS_LOG (error, info, debug)
-controls verbosity.
+operation, 4 training diverged (no checkpoint is written).  The environment
+variable CHAINLENS_LOG (error, info, debug) controls verbosity.
 """
 
 from __future__ import annotations
@@ -56,7 +56,14 @@ from .graph import (
     Schema,
 )
 from .models import ModelKind, load_checkpoint, save_checkpoint
-from .training import GRID_DIMS, GRID_LEARNING_RATES, TrainConfig, grid_search, train
+from .training import (
+    GRID_DIMS,
+    GRID_LEARNING_RATES,
+    TrainConfig,
+    TrainingDiverged,
+    grid_search,
+    train,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -460,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"chainlens: error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"chainlens: error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

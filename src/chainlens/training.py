@@ -5,7 +5,8 @@ one (configurable) negative per positive, Adam with bias correction, and
 early stopping on filtered validation hits@10 evaluated every ``eval_every``
 epochs.  Training stops once hits@10 fails to strictly improve on
 ``patience`` consecutive evaluations; the parameters returned are the
-checkpoint from the best evaluation, not the last.
+checkpoint from the best evaluation, not the last.  An epoch whose mean loss
+or parameters are not all finite stops training with :class:`TrainingDiverged`.
 
 Everything is seeded and deterministic: the same config yields the same
 trajectory bit for bit.
@@ -87,6 +88,14 @@ class TrainConfig:
             except ValueError:
                 raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
         return cls(**kwargs)
+
+
+class TrainingDiverged(Exception):
+    """Raised when an epoch ends with a non-finite mean loss or parameters."""
+
+    def __init__(self, message: str, epoch: int) -> None:
+        super().__init__(message)
+        self.epoch = epoch
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +231,13 @@ def train(
             losses_sum += float(losses.sum())
             n_pairs += len(losses)
         mean_loss = losses_sum / max(n_pairs, 1)
+        finite = params.all_finite()
+        if not (finite and np.isfinite(mean_loss)):
+            raise TrainingDiverged(
+                f"{kind.value} diverged at epoch {epoch}: mean loss {mean_loss:g}"
+                + ("" if finite else ", non-finite parameters"),
+                epoch,
+            )
 
         if evaluations_enabled and epoch % config.eval_every == 0:
             hits10, mrr = eval_fn(params, epoch)

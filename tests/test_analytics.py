@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlens import analytics
 from chainlens.analytics import (
     METRIC_NAMES,
     betweenness,
@@ -17,7 +18,7 @@ from chainlens.analytics import (
     sole_supplier_scopes,
     triangle_count,
 )
-from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType
+from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType, Schema
 
 from conftest import random_supplier_graph, supplier_chain
 
@@ -184,6 +185,92 @@ def test_betweenness_and_closeness_deterministic():
     g = random_supplier_graph(np.random.default_rng(7), 30, 60)
     np.testing.assert_array_equal(betweenness(g), betweenness(g))
     np.testing.assert_array_equal(closeness(g), closeness(g))
+
+
+# -- batched BFS (betweenness and closeness share it) ------------------------
+
+def assert_centralities_match_oracles(g):
+    np.testing.assert_allclose(betweenness(g), brute_betweenness(g), rtol=1e-9, atol=1e-9)
+    np.testing.assert_array_equal(closeness(g), brute_closeness(g))
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_bfs_matches_oracles_across_batches(seed, rows, monkeypatch):
+    rng = np.random.default_rng(400 + seed)
+    n = int(rng.integers(2 * rows + 1, 41))
+    n += n % rows == 0  # a short last batch
+    g = random_supplier_graph(rng, n, int(rng.integers(n, 3 * n)))
+    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * n * rows)
+    assert_centralities_match_oracles(g)
+
+
+def test_batched_bfs_empty_and_single_node():
+    empty = Graph()
+    assert betweenness(empty).shape == (0,) and closeness(empty).shape == (0,)
+    g = Graph()
+    g.add_entity("only", EntityType.SUPPLIER)
+    assert list(betweenness(g)) == [0.0] and list(closeness(g)) == [0.0]
+
+
+def test_batched_bfs_ignores_self_loops():
+    g = Graph()
+    ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(3)]
+    for i in ids:
+        g.add_triple(i, RelationType.SUPPLIES_TO, i, DEFAULT_SCHEMA)
+    assert list(betweenness(g)) == [0.0] * 3 and list(closeness(g)) == [0.0] * 3
+    g.add_triple(ids[0], RelationType.SUPPLIES_TO, ids[1], DEFAULT_SCHEMA)
+    g.add_triple(ids[1], RelationType.SUPPLIES_TO, ids[2], DEFAULT_SCHEMA)
+    assert list(betweenness(g)) == [0.0, 1.0, 0.0]
+    assert_centralities_match_oracles(g)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64])
+def test_batched_bfs_isolated_and_reciprocal(rows, monkeypatch):
+    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * 7 * rows)
+    g = Graph()
+    ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(7)]  # s6 isolated
+    for a, b in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 4), (4, 2), (5, 3)):
+        g.add_triple(ids[a], RelationType.SUPPLIES_TO, ids[b], DEFAULT_SCHEMA)
+    assert betweenness(g)[6] == 0.0 and closeness(g)[6] == 0.0
+    assert_centralities_match_oracles(g)
+
+
+def test_batched_bfs_collapses_parallel_relations():
+    rules = dict(DEFAULT_SCHEMA.rules)
+    rules[RelationType.RELATED_TO] = (frozenset({EntityType.SUPPLIER}), frozenset({EntityType.SUPPLIER}))
+    schema = Schema(rules)
+    g = Graph()
+    a, b, c, d = (g.add_entity(x, EntityType.SUPPLIER) for x in "abcd")
+    g.add_triple(a, RelationType.RELATED_TO, b, schema)  # a->b twice, by two relations
+    for s, o in ((a, b), (a, c), (b, d), (c, d)):
+        g.add_triple(s, RelationType.SUPPLIES_TO, o, schema)
+    assert list(betweenness(g)) == [0.0, 0.5, 0.5, 0.0]  # two a->d paths, not three
+    assert list(degree_centrality(g)[1]) == [3, 1, 1, 0]  # degree still counts triples
+    assert_centralities_match_oracles(g)
+
+
+def test_betweenness_diamond_chain_closed_form(monkeypatch):
+    # j0 -> {a0, b0} -> j1 -> ... -> j40: 2**40 shortest paths from j0 to j40
+    m = 40
+    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * (3 * m + 1) * 16)
+    g = Graph()
+    junctions = [g.add_entity(f"j{i}", EntityType.SUPPLIER) for i in range(m + 1)]
+    middles = []
+    for i in range(m):
+        pair = [g.add_entity(f"{x}{i}", EntityType.SUPPLIER) for x in "ab"]
+        for v in pair:
+            g.add_triple(junctions[i], RelationType.SUPPLIES_TO, v, DEFAULT_SCHEMA)
+            g.add_triple(v, RelationType.SUPPLIES_TO, junctions[i + 1], DEFAULT_SCHEMA)
+        middles.append(pair)
+    expected = np.zeros(g.num_entities)
+    for t, j in enumerate(junctions):
+        expected[j] = 9 * t * (m - t)  # 3t nodes before it, 3(m - t) after
+    for i, pair in enumerate(middles):
+        # 3i + 1 sources before it, 3(m - i) - 2 targets after, half of each pair's paths
+        expected[pair] = (3 * i + 1) * (3 * (m - i) - 2) / 2
+    np.testing.assert_array_equal(betweenness(g), expected)
+    np.testing.assert_array_equal(closeness(g), brute_closeness(g))
 
 
 # -- closeness ---------------------------------------------------------------

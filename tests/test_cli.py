@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from chainlens.cli import main
@@ -163,6 +164,28 @@ def test_train_grid_flag(workspace, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "grid search over 2 runs" in out
     assert load_checkpoint(workspace / "m.npz").dim == 8
+
+
+def test_train_divergence_exits_4_without_checkpoint(workspace, capsys, monkeypatch):
+    import chainlens.training as training_mod
+
+    real = training_mod.batch_loss_and_gradients
+
+    def nan_losses(params, pos, neg, margin):
+        losses, grads = real(params, pos, neg, margin)
+        return losses * np.nan, grads
+
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "model.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    monkeypatch.setattr(training_mod, "batch_loss_and_gradients", nan_losses)
+    code = main([
+        "train", "--model", "complex", "--split-dir", str(splits),
+        "--config", str(workspace / "train.cfg"), "--out", str(ckpt),
+    ])
+    assert code == 4
+    assert "ComplEx diverged at epoch 1" in capsys.readouterr().err
+    assert not ckpt.exists() and not (workspace / "model.npz.manifest.json").exists()
 
 
 def test_eval_type_constrained_flag(workspace):

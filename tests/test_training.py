@@ -8,6 +8,7 @@ from chainlens.training import (
     GRID_LEARNING_RATES,
     AdamState,
     TrainConfig,
+    TrainingDiverged,
     adam_step,
     grid_search,
     train,
@@ -126,6 +127,34 @@ def test_train_params_stay_finite():
         cfg = TrainConfig(dim=8, max_epochs=15, eval_every=5, batch_size=16, seed=3)
         params, _ = train(kind, triples, triples[:8], 15, 2, cfg)
         assert params.all_finite()
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_train_stops_when_parameters_overflow(kind):
+    triples = tiny_triples()
+    cfg = TrainConfig(dim=8, learning_rate=1e308, max_epochs=5, eval_every=5, batch_size=16)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch 1") as info:
+        train(kind, triples, triples[:8], 15, 2, cfg)
+    assert info.value.epoch == 1
+
+
+def test_train_stops_at_first_non_finite_loss(monkeypatch):
+    import chainlens.training as training_mod
+
+    real = training_mod.batch_loss_and_gradients
+    calls = []
+
+    def nan_from_third_epoch(params, pos, neg, margin):
+        calls.append(1)
+        losses, grads = real(params, pos, neg, margin)
+        return (losses * np.nan if len(calls) > 6 else losses), grads
+
+    monkeypatch.setattr(training_mod, "batch_loss_and_gradients", nan_from_third_epoch)
+    triples = tiny_triples(n=40)  # 3 batches of 16 per epoch
+    cfg = TrainConfig(dim=8, max_epochs=10, eval_every=5, batch_size=16)
+    with pytest.raises(TrainingDiverged, match="TransE diverged at epoch 3: mean loss nan") as info:
+        train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
+    assert info.value.epoch == 3 and len(calls) == 9
 
 
 def test_early_stopping_plateau_timing_and_best_checkpoint():
