@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import EntityType, Graph, RelationType
+from .graph import ENTITY_TYPE_INDEX, RELATION_INDEX, EntityType, Graph, RelationType
 
 METRIC_NAMES = ("in_degree", "out_degree", "betweenness", "closeness", "triangle_count")
 
@@ -123,10 +123,10 @@ def triangle_count(graph: Graph) -> np.ndarray:
     """Per-node triangle counts on the undirected simple projection."""
     n = graph.num_entities
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for t in graph.triples:
-        if t.subject != t.object:
-            nbrs[t.subject].add(t.object)
-            nbrs[t.object].add(t.subject)
+    t = graph.triples_array()
+    for s, o in t[t[:, 0] != t[:, 2]][:, [0, 2]].tolist():
+        nbrs[s].add(o)
+        nbrs[o].add(s)
     counts = np.zeros(n, dtype=np.int64)
     for v in range(n):
         nv = nbrs[v]
@@ -239,7 +239,7 @@ def criticality(graph: Graph, threshold: float = 10.0) -> CriticalityReport:
     aggregated = np.sum([normalized[m] for m in METRIC_NAMES], axis=0) if graph.num_entities else np.zeros(0)
     correlation = _pearson_matrix(raw) if graph.num_entities >= 2 else None
     return CriticalityReport(
-        labels=[e.label for e in graph.entities],
+        labels=list(graph.labels),
         raw=raw,
         normalized=normalized,
         aggregated=np.asarray(aggregated, dtype=float),
@@ -250,20 +250,26 @@ def criticality(graph: Graph, threshold: float = 10.0) -> CriticalityReport:
     )
 
 
+def scope_suppliers(graph: Graph) -> np.ndarray:
+    """Distinct (business scope, supplier) id pairs joined by related_to in
+    either direction, sorted by scope then supplier."""
+    t = graph.triples_array()
+    t = t[t[:, 1] == RELATION_INDEX[RelationType.RELATED_TO]]
+    pairs = np.concatenate([t[:, [0, 2]], t[:, [2, 0]]])
+    codes = graph.type_codes()
+    pairs = pairs[(codes[pairs[:, 0]] == ENTITY_TYPE_INDEX[EntityType.BUSINESS_SCOPE])
+                  & (codes[pairs[:, 1]] == ENTITY_TYPE_INDEX[EntityType.SUPPLIER])]
+    return np.unique(pairs, axis=0)
+
+
 def sole_supplier_scopes(graph: Graph) -> list[tuple[int, int]]:
     """Business scopes related to exactly one supplier, with that supplier.
 
     Incidence is checked in both directions of related_to; sorted by scope id.
     """
-    related: dict[int, set[int]] = defaultdict(set)
-    for t in graph.triples_with_predicate(RelationType.RELATED_TO):
-        for a, b in ((t.subject, t.object), (t.object, t.subject)):
-            if (
-                graph.entities[a].entity_type is EntityType.BUSINESS_SCOPE
-                and graph.entities[b].entity_type is EntityType.SUPPLIER
-            ):
-                related[a].add(b)
-    return sorted((scope, next(iter(sups))) for scope, sups in related.items() if len(sups) == 1)
+    pairs = scope_suppliers(graph)
+    _, first, count = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    return [tuple(p) for p in pairs[first[count == 1]].tolist()]
 
 
 def critical_paths(
@@ -281,9 +287,10 @@ def critical_paths(
         return []
     hub = int(np.argmax(report.aggregated))
     preds: dict[int, list[int]] = defaultdict(list)
-    for t in graph.triples_with_predicate(RelationType.SUPPLIES_TO):
-        if t.subject != t.object:
-            preds[t.object].append(t.subject)
+    t = graph.triples_array()
+    t = t[(t[:, 1] == RELATION_INDEX[RelationType.SUPPLIES_TO]) & (t[:, 0] != t[:, 2])]
+    for s, o in t[:, [0, 2]].tolist():
+        preds[o].append(s)
     for lst in preds.values():
         lst.sort()
 

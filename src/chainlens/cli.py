@@ -23,6 +23,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytics import criticality, critical_paths, sole_supplier_scopes
 from .dataset import (
@@ -54,6 +56,7 @@ from .graph import (
     RELATION_BY_INDEX,
     RelationType,
     Schema,
+    triples_of,
 )
 from .models import ModelKind, load_checkpoint, save_checkpoint
 from .training import (
@@ -187,17 +190,19 @@ def cmd_split(args) -> int:
     out_dir = Path(args.out)
     write_split(graph, result, out_dir)
     print(
-        f"split {graph.num_triples} triples -> train {len(result.train)} / "
-        f"valid {len(result.validation)} / test {len(result.test)} in {out_dir}"
+        f"split {graph.num_triples} triples -> train {len(result.train_ids)} / "
+        f"valid {len(result.validation_ids)} / test {len(result.test_ids)} in {out_dir}"
     )
     if args.check:
-        train_ents = {t.subject for t in result.train} | {t.object for t in result.train}
-        train_rels = {t.predicate for t in result.train}
-        for name, part in (("validation", result.validation), ("test", result.test)):
-            for t in part:
-                if t.subject not in train_ents or t.object not in train_ents or t.predicate not in train_rels:
-                    print(f"transductive check: FAIL ({name} triple {t})")
-                    return 2
+        in_train = np.zeros(graph.num_entities, dtype=bool)
+        in_train[result.train_ids[:, [0, 2]]] = True
+        rel_in_train = np.zeros(len(RELATION_BY_INDEX), dtype=bool)
+        rel_in_train[result.train_ids[:, 1]] = True
+        for name, part in (("validation", result.validation_ids), ("test", result.test_ids)):
+            bad = part[~(in_train[part[:, 0]] & in_train[part[:, 2]] & rel_in_train[part[:, 1]])]
+            if len(bad):
+                print(f"transductive check: FAIL ({name} triple {triples_of(bad[:1])[0]})")
+                return 2
         print("transductive check: PASS")
     _write_manifest(
         out_dir / "manifest.json",
@@ -233,7 +238,7 @@ def cmd_train(args) -> int:
         params, history, cfg = result.best_params, result.best_history, result.best_config
     else:
         params, history = train(args.model, train_arr, valid_arr, num_entities, num_relations, cfg)
-    save_checkpoint(params, out)
+    save_checkpoint(replace(params, vocabulary_sha256=graph.vocabulary_sha256()), out)
     history_path = Path(str(out) + ".history.csv")
     history.to_csv(history_path)
     last = history.records[-1] if history.records else None
@@ -263,6 +268,11 @@ def cmd_eval(args) -> int:
         raise GraphError(
             f"checkpoint was trained on {params.num_entities} entities but the split "
             f"directory has {graph.num_entities}"
+        )
+    if params.vocabulary_sha256 not in (None, graph.vocabulary_sha256()):
+        raise GraphError(
+            "checkpoint was trained on a different entity vocabulary (ordered label/type "
+            "list) than the split directory's, so its entity ids would rank the wrong entities"
         )
     filter_index = build_filter_index([train_arr, valid_arr, test_arr])
     candidate_index = type_constrained_candidates(graph, schema) if args.type_constrained else None
@@ -338,7 +348,7 @@ def cmd_analyze(args) -> int:
         scope_path = out_dir / "sole_scopes.csv"
         lines = ["business_scope,supplier"]
         for scope_id, sup_id in scopes:
-            lines.append(f"{graph.entities[scope_id].label},{graph.entities[sup_id].label}")
+            lines.append(f"{graph.labels[scope_id]},{graph.labels[sup_id]}")
         scope_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs.append(str(scope_path))
         print(f"{len(scopes)} sole-supplier business scopes -> {scope_path}")

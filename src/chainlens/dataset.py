@@ -3,7 +3,10 @@
 The shared triple file format is UTF-8, one triple per line, tab-separated:
 ``subject_label TAB subject_type TAB predicate TAB object_label TAB
 object_type``.  Lines starting with ``#`` are comments.  Entities are
-deduplicated by (label, type).
+deduplicated by (label, type).  One reader (``_read_triples``) serves
+``load_triples`` and ``load_split_dir``, and one writer (``_write_triples``)
+serves ``export_triples`` and ``write_split``; both work on the id columns of
+a :class:`~chainlens.graph.Graph` and build no per-triple objects.
 
 The synthetic generator emits a schema-valid network shaped like a real
 multi-tier supply base: a single hub supplier supplied by every tier-1
@@ -17,20 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .graph import (
     DEFAULT_SCHEMA,
-    DuplicateTriple,
+    ENTITY_TYPE_INDEX,
     EntityType,
     Graph,
     RELATION_INDEX,
     RelationType,
     Schema,
     SchemaViolation,
-    Triple,
+    triples_of,
 )
 
 TRAIN_FILE = "train.tsv"
@@ -56,6 +60,84 @@ class SplitInfeasible(Exception):
 # Triple file I/O
 # ---------------------------------------------------------------------------
 
+_ENTITY_CODES = {t.value: i for t, i in ENTITY_TYPE_INDEX.items()}
+_RELATION_CODES = {r.value: i for r, i in RELATION_INDEX.items()}
+
+
+#: Lines parsed per batch; bounds how many per-field strings are alive at once.
+READ_BATCH_LINES = 1 << 10
+
+
+def _parse_lines(path: Path, lines: list[str], first_lineno: int, schema: Schema,
+                 vocab: dict[str, int]) -> np.ndarray:
+    """(k, 3) id triples of the triple lines in ``lines``, numbered from ``first_lineno``.
+
+    Each new ``label TAB type`` gets the next id in ``vocab``, subject before
+    object.  The first bad line raises :class:`ParseError` (field count, empty
+    label, unknown relation or type) or :class:`SchemaViolation`, named as
+    ``path:line``.
+    """
+    linenos = [i for i, line in enumerate(lines, start=first_lineno) if line.strip() and not line.startswith("#")]
+    rows = [lines[i - first_lineno] for i in linenos]
+    errors: list[tuple[int, str]] = []  # (row, message), in check order within a row
+    whole = next((k for k, tabs in enumerate(map(str.count, rows, repeat("\t"))) if tabs != 4), len(rows))
+    if whole < len(rows):  # only the rows before the first one without 5 fields are split
+        errors.append((whole, f"expected 5 tab-separated fields, got {rows[whole].count(chr(9)) + 1}"))
+    fields = "\t".join(rows[:whole]).split("\t") if whole else []
+    s_label, s_type, relation, o_label, o_type = (fields[i::5] for i in range(5))
+    errors += [(col.index(""), "empty entity label") for col in (s_label, o_label) if "" in col]
+    codes = []  # relation, subject-type and object-type indices; -1 for an unknown name
+    for names, known, kind in ((relation, _RELATION_CODES, RelationType),
+                               (s_type, _ENTITY_CODES, EntityType), (o_type, _ENTITY_CODES, EntityType)):
+        codes.append(np.fromiter(map(known.get, names, repeat(-1)), dtype=np.int64, count=len(names)))
+        for k in np.flatnonzero(codes[-1] < 0)[:1].tolist():
+            try:
+                kind.from_name(names[k])
+            except ValueError as exc:
+                errors.append((k, str(exc)))
+    n = min([k for k, _ in errors], default=len(s_label))
+    rels, s_codes, o_codes = (c[:n] for c in codes)
+    illegal = np.flatnonzero(~schema.legal(rels, s_codes, o_codes))
+    if illegal.size:
+        k = int(illegal[0])
+        message = schema.violation(EntityType(s_type[k]), RelationType(relation[k]), EntityType(o_type[k]),
+                                   s_label[k], o_label[k])
+        raise SchemaViolation(f"{path}:{linenos[k]}: {message}")
+    if errors:
+        k, message = min(errors, key=lambda e: e[0])
+        raise ParseError(f"{path}:{linenos[k]}: {message}")
+    keys = [""] * (2 * n)  # "label TAB type" of each line's subject and object in turn
+    keys[0::2] = map("\t".join, zip(s_label, s_type))
+    keys[1::2] = map("\t".join, zip(o_label, o_type))
+    for key in dict.fromkeys(keys):
+        vocab.setdefault(key, len(vocab))
+    ends = np.fromiter(map(vocab.__getitem__, keys), dtype=np.int64, count=2 * n)
+    return np.stack([ends[0::2], rels, ends[1::2]], axis=1)
+
+
+def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
+    """Read triple files into one graph plus one (k, 3) id-triple array per file.
+
+    Entities get ids by (label, type) in first-appearance order over the
+    files; the graph keeps each distinct triple once, in first-appearance
+    order, while the per-file arrays keep every line.
+    """
+    vocab: dict[str, int] = {}
+    arrays = []
+    for path in paths:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        arrays.append(np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
+            _parse_lines(path, lines[i : i + READ_BATCH_LINES], i + 1, schema, vocab)
+            for i in range(0, len(lines), READ_BATCH_LINES)
+        ]))
+    entities = [key.split("\t") for key in vocab]
+    spo = np.concatenate(arrays)
+    _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(vocab), 1) + spo[:, 2],
+                         return_index=True)
+    graph = Graph([label for label, _ in entities], [_ENTITY_CODES[t] for _, t in entities], spo[np.sort(first)])
+    return graph, arrays
+
+
 def load_triples(path: str | Path, schema: Schema = DEFAULT_SCHEMA) -> Graph:
     """Read a triple file into a schema-validated Graph.
 
@@ -63,49 +145,18 @@ def load_triples(path: str | Path, schema: Schema = DEFAULT_SCHEMA) -> Graph:
     collapsed.  Raises :class:`ParseError` with the offending line number,
     or :class:`SchemaViolation` naming the line for type-illegal triples.
     """
-    graph = Graph()
-    ids: dict[tuple[str, str], int] = {}
+    return _read_triples([Path(path)], schema)[0]
 
-    def intern(label: str, type_name: str, lineno: int) -> int:
-        try:
-            etype = EntityType.from_name(type_name)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        key = (label, type_name)
-        if key not in ids:
-            ids[key] = graph.add_entity(label, etype)
-        return ids[key]
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-        s_label, s_type, pred_name, o_label, o_type = parts
-        if not s_label or not o_label:
-            raise ParseError(f"{path}:{lineno}: empty entity label")
-        try:
-            predicate = RelationType.from_name(pred_name)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        s = intern(s_label, s_type, lineno)
-        o = intern(o_label, o_type, lineno)
-        try:
-            graph.add_triple(s, predicate, o, schema)
-        except DuplicateTriple:
-            continue
-        except SchemaViolation as exc:
-            raise SchemaViolation(f"{path}:{lineno}: {exc}") from None
-    return graph
+def _write_triples(graph: Graph, spo: np.ndarray, path: Path) -> None:
+    """Write id-triple rows of ``graph`` in the shared format, lines sorted."""
+    lines = [_HEADER, *map("\t".join, graph.label_triples(spo))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def export_triples(graph: Graph, path: str | Path) -> None:
     """Write a graph in the shared triple format with sorted line order."""
-    lines = [_HEADER]
-    lines.extend("\t".join(row) for row in graph.label_triples())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_triples(graph, graph.triples_array(), Path(path))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +458,11 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
     tier3 = suppliers[1 + t1n + t2n : 1 + t1n + t2n + t3n]
 
     indeg = np.zeros(graph.num_entities, dtype=np.int64)
-    used: set[tuple[int, int]] = set()
 
     def add_supply(s: int, o: int) -> bool:
-        if s == o or (s, o) in used:
+        if s == o or graph.has_triple(s, RelationType.SUPPLIES_TO, o):
             return False
         graph.add_triple(s, RelationType.SUPPLIES_TO, o, schema)
-        used.add((s, o))
         return True
 
     # Tier-1 suppliers all feed the hub.
@@ -521,20 +570,15 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
     def covered_assign(rel: RelationType, sources: list[int], tgt_pool: list[int]) -> None:
         weights = _skewed_weights(len(tgt_pool))
         picks = rng.choice(len(tgt_pool), size=len(sources), p=weights)
-        seen: set[tuple[int, int]] = set()
         for s, j in zip(sources, picks):
-            t = tgt_pool[int(j)]
-            graph.add_triple(s, rel, t, schema)
-            seen.add((s, t))
+            graph.add_triple(s, rel, tgt_pool[int(j)], schema)
         extra = rc.get(rel, 0) - len(sources)
         while extra > 0:
             s = sources[int(rng.integers(len(sources)))]
             t = tgt_pool[int(rng.choice(len(tgt_pool), p=weights))]
-            if (s, t) in seen:
-                continue
-            graph.add_triple(s, rel, t, schema)
-            seen.add((s, t))
-            extra -= 1
+            if not graph.has_triple(s, rel, t):
+                graph.add_triple(s, rel, t, schema)
+                extra -= 1
 
     covered_assign(RelationType.RELATED_TO, suppliers, scopes)
     covered_assign(
@@ -612,11 +656,18 @@ class SplitConfig:
         return cls(**kwargs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitResult:
-    train: list[Triple]
-    validation: list[Triple]
-    test: list[Triple]
+    """The three parts as sorted (k, 3) id-triple arrays; ``train``, ``validation``
+    and ``test`` list them as Triple values."""
+
+    train_ids: np.ndarray
+    validation_ids: np.ndarray
+    test_ids: np.ndarray
+
+    train = property(lambda self: triples_of(self.train_ids))
+    validation = property(lambda self: triples_of(self.validation_ids))
+    test = property(lambda self: triples_of(self.test_ids))
 
 
 def split_sizes(n_triples: int, validation_fraction: float, test_fraction: float) -> tuple[int, int, int]:
@@ -630,48 +681,38 @@ def transductive_split(graph: Graph, config: SplitConfig) -> SplitResult:
     """Partition the graph's triples so validation/test stay transductive.
 
     Every entity and relation type occurring in validation or test must also
-    occur in train.  Mechanism: greedily pin one incident triple per entity
-    (and per relation type) into train, then sample the remaining free
-    triples uniformly without replacement into validation and test.  When
-    pinning leaves fewer free triples than the fraction targets, the held-out
-    sets shrink (train absorbs the shortfall); if either held-out set would
-    end up empty, :class:`SplitInfeasible` is raised.
+    occur in train.  Mechanism: in (subject, relation, object) order, greedily
+    pin one incident triple per entity (and per relation type) into train,
+    then sample the remaining free triples uniformly without replacement into
+    validation and test.  When pinning leaves fewer free triples than the
+    fraction targets, the held-out sets shrink (train absorbs the shortfall);
+    if either held-out set would end up empty, :class:`SplitInfeasible` is
+    raised.
     """
     if graph.num_triples == 0:
         raise SplitInfeasible("graph has no triples to split")
-    triples = sorted(graph.triples)
+    spo = graph.triples_array()
+    spo = spo[np.lexsort((spo[:, 2], spo[:, 1], spo[:, 0]))]
+    m = len(spo)
+    first = np.full(graph.num_entities, m)  # each entity's first incident row, m if none
+    np.minimum.at(first, spo[:, [0, 2]], np.arange(m)[:, None])
+    subjects, objects = spo[:, 0].tolist(), spo[:, 2].tolist()
+    covered = bytearray(graph.num_entities)
+    pinned = np.zeros(m, dtype=bool)
+    for e, t in enumerate(first.tolist()):
+        if t < m and not covered[e]:
+            pinned[t] = True
+            covered[subjects[t]] = covered[objects[t]] = 1
+    relations, at = np.unique(spo[:, 1], return_index=True)
+    pinned[at[~np.isin(relations, spo[pinned, 1])]] = True
 
-    first_incident: dict[int, Triple] = {}
-    first_rel: dict[RelationType, Triple] = {}
-    for t in triples:
-        first_incident.setdefault(t.subject, t)
-        first_incident.setdefault(t.object, t)
-        first_rel.setdefault(t.predicate, t)
-
-    pinned: set[Triple] = set()
-    covered: set[int] = set()
-    covered_rels: set[RelationType] = set()
-
-    def pin(t: Triple) -> None:
-        pinned.add(t)
-        covered.add(t.subject)
-        covered.add(t.object)
-        covered_rels.add(t.predicate)
-
-    for e in range(graph.num_entities):
-        if e not in covered and e in first_incident:
-            pin(first_incident[e])
-    for rel in RelationType:
-        if rel in first_rel and rel not in covered_rels:
-            pin(first_rel[rel])
-
-    free = [t for t in triples if t not in pinned]
-    if not free:
+    free = np.flatnonzero(~pinned)
+    if not free.size:
         raise SplitInfeasible(
             "every triple is needed to keep some entity or relation type in train "
             "(nothing can be held out)"
         )
-    _, n_val, n_test = split_sizes(len(triples), config.validation_fraction, config.test_fraction)
+    _, n_val, n_test = split_sizes(m, config.validation_fraction, config.test_fraction)
     if len(free) < n_val + n_test:
         total = n_val + n_test
         n_val_eff = int(len(free) * n_val / total) if total else 0
@@ -684,36 +725,24 @@ def transductive_split(graph: Graph, config: SplitConfig) -> SplitResult:
             "validation/test sets (every triple is some entity's only edge?)"
         )
 
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(free))
-    validation = sorted(free[i] for i in order[:n_val_eff])
-    test = sorted(free[i] for i in order[n_val_eff : n_val_eff + n_test_eff])
-    held = set(validation) | set(test)
-    train = [t for t in triples if t not in held]
-    return SplitResult(train=train, validation=validation, test=test)
+    order = free[np.random.default_rng(config.seed).permutation(len(free))]
+    validation = np.sort(order[:n_val_eff])
+    test = np.sort(order[n_val_eff : n_val_eff + n_test_eff])
+    return SplitResult(np.delete(spo, order[: n_val_eff + n_test_eff], axis=0), spo[validation], spo[test])
 
 
 # ---------------------------------------------------------------------------
 # Split file round trips
 # ---------------------------------------------------------------------------
 
-def _write_triple_subset(graph: Graph, triples: list[Triple], path: Path) -> None:
-    rows = []
-    for t in triples:
-        s, o = graph.entities[t.subject], graph.entities[t.object]
-        rows.append((s.label, s.entity_type.value, t.predicate.value, o.label, o.entity_type.value))
-    rows.sort()
-    lines = [_HEADER]
-    lines.extend("\t".join(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+_SPLIT_FILES = (TRAIN_FILE, VALID_FILE, TEST_FILE)
 
 
 def write_split(graph: Graph, result: SplitResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_triple_subset(graph, result.train, out / TRAIN_FILE)
-    _write_triple_subset(graph, result.validation, out / VALID_FILE)
-    _write_triple_subset(graph, result.test, out / TEST_FILE)
+    for name, spo in zip(_SPLIT_FILES, (result.train_ids, result.validation_ids, result.test_ids)):
+        _write_triples(graph, spo, out / name)
 
 
 def load_split_dir(
@@ -724,34 +753,5 @@ def load_split_dir(
     The union graph assigns ids in train-file-first order, so under a
     transductive split the entity vocabulary equals the training set's.
     """
-    split_dir = Path(split_dir)
-    graph = Graph()
-    ids: dict[tuple[str, str], int] = {}
-    arrays: list[np.ndarray] = []
-    for name in (TRAIN_FILE, VALID_FILE, TEST_FILE):
-        path = split_dir / name
-        rows: list[tuple[int, int, int]] = []
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            s_label, s_type, pred_name, o_label, o_type = parts
-            try:
-                s_et = EntityType.from_name(s_type)
-                o_et = EntityType.from_name(o_type)
-                pred = RelationType.from_name(pred_name)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for label, et in ((s_label, s_et), (o_label, o_et)):
-                if (label, et.value) not in ids:
-                    ids[(label, et.value)] = graph.add_entity(label, et)
-            s = ids[(s_label, s_et.value)]
-            o = ids[(o_label, o_et.value)]
-            if not graph.has_triple(s, pred, o):
-                graph.add_triple(s, pred, o, schema)
-            rows.append((s, RELATION_INDEX[pred], o))
-        arrays.append(np.array(rows, dtype=np.int64) if rows else np.empty((0, 3), dtype=np.int64))
-    return graph, arrays[0], arrays[1], arrays[2]
+    graph, (train, valid, test) = _read_triples([Path(split_dir) / name for name in _SPLIT_FILES], schema)
+    return graph, train, valid, test

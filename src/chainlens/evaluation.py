@@ -25,7 +25,6 @@ the reference the blocks are tested against: their ranks are equal.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,16 +197,9 @@ def type_constrained_candidates(graph, schema) -> CandidateIndex:
     passing this index to evaluate/rank_object restricts candidates to the
     schema-legal target types of each relation.
     """
-    from .graph import RELATION_INDEX  # local import keeps the id-level API lean
-
-    by_type: dict = defaultdict(list)
-    for entity in graph.entities:
-        by_type[entity.entity_type].append(entity.id)
-    out: CandidateIndex = {}
-    for rel, idx in RELATION_INDEX.items():
-        ids = sorted(i for t in schema.target_types(rel) for i in by_type.get(t, ()))
-        out[idx] = np.asarray(ids, dtype=np.int64)
-    return out
+    _, targets = schema.tables()
+    codes = graph.type_codes()
+    return {r: np.flatnonzero(allowed[codes]) for r, allowed in enumerate(targets)}
 
 
 def _tie_rank(greater, ties, n_candidates, true_score, tie_policy: str):

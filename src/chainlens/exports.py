@@ -10,11 +10,13 @@ related_to "blue", others "gray").  Output is byte-stable for fixed inputs.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .graph import EntityType, Graph, RelationType
+import numpy as np
+
+from .analytics import scope_suppliers
+from .graph import ENTITY_TYPE_BY_INDEX, RELATION_BY_INDEX, EntityType, Graph, RelationType
 
 FORMATS = ("dot", "graphml", "json")
 
@@ -26,16 +28,9 @@ class ExportMismatch(Exception):
 
 
 def _node_attrs(graph: Graph, critical_by_label: dict[str, bool]) -> list[dict]:
-    scope_sizes: dict[int, set[int]] = defaultdict(set)
-    for t in graph.triples_with_predicate(RelationType.RELATED_TO):
-        for a, b in ((t.subject, t.object), (t.object, t.subject)):
-            if (
-                graph.entities[a].entity_type is EntityType.BUSINESS_SCOPE
-                and graph.entities[b].entity_type is EntityType.SUPPLIER
-            ):
-                scope_sizes[a].add(b)
-
-    supplier_labels = [e.label for e in graph.entities if e.entity_type is EntityType.SUPPLIER]
+    sizes = np.bincount(scope_suppliers(graph)[:, 0], minlength=graph.num_entities).tolist()
+    types = [ENTITY_TYPE_BY_INDEX[c] for c in graph.type_codes().tolist()]
+    supplier_labels = [label for label, t in zip(graph.labels, types) if t is EntityType.SUPPLIER]
     if len(set(supplier_labels)) != len(supplier_labels):
         raise ExportMismatch("duplicate supplier labels make the report join ambiguous")
     missing = sorted(set(supplier_labels) - set(critical_by_label))
@@ -47,21 +42,21 @@ def _node_attrs(graph: Graph, critical_by_label: dict[str, bool]) -> list[dict]:
         )
 
     nodes = []
-    for e in graph.entities:
-        if e.entity_type is EntityType.SUPPLIER:
-            color = "red" if critical_by_label[e.label] else "yellow"
+    for i, (label, etype) in enumerate(zip(graph.labels, types)):
+        if etype is EntityType.SUPPLIER:
+            color = "red" if critical_by_label[label] else "yellow"
             size = 1
-        elif e.entity_type is EntityType.BUSINESS_SCOPE:
+        elif etype is EntityType.BUSINESS_SCOPE:
             color = "purple"
-            size = len(scope_sizes.get(e.id, ()))
+            size = sizes[i]
         else:
             color = "gray"
             size = 1
         nodes.append(
             {
-                "id": f"n{e.id}",
-                "label": e.label,
-                "entity_type": e.entity_type.value,
+                "id": f"n{i}",
+                "label": label,
+                "entity_type": etype.value,
                 "color": color,
                 "size": size,
             }
@@ -70,14 +65,16 @@ def _node_attrs(graph: Graph, critical_by_label: dict[str, bool]) -> list[dict]:
 
 
 def _edge_attrs(graph: Graph) -> list[dict]:
+    t = graph.triples_array()
     edges = []
-    for t in sorted(graph.triples):
+    for s, r, o in t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))].tolist():
+        relation = RELATION_BY_INDEX[r]
         edges.append(
             {
-                "source": f"n{t.subject}",
-                "target": f"n{t.object}",
-                "relation": t.predicate.value,
-                "color": _EDGE_COLOR.get(t.predicate, "gray"),
+                "source": f"n{s}",
+                "target": f"n{o}",
+                "relation": relation.value,
+                "color": _EDGE_COLOR.get(relation, "gray"),
             }
         )
     return edges

@@ -1,4 +1,4 @@
-"""Typed in-memory knowledge graph store.
+"""Typed in-memory knowledge graph store, held in columns.
 
 Entities carry one of eight built-in entity types and triples one of eleven
 built-in relation types.  A :class:`Schema` restricts which entity types may
@@ -6,13 +6,17 @@ appear as the source and target of each relation; the built-in default
 describes a multi-tier supply network (suppliers, parts, smelters,
 substances, components, countries, business scopes).
 
-Construction is single-writer.  Once built, a Graph is treated as frozen
-and may be read concurrently from any number of threads.
+A :class:`Graph` stores three columns: entity labels, entity-type indices and
+one ``(M, 3)`` int64 array of ``(subject, relation index, object)`` rows.
+Validation, projection and statistics are array operations on them;
+:class:`Entity` and :class:`Triple` are value types built on demand for the
+callers that iterate.  Construction is single-writer.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import hashlib
+import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -85,6 +89,9 @@ class RelationType(Enum):
 #: embedding and evaluation layers.
 RELATION_INDEX: dict[RelationType, int] = {r: i for i, r in enumerate(RelationType)}
 RELATION_BY_INDEX: tuple[RelationType, ...] = tuple(RelationType)
+#: The same for entity types; a graph stores these indices as its type column.
+ENTITY_TYPE_INDEX: dict[EntityType, int] = {t: i for i, t in enumerate(EntityType)}
+ENTITY_TYPE_BY_INDEX: tuple[EntityType, ...] = tuple(EntityType)
 
 _ET = EntityType
 _RT = RelationType
@@ -129,9 +136,24 @@ class Schema:
     def target_types(self, relation: RelationType) -> frozenset:
         return self.rules[relation][1]
 
-    def allows(self, source_type: EntityType, relation: RelationType, target_type: EntityType) -> bool:
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bool (relation index, entity-type index) tables of the allowed sources and targets."""
+        return tuple(np.array([[t in self.rules[rel][side] for t in ENTITY_TYPE_BY_INDEX]
+                               for rel in RELATION_BY_INDEX]) for side in (0, 1))
+
+    def legal(self, relations, source_types, target_types) -> np.ndarray:
+        """Elementwise check of relation, source-type and target-type index arrays."""
+        src, tgt = self.tables()
+        return src[relations, source_types] & tgt[relations, target_types]
+
+    def violation(self, source_type, relation, target_type, source_label, target_label) -> str | None:
+        """Why the triple breaks the schema (source checked first), or None if it does not."""
         src, tgt = self.rules[relation]
-        return source_type in src and target_type in tgt
+        if source_type in src and target_type in tgt:
+            return None
+        role, etype = ("source", source_type) if source_type not in src else ("target", target_type)
+        return (f"{etype.value} is not a valid {role} for {relation.value} "
+                f"(triple {source_label} -{relation.value}-> {target_label})")
 
     @classmethod
     def default(cls) -> "Schema":
@@ -195,9 +217,6 @@ class Triple:
     def key(self) -> tuple[int, int, int]:
         return (self.subject, RELATION_INDEX[self.predicate], self.object)
 
-    def __lt__(self, other: "Triple") -> bool:
-        return self.key() < other.key()
-
 
 @dataclass
 class ValidationReport:
@@ -238,22 +257,30 @@ class GraphStats:
         return "\n".join(lines)
 
 
+def triples_of(spo: np.ndarray) -> list[Triple]:
+    """The rows of an (M, 3) id-triple array as Triple values."""
+    return [Triple(s, RELATION_BY_INDEX[r], o) for s, r, o in np.asarray(spo).tolist()]
+
+
 class Graph:
-    """In-memory triple store with dense integer entity ids.
+    """Columnar triple store with dense integer entity ids.
 
     Ids are consecutive integers assigned at insertion, so downstream code
     can use them directly as array indices.  Triples are a set: inserting
     the same (subject, predicate, object) twice raises
-    :class:`DuplicateTriple` and leaves the graph unchanged.
+    :class:`DuplicateTriple` and leaves the graph unchanged.  The constructor
+    takes ready columns (labels, entity-type indices, id-triple rows) as they
+    are, unchecked; :meth:`validate` reports what they break.
     """
 
-    def __init__(self) -> None:
-        self.entities: list[Entity] = []
-        self.triples: list[Triple] = []
-        self._triple_set: set[tuple[int, int, int]] = set()
-        self._out: dict[int, list[Triple]] = defaultdict(list)
-        self._in: dict[int, list[Triple]] = defaultdict(list)
-        self._by_predicate: dict[RelationType, list[Triple]] = defaultdict(list)
+    def __init__(self, labels=(), type_codes=(), triples=()) -> None:
+        self.labels: list[str] = list(labels)
+        self._types: list[int] = np.asarray(type_codes, dtype=np.uint8).tolist()
+        self._spo = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        self._spo.flags.writeable = False
+        # add_triple appends here and to the key set; the next read folds the rows into _spo
+        self._pending: list[tuple[int, int, int]] = []
+        self._keys: set[tuple[int, int, int]] | None = None  # built by the first has_triple
 
     # -- construction ------------------------------------------------------
 
@@ -263,60 +290,67 @@ class Graph:
         Duplicate labels are allowed; ids disambiguate.  Labels must be
         non-empty (caller-side contract).
         """
-        eid = len(self.entities)
-        self.entities.append(Entity(eid, label, entity_type))
-        return eid
+        self.labels.append(label)
+        self._types.append(ENTITY_TYPE_INDEX[entity_type])
+        return len(self.labels) - 1
 
     def add_triple(self, subject: int, predicate: RelationType, object: int, schema: Schema) -> None:
-        """Insert a schema-checked triple and update the adjacency indices."""
-        s_ent = self.entity(subject)
-        o_ent = self.entity(object)
-        if s_ent.entity_type not in schema.source_types(predicate):
-            raise SchemaViolation(
-                f"{s_ent.entity_type.value} is not a valid source for {predicate.value} "
-                f"(triple {s_ent.label} -{predicate.value}-> {o_ent.label})"
-            )
-        if o_ent.entity_type not in schema.target_types(predicate):
-            raise SchemaViolation(
-                f"{o_ent.entity_type.value} is not a valid target for {predicate.value} "
-                f"(triple {s_ent.label} -{predicate.value}-> {o_ent.label})"
-            )
-        key = (subject, RELATION_INDEX[predicate], object)
-        if key in self._triple_set:
+        """Insert one schema-checked, previously absent triple."""
+        message = schema.violation(
+            self.entity_type(subject), predicate, self.entity_type(object),
+            self.labels[subject], self.labels[object],
+        )
+        if message:
+            raise SchemaViolation(message)
+        if self.has_triple(subject, predicate, object):
             raise DuplicateTriple(f"triple ({subject}, {predicate.value}, {object}) already present")
-        triple = Triple(subject, predicate, object)
-        self._triple_set.add(key)
-        self.triples.append(triple)
-        self._out[subject].append(triple)
-        self._in[object].append(triple)
-        self._by_predicate[predicate].append(triple)
+        key = (subject, RELATION_INDEX[predicate], object)
+        self._keys.add(key)
+        self._pending.append(key)
 
     # -- lookups -----------------------------------------------------------
 
     @property
     def num_entities(self) -> int:
-        return len(self.entities)
+        return len(self.labels)
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self._spo) + len(self._pending)
+
+    @property
+    def entities(self) -> list[Entity]:
+        """A copy of every entity as an Entity value, rebuilt in O(N) on each access; use :meth:`entity` for one."""
+        return [self.entity(i) for i in range(self.num_entities)]
+
+    @property
+    def triples(self) -> list[Triple]:
+        """A copy of every triple as a Triple value, in insertion order, rebuilt in O(M) on each access.
+
+        Loops that index single triples should read the rows of :meth:`triples_array`.
+        """
+        return triples_of(self.triples_array())
 
     def entity(self, entity_id: int) -> Entity:
-        if not 0 <= entity_id < len(self.entities):
-            raise UnknownEntity(f"no entity with id {entity_id}")
-        return self.entities[entity_id]
+        entity_type = self.entity_type(entity_id)
+        return Entity(entity_id, self.labels[entity_id], entity_type)
 
     def entity_type(self, entity_id: int) -> EntityType:
-        return self.entity(entity_id).entity_type
+        if not 0 <= entity_id < len(self.labels):
+            raise UnknownEntity(f"no entity with id {entity_id}")
+        return ENTITY_TYPE_BY_INDEX[self._types[entity_id]]
 
     def has_triple(self, subject: int, predicate: RelationType, object: int) -> bool:
-        return (subject, RELATION_INDEX[predicate], object) in self._triple_set
+        if self._keys is None:
+            self._keys = set(map(tuple, self.triples_array().tolist()))
+        return (subject, RELATION_INDEX[predicate], object) in self._keys
 
     def entities_of_type(self, entity_type: EntityType) -> list[int]:
-        return [e.id for e in self.entities if e.entity_type is entity_type]
+        return np.flatnonzero(self.type_codes() == ENTITY_TYPE_INDEX[entity_type]).tolist()
 
     def triples_with_predicate(self, predicate: RelationType) -> list[Triple]:
-        return list(self._by_predicate.get(predicate, ()))
+        spo = self.triples_array()
+        return triples_of(spo[spo[:, 1] == RELATION_INDEX[predicate]])
 
     def neighbors(
         self,
@@ -333,32 +367,24 @@ class Graph:
         self.entity(entity)
         if direction not in ("in", "out", "both"):
             raise ValueError(f"direction must be in/out/both, got {direction!r}")
-        pairs: list[tuple[int, RelationType]] = []
-        if direction in ("out", "both"):
-            pairs.extend((t.object, t.predicate) for t in self._out.get(entity, ()))
-        if direction in ("in", "both"):
-            pairs.extend((t.subject, t.predicate) for t in self._in.get(entity, ()))
+        spo = self.triples_array()
+        pairs = np.concatenate([spo[(spo[:, 0] == entity) & (direction != "in")][:, [2, 1]],
+                                spo[(spo[:, 2] == entity) & (direction != "out")][:, [0, 1]]])
         if predicate is not None:
-            pairs = [p for p in pairs if p[1] is predicate]
-        pairs.sort(key=lambda p: (p[0], RELATION_INDEX[p[1]]))
-        return pairs
+            pairs = pairs[pairs[:, 1] == RELATION_INDEX[predicate]]
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        return [(n, RELATION_BY_INDEX[r]) for n, r in pairs.tolist()]
 
     # -- whole-graph operations --------------------------------------------
 
     def validate(self, schema: Schema) -> ValidationReport:
         """List every schema-violating triple and every dangling reference."""
-        violations: list[Triple] = []
-        dangling: list[Triple] = []
-        n = len(self.entities)
-        for t in self.triples:
-            if not (0 <= t.subject < n and 0 <= t.object < n):
-                dangling.append(t)
-                continue
-            s_type = self.entities[t.subject].entity_type
-            o_type = self.entities[t.object].entity_type
-            if not schema.allows(s_type, t.predicate, o_type):
-                violations.append(t)
-        return ValidationReport(schema_violations=violations, dangling=dangling)
+        spo = self.triples_array()
+        ends = spo[:, [0, 2]]
+        dangling = ((ends < 0) | (ends >= self.num_entities)).any(axis=1)
+        inside, codes = spo[~dangling], self.type_codes()
+        legal = schema.legal(inside[:, 1], codes[inside[:, 0]], codes[inside[:, 2]])
+        return ValidationReport(schema_violations=triples_of(inside[~legal]), dangling=triples_of(spo[dangling]))
 
     def project_subgraph(
         self,
@@ -372,45 +398,51 @@ class Graph:
         ``relation_types`` with both endpoints retained.  Entity ids are
         re-assigned densely in ascending original-id order.
         """
-        sub = Graph()
-        mapping: dict[int, int] = {}
-        for ent in self.entities:
-            if ent.entity_type in entity_types:
-                mapping[ent.id] = sub.add_entity(ent.label, ent.entity_type)
-        for t in self.triples:
-            if t.predicate in relation_types and t.subject in mapping and t.object in mapping:
-                triple = Triple(mapping[t.subject], t.predicate, mapping[t.object])
-                sub._triple_set.add(triple.key())
-                sub.triples.append(triple)
-                sub._out[triple.subject].append(triple)
-                sub._in[triple.object].append(triple)
-                sub._by_predicate[triple.predicate].append(triple)
-        return sub
+        codes, spo = self.type_codes(), self.triples_array()
+        keep = np.isin(codes, [ENTITY_TYPE_INDEX[t] for t in entity_types])
+        new_id = np.cumsum(keep) - 1
+        rows = spo[np.isin(spo[:, 1], [RELATION_INDEX[r] for r in relation_types])
+                   & keep[spo[:, 0]] & keep[spo[:, 2]]]
+        kept = np.flatnonzero(keep)
+        rows = np.stack([new_id[rows[:, 0]], rows[:, 1], new_id[rows[:, 2]]], axis=1)
+        return Graph([self.labels[i] for i in kept.tolist()], codes[kept], rows)
 
     def stats(self) -> GraphStats:
-        entity_counts = Counter(e.entity_type for e in self.entities)
-        relation_counts = Counter(t.predicate for t in self.triples)
-        return GraphStats(
-            entity_counts=dict(entity_counts),
-            relation_counts=dict(relation_counts),
-            total_entities=len(self.entities),
-            total_triples=len(self.triples),
-        )
+        entity_counts = np.bincount(self.type_codes(), minlength=len(ENTITY_TYPE_BY_INDEX))
+        relation_counts = np.bincount(self.triples_array()[:, 1], minlength=len(RELATION_BY_INDEX))
+        return GraphStats(entity_counts={t: int(c) for t, c in zip(ENTITY_TYPE_BY_INDEX, entity_counts) if c},
+                          relation_counts={r: int(c) for r, c in zip(RELATION_BY_INDEX, relation_counts) if c},
+                          total_entities=self.num_entities, total_triples=self.num_triples)
 
-    # -- conversions -------------------------------------------------------
+    # -- columns -----------------------------------------------------------
+
+    def type_codes(self) -> np.ndarray:
+        """The entity-type column as a uint8 array of ENTITY_TYPE_INDEX values."""
+        return np.array(self._types, dtype=np.uint8)
 
     def triples_array(self) -> np.ndarray:
-        """All triples as an (M, 3) int64 array of (subject, relation index, object)."""
-        if not self.triples:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.array([t.key() for t in self.triples], dtype=np.int64)
+        """The triple column: (M, 3) int64 rows of (subject, relation index, object).
 
-    def label_triples(self) -> list[tuple[str, str, str, str, str]]:
-        """Sorted label-level view, the canonical form for file round trips."""
-        rows = []
-        for t in self.triples:
-            s = self.entities[t.subject]
-            o = self.entities[t.object]
-            rows.append((s.label, s.entity_type.value, t.predicate.value, o.label, o.entity_type.value))
-        rows.sort()
-        return rows
+        Read-only; repeated calls return the same array until the next
+        ``add_triple``.
+        """
+        if self._pending:
+            self._spo = np.concatenate([self._spo, np.array(self._pending, dtype=np.int64)])
+            self._spo.flags.writeable = False
+            self._pending.clear()
+        return self._spo
+
+    def _type_names(self) -> list[str]:
+        return [ENTITY_TYPE_BY_INDEX[c].value for c in self._types]
+
+    def label_triples(self, spo: np.ndarray | None = None) -> list[tuple[str, str, str, str, str]]:
+        """Sorted label-level rows of ``spo`` (default: every triple), the canonical file form."""
+        s, r, o = (self.triples_array() if spo is None else spo).T.tolist()
+        labels, types, relations = self.labels, self._type_names(), [r.value for r in RELATION_BY_INDEX]
+        return sorted(zip(map(labels.__getitem__, s), map(types.__getitem__, s), map(relations.__getitem__, r),
+                          map(labels.__getitem__, o), map(types.__getitem__, o)))
+
+    def vocabulary_sha256(self) -> str:
+        """sha256 of the ordered (label, type) list, which fixes what each entity id means."""
+        names = list(zip(self.labels, self._type_names()))
+        return hashlib.sha256(json.dumps(names, ensure_ascii=False).encode("utf-8")).hexdigest()

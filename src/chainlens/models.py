@@ -75,6 +75,8 @@ class ModelParams:
     num_relations: int
     seed: int
     blocks: dict[str, np.ndarray]
+    #: sha256 of the training split's ordered (label, type) list; None if unknown
+    vocabulary_sha256: str | None = None
 
     @property
     def entity_emb(self) -> np.ndarray:
@@ -96,6 +98,7 @@ class ModelParams:
             num_relations=self.num_relations,
             seed=self.seed,
             blocks={k: v.copy() for k, v in self.blocks.items()},
+            vocabulary_sha256=self.vocabulary_sha256,
         )
 
     def all_finite(self) -> bool:
@@ -400,19 +403,18 @@ def batch_loss_and_gradients(
 def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
     """Write a bit-exact checkpoint (.npz with a JSON header)."""
     path = Path(path)
-    header = json.dumps(
-        {
-            "kind": params.kind.value,
-            "dim": params.dim,
-            "num_entities": params.num_entities,
-            "num_relations": params.num_relations,
-            "seed": params.seed,
-        },
-        sort_keys=True,
-    )
+    header = {
+        "kind": params.kind.value,
+        "dim": params.dim,
+        "num_entities": params.num_entities,
+        "num_relations": params.num_relations,
+        "seed": params.seed,
+    }
+    if params.vocabulary_sha256 is not None:
+        header["vocabulary_sha256"] = params.vocabulary_sha256
     arrays = {f"block_{name}": arr for name, arr in params.blocks.items()}
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(header), **arrays)
+        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
     return path
 
 
@@ -429,4 +431,5 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         num_relations=int(header["num_relations"]),
         seed=int(header["seed"]),
         blocks=blocks,
+        vocabulary_sha256=header.get("vocabulary_sha256"),
     )

@@ -279,3 +279,40 @@ def test_missing_input_file_exits_2(workspace, capsys):
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+
+
+def test_eval_rejects_split_with_permuted_labels(workspace, capsys):
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    main(["train", "--model", "TransE", "--split-dir", str(splits),
+          "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
+    permuted = workspace / "permuted"
+    permuted.mkdir()
+    for name in ("train.tsv", "valid.tsv", "test.tsv"):
+        text = (splits / name).read_text()
+        text = text.replace("SUP-0001\t", "@\t").replace("SUP-0002\t", "SUP-0001\t").replace("@\t", "SUP-0002\t")
+        (permuted / name).write_text(text)
+    assert main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(splits),
+                 "--out", str(workspace / "eval_ok")]) == 0
+    code = main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(permuted),
+                 "--out", str(workspace / "eval_permuted")])
+    assert code == 2
+    assert "different entity vocabulary" in capsys.readouterr().err
+    assert len(load_checkpoint(ckpt).vocabulary_sha256) == 64
+
+
+def test_eval_accepts_checkpoint_without_vocabulary_digest(workspace):
+    from chainlens.dataset import load_split_dir
+    from chainlens.models import ModelKind, init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    g, *_ = load_split_dir(splits)
+    params = init_params(ModelKind.TRANSE, g.num_entities, 11, TrainConfig(dim=8, seed=0))
+    save_checkpoint(params, workspace / "init.npz")
+    assert load_checkpoint(workspace / "init.npz").vocabulary_sha256 is None
+    assert main(["eval", "--checkpoint", str(workspace / "init.npz"), "--split-dir", str(splits),
+                 "--out", str(workspace / "eval_init")]) == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens.dataset as dataset_mod
 from chainlens.dataset import (
     ConfigError,
     GeneratorConfig,
@@ -23,10 +24,12 @@ from chainlens.graph import (
     EntityType,
     Graph,
     RelationType,
+    Schema,
     SchemaViolation,
 )
 
 from conftest import random_typed_graph
+from reference_split import reference_transductive_split
 
 
 # -- file I/O ----------------------------------------------------------------
@@ -157,6 +160,27 @@ def test_generator_tier_sizes_must_fit():
         generate_synthetic(GeneratorConfig(tier_sizes=(400, 300, 300)))
 
 
+@pytest.mark.parametrize(
+    "relation, extra_target, emptied, zeroed, message",
+    [
+        (RelationType.RELATED_TO, EntityType.COUNTRY, EntityType.BUSINESS_SCOPE, (), "no business scopes"),
+        (RelationType.LOCATED_IN, EntityType.BUSINESS_SCOPE, EntityType.COUNTRY,
+         (RelationType.BELONGS_TO, RelationType.PRODUCED_IN), "no countries"),
+    ],
+)
+def test_generator_coverage_pool_must_be_non_empty_under_a_wider_schema(relation, extra_target, emptied, zeroed,
+                                                                        message):
+    # a schema that lets the relation reach another type passes the capacity
+    # check with the covering pool empty
+    sources, targets = DEFAULT_SCHEMA.rules[relation]
+    schema = Schema({**DEFAULT_SCHEMA.rules, relation: (sources, targets | {extra_target})})
+    base = GeneratorConfig()
+    cfg = GeneratorConfig(entity_counts={**base.entity_counts, emptied: 0},
+                          relation_counts={**base.relation_counts, **{r: 0 for r in zeroed}})
+    with pytest.raises(ConfigError, match=message):
+        generate_synthetic(cfg, schema)
+
+
 def test_generator_config_from_file(tmp_path):
     path = tmp_path / "gen.cfg"
     path.write_text("# small\nseed=3\nsuppliers=40\nsmelters=4\ntier1=5\ntier2=10\ntier3=12\n"
@@ -276,3 +300,154 @@ def test_split_round_trip_through_files(tmp_path, default_graph, default_split):
     valid_ents = set(valid_arr[:, 0]) | set(valid_arr[:, 2])
     train_ents = set(train_arr[:, 0]) | set(train_arr[:, 2])
     assert valid_ents <= train_ents
+
+
+# -- one reader for triple files and split directories -----------------------
+
+def write_split_dir(path, train, valid, test):
+    for name, lines in (("train.tsv", train), ("valid.tsv", valid), ("test.tsv", test)):
+        (path / name).write_text("".join(line + "\n" for line in lines))
+
+
+GOOD_LINES = [
+    "a\tSupplier\tsupplies_to\tb\tSupplier",
+    "b\tSupplier\tsupplies_to\tc\tSupplier",
+    "a\tSupplier\tlocated_in\tx\tCountry",
+]
+
+
+def test_load_split_dir_empty_label_names_file_and_line(tmp_path):
+    valid = ["# header", GOOD_LINES[0], "\tSupplier\tsupplies_to\tb\tSupplier"]
+    write_split_dir(tmp_path, GOOD_LINES, valid, [GOOD_LINES[1]])
+    with pytest.raises(ParseError, match=r"valid\.tsv:3: empty entity label"):
+        load_split_dir(tmp_path)
+
+
+def test_load_split_dir_schema_violation_names_file_and_line(tmp_path):
+    test = [GOOD_LINES[1], "x\tCountry\tsupplies_to\tb\tSupplier"]
+    write_split_dir(tmp_path, GOOD_LINES, [GOOD_LINES[0]], test)
+    with pytest.raises(SchemaViolation, match=r"test\.tsv:2: Country is not a valid source for supplies_to"):
+        load_split_dir(tmp_path)
+
+
+def test_load_split_dir_keeps_repeated_lines_per_file(tmp_path):
+    write_split_dir(tmp_path, GOOD_LINES, [GOOD_LINES[0]], [GOOD_LINES[2], GOOD_LINES[2]])
+    graph, train, valid, test = load_split_dir(tmp_path)
+    assert graph.labels == ["a", "b", "c", "x"]
+    assert graph.num_triples == 3
+    assert (len(train), len(valid), len(test)) == (3, 1, 2)
+    np.testing.assert_array_equal(valid, train[:1])
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # the first bad line wins, whatever its kind
+        (["a\tSupplier\tsupplies_to\tb\tSupplier", "a\tSupplier\tsupplies_to\tb\tNope",
+          "a\tSupplier", "x\tCountry\tsupplies_to\tb\tSupplier"], r":2: unknown entity type 'Nope'"),
+        (["a\tSupplier\tsupplies_to\tb\tSupplier", "x\tCountry\tsupplies_to\tb\tSupplier",
+          "a\tSupplier"], r":2: Country is not a valid source"),
+        (["a\tSupplier\tsupplies_to\tb\tSupplier", "a\tSupplier"], r":2: expected 5 tab-separated fields, got 2"),
+        # a line with one field too many and the next with one too few still name the first
+        (["s\tSupplier\tsupplies_to\to\tSupplier\tx", "Supplier\tsupplies_to\tq\tSupplier"],
+         r":1: expected 5 tab-separated fields, got 6"),
+        # within one line: empty label, then relation, then subject type, then object type
+        (["\tSupplier\tsells_to\tb\tNope"], r":1: empty entity label"),
+        (["a\tNope\tsells_to\tb\tNope"], r":1: unknown relation type 'sells_to'"),
+        (["a\tNope\tsupplies_to\tb\tAlsoNope"], r":1: unknown entity type 'Nope'"),
+    ],
+)
+def test_reader_reports_the_first_bad_line(tmp_path, lines, message):
+    path = tmp_path / "g.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((ParseError, SchemaViolation), match=message):
+        load_triples(path)
+
+
+def test_reader_batches_give_the_same_graph(tmp_path, default_graph, monkeypatch):
+    path = tmp_path / "g.tsv"
+    export_triples(default_graph, path)
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(text[:5] + ["", "# mid-file comment"] + text[5:]) + "\n")
+    whole = load_triples(path)
+    monkeypatch.setattr(dataset_mod, "READ_BATCH_LINES", 4)
+    batched = load_triples(path)
+    assert batched.labels == whole.labels
+    np.testing.assert_array_equal(batched.type_codes(), whole.type_codes())
+    np.testing.assert_array_equal(batched.triples_array(), whole.triples_array())
+    assert batched.label_triples() == default_graph.label_triples()
+    text[9] = text[9].replace("\t", "\tNope\t", 1)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError, match=r":10: expected 5 tab-separated fields, got 6"):
+        load_triples(path)
+
+
+# -- the array split against the Triple-object reference ---------------------
+
+def assert_split_matches_reference(graph, config):
+    expected = reference_transductive_split(graph, config)
+    result = transductive_split(graph, config)
+    assert (result.train, result.validation, result.test) == expected
+    return result
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_split_matches_reference_on_default_graph(default_graph, seed):
+    assert_split_matches_reference(default_graph, SplitConfig(0.1, 0.1, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_split_matches_reference_on_random_typed_graphs(seed):
+    g = random_typed_graph(np.random.default_rng(seed), 20, 60)
+    try:
+        reference_transductive_split(g, SplitConfig(0.15, 0.15, seed=seed))
+    except SplitInfeasible:
+        with pytest.raises(SplitInfeasible):
+            transductive_split(g, SplitConfig(0.15, 0.15, seed=seed))
+        return
+    assert_split_matches_reference(g, SplitConfig(0.15, 0.15, seed=seed))
+
+
+def test_split_matches_reference_when_held_out_sets_shrink():
+    # s0 -> s1 plus every s_i -> s_j (1 <= i < j <= 7): 22 triples, 7 pinned, 15 free,
+    # against 9 + 9 requested held-out triples
+    g = Graph()
+    s = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(8)]
+    g.add_triple(s[0], RelationType.SUPPLIES_TO, s[1], DEFAULT_SCHEMA)
+    for i in range(1, 7):
+        for j in range(i + 1, 8):
+            g.add_triple(s[i], RelationType.SUPPLIES_TO, s[j], DEFAULT_SCHEMA)
+    config = SplitConfig(0.4, 0.4, seed=5)
+    assert split_sizes(g.num_triples, 0.4, 0.4)[1:] == (9, 9)
+    result = assert_split_matches_reference(g, config)
+    assert (len(result.validation), len(result.test)) == (7, 7)
+
+
+def star_graph():
+    g = Graph()
+    center = g.add_entity("c", EntityType.SUPPLIER)
+    for i in range(6):
+        g.add_triple(g.add_entity(f"l{i}", EntityType.SUPPLIER), RelationType.SUPPLIES_TO, center, DEFAULT_SCHEMA)
+    return g
+
+
+def one_free_triple_graph():
+    # s0 -> s1 and s0 -> s2 are pinned; s1 -> s2 alone cannot fill 1 + 1 held-out slots
+    g = Graph()
+    s = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(3)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        g.add_triple(s[a], RelationType.SUPPLIES_TO, s[b], DEFAULT_SCHEMA)
+    return g
+
+
+@pytest.mark.parametrize(
+    "make_graph, message",
+    [(star_graph, "every triple is needed"), (one_free_triple_graph, "too few free triples")],
+)
+def test_split_infeasible_cases_match_reference(make_graph, message):
+    g, config = make_graph(), SplitConfig(0.2, 0.2, seed=0)
+    with pytest.raises(SplitInfeasible, match=message) as expected:
+        reference_transductive_split(g, config)
+    with pytest.raises(SplitInfeasible) as got:
+        transductive_split(g, config)
+    assert str(got.value) == str(expected.value)

@@ -73,7 +73,7 @@ def test_validate_flags_injected_violation():
     sup = g.add_entity("s", EntityType.SUPPLIER)
     assert g.validate(DEFAULT_SCHEMA).ok
     bad = Triple(country, RelationType.SUPPLIES_TO, sup)
-    g.triples.append(bad)  # bypass checks on purpose
+    g = Graph(g.labels, g.type_codes(), [bad.key()])  # write the row into the column, unchecked
     report = g.validate(DEFAULT_SCHEMA)
     assert report.schema_violations == [bad]
     assert not report.dangling
@@ -83,7 +83,7 @@ def test_validate_flags_dangling_reference():
     g = Graph()
     g.add_entity("s", EntityType.SUPPLIER)
     bad = Triple(0, RelationType.SUPPLIES_TO, 7)
-    g.triples.append(bad)
+    g = Graph(g.labels, g.type_codes(), [bad.key()])  # write the row into the column, unchecked
     report = g.validate(DEFAULT_SCHEMA)
     assert report.dangling == [bad]
 
@@ -231,3 +231,29 @@ def test_triples_array_matches_triples(default_graph):
     assert arr.shape == (default_graph.num_triples, 3)
     t0 = default_graph.triples[0]
     assert tuple(arr[0]) == t0.key()
+
+
+def test_triples_array_is_the_stored_read_only_column():
+    g = supplier_chain(4)
+    first = g.triples_array()
+    assert g.triples_array() is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 3
+    assert g.triples_array()[0, 0] == 0
+    g.add_triple(3, RelationType.SUPPLIES_TO, 0, DEFAULT_SCHEMA)
+    grown = g.triples_array()
+    assert grown is not first and grown.shape == (4, 3) and not grown.flags.writeable
+    assert tuple(grown[-1]) == (3, 0, 0)
+    assert g.triples_array() is grown
+
+
+def test_graph_from_columns_is_unchecked_and_consistent():
+    g = supplier_chain(3)
+    copy = Graph(g.labels, g.type_codes(), g.triples_array())
+    assert copy.label_triples() == g.label_triples()
+    assert copy.has_triple(0, RelationType.SUPPLIES_TO, 1)
+    with pytest.raises(DuplicateTriple):
+        copy.add_triple(0, RelationType.SUPPLIES_TO, 1, DEFAULT_SCHEMA)
+    assert copy.vocabulary_sha256() == g.vocabulary_sha256()
+    swapped = Graph(["s1", "s0", "s2"], g.type_codes(), g.triples_array())
+    assert swapped.vocabulary_sha256() != g.vocabulary_sha256()
