@@ -38,10 +38,6 @@ from .graph import ENTITY_TYPE_INDEX, RELATION_INDEX, EntityType, Graph, Relatio
 METRIC_NAMES = ("in_degree", "out_degree", "betweenness", "closeness", "triangle_count")
 
 
-class DegenerateGraph(Exception):
-    """Raised for graphs too small for the requested statistic."""
-
-
 def degree_centrality(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (in_degree, out_degree) as exact triple counts per direction."""
     n = graph.num_entities

@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,9 @@ import numpy as np
 from . import __version__
 from .analytics import criticality, critical_paths, sole_supplier_scopes
 from .dataset import (
+    TEST_FILE,
+    TRAIN_FILE,
+    VALID_FILE,
     ConfigError,
     GeneratorConfig,
     ParseError,
@@ -128,23 +131,6 @@ def _write_manifest(
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _generator_config_snapshot(cfg: GeneratorConfig) -> dict:
-    snap: dict = {
-        "seed": cfg.seed,
-        "hub_label": cfg.hub_label,
-        "hub_fanout": cfg.hub_fanout,
-        "shortcut_fraction": cfg.shortcut_fraction,
-        "tier1": cfg.tier_sizes[0],
-        "tier2": cfg.tier_sizes[1],
-        "tier3": cfg.tier_sizes[2],
-    }
-    for et, count in cfg.entity_counts.items():
-        snap[et.value] = count
-    for rt, count in cfg.relation_counts.items():
-        snap[rt.value] = count
-    return snap
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -164,7 +150,7 @@ def cmd_generate(args) -> int:
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "generate",
-        _generator_config_snapshot(cfg),
+        cfg.to_kv(),
         [cfg.seed],
         [args.config] if args.config else [],
         [str(out)],
@@ -178,14 +164,10 @@ def cmd_split(args) -> int:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     cfg = SplitConfig.from_file(args.config) if args.config else SplitConfig()
-    overrides = {}
     if args.fractions is not None:
-        overrides["validation_fraction"] = args.fractions[0]
-        overrides["test_fraction"] = args.fractions[1]
+        cfg = replace(cfg, validation_fraction=args.fractions[0], test_fraction=args.fractions[1])
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, seed=args.seed)
     result = transductive_split(graph, cfg)
     out_dir = Path(args.out)
     write_split(graph, result, out_dir)
@@ -207,10 +189,10 @@ def cmd_split(args) -> int:
     _write_manifest(
         out_dir / "manifest.json",
         "split",
-        {"validation_fraction": cfg.validation_fraction, "test_fraction": cfg.test_fraction, "seed": cfg.seed},
+        cfg.to_kv(),
         [cfg.seed],
         [str(args.in_path)] + ([args.config] if args.config else []),
-        [str(out_dir / n) for n in ("train.tsv", "valid.tsv", "test.tsv")],
+        [str(out_dir / n) for n in (TRAIN_FILE, VALID_FILE, TEST_FILE)],
         started,
     )
     return 0
@@ -250,7 +232,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "train",
-        {"model": args.model.value, "grid": bool(args.grid), **asdict(cfg)},
+        {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv()},
         [cfg.seed],
         [str(args.split_dir)] + ([args.config] if args.config else []),
         [str(out), str(history_path)],

@@ -19,9 +19,10 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -160,6 +161,61 @@ def export_triples(graph: Graph, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Config files
+# ---------------------------------------------------------------------------
+
+def parse_kv_file(path: str | Path) -> dict[str, str]:
+    """Parse a plain ``key=value`` config file, ignoring blanks and # comments."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+_Config = TypeVar("_Config", bound="KvConfig")
+
+
+class KvConfig:
+    """Base of the config dataclasses that a ``key=value`` file sets.
+
+    ``to_kv()`` is the flat view a file and a CLI manifest record, and
+    ``from_kv`` builds the config back from a whole such view.
+    """
+
+    def to_kv(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_kv(cls: type[_Config], kv: dict) -> _Config:
+        return cls(**kv)
+
+    @classmethod
+    def from_file(cls: type[_Config], path: str | Path) -> _Config:
+        """Load overrides from a key=value file; unlisted keys keep defaults.
+
+        Each value takes the type of its key's default, so ``dim=3.5`` is
+        rejected and ``margin=2`` loads as ``2.0``.
+        """
+        kv = cls().to_kv()
+        for key, value in parse_kv_file(path).items():
+            if key not in kv:
+                raise ConfigError(f"{path}: unknown {cls.__name__} key {key!r}")
+            try:
+                kv[key] = type(kv[key])(value)
+            except ValueError:
+                raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
+        return cls.from_kv(kv)
+
+
+# ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
 
@@ -188,6 +244,11 @@ DEFAULT_RELATION_COUNTS: dict[RelationType, int] = {
     RelationType.REFINES: 6,
 }
 
+#: Config-file keys of the entity counts, in EntityType order.
+_ENTITY_KEYS: dict[EntityType, str] = dict(zip(EntityType, (
+    "suppliers", "manufacturer_parts", "siemens_parts", "smelters", "substances", "components", "countries",
+    "business_scopes")))
+
 _LABEL_PREFIX: dict[EntityType, str] = {
     EntityType.SUPPLIER: "SUP",
     EntityType.MANUFACTURER_PART: "MPN",
@@ -201,7 +262,7 @@ _LABEL_PREFIX: dict[EntityType, str] = {
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(KvConfig):
     """Knobs for the synthetic network; defaults give ~690 nodes / ~3,450 edges.
 
     ``hub_fanout`` supplies_to edges run from the hub back into tier-1
@@ -217,67 +278,23 @@ class GeneratorConfig:
     hub_label: str = "FocalCo"
     hub_fanout: int = 25
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "GeneratorConfig":
-        """Load overrides from a key=value file; unlisted keys keep defaults."""
-        kv = parse_kv_file(path)
-        cfg = cls()
-        entity_counts = dict(cfg.entity_counts)
-        relation_counts = dict(cfg.relation_counts)
-        tiers = list(cfg.tier_sizes)
-        updates: dict = {}
-        entity_keys = {
-            "suppliers": EntityType.SUPPLIER,
-            "manufacturer_parts": EntityType.MANUFACTURER_PART,
-            "siemens_parts": EntityType.SIEMENS_PART,
-            "smelters": EntityType.SMELTER,
-            "substances": EntityType.SUBSTANCE,
-            "components": EntityType.COMPONENT,
-            "countries": EntityType.COUNTRY,
-            "business_scopes": EntityType.BUSINESS_SCOPE,
+    def to_kv(self) -> dict:
+        """The flat view a config file uses: entity counts under ``_ENTITY_KEYS``,
+        relation counts under the relation names, and ``tier1``..``tier3``."""
+        return {
+            "seed": self.seed, "shortcut_fraction": self.shortcut_fraction,
+            "hub_label": self.hub_label, "hub_fanout": self.hub_fanout,
+            **dict(zip(("tier1", "tier2", "tier3"), self.tier_sizes)),
+            **{key: self.entity_counts.get(et, 0) for et, key in _ENTITY_KEYS.items()},
+            **{rt.value: self.relation_counts.get(rt, 0) for rt in RelationType},
         }
-        relation_keys = {r.value: r for r in RelationType}
-        for key, value in kv.items():
-            try:
-                if key in entity_keys:
-                    entity_counts[entity_keys[key]] = int(value)
-                elif key in relation_keys:
-                    relation_counts[relation_keys[key]] = int(value)
-                elif key in ("tier1", "tier2", "tier3"):
-                    tiers[int(key[-1]) - 1] = int(value)
-                elif key == "seed":
-                    updates["seed"] = int(value)
-                elif key == "hub_fanout":
-                    updates["hub_fanout"] = int(value)
-                elif key == "shortcut_fraction":
-                    updates["shortcut_fraction"] = float(value)
-                elif key == "hub_label":
-                    updates["hub_label"] = value
-                else:
-                    raise ConfigError(f"{path}: unknown generator config key {key!r}")
-            except ValueError:
-                raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
-        return replace(
-            cfg,
-            entity_counts=entity_counts,
-            relation_counts=relation_counts,
-            tier_sizes=(tiers[0], tiers[1], tiers[2]),
-            **updates,
-        )
 
-
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain ``key=value`` config file, ignoring blanks and # comments."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+    @classmethod
+    def from_kv(cls, kv: dict) -> "GeneratorConfig":
+        kv = dict(kv)
+        return cls(entity_counts={et: kv.pop(key) for et, key in _ENTITY_KEYS.items()},
+                   relation_counts={rt: kv.pop(rt.value) for rt in RelationType},
+                   tier_sizes=(kv.pop("tier1"), kv.pop("tier2"), kv.pop("tier3")), **kv)
 
 
 def _validate_config(cfg: GeneratorConfig, schema: Schema) -> None:
@@ -628,7 +645,7 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SplitConfig:
+class SplitConfig(KvConfig):
     validation_fraction: float = 0.1
     test_fraction: float = 0.1
     seed: int = 0
@@ -638,22 +655,6 @@ class SplitConfig:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.validation_fraction + self.test_fraction >= 1.0:
             raise ConfigError("validation_fraction + test_fraction must be < 1")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SplitConfig":
-        kv = parse_kv_file(path)
-        kwargs: dict = {}
-        for key, value in kv.items():
-            try:
-                if key in ("validation_fraction", "test_fraction"):
-                    kwargs[key] = float(value)
-                elif key == "seed":
-                    kwargs[key] = int(value)
-                else:
-                    raise ConfigError(f"{path}: unknown split config key {key!r}")
-            except ValueError:
-                raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -78,18 +78,6 @@ class ModelParams:
     #: sha256 of the training split's ordered (label, type) list; None if unknown
     vocabulary_sha256: str | None = None
 
-    @property
-    def entity_emb(self) -> np.ndarray:
-        return self.blocks["entity"]
-
-    @property
-    def relation_param(self) -> np.ndarray:
-        return self.blocks["relation"]
-
-    @property
-    def core_tensor(self) -> np.ndarray | None:
-        return self.blocks.get("core")
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             kind=self.kind,

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import ConfigError, parse_kv_file
+from .dataset import ConfigError, KvConfig
 from .evaluation import build_filter_index, evaluate
 from .models import (
     ModelKind,
@@ -40,7 +40,7 @@ GRID_LEARNING_RATES = (0.0001, 0.001, 0.01)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(KvConfig):
     dim: int = 64
     learning_rate: float = 0.001
     margin: float = 1.0
@@ -67,27 +67,6 @@ class TrainConfig:
             raise ConfigError("max_epochs must be non-negative")
         if self.eval_every <= 0 or self.patience <= 0 or self.batch_size <= 0:
             raise ConfigError("eval_every, patience, and batch_size must be positive")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TrainConfig":
-        kv = parse_kv_file(path)
-        kwargs: dict = {}
-        int_keys = {
-            "dim", "negatives_per_positive", "max_epochs", "eval_every",
-            "patience", "batch_size", "seed",
-        }
-        float_keys = {"learning_rate", "margin", "adam_beta1", "adam_beta2", "adam_epsilon"}
-        for key, value in kv.items():
-            try:
-                if key in int_keys:
-                    kwargs[key] = int(value)
-                elif key in float_keys:
-                    kwargs[key] = float(value)
-                else:
-                    raise ConfigError(f"{path}: unknown training config key {key!r}")
-            except ValueError:
-                raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
-        return cls(**kwargs)
 
 
 class TrainingDiverged(Exception):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ SMALL_GEN_CFG = (
     "includes=20\nproduces=12\nproduced_in=10\nsame_as=8\n"
     "manufactured_by=6\ncontains=5\nrefines=4\nhub_label=TinyHub\n"
 )
+
+GEN_10X_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "gen10x.cfg"
 
 TRAIN_CFG = "dim=16\nlearning_rate=0.01\nmax_epochs=30\neval_every=10\npatience=3\nbatch_size=64\nseed=2\n"
 
@@ -55,10 +58,43 @@ def test_generate_seed_flag_overrides(workspace):
 
 def test_generate_unsatisfiable_config_exits_3(workspace, capsys):
     bad = workspace / "bad.cfg"
-    bad.write_text(SMALL_GEN_CFG + "same_as=10000\n")
+    bad.write_text(SMALL_GEN_CFG.replace("same_as=8", "same_as=10000"))
     code = main(["generate", "--config", str(bad), "--out", str(workspace / "x.tsv")])
     assert code == 3
     assert "same_as" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_2(workspace, capsys):
+    cfg = workspace / "twice.cfg"
+    cfg.write_text(SMALL_GEN_CFG + "seed=12\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(workspace / "x.tsv")]) == 2
+    assert "duplicate key 'seed'" in capsys.readouterr().err
+
+
+def config_file_of(manifest, path):
+    """Write the ``config`` of a manifest as a key=value file at ``path``."""
+    config = json.loads(manifest.read_text())["config"]
+    path.write_text("".join(f"{key}={value}\n" for key, value in config.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("gen_args", [[], ["--config", str(GEN_10X_CFG), "--seed", "3"]], ids=["default", "10x"])
+def test_generate_manifest_config_reruns_the_same_graph(tmp_path, gen_args):
+    first, again = tmp_path / "first.tsv", tmp_path / "again.tsv"
+    assert main(["generate", *gen_args, "--out", str(first)]) == 0
+    rerun = config_file_of(tmp_path / "first.tsv.manifest.json", tmp_path / "rerun.cfg")
+    assert main(["generate", "--config", rerun, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_split_manifest_config_reruns_the_same_split(workspace):
+    graph, first, again = workspace / "g.tsv", workspace / "first", workspace / "again"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    assert main(["split", "--in", str(graph), "--fractions", "0.15", "0.2", "--seed", "4", "--out", str(first)]) == 0
+    rerun = config_file_of(first / "manifest.json", workspace / "rerun.cfg")
+    assert main(["split", "--in", str(graph), "--config", rerun, "--out", str(again)]) == 0
+    for name in ("train.tsv", "valid.tsv", "test.tsv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_split_check_passes(workspace, capsys):

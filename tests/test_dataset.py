@@ -27,6 +27,7 @@ from chainlens.graph import (
     Schema,
     SchemaViolation,
 )
+from chainlens.training import TrainConfig
 
 from conftest import random_typed_graph
 from reference_split import reference_transductive_split
@@ -208,6 +209,42 @@ def test_parse_kv_file_rejects_malformed(tmp_path):
     path.write_text("this is not a pair\n")
     with pytest.raises(ParseError):
         parse_kv_file(path)
+
+
+def test_parse_kv_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("dim=32\n# later\ndim=64\n")
+    with pytest.raises(ParseError, match=r"train\.cfg:3: duplicate key 'dim'"):
+        parse_kv_file(path)
+
+
+def _non_default(value):
+    if isinstance(value, str):
+        return value + "X"
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+@pytest.mark.parametrize("cls", [GeneratorConfig, SplitConfig, TrainConfig])
+def test_config_round_trips_through_a_kv_file(tmp_path, cls):
+    kv = {key: _non_default(value) for key, value in cls().to_kv().items()}
+    cfg = cls.from_kv(kv)
+    assert all(cfg.to_kv()[key] != value for key, value in cls().to_kv().items())
+    path = tmp_path / "round.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in cfg.to_kv().items()))
+    loaded = cls.from_file(path)
+    assert loaded == cfg
+    assert {key: type(value) for key, value in loaded.to_kv().items()} == {
+        key: type(value) for key, value in cls().to_kv().items()}
+
+
+def test_config_values_take_the_type_of_their_default(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("margin=2\n")
+    margin = TrainConfig.from_file(path).margin
+    assert type(margin) is float and margin == 2.0
+    path.write_text("dim=3.5\n")
+    with pytest.raises(ConfigError, match="'dim'"):
+        TrainConfig.from_file(path)
 
 
 # -- splits ------------------------------------------------------------------
