@@ -317,6 +317,9 @@ def _validate_config(cfg: GeneratorConfig, schema: Schema) -> None:
         raise ConfigError("shortcut_fraction must be in [0, 1)")
     if not cfg.hub_label:
         raise ConfigError("hub_label must be non-empty")
+    if cfg.hub_label.startswith("#") or "\t" in cfg.hub_label or cfg.hub_label.splitlines() != [cfg.hub_label]:
+        # the label starts the hub's triple lines, which would read back as comments or split apart
+        raise ConfigError(f"hub_label {cfg.hub_label!r} must not start with '#' or hold a tab or line break")
 
     def pool(types: frozenset) -> int:
         return sum(ec.get(t, 0) for t in types)
@@ -367,6 +370,47 @@ def _skewed_weights(n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _choice(p: np.ndarray, u: float) -> int:
+    """The index ``rng.choice(len(p), p=p)`` returns when its one ``rng.random()`` draw is ``u``.
+
+    ``Generator.choice(n, p=p)`` normalises the cumulative sum of ``p`` and
+    searches it from the right for that draw; these are the same steps
+    without ``choice``'s argument checks, so ``_choice(p, rng.random())``
+    gives the same index and leaves ``rng`` in the same state.  The generated
+    networks depend on this; ``numpy/random/_generator.pyx`` is not shipped
+    with the compiled module, so ``test_choice_emulation_matches_generator_choice``
+    is the record of it.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, "right"))
+
+
+_TWO53 = 1 << 53  # Generator.random() returns a whole multiple of 2**-53
+
+
+def _prefix_choice(weights: list[int], cum: np.ndarray, u: float) -> int:
+    """``_choice(np.array(weights) / total, u)`` from whole-number weights and their prefix sums.
+
+    ``cum[k]`` is ``sum(weights[:k + 1])`` and ``total`` is ``cum[-1] > 0``.
+    For n weights, the float cdf ``_choice`` builds is within a relative
+    ``(2n + 1) * 2**-53`` of the exact ``cum / total`` (n divisions, n
+    sequential additions, one normalisation), so when ``u`` lies more than
+    twice that inside the exact interval ``[cum[k - 1], cum[k]) / total``
+    found by an integer search, ``_choice`` returns ``k`` too.  The
+    comparison is in integers, which makes it exact; only a ``u`` nearer an
+    edge builds the float cdf.
+    """
+    total = int(cum[-1])
+    x = int(u * _TWO53) * total  # u * total * 2**53, exactly
+    k = int(cum.searchsorted(x >> 53, "right"))  # the first k with cum[k] > u * total
+    hi = int(cum[k])
+    slack = 4 * len(weights) + 8
+    if (hi - weights[k]) * (_TWO53 + slack) <= x < hi * (_TWO53 - slack):
+        return k
+    return _choice(np.array(weights, dtype=float) / total, u)
+
+
 def _pa_targets(
     rng: np.random.Generator,
     targets: list[int],
@@ -381,32 +425,44 @@ def _pa_targets(
     comes out heavy-tailed.  Attachment weight is in_degree + 1.
     ``max_per_target`` caps how often one target may be drawn (the size of
     the source pool, so that distinct source/target pairs always exist).
+    ``targets`` are distinct ids.
+
+    Each weighted draw returns the index ``rng.choice(active, p=w / w.sum())``
+    would, over the weights ``w`` of the eligible targets with capped ones at
+    0, from the same single ``rng.random()`` draw (see :func:`_choice`).  The
+    weights and their exact prefix sums are kept up to date as draws happen
+    (+1 for the drawn target, or 0 once it reaches the cap), so a draw is a
+    binary search (:func:`_prefix_choice`) plus one vectorised update of the
+    prefix sums past the drawn slot, not a rebuilt cdf.
     """
     chosen: list[int] = []
     if n_draws <= 0 or not targets:
         return chosen
-    active = 0
-    pool = np.asarray(targets, dtype=np.int64)
-    block_counts = np.zeros(len(pool), dtype=np.int64)
+    n = len(targets)
+    cap = math.inf if max_per_target is None else max_per_target
+    start = (indeg[targets] + 1).tolist()  # a slot's weight before its first draw
+    w = [0] * n  # each slot's weight while eligible and under the cap, else 0
+    cum = np.zeros(n, dtype=np.int64)  # cum[k] == sum(w[:k + 1])
+    counts = [0] * n
+    active = total = 0
     for i in range(n_draws):
-        want = min(len(pool), max(1, math.ceil(len(pool) * (i + 1) / n_draws)))
+        want = min(n, max(1, math.ceil(n * (i + 1) / n_draws)))
         if active < want:
             j = active
             active += 1
+        elif total > 0:
+            j = _prefix_choice(w, cum, rng.random())
+        elif active < n:
+            j = active
+            active += 1
         else:
-            w = indeg[pool[:active]] + 1.0
-            if max_per_target is not None:
-                w[block_counts[:active] >= max_per_target] = 0.0
-            total = w.sum()
-            if total > 0:
-                j = int(rng.choice(active, p=w / total))
-            elif active < len(pool):
-                j = active
-                active += 1
-            else:
-                raise ConfigError("relation supplies_to: attachment pool exhausted; reduce the count")
-        block_counts[j] += 1
-        t = int(pool[j])
+            raise ConfigError("relation supplies_to: attachment pool exhausted; reduce the count")
+        counts[j] += 1
+        weight = start[j] + counts[j] if counts[j] < cap else 0
+        cum[j:] += weight - w[j]
+        total += weight - w[j]
+        w[j] = weight
+        t = targets[j]
         indeg[t] += 1
         chosen.append(t)
     return chosen
@@ -449,37 +505,45 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
     the graph; every supplier has at least one related_to business scope and
     one located_in country; part/substance/smelter relations hit the
     configured counts exactly.
+
+    The triples are collected as id rows in insertion order and checked
+    against the schema once, at the end; the first row that breaks it raises
+    :class:`SchemaViolation`.
     """
     cfg = config or GeneratorConfig()
     _validate_config(cfg, schema)
     rng = np.random.default_rng(cfg.seed)
-    graph = Graph()
     ec, rc = cfg.entity_counts, cfg.relation_counts
 
+    labels: list[str] = []
+    type_codes: list[int] = []
     by_type: dict[EntityType, list[int]] = {}
-    hub = graph.add_entity(cfg.hub_label, EntityType.SUPPLIER)
-    suppliers = [hub]
-    for i in range(1, ec.get(EntityType.SUPPLIER, 0)):
-        suppliers.append(graph.add_entity(f"SUP-{i:04d}", EntityType.SUPPLIER))
-    by_type[EntityType.SUPPLIER] = suppliers
-    for et in EntityType:
+    for et in EntityType:  # suppliers first, the hub as id 0
         if et is EntityType.SUPPLIER:
-            continue
-        by_type[et] = [
-            graph.add_entity(f"{_LABEL_PREFIX[et]}-{i:04d}", et) for i in range(ec.get(et, 0))
-        ]
+            names = [cfg.hub_label] + [f"SUP-{i:04d}" for i in range(1, ec.get(et, 0))]
+        else:
+            names = [f"{_LABEL_PREFIX[et]}-{i:04d}" for i in range(ec.get(et, 0))]
+        by_type[et] = list(range(len(labels), len(labels) + len(names)))
+        labels += names
+        type_codes += [ENTITY_TYPE_INDEX[et]] * len(names)
+    suppliers = by_type[EntityType.SUPPLIER]
+    hub = suppliers[0]
 
     t1n, t2n, t3n = cfg.tier_sizes
     tier1 = suppliers[1 : 1 + t1n]
     tier2 = suppliers[1 + t1n : 1 + t1n + t2n]
     tier3 = suppliers[1 + t1n + t2n : 1 + t1n + t2n + t3n]
 
-    indeg = np.zeros(graph.num_entities, dtype=np.int64)
+    indeg = np.zeros(len(labels), dtype=np.int64)
+    rows: list[tuple[int, int, int]] = []  # (subject, relation index, object), in insertion order
+    supply: set[tuple[int, int]] = set()  # the (subject, object) pairs of the supplies_to rows
+    supplies_to = RELATION_INDEX[RelationType.SUPPLIES_TO]
 
     def add_supply(s: int, o: int) -> bool:
-        if s == o or graph.has_triple(s, RelationType.SUPPLIES_TO, o):
+        if s == o or (s, o) in supply:
             return False
-        graph.add_triple(s, RelationType.SUPPLIES_TO, o, schema)
+        supply.add((s, o))
+        rows.append((s, supplies_to, o))
         return True
 
     # Tier-1 suppliers all feed the hub.
@@ -505,7 +569,7 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
 
     n_supply = rc.get(RelationType.SUPPLIES_TO, 0)
     n_short = round(cfg.shortcut_fraction * n_supply)
-    fill_budget = n_supply - graph.stats().relation_counts.get(RelationType.SUPPLIES_TO, 0) - n_short
+    fill_budget = n_supply - len(rows) - n_short  # every row so far is a supplies_to row
 
     # Per-block draw totals: every tier-2/3 supplier gets one outgoing edge,
     # the rest of the budget is split proportionally to source tier size.
@@ -557,18 +621,19 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
 
     # Cross-tier shortcuts: deeper suppliers skipping at least one level.
     short_sources = tier2 + tier3
+    in_tier2 = set(tier2)
+    cands = np.asarray([hub] + tier1, dtype=np.int64)
     for _ in range(n_short):
         if not short_sources:
             break
         placed = False
         for _ in range(200):
             s = short_sources[int(rng.integers(len(short_sources)))]
-            if s in tier2 or not tier1:
+            if s in in_tier2 or not tier1:
                 t = hub
             else:
-                cands = np.asarray([hub] + tier1, dtype=np.int64)
                 w = indeg[cands] + 1.0
-                t = int(cands[rng.choice(len(cands), p=w / w.sum())])
+                t = int(cands[_choice(w / w.sum(), rng.random())])
             if add_supply(s, t):
                 indeg[t] += 1
                 placed = True
@@ -585,16 +650,19 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
     rng.shuffle(countries)
 
     def covered_assign(rel: RelationType, sources: list[int], tgt_pool: list[int]) -> None:
+        r = RELATION_INDEX[rel]
         weights = _skewed_weights(len(tgt_pool))
         picks = rng.choice(len(tgt_pool), size=len(sources), p=weights)
-        for s, j in zip(sources, picks):
-            graph.add_triple(s, rel, tgt_pool[int(j)], schema)
+        pairs = list(zip(sources, map(tgt_pool.__getitem__, picks.tolist())))
+        rows.extend((s, r, t) for s, t in pairs)
+        seen = set(pairs)
         extra = rc.get(rel, 0) - len(sources)
         while extra > 0:
             s = sources[int(rng.integers(len(sources)))]
-            t = tgt_pool[int(rng.choice(len(tgt_pool), p=weights))]
-            if not graph.has_triple(s, rel, t):
-                graph.add_triple(s, rel, t, schema)
+            t = tgt_pool[_choice(weights, rng.random())]
+            if (s, t) not in seen:
+                seen.add((s, t))
+                rows.append((s, r, t))
                 extra -= 1
 
     covered_assign(RelationType.RELATED_TO, suppliers, scopes)
@@ -604,16 +672,15 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
 
     # belongs_to: a subset of suppliers gets a registration country.
     n_belong = rc.get(RelationType.BELONGS_TO, 0)
+    belongs_to = RELATION_INDEX[RelationType.BELONGS_TO]
     if n_belong and countries:
         if n_belong <= len(suppliers):
             chosen = rng.choice(len(suppliers), size=n_belong, replace=False)
             weights = _skewed_weights(len(countries))
             picks = rng.choice(len(countries), size=n_belong, p=weights)
-            for i, j in zip(chosen, picks):
-                graph.add_triple(suppliers[int(i)], RelationType.BELONGS_TO, countries[int(j)], schema)
+            rows.extend((suppliers[i], belongs_to, countries[j]) for i, j in zip(chosen.tolist(), picks.tolist()))
         else:
-            for s, t in _sample_distinct_pairs(rng, suppliers, countries, n_belong):
-                graph.add_triple(s, RelationType.BELONGS_TO, t, schema)
+            rows.extend((s, belongs_to, t) for s, t in _sample_distinct_pairs(rng, suppliers, countries, n_belong))
 
     # Part/substance/smelter relations: exact configured counts.
     def fill_relation(rel: RelationType) -> None:
@@ -623,8 +690,7 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
         src_pool = sorted(set().union(*[by_type[t] for t in schema.source_types(rel)]))
         tgt_pool = sorted(set().union(*[by_type[t] for t in schema.target_types(rel)]))
         pairs = _sample_distinct_pairs(rng, src_pool, tgt_pool, count, exclude_self=True)
-        for s, t in pairs:
-            graph.add_triple(s, rel, t, schema)
+        rows.extend((s, RELATION_INDEX[rel], t) for s, t in pairs)
 
     for rel in (
         RelationType.INCLUDES,
@@ -637,6 +703,12 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
     ):
         fill_relation(rel)
 
+    graph = Graph(labels, type_codes, rows)
+    violations = graph.validate(schema).schema_violations
+    if violations:
+        t = violations[0]
+        raise SchemaViolation(schema.violation(graph.entity_type(t.subject), t.predicate, graph.entity_type(t.object),
+                                               labels[t.subject], labels[t.object]))
     return graph
 
 

@@ -15,6 +15,7 @@ trajectory bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -57,10 +58,15 @@ class TrainConfig(KvConfig):
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.margin < 0:
-            raise ConfigError("margin must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ConfigError("margin must be non-negative and finite")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
+            raise ConfigError("adam_epsilon must be positive and finite")
         if self.negatives_per_positive < 1:
             raise ConfigError("negatives_per_positive must be at least 1")
         if self.max_epochs < 0:

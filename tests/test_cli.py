@@ -64,6 +64,17 @@ def test_generate_unsatisfiable_config_exits_3(workspace, capsys):
     assert "same_as" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["#Focal", "Fo\tcal"])
+def test_generate_hub_label_that_breaks_triple_lines_exits_3(workspace, capsys, label):
+    # written as is, the hub's lines would read back as comments or with a field too many
+    bad = workspace / "bad.cfg"
+    bad.write_text(SMALL_GEN_CFG.replace("hub_label=TinyHub", f"hub_label={label}"))
+    out = workspace / "x.tsv"
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == 3
+    assert "hub_label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_config_key_exits_2(workspace, capsys):
     cfg = workspace / "twice.cfg"
     cfg.write_text(SMALL_GEN_CFG + "seed=12\n")
@@ -222,6 +233,25 @@ def test_train_divergence_exits_4_without_checkpoint(workspace, capsys, monkeypa
     assert code == 4
     assert "ComplEx diverged at epoch 1" in capsys.readouterr().err
     assert not ckpt.exists() and not (workspace / "model.npz.manifest.json").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "learning_rate=nan", "learning_rate=inf", "margin=nan", "margin=inf",
+    "adam_beta1=1.0", "adam_beta1=-0.1", "adam_beta2=1.0", "adam_beta2=nan",
+    "adam_epsilon=-1", "adam_epsilon=0", "adam_epsilon=nan", "adam_epsilon=inf",
+])
+def test_train_config_out_of_range_exits_3(workspace, capsys, setting):
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "model.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    bad = workspace / "bad.cfg"
+    key = setting.split("=")[0]
+    bad.write_text("".join(line + "\n" for line in TRAIN_CFG.splitlines() if not line.startswith(key)) + setting + "\n")
+    capsys.readouterr()
+    code = main(["train", "--model", "transe", "--split-dir", str(splits), "--config", str(bad), "--out", str(ckpt)])
+    assert code == 3
+    assert f"{key} must" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_eval_type_constrained_flag(workspace):

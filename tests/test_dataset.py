@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,10 @@ from chainlens.graph import (
 from chainlens.training import TrainConfig
 
 from conftest import random_typed_graph
+from reference_generator import reference_generate_synthetic
 from reference_split import reference_transductive_split
+
+GEN_10X = GeneratorConfig.from_file(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "gen10x.cfg")
 
 
 # -- file I/O ----------------------------------------------------------------
@@ -161,25 +167,116 @@ def test_generator_tier_sizes_must_fit():
         generate_synthetic(GeneratorConfig(tier_sizes=(400, 300, 300)))
 
 
-@pytest.mark.parametrize(
-    "relation, extra_target, emptied, zeroed, message",
-    [
-        (RelationType.RELATED_TO, EntityType.COUNTRY, EntityType.BUSINESS_SCOPE, (), "no business scopes"),
-        (RelationType.LOCATED_IN, EntityType.BUSINESS_SCOPE, EntityType.COUNTRY,
-         (RelationType.BELONGS_TO, RelationType.PRODUCED_IN), "no countries"),
-    ],
-)
+WIDER_SCHEMA_CASES = [
+    (RelationType.RELATED_TO, EntityType.COUNTRY, EntityType.BUSINESS_SCOPE, (), "no business scopes"),
+    (RelationType.LOCATED_IN, EntityType.BUSINESS_SCOPE, EntityType.COUNTRY,
+     (RelationType.BELONGS_TO, RelationType.PRODUCED_IN), "no countries"),
+]
+
+
+def wider_schema(relation, extra_target):
+    """The default schema with ``extra_target`` added to the targets of ``relation``."""
+    sources, targets = DEFAULT_SCHEMA.rules[relation]
+    return Schema({**DEFAULT_SCHEMA.rules, relation: (sources, targets | {extra_target})})
+
+
+@pytest.mark.parametrize("relation, extra_target, emptied, zeroed, message", WIDER_SCHEMA_CASES)
 def test_generator_coverage_pool_must_be_non_empty_under_a_wider_schema(relation, extra_target, emptied, zeroed,
                                                                         message):
     # a schema that lets the relation reach another type passes the capacity
     # check with the covering pool empty
-    sources, targets = DEFAULT_SCHEMA.rules[relation]
-    schema = Schema({**DEFAULT_SCHEMA.rules, relation: (sources, targets | {extra_target})})
+    schema = wider_schema(relation, extra_target)
     base = GeneratorConfig()
     cfg = GeneratorConfig(entity_counts={**base.entity_counts, emptied: 0},
                           relation_counts={**base.relation_counts, **{r: 0 for r in zeroed}})
     with pytest.raises(ConfigError, match=message):
         generate_synthetic(cfg, schema)
+
+
+def test_choice_emulation_matches_generator_choice():
+    # _choice(p, rng.random()) must be Generator.choice(n, p=p), index and
+    # generator state both: the generated networks depend on it
+    for n in (1, 2, 37, 1_500, 2_300):
+        for seed in range(200):
+            weights = np.random.default_rng([n, seed]).integers(0, 40, n).astype(float)
+            weights[seed % n] += 1.0  # at least one positive weight; the rest include zeros
+            p = weights / weights.sum()
+            expected, emulated = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert dataset_mod._choice(p, emulated.random()) == expected.choice(n, p=p)
+            assert emulated.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 2_300])
+def test_prefix_choice_matches_choice_at_and_between_slot_edges(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        weights = rng.integers(0, 5, n) * rng.integers(1, 10**6, n)  # zeros and wide ranges
+        weights[rng.integers(n)] += 1
+        cum = np.cumsum(weights)
+        total = int(cum[-1])
+        # random() returns m / 2**53; the m on and next to an exact cdf edge take the float fallback
+        edges = [(c << 53) // total + d for c in rng.choice(cum, size=min(n, 40)).tolist() for d in (-1, 0, 1)]
+        draws = rng.integers(0, 1 << 53, 50).tolist() + [m for m in edges if 0 <= m < 1 << 53]
+        for u in (m / 2**53 for m in draws):
+            expected = dataset_mod._choice(weights / total, u)
+            assert dataset_mod._prefix_choice(weights.tolist(), cum, u) == expected
+
+
+REFERENCE_CASES = (
+    [pytest.param(GeneratorConfig(seed=seed), DEFAULT_SCHEMA, id=f"1x-seed{seed}") for seed in range(10)]
+    + [pytest.param(replace(GEN_10X, seed=seed), DEFAULT_SCHEMA, id=f"10x-seed{seed}") for seed in range(3)]
+    + [pytest.param(GeneratorConfig(seed=4), wider_schema(relation, extra_target), id=f"wider-{relation.value}")
+       for relation, extra_target, *_ in WIDER_SCHEMA_CASES]
+    + [pytest.param(GeneratorConfig(seed=5), wider_schema(RelationType.INCLUDES, EntityType.COUNTRY),
+                    id="wider-includes")]
+)
+
+
+@pytest.mark.parametrize("cfg, schema", REFERENCE_CASES)
+def test_generator_matches_reference(tmp_path, cfg, schema):
+    got, expected = generate_synthetic(cfg, schema), reference_generate_synthetic(cfg, schema)
+    assert got.labels == expected.labels
+    assert np.array_equal(got.type_codes(), expected.type_codes())
+    assert np.array_equal(got.triples_array(), expected.triples_array())  # the same rows in the same order
+    export_triples(got, tmp_path / "got.tsv")
+    export_triples(expected, tmp_path / "expected.tsv")
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+
+def error_cases():
+    base = GeneratorConfig()
+    counts = base.relation_counts
+    yield GeneratorConfig(relation_counts={**counts, RelationType.SAME_AS: 10_000}), DEFAULT_SCHEMA, ConfigError
+    yield GeneratorConfig(relation_counts={**counts, RelationType.SUPPLIES_TO: 100}), DEFAULT_SCHEMA, ConfigError
+    yield GeneratorConfig(tier_sizes=(400, 300, 300)), DEFAULT_SCHEMA, ConfigError
+    for relation, extra_target, emptied, zeroed, _ in WIDER_SCHEMA_CASES:
+        yield (GeneratorConfig(entity_counts={**base.entity_counts, emptied: 0},
+                               relation_counts={**counts, **{r: 0 for r in zeroed}}),
+               wider_schema(relation, extra_target), ConfigError)
+    # raised after the first draws: 3 tier-2 suppliers cannot take 1,197 tier-1 edges
+    yield GeneratorConfig(tier_sizes=(150, 3, 0)), DEFAULT_SCHEMA, ConfigError
+    # saturated while placing shortcuts: 5 of them, but only the 3 tier-2 suppliers can take one (to the hub)
+    yield (GeneratorConfig(tier_sizes=(150, 3, 0), shortcut_fraction=0.01,
+                           relation_counts={**counts, RelationType.SUPPLIES_TO: 485}), DEFAULT_SCHEMA, ConfigError)
+    # smelters may not supply under this schema; the reference raises at the first smelter edge
+    narrow = Schema({**DEFAULT_SCHEMA.rules,
+                     RelationType.SUPPLIES_TO: (frozenset({EntityType.SUPPLIER}), frozenset({EntityType.SUPPLIER}))})
+    yield GeneratorConfig(), narrow, SchemaViolation
+
+
+@pytest.mark.parametrize("cfg, schema, error", list(error_cases()))
+def test_generator_errors_match_reference(cfg, schema, error):
+    with pytest.raises(error) as expected:
+        reference_generate_synthetic(cfg, schema)
+    with pytest.raises(error) as got:
+        generate_synthetic(cfg, schema)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("label", ["#Focal", "Fo\tcal", "Fo\ncal", "Fo\rcal", "Focal\x85", "Fo\u2028cal"])
+def test_generator_rejects_a_hub_label_the_triple_file_cannot_hold(label):
+    with pytest.raises(ConfigError, match="hub_label"):
+        generate_synthetic(GeneratorConfig(hub_label=label))
 
 
 def test_generator_config_from_file(tmp_path):
