@@ -36,7 +36,7 @@ except SchemaViolation as exc:
 print("\nWho supplies Helios? ", g.neighbors(focal, "in"))
 print("Everything around Nordic Metals:")
 for neighbor, relation in g.neighbors(tier1, "both"):
-    print(f"  {relation.value:12s} <-> {g.entity(neighbor).label}")
+    print(f"  {relation.value:12s} <-> {g.labels[neighbor]}")
 
 # Projections keep chosen entity and relation types only.
 suppliers_only = g.project_subgraph({EntityType.SUPPLIER}, {RelationType.SUPPLIES_TO})

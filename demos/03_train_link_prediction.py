@@ -10,22 +10,15 @@ Takes a minute or so single-threaded:
     python3 demos/03_train_link_prediction.py
 """
 
-import numpy as np
-
 from chainlens import GeneratorConfig, ModelKind, SplitConfig, generate_synthetic, transductive_split
 from chainlens.evaluation import build_filter_index, evaluate, per_relation_table
 from chainlens.graph import RELATION_BY_INDEX, RelationType
 from chainlens.models import init_params
 from chainlens.training import TrainConfig, train
 
-
-def as_array(triples):
-    return np.array([t.key() for t in triples], dtype=np.int64)
-
-
 graph = generate_synthetic(GeneratorConfig(seed=2024))
 split = transductive_split(graph, SplitConfig(0.1, 0.1, seed=0))
-train_arr, valid_arr, test_arr = map(as_array, (split.train, split.validation, split.test))
+train_arr, valid_arr, test_arr = split.train_ids, split.validation_ids, split.test_ids
 n_entities, n_relations = graph.num_entities, len(RelationType)
 filter_index = build_filter_index([train_arr, valid_arr, test_arr])
 

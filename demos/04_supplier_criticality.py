@@ -40,6 +40,6 @@ scopes = sole_supplier_scopes(graph)
 if scopes:
     print(f"\nSole-supplier business scopes ({len(scopes)}):")
     for scope_id, supplier_id in scopes:
-        print(f"  {graph.entity(scope_id).label} depends entirely on {graph.entity(supplier_id).label}")
+        print(f"  {graph.labels[scope_id]} depends entirely on {graph.labels[supplier_id]}")
 else:
     print("\nNo sole-supplier business scopes at this seed (every scope has backup suppliers)")

@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 from .graph import (
     DEFAULT_SCHEMA,
     DuplicateTriple,
-    Entity,
     EntityType,
     Graph,
     GraphError,
     RelationType,
     Schema,
     SchemaViolation,
-    Triple,
     UnknownEntity,
 )
 from .dataset import (
@@ -37,7 +35,6 @@ __all__ = [
     "ConfigError",
     "CriticalityReport",
     "DuplicateTriple",
-    "Entity",
     "EntityType",
     "EvalReport",
     "GeneratorConfig",
@@ -55,7 +52,6 @@ __all__ = [
     "SplitResult",
     "TrainConfig",
     "TrainHistory",
-    "Triple",
     "UnknownEntity",
     "criticality",
     "critical_paths",

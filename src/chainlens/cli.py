@@ -23,8 +23,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import criticality, critical_paths, sole_supplier_scopes
 from .dataset import (
@@ -36,6 +34,7 @@ from .dataset import (
     ParseError,
     SplitConfig,
     SplitInfeasible,
+    check_transductive,
     export_triples,
     generate_synthetic,
     load_split_dir,
@@ -55,13 +54,13 @@ from .exports import FORMATS, ExportMismatch, export_graph
 from .graph import (
     DEFAULT_SCHEMA,
     EntityType,
+    Graph,
     GraphError,
     RELATION_BY_INDEX,
     RelationType,
     Schema,
-    triples_of,
 )
-from .models import ModelKind, load_checkpoint, save_checkpoint
+from .models import CheckpointError, ModelKind, load_checkpoint, save_checkpoint
 from .training import (
     GRID_DIMS,
     GRID_LEARNING_RATES,
@@ -107,6 +106,20 @@ def _load_schema(args) -> Schema:
     if getattr(args, "schema", None):
         return Schema.from_file(args.schema)
     return DEFAULT_SCHEMA
+
+
+def _triple_text(graph: Graph, row) -> str:
+    s, r, o = row.tolist()
+    return f"{graph.labels[s]} -{RELATION_BY_INDEX[r].value}-> {graph.labels[o]}"
+
+
+def _load_split(split_dir, schema: Schema):
+    """``load_split_dir``, refusing a split whose held-out triples name an entity or relation train lacks."""
+    graph, *parts = load_split_dir(split_dir, schema)
+    if (row := check_transductive(*parts)) is not None:
+        raise GraphError(f"{split_dir} is not a transductive split: held-out triple {_triple_text(graph, row)} "
+                         "has an entity or relation that no training triple has")
+    return graph, *parts
 
 
 def _write_manifest(
@@ -176,15 +189,9 @@ def cmd_split(args) -> int:
         f"valid {len(result.validation_ids)} / test {len(result.test_ids)} in {out_dir}"
     )
     if args.check:
-        in_train = np.zeros(graph.num_entities, dtype=bool)
-        in_train[result.train_ids[:, [0, 2]]] = True
-        rel_in_train = np.zeros(len(RELATION_BY_INDEX), dtype=bool)
-        rel_in_train[result.train_ids[:, 1]] = True
-        for name, part in (("validation", result.validation_ids), ("test", result.test_ids)):
-            bad = part[~(in_train[part[:, 0]] & in_train[part[:, 2]] & rel_in_train[part[:, 1]])]
-            if len(bad):
-                print(f"transductive check: FAIL ({name} triple {triples_of(bad[:1])[0]})")
-                return 2
+        if (row := check_transductive(result.train_ids, result.validation_ids, result.test_ids)) is not None:
+            print(f"transductive check: FAIL (held-out triple {_triple_text(graph, row)})")
+            return 2
         print("transductive check: PASS")
     _write_manifest(
         out_dir / "manifest.json",
@@ -201,7 +208,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     schema = _load_schema(args)
-    graph, train_arr, valid_arr, _ = load_split_dir(args.split_dir, schema)
+    graph, train_arr, valid_arr, _ = _load_split(args.split_dir, schema)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -245,7 +252,9 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     schema = _load_schema(args)
     params = load_checkpoint(args.checkpoint)
-    graph, train_arr, valid_arr, test_arr = load_split_dir(args.split_dir, schema)
+    if not params.all_finite():
+        raise CheckpointError(f"{args.checkpoint} holds non-finite parameters, whose scores cannot be ranked")
+    graph, train_arr, valid_arr, test_arr = _load_split(args.split_dir, schema)
     if params.num_entities != graph.num_entities:
         raise GraphError(
             f"checkpoint was trained on {params.num_entities} entities but the split "
@@ -453,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SplitInfeasible) as exc:
         print(f"chainlens: infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, GraphError, ExportMismatch, VocabularyMismatch, EmptyQuerySet) as exc:
+    except (ParseError, GraphError, CheckpointError, ExportMismatch, VocabularyMismatch, EmptyQuerySet) as exc:
         print(f"chainlens: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -31,11 +31,12 @@ from .graph import (
     ENTITY_TYPE_INDEX,
     EntityType,
     Graph,
+    GraphError,
+    RELATION_BY_INDEX,
     RELATION_INDEX,
     RelationType,
     Schema,
     SchemaViolation,
-    triples_of,
 )
 
 TRAIN_FILE = "train.tsv"
@@ -149,8 +150,28 @@ def load_triples(path: str | Path, schema: Schema = DEFAULT_SCHEMA) -> Graph:
     return _read_triples([Path(path)], schema)[0]
 
 
+def _unreadable(label: str, subject: bool) -> bool:
+    """Whether ``label`` would not read back from a triple file: empty, with a tab or line break, or a ``#`` subject."""
+    return (subject and label.startswith("#")) or "\t" in label or label.splitlines() != [label]
+
+
 def _write_triples(graph: Graph, spo: np.ndarray, path: Path) -> None:
-    """Write id-triple rows of ``graph`` in the shared format, lines sorted."""
+    """Write id-triple rows of ``graph`` in the shared format, lines sorted.
+
+    Raises :class:`GraphError` for a label that would not read back.
+    """
+    role = np.zeros(graph.num_entities, dtype=np.int8)  # 2 for a subject, 1 for an object only
+    role[spo[:, 2]] = 1
+    role[spo[:, 0]] = 2
+    ids = np.flatnonzero(role)
+    labels = [graph.labels[i] for i in ids.tolist()]
+    text = "\t".join(labels)
+    subjects = "\n" + "\n".join(graph.labels[i] for i in np.flatnonzero(role == 2).tolist())
+    # tests on the joined labels, each of which fails only when some label would not read back
+    if len(ids) and ("" in labels or text.count("\t") >= len(ids) or text.splitlines() != [text]
+                     or "\n#" in subjects):
+        label = next(label for label, r in zip(labels, role[ids].tolist()) if _unreadable(label, r == 2))
+        raise GraphError(f"label {label!r} cannot be written to a triple file: it would not read back")
     lines = [_HEADER, *map("\t".join, graph.label_triples(spo))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -315,11 +336,9 @@ def _validate_config(cfg: GeneratorConfig, schema: Schema) -> None:
         )
     if not 0.0 <= cfg.shortcut_fraction < 1.0:
         raise ConfigError("shortcut_fraction must be in [0, 1)")
-    if not cfg.hub_label:
-        raise ConfigError("hub_label must be non-empty")
-    if cfg.hub_label.startswith("#") or "\t" in cfg.hub_label or cfg.hub_label.splitlines() != [cfg.hub_label]:
-        # the label starts the hub's triple lines, which would read back as comments or split apart
-        raise ConfigError(f"hub_label {cfg.hub_label!r} must not start with '#' or hold a tab or line break")
+    if _unreadable(cfg.hub_label, subject=True):
+        raise ConfigError(f"hub_label {cfg.hub_label!r} must be non-empty, not start with '#' and hold no tab or "
+                          "line break")
 
     def pool(types: frozenset) -> int:
         return sum(ec.get(t, 0) for t in types)
@@ -705,10 +724,10 @@ def generate_synthetic(config: GeneratorConfig | None = None, schema: Schema = D
 
     graph = Graph(labels, type_codes, rows)
     violations = graph.validate(schema).schema_violations
-    if violations:
-        t = violations[0]
-        raise SchemaViolation(schema.violation(graph.entity_type(t.subject), t.predicate, graph.entity_type(t.object),
-                                               labels[t.subject], labels[t.object]))
+    if len(violations):
+        s, r, o = violations[0].tolist()
+        raise SchemaViolation(schema.violation(graph.entity_type(s), RELATION_BY_INDEX[r], graph.entity_type(o),
+                                               labels[s], labels[o]))
     return graph
 
 
@@ -731,16 +750,12 @@ class SplitConfig(KvConfig):
 
 @dataclass(frozen=True)
 class SplitResult:
-    """The three parts as sorted (k, 3) id-triple arrays; ``train``, ``validation``
-    and ``test`` list them as Triple values."""
+    """The three parts as (k, 3) id-triple arrays of the split graph, each sorted
+    by (subject, relation, object); labels and types stay on the graph."""
 
     train_ids: np.ndarray
     validation_ids: np.ndarray
     test_ids: np.ndarray
-
-    train = property(lambda self: triples_of(self.train_ids))
-    validation = property(lambda self: triples_of(self.validation_ids))
-    test = property(lambda self: triples_of(self.test_ids))
 
 
 def split_sizes(n_triples: int, validation_fraction: float, test_fraction: float) -> tuple[int, int, int]:
@@ -802,6 +817,19 @@ def transductive_split(graph: Graph, config: SplitConfig) -> SplitResult:
     validation = np.sort(order[:n_val_eff])
     test = np.sort(order[n_val_eff : n_val_eff + n_test_eff])
     return SplitResult(np.delete(spo, order[: n_val_eff + n_test_eff], axis=0), spo[validation], spo[test])
+
+
+def check_transductive(train: np.ndarray, *held_out: np.ndarray) -> np.ndarray | None:
+    """The first held-out id row whose subject, relation or object is missing from ``train``, or None.
+
+    ``held_out`` parts are searched in the order given.
+    """
+    for part in held_out:
+        known = (np.isin(part[:, [0, 2]], train[:, [0, 2]], kind="table").all(axis=1)
+                 & np.isin(part[:, 1], train[:, 1], kind="table"))
+        if not known.all():
+            return part[np.argmin(known)]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -352,35 +352,22 @@ def rank_queries(
     return ranks
 
 
-def _as_query_array(queries) -> np.ndarray:
-    if isinstance(queries, np.ndarray):
-        return np.asarray(queries, dtype=np.int64).reshape(-1, 3)
-    rows = [(q.subject, q.predicate, q.true_object) if isinstance(q, Query) else tuple(q) for q in queries]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-
 def evaluate(
     params: ModelParams,
-    queries,
-    filter_set=None,
+    queries: np.ndarray,
+    filter_index: FilterIndex | None = None,
     setting: str = "filtered",
     tie_policy: str = "realistic",
     candidate_index: CandidateIndex | None = None,
 ) -> EvalReport:
-    """Aggregate MRR and hits@k over queries, overall and per relation type.
+    """Aggregate MRR and hits@k over an (M, 3) query id array, overall and per relation type.
 
-    ``queries`` may be Query objects, (s, r, o) tuples, or an (M, 3) id
-    array.  ``filter_set`` is either a :class:`FilterIndex` or a list of
-    triple arrays covering all known-true triples.  Queries are ranked by
-    :func:`rank_queries`.
+    ``filter_index`` holds the known-true triples (see :func:`build_filter_index`).
+    Queries are ranked by :func:`rank_queries`.
     """
-    query_array = _as_query_array(queries)
+    query_array = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     if not len(query_array):
         raise EmptyQuerySet("evaluate() needs at least one query")
-    if filter_set is None or isinstance(filter_set, FilterIndex):
-        filter_index = filter_set
-    else:
-        filter_index = build_filter_index(list(filter_set))
     ranks = rank_queries(params, query_array, filter_index, setting, tie_policy, candidate_index)
 
     def metrics(idx: np.ndarray) -> tuple[float, dict[int, float]]:

@@ -8,9 +8,10 @@ substances, components, countries, business scopes).
 
 A :class:`Graph` stores three columns: entity labels, entity-type indices and
 one ``(M, 3)`` int64 array of ``(subject, relation index, object)`` rows.
-Validation, projection and statistics are array operations on them;
-:class:`Entity` and :class:`Triple` are value types built on demand for the
-callers that iterate.  Construction is single-writer.
+Validation, projection and statistics are array operations on them, and
+every result that names triples is such an id array; entity ``i`` is
+``labels[i]`` of type :meth:`Graph.entity_type`.  Construction is
+single-writer.
 """
 
 from __future__ import annotations
@@ -185,49 +186,20 @@ class Schema:
             rules[rel] = (src, tgt)
         return cls(rules)
 
-    def to_file(self, path: str | Path) -> None:
-        lines = ["# relation\tsource_types\ttarget_types"]
-        for rel in RelationType:
-            src, tgt = self.rules[rel]
-            lines.append(
-                "%s\t%s\t%s"
-                % (rel.value, ",".join(sorted(t.value for t in src)), ",".join(sorted(t.value for t in tgt)))
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 DEFAULT_SCHEMA = Schema.default()
 
 
-@dataclass(frozen=True)
-class Entity:
-    id: int
-    label: str
-    entity_type: EntityType
-
-
-@dataclass(frozen=True)
-class Triple:
-    """One directed fact; the predicate points at the object."""
-
-    subject: int
-    predicate: RelationType
-    object: int
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.subject, RELATION_INDEX[self.predicate], self.object)
-
-
 @dataclass
 class ValidationReport:
-    """Result of checking a graph against a schema."""
+    """Result of checking a graph against a schema: the offending (k, 3) id-triple rows."""
 
-    schema_violations: list[Triple]
-    dangling: list[Triple]
+    schema_violations: np.ndarray
+    dangling: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return not self.schema_violations and not self.dangling
+        return not len(self.schema_violations) and not len(self.dangling)
 
     def summary(self) -> str:
         if self.ok:
@@ -255,11 +227,6 @@ class GraphStats:
             lines.append(f"{rt.value}\t{self.relation_counts.get(rt, 0)}")
         lines.append(f"Total\t{self.total_triples}")
         return "\n".join(lines)
-
-
-def triples_of(spo: np.ndarray) -> list[Triple]:
-    """The rows of an (M, 3) id-triple array as Triple values."""
-    return [Triple(s, RELATION_BY_INDEX[r], o) for s, r, o in np.asarray(spo).tolist()]
 
 
 class Graph:
@@ -318,23 +285,6 @@ class Graph:
     def num_triples(self) -> int:
         return len(self._spo) + len(self._pending)
 
-    @property
-    def entities(self) -> list[Entity]:
-        """A copy of every entity as an Entity value, rebuilt in O(N) on each access; use :meth:`entity` for one."""
-        return [self.entity(i) for i in range(self.num_entities)]
-
-    @property
-    def triples(self) -> list[Triple]:
-        """A copy of every triple as a Triple value, in insertion order, rebuilt in O(M) on each access.
-
-        Loops that index single triples should read the rows of :meth:`triples_array`.
-        """
-        return triples_of(self.triples_array())
-
-    def entity(self, entity_id: int) -> Entity:
-        entity_type = self.entity_type(entity_id)
-        return Entity(entity_id, self.labels[entity_id], entity_type)
-
     def entity_type(self, entity_id: int) -> EntityType:
         if not 0 <= entity_id < len(self.labels):
             raise UnknownEntity(f"no entity with id {entity_id}")
@@ -344,13 +294,6 @@ class Graph:
         if self._keys is None:
             self._keys = set(map(tuple, self.triples_array().tolist()))
         return (subject, RELATION_INDEX[predicate], object) in self._keys
-
-    def entities_of_type(self, entity_type: EntityType) -> list[int]:
-        return np.flatnonzero(self.type_codes() == ENTITY_TYPE_INDEX[entity_type]).tolist()
-
-    def triples_with_predicate(self, predicate: RelationType) -> list[Triple]:
-        spo = self.triples_array()
-        return triples_of(spo[spo[:, 1] == RELATION_INDEX[predicate]])
 
     def neighbors(
         self,
@@ -364,7 +307,7 @@ class Graph:
         subject), ``in`` (object), or ``both``; ``both`` concatenates the two
         multisets, so a reciprocal edge appears twice.
         """
-        self.entity(entity)
+        self.entity_type(entity)
         if direction not in ("in", "out", "both"):
             raise ValueError(f"direction must be in/out/both, got {direction!r}")
         spo = self.triples_array()
@@ -384,7 +327,7 @@ class Graph:
         dangling = ((ends < 0) | (ends >= self.num_entities)).any(axis=1)
         inside, codes = spo[~dangling], self.type_codes()
         legal = schema.legal(inside[:, 1], codes[inside[:, 0]], codes[inside[:, 2]])
-        return ValidationReport(schema_violations=triples_of(inside[~legal]), dangling=triples_of(spo[dangling]))
+        return ValidationReport(schema_violations=inside[~legal], dangling=spo[dangling])
 
     def project_subgraph(
         self,

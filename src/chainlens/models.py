@@ -44,6 +44,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+class CheckpointError(Exception):
+    """A checkpoint whose header or parameter blocks cannot describe a model."""
+
+
 class ModelKind(Enum):
     RESCAL = "RESCAL"
     COMPLEX = "ComplEx"
@@ -103,6 +107,18 @@ def _glorot_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return _glorot(rng, shape) + 1j * _glorot(rng, shape)
 
 
+def _block_specs(kind: ModelKind, n: int, r: int, d: int) -> dict[str, tuple]:
+    """(shape, dtype) of each block of a ``kind`` model (n entities, r relations, dim d), in initialization order."""
+    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+    specs = {
+        "entity": ((n, d), cplx if kind in (ModelKind.COMPLEX, ModelKind.ROTATE) else real),
+        "relation": ((r, d, d) if kind is ModelKind.RESCAL else (r, d), cplx if kind is ModelKind.COMPLEX else real),
+    }
+    if kind is ModelKind.TUCKER:
+        specs["core"] = ((d, d, d), real)
+    return specs
+
+
 def init_params(kind: ModelKind, num_entities: int, num_relations: int, config) -> ModelParams:
     """Deterministically initialize parameter blocks for ``config.seed``.
 
@@ -113,36 +129,13 @@ def init_params(kind: ModelKind, num_entities: int, num_relations: int, config) 
     if num_entities <= 0 or num_relations <= 0:
         raise ValueError("entity and relation counts must be positive")
     rng = np.random.default_rng(config.seed)
-    d = config.dim
-    blocks: dict[str, np.ndarray] = {}
-    if kind is ModelKind.TRANSE:
-        ent = _glorot(rng, (num_entities, d))
-        ent /= np.linalg.norm(ent, axis=1, keepdims=True)
-        blocks["entity"] = ent
-        blocks["relation"] = _glorot(rng, (num_relations, d))
-    elif kind is ModelKind.RESCAL:
-        blocks["entity"] = _glorot(rng, (num_entities, d))
-        blocks["relation"] = _glorot(rng, (num_relations, d, d))
-    elif kind is ModelKind.TUCKER:
-        blocks["entity"] = _glorot(rng, (num_entities, d))
-        blocks["relation"] = _glorot(rng, (num_relations, d))
-        blocks["core"] = _glorot(rng, (d, d, d))
-    elif kind is ModelKind.COMPLEX:
-        blocks["entity"] = _glorot_complex(rng, (num_entities, d))
-        blocks["relation"] = _glorot_complex(rng, (num_relations, d))
-    elif kind is ModelKind.ROTATE:
-        blocks["entity"] = _glorot_complex(rng, (num_entities, d))
-        blocks["relation"] = rng.uniform(0.0, TWO_PI, size=(num_relations, d))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled model kind {kind}")
-    return ModelParams(
-        kind=kind,
-        dim=d,
-        num_entities=num_entities,
-        num_relations=num_relations,
-        seed=config.seed,
-        blocks=blocks,
-    )
+    blocks = {name: rng.uniform(0.0, TWO_PI, size=shape) if kind is ModelKind.ROTATE and name == "relation"
+              else (_glorot_complex if dtype == np.complex128 else _glorot)(rng, shape)
+              for name, (shape, dtype) in _block_specs(kind, num_entities, num_relations, config.dim).items()}
+    params = ModelParams(kind=kind, dim=config.dim, num_entities=num_entities, num_relations=num_relations,
+                         seed=config.seed, blocks=blocks)
+    apply_constraints(params)
+    return params
 
 
 def apply_constraints(params: ModelParams) -> None:
@@ -407,17 +400,18 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint; :class:`CheckpointError` if a block's name, shape or dtype disagrees with the header."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
-        blocks = {
-            name[len("block_"):]: data[name] for name in data.files if name.startswith("block_")
-        }
-    return ModelParams(
-        kind=ModelKind(header["kind"]),
-        dim=int(header["dim"]),
-        num_entities=int(header["num_entities"]),
-        num_relations=int(header["num_relations"]),
-        seed=int(header["seed"]),
-        blocks=blocks,
-        vocabulary_sha256=header.get("vocabulary_sha256"),
-    )
+        blocks = {name[len("block_"):]: data[name] for name in data.files if name.startswith("block_")}
+    params = ModelParams(kind=ModelKind(header["kind"]), dim=int(header["dim"]),
+                         num_entities=int(header["num_entities"]), num_relations=int(header["num_relations"]),
+                         seed=int(header["seed"]), blocks=blocks, vocabulary_sha256=header.get("vocabulary_sha256"))
+    expected = _block_specs(params.kind, params.num_entities, params.num_relations, params.dim)
+    for name in sorted(expected.keys() | blocks.keys()):
+        found = (blocks[name].shape, blocks[name].dtype) if name in blocks else None
+        if found != expected.get(name):
+            raise CheckpointError(f"{path}: block {name!r} is {found or 'missing'}, expected {expected.get(name)} for "
+                                  f"{params.kind.value} dim {params.dim}, {params.num_entities} entities, "
+                                  f"{params.num_relations} relations")
+    return params

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from chainlens.dataset import GeneratorConfig, SplitConfig, generate_synthetic, transductive_split
-from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType
+from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
 
 
-def triples_to_array(triples) -> np.ndarray:
-    if not triples:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.array([t.key() for t in triples], dtype=np.int64)
+def write_schema(schema, path) -> None:
+    """Write ``schema`` in the format ``Schema.from_file`` reads."""
+    lines = ["# relation\tsource_types\ttarget_types"]
+    for rel in RelationType:
+        src, tgt = schema.rules[rel]
+        names = [",".join(sorted(t.value for t in types)) for types in (src, tgt)]
+        lines.append("\t".join([rel.value, *names]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.fixture(scope="session")
@@ -23,11 +27,7 @@ def default_split(default_graph):
 
 @pytest.fixture(scope="session")
 def default_split_arrays(default_split):
-    return (
-        triples_to_array(default_split.train),
-        triples_to_array(default_split.validation),
-        triples_to_array(default_split.test),
-    )
+    return default_split.train_ids, default_split.validation_ids, default_split.test_ids
 
 
 def supplier_chain(n: int) -> Graph:
@@ -62,7 +62,7 @@ def random_typed_graph(rng: np.random.Generator, n_entities: int, n_triples: int
     for i in range(n_entities):
         et = type_cycle[int(rng.integers(len(type_cycle)))]
         g.add_entity(f"e{i}", et)
-    by_type = {et: g.entities_of_type(et) for et in EntityType}
+    by_type = {et: np.flatnonzero(g.type_codes() == ENTITY_TYPE_INDEX[et]).tolist() for et in EntityType}
     added = 0
     tries = 0
     rels = list(RelationType)

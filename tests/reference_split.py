@@ -1,23 +1,33 @@
 """Reference implementation that the split tests compare chainlens against.
 
 ``reference_transductive_split`` is the transductive split written on
-``Triple`` objects with dicts and sets, one Python step per triple: pin one
+``Triple`` tuples with dicts and sets, one Python step per triple: pin one
 incident triple per entity, then one per uncovered relation type, in sorted
 triple order, and sample validation and test from the rest.  The array split
 in ``chainlens.dataset`` must return the same three parts.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from chainlens.dataset import SplitInfeasible, split_sizes
-from chainlens.graph import RelationType, Triple
+from chainlens.graph import RELATION_BY_INDEX
+
+
+class Triple(NamedTuple):
+    """One id row; tuples order as (subject, relation index, object)."""
+
+    subject: int
+    predicate: int
+    object: int
 
 
 def reference_transductive_split(graph, config):
-    """(train, validation, test) as lists of Triples sorted by ``Triple.key``."""
+    """(train, validation, test) as lists of Triples in sorted order."""
     if graph.num_triples == 0:
         raise SplitInfeasible("graph has no triples to split")
-    triples = sorted(graph.triples, key=Triple.key)
+    triples = sorted(map(Triple._make, graph.triples_array().tolist()))
 
     first_incident = {}
     first_rel = {}
@@ -39,7 +49,7 @@ def reference_transductive_split(graph, config):
     for e in range(graph.num_entities):
         if e not in covered and e in first_incident:
             pin(first_incident[e])
-    for rel in RelationType:
+    for rel in range(len(RELATION_BY_INDEX)):
         if rel in first_rel and rel not in covered_rels:
             pin(first_rel[rel])
 
@@ -64,8 +74,8 @@ def reference_transductive_split(graph, config):
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(free))
-    validation = sorted((free[i] for i in order[:n_val_eff]), key=Triple.key)
-    test = sorted((free[i] for i in order[n_val_eff : n_val_eff + n_test_eff]), key=Triple.key)
+    validation = sorted(free[i] for i in order[:n_val_eff])
+    test = sorted(free[i] for i in order[n_val_eff : n_val_eff + n_test_eff])
     held = set(validation) | set(test)
     train = [t for t in triples if t not in held]
     return train, validation, test

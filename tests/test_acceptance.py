@@ -126,7 +126,7 @@ def test_criterion_02_metric_arithmetic():
         ]
     )
     params = table_params({0: table}, 5)
-    queries = [Query(0, 0, 0), Query(1, 0, 1), Query(2, 0, 2)]  # ranks 1, 2, 4
+    queries = np.array([(0, 0, 0), (1, 0, 1), (2, 0, 2)])  # ranks 1, 2, 4
     report = evaluate(params, queries, None, setting="raw")
     assert abs(report.mrr - (1 + 0.5 + 0.25) / 3) < 1e-9
     assert report.hits[1] == pytest.approx(1 / 3, abs=1e-12)
@@ -213,7 +213,7 @@ def test_criterion_07_criticality_pipeline(default_graph):
     suppliers = default_graph.project_subgraph({EntityType.SUPPLIER}, {RelationType.SUPPLIES_TO})
     report = criticality(suppliers)
     hub = int(np.argmax(report.aggregated))
-    assert suppliers.entities[hub].label == "FocalCo"
+    assert suppliers.labels[hub] == "FocalCo"
     second = np.partition(report.aggregated, -2)[-2]
     assert report.aggregated[hub] > second
     for m in METRIC_NAMES:
@@ -249,19 +249,19 @@ def test_criterion_08_transductive_split():
         except SplitInfeasible:
             continue
         n_graphs += 1
-        all_triples = set(g.triples)
+        all_triples = set(map(tuple, g.triples_array().tolist()))
         for seed in range(50):
             result = transductive_split(g, SplitConfig(0.1, 0.1, seed=seed))
             n_splits += 1
-            parts = (result.train, result.validation, result.test)
+            parts = [list(map(tuple, p.tolist())) for p in (result.train_ids, result.validation_ids, result.test_ids)]
             assert set().union(*map(set, parts)) == all_triples
             assert sum(map(len, parts)) == len(all_triples)
-            train_ents = {t.subject for t in result.train} | {t.object for t in result.train}
-            train_rels = {t.predicate for t in result.train}
-            for part in (result.validation, result.test):
-                for t in part:
-                    assert t.subject in train_ents and t.object in train_ents
-                    assert t.predicate in train_rels
+            train_ents = {s for s, _, o in parts[0]} | {o for s, _, o in parts[0]}
+            train_rels = {r for _, r, _ in parts[0]}
+            for part in parts[1:]:
+                for s, r, o in part:
+                    assert s in train_ents and o in train_ents
+                    assert r in train_rels
     print(f"ACCEPTANCE 8 (transductive split): PASS - {n_splits} splits over "
           f"{n_graphs} graphs, partition + transductive property always hold")
 

@@ -18,7 +18,7 @@ from chainlens.analytics import (
     sole_supplier_scopes,
     triangle_count,
 )
-from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType, Schema
+from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, RelationType, Schema
 
 from conftest import random_supplier_graph, supplier_chain
 
@@ -27,9 +27,9 @@ from conftest import random_supplier_graph, supplier_chain
 
 def _adj_sets(graph):
     succ = [set() for _ in range(graph.num_entities)]
-    for t in graph.triples:
-        if t.subject != t.object:
-            succ[t.subject].add(t.object)
+    for s, _, o in graph.triples_array().tolist():
+        if s != o:
+            succ[s].add(o)
     return succ
 
 
@@ -93,10 +93,10 @@ def brute_closeness(graph):
 def brute_triangles(graph):
     n = graph.num_entities
     und = [set() for _ in range(n)]
-    for t in graph.triples:
-        if t.subject != t.object:
-            und[t.subject].add(t.object)
-            und[t.object].add(t.subject)
+    for s, _, o in graph.triples_array().tolist():
+        if s != o:
+            und[s].add(o)
+            und[o].add(s)
     counts = np.zeros(n, dtype=int)
     for a, b, c in combinations(range(n), 3):
         if b in und[a] and c in und[a] and c in und[b]:
@@ -474,8 +474,9 @@ def test_sole_supplier_scopes_cases():
 def test_sole_supplier_scopes_matches_incidence_scan(default_graph):
     result = dict(sole_supplier_scopes(default_graph))
     counts = {}
-    for t in default_graph.triples_with_predicate(RelationType.RELATED_TO):
-        counts.setdefault(t.object, set()).add(t.subject)
+    for s, r, o in default_graph.triples_array().tolist():
+        if r == RELATION_INDEX[RelationType.RELATED_TO]:
+            counts.setdefault(o, set()).add(s)
     expected = {scope: next(iter(sups)) for scope, sups in counts.items() if len(sups) == 1}
     assert result == expected
 

@@ -8,6 +8,8 @@ import pytest
 from chainlens.cli import main
 from chainlens.models import load_checkpoint
 
+from conftest import write_schema
+
 SMALL_GEN_CFG = (
     "seed=11\nsuppliers=40\nsmelters=4\nsubstances=8\ncomponents=6\ncountries=6\n"
     "business_scopes=4\nmanufacturer_parts=8\nsiemens_parts=6\n"
@@ -328,7 +330,7 @@ def test_schema_file_flag_round_trip(workspace, tmp_path):
     from chainlens.graph import DEFAULT_SCHEMA
 
     schema_path = workspace / "schema.tsv"
-    DEFAULT_SCHEMA.to_file(schema_path)
+    write_schema(DEFAULT_SCHEMA, schema_path)
     out = workspace / "g.tsv"
     code = main([
         "generate", "--config", str(workspace / "gen.cfg"), "--schema", str(schema_path),
@@ -382,3 +384,84 @@ def test_eval_accepts_checkpoint_without_vocabulary_digest(workspace):
     assert load_checkpoint(workspace / "init.npz").vocabulary_sha256 is None
     assert main(["eval", "--checkpoint", str(workspace / "init.npz"), "--split-dir", str(splits),
                  "--out", str(workspace / "eval_init")]) == 0
+
+
+def split_with_unseen_test_supplier(workspace):
+    """A split directory whose test.tsv names a supplier that no training triple has."""
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    with open(splits / "test.tsv", "a", encoding="utf-8") as fh:
+        fh.write("NewSup\tSupplier\tsupplies_to\tTinyHub\tSupplier\n")
+    return splits
+
+
+def test_train_refuses_a_split_that_is_not_transductive(workspace, capsys):
+    splits = split_with_unseen_test_supplier(workspace)
+    ckpt = workspace / "m.npz"
+    code = main(["train", "--model", "TransE", "--split-dir", str(splits),
+                 "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
+    assert code == 2
+    assert "held-out triple NewSup -supplies_to-> TinyHub" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_eval_refuses_a_split_that_is_not_transductive(workspace, capsys):
+    from chainlens.dataset import load_split_dir
+    from chainlens.models import ModelKind, init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    splits = split_with_unseen_test_supplier(workspace)
+    g, *_ = load_split_dir(splits)
+    save_checkpoint(init_params(ModelKind.TRANSE, g.num_entities, 11, TrainConfig(dim=8, seed=0)),
+                    workspace / "init.npz")
+    code = main(["eval", "--checkpoint", str(workspace / "init.npz"), "--split-dir", str(splits),
+                 "--out", str(workspace / "eval")])
+    assert code == 2
+    assert "held-out triple NewSup -supplies_to-> TinyHub" in capsys.readouterr().err
+    assert not (workspace / "eval" / "eval_filtered.csv").exists()
+
+
+def test_split_check_fail_names_the_triple_by_labels(workspace, capsys, monkeypatch):
+    import chainlens.cli as cli_mod
+    from chainlens.dataset import SplitResult
+
+    graph = workspace / "g.tsv"
+    graph.write_text("A\tSupplier\tsupplies_to\tB\tSupplier\nB\tSupplier\tsupplies_to\tC\tSupplier\n"
+                     "C\tSupplier\tsupplies_to\tD\tSupplier\n")
+    monkeypatch.setattr(cli_mod, "transductive_split", lambda g, cfg: SplitResult(
+        g.triples_array()[:1], g.triples_array()[1:2], g.triples_array()[2:]))
+    code = main(["split", "--in", str(graph), "--check", "--out", str(workspace / "splits")])
+    assert code == 2
+    assert "transductive check: FAIL (held-out triple B -supplies_to-> C)" in capsys.readouterr().out
+
+
+def tamper_entity_rows(blocks):
+    blocks["entity"] = np.vstack([blocks["entity"], np.ones((50, blocks["entity"].shape[1]))])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda blocks: blocks.pop("core"), "block 'core' is missing"),
+    (tamper_entity_rows, "block 'entity' is ((128, 4), dtype('float64'))"),
+    (lambda blocks: blocks.update(relation=blocks["relation"].astype(np.float32)), "block 'relation'"),
+    (lambda blocks: blocks.update(extra=np.zeros(3)), "block 'extra'"),
+    (lambda blocks: blocks["entity"].fill(np.nan), "non-finite"),
+], ids=["missing-core", "extra-entity-rows", "float32-relation", "unknown-block", "all-nan-entity"])
+def test_eval_refuses_a_checkpoint_that_cannot_rank(workspace, capsys, tamper, message):
+    from chainlens.dataset import load_split_dir
+    from chainlens.models import ModelKind, init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    g, *_ = load_split_dir(splits)
+    assert g.num_entities == 78
+    params = init_params(ModelKind.TUCKER, g.num_entities, 11, TrainConfig(dim=4, seed=0))
+    tamper(params.blocks)
+    save_checkpoint(params, workspace / "bad.npz")
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(workspace / "bad.npz"), "--split-dir", str(splits),
+                 "--out", str(workspace / "eval")])
+    assert code == 2
+    assert message in capsys.readouterr().err

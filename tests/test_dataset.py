@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from chainlens.dataset import (
     ParseError,
     SplitConfig,
     SplitInfeasible,
+    SplitResult,
+    check_transductive,
     export_triples,
     generate_synthetic,
     load_split_dir,
@@ -24,8 +27,11 @@ from chainlens.dataset import (
 )
 from chainlens.graph import (
     DEFAULT_SCHEMA,
+    ENTITY_TYPE_INDEX,
+    RELATION_INDEX,
     EntityType,
     Graph,
+    GraphError,
     RelationType,
     Schema,
     SchemaViolation,
@@ -35,6 +41,30 @@ from chainlens.training import TrainConfig
 from conftest import random_typed_graph
 from reference_generator import reference_generate_synthetic
 from reference_split import reference_transductive_split
+
+
+def rows(spo) -> set[tuple[int, int, int]]:
+    return set(map(tuple, spo.tolist()))
+
+
+def relation_pairs(graph, relation):
+    """(subject, object) id pairs of ``relation``'s triples, in storage order."""
+    spo = graph.triples_array()
+    return spo[spo[:, 1] == RELATION_INDEX[relation]][:, [0, 2]].tolist()
+
+
+def suppliers_of(graph) -> list[int]:
+    return np.flatnonzero(graph.type_codes() == ENTITY_TYPE_INDEX[EntityType.SUPPLIER]).tolist()
+
+
+def assert_transductive(result):
+    train = result.train_ids
+    train_ents, train_rels = set(train[:, [0, 2]].ravel().tolist()), set(train[:, 1].tolist())
+    for part in (result.validation_ids, result.test_ids):
+        for s, r, o in part.tolist():
+            assert s in train_ents and o in train_ents
+            assert r in train_rels
+
 
 GEN_10X = GeneratorConfig.from_file(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "gen10x.cfg")
 
@@ -87,6 +117,37 @@ def test_round_trip_default_graph(tmp_path, default_graph):
     assert len(path.read_text().splitlines()) == default_graph.num_triples + 1
 
 
+def two_supplier_graph(subject_label, object_label):
+    g = Graph()
+    s = g.add_entity(subject_label, EntityType.SUPPLIER)
+    g.add_triple(s, RelationType.SUPPLIES_TO, g.add_entity(object_label, EntityType.SUPPLIER), DEFAULT_SCHEMA)
+    return g
+
+
+@pytest.mark.parametrize("subject, obj, bad", [
+    ("#A", "B", "#A"),
+    ("A", "Fo\tcal", "Fo\tcal"),
+    ("A\u2028B", "C", "A\u2028B"),
+    ("A", "B\x1c", "B\x1c"),
+    ("A", "B\r", "B\r"),
+    ("A", "", ""),
+])
+def test_writer_refuses_a_label_that_would_not_read_back(tmp_path, subject, obj, bad):
+    g = two_supplier_graph(subject, obj)
+    with pytest.raises(GraphError, match=re.escape(repr(bad))):
+        export_triples(g, tmp_path / "g.tsv")
+    assert not (tmp_path / "g.tsv").exists()
+    result = SplitResult(g.triples_array(), g.triples_array()[:0], g.triples_array()[:0])
+    with pytest.raises(GraphError, match=re.escape(repr(bad))):
+        write_split(g, result, tmp_path / "split")
+
+
+def test_writer_keeps_object_only_hash_labels(tmp_path):
+    g = two_supplier_graph("A", "#B")
+    export_triples(g, tmp_path / "g.tsv")
+    assert load_triples(tmp_path / "g.tsv").label_triples() == g.label_triples()
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_round_trip_random_graphs(tmp_path_factory, seed):
@@ -121,30 +182,29 @@ def test_generator_counts_match_config(default_graph):
 
 def test_generator_hub_has_max_in_degree(default_graph):
     indeg = np.zeros(default_graph.num_entities, dtype=int)
-    for t in default_graph.triples:
-        indeg[t.object] += 1
+    np.add.at(indeg, default_graph.triples_array()[:, 2], 1)
     hub = int(np.argmax(indeg))
-    assert default_graph.entities[hub].label == "FocalCo"
+    assert default_graph.labels[hub] == "FocalCo"
     assert indeg[hub] == indeg.max()
     others = np.delete(indeg, hub)
     assert indeg[hub] > others.max()
 
 
 def test_generator_every_supplier_covered(default_graph):
-    suppliers = default_graph.entities_of_type(EntityType.SUPPLIER)
-    related = {t.subject for t in default_graph.triples_with_predicate(RelationType.RELATED_TO)}
-    located = {t.subject for t in default_graph.triples_with_predicate(RelationType.LOCATED_IN)}
+    suppliers = suppliers_of(default_graph)
+    related = {s for s, _ in relation_pairs(default_graph, RelationType.RELATED_TO)}
+    located = {s for s, _ in relation_pairs(default_graph, RelationType.LOCATED_IN)}
     assert set(suppliers) <= related
     assert set(suppliers) <= located
 
 
 def test_generator_heavy_tail_contract(default_graph):
     # top 1% of suppliers by in-degree hold >= 20% of supplies_to edges
-    suppliers = set(default_graph.entities_of_type(EntityType.SUPPLIER))
-    supply = default_graph.triples_with_predicate(RelationType.SUPPLIES_TO)
+    suppliers = set(suppliers_of(default_graph))
+    supply = relation_pairs(default_graph, RelationType.SUPPLIES_TO)
     indeg = {}
-    for t in supply:
-        indeg[t.object] = indeg.get(t.object, 0) + 1
+    for _, o in supply:
+        indeg[o] = indeg.get(o, 0) + 1
     top_n = max(1, round(0.01 * len(suppliers)))
     top = sorted(indeg.values(), reverse=True)[:top_n]
     assert sum(top) / len(supply) >= 0.20
@@ -290,7 +350,7 @@ def test_generator_config_from_file(tmp_path):
     assert cfg.hub_label == "TinyHub"
     assert cfg.entity_counts[EntityType.SUPPLIER] == 40
     g = generate_synthetic(cfg)
-    assert g.entities[0].label == "TinyHub"
+    assert g.labels[0] == "TinyHub"
     assert g.validate(DEFAULT_SCHEMA).ok
 
 
@@ -353,23 +413,18 @@ def test_split_sizes_full_scale_shape():
 
 def test_split_partitions_and_is_transductive(default_graph, default_split):
     result = default_split
-    all_triples = set(default_graph.triples)
-    assert set(result.train) | set(result.validation) | set(result.test) == all_triples
-    assert not set(result.train) & set(result.validation)
-    assert not set(result.train) & set(result.test)
-    assert not set(result.validation) & set(result.test)
-    train_ents = {t.subject for t in result.train} | {t.object for t in result.train}
-    train_rels = {t.predicate for t in result.train}
-    for part in (result.validation, result.test):
-        for t in part:
-            assert t.subject in train_ents and t.object in train_ents
-            assert t.predicate in train_rels
+    train, validation, test = rows(result.train_ids), rows(result.validation_ids), rows(result.test_ids)
+    assert train | validation | test == rows(default_graph.triples_array())
+    assert not train & validation
+    assert not train & test
+    assert not validation & test
+    assert_transductive(result)
 
 
 def test_split_fraction_targets_hit_on_default(default_graph, default_split):
     _, n_val, n_test = split_sizes(default_graph.num_triples, 0.1, 0.1)
-    assert len(default_split.validation) == n_val
-    assert len(default_split.test) == n_test
+    assert len(default_split.validation_ids) == n_val
+    assert len(default_split.test_ids) == n_test
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(0, 10_000))
@@ -380,13 +435,8 @@ def test_split_properties_on_random_graphs(graph_seed, split_seed):
         result = transductive_split(g, SplitConfig(0.15, 0.15, seed=split_seed))
     except SplitInfeasible:
         return
-    assert len(result.train) + len(result.validation) + len(result.test) == g.num_triples
-    train_ents = {t.subject for t in result.train} | {t.object for t in result.train}
-    train_rels = {t.predicate for t in result.train}
-    for part in (result.validation, result.test):
-        for t in part:
-            assert t.subject in train_ents and t.object in train_ents
-            assert t.predicate in train_rels
+    assert len(result.train_ids) + len(result.validation_ids) + len(result.test_ids) == g.num_triples
+    assert_transductive(result)
 
 
 def test_split_pins_only_triple_of_an_entity():
@@ -397,10 +447,10 @@ def test_split_pins_only_triple_of_an_entity():
     for i in range(1, 7):
         for j in range(i + 1, 8):
             g.add_triple(s[i], RelationType.SUPPLIES_TO, s[j], DEFAULT_SCHEMA)
-    lonely = g.triples[0]
+    lonely = tuple(g.triples_array()[0].tolist())
     for seed in range(50):
         result = transductive_split(g, SplitConfig(0.2, 0.2, seed=seed))
-        assert lonely in result.train
+        assert lonely in rows(result.train_ids)
 
 
 def test_split_star_graph_infeasible():
@@ -420,15 +470,28 @@ def test_split_config_validation():
         SplitConfig(0.6, 0.5)
 
 
+def test_check_transductive_returns_the_first_row_train_lacks(default_split):
+    train = np.array([[0, 0, 1], [1, 2, 2]])
+    seen = np.array([[2, 0, 0], [0, 2, 1]])
+    assert check_transductive(train, seen) is None
+    assert check_transductive(train, seen[:0], seen) is None
+    new_subject, new_relation, new_object = [3, 0, 1], [0, 1, 2], [1, 2, 4]
+    held_out = np.array([[0, 2, 2], new_object, new_subject])
+    np.testing.assert_array_equal(check_transductive(train, seen, held_out), new_object)
+    np.testing.assert_array_equal(check_transductive(train, np.array([new_subject])), new_subject)
+    np.testing.assert_array_equal(check_transductive(train, np.array([new_relation]), held_out), new_relation)
+    assert check_transductive(default_split.train_ids, default_split.validation_ids, default_split.test_ids) is None
+
+
 def test_split_round_trip_through_files(tmp_path, default_graph, default_split):
     write_split(default_graph, default_split, tmp_path)
     graph, train_arr, valid_arr, test_arr = load_split_dir(tmp_path)
     # triple files carry entities only through triples, so isolated nodes drop
-    active = {t.subject for t in default_graph.triples} | {t.object for t in default_graph.triples}
+    active = set(default_graph.triples_array()[:, [0, 2]].ravel().tolist())
     assert graph.num_entities == len(active)
-    assert len(train_arr) == len(default_split.train)
-    assert len(valid_arr) == len(default_split.validation)
-    assert len(test_arr) == len(default_split.test)
+    assert len(train_arr) == len(default_split.train_ids)
+    assert len(valid_arr) == len(default_split.validation_ids)
+    assert len(test_arr) == len(default_split.test_ids)
     # id vocabulary comes from the train file, so every id is in range
     assert train_arr[:, [0, 2]].max() < graph.num_entities
     valid_ents = set(valid_arr[:, 0]) | set(valid_arr[:, 2])
@@ -516,12 +579,13 @@ def test_reader_batches_give_the_same_graph(tmp_path, default_graph, monkeypatch
         load_triples(path)
 
 
-# -- the array split against the Triple-object reference ---------------------
+# -- the array split against the per-triple reference -------------------------
 
 def assert_split_matches_reference(graph, config):
     expected = reference_transductive_split(graph, config)
     result = transductive_split(graph, config)
-    assert (result.train, result.validation, result.test) == expected
+    parts = (result.train_ids, result.validation_ids, result.test_ids)
+    assert tuple(list(map(tuple, part.tolist())) for part in parts) == expected
     return result
 
 
@@ -554,7 +618,7 @@ def test_split_matches_reference_when_held_out_sets_shrink():
     config = SplitConfig(0.4, 0.4, seed=5)
     assert split_sizes(g.num_triples, 0.4, 0.4)[1:] == (9, 9)
     result = assert_split_matches_reference(g, config)
-    assert (len(result.validation), len(result.test)) == (7, 7)
+    assert (len(result.validation_ids), len(result.test_ids)) == (7, 7)
 
 
 def star_graph():

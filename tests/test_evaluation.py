@@ -125,7 +125,7 @@ def ranks_fixture_params():
         ]
     )
     p = table_params({0: table}, 5)
-    queries = [Query(0, 0, 0), Query(1, 0, 1), Query(2, 0, 2)]
+    queries = np.array([(0, 0, 0), (1, 0, 1), (2, 0, 2)])
     return p, queries
 
 
@@ -140,7 +140,7 @@ def test_evaluate_rank_arithmetic():
 
 def test_evaluate_all_rank_one():
     p = table_params({0: np.diag([9.0] * 4) + 1.0}, 4)
-    queries = [Query(i, 0, i) for i in range(4)]
+    queries = np.array([(i, 0, i) for i in range(4)])
     report = evaluate(p, queries, None, setting="raw")
     assert report.mrr == 1.0
     assert all(v == 1.0 for v in report.hits.values())
@@ -149,21 +149,21 @@ def test_evaluate_all_rank_one():
 def test_evaluate_empty_queries():
     p = table_params({0: np.zeros((3, 3))}, 3)
     with pytest.raises(EmptyQuerySet):
-        evaluate(p, [], None)
+        evaluate(p, np.empty((0, 3), dtype=np.int64), None)
 
 
 def test_evaluate_invariant_under_query_permutation():
     p, queries = ranks_fixture_params()
     a = evaluate(p, queries, None, setting="raw")
-    b = evaluate(p, list(reversed(queries)), None, setting="raw")
+    b = evaluate(p, queries[::-1], None, setting="raw")
     assert a.mrr == b.mrr and a.hits == b.hits
 
 
 def test_evaluate_repeatable_and_invariant_to_repetition():
     p, queries = ranks_fixture_params()
     once = evaluate(p, queries, None, setting="raw")
-    first = evaluate(p, queries * 10, None, setting="raw")
-    second = evaluate(p, queries * 10, None, setting="raw")
+    first = evaluate(p, np.tile(queries, (10, 1)), None, setting="raw")
+    second = evaluate(p, np.tile(queries, (10, 1)), None, setting="raw")
     assert first.mrr == second.mrr and first.hits == second.hits
     assert first.mrr == pytest.approx(once.mrr, abs=1e-12) and first.hits == once.hits
 
@@ -173,7 +173,7 @@ def test_per_relation_counts_sum_to_total():
     table1 = np.random.default_rng(1).normal(size=(6, 6))
     p = table_params({0: table0, 1: table1}, 6)
     rng = np.random.default_rng(2)
-    queries = [Query(int(rng.integers(6)), int(rng.integers(2)), int(rng.integers(6))) for _ in range(40)]
+    queries = np.array([(int(rng.integers(6)), int(rng.integers(2)), int(rng.integers(6))) for _ in range(40)])
     report = evaluate(p, queries, None, setting="raw")
     assert sum(m.count for m in report.per_relation.values()) == 40
     assert report.hits[1] <= report.hits[3] <= report.hits[10]
@@ -235,7 +235,7 @@ def ranking_case():
     rng = np.random.default_rng(17)
     n_ent = 2048
     graph = random_typed_graph(rng, n_ent, 300)
-    triples = np.array([t.key() for t in graph.triples], dtype=np.int64)
+    triples = graph.triples_array()
     rows = block_rows(n_ent)
     # supplies_to queries with random objects, some outside its candidate types
     extra = np.column_stack([rng.integers(n_ent, size=2 * rows + 5), np.zeros(2 * rows + 5, dtype=np.int64),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from chainlens.graph import (
     DEFAULT_SCHEMA,
+    ENTITY_TYPE_INDEX,
+    RELATION_INDEX,
     DuplicateTriple,
     EntityType,
     Graph,
@@ -12,11 +14,10 @@ from chainlens.graph import (
     Schema,
     SchemaError,
     SchemaViolation,
-    Triple,
     UnknownEntity,
 )
 
-from conftest import random_typed_graph, supplier_chain
+from conftest import random_typed_graph, supplier_chain, write_schema
 
 
 def test_add_entity_assigns_fresh_dense_ids():
@@ -24,7 +25,7 @@ def test_add_entity_assigns_fresh_dense_ids():
     a = g.add_entity("ACME Corp", EntityType.SUPPLIER)
     b = g.add_entity("ACME Corp", EntityType.SUPPLIER)  # duplicate labels allowed
     assert (a, b) == (0, 1)
-    assert g.entity(a).entity_type is EntityType.SUPPLIER
+    assert g.entity_type(a) is EntityType.SUPPLIER
     assert g.num_entities == 2
 
 
@@ -72,20 +73,20 @@ def test_validate_flags_injected_violation():
     country = g.add_entity("c", EntityType.COUNTRY)
     sup = g.add_entity("s", EntityType.SUPPLIER)
     assert g.validate(DEFAULT_SCHEMA).ok
-    bad = Triple(country, RelationType.SUPPLIES_TO, sup)
-    g = Graph(g.labels, g.type_codes(), [bad.key()])  # write the row into the column, unchecked
+    bad = (country, RELATION_INDEX[RelationType.SUPPLIES_TO], sup)
+    g = Graph(g.labels, g.type_codes(), [bad])  # write the row into the column, unchecked
     report = g.validate(DEFAULT_SCHEMA)
-    assert report.schema_violations == [bad]
-    assert not report.dangling
+    assert report.schema_violations.tolist() == [list(bad)]
+    assert not len(report.dangling)
 
 
 def test_validate_flags_dangling_reference():
     g = Graph()
     g.add_entity("s", EntityType.SUPPLIER)
-    bad = Triple(0, RelationType.SUPPLIES_TO, 7)
-    g = Graph(g.labels, g.type_codes(), [bad.key()])  # write the row into the column, unchecked
+    bad = (0, RELATION_INDEX[RelationType.SUPPLIES_TO], 7)
+    g = Graph(g.labels, g.type_codes(), [bad])  # write the row into the column, unchecked
     report = g.validate(DEFAULT_SCHEMA)
-    assert report.dangling == [bad]
+    assert report.dangling.tolist() == [list(bad)]
 
 
 def test_neighbors_directions_and_filter():
@@ -133,15 +134,13 @@ def test_neighbors_both_is_union_of_in_and_out(seed):
 
 def test_project_subgraph_supplier_network(default_graph):
     sub = default_graph.project_subgraph({EntityType.SUPPLIER}, {RelationType.SUPPLIES_TO})
-    assert all(e.entity_type is EntityType.SUPPLIER for e in sub.entities)
-    assert all(t.predicate is RelationType.SUPPLIES_TO for t in sub.triples)
+    assert (sub.type_codes() == ENTITY_TYPE_INDEX[EntityType.SUPPLIER]).all()
+    assert (sub.triples_array()[:, 1] == RELATION_INDEX[RelationType.SUPPLIES_TO]).all()
     # smelter-sourced supplies_to edges are dropped with their endpoint
     full = default_graph.stats()
-    n_smelter_edges = sum(
-        1
-        for t in default_graph.triples_with_predicate(RelationType.SUPPLIES_TO)
-        if default_graph.entity_type(t.subject) is EntityType.SMELTER
-    )
+    spo, codes = default_graph.triples_array(), default_graph.type_codes()
+    n_smelter_edges = int(((spo[:, 1] == RELATION_INDEX[RelationType.SUPPLIES_TO])
+                           & (codes[spo[:, 0]] == ENTITY_TYPE_INDEX[EntityType.SMELTER])).sum())
     assert sub.num_triples == full.relation_counts[RelationType.SUPPLIES_TO] - n_smelter_edges
     assert sub.validate(DEFAULT_SCHEMA).ok
 
@@ -203,7 +202,7 @@ def test_stats_empty_graph():
 
 def test_schema_file_round_trip(tmp_path):
     path = tmp_path / "schema.tsv"
-    DEFAULT_SCHEMA.to_file(path)
+    write_schema(DEFAULT_SCHEMA, path)
     loaded = Schema.from_file(path)
     assert loaded.rules == DEFAULT_SCHEMA.rules
 
@@ -224,13 +223,6 @@ def test_schema_empty_types_rejected():
     rules[RelationType.REFINES] = (frozenset(), frozenset({EntityType.SUBSTANCE}))
     with pytest.raises(SchemaError):
         Schema(rules)
-
-
-def test_triples_array_matches_triples(default_graph):
-    arr = default_graph.triples_array()
-    assert arr.shape == (default_graph.num_triples, 3)
-    t0 = default_graph.triples[0]
-    assert tuple(arr[0]) == t0.key()
 
 
 def test_triples_array_is_the_stored_read_only_column():
