@@ -5,7 +5,7 @@ candidate object.  Scores come from RotatE (rotations in complex space) and
 TransE (translations); training uses margin ranking loss with one sampled
 negative per positive, Adam, and early stopping on validation hits@10.
 
-Takes a minute or so single-threaded:
+Takes about 6 s on a 2-vCPU Xeon (both models stop early):
 
     python3 demos/03_train_link_prediction.py
 """

@@ -465,3 +465,31 @@ def test_eval_refuses_a_checkpoint_that_cannot_rank(workspace, capsys, tamper, m
                  "--out", str(workspace / "eval")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def rewrite_header(path, edit):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(str(arrays.pop("header")))
+    edit(header)
+    np.savez(path, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.pop("seed"), "header has no 'seed' key"),
+    (lambda header: header.update(kind="Bogus"), "'Bogus' is not a valid ModelKind"),
+    (lambda header: header.update(dim="x"), "invalid literal for int()"),
+], ids=["no-seed", "unknown-kind", "non-integer-dim"])
+def test_eval_refuses_a_checkpoint_header_that_cannot_describe_a_model(workspace, capsys, edit, message):
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    assert main(["train", "--model", "TransE", "--split-dir", str(splits),
+                 "--config", str(workspace / "train.cfg"), "--out", str(ckpt)]) == 0
+    rewrite_header(ckpt, edit)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(splits), "--out", str(workspace / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(ckpt) in err
+    assert not (workspace / "eval" / "eval_filtered.csv").exists()

@@ -1,7 +1,4 @@
-"""The demos run to completion, each in its own process from an empty working directory.
-
-Demo 03 trains two models and is left to the CI demo loop.
-"""
+"""The demos run to completion, each in its own process from an empty working directory."""
 
 import os
 import subprocess
@@ -16,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", [
     "01_build_a_graph.py",
     "02_synthetic_network_and_split.py",
+    "03_train_link_prediction.py",
     "04_supplier_criticality.py",
     "05_export_for_visualization.py",
 ])

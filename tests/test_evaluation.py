@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens.evaluation as evaluation
+import chainlens.models as models
 from chainlens.evaluation import (
     TIE_POLICIES,
     EmptyQuerySet,
@@ -247,15 +248,19 @@ def ranking_case():
 @pytest.mark.parametrize("constrained", [False, True], ids=["all", "typed"])
 @pytest.mark.parametrize("setting", ["raw", "filtered"])
 @pytest.mark.parametrize("kind", list(ModelKind))
-def test_batched_ranks_equal_rank_object(ranking_case, kind, setting, constrained):
+def test_batched_ranks_equal_rank_object(ranking_case, kind, setting, constrained, monkeypatch):
     graph, triples, queries = ranking_case
     assert (queries[:, 1] == 0).sum() > 2 * block_rows(graph.num_entities)  # three blocks or more
     params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     index = build_filter_index([triples])
     candidates = type_constrained_candidates(graph, DEFAULT_SCHEMA) if constrained else None
-    for policy in TIE_POLICIES:
-        batched = rank_queries(params, queries, index, setting, policy, candidates)
-        np.testing.assert_array_equal(batched, reference_ranks(params, queries, index, setting, policy, candidates))
+    assert block_rows(graph.num_entities) * graph.num_entities // 2 >= models.MIN_RANGE_SCORES  # full blocks split
+    for workers in (1, 2):  # distance-model score blocks in one entity range and in two
+        monkeypatch.setattr(models, "DISTANCE_WORKERS", workers)
+        for policy in TIE_POLICIES:
+            batched = rank_queries(params, queries, index, setting, policy, candidates)
+            expected = reference_ranks(params, queries, index, setting, policy, candidates)
+            np.testing.assert_array_equal(batched, expected)
 
 
 def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):

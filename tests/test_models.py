@@ -1,7 +1,15 @@
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import chainlens.models as models
+from chainlens.evaluation import block_rows
 from chainlens.models import (
+    CheckpointError,
     ModelKind,
     ModelParams,
     batch_loss_and_gradients,
@@ -170,6 +178,69 @@ def test_score_objects_block_matches_score_batch(kind):
         np.testing.assert_allclose(block[i], score_objects(p, int(s[i]), int(r[i])), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("n_ent", [1, 2, 1023])
+@pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
+def test_distance_scores_split_by_entity_range_equal_one_worker(monkeypatch, kind, n_ent, workers):
+    p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
+    rng = np.random.default_rng(n_ent)
+    k = block_rows(n_ent)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
+    monkeypatch.setattr(models, "DISTANCE_WORKERS", 1)
+    block, row = score_objects(p, s, r), score_objects(p, int(s[0]), int(r[0]))
+    monkeypatch.setattr(models, "DISTANCE_WORKERS", workers)
+    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)  # split even one row of one or two entities
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
+    try:
+        for _ in range(3):
+            np.testing.assert_array_equal(score_objects(p, s, r), block)
+            np.testing.assert_array_equal(score_objects(p, int(s[0]), int(r[0])), row)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_distance_pool_starts_on_the_first_split_block(monkeypatch):
+    monkeypatch.setattr(models, "_executor", None)
+    p = make_params(ModelKind.ROTATE, n_ent=50)
+    queries = np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64)
+    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)
+    monkeypatch.setattr(models, "DISTANCE_WORKERS", 1)
+    score_objects(p, *queries)
+    monkeypatch.setattr(models, "DISTANCE_WORKERS", 4)
+    score_objects(make_params(ModelKind.TRANSE, n_ent=1), *queries)  # one entity, one range
+    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 3 * 50 // 2 + 1)  # 150 scores cannot give two ranges enough
+    score_objects(p, *queries)
+    assert models._executor is None
+    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 3 * 50 // 2)
+    score_objects(p, *queries)
+    assert models._executor is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_scores_with_its_own_pool(monkeypatch):
+    monkeypatch.setattr(models, "DISTANCE_WORKERS", 2)
+    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)
+    p = make_params(ModelKind.TRANSE, n_ent=300)
+    s, r = np.arange(40), np.arange(40) % 3
+    expected = score_objects(p, s, r)  # the parent's pool now exists
+    pid = os.fork()
+    if pid == 0:  # child: exit at once, never return into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(score_objects(p, s, r), expected) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung scoring on the pool it inherited")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 # -- negative sampling -------------------------------------------------------
 
 def test_negative_sample_two_entities_forced():
@@ -323,3 +394,13 @@ def test_checkpoint_round_trip_bit_exact(kind, tmp_path):
     for name in p.blocks:
         assert q.blocks[name].dtype == p.blocks[name].dtype
         assert np.array_equal(q.blocks[name], p.blocks[name])
+
+
+@pytest.mark.parametrize("header", [None, "not json", "[1, 2]"], ids=["no-header", "not-json", "not-an-object"])
+def test_load_checkpoint_refuses_an_unreadable_header(tmp_path, header):
+    arrays = {"block_entity": np.zeros((3, 2)), "block_relation": np.zeros((1, 2))}
+    if header is not None:
+        arrays["header"] = np.array(header)
+    np.savez(tmp_path / "m.npz", **arrays)
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(tmp_path / "m.npz")
