@@ -27,6 +27,7 @@ metrics are exact.
 
 from __future__ import annotations
 
+import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,15 +177,16 @@ class CriticalityReport:
     def to_csv(self, path: str | Path) -> None:
         cols = ["node"] + list(METRIC_NAMES) + [f"norm_{m}" for m in METRIC_NAMES]
         cols += ["aggregated_score", "is_critical"]
-        lines = [",".join(cols)]
-        for i, label in enumerate(self.labels):
-            cells = [label]
-            cells += [f"{self.raw[m][i]:.6g}" for m in METRIC_NAMES]
-            cells += [f"{self.normalized[m][i]:.6f}" for m in METRIC_NAMES]
-            cells.append(f"{self.aggregated[i]:.6f}")
-            cells.append("1" if self.is_critical[i] else "0")
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(cols)
+            for i, label in enumerate(self.labels):
+                cells = [label]
+                cells += [f"{self.raw[m][i]:.6g}" for m in METRIC_NAMES]
+                cells += [f"{self.normalized[m][i]:.6f}" for m in METRIC_NAMES]
+                cells.append(f"{self.aggregated[i]:.6f}")
+                cells.append("1" if self.is_critical[i] else "0")
+                writer.writerow(cells)
 
     def summary_text(self, top_k: int = 5) -> str:
         lines = [

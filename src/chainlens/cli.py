@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -317,6 +318,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     suppliers = graph.project_subgraph({EntityType.SUPPLIER}, {RelationType.SUPPLIES_TO})
@@ -337,10 +340,10 @@ def cmd_analyze(args) -> int:
     if args.sole_scopes:
         scopes = sole_supplier_scopes(graph)
         scope_path = out_dir / "sole_scopes.csv"
-        lines = ["business_scope,supplier"]
-        for scope_id, sup_id in scopes:
-            lines.append(f"{graph.labels[scope_id]},{graph.labels[sup_id]}")
-        scope_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(scope_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["business_scope", "supplier"])
+            writer.writerows((graph.labels[scope_id], graph.labels[sup_id]) for scope_id, sup_id in scopes)
         outputs.append(str(scope_path))
         print(f"{len(scopes)} sole-supplier business scopes -> {scope_path}")
     _write_manifest(
@@ -355,14 +358,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _read_critical_flags(report: str) -> dict[str, bool]:
+    """The ``node`` -> ``is_critical == "1"`` map of a criticality CSV, read in one pass."""
+    with open(report, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if "node" not in header or "is_critical" not in header:
+            raise ExportMismatch(f"{report}: no node and is_critical columns")
+        node, flag = header.index("node"), header.index("is_critical")
+        try:
+            return {row[node]: row[flag] == "1" for row in rows if row}
+        except IndexError:
+            raise ExportMismatch(f"{report}: line {rows.line_num} has fewer cells than the header") from None
+
+
 def cmd_export(args) -> int:
     started = time.perf_counter()
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
-    critical_by_label: dict[str, bool] = {}
-    with open(args.report, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            critical_by_label[row["node"]] = row["is_critical"] == "1"
+    critical_by_label = _read_critical_flags(args.report)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     export_graph(graph, critical_by_label, args.format, out)

@@ -319,6 +319,8 @@ class GeneratorConfig(KvConfig):
 
 
 def _validate_config(cfg: GeneratorConfig, schema: Schema) -> None:
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     ec, rc = cfg.entity_counts, cfg.relation_counts
     for et in EntityType:
         if ec.get(et, 0) < 0:
@@ -746,6 +748,8 @@ class SplitConfig(KvConfig):
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.validation_fraction + self.test_fraction >= 1.0:
             raise ConfigError("validation_fraction + test_fraction must be < 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

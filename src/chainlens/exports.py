@@ -5,32 +5,59 @@ Nodes carry a color class (critical supplier "red", other supplier
 attribute; a business scope's size is its distinct related-supplier count.
 Edges carry their relation name and a color class (supplies_to "orange",
 related_to "blue", others "gray").  Output is byte-stable for fixed inputs.
+
+Every format renders straight from the graph's columns, with no per-node
+or per-edge objects: a node line from its label, type code, color code and
+size, an edge line by filling the (subject, object) ids of its lexsorted
+(s, r, o) row into its relation's line template, which already holds the
+relation name and color.  Labels are escaped as DOT strings (``\\`` and
+``"``), as XML text (``xml.sax.saxutils.escape``) and as ASCII JSON strings
+(``json.encoder.encode_basestring_ascii``, the C escaper of ``json.dumps``);
+the JSON layout is that of ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .analytics import scope_suppliers
-from .graph import ENTITY_TYPE_BY_INDEX, RELATION_BY_INDEX, EntityType, Graph, RelationType
+from .graph import ENTITY_TYPE_BY_INDEX, ENTITY_TYPE_INDEX, RELATION_BY_INDEX, EntityType, Graph, RelationType
 
-FORMATS = ("dot", "graphml", "json")
-
+_RED, _YELLOW, _GRAY, _PURPLE = range(4)
+_NODE_COLORS = ("red", "yellow", "gray", "purple")
 _EDGE_COLOR = {RelationType.SUPPLIES_TO: "orange", RelationType.RELATED_TO: "blue"}
+_TYPE_NAMES = [t.value for t in ENTITY_TYPE_BY_INDEX]
+#: (name, color) of each relation index
+_RELATIONS = [(r.value, _EDGE_COLOR.get(r, "gray")) for r in RELATION_BY_INDEX]
+
+_GRAPHML_HEAD = """<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d_label" for="node" attr.name="label" attr.type="string"/>
+  <key id="d_type" for="node" attr.name="entity_type" attr.type="string"/>
+  <key id="d_color" for="node" attr.name="color" attr.type="string"/>
+  <key id="d_size" for="node" attr.name="size" attr.type="double"/>
+  <key id="d_rel" for="edge" attr.name="relation" attr.type="string"/>
+  <key id="d_ecol" for="edge" attr.name="color" attr.type="string"/>
+  <graph id="G" edgedefault="directed">"""
 
 
 class ExportMismatch(Exception):
     """The criticality report does not line up with the graph's suppliers."""
 
 
-def _node_attrs(graph: Graph, critical_by_label: dict[str, bool]) -> list[dict]:
-    sizes = np.bincount(scope_suppliers(graph)[:, 0], minlength=graph.num_entities).tolist()
-    types = [ENTITY_TYPE_BY_INDEX[c] for c in graph.type_codes().tolist()]
-    supplier_labels = [label for label, t in zip(graph.labels, types) if t is EntityType.SUPPLIER]
+def _node_columns(graph: Graph, critical_by_label: dict[str, bool]) -> tuple[list[int], list[int], list[int]]:
+    """Each node's type code, color code (index into ``_NODE_COLORS``) and size.
+
+    Raises :class:`ExportMismatch` unless the report keys exactly the
+    graph's suppliers, each supplier label once.
+    """
+    codes = graph.type_codes()
+    suppliers = np.flatnonzero(codes == ENTITY_TYPE_INDEX[EntityType.SUPPLIER]).tolist()
+    supplier_labels = [graph.labels[i] for i in suppliers]
     if len(set(supplier_labels)) != len(supplier_labels):
         raise ExportMismatch("duplicate supplier labels make the report join ambiguous")
     missing = sorted(set(supplier_labels) - set(critical_by_label))
@@ -40,93 +67,67 @@ def _node_attrs(graph: Graph, critical_by_label: dict[str, bool]) -> list[dict]:
             f"report/graph mismatch: {len(missing)} suppliers missing from the report, "
             f"{len(extra)} report rows not in the graph"
         )
-
-    nodes = []
-    for i, (label, etype) in enumerate(zip(graph.labels, types)):
-        if etype is EntityType.SUPPLIER:
-            color = "red" if critical_by_label[label] else "yellow"
-            size = 1
-        elif etype is EntityType.BUSINESS_SCOPE:
-            color = "purple"
-            size = sizes[i]
-        else:
-            color = "gray"
-            size = 1
-        nodes.append(
-            {
-                "id": f"n{i}",
-                "label": label,
-                "entity_type": etype.value,
-                "color": color,
-                "size": size,
-            }
-        )
-    return nodes
+    scopes = codes == ENTITY_TYPE_INDEX[EntityType.BUSINESS_SCOPE]
+    colors = np.where(scopes, _PURPLE, _GRAY)
+    colors[suppliers] = [_RED if critical_by_label[label] else _YELLOW for label in supplier_labels]
+    sizes = np.where(scopes, np.bincount(scope_suppliers(graph)[:, 0], minlength=len(codes)), 1)
+    return codes.tolist(), colors.tolist(), sizes.tolist()
 
 
-def _edge_attrs(graph: Graph) -> list[dict]:
-    t = graph.triples_array()
-    edges = []
-    for s, r, o in t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))].tolist():
-        relation = RELATION_BY_INDEX[r]
-        edges.append(
-            {
-                "source": f"n{s}",
-                "target": f"n{o}",
-                "relation": relation.value,
-                "color": _EDGE_COLOR.get(relation, "gray"),
-            }
-        )
-    return edges
-
-
-def _render_dot(nodes: list[dict], edges: list[dict]) -> str:
+def _render_dot(labels, types, colors, sizes, rows) -> str:
+    labels = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
+    edge = [f'  n%d -> n%d [relation="{name}", color="{color}"];' for name, color in _RELATIONS]
     lines = ["digraph chainlens {"]
-    for n in nodes:
-        label = n["label"].replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(
-            f'  {n["id"]} [label="{label}", entity_type="{n["entity_type"]}", '
-            f'color="{n["color"]}", size="{n["size"]}"];'
-        )
-    for e in edges:
-        lines.append(
-            f'  {e["source"]} -> {e["target"]} [relation="{e["relation"]}", color="{e["color"]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [
+        f'  n{i} [label="{label}", entity_type="{_TYPE_NAMES[t]}", color="{_NODE_COLORS[c]}", size="{size}"];'
+        for i, (label, t, c, size) in enumerate(zip(labels, types, colors, sizes))
+    ]
+    lines += [edge[r] % (s, o) for s, r, o in rows]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
-def _render_graphml(nodes: list[dict], edges: list[dict]) -> str:
-    keys = [
-        ("d_label", "node", "label", "string"),
-        ("d_type", "node", "entity_type", "string"),
-        ("d_color", "node", "color", "string"),
-        ("d_size", "node", "size", "double"),
-        ("d_rel", "edge", "relation", "string"),
-        ("d_ecol", "edge", "color", "string"),
+def _render_graphml(labels, types, colors, sizes, rows) -> str:
+    type_names = [escape(name) for name in _TYPE_NAMES]
+    edge = [
+        f'    <edge source="n%d" target="n%d">\n      <data key="d_rel">{escape(name)}</data>\n'
+        f'      <data key="d_ecol">{color}</data>\n    </edge>'
+        for name, color in _RELATIONS
     ]
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+    lines = [_GRAPHML_HEAD]
+    lines += [
+        f'    <node id="n{i}">\n      <data key="d_label">{escape(label)}</data>\n'
+        f'      <data key="d_type">{type_names[t]}</data>\n      <data key="d_color">{_NODE_COLORS[c]}</data>\n'
+        f'      <data key="d_size">{size}</data>\n    </node>'
+        for i, (label, t, c, size) in enumerate(zip(labels, types, colors, sizes))
     ]
-    for kid, for_, name, typ in keys:
-        lines.append(f'  <key id="{kid}" for="{for_}" attr.name="{name}" attr.type="{typ}"/>')
-    lines.append('  <graph id="G" edgedefault="directed">')
-    for n in nodes:
-        lines.append(f'    <node id={quoteattr(n["id"])}>')
-        lines.append(f'      <data key="d_label">{escape(n["label"])}</data>')
-        lines.append(f'      <data key="d_type">{escape(n["entity_type"])}</data>')
-        lines.append(f'      <data key="d_color">{n["color"]}</data>')
-        lines.append(f'      <data key="d_size">{n["size"]}</data>')
-        lines.append("    </node>")
-    for e in edges:
-        lines.append(f'    <edge source={quoteattr(e["source"])} target={quoteattr(e["target"])}>')
-        lines.append(f'      <data key="d_rel">{escape(e["relation"])}</data>')
-        lines.append(f'      <data key="d_ecol">{e["color"]}</data>')
-        lines.append("    </edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    lines += [edge[r] % (s, o) for s, r, o in rows]
+    lines.append("  </graph>\n</graphml>\n")
+    return "\n".join(lines)
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _render_json(labels, types, colors, sizes, rows) -> str:
+    type_names = [_json_str(name) for name in _TYPE_NAMES]
+    edge = [
+        f'    {{\n      "color": {_json_str(color)},\n      "relation": {_json_str(name)},\n'
+        '      "source": "n%d",\n      "target": "n%d"\n    }'
+        for name, color in _RELATIONS
+    ]
+    nodes = [
+        f'    {{\n      "color": "{_NODE_COLORS[c]}",\n      "entity_type": {type_names[t]},\n      "id": "n{i}",\n'
+        f'      "label": {_json_str(label)},\n      "size": {size}\n    }}'
+        for i, (label, t, c, size) in enumerate(zip(labels, types, colors, sizes))
+    ]
+    edges = [edge[r] % (s, o) for s, r, o in rows]
+    return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)}\n}}\n'
+
+
+_RENDERERS = {"dot": _render_dot, "graphml": _render_graphml, "json": _render_json}
+FORMATS = tuple(_RENDERERS)
 
 
 def export_graph(
@@ -138,12 +139,8 @@ def export_graph(
     """Write the annotated graph; ``critical_by_label`` keys every supplier label."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    nodes = _node_attrs(graph, critical_by_label)
-    edges = _edge_attrs(graph)
-    if fmt == "dot":
-        text = _render_dot(nodes, edges)
-    elif fmt == "graphml":
-        text = _render_graphml(nodes, edges)
-    else:
-        text = json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
+    types, colors, sizes = _node_columns(graph, critical_by_label)
+    t = graph.triples_array()
+    rows = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))].tolist()
+    text = _RENDERERS[fmt](graph.labels, types, colors, sizes, rows)
     Path(path).write_text(text, encoding="utf-8")

@@ -44,6 +44,7 @@ import json
 import math
 import os
 import threading
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -468,22 +469,39 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
     return path
 
 
+def _header_int(header: dict, key: str) -> int:
+    value = header[key]
+    if isinstance(value, (bool, float)):  # int() would turn 3.7 into 3
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint.
 
-    :class:`CheckpointError` if the header lacks a key or holds a value of the
-    wrong kind, or if a block's name, shape or dtype disagrees with the header.
+    :class:`CheckpointError` if the file is not a readable ``.npz`` archive,
+    if the header lacks a key or holds a value of the wrong kind (a float
+    where an integer belongs included), or if a block's name, shape or dtype
+    disagrees with the header.
     """
-    with np.load(path, allow_pickle=False) as data:
-        if "header" not in data.files:
-            raise CheckpointError(f"{path}: no header")
-        header_text = str(data["header"])
-        blocks = {name[len("block_"):]: data[name] for name in data.files if name.startswith("block_")}
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: a single .npy array, not an .npz archive")
+        with archive as data:
+            if "header" not in data.files:
+                raise CheckpointError(f"{path}: no header")
+            header_text = str(data["header"])
+            blocks = {name[len("block_"):]: data[name] for name in data.files if name.startswith("block_")}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: not a readable .npz archive: {exc}") from None
     try:
         header = json.loads(header_text)
-        params = ModelParams(kind=ModelKind(header["kind"]), dim=int(header["dim"]),
-                             num_entities=int(header["num_entities"]), num_relations=int(header["num_relations"]),
-                             seed=int(header["seed"]), blocks=blocks, vocabulary_sha256=header.get("vocabulary_sha256"))
+        dim, num_entities, num_relations, seed = (
+            _header_int(header, key) for key in ("dim", "num_entities", "num_relations", "seed"))
+        params = ModelParams(kind=ModelKind(header["kind"]), dim=dim, num_entities=num_entities,
+                             num_relations=num_relations, seed=seed, blocks=blocks,
+                             vocabulary_sha256=header.get("vocabulary_sha256"))
     except KeyError as exc:
         raise CheckpointError(f"{path}: header has no {exc} key") from None
     except (TypeError, ValueError) as exc:

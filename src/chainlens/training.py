@@ -73,6 +73,8 @@ class TrainConfig(KvConfig):
             raise ConfigError("max_epochs must be non-negative")
         if self.eval_every <= 0 or self.patience <= 0 or self.batch_size <= 0:
             raise ConfigError("eval_every, patience, and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class TrainingDiverged(Exception):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -308,6 +309,47 @@ def test_analyze_threshold_above_cap_flags_nothing(workspace):
     assert all(r.endswith(",0") for r in rows)
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_analyze_refuses_a_non_finite_threshold(workspace, capsys, threshold):
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(graph), "--threshold", threshold, "--out", str(analysis)]) == 3
+    assert "--threshold must be finite" in capsys.readouterr().err
+    assert not (analysis / "criticality.csv").exists()
+
+
+def test_reports_quote_labels_so_export_reads_them_back(workspace, capsys):
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    text = graph.read_text() + 'TinyHub\tSupplier\trelated_to\tScope, "sole"\tBusinessScope\n'
+    graph.write_text(text.replace("TinyHub", 'Acme, "Inc"'))
+    assert main(["analyze", "--in", str(graph), "--sole-scopes", "--out", str(analysis)]) == 0
+    with open(analysis / "criticality.csv", newline="", encoding="utf-8") as fh:
+        report = list(csv.DictReader(fh))
+    assert 'Acme, "Inc"' in {row["node"] for row in report}
+    with open(analysis / "sole_scopes.csv", newline="", encoding="utf-8") as fh:
+        scopes = list(csv.reader(fh))
+    assert scopes == [["business_scope", "supplier"], ['Scope, "sole"', 'Acme, "Inc"']]
+    out = workspace / "g.json"
+    code = main(["export", "--in", str(graph), "--report", str(analysis / "criticality.csv"),
+                 "--format", "json", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    colors = {n["label"]: n["color"] for n in json.loads(out.read_text())["nodes"]}
+    assert {row["node"]: colors[row["node"]] for row in report} == {
+        row["node"]: "red" if row["is_critical"] == "1" else "yellow" for row in report}
+
+
+def test_export_refuses_a_report_without_its_columns(workspace, capsys):
+    graph, report = workspace / "g.tsv", workspace / "report.csv"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    report.write_text("label,critical\nTinyHub,1\n")
+    capsys.readouterr()
+    code = main(["export", "--in", str(graph), "--report", str(report), "--out", str(workspace / "g.dot")])
+    assert code == 2
+    assert "no node and is_critical columns" in capsys.readouterr().err
+
+
 def test_export_mismatched_report_exits_2(workspace, capsys):
     graph = workspace / "g.tsv"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
@@ -479,7 +521,8 @@ def rewrite_header(path, edit):
     (lambda header: header.pop("seed"), "header has no 'seed' key"),
     (lambda header: header.update(kind="Bogus"), "'Bogus' is not a valid ModelKind"),
     (lambda header: header.update(dim="x"), "invalid literal for int()"),
-], ids=["no-seed", "unknown-kind", "non-integer-dim"])
+    (lambda header: header.update(seed=3.7), "seed 3.7 is not an integer"),
+], ids=["no-seed", "unknown-kind", "non-integer-dim", "float-seed"])
 def test_eval_refuses_a_checkpoint_header_that_cannot_describe_a_model(workspace, capsys, edit, message):
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
@@ -493,3 +536,36 @@ def test_eval_refuses_a_checkpoint_header_that_cannot_describe_a_model(workspace
     err = capsys.readouterr().err
     assert message in err and str(ckpt) in err
     assert not (workspace / "eval" / "eval_filtered.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "split", "train"])
+def test_negative_seed_exits_3(workspace, capsys, command):
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    args = {
+        "generate": ["--config", str(workspace / "gen.cfg"), "--out", str(workspace / "g2.tsv")],
+        "split": ["--in", str(graph), "--out", str(workspace / "splits2")],
+        "train": ["--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "train.cfg"),
+                  "--out", str(workspace / "m.npz")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "-1"]) == 3
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not any(p.exists() for p in (workspace / "g2.tsv", workspace / "splits2", workspace / "m.npz"))
+
+
+@pytest.mark.parametrize("damage", ["text", "truncated"])
+def test_eval_refuses_a_checkpoint_that_is_not_an_npz_archive(workspace, capsys, damage):
+    from chainlens.models import ModelKind, init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    save_checkpoint(init_params(ModelKind.TRANSE, 78, 11, TrainConfig(dim=4, seed=0)), ckpt)
+    ckpt.write_bytes(b"not a checkpoint\n" if damage == "text" else ckpt.read_bytes()[:300])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(splits), "--out", str(workspace / "eval")])
+    assert code == 2
+    assert f"{ckpt}: not a readable .npz archive" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from chainlens.exports import ExportMismatch, export_graph
-from chainlens.graph import DEFAULT_SCHEMA, EntityType, Graph, RelationType
+from chainlens.dataset import GeneratorConfig, generate_synthetic
+from chainlens.exports import FORMATS, ExportMismatch, export_graph
+from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
+
+from reference_exports import reference_export_text
 
 
 def fixture_graph():
@@ -89,3 +93,46 @@ def test_export_rejects_unknown_format(tmp_path):
     g, flags = fixture_graph()
     with pytest.raises(ValueError):
         export_graph(g, flags, "svg", tmp_path / "g.svg")
+
+
+def assert_export_equals_reference(tmp_path, graph, flags, fmt):
+    path = tmp_path / f"g.{fmt}"
+    export_graph(graph, flags, fmt, path)
+    np.testing.assert_equal(path.read_bytes(), reference_export_text(graph, flags, fmt).encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_export_equals_reference_on_generated_graphs(tmp_path, seed, fmt):
+    graph = generate_synthetic(GeneratorConfig(seed=seed))
+    suppliers = np.flatnonzero(graph.type_codes() == ENTITY_TYPE_INDEX[EntityType.SUPPLIER])
+    critical = np.random.default_rng(seed).random(len(suppliers)) < 0.3
+    flags = {graph.labels[i]: bool(c) for i, c in zip(suppliers.tolist(), critical.tolist())}
+    assert_export_equals_reference(tmp_path, graph, flags, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_of_an_empty_graph_equals_reference(tmp_path, fmt):
+    path = assert_export_equals_reference(tmp_path, Graph(), {}, fmt)
+    if fmt == "json":
+        assert path.read_text() == '{\n  "edges": [],\n  "nodes": []\n}\n'
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_escapes_labels_as_reference(tmp_path, fmt):
+    g = Graph()
+    labels = ['Zürich "Süd" GmbH', "back\\slash \\\"", "<b>A&B</b> > C", "東京 \U0001F69A", "tab\tline\nbreak\x01"]
+    sups = [g.add_entity(label, EntityType.SUPPLIER) for label in labels]
+    scope = g.add_entity("Scope <&> \"x\"", EntityType.BUSINESS_SCOPE)
+    g.add_entity("empty & unrelated scope", EntityType.BUSINESS_SCOPE)
+    country = g.add_entity("Côte d'Ivoire", EntityType.COUNTRY)
+    for s, o in zip(sups, sups[1:]):
+        g.add_triple(s, RelationType.SUPPLIES_TO, o, DEFAULT_SCHEMA)
+    for s in sups[:3]:
+        g.add_triple(s, RelationType.RELATED_TO, scope, DEFAULT_SCHEMA)
+    g.add_triple(sups[0], RelationType.LOCATED_IN, country, DEFAULT_SCHEMA)
+    flags = {label: i % 2 == 0 for i, label in enumerate(labels)}
+    path = assert_export_equals_reference(tmp_path, g, flags, fmt)
+    if fmt == "json":
+        assert [n["label"] for n in json.loads(path.read_text())["nodes"]] == g.labels

@@ -396,6 +396,21 @@ def test_checkpoint_round_trip_bit_exact(kind, tmp_path):
         assert np.array_equal(q.blocks[name], p.blocks[name])
 
 
+@pytest.mark.parametrize("damage", ["empty", "text", "truncated", "bad-crc", "npy"])
+def test_load_checkpoint_refuses_a_file_that_is_not_an_npz_archive(tmp_path, damage):
+    path = tmp_path / "m.npz"
+    save_checkpoint(make_params(ModelKind.TRANSE, seed=0), path)
+    data = path.read_bytes()
+    if damage == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_bytes({"empty": b"", "text": b"kind=TransE\n", "truncated": data[:-10],
+                          "bad-crc": data[:200] + bytes([data[200] ^ 0xFF]) + data[201:]}[damage])
+    with pytest.raises(CheckpointError, match="archive"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("header", [None, "not json", "[1, 2]"], ids=["no-header", "not-json", "not-an-object"])
 def test_load_checkpoint_refuses_an_unreadable_header(tmp_path, header):
     arrays = {"block_entity": np.zeros((3, 2)), "block_relation": np.zeros((1, 2))}
