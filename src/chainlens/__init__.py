@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .models import ModelKind, ModelParams, init_params, load_checkpoint, save_checkpoint, score
 from .training import TrainConfig, TrainHistory, grid_search, train
-from .evaluation import EvalReport, Query, evaluate, per_relation_table, rank_object
+from .evaluation import EvalReport, evaluate, per_relation_table
 from .analytics import CriticalityReport, criticality, critical_paths, sole_supplier_scopes
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "ModelKind",
     "ModelParams",
     "ParseError",
-    "Query",
     "RelationType",
     "Schema",
     "SchemaViolation",
@@ -63,7 +62,6 @@ __all__ = [
     "load_checkpoint",
     "load_triples",
     "per_relation_table",
-    "rank_object",
     "save_checkpoint",
     "score",
     "sole_supplier_scopes",

@@ -45,10 +45,11 @@ from .dataset import (
 )
 from .evaluation import (
     EmptyQuerySet,
+    EvalReport,
     VocabularyMismatch,
     build_filter_index,
-    evaluate,
     per_relation_table,
+    rank_queries,
     type_constrained_candidates,
 )
 from .exports import FORMATS, ExportMismatch, export_graph
@@ -271,13 +272,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     settings = ["filtered", "raw"] if args.setting == "both" else [args.setting]
+    ranks = rank_queries(params, test_arr, filter_index, args.tie, candidate_index)
     reports = {}
     outputs: list[str] = []
     for setting in settings:
-        report = evaluate(
-            params, test_arr, filter_index, setting=setting, tie_policy=args.tie,
-            candidate_index=candidate_index,
-        )
+        report = EvalReport.from_ranks(test_arr, ranks[setting], setting, args.tie)
         reports[setting] = report
         text_path = out_dir / f"eval_{setting}.txt"
         csv_path = out_dir / f"eval_{setting}.csv"
@@ -289,14 +288,11 @@ def cmd_eval(args) -> int:
             f"hits@1 {report.hits[1]:.4f}  hits@3 {report.hits[3]:.4f}  hits@10 {report.hits[10]:.4f}"
         )
     if len(reports) == 2:
-        if reports["filtered"].mrr < reports["raw"].mrr:
-            print(
-                f"chainlens: error: filtered MRR {reports['filtered'].mrr:.4f} fell below "
-                f"raw MRR {reports['raw'].mrr:.4f}",
-                file=sys.stderr,
-            )
+        filtered, raw = reports["filtered"].mrr, reports["raw"].mrr
+        if filtered < raw:
+            print(f"chainlens: error: filtered MRR {filtered:.4f} fell below raw MRR {raw:.4f}", file=sys.stderr)
             return 2
-        print(f"filtered MRR {reports['filtered'].mrr:.4f} >= raw MRR {reports['raw'].mrr:.4f}: OK")
+        print(f"filtered MRR {filtered:.4f} >= raw MRR {raw:.4f}: OK")
     if args.per_relation:
         table = per_relation_table({params.kind.value: reports[settings[0]]})
         table_path = out_dir / "per_relation.csv"

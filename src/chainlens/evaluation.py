@@ -1,7 +1,8 @@
 """Object-prediction ranking: MRR and hits@k, raw or filtered, per relation.
 
 A query reads a held-out triple (s, p, o) as (s, p, ?).  Every entity is
-scored as candidate object; in the filtered setting, candidates other than
+scored as candidate object, or under a candidate table only the entities of
+p's schema-legal target types; in the filtered setting, candidates other than
 the true object that are known-true for (s, p) are excluded before ranking.
 
 Tie handling follows three policies: optimistic (1 + number of strictly
@@ -12,15 +13,16 @@ exactly (N + 1) / 2.  A query whose true-object score is not finite ranks
 last, at the number of candidates, under every policy: NaN compares false
 with everything and would otherwise rank first.
 
-:func:`evaluate` ranks queries in blocks.  Queries are grouped by relation
-and each group is cut into blocks of k rows, sized so that the (k, N) score
-block takes about ``BLOCK_BYTES``; one :func:`~chainlens.models.score_objects`
-call scores a block, and each row's rank is read from counts of scores above
-and equal to its true-object score.  The known-true objects of the filtered
-setting come from a :class:`FilterIndex` in CSR form (one flat sorted object
-array with per-(s, r) offsets), whose objects are subtracted from those
-counts.  :func:`rank_object` ranks one query from its score vector and is
-the reference the blocks are tested against: their ranks are equal.
+:func:`rank_queries` ranks queries in blocks and returns both settings from
+one score pass.  Queries are grouped by relation and each group is cut into
+blocks of k rows, sized so that the (k, N) score block takes about
+``BLOCK_BYTES``; one :func:`~chainlens.models.score_objects` call scores a
+block, and each row's raw rank is read from counts of scores above and equal
+to its true-object score.  Subtracting the known-true objects, held by a
+:class:`FilterIndex` in CSR form (one flat sorted object array with per-(s, r)
+offsets), from those counts gives the filtered rank.  :func:`rank_object`
+ranks one query from its score vector and is the reference the blocks are
+tested against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -77,6 +79,30 @@ class EvalReport:
     tie_policy: str
     num_queries: int
 
+    @classmethod
+    def from_ranks(cls, queries: np.ndarray, ranks: np.ndarray, setting: str, tie_policy: str) -> "EvalReport":
+        """Aggregate MRR and hits@k of the ``ranks`` of an (M, 3) query id array, overall and per relation type."""
+        query_array = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
+        if not len(query_array):
+            raise EmptyQuerySet("evaluation needs at least one query")
+
+        def metrics(idx: np.ndarray) -> tuple[float, dict[int, float]]:
+            rs = ranks[idx]
+            return float(np.mean(1.0 / rs)), {k: float(np.mean(rs <= k)) for k in HITS_KS}
+
+        mrr, hits = metrics(np.arange(len(query_array)))
+        rels, groups = _relation_groups(query_array[:, 1])
+        per_relation = {rel: PerRelationMetrics(*metrics(idx), count=len(idx))
+                        for rel, idx in zip(rels.tolist(), groups)}
+        return cls(
+            mrr=mrr,
+            hits=hits,
+            per_relation=per_relation,
+            setting=setting,
+            tie_policy=tie_policy,
+            num_queries=len(query_array),
+        )
+
     def to_text(self, relation_names: dict[int, str] | None = None) -> str:
         names = relation_names or {}
         lines = [
@@ -112,8 +138,6 @@ class EvalReport:
             )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-CandidateIndex = dict[int, np.ndarray]
 
 # Target size of one (k, N) float64 score block.  At 6,940 entities on a
 # 2-vCPU Xeon, smaller blocks slowed every model (per-call overhead) and
@@ -190,16 +214,15 @@ def build_filter_index(triple_sets: list[np.ndarray]) -> FilterIndex:
     )
 
 
-def type_constrained_candidates(graph, schema) -> CandidateIndex:
-    """Allowed object ids per relation index, from the schema's target types.
+def type_constrained_candidates(graph, schema) -> np.ndarray:
+    """Bool (relation index, entity id) table of the allowed candidate objects,
+    from the schema's target types.
 
     Optional ranking mode: by default every entity is a candidate object;
-    passing this index to evaluate/rank_object restricts candidates to the
-    schema-legal target types of each relation.
+    passing this table to evaluate/rank_queries/rank_object restricts
+    candidates to the schema-legal target types of each relation.
     """
-    _, targets = schema.tables()
-    codes = graph.type_codes()
-    return {r: np.flatnonzero(allowed[codes]) for r, allowed in enumerate(targets)}
+    return schema.tables()[1][:, graph.type_codes()]
 
 
 def _tie_rank(greater, ties, n_candidates, true_score, tie_policy: str):
@@ -223,23 +246,15 @@ def _rank_from_scores(
     true_object: int,
     excluded: np.ndarray | None,
     tie_policy: str,
-    candidates: np.ndarray | None = None,
+    allowed: np.ndarray | None = None,
 ) -> tuple[float, int]:
     true_score = scores[true_object]
-    if candidates is not None or (excluded is not None and len(excluded)):
-        if candidates is not None:
-            mask = np.zeros(len(scores), dtype=bool)
-            mask[candidates] = True
-        else:
-            mask = np.ones(len(scores), dtype=bool)
-        if excluded is not None and len(excluded):
-            mask[excluded] = False
-        mask[true_object] = True
-        cand = scores[mask]
-        n_candidates = int(mask.sum())
-    else:
-        cand = scores
-        n_candidates = len(scores)
+    mask = np.ones(len(scores), dtype=bool) if allowed is None else allowed.copy()
+    if excluded is not None:
+        mask[excluded] = False
+    mask[true_object] = True
+    cand = scores[mask]
+    n_candidates = int(mask.sum())
     greater = int((cand > true_score).sum())
     ties = int((cand == true_score).sum())  # includes the true object itself
     return float(_tie_rank(greater, ties, n_candidates, true_score, tie_policy)), n_candidates
@@ -256,12 +271,12 @@ def rank_object(
     filter_index: FilterIndex | None = None,
     setting: str = "filtered",
     tie_policy: str = "realistic",
-    candidate_index: CandidateIndex | None = None,
+    candidate_index: np.ndarray | None = None,
 ) -> RankResult:
     """Rank the true object of (subject, predicate, ?).
 
-    All entities are candidates unless ``candidate_index`` restricts them to
-    schema-legal target types (see :func:`type_constrained_candidates`).
+    All entities are candidates unless the ``candidate_index`` table restricts
+    them to schema-legal target types (see :func:`type_constrained_candidates`).
     """
     _check_setting(setting)
     if not 0 <= query.subject < params.num_entities or not 0 <= query.true_object < params.num_entities:
@@ -272,8 +287,8 @@ def rank_object(
     excluded = None
     if setting == "filtered" and filter_index is not None:
         excluded = filter_index.get((query.subject, query.predicate))
-    candidates = None if candidate_index is None else candidate_index.get(query.predicate)
-    rank, n_candidates = _rank_from_scores(scores, query.true_object, excluded, tie_policy, candidates)
+    allowed = None if candidate_index is None else candidate_index[query.predicate]
+    rank, n_candidates = _rank_from_scores(scores, query.true_object, excluded, tie_policy, allowed)
     return RankResult(query=query, rank=rank, num_candidates=n_candidates, setting=setting, tie_policy=tie_policy)
 
 
@@ -285,10 +300,11 @@ def _rank_block(
     filter_index: FilterIndex | None,
     allowed: np.ndarray | None,
     tie_policy: str,
-) -> np.ndarray:
-    """Ranks of the k queries (s[i], r[i], o[i]) of one (k, N) score block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) score block.
 
     ``allowed`` marks the candidate objects, None meaning all entities.
+    Without a ``filter_index`` the filtered ranks are the raw ones.
     """
     rows = np.arange(len(scores))
     true_score = scores[rows, o]
@@ -301,54 +317,51 @@ def _rank_block(
         outside = ~allowed[o]
         ties += outside
         n_candidates += outside
-    if filter_index is not None:
-        row, obj = filter_index.pairs(s, r)
-        drop = obj != o[row]
-        if allowed is not None:
-            drop &= allowed[obj]
-        row, obj = row[drop], obj[drop]
-        dropped = scores[row, obj]
-        greater -= np.bincount(row[dropped > true_score[row]], minlength=len(rows))
-        ties -= np.bincount(row[dropped == true_score[row]], minlength=len(rows))
-        n_candidates -= np.bincount(row, minlength=len(rows))
-    return _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+    raw = _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+    if filter_index is None:
+        return raw, raw
+    row, obj = filter_index.pairs(s, r)
+    drop = obj != o[row]
+    if allowed is not None:
+        drop &= allowed[obj]
+    row, obj = row[drop], obj[drop]
+    dropped = scores[row, obj]
+    greater -= np.bincount(row[dropped > true_score[row]], minlength=len(rows))
+    ties -= np.bincount(row[dropped == true_score[row]], minlength=len(rows))
+    n_candidates -= np.bincount(row, minlength=len(rows))
+    return raw, _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
 
 
 def rank_queries(
     params: ModelParams,
     queries: np.ndarray,
     filter_index: FilterIndex | None = None,
-    setting: str = "filtered",
     tie_policy: str = "realistic",
-    candidate_index: CandidateIndex | None = None,
-) -> np.ndarray:
-    """Ranks of the true objects of an (M, 3) query id array, in query order.
+    candidate_index: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Raw and filtered ranks of the true objects of an (M, 3) query id array, in query order.
 
-    Each rank equals :func:`rank_object`'s for the same query and arguments.
-    Queries are ranked in blocks of :func:`block_rows` queries of one relation.
+    Returns ``{"raw": ranks, "filtered": ranks}`` from one score pass; each
+    rank equals :func:`rank_object`'s for the same query, setting and
+    arguments.  Queries are ranked in blocks of :func:`block_rows` queries of
+    one relation.
     """
-    _check_setting(setting)
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
     bad = (s < 0) | (s >= params.num_entities) | (o < 0) | (o >= params.num_entities)
     bad |= (r < 0) | (r >= params.num_relations)
     if bad.any():
         raise KeyError(f"query references unknown ids: {tuple(queries[np.argmax(bad)].tolist())}")
-    if setting != "filtered":
-        filter_index = None
-    ranks = np.empty(len(queries))
+    ranks = {setting: np.empty(len(queries)) for setting in SETTINGS}
     step = block_rows(params.num_entities)
     rels, groups = _relation_groups(r)
     for rel, group in zip(rels.tolist(), groups):
-        allowed = None
-        candidates = None if candidate_index is None else candidate_index.get(rel)
-        if candidates is not None:
-            allowed = np.zeros(params.num_entities, dtype=bool)
-            allowed[candidates] = True
+        allowed = None if candidate_index is None else candidate_index[rel]
         for start in range(0, len(group), step):
             block = group[start:start + step]
             scores = score_objects(params, s[block], r[block])
-            ranks[block] = _rank_block(scores, s[block], r[block], o[block], filter_index, allowed, tie_policy)
+            ranks["raw"][block], ranks["filtered"][block] = _rank_block(
+                scores, s[block], r[block], o[block], filter_index, allowed, tie_policy)
     return ranks
 
 
@@ -358,37 +371,17 @@ def evaluate(
     filter_index: FilterIndex | None = None,
     setting: str = "filtered",
     tie_policy: str = "realistic",
-    candidate_index: CandidateIndex | None = None,
+    candidate_index: np.ndarray | None = None,
 ) -> EvalReport:
     """Aggregate MRR and hits@k over an (M, 3) query id array, overall and per relation type.
 
     ``filter_index`` holds the known-true triples (see :func:`build_filter_index`).
-    Queries are ranked by :func:`rank_queries`.
+    Queries are ranked by :func:`rank_queries`, and ``setting`` picks its raw
+    or filtered ranks.
     """
-    query_array = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
-    if not len(query_array):
-        raise EmptyQuerySet("evaluate() needs at least one query")
-    ranks = rank_queries(params, query_array, filter_index, setting, tie_policy, candidate_index)
-
-    def metrics(idx: np.ndarray) -> tuple[float, dict[int, float]]:
-        rs = ranks[idx]
-        return float(np.mean(1.0 / rs)), {k: float(np.mean(rs <= k)) for k in HITS_KS}
-
-    mrr, hits = metrics(np.arange(len(query_array)))
-    per_relation: dict[int, PerRelationMetrics] = {}
-    rels = query_array[:, 1]
-    for rel in sorted(set(rels.tolist())):
-        idx = np.where(rels == rel)[0]
-        rel_mrr, rel_hits = metrics(idx)
-        per_relation[rel] = PerRelationMetrics(mrr=rel_mrr, hits=rel_hits, count=len(idx))
-    return EvalReport(
-        mrr=mrr,
-        hits=hits,
-        per_relation=per_relation,
-        setting=setting,
-        tie_policy=tie_policy,
-        num_queries=len(query_array),
-    )
+    _check_setting(setting)
+    ranks = rank_queries(params, queries, filter_index, tie_policy, candidate_index)[setting]
+    return EvalReport.from_ranks(queries, ranks, setting, tie_policy)
 
 
 @dataclass

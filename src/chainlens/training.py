@@ -297,20 +297,22 @@ def grid_search(
         params, history = train(
             kind, train_triples, valid_triples, num_entities, num_relations, config
         )
-        report = evaluate(params, valid_triples, filter_index, setting="filtered")
-        runs.append((config.dim, config.learning_rate, report.mrr))
+        # train recorded the filtered validation MRR of its best epoch, with the same filter index
+        recorded = [rec.mrr for rec in history.records if rec.epoch == history.best_epoch]
+        mrr = recorded[0] if recorded else evaluate(params, valid_triples, filter_index, setting="filtered").mrr
+        runs.append((config.dim, config.learning_rate, mrr))
         logger.info(
             "grid %s dim=%d lr=%g: val mrr %.4f",
-            kind.value, config.dim, config.learning_rate, report.mrr,
+            kind.value, config.dim, config.learning_rate, mrr,
         )
-        key = (-report.mrr, config.dim, config.learning_rate)
+        key = (-mrr, config.dim, config.learning_rate)
         if best is None or key < best:
             best = key
             result = GridResult(
                 best_config=config,
                 best_params=params,
                 best_history=history,
-                best_mrr=report.mrr,
+                best_mrr=mrr,
                 runs=runs,
             )
     result.runs = runs

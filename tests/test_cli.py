@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from chainlens.cli import main
+from chainlens.dataset import load_split_dir
 from chainlens.models import load_checkpoint
 
 from conftest import write_schema
@@ -273,6 +273,11 @@ def test_eval_type_constrained_flag(workspace):
     assert (workspace / "eval_tc" / "eval_filtered.csv").exists()
 
 
+def overall_mrr(report_csv) -> float:
+    with open(report_csv, newline="", encoding="utf-8") as fh:
+        return next(float(row["mrr"]) for row in csv.DictReader(fh) if row["relation"] == "ALL")
+
+
 def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
     import chainlens.cli as cli_mod
 
@@ -283,21 +288,50 @@ def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
     main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
     main(["train", "--model", "TransE", "--split-dir", str(splits),
           "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
-    real_evaluate = cli_mod.evaluate
+    real_rank_queries = cli_mod.rank_queries
 
     def raw_above_filtered(*args, **kwargs):
-        report = real_evaluate(*args, **kwargs)
-        return dataclasses.replace(report, mrr=0.9 if report.setting == "raw" else 0.1)
+        ranks = real_rank_queries(*args, **kwargs)
+        return {"raw": ranks["filtered"], "filtered": ranks["raw"]}
 
-    monkeypatch.setattr(cli_mod, "evaluate", raw_above_filtered)
+    monkeypatch.setattr(cli_mod, "rank_queries", raw_above_filtered)
+    out = workspace / "eval_bad"
     code = main([
         "eval", "--checkpoint", str(ckpt), "--split-dir", str(splits),
-        "--setting", "both", "--out", str(workspace / "eval_bad"),
+        "--setting", "both", "--out", str(out),
     ])
     assert code == 2
     captured = capsys.readouterr()
-    assert "filtered MRR 0.1000 fell below raw MRR 0.9000" in captured.err
+    filtered, raw = (overall_mrr(out / f"eval_{setting}.csv") for setting in ("filtered", "raw"))
+    assert filtered < raw
+    assert f"filtered MRR {filtered:.4f} fell below raw MRR {raw:.4f}" in captured.err
     assert "OK" not in captured.out
+
+
+def test_eval_both_scores_each_block_once(workspace, monkeypatch):
+    import chainlens.evaluation as evaluation
+
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    main(["train", "--model", "TransE", "--split-dir", str(splits),
+          "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
+    real_score_objects = evaluation.score_objects
+    scored = []
+
+    def counting_score_objects(*args):
+        scored.append(len(np.atleast_1d(args[1])))
+        return real_score_objects(*args)
+
+    monkeypatch.setattr(evaluation, "score_objects", counting_score_objects)
+    calls = {}
+    for setting in ("filtered", "both"):
+        before = len(scored)
+        assert main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(splits),
+                     "--setting", setting, "--out", str(workspace / f"eval_{setting}")]) == 0
+        calls[setting] = len(scored) - before
+    assert calls["both"] == calls["filtered"] > 0
+    assert sum(scored[:calls["filtered"]]) == len(load_split_dir(splits)[3])  # every query scored once
 
 
 def test_analyze_threshold_above_cap_flags_nothing(workspace):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import chainlens.evaluation as evaluation
 import chainlens.models as models
 from chainlens.evaluation import (
+    SETTINGS,
     TIE_POLICIES,
     EmptyQuerySet,
     EvalReport,
@@ -246,21 +247,28 @@ def ranking_case():
 
 
 @pytest.mark.parametrize("constrained", [False, True], ids=["all", "typed"])
-@pytest.mark.parametrize("setting", ["raw", "filtered"])
+@pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
 @pytest.mark.parametrize("kind", list(ModelKind))
-def test_batched_ranks_equal_rank_object(ranking_case, kind, setting, constrained, monkeypatch):
+def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrained, monkeypatch):
+    """One rank_queries call gives rank_object's ranks in both settings; without
+    a filter index (the "raw" cases) its filtered ranks are the raw ones."""
     graph, triples, queries = ranking_case
     assert (queries[:, 1] == 0).sum() > 2 * block_rows(graph.num_entities)  # three blocks or more
     params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
-    index = build_filter_index([triples])
+    index = build_filter_index([triples]) if filtered else None
     candidates = type_constrained_candidates(graph, DEFAULT_SCHEMA) if constrained else None
     assert block_rows(graph.num_entities) * graph.num_entities // 2 >= models.MIN_RANGE_SCORES  # full blocks split
+    expected = {(setting, policy): reference_ranks(params, queries, index, setting, policy, candidates)
+                for setting in SETTINGS for policy in TIE_POLICIES}
+    if filtered:
+        assert (expected["filtered", "optimistic"] < expected["raw", "optimistic"]).any()
     for workers in (1, 2):  # distance-model score blocks in one entity range and in two
         monkeypatch.setattr(models, "DISTANCE_WORKERS", workers)
         for policy in TIE_POLICIES:
-            batched = rank_queries(params, queries, index, setting, policy, candidates)
-            expected = reference_ranks(params, queries, index, setting, policy, candidates)
-            np.testing.assert_array_equal(batched, expected)
+            ranks = rank_queries(params, queries, index, policy, candidates)
+            assert set(ranks) == set(SETTINGS)
+            for setting in SETTINGS:
+                np.testing.assert_array_equal(ranks[setting], expected[setting, policy])
 
 
 def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):
@@ -269,14 +277,15 @@ def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):
     p = table_params({0: np.zeros((n, n)), 1: rng.integers(0, 3, size=(n, n)).astype(float)}, n)
     queries = np.column_stack([rng.integers(n, size=60), rng.integers(2, size=60), rng.integers(n, size=60)])
     index = build_filter_index([queries[::3]])
-    candidates = {0: np.array([1, 2, 4, 7]), 1: np.array([0, 3, 3, 8])}
+    candidates = np.zeros((2, n), dtype=bool)
+    candidates[0, [1, 2, 4, 7]] = candidates[1, [0, 3, 8]] = True
     monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * n * 4)  # 4 queries per block
     assert block_rows(n) == 4
-    for setting in ("raw", "filtered"):
-        for policy in TIE_POLICIES:
-            for cand in (None, candidates):
-                batched = rank_queries(p, queries, index, setting, policy, cand)
-                np.testing.assert_array_equal(batched, reference_ranks(p, queries, index, setting, policy, cand))
+    for policy in TIE_POLICIES:
+        for cand in (None, candidates):
+            ranks = rank_queries(p, queries, index, policy, cand)
+            for setting in SETTINGS:
+                np.testing.assert_array_equal(ranks[setting], reference_ranks(p, queries, index, setting, policy, cand))
 
 
 @pytest.mark.parametrize("policy", TIE_POLICIES)
@@ -287,7 +296,7 @@ def test_non_finite_true_score_ranks_last(policy):
     queries = np.array([[0, 0, 3], [1, 1, 2], [4, 0, 4]])
     index = build_filter_index([np.array([[0, 0, 5]])])
     for setting, first_rank in (("raw", n), ("filtered", n - 1)):
-        ranks = rank_queries(all_nan, queries, index, setting, policy)
+        ranks = rank_queries(all_nan, queries, index, policy)[setting]
         np.testing.assert_array_equal(ranks, [first_rank, n, n])
         np.testing.assert_array_equal(ranks, reference_ranks(all_nan, queries, index, setting, policy))
         report = evaluate(all_nan, queries, index, setting=setting, tie_policy=policy)
@@ -298,12 +307,12 @@ def test_non_finite_true_score_ranks_last(policy):
     assert np.isfinite(np.delete(evaluation.score_objects(only_true, 0, 0), 3)).all()
     result = rank_object(only_true, Query(0, 0, 3), setting="raw", tie_policy=policy)
     assert result.rank == n == result.num_candidates
-    assert rank_queries(only_true, queries[:1], None, "raw", policy)[0] == n
+    assert rank_queries(only_true, queries[:1], None, policy)["raw"][0] == n
     # an infinite true score outranks nothing either
     inf_true = ModelParams(kind=ModelKind.RESCAL, dim=1, num_entities=3, num_relations=1, seed=0,
                            blocks={"entity": np.array([[1.0], [1.0], [np.inf]]), "relation": np.ones((1, 1, 1))})
     assert rank_object(inf_true, Query(0, 0, 2), setting="raw", tie_policy=policy).rank == 3
-    assert rank_queries(inf_true, np.array([[0, 0, 2]]), None, "raw", policy)[0] == 3
+    assert rank_queries(inf_true, np.array([[0, 0, 2]]), None, policy)["raw"][0] == 3
 
 
 # -- per-relation table ------------------------------------------------------
@@ -386,7 +395,8 @@ def test_type_constrained_candidates_restrict_ranking():
     g.add_triple(s, RelationType.RELATED_TO, scopes[0], DEFAULT_SCHEMA)
     cand = type_constrained_candidates(g, DEFAULT_SCHEMA)
     rel = RELATION_INDEX[RelationType.RELATED_TO]
-    assert sorted(cand[rel].tolist()) == sorted(scopes)
+    assert cand.shape == (len(RelationType), g.num_entities) and cand.dtype == bool
+    assert np.flatnonzero(cand[rel]).tolist() == scopes
 
     # with all-tie scores, restricting candidates shrinks the realistic rank
     p = table_params({rel: np.zeros((5, 5))}, 5)

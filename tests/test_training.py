@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -256,8 +258,6 @@ def test_grid_single_point_returns_it():
 def test_grid_trained_config_beats_untrained():
     triples = tiny_triples(n=50)
     base = TrainConfig(dim=16, learning_rate=0.01, eval_every=500, batch_size=50, seed=3)
-    from dataclasses import replace
-
     trained = replace(base, max_epochs=300)
     untrained = replace(base, max_epochs=0)
     result = grid_search(
@@ -280,12 +280,35 @@ def test_grid_tie_break_prefers_smaller_dim_then_lr(monkeypatch):
     monkeypatch.setattr(training_mod, "evaluate", constant_mrr)
     triples = tiny_triples()
     base = TrainConfig(max_epochs=0, eval_every=10, batch_size=16, seed=1)
-    from dataclasses import replace
-
     cfgs = [replace(base, dim=d, learning_rate=lr) for d, lr in ((16, 0.01), (8, 0.01), (8, 0.001))]
     result = grid_search(ModelKind.TRANSE, triples, triples[:8], 15, 2, base, configs=cfgs)
     assert all(m == 0.5 for _, _, m in result.runs)
     assert (result.best_config.dim, result.best_config.learning_rate) == (8, 0.001)
+
+
+def test_grid_reads_validation_mrr_from_history(monkeypatch):
+    import chainlens.training as training_mod
+    from chainlens.evaluation import build_filter_index, evaluate
+
+    triples = tiny_triples(n=50)
+    valid = triples[:10]
+    base = TrainConfig(max_epochs=20, eval_every=10, patience=5, batch_size=16, seed=2)
+    cfgs = [replace(base, dim=8), replace(base, dim=16, learning_rate=0.01), replace(base, dim=8, max_epochs=5)]
+    index = build_filter_index([triples, valid])
+    expected = [(c.dim, c.learning_rate,
+                 evaluate(train(ModelKind.TRANSE, triples, valid, 15, 2, c)[0], valid, index, setting="filtered").mrr)
+                for c in cfgs]
+    calls = []
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "evaluate", counting_evaluate)
+    result = grid_search(ModelKind.TRANSE, triples, valid, 15, 2, base, configs=cfgs)
+    assert result.runs == expected  # bit for bit
+    # two validation evaluations in each 20-epoch run, one for the run that never evaluated
+    assert len(calls) == 2 + 2 + 1
 
 
 def test_train_without_validation_set_runs_plain():
