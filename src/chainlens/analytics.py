@@ -177,15 +177,18 @@ class CriticalityReport:
     def to_csv(self, path: str | Path) -> None:
         cols = ["node"] + list(METRIC_NAMES) + [f"norm_{m}" for m in METRIC_NAMES]
         cols += ["aggregated_score", "is_critical"]
+        raw = [np.asarray(self.raw[m]).tolist() for m in METRIC_NAMES]
+        normalized = [np.asarray(self.normalized[m]).tolist() for m in METRIC_NAMES]
+        aggregated, critical = np.asarray(self.aggregated).tolist(), np.asarray(self.is_critical).tolist()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols)
             for i, label in enumerate(self.labels):
                 cells = [label]
-                cells += [f"{self.raw[m][i]:.6g}" for m in METRIC_NAMES]
-                cells += [f"{self.normalized[m][i]:.6f}" for m in METRIC_NAMES]
-                cells.append(f"{self.aggregated[i]:.6f}")
-                cells.append("1" if self.is_critical[i] else "0")
+                cells += [f"{col[i]:.6g}" for col in raw]
+                cells += [f"{col[i]:.6f}" for col in normalized]
+                cells.append(f"{aggregated[i]:.6f}")
+                cells.append("1" if critical[i] else "0")
                 writer.writerow(cells)
 
     def summary_text(self, top_k: int = 5) -> str:

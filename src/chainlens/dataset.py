@@ -2,11 +2,23 @@
 
 The shared triple file format is UTF-8, one triple per line, tab-separated:
 ``subject_label TAB subject_type TAB predicate TAB object_label TAB
-object_type``.  Lines starting with ``#`` are comments.  Entities are
-deduplicated by (label, type).  One reader (``_read_triples``) serves
-``load_triples`` and ``load_split_dir``, and one writer (``_write_triples``)
-serves ``export_triples`` and ``write_split``; both work on the id columns of
-a :class:`~chainlens.graph.Graph` and build no per-triple objects.
+object_type``.  Lines end at any boundary ``str.splitlines`` knows; lines
+starting with ``#`` are comments, and whitespace-only lines are skipped.
+Entities are deduplicated by (label, type).  One reader (``_read_triples``)
+serves ``load_triples`` and ``load_split_dir``, and one writer
+(``_write_triples``) serves ``export_triples`` and ``write_split``; both work
+on the id columns of a :class:`~chainlens.graph.Graph` and build no
+per-triple objects.
+
+The reader works on each file's bytes in numpy, after the manner of
+structural-index parsers (Langdale and Lemire 2019, arXiv 1902.08318): one
+pass finds the newlines, and one per batch of lines finds the tabs, so each
+field is an offset pair.  Relation and type fields are matched against the
+known names as fixed-width words; entity keys (type code, label bytes) are
+deduplicated with one sort per batch, and only new labels are decoded.  A
+file with a line boundary other than ``\\n`` is first rewritten once as
+``"\\n".join(text.splitlines())``.  ``tests/reference_reader.py`` keeps the
+str-level reader that this one must agree with.
 
 The synthetic generator emits a schema-valid network shaped like a real
 multi-tier supply base: a single hub supplier supplied by every tier-1
@@ -20,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import TypeVar
 
@@ -66,55 +78,212 @@ _ENTITY_CODES = {t.value: i for t, i in ENTITY_TYPE_INDEX.items()}
 _RELATION_CODES = {r.value: i for r, i in RELATION_INDEX.items()}
 
 
-#: Lines parsed per batch; bounds how many per-field strings are alive at once.
-READ_BATCH_LINES = 1 << 10
+#: Lines per batch.  A batch's offset arrays and entity keys cover only its
+#: own lines, so what it holds at once is a small multiple of its bytes.  Each
+#: batch costs some fifty numpy calls whatever its size: on a generated 10x
+#: file (34,501 lines, 1.7 MB) batches of 8,192 lines read in 41 ms, batches
+#: of 1,024 in 62-76 ms.
+READ_BATCH_LINES = 1 << 13
+
+#: The line boundaries ``str.splitlines`` knows besides ``\n``: ASCII ones, then
+#: U+0085, U+2028 and U+2029 in UTF-8.
+_ASCII_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_WIDE_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+#: 0 for an ASCII whitespace byte, 1 for a byte of a non-ASCII character (which
+#: may be whitespace), 2 for any other byte.
+_BYTE_CLASS = np.array([1 if b >= 0x80 else 2 * (not chr(b).isspace()) for b in range(256)], dtype=np.uint8)
+#: ``_WORD_MASKS[k]`` keeps the first k bytes of a uint64 word.
+_WORD_MASKS = np.frombuffer(b"".join(bytes(8 - k).rjust(8, b"\xff") for k in range(9)), dtype=np.uint64)
+#: Zero bytes after a file's text, so that every field start has the words of the longest known name to read.
+_PAD = 8 * -(-max(len(name.encode("utf-8")) for name in (*_RELATION_CODES, *_ENTITY_CODES)) // 8)
 
 
-def _parse_lines(path: Path, lines: list[str], first_lineno: int, schema: Schema,
-                 vocab: dict[str, int]) -> np.ndarray:
-    """(k, 3) id triples of the triple lines in ``lines``, numbered from ``first_lineno``.
+def _read_text(path: Path) -> bytes:
+    """The UTF-8 bytes of a text file, with every line boundary written as ``\\n``.
 
-    Each new ``label TAB type`` gets the next id in ``vocab``, subject before
-    object.  The first bad line raises :class:`ParseError` (field count, empty
-    label, unknown relation or type) or :class:`SchemaViolation`, named as
-    ``path:line``.
+    A file with any boundary besides ``\\n`` is rewritten once as
+    ``"\\n".join(text.splitlines())``.  Raises :class:`ParseError` for bytes
+    that are not UTF-8.
     """
-    linenos = [i for i, line in enumerate(lines, start=first_lineno) if line.strip() and not line.startswith("#")]
-    rows = [lines[i - first_lineno] for i in linenos]
+    data = path.read_bytes()
+    breaks = _ASCII_BREAKS
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(f"{path}:{lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+                             ) from None
+        breaks += _WIDE_BREAKS
+    if any(b in data for b in breaks):
+        data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
+    return data
+
+
+def _field_words(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int, head) -> np.ndarray:
+    """(width + 1, k) uint64 words of k fields: ``head``, then each field's bytes 8 at a time, zero past its end.
+
+    ``buf`` ends in ``_PAD`` zero bytes.  Equal rows mean equal heads and equal
+    first ``8 * width`` bytes.
+    """
+    unaligned = np.ndarray((len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,))  # the word at each byte
+    at = np.arange(0, 8 * width, 8)[:, None] + starts
+    words = np.empty((width + 1, len(starts)), dtype=np.uint64)
+    words[0] = head
+    words[1:] = unaligned[at]
+    at -= starts  # each word's offset in its field; then the bytes of the field it holds
+    np.clip(np.subtract(lengths, at, out=at), 0, 8, out=at)
+    words[1:] &= _WORD_MASKS[at]
+    return words
+
+
+def _fingerprint(words: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each column of ``words``: equal columns hash equal."""
+    odd = np.arange(1, 2 * len(words), 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return (words * odd[:, None]).sum(axis=0, dtype=np.uint64)
+
+
+def _name_table(codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fingerprints, words (byte length, then the name's bytes) and codes of the known names, by fingerprint."""
+    raw = [name.encode("utf-8") for name in codes]
+    lengths = np.array([len(name) for name in raw])
+    buf = np.frombuffer(b"".join(raw) + bytes(_PAD), dtype=np.uint8)
+    words = _field_words(buf, np.cumsum(lengths) - lengths, lengths, _PAD // 8, lengths)
+    prints = _fingerprint(words)
+    order = np.argsort(prints)
+    return prints[order], words[:, order], np.array(list(codes.values()))[order]
+
+
+_RELATION_TABLE = _name_table(_RELATION_CODES)
+_ENTITY_TABLE = _name_table(_ENTITY_CODES)
+
+
+def _name_codes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, table) -> np.ndarray:
+    """The code in ``table`` of each field, or -1 for a name it does not hold."""
+    prints, words, codes = table
+    got = _field_words(buf, starts, lengths, _PAD // 8, lengths)
+    at = np.searchsorted(prints, _fingerprint(got)).clip(max=len(prints) - 1)
+    return np.where((words[:, at] == got).all(axis=0), codes[at], -1)
+
+
+def _entity_ids(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, type_codes: np.ndarray,
+                vocab: dict[bytes, int]) -> np.ndarray:
+    """Vocabulary ids of the entity keys (type code, label bytes), numbering new keys in the order given.
+
+    A key's words are its label's byte length and type code (a type code is
+    below 256, as a graph's uint8 type column holds it), then its label.
+    Keys are grouped by their label's word count, so no key is padded to the
+    longest one, and deduplicated with one sort per group; only the distinct
+    keys are looked up in ``vocab``, whose keys are the bytes of the words.
+    """
+    width = (lengths + 7) >> 3
+    slot = np.empty(len(starts), dtype=np.int64)  # each key's index in ``keys``
+    keys: list[bytes] = []
+    first = []  # the first position of each of ``keys``
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        at = np.flatnonzero(width == w)
+        words = _field_words(buf, starts[at], lengths[at], w, (lengths[at] << 8) | type_codes[at])
+        order = np.argsort(_fingerprint(words))
+        at, words = at[order], words[:, order]
+        new = np.ones(len(at), dtype=bool)
+        new[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+        heads = np.flatnonzero(new)
+        slot[at] = np.cumsum(new) - 1 + len(keys)
+        first.append(np.minimum.reduceat(at, heads))
+        keys += np.ascontiguousarray(words[:, heads].T).view(f"V{8 * (w + 1)}").ravel().tolist()
+    ids = np.fromiter(map(vocab.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    unseen = np.flatnonzero(ids < 0)
+    if unseen.size:  # a key split over two runs of equal fingerprints is numbered once, by dict.fromkeys
+        unseen = unseen[np.argsort(np.concatenate(first)[unseen])]
+        fresh = list(map(keys.__getitem__, unseen.tolist()))
+        vocab.update(zip(dict.fromkeys(fresh), count(len(vocab))))
+        ids[unseen] = np.fromiter(map(vocab.__getitem__, fresh), dtype=np.int64, count=len(fresh))
+    return ids[slot]
+
+
+def _parse_batch(path: Path, data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_lineno: int,
+                 schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
+    """(k, 3) id triples of the lines ``data[starts[i]:ends[i]]``, numbered from ``first_lineno``.
+
+    ``buf`` views ``data`` and ``_PAD`` zero bytes after it.  Lines for which
+    ``not line.strip()`` holds and lines starting with ``#`` are skipped.
+    Each new (label, type) gets the next id in ``vocab``, subject before
+    object.  The first bad line raises :class:`ParseError` (field count,
+    empty label, unknown relation or type, checked in that order) or
+    :class:`SchemaViolation`, named as ``path:line``.
+    """
+    a, b = int(starts[0]), int(ends[-1])
+    tabs = np.flatnonzero(buf[a:b] == ord("\t")) + a
+    after = np.searchsorted(tabs, ends)  # the tabs up to each line's end; no tab lies between lines
+    n_tabs = np.diff(after, prepend=0)
+    lines = np.flatnonzero(ends > starts)
+    kind = _BYTE_CLASS[buf[starts[lines]]]  # 2: the line holds a byte that is not whitespace
+    if (kind < 2).any():
+        kind = np.maximum.reduceat(_BYTE_CLASS[buf[a:b]], starts[lines] - a)
+        unsure = np.flatnonzero(kind == 1)  # only whitespace and non-ASCII bytes: str.strip decides
+        kind[unsure] = [2 * bool(data[s:e].decode("utf-8").strip())
+                        for s, e in zip(starts[lines[unsure]].tolist(), ends[lines[unsure]].tolist())]
+    rows = lines[(kind == 2) & (buf[starts[lines]] != ord("#"))]
     errors: list[tuple[int, str]] = []  # (row, message), in check order within a row
-    whole = next((k for k, tabs in enumerate(map(str.count, rows, repeat("\t"))) if tabs != 4), len(rows))
-    if whole < len(rows):  # only the rows before the first one without 5 fields are split
-        errors.append((whole, f"expected 5 tab-separated fields, got {rows[whole].count(chr(9)) + 1}"))
-    fields = "\t".join(rows[:whole]).split("\t") if whole else []
-    s_label, s_type, relation, o_label, o_type = (fields[i::5] for i in range(5))
-    errors += [(col.index(""), "empty entity label") for col in (s_label, o_label) if "" in col]
-    codes = []  # relation, subject-type and object-type indices; -1 for an unknown name
-    for names, known, kind in ((relation, _RELATION_CODES, RelationType),
-                               (s_type, _ENTITY_CODES, EntityType), (o_type, _ENTITY_CODES, EntityType)):
-        codes.append(np.fromiter(map(known.get, names, repeat(-1)), dtype=np.int64, count=len(names)))
-        for k in np.flatnonzero(codes[-1] < 0)[:1].tolist():
+    bad = np.flatnonzero(n_tabs[rows] != 4)
+    whole = int(bad[0]) if bad.size else len(rows)
+    if bad.size:  # only the rows before the first one without 5 fields are split
+        errors.append((whole, f"expected 5 tab-separated fields, got {n_tabs[rows[whole]] + 1}"))
+    rows_whole = rows[:whole]
+    begin = np.empty((5, whole), dtype=np.int64)  # the start and end of each field of each row
+    end = np.empty((5, whole), dtype=np.int64)
+    begin[0], end[4] = starts[rows_whole], ends[rows_whole]
+    end[:4] = tabs[after[rows_whole] - np.arange(4, 0, -1)[:, None]]
+    begin[1:] = end[:4] + 1
+    length = end - begin
+
+    def field(k: int, col: int) -> str:
+        return data[begin[col, k] : end[col, k]].decode("utf-8")
+
+    empty = np.flatnonzero((length[0] == 0) | (length[3] == 0))
+    errors += [(int(empty[0]), "empty entity label")] if empty.size else []
+    relations = _name_codes(buf, begin[2], length[2], _RELATION_TABLE)
+    types = _name_codes(buf, begin[[1, 4]].T.ravel(), length[[1, 4]].T.ravel(), _ENTITY_TABLE)
+    for codes, col, kind_of in ((relations, 2, RelationType), (types[0::2], 1, EntityType),
+                                (types[1::2], 4, EntityType)):
+        for k in np.flatnonzero(codes < 0)[:1].tolist():
             try:
-                kind.from_name(names[k])
+                kind_of.from_name(field(k, col))
             except ValueError as exc:
                 errors.append((k, str(exc)))
-    n = min([k for k, _ in errors], default=len(s_label))
-    rels, s_codes, o_codes = (c[:n] for c in codes)
-    illegal = np.flatnonzero(~schema.legal(rels, s_codes, o_codes))
+    n = min([k for k, _ in errors], default=whole)
+    illegal = np.flatnonzero(~schema.legal(relations[:n], types[0 : 2 * n : 2], types[1 : 2 * n : 2]))
     if illegal.size:
         k = int(illegal[0])
-        message = schema.violation(EntityType(s_type[k]), RelationType(relation[k]), EntityType(o_type[k]),
-                                   s_label[k], o_label[k])
-        raise SchemaViolation(f"{path}:{linenos[k]}: {message}")
+        message = schema.violation(EntityType(field(k, 1)), RelationType(field(k, 2)), EntityType(field(k, 4)),
+                                   field(k, 0), field(k, 3))
+        raise SchemaViolation(f"{path}:{rows[k] + first_lineno}: {message}")
     if errors:
         k, message = min(errors, key=lambda e: e[0])
-        raise ParseError(f"{path}:{linenos[k]}: {message}")
-    keys = [""] * (2 * n)  # "label TAB type" of each line's subject and object in turn
-    keys[0::2] = map("\t".join, zip(s_label, s_type))
-    keys[1::2] = map("\t".join, zip(o_label, o_type))
-    for key in dict.fromkeys(keys):
-        vocab.setdefault(key, len(vocab))
-    ends = np.fromiter(map(vocab.__getitem__, keys), dtype=np.int64, count=2 * n)
-    return np.stack([ends[0::2], rels, ends[1::2]], axis=1)
+        raise ParseError(f"{path}:{rows[k] + first_lineno}: {message}")
+    ends_ids = _entity_ids(buf, begin[[0, 3]].T.ravel(), length[[0, 3]].T.ravel(), types, vocab)
+    return np.stack([ends_ids[0::2], relations, ends_ids[1::2]], axis=1)
+
+
+def _vocabulary(vocab: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
+    """Labels and type codes of the ``_entity_ids`` keys of ``vocab``, in id order."""
+    heads = np.frombuffer(b"".join(key[:8] for key in vocab), dtype=np.uint64)
+    labels = [key[8 : 8 + n].decode("utf-8") for key, n in zip(vocab, (heads >> 8).tolist())]
+    return labels, (heads & 0xFF).astype(np.uint8)
+
+
+def _read_file(path: Path, schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
+    """(k, 3) id triples of every triple line of one file, with new entities numbered in ``vocab``."""
+    data = _read_text(Path(path))
+    buf = np.frombuffer(data + bytes(_PAD), dtype=np.uint8)
+    breaks = np.flatnonzero(buf[: len(data)] == ord("\n"))
+    starts = np.concatenate([[0], breaks + 1])[: len(breaks) + (not data.endswith(b"\n"))]
+    ends = np.append(breaks, len(data))[: len(starts)]
+    return np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
+        _parse_batch(path, data, buf, starts[i : i + READ_BATCH_LINES], ends[i : i + READ_BATCH_LINES], i + 1,
+                     schema, vocab)
+        for i in range(0, len(starts), READ_BATCH_LINES)
+    ])
 
 
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
@@ -124,19 +293,13 @@ def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.nda
     files; the graph keeps each distinct triple once, in first-appearance
     order, while the per-file arrays keep every line.
     """
-    vocab: dict[str, int] = {}
-    arrays = []
-    for path in paths:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        arrays.append(np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
-            _parse_lines(path, lines[i : i + READ_BATCH_LINES], i + 1, schema, vocab)
-            for i in range(0, len(lines), READ_BATCH_LINES)
-        ]))
-    entities = [key.split("\t") for key in vocab]
+    vocab: dict[bytes, int] = {}
+    arrays = [_read_file(path, schema, vocab) for path in paths]
+    labels, codes = _vocabulary(vocab)
     spo = np.concatenate(arrays)
     _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(vocab), 1) + spo[:, 2],
                          return_index=True)
-    graph = Graph([label for label, _ in entities], [_ENTITY_CODES[t] for _, t in entities], spo[np.sort(first)])
+    graph = Graph(labels, codes, spo[np.sort(first)])
     return graph, arrays
 
 

@@ -130,6 +130,11 @@ class Schema:
             src, tgt = self.rules[rel]
             if not src or not tgt:
                 raise SchemaError(f"relation {rel.value!r} has empty source or target types")
+        tables = tuple(np.array([[t in self.rules[rel][side] for t in ENTITY_TYPE_BY_INDEX]
+                                 for rel in RELATION_BY_INDEX]) for side in (0, 1))
+        for table in tables:
+            table.flags.writeable = False
+        object.__setattr__(self, "_tables", tables)  # built once: every triple-file batch checks against them
 
     def source_types(self, relation: RelationType) -> frozenset:
         return self.rules[relation][0]
@@ -138,9 +143,8 @@ class Schema:
         return self.rules[relation][1]
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bool (relation index, entity-type index) tables of the allowed sources and targets."""
-        return tuple(np.array([[t in self.rules[rel][side] for t in ENTITY_TYPE_BY_INDEX]
-                               for rel in RELATION_BY_INDEX]) for side in (0, 1))
+        """Read-only bool (relation index, entity-type index) tables of the allowed sources and targets."""
+        return self._tables
 
     def legal(self, relations, source_types, target_types) -> np.ndarray:
         """Elementwise check of relation, source-type and target-type index arrays."""

@@ -204,7 +204,7 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     if kind is ModelKind.COMPLEX:
         return np.real(np.sum(E[s] * R[r] * np.conj(E[o]), axis=1))
     if kind is ModelKind.ROTATE:
-        rot = np.exp(1j * R[r])
+        rot = np.exp(1j * R)[r]
         return -np.abs(E[s] * rot - E[o]).sum(axis=1)
     raise ValueError(f"unhandled model kind {kind}")  # pragma: no cover
 
@@ -239,7 +239,7 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     elif kind is ModelKind.TRANSE:
         out = _negated_distance_sums(E[s] + R[r], E)
     elif kind is ModelKind.ROTATE:
-        out = _negated_distance_sums(E[s] * np.exp(1j * R[r]), E)
+        out = _negated_distance_sums(E[s] * np.exp(1j * R)[r], E)
     else:  # pragma: no cover
         raise ValueError(f"unhandled model kind {kind}")
     return out[0] if scalar else out
@@ -412,8 +412,7 @@ def _accumulate_score_grads(
         np.add.at(gR, r, coeff * (np.conj(es) * eo))
         np.add.at(gE, o, coeff * (es * w))
     elif kind is ModelKind.ROTATE:
-        theta = R[r]
-        rot = np.exp(1j * theta)
+        rot = np.exp(1j * R)[r]
         es = E[s]
         u = es * rot - E[o]
         m = np.abs(u)

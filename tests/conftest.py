@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chainlens.dataset import GeneratorConfig, SplitConfig, generate_synthetic, transductive_split
 from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
+
+# A larger fuzz budget for the property tests that leave max_examples at its
+# default (the reader against its reference): pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=2_000)
 
 
 def write_schema(schema, path) -> None:

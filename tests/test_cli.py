@@ -420,6 +420,16 @@ def test_missing_input_file_exits_2(workspace, capsys):
     assert code == 2
 
 
+def test_triple_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    data = b"a\tSupplier\tsupplies_to\tb\tSupplier\nc\tSupplier\tsupplies_to\t\xff\tSupplier\n"
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(data)
+    assert main(["analyze", "--in", str(bad), "--out", str(tmp_path / "analysis")]) == 2
+    offset = data.index(b"\xff")
+    message = f"{bad}:2: not valid UTF-8 (byte 0xff at offset {offset})"
+    assert message in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

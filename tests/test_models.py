@@ -330,6 +330,30 @@ def test_gradients_match_finite_differences(kind):
             assert rel[mask].max(initial=0.0) < 1e-4, f"{kind} block {name}"
 
 
+def test_rotate_rotations_per_relation_equal_rotations_per_row():
+    # the models rotate by np.exp(1j * R)[r], once per relation; per row it is np.exp(1j * R[r])
+    p = make_params(ModelKind.ROTATE, n_ent=30, n_rel=5, dim=8, seed=3)
+    E, R = p.blocks["entity"], p.blocks["relation"]
+    rng = np.random.default_rng(3)
+    triples = np.column_stack([rng.integers(30, size=64), rng.integers(5, size=64), rng.integers(30, size=64)])
+    s, r, o = triples.T
+    rot = np.exp(1j * R[r])
+    np.testing.assert_array_equal(score_batch(p, triples), -np.abs(E[s] * rot - E[o]).sum(axis=1))
+    np.testing.assert_array_equal(score_objects(p, s, r), models._negated_distance_sums(E[s] * rot, E))
+    got = models.zero_grads(p)
+    models._accumulate_score_grads(p, got, triples, 0.25)
+    gE, gR = np.zeros_like(E), np.zeros_like(R)
+    u = E[s] * rot - E[o]
+    m = np.abs(u)
+    gu = np.zeros_like(u)
+    gu[m > 0] = -u[m > 0] / m[m > 0]
+    np.add.at(gE, s, 0.25 * (np.conj(rot) * gu))
+    np.add.at(gE, o, -0.25 * gu)
+    np.add.at(gR, r, 0.25 * np.imag(np.conj(E[s]) * gu * np.conj(rot)))
+    np.testing.assert_array_equal(got["entity"], gE)
+    np.testing.assert_array_equal(got["relation"], gR)
+
+
 def test_tucker_core_gradient_is_rank_one_product():
     p = make_params(ModelKind.TUCKER, n_ent=6, n_rel=2, dim=4, seed=8)
     rng = np.random.default_rng(8)
