@@ -31,6 +31,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from itertools import count, repeat
 from pathlib import Path
@@ -92,76 +93,84 @@ _WIDE_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 #: 0 for an ASCII whitespace byte, 1 for a byte of a non-ASCII character (which
 #: may be whitespace), 2 for any other byte.
 _BYTE_CLASS = np.array([1 if b >= 0x80 else 2 * (not chr(b).isspace()) for b in range(256)], dtype=np.uint8)
-#: ``_WORD_MASKS[k]`` keeps the first k bytes of a uint64 word.
-_WORD_MASKS = np.frombuffer(b"".join(bytes(8 - k).rjust(8, b"\xff") for k in range(9)), dtype=np.uint64)
+#: ``_WORD_MASKS[k]`` keeps the first k bytes of an int64 word.
+_WORD_MASKS = np.frombuffer(b"".join(bytes(8 - k).rjust(8, b"\xff") for k in range(9)), dtype=np.int64)
 #: Zero bytes after a file's text, so that every field start has the words of the longest known name to read.
 _PAD = 8 * -(-max(len(name.encode("utf-8")) for name in (*_RELATION_CODES, *_ENTITY_CODES)) // 8)
 
 
-def _read_text(path: Path) -> bytes:
-    """The UTF-8 bytes of a text file, with every line boundary written as ``\\n``.
+def _read_text(path: Path) -> tuple[bytearray, int]:
+    """The UTF-8 bytes of a text file, then ``_PAD`` zero bytes, and the number of text bytes.
 
-    A file with any boundary besides ``\\n`` is rewritten once as
-    ``"\\n".join(text.splitlines())``.  Raises :class:`ParseError` for bytes
-    that are not UTF-8.
+    Every line boundary is a ``\\n``: a file with any other boundary is
+    rewritten once as ``"\\n".join(text.splitlines())``.  Raises
+    :class:`ParseError` for bytes that are not UTF-8.
     """
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
+        size = fh.readinto(memoryview(data)[: len(data) - _PAD])
     breaks = _ASCII_BREAKS
     if not data.isascii():
         try:
-            data.decode("utf-8")
+            str(memoryview(data)[:size], "utf-8")
         except UnicodeDecodeError as exc:
             lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
             raise ParseError(f"{path}:{lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
                              ) from None
         breaks += _WIDE_BREAKS
     if any(b in data for b in breaks):
-        data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
-    return data
+        text = "\n".join(str(memoryview(data)[:size], "utf-8").splitlines()).encode("utf-8")
+        data, size = bytearray(text) + bytes(_PAD), len(text)
+    return data, size
 
 
 def _field_words(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int, head) -> np.ndarray:
-    """(width + 1, k) uint64 words of k fields: ``head``, then each field's bytes 8 at a time, zero past its end.
+    """(width + 1, k) int64 words of k fields: ``head``, then each field's bytes 8 at a time, zero past its end.
 
     ``buf`` ends in ``_PAD`` zero bytes.  Equal rows mean equal heads and equal
     first ``8 * width`` bytes.
     """
-    unaligned = np.ndarray((len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,))  # the word at each byte
+    unaligned = np.ndarray((len(buf) - 7,), dtype=np.int64, buffer=buf, strides=(1,))  # the word at each byte
     at = np.arange(0, 8 * width, 8)[:, None] + starts
-    words = np.empty((width + 1, len(starts)), dtype=np.uint64)
+    words = np.empty((width + 1, len(starts)), dtype=np.int64)
     words[0] = head
     words[1:] = unaligned[at]
     at -= starts  # each word's offset in its field; then the bytes of the field it holds
-    np.clip(np.subtract(lengths, at, out=at), 0, 8, out=at)
-    words[1:] &= _WORD_MASKS[at]
+    np.subtract(lengths, at, out=at)
+    words[1:] &= _WORD_MASKS[np.maximum(np.minimum(at, 8, out=at), 0, out=at)]
     return words
 
 
 def _fingerprint(words: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each column of ``words``: equal columns hash equal."""
-    odd = np.arange(1, 2 * len(words), 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return (words * odd[:, None]).sum(axis=0, dtype=np.uint64)
+    """An int64 hash of each column of ``words``: equal columns hash equal."""
+    odd = np.arange(1, 2 * len(words), 2, dtype=np.int64) * np.int64(0x5851F42D4C957F2D)
+    return (words * odd[:, None]).sum(axis=0, dtype=np.int64)
 
 
-def _name_table(codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fingerprints, words (byte length, then the name's bytes) and codes of the known names, by fingerprint."""
-    raw = [name.encode("utf-8") for name in codes]
+def _name_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fingerprints, words and codes of the relation names (kind 0) and entity-type names (kind 1), by fingerprint.
+
+    A name's words are ``2 * byte length + kind``, then its bytes.
+    """
+    names = [(0, name, code) for name, code in _RELATION_CODES.items()]
+    names += [(1, name, code) for name, code in _ENTITY_CODES.items()]
+    raw = [name.encode("utf-8") for _, name, _ in names]
     lengths = np.array([len(name) for name in raw])
+    kinds, codes = np.array([[kind, code] for kind, _, code in names]).T
     buf = np.frombuffer(b"".join(raw) + bytes(_PAD), dtype=np.uint8)
-    words = _field_words(buf, np.cumsum(lengths) - lengths, lengths, _PAD // 8, lengths)
+    words = _field_words(buf, np.cumsum(lengths) - lengths, lengths, _PAD // 8, 2 * lengths + kinds)
     prints = _fingerprint(words)
     order = np.argsort(prints)
-    return prints[order], words[:, order], np.array(list(codes.values()))[order]
+    return prints[order], words[:, order], codes[order]
 
 
-_RELATION_TABLE = _name_table(_RELATION_CODES)
-_ENTITY_TABLE = _name_table(_ENTITY_CODES)
+_NAME_TABLE = _name_table()
 
 
-def _name_codes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, table) -> np.ndarray:
-    """The code in ``table`` of each field, or -1 for a name it does not hold."""
-    prints, words, codes = table
-    got = _field_words(buf, starts, lengths, _PAD // 8, lengths)
+def _name_codes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """The code of each field as a name of its kind (0 relation, 1 entity type), or -1 for an unknown name."""
+    prints, words, codes = _NAME_TABLE
+    got = _field_words(buf, starts, lengths, _PAD // 8, 2 * lengths + kinds)
     at = np.searchsorted(prints, _fingerprint(got)).clip(max=len(prints) - 1)
     return np.where((words[:, at] == got).all(axis=0), codes[at], -1)
 
@@ -201,21 +210,20 @@ def _entity_ids(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, type_c
     return ids[slot]
 
 
-def _parse_batch(path: Path, data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_lineno: int,
-                 schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
-    """(k, 3) id triples of the lines ``data[starts[i]:ends[i]]``, numbered from ``first_lineno``.
+def _split_lines(data: bytearray, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The triple lines among ``data[starts[i]:ends[i]]`` and their fields.
 
-    ``buf`` views ``data`` and ``_PAD`` zero bytes after it.  Lines for which
-    ``not line.strip()`` holds and lines starting with ``#`` are skipped.
-    Each new (label, type) gets the next id in ``vocab``, subject before
-    object.  The first bad line raises :class:`ParseError` (field count,
-    empty label, unknown relation or type, checked in that order) or
-    :class:`SchemaViolation`, named as ``path:line``.
+    Returns the index of each line that is not skipped (``not line.strip()``
+    or starting with ``#``), its tab count, and the (5, k) start and length
+    of each field of those lines up to the first one without 4 tabs.
+    ``buf`` views ``data`` and ``_PAD`` zero bytes after it.
     """
     a, b = int(starts[0]), int(ends[-1])
     tabs = np.flatnonzero(buf[a:b] == ord("\t")) + a
     after = np.searchsorted(tabs, ends)  # the tabs up to each line's end; no tab lies between lines
-    n_tabs = np.diff(after, prepend=0)
+    n_tabs = after.copy()
+    n_tabs[1:] -= after[:-1]
     lines = np.flatnonzero(ends > starts)
     kind = _BYTE_CLASS[buf[starts[lines]]]  # 2: the line holds a byte that is not whitespace
     if (kind < 2).any():
@@ -224,35 +232,47 @@ def _parse_batch(path: Path, data: bytes, buf: np.ndarray, starts: np.ndarray, e
         kind[unsure] = [2 * bool(data[s:e].decode("utf-8").strip())
                         for s, e in zip(starts[lines[unsure]].tolist(), ends[lines[unsure]].tolist())]
     rows = lines[(kind == 2) & (buf[starts[lines]] != ord("#"))]
-    errors: list[tuple[int, str]] = []  # (row, message), in check order within a row
     bad = np.flatnonzero(n_tabs[rows] != 4)
-    whole = int(bad[0]) if bad.size else len(rows)
-    if bad.size:  # only the rows before the first one without 5 fields are split
-        errors.append((whole, f"expected 5 tab-separated fields, got {n_tabs[rows[whole]] + 1}"))
-    rows_whole = rows[:whole]
-    begin = np.empty((5, whole), dtype=np.int64)  # the start and end of each field of each row
-    end = np.empty((5, whole), dtype=np.int64)
-    begin[0], end[4] = starts[rows_whole], ends[rows_whole]
-    end[:4] = tabs[after[rows_whole] - np.arange(4, 0, -1)[:, None]]
-    begin[1:] = end[:4] + 1
-    length = end - begin
+    whole = rows[: bad[0] if bad.size else len(rows)]
+    begin = np.empty((5, len(whole)), dtype=np.int64)
+    length = np.empty((5, len(whole)), dtype=np.int64)  # the field ends, until the last line
+    begin[0], length[4] = starts[whole], ends[whole]
+    length[:4] = tabs[after[whole] - np.arange(4, 0, -1)[:, None]]
+    begin[1:] = length[:4] + 1
+    length -= begin
+    return rows, n_tabs[rows], begin, length
+
+
+def _parse_batch(path: Path, data: bytearray, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 first_lineno: int, schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
+    """(k, 3) id triples of the lines ``data[starts[i]:ends[i]]``, numbered from ``first_lineno``.
+
+    Each new (label, type) gets the next id in ``vocab``, subject before
+    object.  The first bad line raises :class:`ParseError` (field count,
+    empty label, unknown relation or type, checked in that order) or
+    :class:`SchemaViolation`, named as ``path:line``.
+    """
+    rows, n_tabs, begin, length = _split_lines(data, buf, starts, ends)
+    whole = begin.shape[1]  # only the rows before the first one without 5 fields are split
+    errors: list[tuple[int, str]] = []  # (row, message), in check order within a row
+    if whole < len(rows):
+        errors.append((whole, f"expected 5 tab-separated fields, got {n_tabs[whole] + 1}"))
 
     def field(k: int, col: int) -> str:
-        return data[begin[col, k] : end[col, k]].decode("utf-8")
+        return data[begin[col, k] : begin[col, k] + length[col, k]].decode("utf-8")
 
     empty = np.flatnonzero((length[0] == 0) | (length[3] == 0))
     errors += [(int(empty[0]), "empty entity label")] if empty.size else []
-    relations = _name_codes(buf, begin[2], length[2], _RELATION_TABLE)
-    types = _name_codes(buf, begin[[1, 4]].T.ravel(), length[[1, 4]].T.ravel(), _ENTITY_TABLE)
-    for codes, col, kind_of in ((relations, 2, RelationType), (types[0::2], 1, EntityType),
-                                (types[1::2], 4, EntityType)):
+    relations, s_types, o_types = _name_codes(buf, begin[[2, 1, 4]].ravel(), length[[2, 1, 4]].ravel(),
+                                              np.repeat([0, 1, 1], whole)).reshape(3, whole)
+    for codes, col, kind_of in ((relations, 2, RelationType), (s_types, 1, EntityType), (o_types, 4, EntityType)):
         for k in np.flatnonzero(codes < 0)[:1].tolist():
             try:
                 kind_of.from_name(field(k, col))
             except ValueError as exc:
                 errors.append((k, str(exc)))
     n = min([k for k, _ in errors], default=whole)
-    illegal = np.flatnonzero(~schema.legal(relations[:n], types[0 : 2 * n : 2], types[1 : 2 * n : 2]))
+    illegal = np.flatnonzero(~schema.legal(relations[:n], s_types[:n], o_types[:n]))
     if illegal.size:
         k = int(illegal[0])
         message = schema.violation(EntityType(field(k, 1)), RelationType(field(k, 2)), EntityType(field(k, 4)),
@@ -261,29 +281,34 @@ def _parse_batch(path: Path, data: bytes, buf: np.ndarray, starts: np.ndarray, e
     if errors:
         k, message = min(errors, key=lambda e: e[0])
         raise ParseError(f"{path}:{rows[k] + first_lineno}: {message}")
-    ends_ids = _entity_ids(buf, begin[[0, 3]].T.ravel(), length[[0, 3]].T.ravel(), types, vocab)
+    ends_ids = _entity_ids(buf, begin[[0, 3]].T.ravel(), length[[0, 3]].T.ravel(),
+                           np.stack([s_types, o_types], axis=1).ravel(), vocab)
     return np.stack([ends_ids[0::2], relations, ends_ids[1::2]], axis=1)
 
 
 def _vocabulary(vocab: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
     """Labels and type codes of the ``_entity_ids`` keys of ``vocab``, in id order."""
-    heads = np.frombuffer(b"".join(key[:8] for key in vocab), dtype=np.uint64)
+    heads = np.frombuffer(b"".join(key[:8] for key in vocab), dtype=np.int64)
     labels = [key[8 : 8 + n].decode("utf-8") for key, n in zip(vocab, (heads >> 8).tolist())]
     return labels, (heads & 0xFF).astype(np.uint8)
 
 
 def _read_file(path: Path, schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
     """(k, 3) id triples of every triple line of one file, with new entities numbered in ``vocab``."""
-    data = _read_text(Path(path))
-    buf = np.frombuffer(data + bytes(_PAD), dtype=np.uint8)
-    breaks = np.flatnonzero(buf[: len(data)] == ord("\n"))
-    starts = np.concatenate([[0], breaks + 1])[: len(breaks) + (not data.endswith(b"\n"))]
-    ends = np.append(breaks, len(data))[: len(starts)]
-    return np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
-        _parse_batch(path, data, buf, starts[i : i + READ_BATCH_LINES], ends[i : i + READ_BATCH_LINES], i + 1,
-                     schema, vocab)
-        for i in range(0, len(starts), READ_BATCH_LINES)
-    ])
+    data, size = _read_text(Path(path))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf[:size] == ord("\n"))  # where each line ends
+    if size and data[size - 1] != ord("\n"):
+        ends = np.append(ends, size)
+    spo = np.empty((len(ends), 3), dtype=np.int64)  # one row per line at most
+    k = 0
+    for i in range(0, len(ends), READ_BATCH_LINES):
+        batch = ends[i : i + READ_BATCH_LINES]
+        starts = np.concatenate([[ends[i - 1] + 1 if i else 0], batch[:-1] + 1])
+        rows = _parse_batch(path, data, buf, starts, batch, i + 1, schema, vocab)
+        spo[k : k + len(rows)] = rows
+        k += len(rows)
+    return spo[:k]
 
 
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
