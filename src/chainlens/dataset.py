@@ -110,6 +110,9 @@ def _read_text(path: Path) -> tuple[bytearray, int]:
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
         size = fh.readinto(memoryview(data)[: len(data) - _PAD])
+        rest = fh.read()  # all of a pipe, whose size fstat gives as 0
+    if rest:
+        data, size = data[:size] + rest + bytes(_PAD), size + len(rest)
     breaks = _ASCII_BREAKS
     if not data.isascii():
         try:

@@ -1,5 +1,7 @@
 """The byte-level triple reader against the str-level reference in ``reference_reader.py``."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -145,6 +147,20 @@ def test_reader_cuts_lines_at_every_boundary(tmp_path, boundary):
         load_triples(path)
     path.write_text(f"# header{boundary}{line}", encoding="utf-8", newline="")
     assert load_triples(path).labels == ["a", "b"]
+
+
+def test_reader_reads_a_pipe(tmp_path):
+    lines = "".join(f"s{i}\tSupplier\tsupplies_to\ts{i + 1}\tSupplier\n" for i in range(5_000)).encode()
+    fifo = tmp_path / "g.tsv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(lines,), daemon=True)
+    writer.start()
+    try:
+        graph = load_triples(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert graph.num_triples == 5_000
 
 
 def test_reader_refuses_bytes_that_are_not_utf8(tmp_path):
