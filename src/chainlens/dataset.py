@@ -50,6 +50,7 @@ from .graph import (
     RelationType,
     Schema,
     SchemaViolation,
+    utf8_text,
 )
 
 TRAIN_FILE = "train.tsv"
@@ -115,12 +116,7 @@ def _read_text(path: Path) -> tuple[bytearray, int]:
         data, size = data[:size] + rest + bytes(_PAD), size + len(rest)
     breaks = _ASCII_BREAKS
     if not data.isascii():
-        try:
-            str(memoryview(data)[:size], "utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(f"{path}:{lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
-                             ) from None
+        utf8_text(memoryview(data)[:size], path, ParseError)
         breaks += _WIDE_BREAKS
     if any(b in data for b in breaks):
         text = "\n".join(str(memoryview(data)[:size], "utf-8").splitlines()).encode("utf-8")
@@ -380,7 +376,7 @@ def export_triples(graph: Graph, path: str | Path) -> None:
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a plain ``key=value`` config file, ignoring blanks and # comments."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(utf8_text(Path(path).read_bytes(), path, ParseError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -45,6 +45,15 @@ class SchemaError(GraphError):
     """A malformed or incomplete schema definition."""
 
 
+def utf8_text(data, path, error: type[Exception]) -> str:
+    """``data`` (bytes-like) decoded as UTF-8, else ``error("path:line: not valid UTF-8 ...")``."""
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((bytes(data[: exc.start]).decode("utf-8") + "x").splitlines())
+        raise error(f"{path}:{lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+
+
 class EntityType(Enum):
     SUPPLIER = "Supplier"
     MANUFACTURER_PART = "ManufacturerPart"
@@ -172,7 +181,7 @@ class Schema:
         starting with ``#`` and blank lines are ignored.
         """
         rules: dict[RelationType, tuple[frozenset, frozenset]] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, raw in enumerate(utf8_text(Path(path).read_bytes(), path, SchemaError).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

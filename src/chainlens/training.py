@@ -113,22 +113,37 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, in place, plus constraint projection."""
+    """One bias-corrected Adam update, in place, plus constraint projection.
+
+    Per block: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, and
+    p -= (lr m_hat) / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t) and
+    v_hat = v / (1 - b2^t).  The operations run in place on ``out=``
+    buffers, in the order written, so the update is bit-identical to the
+    plain expressions while a block needs only two temporaries: a scratch
+    buffer that ends as the denominator, and the step.
+    """
     state.step += 1
     t = state.step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     lr = config.learning_rate
     for name, p in params.blocks.items():
         g = _float_view(grads[name])
-        pv = _float_view(p)
         m, v = state.m[name], state.v[name]
+        buf = np.multiply(1.0 - b1, g)
         m *= b1
-        m += (1.0 - b1) * g
+        m += buf
+        np.multiply(1.0 - b2, g, out=buf)
+        buf *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        pv -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += buf
+        np.divide(v, 1.0 - b2**t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        step = np.divide(m, 1.0 - b1**t)
+        step *= lr
+        step /= buf
+        pv = _float_view(p)
+        pv -= step
     apply_constraints(params)
     return params, state
 

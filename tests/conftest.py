@@ -6,7 +6,8 @@ from chainlens.dataset import GeneratorConfig, SplitConfig, generate_synthetic, 
 from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
 
 # A larger fuzz budget for the property tests that leave max_examples at its
-# default (the reader against its reference): pytest --hypothesis-profile=ci
+# default (the reader against its reference, the gradient scatter against
+# np.add.at): pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=2_000)
 
 

@@ -8,11 +8,25 @@ and TuckER scores and hinge gradients directly, as einsums in which every
 operand carries the batch index, with no grouping by relation.  TuckER's
 cost grows as B * d^3 with no matrix products to run it, so tests call them
 at small dims.
+
+``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
+training step as it was before the flat scatters and the in-place Adam
+update: row-wise ``np.add.at`` into the 2-D gradient blocks, TuckER's M_r by
+``tensordot`` and its relation gradient by ``einsum``, and Adam written as
+plain array expressions.  The current code must match them bit for bit.
 """
 
 import numpy as np
 
-from chainlens.models import ModelKind, batch_loss_and_gradients
+from chainlens.models import (
+    ModelKind,
+    _relation_groups,
+    apply_constraints,
+    batch_loss_and_gradients,
+    score_batch,
+    zero_grads,
+)
+from chainlens.training import _float_view
 
 
 def negative_sample(triple, num_entities, rng):
@@ -87,3 +101,92 @@ def einsum_batch_loss_and_gradients(params, pos, neg, margin):
     _einsum_score_grads(params, grads, pos[active], -scale)
     _einsum_score_grads(params, grads, neg[active], scale)
     return losses, grads
+
+
+def tensordot_relation_matrices(params, rels):
+    """M_r of relations ``rels``: RESCAL's stored R[r], TuckER's W x_2 w_r by one tensordot."""
+    R = params.blocks["relation"]
+    if params.kind is ModelKind.RESCAL:
+        return R[rels]
+    return np.tensordot(R[rels], params.blocks["core"], axes=(1, 1))
+
+
+def add_at_accumulate_score_grads(params, grads, triples, coeff):
+    """Add coeff * (d score / d params) of each triple into ``grads``, row by row with ``np.add.at``."""
+    if len(triples) == 0:
+        return
+    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    gE, gR = grads["entity"], grads["relation"]
+    kind = params.kind
+    if kind is ModelKind.TRANSE:
+        sgn = np.sign(E[s] + R[r] - E[o])
+        np.add.at(gE, s, -coeff * sgn)
+        np.add.at(gR, r, -coeff * sgn)
+        np.add.at(gE, o, coeff * sgn)
+    elif kind in (ModelKind.RESCAL, ModelKind.TUCKER):
+        rels, groups = _relation_groups(r)
+        M = tensordot_relation_matrices(params, rels)
+        es, eo = E[s], E[o]
+        g_s, g_o, G = np.empty_like(es), np.empty_like(eo), np.empty_like(M)
+        for k, rows in enumerate(groups):
+            g_s[rows] = eo[rows] @ M[k].T
+            g_o[rows] = es[rows] @ M[k]
+            G[k] = es[rows].T @ eo[rows]
+        np.add.at(gE, s, coeff * g_s)
+        np.add.at(gE, o, coeff * g_o)
+        if kind is ModelKind.RESCAL:
+            gR[rels] += coeff * G
+        else:
+            W = params.blocks["core"]
+            gR[rels] += coeff * np.einsum("abc,rac->rb", W, G, optimize=True)
+            grads["core"] += coeff * np.einsum("rac,rb->abc", G, R[rels], optimize=True)
+    elif kind is ModelKind.COMPLEX:
+        es, eo, w = E[s], E[o], R[r]
+        np.add.at(gE, s, coeff * (np.conj(w) * eo))
+        np.add.at(gR, r, coeff * (np.conj(es) * eo))
+        np.add.at(gE, o, coeff * (es * w))
+    else:
+        rot = np.exp(1j * R)[r]
+        es = E[s]
+        u = es * rot - E[o]
+        m = np.abs(u)
+        gu = np.zeros_like(u)
+        nz = m > 0
+        gu[nz] = -u[nz] / m[nz]
+        np.add.at(gE, s, coeff * (np.conj(rot) * gu))
+        np.add.at(gE, o, -coeff * gu)
+        np.add.at(gR, r, coeff * np.imag(np.conj(es) * gu * np.conj(rot)))
+
+
+def add_at_batch_loss_and_gradients(params, pos, neg, margin):
+    """Per-pair hinge losses and the gradient of their batch mean, by ``add_at_accumulate_score_grads``."""
+    losses = np.maximum(0.0, margin + score_batch(params, neg) - score_batch(params, pos))
+    grads = zero_grads(params)
+    active = losses > 0.0
+    if active.any():
+        scale = 1.0 / len(pos)
+        add_at_accumulate_score_grads(params, grads, pos[active], -scale)
+        add_at_accumulate_score_grads(params, grads, neg[active], scale)
+    return losses, grads
+
+
+def reference_adam_step(params, grads, state, config):
+    """One bias-corrected Adam update of ``params`` and ``state`` in place, as plain array expressions."""
+    state.step += 1
+    t = state.step
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    lr = config.learning_rate
+    for name, p in params.blocks.items():
+        g = _float_view(grads[name])
+        pv = _float_view(p)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        pv -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    apply_constraints(params)
+    return params, state

@@ -430,6 +430,35 @@ def test_triple_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_2(workspace, capsys):
+    data = SMALL_GEN_CFG.encode("utf-8").replace(b"hub_label=TinyHub", b"hub_label=Tiny\xffHub")
+    bad = workspace / "bad.cfg"
+    bad.write_bytes(data)
+    out = workspace / "x.tsv"
+    assert main(["generate", "--config", str(bad), "--out", str(out)]) == 2
+    offset = data.index(b"\xff")
+    lineno = data[:offset].count(b"\n") + 1
+    message = f"{bad}:{lineno}: not valid UTF-8 (byte 0xff at offset {offset})"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schema_file_that_is_not_utf8_exits_2(workspace, capsys):
+    from chainlens.graph import DEFAULT_SCHEMA
+
+    graph = workspace / "g.tsv"
+    assert main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)]) == 0
+    schema = workspace / "schema.tsv"
+    write_schema(DEFAULT_SCHEMA, schema)
+    data = schema.read_bytes().replace(b"Supplier", b"Supp\xfflier", 1)
+    schema.write_bytes(data)
+    assert main(["analyze", "--in", str(graph), "--schema", str(schema), "--out", str(workspace / "a")]) == 2
+    offset = data.index(b"\xff")
+    lineno = data[:offset].count(b"\n") + 1
+    message = f"{schema}:{lineno}: not valid UTF-8 (byte 0xff at offset {offset})"
+    assert message in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

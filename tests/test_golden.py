@@ -8,6 +8,10 @@ manifests are left out because they record wall-clock durations.
 The eval digests rank the golden test split with untrained TransE and RotatE
 checkpoints.  Their scores use no BLAS call, so the bytes do not depend on
 the machine's linear-algebra library.
+
+The train digests pin the checkpoint and history of three epochs of TransE,
+RotatE and ComplEx on the golden split.  Their gradients and Adam steps use
+no BLAS call either; ComplEx ranks with a GEMM, so its run evaluates never.
 """
 
 import hashlib
@@ -56,6 +60,21 @@ EVAL_GOLDEN = {
     "RotatE/typed/eval_filtered.txt": "e967c6365241c9096f647098ce9d8e96d9226d89b8d8793f1e5cea2e035057e3",
     "RotatE/typed/eval_filtered.csv": "40f1cb25c1743378859ac53d504b6980fecd6f1e8cc6473c08b1c504f304e034",
     "RotatE/typed/per_relation.csv": "1e4552ad7d12edbfc993e1ebc3ca5037391f883579418edde71ffbaf087ce6bf",
+}
+
+TRAIN_CONFIGS = {
+    "TransE": "max_epochs=3\neval_every=3\n",
+    "RotatE": "max_epochs=3\neval_every=3\n",
+    "ComplEx": "max_epochs=3\neval_every=4\n",
+}
+
+TRAIN_GOLDEN = {
+    "TransE/model.npz": "bdcee4f206387000b8c821dec810f1d0b8f4302ec3d21115d20d642dfbbd0835",
+    "TransE/model.npz.history.csv": "f36c56716007b5c00a38e77143b9855e6250fbe49658702bc8f34f1f5f34fb2a",
+    "RotatE/model.npz": "2e03be1c374b6029e4ec0ee8bd19a5a2d3c590954ba1693f4c5e754966238191",
+    "RotatE/model.npz.history.csv": "ec68f149539dd571e488c11648c4329ee3c859cd48330b793c8754f04846ba73",
+    "ComplEx/model.npz": "4ba451f3be0e2a7235da28b7c99b6d14931f193f0da2a928fb6064e853ff4d67",
+    "ComplEx/model.npz.history.csv": "15ab1d68fac6b434d3315366a8278b4815eff2f94cc4657186b6cbc206a98d06",
 }
 
 # 64 business scopes at seed 0 leave one scope with a single related supplier
@@ -109,3 +128,15 @@ def test_sole_scope_rows_match_golden_digest(tmp_path):
     rows = (analysis / "sole_scopes.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "business_scope,supplier" and len(rows) >= 2
     assert digest(analysis / "sole_scopes.csv") == SOLE_SCOPE_GOLDEN
+
+
+@pytest.mark.parametrize("kind", list(TRAIN_CONFIGS))
+def test_train_outputs_match_golden_digests(tmp_path, kind):
+    graph, split, config = tmp_path / "graph.tsv", tmp_path / "split", tmp_path / "train.cfg"
+    assert main(["generate", "--out", str(graph)]) == 0
+    assert main(["split", "--in", str(graph), "--out", str(split)]) == 0
+    config.write_text(TRAIN_CONFIGS[kind], encoding="utf-8")
+    out = tmp_path / kind / "model.npz"
+    assert main(["train", "--model", kind, "--split-dir", str(split), "--config", str(config), "--out", str(out)]) == 0
+    digests = {f"{kind}/{name}": digest(tmp_path / kind / name) for name in ("model.npz", "model.npz.history.csv")}
+    assert digests == {key: TRAIN_GOLDEN[key] for key in digests}

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chainlens.models as models
 from chainlens.evaluation import block_rows
@@ -24,11 +26,13 @@ from chainlens.models import (
 from chainlens.training import TrainConfig
 
 from reference_models import (
+    add_at_batch_loss_and_gradients,
     einsum_batch_loss_and_gradients,
     einsum_score_batch,
     gradients,
     margin_ranking_loss,
     negative_sample,
+    tensordot_relation_matrices,
 )
 
 ALL_KINDS = list(ModelKind)
@@ -403,6 +407,91 @@ def test_bilinear_path_matches_einsum_reference(kind, batch):
     np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
     for name in p.blocks:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+# -- the training step against the add.at reference --------------------------
+
+def assert_same_bits(got, expected, what):
+    assert got.dtype == expected.dtype and got.shape == expected.shape, what
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes(), what
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_gradients_equal_the_add_at_reference_bit_for_bit(kind):
+    # 512 pairs over 30 entities and 5 relations repeat every id many times; the
+    # second model is trained a little so that some hinges are inactive
+    n_ent, n_rel = 30, 5
+    rng = np.random.default_rng(12)
+    for dim, margin in ((16, 1.0), (64, 0.5)):
+        p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=dim)
+        for size in (512, 40, 1):
+            pos = np.column_stack([rng.integers(n_ent, size=size), rng.integers(n_rel, size=size),
+                                   rng.integers(n_ent, size=size)])
+            neg = corrupt_batch(pos, n_ent, rng)
+            losses, grads = batch_loss_and_gradients(p, pos, neg, margin)
+            ref_losses, ref_grads = add_at_batch_loss_and_gradients(p, pos, neg, margin)
+            assert_same_bits(losses, ref_losses, "losses")
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                assert_same_bits(grads[name], ref_grads[name], f"{kind.value} dim {dim} batch {size}: {name}")
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_tucker_relation_matrices_and_scores_equal_the_tensordot_forms(dim):
+    n_ent, n_rel = 40, 11
+    p = make_params(ModelKind.TUCKER, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=5)
+    rng = np.random.default_rng(5)
+    for rels in ([3], [0, 7], [1, 2, 4, 9], list(range(n_rel))):
+        rels = np.array(rels)
+        assert_same_bits(models._relation_matrices(p, rels), tensordot_relation_matrices(p, rels), f"M_r {rels}")
+    triples = np.column_stack([rng.integers(n_ent, size=300), rng.integers(n_rel, size=300),
+                               rng.integers(n_ent, size=300)])
+    s, r, o = triples.T
+    E = p.blocks["entity"]
+    rels, groups = models._relation_groups(r)
+    M = tensordot_relation_matrices(p, rels)
+    scores, block = np.empty(len(triples)), np.empty((len(triples), n_ent))
+    for k, rows in enumerate(groups):
+        scores[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
+        block[rows] = (E[s[rows]] @ M[k]) @ E.T
+    assert_same_bits(score_batch(p, triples), scores, "score_batch")
+    assert_same_bits(score_objects(p, s, r), block, "score_objects")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 11])
+def test_tucker_relation_gradient_matmul_equals_the_einsum(k):
+    d = 64
+    rng = np.random.default_rng(k)
+    W, G = rng.normal(size=(d, d, d)), rng.normal(size=(k, d, d))
+    assert_same_bits(G.reshape(k, d * d) @ W.transpose(0, 2, 1).reshape(d * d, d),
+                     np.einsum("abc,rac->rb", W, G, optimize=True), f"{k} relations")
+
+
+@st.composite
+def scatter_case(draw):
+    """A gradient block, row ids with repeats (or none) and rows to add, holding +0.0 and -0.0."""
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    n, width = draw(st.integers(1, 12)), draw(st.integers(1, 130))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), max_size=40)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.floats(0.0, 1.0))
+
+    def block(rows):
+        floats = rng.normal(size=(rows, width * (2 if dtype is np.complex128 else 1)))
+        floats[rng.random(floats.shape) < zeros] = 0.0
+        floats[rng.random(floats.shape) < zeros / 2] = -0.0
+        return floats.view(dtype)
+
+    return block(n), idx, block(len(idx))
+
+
+@given(scatter_case())
+def test_scatter_rows_equals_row_wise_add_at(case):
+    g, idx, rows = case
+    expected = g.copy()
+    np.add.at(expected, idx, rows)
+    models._scatter_rows(g, idx, rows)
+    assert_same_bits(g, expected, "scatter")
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainlens.dataset import ConfigError
-from chainlens.models import ModelKind, ModelParams, init_params
+from chainlens.models import ModelKind, ModelParams, batch_loss_and_gradients, corrupt_batch, init_params
 from chainlens.training import (
     GRID_DIMS,
     GRID_LEARNING_RATES,
@@ -15,6 +15,8 @@ from chainlens.training import (
     grid_search,
     train,
 )
+
+from reference_models import reference_adam_step
 
 
 def tiny_triples(n_ent=15, n_rel=2, n=40, seed=0, acyclic=True):
@@ -80,6 +82,29 @@ def test_adam_zero_gradient_only_projects():
         np.testing.assert_allclose(params.blocks[name], before[name], atol=1e-12)
     norms = np.linalg.norm(params.blocks["entity"], axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_adam_steps_equal_the_reference_bit_for_bit(kind):
+    # unusual constants too, so that no operation of the update can be reordered unnoticed
+    n_ent, n_rel = 30, 5
+    for cfg in (TrainConfig(dim=16, learning_rate=0.01, seed=3),
+                TrainConfig(dim=16, learning_rate=0.37, adam_beta1=0.55, adam_beta2=0.7, adam_epsilon=0.3, seed=4)):
+        params, rng = init_params(kind, n_ent, n_rel, cfg), np.random.default_rng(cfg.seed)
+        ref_params, state, ref_state = params.copy(), AdamState.for_params(params), AdamState.for_params(params)
+        for _ in range(5):
+            pos = np.column_stack([rng.integers(n_ent, size=64), rng.integers(n_rel, size=64),
+                                   rng.integers(n_ent, size=64)])
+            grads = batch_loss_and_gradients(params, pos, corrupt_batch(pos, n_ent, rng), cfg.margin)[1]
+            kept = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, grads, state, cfg)
+            reference_adam_step(ref_params, grads, ref_state, cfg)
+            assert all(grads[name].tobytes() == kept[name].tobytes() for name in grads), "grads were changed"
+            for name in params.blocks:
+                assert params.blocks[name].tobytes() == ref_params.blocks[name].tobytes(), name
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), f"m {name}"
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), f"v {name}"
+        assert state.step == ref_state.step == 5
 
 
 def test_adam_preserves_constraints_for_complex_models():
