@@ -16,23 +16,28 @@ with everything and would otherwise rank first.
 :func:`rank_queries` ranks queries in blocks and returns both settings from
 one score pass.  Queries are grouped by relation and each group is cut into
 blocks of k rows, sized so that the (k, N) score block takes about
-``BLOCK_BYTES``; one :func:`~chainlens.models.score_objects` call scores a
-block, and each row's raw rank is read from counts of scores above and equal
-to its true-object score.  Subtracting the known-true objects, held by a
-:class:`FilterIndex` in CSR form (one flat sorted object array with per-(s, r)
-offsets), from those counts gives the filtered rank.  :func:`rank_object`
-ranks one query from its score vector and is the reference the blocks are
-tested against: their ranks are equal.
+``BLOCK_BYTES``.  A block is scored by the scorer that
+:func:`~chainlens.models.score_objects` is built on, and each row's raw rank
+is read from counts of scores above and equal to its true-object score.
+Subtracting the known-true objects, held by a :class:`FilterIndex` in CSR
+form (one flat sorted object array with per-(s, r) offsets), from those
+counts gives the filtered rank.  The blocks are ranked on ``RANK_WORKERS``
+threads, one per usable processor, with the same ranks as on one.
+:func:`rank_object` ranks one query from its score vector and is the
+reference the blocks are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .models import ModelParams, _relation_groups, score_objects
+from .models import ModelParams, _ObjectScorer, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
@@ -94,48 +99,24 @@ class EvalReport:
         rels, groups = _relation_groups(query_array[:, 1])
         per_relation = {rel: PerRelationMetrics(*metrics(idx), count=len(idx))
                         for rel, idx in zip(rels.tolist(), groups)}
-        return cls(
-            mrr=mrr,
-            hits=hits,
-            per_relation=per_relation,
-            setting=setting,
-            tie_policy=tie_policy,
-            num_queries=len(query_array),
-        )
+        return cls(mrr, hits, per_relation, setting, tie_policy, num_queries=len(query_array))
+
+    def _rows(self, relation_names: dict[int, str] | None) -> list[tuple]:
+        """(name, queries, mrr, hits@1, hits@3, hits@10) of each relation, in id order."""
+        names = relation_names or {}
+        return [(names.get(rel, str(rel)), m.count, m.mrr, *(m.hits[k] for k in HITS_KS))
+                for rel, m in sorted(self.per_relation.items())]
 
     def to_text(self, relation_names: dict[int, str] | None = None) -> str:
-        names = relation_names or {}
-        lines = [
-            f"setting: {self.setting}",
-            f"tie_policy: {self.tie_policy}",
-            f"queries: {self.num_queries}",
-            f"mrr: {self.mrr:.6f}",
-        ]
-        for k in HITS_KS:
-            lines.append(f"hits@{k}: {self.hits[k]:.6f}")
-        lines.append("")
-        lines.append("relation\tqueries\tmrr\thits@1\thits@3\thits@10")
-        for rel in sorted(self.per_relation):
-            m = self.per_relation[rel]
-            lines.append(
-                "%s\t%d\t%.6f\t%.6f\t%.6f\t%.6f"
-                % (names.get(rel, str(rel)), m.count, m.mrr, m.hits[1], m.hits[3], m.hits[10])
-            )
+        lines = [f"setting: {self.setting}", f"tie_policy: {self.tie_policy}", f"queries: {self.num_queries}",
+                 f"mrr: {self.mrr:.6f}", *(f"hits@{k}: {self.hits[k]:.6f}" for k in HITS_KS), "",
+                 "relation\tqueries\tmrr\thits@1\thits@3\thits@10"]
+        lines += ["%s\t%d\t%.6f\t%.6f\t%.6f\t%.6f" % row for row in self._rows(relation_names)]
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path: str | Path, relation_names: dict[int, str] | None = None) -> None:
-        names = relation_names or {}
-        lines = ["relation,queries,mrr,hits@1,hits@3,hits@10"]
-        lines.append(
-            "ALL,%d,%.6f,%.6f,%.6f,%.6f"
-            % (self.num_queries, self.mrr, self.hits[1], self.hits[3], self.hits[10])
-        )
-        for rel in sorted(self.per_relation):
-            m = self.per_relation[rel]
-            lines.append(
-                "%s,%d,%.6f,%.6f,%.6f,%.6f"
-                % (names.get(rel, str(rel)), m.count, m.mrr, m.hits[1], m.hits[3], m.hits[10])
-            )
+        rows = [("ALL", self.num_queries, self.mrr, *(self.hits[k] for k in HITS_KS)), *self._rows(relation_names)]
+        lines = ["relation,queries,mrr,hits@1,hits@3,hits@10", *("%s,%d,%.6f,%.6f,%.6f,%.6f" % row for row in rows)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -300,18 +281,24 @@ def _rank_block(
     filter_index: FilterIndex | None,
     allowed: np.ndarray | None,
     tie_policy: str,
+    mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) score block.
 
     ``allowed`` marks the candidate objects, None meaning all entities.
-    Without a ``filter_index`` the filtered ranks are the raw ones.
+    Without a ``filter_index`` the filtered ranks are the raw ones.  ``mask``
+    is a (k, N) bool work buffer.
     """
     rows = np.arange(len(scores))
     true_score = scores[rows, o]
-    ranked = scores if allowed is None else scores[:, allowed]
-    greater = (ranked > true_score[:, None]).sum(axis=1)
-    ties = (ranked == true_score[:, None]).sum(axis=1)
-    n_candidates = np.full(len(rows), ranked.shape[1])
+    counts = []
+    for compare in (np.greater, np.equal):
+        compare(scores, true_score[:, None], out=mask)
+        if allowed is not None:
+            mask &= allowed
+        counts.append(mask.sum(axis=1))
+    greater, ties = counts
+    n_candidates = np.full(len(rows), scores.shape[1] if allowed is None else np.count_nonzero(allowed))
     if allowed is not None:
         # a true object outside the candidates is still ranked, tying itself
         outside = ~allowed[o]
@@ -332,6 +319,32 @@ def _rank_block(
     return raw, _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
 
 
+#: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
+RANK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _rank_pool() -> ThreadPoolExecutor:
+    """The worker threads of :func:`rank_queries`, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=RANK_WORKERS, thread_name_prefix="chainlens-rank")
+        return _pool
+
+
+def _forget_rank_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_rank_pool)
+
+
 def rank_queries(
     params: ModelParams,
     queries: np.ndarray,
@@ -344,7 +357,11 @@ def rank_queries(
     Returns ``{"raw": ranks, "filtered": ranks}`` from one score pass; each
     rank equals :func:`rank_object`'s for the same query, setting and
     arguments.  Queries are ranked in blocks of :func:`block_rows` queries of
-    one relation.
+    one relation, on ``RANK_WORKERS`` threads when there are several blocks:
+    each thread takes the next block when it has finished one and writes that
+    block's rows of the rank arrays, so the ranks are those of one thread.
+    The shared operands and each thread's buffers are prepared in the calling
+    thread, so no thread's malloc arena keeps a block's memory.
     """
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
@@ -355,13 +372,47 @@ def rank_queries(
     ranks = {setting: np.empty(len(queries)) for setting in SETTINGS}
     step = block_rows(params.num_entities)
     rels, groups = _relation_groups(r)
-    for rel, group in zip(rels.tolist(), groups):
-        allowed = None if candidate_index is None else candidate_index[rel]
-        for start in range(0, len(group), step):
-            block = group[start:start + step]
-            scores = score_objects(params, s[block], r[block])
+    # popped from the end, so in block order
+    pending = [(rel, group[start:start + step]) for rel, group in zip(rels.tolist(), groups)
+               for start in range(0, len(group), step)][::-1]
+    pending_lock = threading.Lock()
+    scorer = _ObjectScorer(params, rels)
+
+    def rank_blocks(workspace: list[np.ndarray], mask: np.ndarray) -> None:
+        while True:
+            with pending_lock:
+                if not pending:
+                    return
+                rel, block = pending.pop()
+            scores = scorer(s[block], r[block], workspace)
+            allowed = None if candidate_index is None else candidate_index[rel]
             ranks["raw"][block], ranks["filtered"][block] = _rank_block(
-                scores, s[block], r[block], o[block], filter_index, allowed, tie_policy)
+                scores, s[block], r[block], o[block], filter_index, allowed, tie_policy, mask[:len(block)])
+
+    rows = min(step, max(map(len, groups), default=0))
+    workspaces = [(scorer.workspace(rows), np.empty((rows, params.num_entities), dtype=bool))
+                  for _ in range(min(RANK_WORKERS, len(pending)))]
+    if len(workspaces) == 1:
+        rank_blocks(*workspaces[0])
+    elif workspaces:
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+        def work(i: int) -> None:
+            # Start on a processor of its own, then let the scheduler move the thread.  Left to it from the
+            # start, the two workers on a 2-vCPU Xeon often shared one processor for up to a second while the
+            # other one idled; pinned for the whole call, the GEMM models ranked 3-4x slower with two BLAS threads.
+            if cpus:
+                os.sched_setaffinity(0, {cpus[i % len(cpus)]})  # 0: this thread
+                os.sched_setaffinity(0, cpus)
+            rank_blocks(*workspaces[i])
+
+        futures = [_rank_pool().submit(work, i) for i in range(len(workspaces))]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            pending.clear()  # on an error, the other workers stop after their current block
+            wait(futures)
     return ranks
 
 
@@ -393,29 +444,20 @@ class PerRelationTable:
     mrr: np.ndarray  # (num_relations, num_models)
     ordinal: np.ndarray  # same shape; 1 = best relation for that model
 
-    def to_text(self, relation_names: dict[int, str] | None = None) -> str:
+    def _lines(self, relation_names: dict[int, str] | None, sep: str, digits: int, columns) -> str:
         names = relation_names or {}
-        header = ["relation"] + [f"{m}\trank" for m in self.models]
-        lines = ["\t".join(header)]
-        for i, rel in enumerate(self.relations):
-            cells = [names.get(rel, str(rel))]
-            for j in range(len(self.models)):
-                cells.append(f"{self.mrr[i, j]:.4f}\t{int(self.ordinal[i, j])}")
-            lines.append("\t".join(cells))
+        lines = [sep.join(["relation", *(c for m in self.models for c in columns(m))])]
+        lines += [sep.join([names.get(rel, str(rel)), *(f"{self.mrr[i, j]:.{digits}f}{sep}{self.ordinal[i, j]}"
+                                                        for j in range(len(self.models)))])
+                  for i, rel in enumerate(self.relations)]
         return "\n".join(lines) + "\n"
 
+    def to_text(self, relation_names: dict[int, str] | None = None) -> str:
+        return self._lines(relation_names, "\t", 4, lambda m: (m, "rank"))
+
     def to_csv(self, path: str | Path, relation_names: dict[int, str] | None = None) -> None:
-        names = relation_names or {}
-        cols = ["relation"]
-        for m in self.models:
-            cols += [f"{m}_mrr", f"{m}_rank"]
-        lines = [",".join(cols)]
-        for i, rel in enumerate(self.relations):
-            cells = [names.get(rel, str(rel))]
-            for j in range(len(self.models)):
-                cells += [f"{self.mrr[i, j]:.6f}", str(int(self.ordinal[i, j]))]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = self._lines(relation_names, ",", 6, lambda m: (f"{m}_mrr", f"{m}_rank"))
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def per_relation_table(reports: dict[str, EvalReport]) -> PerRelationTable:
@@ -423,24 +465,15 @@ def per_relation_table(reports: dict[str, EvalReport]) -> PerRelationTable:
     if not reports:
         raise VocabularyMismatch("no reports given")
     models = list(reports)
-    vocab = None
+    vocab = set(reports[models[0]].per_relation)
     for name, report in reports.items():
-        keys = set(report.per_relation)
-        if vocab is None:
-            vocab = keys
-        elif keys != vocab:
+        if set(report.per_relation) != vocab:
             raise VocabularyMismatch(
-                f"report {name!r} covers relations {sorted(keys)}, expected {sorted(vocab)}"
-            )
-    relations = sorted(vocab or set())
-    mrr = np.zeros((len(relations), len(models)))
-    for j, name in enumerate(models):
-        for i, rel in enumerate(relations):
-            mrr[i, j] = reports[name].per_relation[rel].mrr
-    # Rank within each model column: 1 = best relation, ties share the
-    # smaller ordinal by first appearance in descending sort order.
+                f"report {name!r} covers relations {sorted(report.per_relation)}, expected {sorted(vocab)}")
+    relations = sorted(vocab)
+    mrr = np.array([[reports[m].per_relation[rel].mrr for m in models] for rel in relations]).reshape(-1, len(models))
+    # Rank within each model column: 1 = best relation; tied relations take
+    # consecutive ordinals, the lower relation id first.
     ordinal = np.zeros_like(mrr, dtype=np.int64)
-    for j in range(len(models)):
-        order = np.argsort(-mrr[:, j], kind="stable")
-        ordinal[order, j] = np.arange(1, len(relations) + 1)
+    ordinal[np.argsort(-mrr, axis=0, kind="stable"), np.arange(len(models))] = np.arange(1, len(relations) + 1)[:, None]
     return PerRelationTable(relations=relations, models=models, mrr=mrr, ordinal=ordinal)

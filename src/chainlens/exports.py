@@ -25,12 +25,11 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .analytics import scope_suppliers
-from .graph import ENTITY_TYPE_BY_INDEX, ENTITY_TYPE_INDEX, RELATION_BY_INDEX, EntityType, Graph, RelationType
+from .graph import ENTITY_TYPE_INDEX, ENTITY_TYPE_NAMES, RELATION_BY_INDEX, EntityType, Graph, RelationType
 
 _RED, _YELLOW, _GRAY, _PURPLE = range(4)
 _NODE_COLORS = ("red", "yellow", "gray", "purple")
 _EDGE_COLOR = {RelationType.SUPPLIES_TO: "orange", RelationType.RELATED_TO: "blue"}
-_TYPE_NAMES = [t.value for t in ENTITY_TYPE_BY_INDEX]
 #: (name, color) of each relation index
 _RELATIONS = [(r.value, _EDGE_COLOR.get(r, "gray")) for r in RELATION_BY_INDEX]
 
@@ -79,7 +78,7 @@ def _render_dot(labels, types, colors, sizes, rows) -> str:
     edge = [f'  n%d -> n%d [relation="{name}", color="{color}"];' for name, color in _RELATIONS]
     lines = ["digraph chainlens {"]
     lines += [
-        f'  n{i} [label="{label}", entity_type="{_TYPE_NAMES[t]}", color="{_NODE_COLORS[c]}", size="{size}"];'
+        f'  n{i} [label="{label}", entity_type="{ENTITY_TYPE_NAMES[t]}", color="{_NODE_COLORS[c]}", size="{size}"];'
         for i, (label, t, c, size) in enumerate(zip(labels, types, colors, sizes))
     ]
     lines += [edge[r] % (s, o) for s, r, o in rows]
@@ -88,7 +87,7 @@ def _render_dot(labels, types, colors, sizes, rows) -> str:
 
 
 def _render_graphml(labels, types, colors, sizes, rows) -> str:
-    type_names = [escape(name) for name in _TYPE_NAMES]
+    type_names = [escape(name) for name in ENTITY_TYPE_NAMES]
     edge = [
         f'    <edge source="n%d" target="n%d">\n      <data key="d_rel">{escape(name)}</data>\n'
         f'      <data key="d_ecol">{color}</data>\n    </edge>'
@@ -111,7 +110,7 @@ def _json_list(items: list[str]) -> str:
 
 
 def _render_json(labels, types, colors, sizes, rows) -> str:
-    type_names = [_json_str(name) for name in _TYPE_NAMES]
+    type_names = [_json_str(name) for name in ENTITY_TYPE_NAMES]
     edge = [
         f'    {{\n      "color": {_json_str(color)},\n      "relation": {_json_str(name)},\n'
         '      "source": "n%d",\n      "target": "n%d"\n    }'

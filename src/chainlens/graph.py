@@ -102,6 +102,7 @@ RELATION_BY_INDEX: tuple[RelationType, ...] = tuple(RelationType)
 #: The same for entity types; a graph stores these indices as its type column.
 ENTITY_TYPE_INDEX: dict[EntityType, int] = {t: i for i, t in enumerate(EntityType)}
 ENTITY_TYPE_BY_INDEX: tuple[EntityType, ...] = tuple(EntityType)
+ENTITY_TYPE_NAMES: tuple[str, ...] = tuple(t.value for t in EntityType)
 
 _ET = EntityType
 _RT = RelationType
@@ -389,7 +390,7 @@ class Graph:
         return self._spo
 
     def _type_names(self) -> list[str]:
-        return [ENTITY_TYPE_BY_INDEX[c].value for c in self._types]
+        return list(map(ENTITY_TYPE_NAMES.__getitem__, self._types))
 
     def label_triples(self, spo: np.ndarray | None = None) -> list[tuple[str, str, str, str, str]]:
         """Sorted label-level rows of ``spo`` (default: every triple), the canonical file form."""

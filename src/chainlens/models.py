@@ -25,14 +25,12 @@ and so gives the same bits, in about a third of the time.
 ``score_objects`` scores k queries against all N entities as one (k, N)
 block: a GEMM per relation for the bilinear models, one real GEMM on the
 float64 views for ComplEx, and a loop over the embedding dimension on (k, N)
-buffers for the distance models TransE and RotatE.  The distance loop is
-split by entity range: one contiguous range of the N entities per usable
-processor (``DISTANCE_WORKERS``, from the CPU affinity mask), as long as
-each range keeps ``MIN_RANGE_SCORES`` scores.  A worker thread scores each
-range on arrays of its own, so every score is bit-identical to the
-one-thread result.  The threads, started on the first split block, run only
-numpy calls that release the GIL; the BLAS thread count of the GEMM models
-is left as the environment sets it.
+buffers for the distance models TransE and RotatE.  It is built on
+``_ObjectScorer``, which prepares what every block reuses once (M_r, the
+float64 views, E transposed) and scores each block into buffers the caller
+allocates; ``evaluation.rank_queries`` shares one scorer between the threads
+that rank its blocks.  The BLAS thread count of the GEMM models is left as
+the environment sets it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -48,10 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -224,110 +219,91 @@ def score(params: ModelParams, s: int, r: int, o: int) -> float:
 def score_objects(params: ModelParams, s, r) -> np.ndarray:
     """Scores of every entity as candidate object of (s, r, ?).
 
-    ``s`` and ``r`` are ids, or equal-length id arrays of k queries.  Scalar
-    ids give the (N,) score vector, arrays a (k, N) block with one row per
-    query.  Each row is computed the same way whatever k is, apart from the
-    summation order BLAS picks for the bilinear models and ComplEx.
+    ``s`` and ``r`` are ids or id arrays of k queries, broadcast against each
+    other (a ``ValueError`` if their lengths cannot be).  Two scalar ids give
+    the (N,) score vector, otherwise a (k, N) block with one row per query.
+    Each row is computed the same way whatever k is, apart from the summation
+    order BLAS picks for the bilinear models and ComplEx.
     """
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=np.int64))
-    r = np.atleast_1d(np.asarray(r, dtype=np.int64))
-    E, R = params.blocks["entity"], params.blocks["relation"]
-    kind = params.kind
-    if kind in _BILINEAR:
-        out = np.empty((len(s), len(E)))
-        rels, groups = _relation_groups(r)
-        M = _relation_matrices(params, rels)
-        for k, rows in enumerate(groups):
-            out[rows] = (E[s[rows]] @ M[k]) @ E.T
-    elif kind is ModelKind.COMPLEX:
-        # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
-        out = (E[s] * R[r]).view(np.float64) @ E.view(np.float64).T
-    elif kind is ModelKind.TRANSE:
-        out = _negated_distance_sums(E[s] + R[r], E)
-    elif kind is ModelKind.ROTATE:
-        out = _negated_distance_sums(E[s] * np.exp(1j * R)[r], E)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled model kind {kind}")
+    scalar = np.ndim(s) == 0 and np.ndim(r) == 0
+    s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
+                               np.atleast_1d(np.asarray(r, dtype=np.int64)))
+    scorer = _ObjectScorer(params, np.unique(r))
+    out = scorer(s, r, scorer.workspace(len(s)))
     return out[0] if scalar else out
 
 
-#: Entity ranges a distance-model score block is split into, one per usable processor.
-DISTANCE_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-#: Fewest scores per range.  Every ufunc call hands the GIL between the
-#: threads, which small ranges do not repay: on a 2-vCPU Xeon (TransE and
-#: RotatE, d = 64, 6,940 entities) two ranges of 14k-28k scores took
-#: 0.77-1.48 times as long as one range, of 42k scores 0.62-0.80 times.
-MIN_RANGE_SCORES = 1 << 15
+class _ObjectScorer:
+    """Scores queries (s, r, ?) against all N entities, as (k, N) blocks.
 
-_executor: ThreadPoolExecutor | None = None
-_executor_lock = threading.Lock()
-
-
-def _distance_pool() -> ThreadPoolExecutor:
-    """The worker threads of ``_negated_distance_sums``, started on first use."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=DISTANCE_WORKERS, thread_name_prefix="chainlens-distance")
-        return _executor
-
-
-def _forget_distance_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _executor
-    _executor = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_distance_pool)
-
-
-def _negated_distance_sums(q: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """-sum_d |q[i, d] - E[j, d]| for every query row i and entity j, as (k, N).
-
-    Complex entries (RotatE) contribute their modulus, sqrt(re^2 + im^2).  The
-    N entities are cut into ``DISTANCE_WORKERS`` contiguous ranges, at most
-    N and few enough that each holds ``MIN_RANGE_SCORES`` scores, and a
-    worker thread per range runs ``_distance_range`` on it.  Every element
-    goes through the same operations in the same order whatever the number
-    of ranges, so the block is bit-identical to the one-range result.  The
-    threads overlap because numpy releases the GIL inside each ufunc call.
-    Each range works on C-contiguous arrays of its own (strided column
-    slices of shared arrays were slower), allocated here in the calling
-    thread so that no worker's malloc arena keeps a block's memory, and the
-    ranges' columns are joined at the end.  With one range the call runs in
-    the calling thread and starts no pool.
+    What every block reuses is prepared once: M_r of each relation of
+    ``rels`` (built one relation at a time, as for a block of one relation),
+    the float64 view of E, the rotations exp(i theta) and E transposed.  It
+    does not change after that, so threads may share a scorer, each scoring
+    into a :meth:`workspace` of its own.
     """
-    k, n = len(q), len(E)
-    pairs = np.iscomplexobj(E)
-    if pairs:
-        # float64 views interleave (re, im): column 2d of q and row 2d of
-        # e_t hold the real parts of dimension d, 2d + 1 the imaginary parts
-        q, E = q.view(np.float64), E.view(np.float64)
-    ranges = max(1, min(DISTANCE_WORKERS, n, k * n // MIN_RANGE_SCORES))
-    edges = [n * i // ranges for i in range(ranges + 1)]
-    parts = [(E[lo:hi], np.empty((E.shape[1], hi - lo)), np.empty((2 if pairs else 1, k, hi - lo)),
-              np.zeros((k, hi - lo))) for lo, hi in zip(edges, edges[1:])]
-    if ranges == 1:
-        _distance_range(q, *parts[0])
-        return parts[0][-1]
-    pool = _distance_pool()
-    futures = [pool.submit(_distance_range, q, *part) for part in parts]
-    for future in futures:
-        future.result()
-    return np.concatenate([part[-1] for part in parts], axis=1)
+
+    def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
+        self.kind = kind = params.kind
+        self.E, self.R = E, R = params.blocks["entity"], params.blocks["relation"]
+        if kind in _BILINEAR:
+            self.M = {rel: _relation_matrices(params, np.array([rel]))[0] for rel in rels.tolist()}
+        elif kind is ModelKind.COMPLEX:
+            self.E64 = E.view(np.float64)
+        else:
+            if kind is ModelKind.ROTATE:
+                self.R = np.exp(1j * R)
+            # E_t[2d] holds the real parts of dimension d, E_t[2d + 1] the imaginary ones.  Copied 64 rows
+            # at a time, it took a third of the time of a plain transposed copy (6,940 x 128, 2-vCPU Xeon).
+            E64 = E.view(np.float64)
+            self.E_t = np.empty(E64.shape[::-1])
+            for start in range(0, len(E64), 64):
+                self.E_t[:, start:start + 64] = E64[start:start + 64].T
+
+    def workspace(self, k: int) -> list[np.ndarray]:
+        """Buffers for blocks of up to k queries: the (k, N) scores, the (k, d) query rows, the relation
+        rows (q M_r for RESCAL and TuckER), and one (k, N) work buffer for TransE, two for RotatE."""
+        n, d = self.E.shape
+        w = np.empty((k, d), dtype=self.E.dtype if self.kind in _BILINEAR else self.R.dtype)
+        extra = {ModelKind.TRANSE: 1, ModelKind.ROTATE: 2}.get(self.kind, 0)
+        return [np.empty((k, n)), np.empty((k, d), dtype=self.E.dtype), w, *(np.empty((k, n)) for _ in range(extra))]
+
+    def __call__(self, s: np.ndarray, r: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
+        """The (k, N) scores of the queries (s[i], r[i], ?), written into the
+        first k rows of the workspace's score buffer, which is returned."""
+        out, q, w, *bufs = (buf[:len(s)] for buf in workspace)
+        E, kind = self.E, self.kind
+        np.take(E, s, axis=0, out=q)
+        if kind in _BILINEAR:
+            rels, groups = _relation_groups(r)
+            for rel, rows in zip(rels.tolist(), groups):
+                if len(rows) == len(s):
+                    np.matmul(np.matmul(q, self.M[rel], out=w), E.T, out=out)
+                else:
+                    out[rows] = (q[rows] @ self.M[rel]) @ E.T
+            return out
+        np.take(self.R, r, axis=0, out=w)
+        if kind is ModelKind.TRANSE:
+            q += w
+        else:
+            q *= w
+        if kind is ModelKind.COMPLEX:
+            # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
+            np.matmul(q.view(np.float64), self.E64.T, out=out)
+        else:
+            _negated_distance_sums(q.view(np.float64), self.E_t, bufs, out)
+        return out
 
 
-def _distance_range(q: np.ndarray, E: np.ndarray, e_t: np.ndarray, bufs: np.ndarray, out: np.ndarray) -> None:
-    """Subtract each query's distance to every row of ``E`` from ``out`` (k, len(E)).
+def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
+    """Write -sum_d |q[i, d] - E[j, d]| for every query row i and entity j into ``out`` (k, N).
 
-    ``E`` is real, with (re, im) column pairs when ``bufs`` holds two
-    buffers.  The rows of E are first copied transposed into ``e_t``, then
-    the loop runs over the embedding dimension on the (k, len(E)) buffers,
-    so no (k, N, d) temporary is formed.
+    ``e_t`` is E transposed.  With two ``bufs`` (RotatE), q and E are real
+    views with (re, im) column pairs, and each pair contributes its modulus
+    sqrt(re^2 + im^2).  The loop runs over the dimension on (k, N) buffers,
+    so no (k, N, d) temporary is formed, in the same order whatever k is.
     """
-    _transpose_into(E, e_t)
+    out.fill(0.0)
     buf = bufs[0]
     if len(bufs) == 2:
         buf_im = bufs[1]
@@ -344,17 +320,6 @@ def _distance_range(q: np.ndarray, E: np.ndarray, e_t: np.ndarray, bufs: np.ndar
             np.subtract(q[:, d, None], e_t[d], out=buf)
             np.abs(buf, out=buf)
             out -= buf
-
-
-def _transpose_into(a: np.ndarray, out: np.ndarray) -> None:
-    """Write a.T into ``out``, 64 rows of ``a`` at a time.
-
-    A plain copy of the transpose of a tall matrix reads a new cache line for
-    every element; copying in row blocks was 3-4x faster for a 6,940 x 128
-    float64 matrix on a 2-vCPU Xeon.
-    """
-    for start in range(0, len(a), 64):
-        out[:, start:start + 64] = a[start:start + 64].T
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,21 @@ def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
 
 
 def test_eval_both_scores_each_block_once(workspace, monkeypatch):
-    import chainlens.evaluation as evaluation
+    from chainlens.models import _ObjectScorer
 
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
     main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
     main(["train", "--model", "TransE", "--split-dir", str(splits),
           "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
-    real_score_objects = evaluation.score_objects
+    score_block = _ObjectScorer.__call__
     scored = []
 
-    def counting_score_objects(*args):
-        scored.append(len(np.atleast_1d(args[1])))
-        return real_score_objects(*args)
+    def counting_score_block(self, s, *args):
+        scored.append(len(s))
+        return score_block(self, s, *args)
 
-    monkeypatch.setattr(evaluation, "score_objects", counting_score_objects)
+    monkeypatch.setattr(_ObjectScorer, "__call__", counting_score_block)
     calls = {}
     for setting in ("filtered", "both"):
         before = len(scored)

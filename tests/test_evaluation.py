@@ -1,3 +1,10 @@
+import inspect
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +238,31 @@ def reference_ranks(params, queries, filter_index, setting, tie_policy, candidat
     ])
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """monkeypatch, with every rank pool that the test starts shut down after
+    it, and the worker threads interleaved as often as the interpreter allows."""
+    started = []
+    make_pool = evaluation._rank_pool
+
+    def recording_pool():
+        pool = make_pool()
+        if pool not in started:
+            started.append(pool)
+        return pool
+
+    monkeypatch.setattr(evaluation, "_pool", None)
+    monkeypatch.setattr(evaluation, "_rank_pool", recording_pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield monkeypatch
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in started:
+            pool.shutdown()
+
+
 @pytest.fixture(scope="module")
 def ranking_case():
     """A typed graph whose queries cross score-block boundaries in one relation."""
@@ -249,26 +281,98 @@ def ranking_case():
 @pytest.mark.parametrize("constrained", [False, True], ids=["all", "typed"])
 @pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
 @pytest.mark.parametrize("kind", list(ModelKind))
-def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrained, monkeypatch):
-    """One rank_queries call gives rank_object's ranks in both settings; without
-    a filter index (the "raw" cases) its filtered ranks are the raw ones."""
+def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrained, fresh_pool):
+    """One rank_queries call gives rank_object's ranks in both settings, the
+    same bits on any number of workers; without a filter index (the "raw"
+    cases) its filtered ranks are the raw ones."""
     graph, triples, queries = ranking_case
     assert (queries[:, 1] == 0).sum() > 2 * block_rows(graph.num_entities)  # three blocks or more
     params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     index = build_filter_index([triples]) if filtered else None
     candidates = type_constrained_candidates(graph, DEFAULT_SCHEMA) if constrained else None
-    assert block_rows(graph.num_entities) * graph.num_entities // 2 >= models.MIN_RANGE_SCORES  # full blocks split
     expected = {(setting, policy): reference_ranks(params, queries, index, setting, policy, candidates)
                 for setting in SETTINGS for policy in TIE_POLICIES}
     if filtered:
         assert (expected["filtered", "optimistic"] < expected["raw", "optimistic"]).any()
-    for workers in (1, 2):  # distance-model score blocks in one entity range and in two
-        monkeypatch.setattr(models, "DISTANCE_WORKERS", workers)
+    one_worker = {}
+    for workers in (1, 2, 3):
+        fresh_pool.setattr(evaluation, "RANK_WORKERS", workers)
+        fresh_pool.setattr(evaluation, "_pool", None)  # a pool of this many threads
         for policy in TIE_POLICIES:
             ranks = rank_queries(params, queries, index, policy, candidates)
             assert set(ranks) == set(SETTINGS)
             for setting in SETTINGS:
                 np.testing.assert_array_equal(ranks[setting], expected[setting, policy])
+                assert ranks[setting].tobytes() == one_worker.setdefault((setting, policy), ranks[setting].tobytes())
+
+
+def test_no_thread_starts_for_one_block_or_one_processor(ranking_case, fresh_pool):
+    graph, triples, queries = ranking_case
+    params = init_params(ModelKind.TRANSE, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    threads = threading.active_count()
+    one_block = queries[queries[:, 1] == 0][:block_rows(graph.num_entities)]
+    rank_queries(params, one_block)
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 1)
+    rank_queries(params, queries)
+    assert evaluation._pool is None and threading.active_count() == threads
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    rank_queries(params, queries)
+    assert evaluation._pool is not None and threading.active_count() > threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_ranks_with_its_own_pool(ranking_case, fresh_pool):
+    graph, triples, queries = ranking_case
+    params = init_params(ModelKind.TRANSE, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    expected = rank_queries(params, queries)["raw"]  # the parent's pool now exists
+    pid = os.fork()
+    if pid == 0:  # child: exit at once, never return into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(rank_queries(params, queries)["raw"], expected) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung ranking on the pool it inherited")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_public_functions_run_on_the_calling_thread(ranking_case, fresh_pool):
+    """The pool's workers call no public function of models or evaluation:
+    a tracer that wraps those (it keeps one span stack, for one thread) sees
+    every call on the calling thread."""
+    graph, triples, queries = ranking_case
+    params = init_params(ModelKind.TUCKER, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    calls = []
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("chainlens.")]
+    for module in (models, evaluation):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == module.__name__:
+                wrapped = recorder(name, fn)
+                for owner in modules:
+                    if vars(owner).get(name) is fn:
+                        fresh_pool.setattr(owner, name, wrapped)
+    index = evaluation.build_filter_index([triples])
+    evaluation.rank_queries(params, queries, index)
+    evaluation.evaluate(params, queries, index)
+    assert evaluation._pool is not None
+    assert {"rank_queries", "evaluate", "build_filter_index", "block_rows"} <= {name for name, _ in calls}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
 
 
 def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):

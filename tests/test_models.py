@@ -1,15 +1,9 @@
-import os
-import signal
-import sys
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import chainlens.models as models
-from chainlens.evaluation import block_rows
 from chainlens.models import (
     CheckpointError,
     ModelKind,
@@ -182,67 +176,18 @@ def test_score_objects_block_matches_score_batch(kind):
         np.testing.assert_allclose(block[i], score_objects(p, int(s[i]), int(r[i])), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 7])
-@pytest.mark.parametrize("n_ent", [1, 2, 1023])
-@pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
-def test_distance_scores_split_by_entity_range_equal_one_worker(monkeypatch, kind, n_ent, workers):
-    p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
-    rng = np.random.default_rng(n_ent)
-    k = block_rows(n_ent)
-    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
-    monkeypatch.setattr(models, "DISTANCE_WORKERS", 1)
-    block, row = score_objects(p, s, r), score_objects(p, int(s[0]), int(r[0]))
-    monkeypatch.setattr(models, "DISTANCE_WORKERS", workers)
-    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)  # split even one row of one or two entities
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
-    try:
-        for _ in range(3):
-            np.testing.assert_array_equal(score_objects(p, s, r), block)
-            np.testing.assert_array_equal(score_objects(p, int(s[0]), int(r[0])), row)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_distance_pool_starts_on_the_first_split_block(monkeypatch):
-    monkeypatch.setattr(models, "_executor", None)
-    p = make_params(ModelKind.ROTATE, n_ent=50)
-    queries = np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64)
-    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)
-    monkeypatch.setattr(models, "DISTANCE_WORKERS", 1)
-    score_objects(p, *queries)
-    monkeypatch.setattr(models, "DISTANCE_WORKERS", 4)
-    score_objects(make_params(ModelKind.TRANSE, n_ent=1), *queries)  # one entity, one range
-    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 3 * 50 // 2 + 1)  # 150 scores cannot give two ranges enough
-    score_objects(p, *queries)
-    assert models._executor is None
-    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 3 * 50 // 2)
-    score_objects(p, *queries)
-    assert models._executor is not None
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_scores_with_its_own_pool(monkeypatch):
-    monkeypatch.setattr(models, "DISTANCE_WORKERS", 2)
-    monkeypatch.setattr(models, "MIN_RANGE_SCORES", 1)
-    p = make_params(ModelKind.TRANSE, n_ent=300)
-    s, r = np.arange(40), np.arange(40) % 3
-    expected = score_objects(p, s, r)  # the parent's pool now exists
-    pid = os.fork()
-    if pid == 0:  # child: exit at once, never return into pytest
-        code = 1
-        try:
-            code = 0 if np.array_equal(score_objects(p, s, r), expected) else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child hung scoring on the pool it inherited")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_objects_broadcasts_subjects_against_relations(kind):
+    p = make_params(kind, n_ent=50, n_rel=3, dim=8, seed=6)
+    s = np.array([4, 17, 4, 30, 49])
+    rows = np.array([score_objects(p, int(i), 2) for i in s])
+    for r in (2, np.array([2]), np.full(len(s), 2)):
+        np.testing.assert_allclose(score_objects(p, s, r), rows, rtol=0, atol=1e-12)
+    # one subject against several relations
+    np.testing.assert_allclose(score_objects(p, 4, np.array([0, 2])),
+                               [score_objects(p, 4, 0), score_objects(p, 4, 2)], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        score_objects(p, s, np.array([0, 1, 2]))
 
 
 # -- negative sampling -------------------------------------------------------
@@ -343,7 +288,10 @@ def test_rotate_rotations_per_relation_equal_rotations_per_row():
     s, r, o = triples.T
     rot = np.exp(1j * R[r])
     np.testing.assert_array_equal(score_batch(p, triples), -np.abs(E[s] * rot - E[o]).sum(axis=1))
-    np.testing.assert_array_equal(score_objects(p, s, r), models._negated_distance_sums(E[s] * rot, E))
+    expected = np.empty((len(s), len(E)))
+    models._negated_distance_sums((E[s] * rot).view(np.float64), np.ascontiguousarray(E.view(np.float64).T),
+                                  [np.empty_like(expected), np.empty_like(expected)], expected)
+    np.testing.assert_array_equal(score_objects(p, s, r), expected)
     got = models.zero_grads(p)
     models._accumulate_score_grads(p, got, triples, 0.25)
     gE, gR = np.zeros_like(E), np.zeros_like(R)
@@ -453,7 +401,8 @@ def test_tucker_relation_matrices_and_scores_equal_the_tensordot_forms(dim):
     scores, block = np.empty(len(triples)), np.empty((len(triples), n_ent))
     for k, rows in enumerate(groups):
         scores[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
-        block[rows] = (E[s[rows]] @ M[k]) @ E.T
+        # score_objects builds each relation's M_r on its own, as a ranking block of one relation does
+        block[rows] = (E[s[rows]] @ tensordot_relation_matrices(p, rels[k:k + 1])[0]) @ E.T
     assert_same_bits(score_batch(p, triples), scores, "score_batch")
     assert_same_bits(score_objects(p, s, r), block, "score_objects")
 
