@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +20,7 @@ from chainlens.models import (
     score_batch,
     score_objects,
 )
+from chainlens.evaluation import block_rows
 from chainlens.training import TrainConfig
 
 from reference_models import (
@@ -188,6 +192,42 @@ def test_score_objects_broadcasts_subjects_against_relations(kind):
                                [score_objects(p, 4, 0), score_objects(p, 4, 2)], rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         score_objects(p, s, np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("n_ent", [1, 2, 1023])
+@pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
+def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, workers):
+    """The distance kernel scores each entity on its own: ranges of entities
+    scored on threads that share one scorer's E transposed give the bits of
+    one call over all entities.  Ranges may be empty (seven of one entity)."""
+    p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
+    rng = np.random.default_rng(n_ent)
+    k = block_rows(n_ent)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
+    expected = score_objects(p, s, r)
+    scorer = models._ObjectScorer(p, np.unique(r))
+    q = scorer.E[s] + scorer.R[r] if kind is ModelKind.TRANSE else scorer.E[s] * scorer.R[r]
+    q = q.view(np.float64)
+    n_bufs = 1 if kind is ModelKind.TRANSE else 2
+    out = np.empty((k, n_ent))
+
+    def score_range(bounds):
+        lo, hi = bounds
+        bufs = [np.empty((k, hi - lo)) for _ in range(n_bufs)]
+        models._negated_distance_sums(q, scorer.E_t[:, lo:hi], bufs, out[:, lo:hi])
+
+    edges = np.linspace(0, n_ent, workers + 1).astype(int)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in range(3):
+                out.fill(np.nan)
+                list(pool.map(score_range, zip(edges[:-1], edges[1:])))
+                assert out.tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- negative sampling -------------------------------------------------------
