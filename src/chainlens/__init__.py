@@ -25,7 +25,7 @@ from .dataset import (
     load_triples,
     transductive_split,
 )
-from .models import ModelKind, ModelParams, init_params, load_checkpoint, save_checkpoint, score
+from .models import ModelKind, ModelParams, init_params, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainHistory, grid_search, train
 from .evaluation import EvalReport, evaluate, per_relation_table
 from .analytics import CriticalityReport, criticality, critical_paths, sole_supplier_scopes
@@ -63,7 +63,6 @@ __all__ = [
     "load_triples",
     "per_relation_table",
     "save_checkpoint",
-    "score",
     "sole_supplier_scopes",
     "train",
     "transductive_split",

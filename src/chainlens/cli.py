@@ -218,10 +218,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.grid:
-        result = grid_search(
-            args.model, train_arr, valid_arr, num_entities, num_relations, cfg,
-            dims=GRID_DIMS, learning_rates=GRID_LEARNING_RATES,
-        )
+        result = grid_search(args.model, train_arr, valid_arr, num_entities, num_relations, cfg)
         print(f"grid search over {len(result.runs)} runs; best: dim={result.best_config.dim} "
               f"lr={result.best_config.learning_rate:g} val mrr={result.best_mrr:.4f}")
         for dim, lr, mrr in result.runs:
@@ -355,17 +352,25 @@ def cmd_analyze(args) -> int:
 
 
 def _read_critical_flags(report: str) -> dict[str, bool]:
-    """The ``node`` -> ``is_critical == "1"`` map of a criticality CSV, read in one pass."""
+    """The ``node`` -> ``is_critical == "1"`` map of a criticality CSV, read in one pass.
+
+    A node on two rows raises :class:`ExportMismatch`: its flag would be ambiguous.
+    """
     with open(report, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         if "node" not in header or "is_critical" not in header:
             raise ExportMismatch(f"{report}: no node and is_critical columns")
         node, flag = header.index("node"), header.index("is_critical")
+        flags: dict[str, bool] = {}
         try:
-            return {row[node]: row[flag] == "1" for row in rows if row}
+            for row in filter(None, rows):
+                if row[node] in flags:
+                    raise ExportMismatch(f"{report}: line {rows.line_num} repeats node {row[node]!r}")
+                flags[row[node]] = row[flag] == "1"
         except IndexError:
             raise ExportMismatch(f"{report}: line {rows.line_num} has fewer cells than the header") from None
+        return flags
 
 
 def cmd_export(args) -> int:

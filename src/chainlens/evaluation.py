@@ -159,11 +159,6 @@ class FilterIndex:
         end = np.where(found, self.offsets[pos + 1], 0)
         return start, end
 
-    def get(self, key: tuple[int, int]) -> np.ndarray | None:
-        """Known-true objects of (s, r), or None when there are none."""
-        start, end = self._spans(np.array([key[0]]), np.array([key[1]]))
-        return self.objects[start[0]:end[0]] if end[0] > start[0] else None
-
     def pairs(self, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, object) for every known-true object of every pair (s[row], r[row])."""
         start, end = self._spans(s, r)
@@ -200,7 +195,7 @@ def type_constrained_candidates(graph, schema) -> np.ndarray:
     from the schema's target types.
 
     Optional ranking mode: by default every entity is a candidate object;
-    passing this table to evaluate/rank_queries/rank_object restricts
+    passing this table to rank_queries or rank_object restricts
     candidates to the schema-legal target types of each relation.
     """
     return schema.tables()[1][:, graph.type_codes()]
@@ -267,7 +262,7 @@ def rank_object(
     scores = score_objects(params, query.subject, query.predicate)
     excluded = None
     if setting == "filtered" and filter_index is not None:
-        excluded = filter_index.get((query.subject, query.predicate))
+        excluded = filter_index.pairs(np.array([query.subject]), np.array([query.predicate]))[1]
     allowed = None if candidate_index is None else candidate_index[query.predicate]
     rank, n_candidates = _rank_from_scores(scores, query.true_object, excluded, tie_policy, allowed)
     return RankResult(query=query, rank=rank, num_candidates=n_candidates, setting=setting, tie_policy=tie_policy)
@@ -421,18 +416,17 @@ def evaluate(
     queries: np.ndarray,
     filter_index: FilterIndex | None = None,
     setting: str = "filtered",
-    tie_policy: str = "realistic",
-    candidate_index: np.ndarray | None = None,
 ) -> EvalReport:
     """Aggregate MRR and hits@k over an (M, 3) query id array, overall and per relation type.
 
     ``filter_index`` holds the known-true triples (see :func:`build_filter_index`).
-    Queries are ranked by :func:`rank_queries`, and ``setting`` picks its raw
-    or filtered ranks.
+    Every entity is a candidate and ties rank realistically: the report is
+    ``EvalReport.from_ranks`` of :func:`rank_queries`' ``setting`` ranks.
+    For another tie policy or a candidate table, call those two directly.
     """
     _check_setting(setting)
-    ranks = rank_queries(params, queries, filter_index, tie_policy, candidate_index)[setting]
-    return EvalReport.from_ranks(queries, ranks, setting, tie_policy)
+    ranks = rank_queries(params, queries, filter_index)[setting]
+    return EvalReport.from_ranks(queries, ranks, setting, "realistic")
 
 
 @dataclass

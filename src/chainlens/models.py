@@ -211,11 +211,6 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled model kind {kind}")  # pragma: no cover
 
 
-def score(params: ModelParams, s: int, r: int, o: int) -> float:
-    """Plausibility score of one triple; higher means more plausible."""
-    return float(score_batch(params, np.array([[s, r, o]]))[0])
-
-
 def score_objects(params: ModelParams, s, r) -> np.ndarray:
     """Scores of every entity as candidate object of (s, r, ?).
 

@@ -18,7 +18,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -173,9 +172,6 @@ class TrainHistory:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-EvalFn = Callable[[ModelParams, int], tuple[float, float]]
-
-
 def train(
     kind: ModelKind,
     train_triples: np.ndarray,
@@ -183,30 +179,21 @@ def train(
     num_entities: int,
     num_relations: int,
     config: TrainConfig,
-    eval_fn: EvalFn | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Train one model; returns the best-evaluation checkpoint and history.
 
-    ``eval_fn(params, epoch) -> (hits@10, mrr)`` defaults to filtered
-    evaluation of the validation triples with train + validation as the
-    filter set.  If no evaluation ever runs (max_epochs < eval_every) the
+    Every ``eval_every`` epochs the validation triples are ranked by
+    :func:`~chainlens.evaluation.evaluate` in the filtered setting, with
+    train + validation as the filter set, and early stopping reads their
+    hits@10.  With no validation triples training runs all ``max_epochs``
+    unevaluated.  If no evaluation ever runs (max_epochs < eval_every) the
     final parameters are returned.
     """
     train_triples = np.asarray(train_triples, dtype=np.int64)
     valid_triples = np.asarray(valid_triples, dtype=np.int64)
     if train_triples.ndim != 2 or train_triples.shape[1] != 3:
         raise ConfigError("train_triples must be an (M, 3) id array")
-
-    evaluations_enabled = True
-    if eval_fn is None:
-        if len(valid_triples) == 0:
-            evaluations_enabled = False  # plain training run, no early stopping
-        else:
-            filter_index = build_filter_index([train_triples, valid_triples])
-
-            def eval_fn(params: ModelParams, epoch: int) -> tuple[float, float]:
-                report = evaluate(params, valid_triples, filter_index, setting="filtered")
-                return report.hits[10], report.mrr
+    filter_index = build_filter_index([train_triples, valid_triples]) if len(valid_triples) else None
 
     params = init_params(kind, num_entities, num_relations, config)
     state = AdamState.for_params(params)
@@ -241,8 +228,9 @@ def train(
                 epoch,
             )
 
-        if evaluations_enabled and epoch % config.eval_every == 0:
-            hits10, mrr = eval_fn(params, epoch)
+        if filter_index is not None and epoch % config.eval_every == 0:
+            report = evaluate(params, valid_triples, filter_index, setting="filtered")
+            hits10, mrr = report.hits[10], report.mrr
             history.records.append(TrainRecord(epoch=epoch, hits10=hits10, mrr=mrr, mean_loss=mean_loss))
             logger.info(
                 "%s epoch %d: loss %.4f, val hits@10 %.4f, val mrr %.4f",
@@ -282,30 +270,18 @@ def grid_search(
     num_entities: int,
     num_relations: int,
     base_config: TrainConfig,
-    dims: tuple[int, ...] = GRID_DIMS,
-    learning_rates: tuple[float, ...] = GRID_LEARNING_RATES,
-    configs: list[TrainConfig] | None = None,
 ) -> GridResult:
     """Train one model per grid point and keep the best by validation MRR.
 
-    The default grid is the cross product of ``dims`` and
-    ``learning_rates`` over ``base_config``; pass ``configs`` to enumerate
-    explicit configurations instead.  Ties break toward the smaller dim,
+    The grid is ``GRID_DIMS`` x ``GRID_LEARNING_RATES`` over ``base_config``,
+    dims outermost.  A run's MRR is the filtered validation MRR that
+    :func:`train` recorded at its best epoch, or one evaluation of its
+    parameters when it never evaluated.  Ties break toward the smaller dim,
     then the smaller learning rate.
     """
-    if configs is None:
-        if not dims or not learning_rates:
-            raise ConfigError("grid_search needs non-empty dims and learning_rates")
-        configs = [
-            replace(base_config, dim=dim, learning_rate=lr)
-            for dim in dims
-            for lr in learning_rates
-        ]
-    if not configs:
-        raise ConfigError("grid_search needs at least one configuration")
+    configs = [replace(base_config, dim=dim, learning_rate=lr) for dim in GRID_DIMS for lr in GRID_LEARNING_RATES]
     valid_triples = np.asarray(valid_triples, dtype=np.int64)
     filter_index = build_filter_index([train_triples, valid_triples])
-    best: tuple[float, int, float] | None = None  # (-mrr, dim, lr) for min()
     result: GridResult | None = None
     runs: list[tuple[int, float, float]] = []
     for config in configs:
@@ -321,8 +297,7 @@ def grid_search(
             kind.value, config.dim, config.learning_rate, mrr,
         )
         key = (-mrr, config.dim, config.learning_rate)
-        if best is None or key < best:
-            best = key
+        if result is None or key < (-result.best_mrr, result.best_config.dim, result.best_config.learning_rate):
             result = GridResult(
                 best_config=config,
                 best_params=params,
@@ -330,5 +305,4 @@ def grid_search(
                 best_mrr=mrr,
                 runs=runs,
             )
-    result.runs = runs
     return result

@@ -31,6 +31,7 @@ from reference_models import gradients
 from test_analytics import brute_betweenness, brute_closeness, brute_triangles
 from test_evaluation import table_params
 from test_models import active_hinge_pair, finite_difference
+from test_training import scripted_evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +267,17 @@ def test_criterion_08_transductive_split():
           f"{n_graphs} graphs, partition + transductive property always hold")
 
 
-def test_criterion_09_early_stopping():
+def test_criterion_09_early_stopping(monkeypatch):
     rng = np.random.default_rng(9)
     triples = np.array(
         sorted({(int(rng.integers(12)), int(rng.integers(2)), int(rng.integers(12))) for _ in range(40)}),
         dtype=np.int64,
     )
     config = TrainConfig(dim=8, max_epochs=1000, eval_every=10, patience=3, batch_size=16, seed=9)
-    evaluated = []
-    snapshots = []
+    snapshots = scripted_evaluate(monkeypatch, [0.5] * 5)  # validation hits@10 plateaus at once
 
-    def plateau(params, epoch):
-        evaluated.append(epoch)
-        snapshots.append(params.copy())
-        return 0.5, 0.25
-
-    params, history = train(ModelKind.TRANSE, triples, triples[:8], 12, 2, config, eval_fn=plateau)
-    assert evaluated == [10, 20, 30, 40]
+    params, history = train(ModelKind.TRANSE, triples, triples[:8], 12, 2, config)
+    assert len(snapshots) == 4 and [r.epoch for r in history.records] == [10, 20, 30, 40]
     assert history.stopped_early and history.best_epoch == 10
     for name in params.blocks:
         assert np.array_equal(params.blocks[name], snapshots[0].blocks[name])

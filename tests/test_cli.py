@@ -198,10 +198,10 @@ def test_pipeline_train_eval_analyze_export(workspace, capsys):
 
 
 def test_train_grid_flag(workspace, capsys, monkeypatch):
-    import chainlens.cli as cli_mod
+    import chainlens.training as training_mod
 
-    monkeypatch.setattr(cli_mod, "GRID_DIMS", (8,))
-    monkeypatch.setattr(cli_mod, "GRID_LEARNING_RATES", (0.01, 0.001))
+    monkeypatch.setattr(training_mod, "GRID_DIMS", (8,))
+    monkeypatch.setattr(training_mod, "GRID_LEARNING_RATES", (0.01, 0.001))
     graph = workspace / "g.tsv"
     splits = workspace / "splits"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
@@ -382,6 +382,25 @@ def test_export_refuses_a_report_without_its_columns(workspace, capsys):
     code = main(["export", "--in", str(graph), "--report", str(report), "--out", str(workspace / "g.dot")])
     assert code == 2
     assert "no node and is_critical columns" in capsys.readouterr().err
+
+
+def test_export_refuses_a_report_naming_a_node_twice(workspace, capsys):
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["analyze", "--in", str(graph), "--out", str(analysis)])
+    report = analysis / "criticality.csv"
+    with open(report, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    hub = next(row for row in rows if row["node"] == "TinyHub")
+    assert hub["is_critical"] == "1"
+    with open(report, "a", newline="", encoding="utf-8") as fh:
+        csv.DictWriter(fh, fieldnames=list(hub), lineterminator="\n").writerow({**hub, "is_critical": "0"})
+    capsys.readouterr()
+    out = workspace / "g.dot"
+    code = main(["export", "--in", str(graph), "--report", str(report), "--format", "dot", "--out", str(out)])
+    assert code == 2
+    assert f"line {len(rows) + 2} repeats node 'TinyHub'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_mismatched_report_exits_2(workspace, capsys):

@@ -103,7 +103,7 @@ def test_random_model_realistic_rank_mean_matches_uniform_oracle():
     queries = np.column_stack(
         [rng.integers(n, size=10_000), rng.integers(2, size=10_000), rng.integers(n, size=10_000)]
     )
-    report = evaluate(p, queries, None, setting="raw", tie_policy="realistic")
+    report = evaluate(p, queries, None, setting="raw")
     ranks = []
     for s, r, o in queries:
         ranks.append(rank_object(p, Query(int(s), int(r), int(o)), setting="raw").rank)
@@ -221,14 +221,17 @@ def test_filtered_mrr_at_least_raw_on_trained_model():
 
 def test_filter_index_lookup():
     index = build_filter_index([np.array([[0, 1, 5], [0, 1, 2]]), np.array([[0, 1, 5], [3, 0, 2]])])
-    np.testing.assert_array_equal(index.get((0, 1)), [2, 5])  # sorted, duplicates merged
-    np.testing.assert_array_equal(index.get((3, 0)), [2])
-    assert index.get((1, 0)) is None
-    assert index.get((0, 2)) is None  # 0 * 2 + 2 is the key of (1, 0): relations must not alias
-    assert build_filter_index([]).get((0, 0)) is None
     rows, objects = index.pairs(np.array([3, 1, 0]), np.array([0, 0, 1]))
     np.testing.assert_array_equal(rows, [0, 2, 2])
-    np.testing.assert_array_equal(objects, [2, 2, 5])
+    np.testing.assert_array_equal(objects, [2, 2, 5])  # sorted, duplicates merged
+    for known, s, r in ((index, 1, 0), (index, 0, 2), (build_filter_index([]), 0, 0)):
+        rows, objects = known.pairs(np.array([s]), np.array([r]))
+        assert len(rows) == len(objects) == 0
+    # with two relations, 0 * 2 + 2 is the key of (1, 0): relations must not alias
+    aliased = build_filter_index([np.array([[1, 0, 4], [0, 1, 3]])])
+    rows, objects = aliased.pairs(np.array([0, 1]), np.array([2, 0]))
+    np.testing.assert_array_equal(rows, [1])
+    np.testing.assert_array_equal(objects, [4])
 
 
 def reference_ranks(params, queries, filter_index, setting, tie_policy, candidate_index=None):
@@ -403,7 +406,7 @@ def test_non_finite_true_score_ranks_last(policy):
         ranks = rank_queries(all_nan, queries, index, policy)[setting]
         np.testing.assert_array_equal(ranks, [first_rank, n, n])
         np.testing.assert_array_equal(ranks, reference_ranks(all_nan, queries, index, setting, policy))
-        report = evaluate(all_nan, queries, index, setting=setting, tie_policy=policy)
+        report = evaluate(all_nan, queries, index, setting=setting)  # the same ranks under every policy
         assert report.mrr == pytest.approx(np.mean(1.0 / ranks)) and report.hits[1] == 0.0
     # only the true object's score is NaN; every other candidate is finite
     only_true = init_params(ModelKind.COMPLEX, n, 2, TrainConfig(dim=4, seed=1))

@@ -16,7 +16,6 @@ from chainlens.models import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score,
     score_batch,
     score_objects,
 )
@@ -72,7 +71,8 @@ def active_hinge_pair(params, rng, n_ent, n_rel, margin=1.0, guard=0.05):
         neg = tuple(int(v) for v in (rng.integers(n_ent), rng.integers(n_rel), rng.integers(n_ent)))
         if pos == neg:
             continue
-        gap = margin + score(params, *neg) - score(params, *pos)
+        neg_score, pos_score = score_batch(params, np.array([neg, pos]))
+        gap = margin + neg_score - pos_score
         if gap > guard:
             return pos, neg
     raise AssertionError("no active-hinge pair found")
@@ -106,7 +106,7 @@ def test_transe_exact_translation_scores_zero():
     p = make_params(ModelKind.TRANSE, n_ent=4, n_rel=2, dim=6)
     ent, rel = p.blocks["entity"], p.blocks["relation"]
     ent[2] = ent[0] + rel[1]
-    assert score(p, 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
+    assert score_batch(p, np.array([[0, 1, 2]]))[0] == pytest.approx(0.0, abs=1e-12)
     assert score_objects(p, 0, 1).max() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_rotate_identity_rotation_scores_zero():
     p = make_params(ModelKind.ROTATE, n_ent=4, n_rel=2, dim=6)
     p.blocks["relation"][0][:] = 0.0
     p.blocks["entity"][3] = p.blocks["entity"][1]
-    assert score(p, 1, 0, 3) == pytest.approx(0.0, abs=1e-12)
+    assert score_batch(p, np.array([[1, 0, 3]]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rescal_identity_relation_unit_basis():
@@ -124,7 +124,7 @@ def test_rescal_identity_relation_unit_basis():
     e[2] = 1.0
     p.blocks["entity"][0] = e
     p.blocks["entity"][1] = e
-    assert score(p, 0, 0, 1) == pytest.approx(1.0)
+    assert score_batch(p, np.array([[0, 0, 1]]))[0] == pytest.approx(1.0)
 
 
 def test_complex_matches_real_arithmetic_oracle():
@@ -142,7 +142,7 @@ def test_complex_matches_real_arithmetic_oracle():
                 "relation": (wr + 1j * wi)[None, :],
             },
         )
-        assert score(p, 0, 0, 1) == pytest.approx(expected, rel=1e-12)
+        assert score_batch(p, np.array([[0, 0, 1]]))[0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
@@ -293,9 +293,10 @@ def test_inactive_hinge_gives_zero_gradients(kind):
         tuple(int(v) for v in (rng.integers(9), rng.integers(3), rng.integers(9)))
         for _ in range(64)
     ]
-    scored = sorted(triples, key=lambda t: score(p, *t))
-    pos, neg = scored[-1], scored[0]  # widest gap; margin 0 keeps the hinge flat
-    assert margin_ranking_loss(score(p, *pos), score(p, *neg), 0.0) == 0.0
+    scores = score_batch(p, np.array(triples))
+    best, worst = np.argmax(scores), np.argmin(scores)
+    pos, neg = triples[best], triples[worst]  # widest gap; margin 0 keeps the hinge flat
+    assert margin_ranking_loss(scores[best], scores[worst], 0.0) == 0.0
     grads = gradients(p, pos, neg, 0.0)
     for arr in grads.values():
         assert not np.any(arr)

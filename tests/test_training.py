@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,41 +185,50 @@ def test_train_stops_at_first_non_finite_loss(monkeypatch):
     assert info.value.epoch == 3 and len(calls) == 9
 
 
-def test_early_stopping_plateau_timing_and_best_checkpoint():
-    triples = tiny_triples()
-    cfg = TrainConfig(dim=8, max_epochs=1000, eval_every=10, patience=3, batch_size=16, seed=7)
-    calls = []
+def scripted_evaluate(monkeypatch, hits10):
+    """Make training's validation evaluations return the given hits@10 values,
+    in turn; returns the list of parameter snapshots, one per evaluation."""
+    import chainlens.training as training_mod
+
+    values = iter(hits10)
     snapshots = []
 
-    def scripted_eval(params, epoch):
-        calls.append(epoch)
+    def fake_evaluate(params, queries, filter_index=None, setting="filtered"):
+        assert setting == "filtered" and filter_index is not None
         snapshots.append(params.copy())
-        return 0.5, 0.25  # plateau from the very first evaluation
+        return SimpleNamespace(hits={10: next(values)}, mrr=0.25)
 
-    params, history = train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg, eval_fn=scripted_eval)
-    assert calls == [10, 20, 30, 40]  # patience+1 = 4 evaluations
+    monkeypatch.setattr(training_mod, "evaluate", fake_evaluate)
+    return snapshots
+
+
+def test_early_stopping_plateau_timing_and_best_checkpoint(monkeypatch):
+    triples = tiny_triples()
+    cfg = TrainConfig(dim=8, max_epochs=1000, eval_every=10, patience=3, batch_size=16, seed=7)
+    snapshots = scripted_evaluate(monkeypatch, [0.5] * 5)  # plateau from the very first evaluation
+    params, history = train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
+    assert len(snapshots) == 4  # patience+1 = 4 evaluations
     assert history.stopped_early
     assert history.best_epoch == 10
     for name in params.blocks:  # returned checkpoint is the best (first) one
         assert np.array_equal(params.blocks[name], snapshots[0].blocks[name])
+        assert not np.array_equal(params.blocks[name], snapshots[-1].blocks[name])
     assert [r.epoch for r in history.records] == [10, 20, 30, 40]
+    assert [(r.hits10, r.mrr) for r in history.records] == [(0.5, 0.25)] * 4
 
 
-def test_early_stopping_improvement_resets_patience():
+def test_early_stopping_improvement_resets_patience(monkeypatch):
     triples = tiny_triples()
     cfg = TrainConfig(dim=8, max_epochs=1000, eval_every=10, patience=3, batch_size=16, seed=7)
-    sequence = iter([0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3, 0.3])
-    epochs = []
-
-    def scripted_eval(params, epoch):
-        epochs.append(epoch)
-        return next(sequence), 0.0
-
-    _, history = train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg, eval_fn=scripted_eval)
+    snapshots = scripted_evaluate(monkeypatch, [0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3, 0.3, 0.9])
+    params, history = train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
     # improvements at 10, 20, 50; three flat evaluations after 50 stop at 80
-    assert epochs == [10, 20, 30, 40, 50, 60, 70, 80]
+    assert [r.epoch for r in history.records] == [10, 20, 30, 40, 50, 60, 70, 80]
+    assert len(snapshots) == 8
     assert history.best_epoch == 50
     assert history.stopped_early
+    for name in params.blocks:
+        assert np.array_equal(params.blocks[name], snapshots[4].blocks[name])
 
 
 def test_train_without_evaluations_returns_final_params():
@@ -269,32 +279,37 @@ def test_full_grid_shape_is_18_runs():
     assert len(GRID_DIMS) * len(GRID_LEARNING_RATES) == 18
 
 
-def test_grid_single_point_returns_it():
+def set_grid(monkeypatch, dims, learning_rates):
+    import chainlens.training as training_mod
+
+    monkeypatch.setattr(training_mod, "GRID_DIMS", dims)
+    monkeypatch.setattr(training_mod, "GRID_LEARNING_RATES", learning_rates)
+
+
+def test_grid_single_point_returns_it(monkeypatch):
+    set_grid(monkeypatch, (8,), (0.01,))
     triples = tiny_triples()
     base = TrainConfig(dim=8, max_epochs=10, eval_every=5, batch_size=16, seed=1)
-    result = grid_search(
-        ModelKind.TRANSE, triples, triples[:8], 15, 2, base, dims=(8,), learning_rates=(0.01,)
-    )
-    assert result.best_config.dim == 8
-    assert result.best_config.learning_rate == 0.01
+    result = grid_search(ModelKind.TRANSE, triples, triples[:8], 15, 2, base)
+    assert result.best_config == replace(base, learning_rate=0.01)
     assert len(result.runs) == 1
 
 
-def test_grid_trained_config_beats_untrained():
+def test_grid_trained_config_beats_untrained(monkeypatch):
+    # a learning rate of 1e-12 leaves the initial parameters all but untouched
+    set_grid(monkeypatch, (16,), (1e-12, 0.01))
     triples = tiny_triples(n=50)
-    base = TrainConfig(dim=16, learning_rate=0.01, eval_every=500, batch_size=50, seed=3)
-    trained = replace(base, max_epochs=300)
-    untrained = replace(base, max_epochs=0)
-    result = grid_search(
-        ModelKind.ROTATE, triples, triples, 15, 2, base, configs=[untrained, trained]
-    )
-    assert result.best_config.max_epochs == 300
+    base = TrainConfig(max_epochs=300, eval_every=500, batch_size=50, seed=3)
+    result = grid_search(ModelKind.ROTATE, triples, triples, 15, 2, base)
+    (_, _, untrained), (_, _, trained) = result.runs
+    assert trained > untrained
+    assert result.best_config.learning_rate == 0.01
 
 
 def test_grid_tie_break_prefers_smaller_dim_then_lr(monkeypatch):
     import chainlens.training as training_mod
 
-    # force a three-way tie so only the (dim, learning_rate) order decides
+    # force a six-way tie so only the (dim, learning_rate) order decides
     real_evaluate = training_mod.evaluate
 
     def constant_mrr(params, queries, filter_set=None, **kwargs):
@@ -303,37 +318,46 @@ def test_grid_tie_break_prefers_smaller_dim_then_lr(monkeypatch):
         return report
 
     monkeypatch.setattr(training_mod, "evaluate", constant_mrr)
+    # grid order (16, .01), (16, .001), (8, .01), (8, .001), (32, .01), (32, .001): the winner is fourth
+    set_grid(monkeypatch, (16, 8, 32), (0.01, 0.001))
     triples = tiny_triples()
     base = TrainConfig(max_epochs=0, eval_every=10, batch_size=16, seed=1)
-    cfgs = [replace(base, dim=d, learning_rate=lr) for d, lr in ((16, 0.01), (8, 0.01), (8, 0.001))]
-    result = grid_search(ModelKind.TRANSE, triples, triples[:8], 15, 2, base, configs=cfgs)
+    result = grid_search(ModelKind.TRANSE, triples, triples[:8], 15, 2, base)
+    assert [(d, lr) for d, lr, _ in result.runs] == [(16, 0.01), (16, 0.001), (8, 0.01), (8, 0.001),
+                                                     (32, 0.01), (32, 0.001)]
     assert all(m == 0.5 for _, _, m in result.runs)
     assert (result.best_config.dim, result.best_config.learning_rate) == (8, 0.001)
 
 
 def test_grid_reads_validation_mrr_from_history(monkeypatch):
+    """A run that evaluated reports the MRR recorded at its best epoch; a run
+    that never evaluated (max_epochs < eval_every) is evaluated once."""
     import chainlens.training as training_mod
     from chainlens.evaluation import build_filter_index, evaluate
 
     triples = tiny_triples(n=50)
     valid = triples[:10]
-    base = TrainConfig(max_epochs=20, eval_every=10, patience=5, batch_size=16, seed=2)
-    cfgs = [replace(base, dim=8), replace(base, dim=16, learning_rate=0.01), replace(base, dim=8, max_epochs=5)]
     index = build_filter_index([triples, valid])
-    expected = [(c.dim, c.learning_rate,
-                 evaluate(train(ModelKind.TRANSE, triples, valid, 15, 2, c)[0], valid, index, setting="filtered").mrr)
-                for c in cfgs]
+    set_grid(monkeypatch, (8, 16), (0.001, 0.01))
     calls = []
 
     def counting_evaluate(*args, **kwargs):
         calls.append(args)
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(training_mod, "evaluate", counting_evaluate)
-    result = grid_search(ModelKind.TRANSE, triples, valid, 15, 2, base, configs=cfgs)
-    assert result.runs == expected  # bit for bit
-    # two validation evaluations in each 20-epoch run, one for the run that never evaluated
-    assert len(calls) == 2 + 2 + 1
+    for max_epochs, evaluations_per_run in ((20, 2), (5, 1)):
+        base = TrainConfig(max_epochs=max_epochs, eval_every=10, patience=5, batch_size=16, seed=2)
+        expected = []
+        for dim in (8, 16):
+            for lr in (0.001, 0.01):
+                params, _ = train(ModelKind.TRANSE, triples, valid, 15, 2, replace(base, dim=dim, learning_rate=lr))
+                expected.append((dim, lr, evaluate(params, valid, index, setting="filtered").mrr))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(training_mod, "evaluate", counting_evaluate)
+            result = grid_search(ModelKind.TRANSE, triples, valid, 15, 2, base)
+        assert result.runs == expected  # bit for bit
+        assert len(calls) == len(expected) * evaluations_per_run
 
 
 def test_train_without_validation_set_runs_plain():
