@@ -217,12 +217,17 @@ def cmd_train(args) -> int:
     num_entities, num_relations = graph.num_entities, len(RELATION_BY_INDEX)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    grid_skipped = {}
     if args.grid:
         result = grid_search(args.model, train_arr, valid_arr, num_entities, num_relations, cfg)
         print(f"grid search over {len(result.runs)} runs; best: dim={result.best_config.dim} "
               f"lr={result.best_config.learning_rate:g} val mrr={result.best_mrr:.4f}")
         for dim, lr, mrr in result.runs:
             print(f"  dim={dim} lr={lr:g}: val mrr {mrr:.4f}")
+        for dim, lr, needed in result.skipped:
+            print(f"  dim={dim} lr={lr:g}: skipped, needs about {needed / 2**30:,.2f} GiB, over the memory limit")
+        grid_skipped = {"grid_skipped": [{"dim": dim, "learning_rate": lr, "bytes": needed}
+                                         for dim, lr, needed in result.skipped]}
         params, history, cfg = result.best_params, result.best_history, result.best_config
     else:
         params, history = train(args.model, train_arr, valid_arr, num_entities, num_relations, cfg)
@@ -238,7 +243,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "train",
-        {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv()},
+        {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv(), **grid_skipped},
         [cfg.seed],
         [str(args.split_dir)] + ([args.config] if args.config else []),
         [str(out), str(history_path)],

@@ -12,15 +12,28 @@ higher-is-better convention (distance-based models are negated):
 RESCAL and TuckER share one bilinear path, s = e_s^T M_r e_o: RESCAL stores
 M_r, TuckER builds M_r = W x_2 w_r (Balazevic et al. 2019).  Batches are
 grouped by relation, so scores and gradients are per-relation matrix products
-(GEMMs): with the rows S, O of one relation, the entity gradients are O M_r^T
-and S M_r, and G_r = S^T O is RESCAL's relation gradient, from which TuckER's
-relation and core gradients are one contraction each with W and w.
+(GEMMs).  A training batch's positives and negatives take one forward pass,
+grouped once, so each M_r is built once per batch.  With the rows S, O of
+one relation, S M_r gives the scores and the object gradients, O M_r^T the
+subject gradients, and G_r = S^T O, the rows weighted by their loss
+coefficients, is RESCAL's relation gradient, from which TuckER's relation
+and core gradients are one contraction each with W and w.
 
-Gradients accumulate into dense blocks.  Every per-row scatter (entity rows,
-and the relation rows of the elementwise models) goes through
-``_scatter_rows``: one ``np.add.at`` on the flat float64 view of the block,
-which adds the same values in the same order as the row-wise ``np.add.at``
-and so gives the same bits, in about a third of the time.
+The training step (``batch_loss_and_gradients``) writes into a workspace
+built once per run, ``_BatchWorkspace``: the dense gradient blocks, cleared
+each batch, and every gathered row, product, score, loss and scatter index,
+written with ``out=`` into the batch's first rows.  It allocates no array
+of a batch's size, which glibc would otherwise map and fault in afresh on
+every batch.  Its gathers clip ids (numpy's default mode buffers a copy of
+``out``), so the step checks the ids itself first.  TransE, ComplEx and
+RotatE score each half of the batch on its own and keep its forward results
+for its gradient.  Every per-row scatter (entity rows, and the relation rows
+of the elementwise models) goes through ``_scatter_rows``: one
+``np.add.at`` on the flat float64 view of the block, which adds the same
+values in the same order as the row-wise ``np.add.at`` and so gives the
+same bits, in about a third of the time.  The elementwise models' losses
+and gradients are bit-identical to the allocating step kept as the oracle
+in ``tests/reference_models.py``; RESCAL's and TuckER's agree within 1e-12.
 
 ``score_objects`` scores k queries against all N entities as one (k, N)
 block: a GEMM per relation for the bilinear models, one real GEMM on the
@@ -50,6 +63,7 @@ import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -340,7 +354,7 @@ def corrupt_batch(pos: np.ndarray, num_entities: int, rng: np.random.Generator) 
 # Analytic gradients
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
     """Add rows[i] into g[idx[i]] for every i in turn, as ``np.add.at(g, idx, rows)`` does.
 
     ``g`` is C-contiguous and ``rows`` has its dtype.  The scatter runs on
@@ -348,87 +362,310 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     idx[i] * width + j for element j of row i.  Each element of ``g`` gets
     the same additions in the same order, so the result is bit-identical,
     and numpy's one-dimensional ``add.at`` is 3-4x faster than the row-wise
-    one (512 rows of 64 into 685 x 64 on a 2-vCPU Xeon).  The flat index is
-    the only temporary.
+    one (512 rows of 64 into 685 x 64 on a 2-vCPU Xeon).  ``table`` holds
+    every row's flat indices (0 .. g's float64 size, in len(g) rows); the
+    rows idx of it are gathered into ``index``, an int64 buffer of at least
+    len(idx) * width entries, in a quarter of the time that computing them
+    took (512 rows of 64 or 128).
     """
-    flat = g.view(np.float64).reshape(-1)
-    width = flat.size // len(g)
-    np.add.at(flat, (idx[:, None] * width + np.arange(width)).reshape(-1),
-              np.ascontiguousarray(rows).view(np.float64).reshape(-1))
+    width = table.shape[1]
+    cols = index[:len(idx) * width].reshape(len(idx), width)
+    np.take(table, idx, axis=0, out=cols, mode="clip")
+    values = np.ascontiguousarray(rows).view(np.float64).reshape(-1)
+    np.add.at(g.view(np.float64).reshape(-1), cols.reshape(-1), values)
 
 
-def _accumulate_score_grads(
-    params: ModelParams, grads: dict[str, np.ndarray], triples: np.ndarray, coeff: float
-) -> None:
-    """Add coeff * (d score / d params) of each triple into dense ``grads``."""
-    if len(triples) == 0:
-        return
-    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
-    E, R = params.blocks["entity"], params.blocks["relation"]
-    gE, gR = grads["entity"], grads["relation"]
-    kind = params.kind
+def _workspace_specs(kind: ModelKind, n_ent: int, r: int, d: int, rows: int) -> dict[str, tuple]:
+    """(shape, dtype) of each buffer of a step over up to ``rows`` pairs, the gradient blocks aside.
+
+    Every model has the scores (positives, then negatives), the losses, the
+    active mask and the flat-index ``tables`` of the gradient blocks it
+    scatters into (see ``_scatter_rows``).  RESCAL and TuckER hold [pos;
+    neg] as given (``pairs``) and sorted by relation, the sorted rows'
+    gathered subjects S and objects O, S M_r, and the loss coefficients in
+    both orders.  TuckER adds the batch's relation rows, their M_r (stored
+    as W x_2 w_r leaves it, relation second), G per relation and the
+    relation gradient rows.  The other models keep each half's forward
+    results (``pos.*``, ``neg.*``) for its gradient, the active rows of a
+    partly active half and of its triples (``act.*``), the flat scatter
+    ``index`` and shared work buffers; RotatE also exp(i theta) of every
+    relation.
+    """
+    real, cplx, ids = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
+    width = 2 * d if kind in (ModelKind.COMPLEX, ModelKind.ROTATE) else d
+    specs = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool)),
+             "tables.entity": ((n_ent, width), ids)}
+    if kind in _BILINEAR:
+        n = 2 * rows
+        specs |= {"pairs": ((n, 3), ids), "sorted": ((n, 3), ids),
+                  "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
+                  "coeff": ((n,), real), "sorted_coeff": ((n,), real), "sorted_scores": ((n,), real)}
+        if kind is ModelKind.TUCKER:
+            specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real), "G": ((r, d, d), real),
+                      "rel_grads": ((r, d), real)}
+        return specs
+    specs |= {"index": ((rows * width,), ids), "act.triples": ((rows, 3), ids),
+              "tables.relation": ((r, 2 * d if kind is ModelKind.COMPLEX else d), ids)}
     if kind is ModelKind.TRANSE:
-        sgn = np.sign(E[s] + R[r] - E[o])
-        _scatter_rows(gE, s, -coeff * sgn)
-        _scatter_rows(gR, r, -coeff * sgn)
-        _scatter_rows(gE, o, coeff * sgn)
-    elif kind in _BILINEAR:
-        rels, groups = _relation_groups(r)
-        M = _relation_matrices(params, rels)
-        es, eo = E[s], E[o]
-        g_s, g_o, G = np.empty_like(es), np.empty_like(eo), np.empty(M.shape)
-        for k, rows in enumerate(groups):
-            g_s[rows] = eo[rows] @ M[k].T
-            g_o[rows] = es[rows] @ M[k]
-            G[k] = es[rows].T @ eo[rows]
-        _scatter_rows(gE, s, coeff * g_s)
-        _scatter_rows(gE, o, coeff * g_o)
-        # rels are distinct, so a fancy-indexed += adds each row once
-        if kind is ModelKind.RESCAL:
-            gR[rels] += coeff * G
-        else:
-            # sum_ac W[a, b, c] G[r, a, c] as one GEMM over the flat (a, c) index
-            W, d = params.blocks["core"], params.dim
-            gR[rels] += coeff * (G.reshape(len(G), d * d) @ W.transpose(0, 2, 1).reshape(d * d, d))
-            grads["core"] += coeff * np.einsum("rac,rb->abc", G, R[rels], optimize=True)
+        half, shared = {"u": real}, {"t": real, "g": real}
     elif kind is ModelKind.COMPLEX:
-        es, eo, w = E[s], E[o], R[r]
-        _scatter_rows(gE, s, coeff * (np.conj(w) * eo))
-        _scatter_rows(gR, r, coeff * (np.conj(es) * eo))
-        _scatter_rows(gE, o, coeff * (es * w))
-    elif kind is ModelKind.ROTATE:
-        rot = np.exp(1j * R)[r]
-        es = E[s]
-        u = es * rot - E[o]
-        m = np.abs(u)
-        gu = np.zeros_like(u)
-        nz = m > 0
-        gu[nz] = -u[nz] / m[nz]
-        _scatter_rows(gE, s, coeff * (np.conj(rot) * gu))
-        _scatter_rows(gE, o, -coeff * gu)
-        _scatter_rows(gR, r, coeff * np.imag(np.conj(es) * gu * np.conj(rot)))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled model kind {kind}")
+        half, shared = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx}
+        specs["csum"] = ((rows,), cplx)
+    else:
+        half, shared = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx, "nz": np.dtype(bool)}
+        specs["rotations"] = ((r, d), cplx)
+    for prefix in ("pos.", "neg.", "act."):
+        specs |= {prefix + name: ((rows, d), dtype) for name, dtype in half.items()}
+    return specs | {name: ((rows, d), dtype) for name, dtype in shared.items()}
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
+class _BatchWorkspace:
+    """The training step's buffers, for batches of up to ``rows`` (positive, negative) pairs.
+
+    Built once per training run: ``grads`` holds the gradient blocks, and
+    the other buffers are those of :func:`_workspace_specs`, as attributes
+    (``pos``, ``neg`` and ``act`` hold a half's, ``tables`` the flat-index
+    tables).  A step clears the gradient blocks and writes into the first
+    rows of the other buffers, so a shorter last batch reuses them.
+    RESCAL's and TuckER's scatter index is O's memory, spent by the time
+    they scatter.
+    """
+
+    def __init__(self, params: ModelParams, rows: int) -> None:
+        self.rows = rows
+        self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
+        self.pos, self.neg, self.act, self.tables = (SimpleNamespace() for _ in range(4))
+        specs = _workspace_specs(params.kind, params.num_entities, params.num_relations, params.dim, rows)
+        for name, (shape, dtype) in specs.items():
+            owner, _, attr = name.rpartition(".")
+            setattr(getattr(self, owner) if owner else self, attr, np.empty(shape, dtype))
+        for table in vars(self.tables).values():
+            table.reshape(-1)[:] = np.arange(table.size)
+        if params.kind in _BILINEAR:
+            self.index = self.O.reshape(-1).view(np.int64)
+
+    def scatter(self, block: str, idx: np.ndarray, rows: np.ndarray) -> None:
+        """Add rows[i] into row idx[i] of gradient block ``block``, for every i in turn."""
+        _scatter_rows(self.grads[block], idx, rows, getattr(self.tables, block), self.index)
+
+
+def training_bytes(kind: ModelKind, num_entities: int, num_relations: int, dim: int, batch: int,
+                   negatives: int) -> int:
+    """Bytes that training a ``kind`` model holds at once, estimated without allocating.
+
+    Seven copies of the parameter blocks (the parameters, Adam's m and v and
+    its two scratch arrays, the gradients and the best checkpoint), the
+    step's workspace for batch * negatives pairs, the batch's positive and
+    negative id arrays, and for TransE the squared entity block that its
+    unit-norm projection makes.  The sizes are Python integers, so a model
+    far too large for any machine is counted, not overflowed.
+    """
+    def nbytes(specs: dict[str, tuple]) -> int:
+        return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs.values())
+
+    rows, blocks = batch * negatives, _block_specs(kind, num_entities, num_relations, dim)
+    workspace = nbytes(_workspace_specs(kind, num_entities, num_relations, dim, rows))
+    projection = nbytes({"entity": blocks["entity"]}) if kind is ModelKind.TRANSE else 0
+    return 7 * nbytes(blocks) + workspace + 2 * rows * 3 * 8 + projection
+
+
+def _hinge(margin: float, scores: np.ndarray, ws: _BatchWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """The losses max(0, margin + neg - pos) of the pairs whose scores are [pos; neg], and their active mask."""
+    n = len(scores) // 2
+    losses = np.add(margin, scores[n:], out=ws.losses[:n])
+    np.subtract(losses, scores[:n], out=losses)
+    np.maximum(0.0, losses, out=losses)
+    return losses, np.greater(losses, 0.0, out=ws.active[:n])
+
+
+# The elementwise models' halves.  A forward pass writes the half's buffers
+# and the scores of its triples; a backward pass adds coeff * (d score /
+# d params) of the triples whose forward results the half holds.
+
+def _transe_forward(params, triples, h, ws, scores) -> None:
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    m = len(triples)
+    u, t = h.u[:m], ws.t[:m]
+    np.take(E, triples[:, 0], axis=0, out=u, mode="clip")
+    u += np.take(R, triples[:, 1], axis=0, out=t, mode="clip")
+    u -= np.take(E, triples[:, 2], axis=0, out=t, mode="clip")
+    np.negative(np.sum(np.abs(u, out=t), axis=1, out=scores), out=scores)
+
+
+def _transe_backward(params, triples, h, ws, coeff) -> None:
+    m = len(triples)
+    sgn, g = np.sign(h.u[:m], out=ws.t[:m]), ws.g[:m]
+    np.multiply(-coeff, sgn, out=g)
+    ws.scatter("entity", triples[:, 0], g)
+    ws.scatter("relation", triples[:, 1], g)
+    ws.scatter("entity", triples[:, 2], np.multiply(coeff, sgn, out=g))
+
+
+def _complex_forward(params, triples, h, ws, scores) -> None:
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    m = len(triples)
+    es, eo, esw = h.es[:m], h.eo[:m], h.esw[:m]
+    np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
+    np.multiply(es, np.take(R, triples[:, 1], axis=0, out=h.w[:m], mode="clip"), out=esw)
+    np.take(E, triples[:, 2], axis=0, out=eo, mode="clip")
+    c = ws.c[:m]
+    np.multiply(esw, np.conjugate(eo, out=c), out=c)
+    np.copyto(scores, np.sum(c, axis=1, out=ws.csum[:m]).real)
+
+
+def _complex_backward(params, triples, h, ws, coeff) -> None:
+    m = len(triples)
+    c, es, w, eo = ws.c[:m], h.es[:m], h.w[:m], h.eo[:m]
+    np.multiply(coeff, np.multiply(np.conjugate(w, out=c), eo, out=c), out=c)
+    ws.scatter("entity", triples[:, 0], c)
+    np.multiply(coeff, np.multiply(np.conjugate(es, out=c), eo, out=c), out=c)
+    ws.scatter("relation", triples[:, 1], c)
+    ws.scatter("entity", triples[:, 2], np.multiply(coeff, h.esw[:m], out=c))
+
+
+def _rotate_forward(params, triples, h, ws, scores) -> None:
+    E = params.blocks["entity"]
+    m = len(triples)
+    es, rot, u, mod = h.es[:m], h.rot[:m], h.u[:m], h.mod[:m]
+    np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
+    np.multiply(es, np.take(ws.rotations, triples[:, 1], axis=0, out=rot, mode="clip"), out=u)
+    u -= np.take(E, triples[:, 2], axis=0, out=ws.c[:m], mode="clip")
+    np.abs(u, out=mod)
+    np.negative(np.sum(mod, axis=1, out=scores), out=scores)
+
+
+def _rotate_backward(params, triples, h, ws, coeff) -> None:
+    m = len(triples)
+    c, es, rot, gu, mod = ws.c[:m], h.es[:m], h.rot[:m], h.u[:m], h.mod[:m]
+    # gu = -u / |u|, and 0 where |u| = 0, written over u
+    nz = np.greater(mod, 0, out=ws.nz[:m])
+    np.negative(gu, out=c)
+    gu.fill(0)
+    np.divide(c, mod, out=gu, where=nz)
+    np.conjugate(rot, out=rot)
+    np.multiply(coeff, np.multiply(rot, gu, out=c), out=c)
+    ws.scatter("entity", triples[:, 0], c)
+    ws.scatter("entity", triples[:, 2], np.multiply(-coeff, gu, out=c))
+    np.multiply(np.multiply(np.conjugate(es, out=c), gu, out=c), rot, out=c)
+    ws.scatter("relation", triples[:, 1], np.multiply(coeff, c.imag, out=mod))
+
+
+_HALVES = {
+    ModelKind.TRANSE: (_transe_forward, _transe_backward),
+    ModelKind.COMPLEX: (_complex_forward, _complex_backward),
+    ModelKind.ROTATE: (_rotate_forward, _rotate_backward),
+}
+
+
+def _elementwise_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
+                      ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """TransE, ComplEx and RotatE: each half scored on its own, its forward results kept for its gradient.
+
+    In a partly active batch, a half's backward pass reads the active rows
+    of its forward results, copied into ``act`` in order.
+    """
+    forward, backward = _HALVES[params.kind]
+    n = len(pos)
+    if params.kind is ModelKind.ROTATE:
+        np.exp(np.multiply(1j, params.blocks["relation"], out=ws.rotations), out=ws.rotations)
+    scores = ws.scores[:2 * n]
+    forward(params, pos, ws.pos, ws, scores[:n])
+    forward(params, neg, ws.neg, ws, scores[n:])
+    losses, active = _hinge(margin, scores, ws)
+    rows = np.flatnonzero(active)
+    if len(rows):
+        scale = 1.0 / n
+        for triples, half, coeff in ((pos, ws.pos, -scale), (neg, ws.neg, scale)):
+            if len(rows) < n:  # np.compress would buffer a copy of its output
+                for name, buf in vars(half).items():
+                    np.take(buf, rows, axis=0, out=getattr(ws.act, name)[:len(rows)], mode="clip")
+                triples, half = np.take(triples, rows, axis=0, out=ws.act.triples[:len(rows)], mode="clip"), ws.act
+            backward(params, triples, half, ws, coeff)
+    return losses, ws.grads
+
+
+def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
+                   ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """RESCAL and TuckER: one forward pass over [pos; neg], grouped by relation once.
+
+    Each M_r is built once per batch and serves both halves (``corrupt_batch``
+    keeps a pair's relation).  Sorted by relation, each group is a
+    contiguous block of rows; S M_r gives its scores and, weighted by the
+    rows' loss coefficients (-1/B for an active positive of a B-pair batch,
+    1/B for an active negative, 0 for an inactive pair), the object
+    gradients.
+    """
+    half = len(pos)
+    n = 2 * half
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    gR = ws.grads["relation"]
+    pairs = ws.pairs[:n]
+    pairs[:half], pairs[half:] = pos, neg
+    order = np.argsort(pairs[:, 1], kind="stable")
+    X = np.take(pairs, order, axis=0, out=ws.sorted[:n], mode="clip")
+    rels, starts = np.unique(X[:, 1], return_index=True)
+    blocks = [slice(a, b) for a, b in zip(starts.tolist(), [*starts[1:].tolist(), n])]
+    S = np.take(E, X[:, 0], axis=0, out=ws.S[:n], mode="clip")
+    O = np.take(E, X[:, 2], axis=0, out=ws.O[:n], mode="clip")
+    SM = ws.SM[:n]
+    if params.kind is ModelKind.RESCAL:
+        M = [R[rel] for rel in rels.tolist()]
+    else:
+        w = np.take(R, rels, axis=0, out=ws.rel_rows[:len(rels)], mode="clip")
+        M = np.matmul(w, params.blocks["core"], out=ws.M[:, :len(rels)]).transpose(1, 0, 2)
+    sorted_scores = ws.sorted_scores[:n]
+    for k, rows in enumerate(blocks):
+        np.einsum("ij,ij->i", np.matmul(S[rows], M[k], out=SM[rows]), O[rows], out=sorted_scores[rows])
+    scores = ws.scores[:n]
+    scores[order] = sorted_scores
+    losses, active = _hinge(margin, scores, ws)
+    if not active.any():
+        return losses, ws.grads
+    scale, coeff = 1.0 / half, ws.coeff[:n]
+    np.multiply(active, -scale, out=coeff[:half])
+    np.multiply(active, scale, out=coeff[half:])
+    c = np.take(coeff, order, out=ws.sorted_coeff[:n], mode="clip")[:, None]
+    S *= c
+    for k, rows in enumerate(blocks):
+        # G_r = sum_i c_i s_i o_i^T is RESCAL's relation gradient; then S's rows become O M_r^T
+        np.matmul(S[rows].T, O[rows], out=gR[rels[k]] if params.kind is ModelKind.RESCAL else ws.G[k])
+        np.matmul(O[rows], M[k].T, out=S[rows])
+    ws.scatter("entity", X[:, 0], np.multiply(S, c, out=S))  # O is spent: ws.index is its memory
+    ws.scatter("entity", X[:, 2], np.multiply(SM, c, out=SM))
+    if params.kind is ModelKind.TUCKER:
+        # relation rows sum_a G[r, a, :] W[a]^T, the products for each a written over the spent
+        # M_r, and core slices W'[a] = sum_r w_r G[r, a, :]
+        G, W = ws.G[:len(rels)], params.blocks["core"]
+        P = np.matmul(G.transpose(1, 0, 2), W.transpose(0, 2, 1), out=ws.M[:, :len(rels)])
+        gR[rels] = np.sum(P, axis=0, out=ws.rel_grads[:len(rels)])
+        np.matmul(w.T, G.transpose(1, 0, 2), out=ws.grads["core"])
+    return losses, ws.grads
 
 
 def batch_loss_and_gradients(
-    params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float
+    params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
+    workspace: _BatchWorkspace | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-pair hinge losses and the gradient of their batch mean."""
-    pos_scores = score_batch(params, pos)
-    neg_scores = score_batch(params, neg)
-    losses = np.maximum(0.0, margin + neg_scores - pos_scores)
-    grads = zero_grads(params)
-    active = losses > 0.0
-    if active.any():
-        scale = 1.0 / len(pos)
-        _accumulate_score_grads(params, grads, pos[active], -scale)
-        _accumulate_score_grads(params, grads, neg[active], scale)
-    return losses, grads
+    """Per-pair hinge losses and the gradient of their batch mean.
+
+    ``neg[i]`` is the corruption of ``pos[i]``.  The step writes into
+    ``workspace``, a :class:`_BatchWorkspace` for at least len(pos) pairs,
+    or into a new one.  The losses and gradient blocks returned are views
+    into it: they stay valid until its next step.
+    """
+    pos, neg = np.asarray(pos, dtype=np.int64), np.asarray(neg, dtype=np.int64)
+    for triples in (pos, neg):  # the gathers clip ids, so that they need no buffered copy of their output
+        if len(triples) and (triples.min() < 0 or triples[:, 1].max() >= params.num_relations
+                             or triples[:, ::2].max() >= params.num_entities):
+            raise IndexError(f"a triple names an id outside {params.num_entities} entities "
+                             f"and {params.num_relations} relations")
+    ws = _BatchWorkspace(params, len(pos)) if workspace is None else workspace
+    if len(pos) > ws.rows:
+        raise ValueError(f"a batch of {len(pos)} pairs does not fit a workspace for {ws.rows}")
+    for g in ws.grads.values():
+        g.fill(0.0)
+    step = _bilinear_step if params.kind in _BILINEAR else _elementwise_step
+    return step(params, pos, neg, margin, ws)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ epochs.  Training stops once hits@10 fails to strictly improve on
 ``patience`` consecutive evaluations; the parameters returned are the
 checkpoint from the best evaluation, not the last.  An epoch whose mean loss
 or parameters are not all finite stops training with :class:`TrainingDiverged`.
+A run whose estimated memory (``models.training_bytes``) exceeds the memory
+limit is refused with :class:`ConfigError` before it allocates; a grid
+search skips such points.
 
 Everything is seeded and deterministic: the same config yields the same
 trajectory bit for bit.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,10 +30,12 @@ from .evaluation import build_filter_index, evaluate
 from .models import (
     ModelKind,
     ModelParams,
+    _BatchWorkspace,
     apply_constraints,
     batch_loss_and_gradients,
     corrupt_batch,
     init_params,
+    training_bytes,
 )
 
 logger = logging.getLogger(__name__)
@@ -95,15 +101,21 @@ def _float_view(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Adam's moments ``m`` and ``v`` of each parameter block, and the block's
+    two scratch arrays, ``scratch[name] = (buf, step)``, which every update
+    overwrites."""
+
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        m = {k: np.zeros_like(_float_view(a)) for k, a in params.blocks.items()}
-        v = {k: np.zeros_like(_float_view(a)) for k, a in params.blocks.items()}
-        return cls(step=0, m=m, v=v)
+        views = {k: _float_view(a) for k, a in params.blocks.items()}
+        return cls(step=0, m={k: np.zeros_like(a) for k, a in views.items()},
+                   v={k: np.zeros_like(a) for k, a in views.items()},
+                   scratch={k: (np.empty_like(a), np.empty_like(a)) for k, a in views.items()})
 
 
 def adam_step(
@@ -116,10 +128,11 @@ def adam_step(
 
     Per block: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, and
     p -= (lr m_hat) / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t) and
-    v_hat = v / (1 - b2^t).  The operations run in place on ``out=``
-    buffers, in the order written, so the update is bit-identical to the
-    plain expressions while a block needs only two temporaries: a scratch
-    buffer that ends as the denominator, and the step.
+    v_hat = v / (1 - b2^t).  The operations run in place, in the order
+    written, so the update is bit-identical to the plain expressions.  Their
+    only temporaries are the block's two scratch arrays in ``state``, written
+    with ``out=``: ``buf``, which ends as the denominator, and ``step``.  The
+    gradients are only read.
     """
     state.step += 1
     t = state.step
@@ -128,7 +141,8 @@ def adam_step(
     for name, p in params.blocks.items():
         g = _float_view(grads[name])
         m, v = state.m[name], state.v[name]
-        buf = np.multiply(1.0 - b1, g)
+        buf, step = state.scratch[name]
+        np.multiply(1.0 - b1, g, out=buf)
         m *= b1
         m += buf
         np.multiply(1.0 - b2, g, out=buf)
@@ -138,7 +152,7 @@ def adam_step(
         np.divide(v, 1.0 - b2**t, out=buf)
         np.sqrt(buf, out=buf)
         buf += eps
-        step = np.divide(m, 1.0 - b1**t)
+        np.divide(m, 1.0 - b1**t, out=step)
         step *= lr
         step /= buf
         pv = _float_view(p)
@@ -150,6 +164,30 @@ def adam_step(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+# cgroup v2 and v1 memory limit files, read as they stand; "max", or no file, sets no limit
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def memory_limit() -> int:
+    """Bytes this process may hold: its cgroup's memory limit if one is set, else physical RAM."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            text = Path(path).read_text(encoding="ascii").strip()
+        except (OSError, UnicodeDecodeError):
+            continue
+        if text.isdigit():
+            limit = min(limit, int(text))
+    return limit
+
+
+def _needed_bytes(kind: ModelKind, n_train: int, num_entities: int, num_relations: int,
+                  config: TrainConfig) -> int:
+    """``training_bytes`` of a run of ``config`` over ``n_train`` triples, whose largest batch is the first."""
+    return training_bytes(kind, num_entities, num_relations, config.dim, min(config.batch_size, n_train),
+                          config.negatives_per_positive)
+
 
 @dataclass
 class TrainRecord:
@@ -188,15 +226,24 @@ def train(
     hits@10.  With no validation triples training runs all ``max_epochs``
     unevaluated.  If no evaluation ever runs (max_epochs < eval_every) the
     final parameters are returned.
+
+    A run whose :func:`~chainlens.models.training_bytes` exceed
+    :func:`memory_limit` raises :class:`ConfigError` before it allocates.
+    Every batch's step writes into one workspace, built with the Adam state.
     """
     train_triples = np.asarray(train_triples, dtype=np.int64)
     valid_triples = np.asarray(valid_triples, dtype=np.int64)
     if train_triples.ndim != 2 or train_triples.shape[1] != 3:
         raise ConfigError("train_triples must be an (M, 3) id array")
+    needed, limit = _needed_bytes(kind, len(train_triples), num_entities, num_relations, config), memory_limit()
+    if needed > limit:
+        raise ConfigError(f"{kind.value} at dim {config.dim} needs about {needed / 2**30:,.2f} GiB to train, "
+                          f"more than the {limit / 2**30:,.2f} GiB memory limit")
     filter_index = build_filter_index([train_triples, valid_triples]) if len(valid_triples) else None
 
     params = init_params(kind, num_entities, num_relations, config)
     state = AdamState.for_params(params)
+    workspace = _BatchWorkspace(params, min(config.batch_size, len(train_triples)) * config.negatives_per_positive)
     rng = np.random.default_rng([config.seed, 0x5EED])
 
     history = TrainHistory()
@@ -215,7 +262,7 @@ def train(
             batch = train_triples[order[start : start + config.batch_size]]
             pos = np.repeat(batch, k_neg, axis=0) if k_neg > 1 else batch
             neg = corrupt_batch(pos, num_entities, rng)
-            losses, grads = batch_loss_and_gradients(params, pos, neg, config.margin)
+            losses, grads = batch_loss_and_gradients(params, pos, neg, config.margin, workspace)
             adam_step(params, grads, state, config)
             losses_sum += float(losses.sum())
             n_pairs += len(losses)
@@ -238,7 +285,8 @@ def train(
             )
             if hits10 > best_hits:
                 best_hits = hits10
-                best_params = params.copy()
+                for name, block in params.blocks.items():  # into the checkpoint's own arrays
+                    np.copyto(best_params.blocks[name], block)
                 best_epoch = epoch
                 bad_evals = 0
             else:
@@ -261,6 +309,7 @@ class GridResult:
     best_history: TrainHistory
     best_mrr: float
     runs: list[tuple[int, float, float]]  # (dim, learning_rate, validation mrr)
+    skipped: list[tuple[int, float, int]]  # (dim, learning_rate, training_bytes) over the memory limit
 
 
 def grid_search(
@@ -277,14 +326,24 @@ def grid_search(
     dims outermost.  A run's MRR is the filtered validation MRR that
     :func:`train` recorded at its best epoch, or one evaluation of its
     parameters when it never evaluated.  Ties break toward the smaller dim,
-    then the smaller learning rate.
+    then the smaller learning rate.  Points whose training would exceed
+    :func:`memory_limit` are skipped and listed in ``skipped``; if none is
+    left, :class:`ConfigError`.
     """
     configs = [replace(base_config, dim=dim, learning_rate=lr) for dim in GRID_DIMS for lr in GRID_LEARNING_RATES]
     valid_triples = np.asarray(valid_triples, dtype=np.int64)
     filter_index = build_filter_index([train_triples, valid_triples])
     result: GridResult | None = None
     runs: list[tuple[int, float, float]] = []
+    skipped: list[tuple[int, float, int]] = []
+    limit = memory_limit()
     for config in configs:
+        needed = _needed_bytes(kind, len(train_triples), num_entities, num_relations, config)
+        if needed > limit:
+            skipped.append((config.dim, config.learning_rate, needed))
+            logger.info("grid %s dim=%d lr=%g: skipped, needs %d bytes", kind.value, config.dim,
+                        config.learning_rate, needed)
+            continue
         params, history = train(
             kind, train_triples, valid_triples, num_entities, num_relations, config
         )
@@ -304,5 +363,8 @@ def grid_search(
                 best_history=history,
                 best_mrr=mrr,
                 runs=runs,
+                skipped=skipped,
             )
+    if result is None:
+        raise ConfigError(f"no {kind.value} grid point fits the {limit / 2**30:,.2f} GiB memory limit")
     return result

@@ -10,10 +10,15 @@ cost grows as B * d^3 with no matrix products to run it, so tests call them
 at small dims.
 
 ``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
-training step as it was before the flat scatters and the in-place Adam
-update: row-wise ``np.add.at`` into the 2-D gradient blocks, TuckER's M_r by
-``tensordot`` and its relation gradient by ``einsum``, and Adam written as
-plain array expressions.  The current code must match them bit for bit.
+training step as it was before the flat scatters, the in-place Adam update
+and the per-run workspace: fresh gradient blocks (``zero_grads``) per batch,
+each half scored by ``score_batch`` and its active rows' gradients
+accumulated on their own, row-wise ``np.add.at`` into the 2-D gradient
+blocks, TuckER's M_r by ``tensordot`` and its relation gradient by
+``einsum``, and Adam written as plain array expressions.  The current code
+must match them bit for bit, apart from RESCAL and TuckER, whose single
+forward pass over both halves rounds their gradients differently (within
+1e-12).
 """
 
 import numpy as np
@@ -24,7 +29,6 @@ from chainlens.models import (
     apply_constraints,
     batch_loss_and_gradients,
     score_batch,
-    zero_grads,
 )
 from chainlens.training import _float_view
 
@@ -95,7 +99,7 @@ def _einsum_score_grads(params, grads, triples, coeff):
 def einsum_batch_loss_and_gradients(params, pos, neg, margin):
     """Per-pair hinge losses and the gradient of their batch mean, by einsum."""
     losses = np.maximum(0.0, margin + einsum_score_batch(params, neg) - einsum_score_batch(params, pos))
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
+    grads = zero_grads(params)
     active = losses > 0.0
     scale = 1.0 / len(pos)
     _einsum_score_grads(params, grads, pos[active], -scale)
@@ -109,6 +113,11 @@ def tensordot_relation_matrices(params, rels):
     if params.kind is ModelKind.RESCAL:
         return R[rels]
     return np.tensordot(R[rels], params.blocks["core"], axes=(1, 1))
+
+
+def zero_grads(params):
+    """All-zero gradient blocks shaped like the parameter blocks."""
+    return {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
 
 
 def add_at_accumulate_score_grads(params, grads, triples, coeff):

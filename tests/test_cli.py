@@ -7,7 +7,8 @@ import pytest
 
 from chainlens.cli import main
 from chainlens.dataset import load_split_dir
-from chainlens.models import load_checkpoint
+from chainlens.graph import RELATION_BY_INDEX
+from chainlens.models import ModelKind, load_checkpoint, training_bytes
 
 from conftest import write_schema
 
@@ -221,8 +222,8 @@ def test_train_divergence_exits_4_without_checkpoint(workspace, capsys, monkeypa
 
     real = training_mod.batch_loss_and_gradients
 
-    def nan_losses(params, pos, neg, margin):
-        losses, grads = real(params, pos, neg, margin)
+    def nan_losses(params, pos, neg, margin, workspace=None):
+        losses, grads = real(params, pos, neg, margin, workspace)
         return losses * np.nan, grads
 
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "model.npz"
@@ -236,6 +237,47 @@ def test_train_divergence_exits_4_without_checkpoint(workspace, capsys, monkeypa
     assert code == 4
     assert "ComplEx diverged at epoch 1" in capsys.readouterr().err
     assert not ckpt.exists() and not (workspace / "model.npz.manifest.json").exists()
+
+
+@pytest.mark.parametrize("model, setting", [("transe", "negatives_per_positive=100000000"), ("tucker", "dim=4096")])
+def test_train_that_cannot_fit_in_memory_exits_3_before_it_allocates(workspace, capsys, model, setting):
+    # 512 x 10^8 pairs of TransE rows, or TuckER's 512 GiB core: refused by the estimate alone
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "model.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    big = workspace / "big.cfg"
+    key = setting.split("=")[0]
+    big.write_text("".join(line + "\n" for line in TRAIN_CFG.splitlines() if not line.startswith(key)) + setting + "\n")
+    capsys.readouterr()
+    code = main(["train", "--model", model, "--split-dir", str(splits), "--config", str(big), "--out", str(ckpt)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chainlens: infeasible: ") and "GiB memory limit" in err
+    assert not ckpt.exists() and not (workspace / "model.npz.manifest.json").exists()
+
+
+def test_train_grid_skips_and_lists_points_over_the_memory_limit(workspace, capsys, monkeypatch):
+    import chainlens.training as training_mod
+
+    monkeypatch.setattr(training_mod, "GRID_DIMS", (8, 16))
+    monkeypatch.setattr(training_mod, "GRID_LEARNING_RATES", (0.01,))
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    split_graph, train_arr, *_ = load_split_dir(splits)
+    needed = {dim: training_bytes(ModelKind.TRANSE, split_graph.num_entities, len(RELATION_BY_INDEX), dim,
+                                  min(64, len(train_arr)), 1) for dim in (8, 16)}
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed[8])
+    capsys.readouterr()
+    code = main(["train", "--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "train.cfg"),
+                 "--grid", "--out", str(ckpt)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "grid search over 1 runs; best: dim=8" in out
+    assert "  dim=16 lr=0.01: skipped, needs about" in out
+    manifest = json.loads((workspace / "m.npz.manifest.json").read_text())
+    assert manifest["config"]["grid_skipped"] == [{"dim": 16, "learning_rate": 0.01, "bytes": needed[16]}]
+    assert load_checkpoint(ckpt).dim == 8
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -5,7 +6,15 @@ import numpy as np
 import pytest
 
 from chainlens.dataset import ConfigError
-from chainlens.models import ModelKind, ModelParams, batch_loss_and_gradients, corrupt_batch, init_params
+import chainlens.models as models
+from chainlens.models import (
+    ModelKind,
+    ModelParams,
+    batch_loss_and_gradients,
+    corrupt_batch,
+    init_params,
+    training_bytes,
+)
 from chainlens.training import (
     GRID_DIMS,
     GRID_LEARNING_RATES,
@@ -17,7 +26,7 @@ from chainlens.training import (
     train,
 )
 
-from reference_models import reference_adam_step
+from reference_models import add_at_batch_loss_and_gradients, reference_adam_step
 
 
 def tiny_triples(n_ent=15, n_rel=2, n=40, seed=0, acyclic=True):
@@ -108,6 +117,38 @@ def test_adam_steps_equal_the_reference_bit_for_bit(kind):
         assert state.step == ref_state.step == 5
 
 
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_five_steps_on_one_workspace_and_adam_state_equal_the_reference(kind):
+    """Five training steps, each writing into the same workspace and Adam scratch (the last
+    batch shorter), against the add.at step and plain-expression Adam on a copy.  RESCAL and
+    TuckER gradients agree within 1e-12, and the copy's Adam then takes the step's own."""
+    n_ent, n_rel = 30, 5
+    cfg = TrainConfig(dim=16, learning_rate=0.05, margin=0.5, seed=7)
+    params, rng = init_params(kind, n_ent, n_rel, cfg), np.random.default_rng(7)
+    ref, state = params.copy(), AdamState.for_params(params)
+    ref_state = AdamState.for_params(ref)
+    ws = models._BatchWorkspace(params, 64)
+    for size in (64, 64, 64, 64, 23):
+        pos = np.column_stack([rng.integers(n_ent, size=size), rng.integers(n_rel, size=size),
+                               rng.integers(n_ent, size=size)])
+        neg = corrupt_batch(pos, n_ent, rng)
+        losses, grads = batch_loss_and_gradients(params, pos, neg, cfg.margin, ws)
+        ref_losses, ref_grads = add_at_batch_loss_and_gradients(ref, pos, neg, cfg.margin)
+        if kind in (ModelKind.RESCAL, ModelKind.TUCKER):
+            for name in grads:
+                np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+            ref_grads = {name: g.copy() for name, g in grads.items()}
+        else:
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert all(grads[name].tobytes() == ref_grads[name].tobytes() for name in grads)
+        adam_step(params, grads, state, cfg)
+        reference_adam_step(ref, ref_grads, ref_state, cfg)
+        for name in params.blocks:
+            assert params.blocks[name].tobytes() == ref.blocks[name].tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), f"m {name}"
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), f"v {name}"
+
+
 def test_adam_preserves_constraints_for_complex_models():
     triples = tiny_triples()
     cfg = TrainConfig(dim=8, max_epochs=20, eval_every=10, batch_size=16, seed=2)
@@ -172,9 +213,9 @@ def test_train_stops_at_first_non_finite_loss(monkeypatch):
     real = training_mod.batch_loss_and_gradients
     calls = []
 
-    def nan_from_third_epoch(params, pos, neg, margin):
+    def nan_from_third_epoch(params, pos, neg, margin, workspace=None):
         calls.append(1)
-        losses, grads = real(params, pos, neg, margin)
+        losses, grads = real(params, pos, neg, margin, workspace)
         return (losses * np.nan if len(calls) > 6 else losses), grads
 
     monkeypatch.setattr(training_mod, "batch_loss_and_gradients", nan_from_third_epoch)
@@ -271,6 +312,80 @@ def test_history_csv_round_numbers(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,hits@10,mrr,loss"
     assert len(lines) == 1 + len(history.records)
+
+
+# -- memory preflight ----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_training_bytes_is_within_a_quarter_of_the_traced_peak(kind):
+    # no validation triples, so the run holds what the estimate counts and no ranking buffers
+    rng = np.random.default_rng(0)
+    n_ent, n_rel, n = 2000, 4, 1200
+    triples = np.column_stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+                               rng.integers(n_ent, size=n)])
+    for dim in (8, 16, 32):
+        cfg = TrainConfig(dim=dim, max_epochs=1, batch_size=256, negatives_per_positive=2, seed=0)
+        tracemalloc.start()
+        try:
+            train(kind, triples, np.empty((0, 3), dtype=np.int64), n_ent, n_rel, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = training_bytes(kind, n_ent, n_rel, dim, 256, 2)
+        assert abs(estimate - peak) <= 0.25 * peak, (dim, estimate, peak)
+
+
+def test_training_bytes_counts_sizes_no_array_could_have():
+    # TuckER's core alone is 4096^3 float64s, 512 GiB: seven copies of it and the rest
+    assert training_bytes(ModelKind.TUCKER, 694, 8, 4096, 512, 1) > 7 * 512 * 2**30
+    assert training_bytes(ModelKind.TRANSE, 694, 8, 64, 512, 10**8) > 512 * 10**8 * 8 * 64
+
+
+def test_train_over_the_memory_limit_refuses_before_it_allocates(monkeypatch):
+    import chainlens.training as training_mod
+
+    triples = tiny_triples()
+    cfg = TrainConfig(dim=8, max_epochs=1, batch_size=16)
+    needed = training_bytes(ModelKind.TRANSE, 15, 2, 8, 16, 1)
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed - 1)
+    monkeypatch.setattr(training_mod, "init_params", lambda *args: pytest.fail("allocated parameters"))
+    with pytest.raises(ConfigError, match="TransE at dim 8 needs about .* GiB to train, more than the"):
+        train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
+
+
+def test_memory_limit_is_positive_and_at_most_physical_ram():
+    import os
+
+    import chainlens.training as training_mod
+
+    assert 0 < training_mod.memory_limit() <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def test_memory_limit_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path):
+    import chainlens.training as training_mod
+
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(training_mod, "CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
+    v2.write_text("max\n")
+    physical = training_mod.memory_limit()  # "max" and a missing file set no limit
+    v1.write_text("1048576\n")
+    assert training_mod.memory_limit() == 1048576 < physical
+
+
+def test_grid_skips_points_over_the_memory_limit(monkeypatch):
+    import chainlens.training as training_mod
+
+    set_grid(monkeypatch, (8, 16), (0.01,))
+    triples = tiny_triples()
+    fits = training_bytes(ModelKind.TUCKER, 15, 2, 8, 16, 1)
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: fits)
+    base = TrainConfig(max_epochs=5, eval_every=5, batch_size=16, seed=1)
+    result = grid_search(ModelKind.TUCKER, triples, triples[:8], 15, 2, base)
+    assert [(d, lr) for d, lr, _ in result.runs] == [(8, 0.01)]
+    assert result.skipped == [(16, 0.01, training_bytes(ModelKind.TUCKER, 15, 2, 16, 16, 1))]
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: fits - 1)
+    with pytest.raises(ConfigError, match="no TuckER grid point fits"):
+        grid_search(ModelKind.TUCKER, triples, triples[:8], 15, 2, base)
 
 
 # -- grid search -------------------------------------------------------------
