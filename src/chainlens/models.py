@@ -29,11 +29,13 @@ every batch.  Its gathers clip ids (numpy's default mode buffers a copy of
 RotatE score each half of the batch on its own and keep its forward results
 for its gradient.  Every per-row scatter (entity rows, and the relation rows
 of the elementwise models) goes through ``_scatter_rows``: one
-``np.add.at`` on the flat float64 view of the block, which adds the same
-values in the same order as the row-wise ``np.add.at`` and so gives the
-same bits, in about a third of the time.  The elementwise models' losses
-and gradients are bit-identical to the allocating step kept as the oracle
-in ``tests/reference_models.py``; RESCAL's and TuckER's agree within 1e-12.
+``np.add.at`` on a flat view of the block (complex128 pairs of float64
+where the rows allow), which adds the same values in the same order as the
+row-wise ``np.add.at`` and so gives the same bits, in a fraction of the
+time.  The losses of all five models,
+and the elementwise models' gradients, are bit-identical to the allocating
+step kept as the oracle in ``tests/reference_models.py``; RESCAL's and
+TuckER's gradients agree with it within 1e-12.
 
 ``score_objects`` scores k queries against all N entities as one (k, N)
 block: a GEMM per relation for the bilinear models, one real GEMM on the
@@ -63,7 +65,6 @@ import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -354,58 +355,59 @@ def corrupt_batch(pos: np.ndarray, num_entities: int, rng: np.random.Generator) 
 # Analytic gradients
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray, index: np.ndarray, columns: np.ndarray) -> None:
     """Add rows[i] into g[idx[i]] for every i in turn, as ``np.add.at(g, idx, rows)`` does.
 
     ``g`` is C-contiguous and ``rows`` has its dtype.  The scatter runs on
-    the flat float64 views, a complex row as its (re, im) pairs, with index
-    idx[i] * width + j for element j of row i.  Each element of ``g`` gets
-    the same additions in the same order, so the result is bit-identical,
-    and numpy's one-dimensional ``add.at`` is 3-4x faster than the row-wise
-    one (512 rows of 64 into 685 x 64 on a 2-vCPU Xeon).  ``table`` holds
-    every row's flat indices (0 .. g's float64 size, in len(g) rows); the
-    rows idx of it are gathered into ``index``, an int64 buffer of at least
-    len(idx) * width entries, in a quarter of the time that computing them
-    took (512 rows of 64 or 128).
+    flat views with index idx[i] * width + j for element j of row i: as
+    complex128 when a row holds an even number of float64, since a complex
+    addition is the two float64 additions of its parts, else as float64.
+    Each float64 of ``g`` gets the same additions in the same order, so the
+    result is bit-identical, and numpy's one-dimensional ``add.at`` is 3-4x
+    faster than the row-wise one (512 rows of 64 into 685 x 64 on a 2-vCPU
+    Xeon); the complex view halves the index, and took two thirds of the
+    float64 one's time.  The flat index is written into ``index``, an int64
+    buffer of at least len(idx) * width entries; ``columns`` is 0, 1, 2,
+    ... for at least width entries.
     """
-    width = table.shape[1]
+    dtype = np.complex128 if g.view(np.float64).shape[1] % 2 == 0 else np.float64
+    flat = g.view(dtype).reshape(-1)
+    width = flat.size // len(g)
     cols = index[:len(idx) * width].reshape(len(idx), width)
-    np.take(table, idx, axis=0, out=cols, mode="clip")
-    values = np.ascontiguousarray(rows).view(np.float64).reshape(-1)
-    np.add.at(g.view(np.float64).reshape(-1), cols.reshape(-1), values)
+    np.multiply(idx[:, None], width, out=cols)
+    cols += columns[:width]
+    np.add.at(flat, cols.reshape(-1), np.ascontiguousarray(rows).view(dtype).reshape(-1))
 
 
-def _workspace_specs(kind: ModelKind, n_ent: int, r: int, d: int, rows: int) -> dict[str, tuple]:
+def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int) -> dict[str, tuple | dict[str, tuple]]:
     """(shape, dtype) of each buffer of a step over up to ``rows`` pairs, the gradient blocks aside.
 
-    Every model has the scores (positives, then negatives), the losses, the
-    active mask and the flat-index ``tables`` of the gradient blocks it
-    scatters into (see ``_scatter_rows``).  RESCAL and TuckER hold [pos;
-    neg] as given (``pairs``) and sorted by relation, the sorted rows'
-    gathered subjects S and objects O, S M_r, and the loss coefficients in
-    both orders.  TuckER adds the batch's relation rows, their M_r (stored
-    as W x_2 w_r leaves it, relation second), G per relation and the
-    relation gradient rows.  The other models keep each half's forward
-    results (``pos.*``, ``neg.*``) for its gradient, the active rows of a
-    partly active half and of its triples (``act.*``), the flat scatter
-    ``index`` and shared work buffers; RotatE also exp(i theta) of every
+    Every model has the scores (positives, then negatives), the losses and
+    the active mask.  RESCAL and TuckER hold [pos; neg] as given (``pairs``)
+    and sorted by relation, the sorted rows' gathered subjects S and objects
+    O, S M_r, and the loss coefficients in both orders.  TuckER adds the
+    batch's relation rows, their M_r (stored as W x_2 w_r leaves it,
+    relation second), G per relation and the relation gradient rows.  The
+    other models keep each half's forward results (the dicts ``pos`` and
+    ``neg``) for its gradient, the active rows of a partly active half
+    (``act``) and of its triples, the flat scatter ``index`` and its
+    ``columns``, and shared work buffers; RotatE also exp(i theta) of every
     relation.
     """
     real, cplx, ids = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
-    width = 2 * d if kind in (ModelKind.COMPLEX, ModelKind.ROTATE) else d
-    specs = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool)),
-             "tables.entity": ((n_ent, width), ids)}
+    specs = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool))}
     if kind in _BILINEAR:
         n = 2 * rows
         specs |= {"pairs": ((n, 3), ids), "sorted": ((n, 3), ids),
                   "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
-                  "coeff": ((n,), real), "sorted_coeff": ((n,), real), "sorted_scores": ((n,), real)}
+                  "coeff": ((n,), real), "sorted_coeff": ((n,), real), "sorted_scores": ((n,), real),
+                  "columns": ((d,), ids)}
         if kind is ModelKind.TUCKER:
             specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real), "G": ((r, d, d), real),
                       "rel_grads": ((r, d), real)}
         return specs
-    specs |= {"index": ((rows * width,), ids), "act.triples": ((rows, 3), ids),
-              "tables.relation": ((r, 2 * d if kind is ModelKind.COMPLEX else d), ids)}
+    width = d if kind is ModelKind.TRANSE else 2 * d
+    specs |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
     if kind is ModelKind.TRANSE:
         half, shared = {"u": real}, {"t": real, "g": real}
     elif kind is ModelKind.COMPLEX:
@@ -414,39 +416,35 @@ def _workspace_specs(kind: ModelKind, n_ent: int, r: int, d: int, rows: int) -> 
     else:
         half, shared = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx, "nz": np.dtype(bool)}
         specs["rotations"] = ((r, d), cplx)
-    for prefix in ("pos.", "neg.", "act."):
-        specs |= {prefix + name: ((rows, d), dtype) for name, dtype in half.items()}
+    for name in ("pos", "neg", "act"):
+        specs[name] = {buf: ((rows, d), dtype) for buf, dtype in half.items()}
     return specs | {name: ((rows, d), dtype) for name, dtype in shared.items()}
 
 
 class _BatchWorkspace:
     """The training step's buffers, for batches of up to ``rows`` (positive, negative) pairs.
 
-    Built once per training run: ``grads`` holds the gradient blocks, and
-    the other buffers are those of :func:`_workspace_specs`, as attributes
-    (``pos``, ``neg`` and ``act`` hold a half's, ``tables`` the flat-index
-    tables).  A step clears the gradient blocks and writes into the first
-    rows of the other buffers, so a shorter last batch reuses them.
-    RESCAL's and TuckER's scatter index is O's memory, spent by the time
-    they scatter.
+    Built once per training run: ``grads`` holds the gradient blocks and
+    ``buf`` the buffers of :func:`_workspace_specs`, by name (``buf["pos"]``,
+    ``buf["neg"]`` and ``buf["act"]`` are dicts of a half's).  A step clears
+    the gradient blocks and writes into the first rows of the buffers, so a
+    shorter last batch reuses them.  RESCAL's and TuckER's scatter index is
+    O's memory, spent by the time they scatter.
     """
 
     def __init__(self, params: ModelParams, rows: int) -> None:
         self.rows = rows
         self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
-        self.pos, self.neg, self.act, self.tables = (SimpleNamespace() for _ in range(4))
-        specs = _workspace_specs(params.kind, params.num_entities, params.num_relations, params.dim, rows)
-        for name, (shape, dtype) in specs.items():
-            owner, _, attr = name.rpartition(".")
-            setattr(getattr(self, owner) if owner else self, attr, np.empty(shape, dtype))
-        for table in vars(self.tables).values():
-            table.reshape(-1)[:] = np.arange(table.size)
+        specs = _workspace_specs(params.kind, params.num_relations, params.dim, rows)
+        self.buf = {name: {k: np.empty(*v) for k, v in spec.items()} if isinstance(spec, dict) else np.empty(*spec)
+                    for name, spec in specs.items()}
+        self.buf["columns"][:] = np.arange(len(self.buf["columns"]))
         if params.kind in _BILINEAR:
-            self.index = self.O.reshape(-1).view(np.int64)
+            self.buf["index"] = self.buf["O"].reshape(-1).view(np.int64)
 
     def scatter(self, block: str, idx: np.ndarray, rows: np.ndarray) -> None:
         """Add rows[i] into row idx[i] of gradient block ``block``, for every i in turn."""
-        _scatter_rows(self.grads[block], idx, rows, getattr(self.tables, block), self.index)
+        _scatter_rows(self.grads[block], idx, rows, self.buf["index"], self.buf["columns"])
 
 
 def training_bytes(kind: ModelKind, num_entities: int, num_relations: int, dim: int, batch: int,
@@ -460,22 +458,23 @@ def training_bytes(kind: ModelKind, num_entities: int, num_relations: int, dim: 
     unit-norm projection makes.  The sizes are Python integers, so a model
     far too large for any machine is counted, not overflowed.
     """
-    def nbytes(specs: dict[str, tuple]) -> int:
-        return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs.values())
+    def nbytes(specs: dict) -> int:
+        return sum(nbytes(spec) if isinstance(spec, dict) else math.prod(spec[0]) * np.dtype(spec[1]).itemsize
+                   for spec in specs.values())
 
     rows, blocks = batch * negatives, _block_specs(kind, num_entities, num_relations, dim)
-    workspace = nbytes(_workspace_specs(kind, num_entities, num_relations, dim, rows))
+    workspace = nbytes(_workspace_specs(kind, num_relations, dim, rows))
     projection = nbytes({"entity": blocks["entity"]}) if kind is ModelKind.TRANSE else 0
     return 7 * nbytes(blocks) + workspace + 2 * rows * 3 * 8 + projection
 
 
 def _hinge(margin: float, scores: np.ndarray, ws: _BatchWorkspace) -> tuple[np.ndarray, np.ndarray]:
     """The losses max(0, margin + neg - pos) of the pairs whose scores are [pos; neg], and their active mask."""
-    n = len(scores) // 2
-    losses = np.add(margin, scores[n:], out=ws.losses[:n])
+    n, b = len(scores) // 2, ws.buf
+    losses = np.add(margin, scores[n:], out=b["losses"][:n])
     np.subtract(losses, scores[:n], out=losses)
     np.maximum(0.0, losses, out=losses)
-    return losses, np.greater(losses, 0.0, out=ws.active[:n])
+    return losses, np.greater(losses, 0.0, out=b["active"][:n])
 
 
 # The elementwise models' halves.  A forward pass writes the half's buffers
@@ -484,8 +483,8 @@ def _hinge(margin: float, scores: np.ndarray, ws: _BatchWorkspace) -> tuple[np.n
 
 def _transe_forward(params, triples, h, ws, scores) -> None:
     E, R = params.blocks["entity"], params.blocks["relation"]
-    m = len(triples)
-    u, t = h.u[:m], ws.t[:m]
+    m, b = len(triples), ws.buf
+    u, t = h["u"][:m], b["t"][:m]
     np.take(E, triples[:, 0], axis=0, out=u, mode="clip")
     u += np.take(R, triples[:, 1], axis=0, out=t, mode="clip")
     u -= np.take(E, triples[:, 2], axis=0, out=t, mode="clip")
@@ -493,8 +492,8 @@ def _transe_forward(params, triples, h, ws, scores) -> None:
 
 
 def _transe_backward(params, triples, h, ws, coeff) -> None:
-    m = len(triples)
-    sgn, g = np.sign(h.u[:m], out=ws.t[:m]), ws.g[:m]
+    m, b = len(triples), ws.buf
+    sgn, g = np.sign(h["u"][:m], out=b["t"][:m]), b["g"][:m]
     np.multiply(-coeff, sgn, out=g)
     ws.scatter("entity", triples[:, 0], g)
     ws.scatter("relation", triples[:, 1], g)
@@ -503,42 +502,42 @@ def _transe_backward(params, triples, h, ws, coeff) -> None:
 
 def _complex_forward(params, triples, h, ws, scores) -> None:
     E, R = params.blocks["entity"], params.blocks["relation"]
-    m = len(triples)
-    es, eo, esw = h.es[:m], h.eo[:m], h.esw[:m]
+    m, b = len(triples), ws.buf
+    es, eo, esw = h["es"][:m], h["eo"][:m], h["esw"][:m]
     np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
-    np.multiply(es, np.take(R, triples[:, 1], axis=0, out=h.w[:m], mode="clip"), out=esw)
+    np.multiply(es, np.take(R, triples[:, 1], axis=0, out=h["w"][:m], mode="clip"), out=esw)
     np.take(E, triples[:, 2], axis=0, out=eo, mode="clip")
-    c = ws.c[:m]
+    c = b["c"][:m]
     np.multiply(esw, np.conjugate(eo, out=c), out=c)
-    np.copyto(scores, np.sum(c, axis=1, out=ws.csum[:m]).real)
+    np.copyto(scores, np.sum(c, axis=1, out=b["csum"][:m]).real)
 
 
 def _complex_backward(params, triples, h, ws, coeff) -> None:
-    m = len(triples)
-    c, es, w, eo = ws.c[:m], h.es[:m], h.w[:m], h.eo[:m]
+    m, b = len(triples), ws.buf
+    c, es, w, eo = b["c"][:m], h["es"][:m], h["w"][:m], h["eo"][:m]
     np.multiply(coeff, np.multiply(np.conjugate(w, out=c), eo, out=c), out=c)
     ws.scatter("entity", triples[:, 0], c)
     np.multiply(coeff, np.multiply(np.conjugate(es, out=c), eo, out=c), out=c)
     ws.scatter("relation", triples[:, 1], c)
-    ws.scatter("entity", triples[:, 2], np.multiply(coeff, h.esw[:m], out=c))
+    ws.scatter("entity", triples[:, 2], np.multiply(coeff, h["esw"][:m], out=c))
 
 
 def _rotate_forward(params, triples, h, ws, scores) -> None:
     E = params.blocks["entity"]
-    m = len(triples)
-    es, rot, u, mod = h.es[:m], h.rot[:m], h.u[:m], h.mod[:m]
+    m, b = len(triples), ws.buf
+    es, rot, u, mod = h["es"][:m], h["rot"][:m], h["u"][:m], h["mod"][:m]
     np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
-    np.multiply(es, np.take(ws.rotations, triples[:, 1], axis=0, out=rot, mode="clip"), out=u)
-    u -= np.take(E, triples[:, 2], axis=0, out=ws.c[:m], mode="clip")
+    np.multiply(es, np.take(b["rotations"], triples[:, 1], axis=0, out=rot, mode="clip"), out=u)
+    u -= np.take(E, triples[:, 2], axis=0, out=b["c"][:m], mode="clip")
     np.abs(u, out=mod)
     np.negative(np.sum(mod, axis=1, out=scores), out=scores)
 
 
 def _rotate_backward(params, triples, h, ws, coeff) -> None:
-    m = len(triples)
-    c, es, rot, gu, mod = ws.c[:m], h.es[:m], h.rot[:m], h.u[:m], h.mod[:m]
+    m, b = len(triples), ws.buf
+    c, es, rot, gu, mod = b["c"][:m], h["es"][:m], h["rot"][:m], h["u"][:m], h["mod"][:m]
     # gu = -u / |u|, and 0 where |u| = 0, written over u
-    nz = np.greater(mod, 0, out=ws.nz[:m])
+    nz = np.greater(mod, 0, out=b["nz"][:m])
     np.negative(gu, out=c)
     gu.fill(0)
     np.divide(c, mod, out=gu, where=nz)
@@ -565,21 +564,21 @@ def _elementwise_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, mar
     of its forward results, copied into ``act`` in order.
     """
     forward, backward = _HALVES[params.kind]
-    n = len(pos)
+    n, b = len(pos), ws.buf
     if params.kind is ModelKind.ROTATE:
-        np.exp(np.multiply(1j, params.blocks["relation"], out=ws.rotations), out=ws.rotations)
-    scores = ws.scores[:2 * n]
-    forward(params, pos, ws.pos, ws, scores[:n])
-    forward(params, neg, ws.neg, ws, scores[n:])
+        np.exp(np.multiply(1j, params.blocks["relation"], out=b["rotations"]), out=b["rotations"])
+    scores = b["scores"][:2 * n]
+    forward(params, pos, b["pos"], ws, scores[:n])
+    forward(params, neg, b["neg"], ws, scores[n:])
     losses, active = _hinge(margin, scores, ws)
     rows = np.flatnonzero(active)
     if len(rows):
         scale = 1.0 / n
-        for triples, half, coeff in ((pos, ws.pos, -scale), (neg, ws.neg, scale)):
+        for triples, half, coeff in ((pos, b["pos"], -scale), (neg, b["neg"], scale)):
             if len(rows) < n:  # np.compress would buffer a copy of its output
-                for name, buf in vars(half).items():
-                    np.take(buf, rows, axis=0, out=getattr(ws.act, name)[:len(rows)], mode="clip")
-                triples, half = np.take(triples, rows, axis=0, out=ws.act.triples[:len(rows)], mode="clip"), ws.act
+                for name, buf in half.items():
+                    np.take(buf, rows, axis=0, out=b["act"][name][:len(rows)], mode="clip")
+                triples, half = np.take(triples, rows, axis=0, out=b["act_triples"][:len(rows)], mode="clip"), b["act"]
             backward(params, triples, half, ws, coeff)
     return losses, ws.grads
 
@@ -595,49 +594,49 @@ def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin
     1/B for an active negative, 0 for an inactive pair), the object
     gradients.
     """
-    half = len(pos)
+    half, b = len(pos), ws.buf
     n = 2 * half
     E, R = params.blocks["entity"], params.blocks["relation"]
     gR = ws.grads["relation"]
-    pairs = ws.pairs[:n]
+    pairs = b["pairs"][:n]
     pairs[:half], pairs[half:] = pos, neg
     order = np.argsort(pairs[:, 1], kind="stable")
-    X = np.take(pairs, order, axis=0, out=ws.sorted[:n], mode="clip")
+    X = np.take(pairs, order, axis=0, out=b["sorted"][:n], mode="clip")
     rels, starts = np.unique(X[:, 1], return_index=True)
-    blocks = [slice(a, b) for a, b in zip(starts.tolist(), [*starts[1:].tolist(), n])]
-    S = np.take(E, X[:, 0], axis=0, out=ws.S[:n], mode="clip")
-    O = np.take(E, X[:, 2], axis=0, out=ws.O[:n], mode="clip")
-    SM = ws.SM[:n]
+    blocks = [slice(lo, hi) for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n])]
+    S = np.take(E, X[:, 0], axis=0, out=b["S"][:n], mode="clip")
+    O = np.take(E, X[:, 2], axis=0, out=b["O"][:n], mode="clip")
+    SM = b["SM"][:n]
     if params.kind is ModelKind.RESCAL:
         M = [R[rel] for rel in rels.tolist()]
     else:
-        w = np.take(R, rels, axis=0, out=ws.rel_rows[:len(rels)], mode="clip")
-        M = np.matmul(w, params.blocks["core"], out=ws.M[:, :len(rels)]).transpose(1, 0, 2)
-    sorted_scores = ws.sorted_scores[:n]
+        w = np.take(R, rels, axis=0, out=b["rel_rows"][:len(rels)], mode="clip")
+        M = np.matmul(w, params.blocks["core"], out=b["M"][:, :len(rels)]).transpose(1, 0, 2)
+    sorted_scores = b["sorted_scores"][:n]
     for k, rows in enumerate(blocks):
         np.einsum("ij,ij->i", np.matmul(S[rows], M[k], out=SM[rows]), O[rows], out=sorted_scores[rows])
-    scores = ws.scores[:n]
+    scores = b["scores"][:n]
     scores[order] = sorted_scores
     losses, active = _hinge(margin, scores, ws)
     if not active.any():
         return losses, ws.grads
-    scale, coeff = 1.0 / half, ws.coeff[:n]
+    scale, coeff = 1.0 / half, b["coeff"][:n]
     np.multiply(active, -scale, out=coeff[:half])
     np.multiply(active, scale, out=coeff[half:])
-    c = np.take(coeff, order, out=ws.sorted_coeff[:n], mode="clip")[:, None]
+    c = np.take(coeff, order, out=b["sorted_coeff"][:n], mode="clip")[:, None]
     S *= c
     for k, rows in enumerate(blocks):
         # G_r = sum_i c_i s_i o_i^T is RESCAL's relation gradient; then S's rows become O M_r^T
-        np.matmul(S[rows].T, O[rows], out=gR[rels[k]] if params.kind is ModelKind.RESCAL else ws.G[k])
+        np.matmul(S[rows].T, O[rows], out=gR[rels[k]] if params.kind is ModelKind.RESCAL else b["G"][k])
         np.matmul(O[rows], M[k].T, out=S[rows])
-    ws.scatter("entity", X[:, 0], np.multiply(S, c, out=S))  # O is spent: ws.index is its memory
+    ws.scatter("entity", X[:, 0], np.multiply(S, c, out=S))  # O is spent: the scatter index is its memory
     ws.scatter("entity", X[:, 2], np.multiply(SM, c, out=SM))
     if params.kind is ModelKind.TUCKER:
         # relation rows sum_a G[r, a, :] W[a]^T, the products for each a written over the spent
         # M_r, and core slices W'[a] = sum_r w_r G[r, a, :]
-        G, W = ws.G[:len(rels)], params.blocks["core"]
-        P = np.matmul(G.transpose(1, 0, 2), W.transpose(0, 2, 1), out=ws.M[:, :len(rels)])
-        gR[rels] = np.sum(P, axis=0, out=ws.rel_grads[:len(rels)])
+        G, W = b["G"][:len(rels)], params.blocks["core"]
+        P = np.matmul(G.transpose(1, 0, 2), W.transpose(0, 2, 1), out=b["M"][:, :len(rels)])
+        gR[rels] = np.sum(P, axis=0, out=b["rel_grads"][:len(rels)])
         np.matmul(w.T, G.transpose(1, 0, 2), out=ws.grads["core"])
     return losses, ws.grads
 

@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -165,20 +165,46 @@ def adam_step(
 # Training
 # ---------------------------------------------------------------------------
 
-# cgroup v2 and v1 memory limit files, read as they stand; "max", or no file, sets no limit
-CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+# This process's cgroups, and where the cgroup v2 hierarchy and the v1 memory
+# hierarchy are mounted, with the file that holds a cgroup's memory limit
+PROC_SELF_CGROUP = "/proc/self/cgroup"
+CGROUP_V2 = ("/sys/fs/cgroup", "memory.max")
+CGROUP_V1_MEMORY = ("/sys/fs/cgroup/memory", "memory.limit_in_bytes")
 
 
 def memory_limit() -> int:
-    """Bytes this process may hold: its cgroup's memory limit if one is set, else physical RAM."""
+    """Bytes this process may hold: the least memory limit set on its cgroup or an ancestor, else physical RAM.
+
+    ``/proc/self/cgroup`` names the process's cgroup v2 (its ``0::`` line)
+    and its cgroup v1 memory cgroup (the line whose controllers include
+    ``memory``).  Their limit files are only read, under the hierarchy's
+    mount point, at every level from the root to the process's own cgroup;
+    a level that is not there (a cgroup namespace, or a mount of a subtree,
+    shows only part of the path) is passed over, and "max" sets no limit.
+    """
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for path in CGROUP_MEMORY_LIMITS:
-        try:
-            text = Path(path).read_text(encoding="ascii").strip()
-        except (OSError, UnicodeDecodeError):
+    try:
+        listing = Path(PROC_SELF_CGROUP).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError):
+        listing = []
+    for line in listing:
+        number, controllers, path = (line.split(":", 2) + ["", ""])[:3]
+        if number == "0" and not controllers:
+            mount, name = CGROUP_V2
+        elif "memory" in controllers.split(","):
+            mount, name = CGROUP_V1_MEMORY
+        else:
             continue
-        if text.isdigit():
-            limit = min(limit, int(text))
+        parts = PurePosixPath(path).parts[1:]
+        if ".." in parts:  # a cgroup outside this process's cgroup namespace: only the mount's root is seen
+            parts = ()
+        for depth in range(len(parts) + 1):
+            try:
+                text = Path(mount, *parts[:depth], name).read_text(encoding="ascii").strip()
+            except (OSError, UnicodeDecodeError):
+                continue
+            if text.isdigit():
+                limit = min(limit, int(text))
     return limit
 
 

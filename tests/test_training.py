@@ -120,8 +120,9 @@ def test_adam_steps_equal_the_reference_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
 def test_five_steps_on_one_workspace_and_adam_state_equal_the_reference(kind):
     """Five training steps, each writing into the same workspace and Adam scratch (the last
-    batch shorter), against the add.at step and plain-expression Adam on a copy.  RESCAL and
-    TuckER gradients agree within 1e-12, and the copy's Adam then takes the step's own."""
+    batch shorter), against the add.at step and plain-expression Adam on a copy.  Losses are
+    bit-identical; RESCAL and TuckER gradients agree within 1e-12, and the copy's Adam then
+    takes the step's own, so that both sides keep the same parameters."""
     n_ent, n_rel = 30, 5
     cfg = TrainConfig(dim=16, learning_rate=0.05, margin=0.5, seed=7)
     params, rng = init_params(kind, n_ent, n_rel, cfg), np.random.default_rng(7)
@@ -134,12 +135,12 @@ def test_five_steps_on_one_workspace_and_adam_state_equal_the_reference(kind):
         neg = corrupt_batch(pos, n_ent, rng)
         losses, grads = batch_loss_and_gradients(params, pos, neg, cfg.margin, ws)
         ref_losses, ref_grads = add_at_batch_loss_and_gradients(ref, pos, neg, cfg.margin)
+        assert losses.tobytes() == ref_losses.tobytes()
         if kind in (ModelKind.RESCAL, ModelKind.TUCKER):
             for name in grads:
                 np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
             ref_grads = {name: g.copy() for name, g in grads.items()}
         else:
-            assert losses.tobytes() == ref_losses.tobytes()
             assert all(grads[name].tobytes() == ref_grads[name].tobytes() for name in grads)
         adam_step(params, grads, state, cfg)
         reference_adam_step(ref, ref_grads, ref_state, cfg)
@@ -361,15 +362,63 @@ def test_memory_limit_is_positive_and_at_most_physical_ram():
     assert 0 < training_mod.memory_limit() <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def cgroup_files(monkeypatch, tmp_path, listing):
+    """Point memory_limit at a /proc/self/cgroup holding ``listing`` and at empty hierarchies under tmp_path."""
+    import chainlens.training as training_mod
+
+    proc = tmp_path / "proc_self_cgroup"
+    proc.write_text(listing)
+    v2, v1 = tmp_path / "v2", tmp_path / "v1"
+    monkeypatch.setattr(training_mod, "PROC_SELF_CGROUP", str(proc))
+    monkeypatch.setattr(training_mod, "CGROUP_V2", (str(v2), "memory.max"))
+    monkeypatch.setattr(training_mod, "CGROUP_V1_MEMORY", (str(v1), "memory.limit_in_bytes"))
+    return v2, v1
+
+
 def test_memory_limit_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path):
     import chainlens.training as training_mod
 
-    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
-    monkeypatch.setattr(training_mod, "CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
-    v2.write_text("max\n")
+    v2, v1 = cgroup_files(monkeypatch, tmp_path, "4:memory:/\n0::/\n")
+    v2.mkdir()
+    (v2 / "memory.max").write_text("max\n")
     physical = training_mod.memory_limit()  # "max" and a missing file set no limit
-    v1.write_text("1048576\n")
+    v1.mkdir()
+    (v1 / "memory.limit_in_bytes").write_text("1048576\n")
     assert training_mod.memory_limit() == 1048576 < physical
+
+
+@pytest.mark.parametrize("version", ["v2", "v1"])
+def test_memory_limit_reads_the_own_nested_cgroup_and_its_ancestors(monkeypatch, tmp_path, version):
+    """A process in a nested cgroup with no cgroup namespace: the hierarchy's root sets no limit,
+    its own cgroup and a parent do, and the least of them holds."""
+    import chainlens.training as training_mod
+
+    v2, v1 = cgroup_files(monkeypatch, tmp_path, "5:cpu,cpuacct:/other\n4:memory:/pods/pod1/box\n"
+                                                 "0::/system.slice/job.scope\n")
+    mount, name, parent, own = ((v2, "memory.max", "system.slice", "job.scope") if version == "v2"
+                                else (v1, "memory.limit_in_bytes", "pods/pod1", "box"))
+    (mount / parent / own).mkdir(parents=True)
+    (mount / name).write_text("max\n" if version == "v2" else "9223372036854771712\n")
+    physical = training_mod.memory_limit()
+    (mount / parent / own / name).write_text("3145728\n")
+    assert training_mod.memory_limit() == 3145728 < physical
+    (mount / parent / name).write_text("2097152\n")
+    assert training_mod.memory_limit() == 2097152
+    # another controller's path, or a cgroup this process is not in, sets nothing
+    (v1 / "other").mkdir(parents=True, exist_ok=True)
+    (v1 / "other" / "memory.limit_in_bytes").write_text("1024\n")
+    (mount / parent / "sibling").mkdir()
+    (mount / parent / "sibling" / name).write_text("1024\n")
+    assert training_mod.memory_limit() == 2097152
+
+
+def test_memory_limit_without_a_cgroup_listing_is_physical_ram(monkeypatch, tmp_path):
+    import os
+
+    import chainlens.training as training_mod
+
+    monkeypatch.setattr(training_mod, "PROC_SELF_CGROUP", str(tmp_path / "missing"))
+    assert training_mod.memory_limit() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def test_grid_skips_points_over_the_memory_limit(monkeypatch):
