@@ -19,16 +19,17 @@ interpretable):
 * the correlation matrix is Pearson on the raw metric vectors; a
   zero-variance metric correlates 0 with everything else.
 
-Betweenness and closeness share a level-synchronous BFS over batches of
-sources on a CSR adjacency (Brandes 2001; Kepner & Gilbert 2011).  Betweenness
-matches per-source Brandes up to summation order; closeness and the integer
-metrics are exact.
+Betweenness and closeness come from one level-synchronous BFS sweep over
+batches of sources on a CSR adjacency (Brandes 2001; Kepner & Gilbert 2011):
+the levels that Brandes' dependencies are accumulated over also give each
+source's reached count and distance sum.  Betweenness matches per-source
+Brandes up to summation order; closeness and the integer metrics are exact.
+Critical paths are enumerated as arrays too, one path length at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,38 +83,48 @@ def _bfs_levels(graph: Graph):
             on_dag = dist[children] == depth
             parents, children = parents[on_dag], children[on_dag]
             np.add.at(sigma, children, sigma[parents])
-            frontier = np.unique(fresh)
+            fresh.sort()  # a copy of children's keys; sorted, repeats are adjacent
+            frontier = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))] if fresh.size else fresh
             levels.append((frontier, parents, children))
         yield first, sigma, levels
         touched = np.concatenate([sources] + [fresh for fresh, _, _ in levels])
         dist[touched], sigma[touched] = -1, 0.0
 
 
-def betweenness(graph: Graph) -> np.ndarray:
-    """Exact directed betweenness, endpoints excluded, unnormalized."""
+def shortest_path_centralities(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(betweenness, closeness) from one BFS sweep over every source.
+
+    Betweenness is Brandes' accumulation of pair dependencies over each
+    batch's levels; closeness counts, per source, the nodes first reached at
+    each depth of the same levels.
+    """
     n = graph.num_entities
     acc, delta = np.zeros(n), None
-    for _, sigma, levels in _bfs_levels(graph):
+    reached, total = np.zeros((2, n), dtype=np.int64)
+    for first, sigma, levels in _bfs_levels(graph):
         delta = np.zeros_like(sigma) if delta is None else delta
         for _, parents, children in reversed(levels):
             np.add.at(delta, parents, sigma[parents] / sigma[children] * (1.0 + delta[children]))
         # sources excluded; sorted keys add each node's dependencies in source order
-        reached = np.sort(np.concatenate([fresh for fresh, _, _ in levels]))
-        np.add.at(acc, reached % n, delta[reached])
+        keys = np.sort(np.concatenate([fresh for fresh, _, _ in levels]))
+        np.add.at(acc, keys % n, delta[keys])
         delta[np.concatenate([parents for _, parents, _ in levels])] = 0.0
-    return acc
+        for depth, (fresh, _, _) in enumerate(levels, start=1):
+            counts = np.bincount(fresh // n)  # fresh nodes per source of the batch
+            reached[first:first + counts.size] += counts
+            total[first:first + counts.size] += depth * counts
+    hit = reached > 0
+    return acc, np.where(hit, (reached / np.where(hit, total, 1)) * (reached / max(n - 1, 1)), 0.0)
+
+
+def betweenness(graph: Graph) -> np.ndarray:
+    """Exact directed betweenness, endpoints excluded, unnormalized."""
+    return shortest_path_centralities(graph)[0]
 
 
 def closeness(graph: Graph) -> np.ndarray:
     """Wasserman-Faust closeness over outgoing shortest-path distances."""
-    n = graph.num_entities
-    reached, total = np.zeros((2, n), dtype=np.int64)
-    for first, _, levels in _bfs_levels(graph):
-        for depth, (fresh, _, _) in enumerate(levels, start=1):
-            np.add.at(reached, first + fresh // n, 1)
-            np.add.at(total, first + fresh // n, depth)
-    hit = reached > 0
-    return np.where(hit, (reached / np.where(hit, total, 1)) * (reached / max(n - 1, 1)), 0.0)
+    return shortest_path_centralities(graph)[1]
 
 
 def triangle_count(graph: Graph) -> np.ndarray:
@@ -229,11 +240,12 @@ def criticality(graph: Graph, threshold: float = 10.0) -> CriticalityReport:
     matrix (it is undefined there).
     """
     in_deg, out_deg = degree_centrality(graph)
+    between, close = shortest_path_centralities(graph)
     raw = {
         "in_degree": in_deg.astype(float),
         "out_degree": out_deg.astype(float),
-        "betweenness": betweenness(graph),
-        "closeness": closeness(graph),
+        "betweenness": between,
+        "closeness": close,
         "triangle_count": triangle_count(graph).astype(float),
     }
     normalized = {m: normalize(raw[m]) for m in METRIC_NAMES}
@@ -280,37 +292,35 @@ def critical_paths(
 
     The hub is the maximum-aggregated-score node (smallest id on ties).
     Paths are listed source-to-hub, with 1..max_depth edges, in deterministic
-    (length, node-sequence) order.
+    (length, node-sequence) order.  All simple paths of one length are rows of
+    one array, grown by a column of predecessors for the next length.
     """
     if report.num_nodes != graph.num_entities:
         raise ValueError("report does not match graph (node counts differ)")
     if graph.num_entities == 0:
         return []
     hub = int(np.argmax(report.aggregated))
-    preds: dict[int, list[int]] = defaultdict(list)
     t = graph.triples_array()
     t = t[(t[:, 1] == RELATION_INDEX[RelationType.SUPPLIES_TO]) & (t[:, 0] != t[:, 2])]
-    for s, o in t[:, [0, 2]].tolist():
-        preds[o].append(s)
-    for lst in preds.values():
-        lst.sort()
+    preds = t[np.argsort(t[:, 2], kind="stable"), 0]  # grouped by object; each length is sorted when emitted
+    indptr = np.zeros(graph.num_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(t[:, 2], minlength=graph.num_entities), out=indptr[1:])
+    flagged = np.asarray(report.is_critical, dtype=bool)
 
-    flagged = report.is_critical
+    paths, has_flag = np.array([[hub]]), flagged[[hub]]  # hub-first rows, and whether a row holds a flag
     found: list[list[int]] = []
-
-    def extend(path: list[int]) -> None:
-        # path is hub-first; emit reversed copies that contain a flag
-        if len(path) > 1 and any(flagged[v] for v in path):
-            found.append(list(reversed(path)))
-        if len(path) > max_depth:
-            return
-        head = path[-1]
-        for p in preds.get(head, ()):  # ascending ids keep the order stable
-            if p not in path:
-                path.append(p)
-                extend(path)
-                path.pop()
-
-    extend([hub])
-    found.sort(key=lambda p: (len(p), p))
+    for _ in range(max_depth):
+        head = paths[:, -1]
+        deg = indptr[head + 1] - indptr[head]
+        rows = np.repeat(np.arange(len(paths)), deg)
+        edge = np.arange(rows.size) + np.repeat(indptr[head] - (np.cumsum(deg) - deg), deg)
+        grown, new = paths[rows], preds[edge]
+        simple = (grown != new[:, None]).all(axis=1)
+        paths = np.column_stack([grown[simple], new[simple]])
+        has_flag = has_flag[rows[simple]] | flagged[new[simple]]
+        if not len(paths):
+            break
+        emitted = paths[has_flag, ::-1]  # source-to-hub
+        emitted = emitted[np.lexsort(emitted.T[::-1])]
+        found += emitted.tolist()
     return found

@@ -44,7 +44,8 @@ buffers for the distance models TransE and RotatE.  It is built on
 ``_ObjectScorer``, which prepares what every block reuses once (M_r, the
 float64 views, E transposed) and scores each block into buffers the caller
 allocates; ``evaluation.rank_queries`` shares one scorer between the threads
-that rank its blocks.  The BLAS thread count of the GEMM models is left as
+that rank its blocks.  Its gathers clip ids too, so ``score_objects`` and
+``rank_queries`` check them first.  The BLAS thread count of the GEMM models is left as
 the environment sets it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
@@ -165,11 +166,19 @@ def init_params(kind: ModelKind, num_entities: int, num_relations: int, config) 
     return params
 
 
-def apply_constraints(params: ModelParams) -> None:
-    """Project parameters back onto their constraint sets, in place."""
+def apply_constraints(params: ModelParams, scratch: np.ndarray | None = None) -> None:
+    """Project parameters back onto their constraint sets, in place.
+
+    TransE's entity rows are scaled to unit L2 norm.  Their squares go into
+    ``scratch``, an array of the entity block's shape (allocated if none is
+    given), and are summed and rooted as ``np.linalg.norm`` does, so the
+    norms have its bits without its two entity-sized temporaries.
+    """
     if params.kind is ModelKind.TRANSE:
         ent = params.blocks["entity"]
-        ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+        squares = np.multiply(ent, ent, out=scratch)
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
+        ent /= norms[:, None]
     elif params.kind is ModelKind.ROTATE:
         rel = params.blocks["relation"]
         np.mod(rel, TWO_PI, out=rel)
@@ -238,6 +247,9 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     scalar = np.ndim(s) == 0 and np.ndim(r) == 0
     s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
                                np.atleast_1d(np.asarray(r, dtype=np.int64)))
+    for name, ids, bound in (("entity", s, params.num_entities), ("relation", r, params.num_relations)):
+        if ids.size and not (0 <= ids.min() and ids.max() < bound):
+            raise IndexError(f"{name} ids must lie in [0, {bound}), got {ids.min()}..{ids.max()}")
     scorer = _ObjectScorer(params, np.unique(r))
     out = scorer(s, r, scorer.workspace(len(s)))
     return out[0] if scalar else out
@@ -280,10 +292,11 @@ class _ObjectScorer:
 
     def __call__(self, s: np.ndarray, r: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
         """The (k, N) scores of the queries (s[i], r[i], ?), written into the
-        first k rows of the workspace's score buffer, which is returned."""
+        first k rows of the workspace's score buffer, which is returned.  The
+        gathers clip ids, so callers check them first."""
         out, q, w, *bufs = (buf[:len(s)] for buf in workspace)
         E, kind = self.E, self.kind
-        np.take(E, s, axis=0, out=q)
+        np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
         if kind in _BILINEAR:
             rels, groups = _relation_groups(r)
             for rel, rows in zip(rels.tolist(), groups):
@@ -292,7 +305,7 @@ class _ObjectScorer:
                 else:
                     out[rows] = (q[rows] @ self.M[rel]) @ E.T
             return out
-        np.take(self.R, r, axis=0, out=w)
+        np.take(self.R, r, axis=0, out=w, mode="clip")
         if kind is ModelKind.TRANSE:
             q += w
         else:
@@ -454,9 +467,8 @@ def training_bytes(kind: ModelKind, num_entities: int, num_relations: int, dim: 
     Seven copies of the parameter blocks (the parameters, Adam's m and v and
     its two scratch arrays, the gradients and the best checkpoint), the
     step's workspace for batch * negatives pairs, the batch's positive and
-    negative id arrays, and for TransE the squared entity block that its
-    unit-norm projection makes.  The sizes are Python integers, so a model
-    far too large for any machine is counted, not overflowed.
+    negative id arrays.  The sizes are Python integers, so a model far too
+    large for any machine is counted, not overflowed.
     """
     def nbytes(specs: dict) -> int:
         return sum(nbytes(spec) if isinstance(spec, dict) else math.prod(spec[0]) * np.dtype(spec[1]).itemsize
@@ -464,8 +476,7 @@ def training_bytes(kind: ModelKind, num_entities: int, num_relations: int, dim: 
 
     rows, blocks = batch * negatives, _block_specs(kind, num_entities, num_relations, dim)
     workspace = nbytes(_workspace_specs(kind, num_relations, dim, rows))
-    projection = nbytes({"entity": blocks["entity"]}) if kind is ModelKind.TRANSE else 0
-    return 7 * nbytes(blocks) + workspace + 2 * rows * 3 * 8 + projection
+    return 7 * nbytes(blocks) + workspace + 2 * rows * 3 * 8
 
 
 def _hinge(margin: float, scores: np.ndarray, ws: _BatchWorkspace) -> tuple[np.ndarray, np.ndarray]:

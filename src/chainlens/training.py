@@ -131,8 +131,9 @@ def adam_step(
     v_hat = v / (1 - b2^t).  The operations run in place, in the order
     written, so the update is bit-identical to the plain expressions.  Their
     only temporaries are the block's two scratch arrays in ``state``, written
-    with ``out=``: ``buf``, which ends as the denominator, and ``step``.  The
-    gradients are only read.
+    with ``out=``: ``buf``, which ends as the denominator, and ``step``.
+    TransE's projection then squares its entity rows into the entity block's
+    ``buf``.  The gradients are only read.
     """
     state.step += 1
     t = state.step
@@ -157,7 +158,7 @@ def adam_step(
         step /= buf
         pv = _float_view(p)
         pv -= step
-    apply_constraints(params)
+    apply_constraints(params, state.scratch["entity"][0] if params.kind is ModelKind.TRANSE else None)
     return params, state
 
 

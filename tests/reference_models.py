@@ -15,7 +15,8 @@ and the per-run workspace: fresh gradient blocks (``zero_grads``) per batch,
 each half scored by ``score_batch`` and its active rows' gradients
 accumulated on their own, row-wise ``np.add.at`` into the 2-D gradient
 blocks, TuckER's M_r by ``tensordot`` and its relation gradient by
-``einsum``, and Adam written as plain array expressions.  The current code
+``einsum``, and Adam written as plain array expressions, with TransE's row
+norms from ``np.linalg.norm``.  The current code
 must match them bit for bit, apart from RESCAL and TuckER, whose single
 forward pass over both halves rounds their gradients differently (within
 1e-12).
@@ -197,5 +198,14 @@ def reference_adam_step(params, grads, state, config):
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         pv -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    apply_constraints(params)
+    reference_apply_constraints(params)
     return params, state
+
+
+def reference_apply_constraints(params):
+    """The constraint projection with TransE's row norms from ``np.linalg.norm``."""
+    if params.kind is ModelKind.TRANSE:
+        ent = params.blocks["entity"]
+        ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+    else:
+        apply_constraints(params)

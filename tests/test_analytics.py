@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -15,12 +16,15 @@ from chainlens.analytics import (
     critical_paths,
     degree_centrality,
     normalize,
+    shortest_path_centralities,
     sole_supplier_scopes,
     triangle_count,
 )
 from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, RelationType, Schema
 
 from conftest import random_supplier_graph, supplier_chain
+from reference_analytics import critical_paths as depth_first_critical_paths
+from reference_analytics import two_sweep_centralities, unique_frontier_bfs_levels
 
 
 # -- brute-force oracles -----------------------------------------------------
@@ -203,6 +207,36 @@ def test_batched_bfs_matches_oracles_across_batches(seed, rows, monkeypatch):
     g = random_supplier_graph(rng, n, int(rng.integers(n, 3 * n)))
     monkeypatch.setattr(analytics, "BFS_BYTES", 8 * n * rows)
     assert_centralities_match_oracles(g)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_one_sweep_equals_two_bit_for_bit(seed, rows, monkeypatch):
+    """criticality's one sweep gives the bits of the standalone metrics and of
+    the former two sweeps (np.unique frontiers, np.add.at closeness counts)."""
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(5, 41))
+    g = (random_dag if seed % 2 else random_supplier_graph)(rng, n, int(rng.integers(n, 3 * n)))
+    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * n * rows)
+    raw = criticality(g).raw
+    shared, (between, close) = shortest_path_centralities(g), two_sweep_centralities(g)
+    for name, value, alone, former in (("betweenness", shared[0], betweenness(g), between),
+                                       ("closeness", shared[1], closeness(g), close)):
+        assert raw[name].tobytes() == value.tobytes() == alone.tobytes() == former.tobytes(), name
+    np.testing.assert_allclose(raw["betweenness"], brute_betweenness(g), rtol=1e-9, atol=1e-9)
+    np.testing.assert_array_equal(raw["closeness"], brute_closeness(g))
+
+
+@pytest.mark.parametrize("rows", [1, 4, 64])
+def test_batched_bfs_levels_equal_those_with_unique_frontiers(rows, monkeypatch):
+    g = random_supplier_graph(np.random.default_rng(11), 30, 90)
+    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * 30 * rows)
+    for (first, sigma, levels), (ref_first, ref_sigma, ref_levels) in zip(analytics._bfs_levels(g),
+                                                                          unique_frontier_bfs_levels(g)):
+        assert first == ref_first and sigma.tobytes() == ref_sigma.tobytes()
+        assert len(levels) == len(ref_levels)
+        for level, ref_level in zip(levels, ref_levels):
+            assert all(np.array_equal(a, b) for a, b in zip(level, ref_level))
 
 
 def test_batched_bfs_empty_and_single_node():
@@ -524,3 +558,38 @@ def test_critical_paths_depth_bound():
         for path in critical_paths(g, report, max_depth=depth):
             assert len(path) <= depth + 1
             assert path[-1] == hub
+
+
+@st.composite
+def supplier_networks(draw):
+    """Up to 8 suppliers with supplies_to edges (cycles, reciprocal pairs and
+    self-loops included), related_to edges between suppliers that the paths
+    must ignore, and, half the time, drawn aggregated scores (ties included)."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    rules = dict(DEFAULT_SCHEMA.rules)
+    rules[RelationType.RELATED_TO] = (frozenset({EntityType.SUPPLIER}), frozenset({EntityType.SUPPLIER}))
+    schema = Schema(rules)
+    g = Graph()
+    ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(n)]
+    for rel, size in ((RelationType.SUPPLIES_TO, 24), (RelationType.RELATED_TO, 6)):
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=size)):
+            if not g.has_triple(ids[a], rel, ids[b]):
+                g.add_triple(ids[a], rel, ids[b], schema)
+    report = criticality(g)
+    scores = draw(st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if scores is not None:
+        report = replace(report, aggregated=np.array(scores, dtype=float))
+    return g, report
+
+
+@settings(deadline=None)
+@given(supplier_networks())
+def test_critical_paths_equal_the_depth_first_oracle(network):
+    g, report = network
+    scores = report.aggregated
+    # flags change only as the threshold crosses a distinct score
+    for threshold in np.concatenate([[scores.min() - 1.0], np.unique(scores)]):
+        flagged = replace(report, is_critical=scores > threshold, threshold=float(threshold))
+        for depth in range(5):
+            assert critical_paths(g, flagged, depth) == depth_first_critical_paths(g, flagged, depth)

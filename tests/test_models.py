@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -192,6 +193,36 @@ def test_score_objects_broadcasts_subjects_against_relations(kind):
                                [score_objects(p, 4, 0), score_objects(p, 4, 2)], rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         score_objects(p, s, np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_objects_refuses_ids_outside_the_tables(kind):
+    p = make_params(kind, n_ent=10, n_rel=3, dim=4, seed=1)
+    for s, r in ((-1, 0), (10, 0), (0, -1), (0, 3), (np.array([2, -1]), 0), (np.array([0, 9]), np.array([1, 3]))):
+        with pytest.raises(IndexError):
+            score_objects(p, s, r)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
+    """The scorer gathers straight into the workspace: numpy's "raise" mode
+    would buffer a copy of the (k, d) query rows on every block."""
+    n_ent, k = 200, 1024
+    p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
+    rng = np.random.default_rng(2)
+    s = rng.integers(n_ent, size=k)
+    r = np.full(k, 1) if kind in models._BILINEAR else rng.integers(3, size=k)  # a bilinear block has one relation
+    scorer = models._ObjectScorer(p, np.unique(r))
+    workspace = scorer.workspace(k)
+    expected = scorer(s, r, workspace).copy()
+    tracemalloc.start()
+    try:
+        scores = scorer(s, r, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < workspace[1].nbytes, (peak, workspace[1].nbytes)
+    assert scores.tobytes() == expected.tobytes() == score_objects(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])

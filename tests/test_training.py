@@ -10,6 +10,7 @@ import chainlens.models as models
 from chainlens.models import (
     ModelKind,
     ModelParams,
+    apply_constraints,
     batch_loss_and_gradients,
     corrupt_batch,
     init_params,
@@ -26,7 +27,7 @@ from chainlens.training import (
     train,
 )
 
-from reference_models import add_at_batch_loss_and_gradients, reference_adam_step
+from reference_models import add_at_batch_loss_and_gradients, reference_adam_step, reference_apply_constraints
 
 
 def tiny_triples(n_ent=15, n_rel=2, n=40, seed=0, acyclic=True):
@@ -92,6 +93,23 @@ def test_adam_zero_gradient_only_projects():
         np.testing.assert_allclose(params.blocks[name], before[name], atol=1e-12)
     norms = np.linalg.norm(params.blocks["entity"], axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
+
+
+def test_transe_projection_has_the_bits_of_linalg_norm_without_an_entity_sized_temporary():
+    cfg = TrainConfig(dim=32, seed=5)
+    params = init_params(ModelKind.TRANSE, 500, 3, cfg)
+    params.blocks["entity"] *= np.random.default_rng(5).uniform(0.1, 3.0, size=(500, 1))
+    expected = params.copy()
+    reference_apply_constraints(expected)
+    scratch = AdamState.for_params(params).scratch["entity"][0]
+    tracemalloc.start()
+    try:
+        apply_constraints(params, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.blocks["entity"].nbytes, peak
+    assert params.blocks["entity"].tobytes() == expected.blocks["entity"].tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
