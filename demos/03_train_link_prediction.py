@@ -12,7 +12,7 @@ Takes about 6 s on a 2-vCPU Xeon (both models stop early):
 
 from chainlens import GeneratorConfig, ModelKind, SplitConfig, generate_synthetic, transductive_split
 from chainlens.evaluation import build_filter_index, evaluate, per_relation_table
-from chainlens.graph import RELATION_BY_INDEX, RelationType
+from chainlens.graph import RelationType
 from chainlens.models import init_params
 from chainlens.training import TrainConfig, train
 
@@ -40,7 +40,6 @@ for kind in (ModelKind.ROTATE, ModelKind.TRANSE):
     print(f"  raw MRR {raw.mrr:.4f} <= filtered {report.mrr:.4f} (filtering only helps)")
 
 # Per-relation breakdown, ranked best-to-worst within each model.
-names = {i: r.value for i, r in enumerate(RELATION_BY_INDEX)}
 table = per_relation_table(reports)
 print("\nPer-relation MRR (rank 1 = easiest relation for that model):")
-print(table.to_text(names))
+print(table.to_text())

@@ -144,13 +144,13 @@ def triangle_count(graph: Graph) -> np.ndarray:
     return counts
 
 
-def normalize(values: np.ndarray, lo: float = 0.0, hi: float = 10.0) -> np.ndarray:
-    """Min-max scale onto [lo, hi]; a constant vector maps to lo."""
+def normalize(values: np.ndarray) -> np.ndarray:
+    """Min-max scale onto [0, 10]; a constant vector maps to 0."""
     values = np.asarray(values, dtype=float)
     vmin, vmax = values.min(), values.max()
     if vmax == vmin:
-        return np.full_like(values, lo)
-    return lo + (values - vmin) / (vmax - vmin) * (hi - lo)
+        return np.zeros_like(values)
+    return (values - vmin) / (vmax - vmin) * 10.0
 
 
 def _pearson_matrix(raw: dict[str, np.ndarray]) -> np.ndarray:
@@ -202,7 +202,7 @@ class CriticalityReport:
                 cells.append("1" if critical[i] else "0")
                 writer.writerow(cells)
 
-    def summary_text(self, top_k: int = 5) -> str:
+    def summary_text(self) -> str:
         lines = [
             f"nodes: {self.num_nodes}",
             f"threshold: {self.threshold:g}",
@@ -210,7 +210,7 @@ class CriticalityReport:
         ]
         for m in METRIC_NAMES + ("aggregated_score",):
             vals = self.aggregated if m == "aggregated_score" else self.raw[m]
-            order = np.argsort(-np.asarray(vals, dtype=float), kind="stable")[:top_k]
+            order = np.argsort(-np.asarray(vals, dtype=float), kind="stable")[:5]
             tops = ", ".join(f"{self.labels[i]}={float(vals[i]):g}" for i in order)
             lines.append(f"top {m}: {tops}")
         if self.correlation is not None:

@@ -1,10 +1,12 @@
 """Command-line front end: generate, split, train, eval, analyze, export.
 
-One binary with subcommands sharing config and manifest machinery.  Every
-run writes exactly one JSON manifest alongside its outputs recording the
-command, effective config, seeds, paths, tool version, and wall-clock
-duration, so reruns are checkable.  All randomness flows from a single
-per-run seed.
+One binary with subcommands sharing config and manifest machinery.  Each
+``cmd_<name>`` handler returns a :class:`Manifest` of its effective config,
+seeds and paths; :func:`main` times the handler and writes that manifest
+alongside the outputs with the command name, tool version and wall-clock
+duration, so reruns are checkable.  A handler whose own check fails returns
+its exit code instead, and no manifest is written.  All randomness flows
+from a single per-run seed.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 infeasible
 operation, 4 training diverged (no checkpoint is written).  The environment
@@ -21,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -74,8 +76,6 @@ from .training import (
 
 logger = logging.getLogger(__name__)
 
-RELATION_NAMES = {i: r.value for i, r in enumerate(RELATION_BY_INDEX)}
-
 
 class UsageError(Exception):
     pass
@@ -105,7 +105,7 @@ def _model_kind(name: str) -> ModelKind:
 
 
 def _load_schema(args) -> Schema:
-    if getattr(args, "schema", None):
+    if args.schema:
         return Schema.from_file(args.schema)
     return DEFAULT_SCHEMA
 
@@ -124,34 +124,34 @@ def _load_split(split_dir, schema: Schema):
     return graph, *parts
 
 
-def _write_manifest(
-    manifest_path: Path,
-    command: str,
-    config: dict,
-    seeds: list[int],
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
-) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seeds": seeds,
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
-        "version": __version__,
-        "duration_seconds": round(time.perf_counter() - started, 6),
-    }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+@dataclass(frozen=True)
+class Manifest:
+    """What a command ran on and wrote: :func:`main` adds the command, version and duration."""
+
+    path: Path
+    config: dict
+    seeds: list[int]
+    inputs: list[str]
+    outputs: list[str]
+
+    def write(self, command: str, duration_seconds: float) -> None:
+        manifest = {
+            "command": command,
+            "config": self.config,
+            "seeds": self.seeds,
+            "inputs": sorted(self.inputs),
+            "outputs": sorted(self.outputs),
+            "version": __version__,
+            "duration_seconds": round(duration_seconds, 6),
+        }
+        self.path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    started = time.perf_counter()
+def cmd_generate(args) -> Manifest:
     cfg = GeneratorConfig.from_file(args.config) if args.config else GeneratorConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -162,20 +162,16 @@ def cmd_generate(args) -> int:
     export_triples(graph, out)
     stats = graph.stats()
     print(f"generated {stats.total_entities} entities, {stats.total_triples} triples -> {out}")
-    _write_manifest(
+    return Manifest(
         Path(str(out) + ".manifest.json"),
-        "generate",
         cfg.to_kv(),
         [cfg.seed],
         [args.config] if args.config else [],
         [str(out)],
-        started,
     )
-    return 0
 
 
-def cmd_split(args) -> int:
-    started = time.perf_counter()
+def cmd_split(args) -> Manifest | int:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     cfg = SplitConfig.from_file(args.config) if args.config else SplitConfig()
@@ -195,20 +191,16 @@ def cmd_split(args) -> int:
             print(f"transductive check: FAIL (held-out triple {_triple_text(graph, row)})")
             return 2
         print("transductive check: PASS")
-    _write_manifest(
+    return Manifest(
         out_dir / "manifest.json",
-        "split",
         cfg.to_kv(),
         [cfg.seed],
         [str(args.in_path)] + ([args.config] if args.config else []),
         [str(out_dir / n) for n in (TRAIN_FILE, VALID_FILE, TEST_FILE)],
-        started,
     )
-    return 0
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> Manifest:
     schema = _load_schema(args)
     graph, train_arr, valid_arr, _ = _load_split(args.split_dir, schema)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
@@ -240,20 +232,16 @@ def cmd_train(args) -> int:
         + (f" (val hits@10 {last.hits10:.4f}, mrr {last.mrr:.4f} at final eval)" if last else "")
         + f" -> {out}"
     )
-    _write_manifest(
+    return Manifest(
         Path(str(out) + ".manifest.json"),
-        "train",
         {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv(), **grid_skipped},
         [cfg.seed],
         [str(args.split_dir)] + ([args.config] if args.config else []),
         [str(out), str(history_path)],
-        started,
     )
-    return 0
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
+def cmd_eval(args) -> Manifest | int:
     schema = _load_schema(args)
     params = load_checkpoint(args.checkpoint)
     if not params.all_finite():
@@ -282,8 +270,8 @@ def cmd_eval(args) -> int:
         reports[setting] = report
         text_path = out_dir / f"eval_{setting}.txt"
         csv_path = out_dir / f"eval_{setting}.csv"
-        text_path.write_text(report.to_text(RELATION_NAMES), encoding="utf-8")
-        report.to_csv(csv_path, RELATION_NAMES)
+        text_path.write_text(report.to_text(), encoding="utf-8")
+        report.to_csv(csv_path)
         outputs += [str(text_path), str(csv_path)]
         print(
             f"{params.kind.value} [{setting}/{args.tie}] mrr {report.mrr:.4f}  "
@@ -298,24 +286,20 @@ def cmd_eval(args) -> int:
     if args.per_relation:
         table = per_relation_table({params.kind.value: reports[settings[0]]})
         table_path = out_dir / "per_relation.csv"
-        table.to_csv(table_path, RELATION_NAMES)
-        print(table.to_text(RELATION_NAMES), end="")
+        table.to_csv(table_path)
+        print(table.to_text(), end="")
         outputs.append(str(table_path))
-    _write_manifest(
+    return Manifest(
         out_dir / "manifest.json",
-        "eval",
         {"checkpoint": str(args.checkpoint), "setting": args.setting, "tie_policy": args.tie,
          "per_relation": bool(args.per_relation), "type_constrained": bool(args.type_constrained)},
         [params.seed],
         [str(args.checkpoint), str(args.split_dir)],
         outputs,
-        started,
     )
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args) -> Manifest:
     if not math.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     schema = _load_schema(args)
@@ -344,16 +328,13 @@ def cmd_analyze(args) -> int:
             writer.writerows((graph.labels[scope_id], graph.labels[sup_id]) for scope_id, sup_id in scopes)
         outputs.append(str(scope_path))
         print(f"{len(scopes)} sole-supplier business scopes -> {scope_path}")
-    _write_manifest(
+    return Manifest(
         out_dir / "manifest.json",
-        "analyze",
         {"threshold": args.threshold, "sole_scopes": bool(args.sole_scopes)},
         [],
         [str(args.in_path)],
         outputs,
-        started,
     )
-    return 0
 
 
 def _read_critical_flags(report: str) -> dict[str, bool]:
@@ -378,8 +359,7 @@ def _read_critical_flags(report: str) -> dict[str, bool]:
         return flags
 
 
-def cmd_export(args) -> int:
-    started = time.perf_counter()
+def cmd_export(args) -> Manifest:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     critical_by_label = _read_critical_flags(args.report)
@@ -387,16 +367,13 @@ def cmd_export(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     export_graph(graph, critical_by_label, args.format, out)
     print(f"exported {args.format} -> {out}")
-    _write_manifest(
+    return Manifest(
         Path(str(out) + ".manifest.json"),
-        "export",
         {"format": args.format, "report": str(args.report)},
         [],
         [str(args.in_path), str(args.report)],
         [str(out)],
-        started,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +452,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        manifest = args.func(args)
+        if isinstance(manifest, int):  # the command's own check failed
+            return manifest
+        manifest.write(args.command, time.perf_counter() - started)
+        return 0
     except UsageError as exc:
         print(f"chainlens: usage error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, SplitInfeasible) as exc:
         print(f"chainlens: infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, GraphError, CheckpointError, ExportMismatch, VocabularyMismatch, EmptyQuerySet) as exc:
-        print(f"chainlens: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, GraphError, CheckpointError, ExportMismatch, VocabularyMismatch, EmptyQuerySet,
+            OSError) as exc:
         print(f"chainlens: error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -625,7 +625,7 @@ def _pa_targets(
     targets: list[int],
     n_draws: int,
     indeg: np.ndarray,
-    max_per_target: int | None = None,
+    max_per_target: int,
 ) -> list[int]:
     """Draw ``n_draws`` targets with linear preferential attachment.
 
@@ -648,7 +648,6 @@ def _pa_targets(
     if n_draws <= 0 or not targets:
         return chosen
     n = len(targets)
-    cap = math.inf if max_per_target is None else max_per_target
     start = (indeg[targets] + 1).tolist()  # a slot's weight before its first draw
     w = [0] * n  # each slot's weight while eligible and under the cap, else 0
     cum = np.zeros(n, dtype=np.int64)  # cum[k] == sum(w[:k + 1])
@@ -667,7 +666,7 @@ def _pa_targets(
         else:
             raise ConfigError("relation supplies_to: attachment pool exhausted; reduce the count")
         counts[j] += 1
-        weight = start[j] + counts[j] if counts[j] < cap else 0
+        weight = start[j] + counts[j] if counts[j] < max_per_target else 0
         cum[j:] += weight - w[j]
         total += weight - w[j]
         w[j] = weight

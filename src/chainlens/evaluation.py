@@ -37,11 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import RELATION_BY_INDEX
 from .models import ModelParams, _ObjectScorer, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
 TIE_POLICIES = ("optimistic", "realistic", "pessimistic")
+# The name a report gives each relation id; an id beyond the built-in relations keeps its number.
+_RELATION_NAMES = {i: r.value for i, r in enumerate(RELATION_BY_INDEX)}
 
 
 class EmptyQuerySet(Exception):
@@ -101,21 +104,20 @@ class EvalReport:
                         for rel, idx in zip(rels.tolist(), groups)}
         return cls(mrr, hits, per_relation, setting, tie_policy, num_queries=len(query_array))
 
-    def _rows(self, relation_names: dict[int, str] | None) -> list[tuple]:
+    def _rows(self) -> list[tuple]:
         """(name, queries, mrr, hits@1, hits@3, hits@10) of each relation, in id order."""
-        names = relation_names or {}
-        return [(names.get(rel, str(rel)), m.count, m.mrr, *(m.hits[k] for k in HITS_KS))
+        return [(_RELATION_NAMES.get(rel, str(rel)), m.count, m.mrr, *(m.hits[k] for k in HITS_KS))
                 for rel, m in sorted(self.per_relation.items())]
 
-    def to_text(self, relation_names: dict[int, str] | None = None) -> str:
+    def to_text(self) -> str:
         lines = [f"setting: {self.setting}", f"tie_policy: {self.tie_policy}", f"queries: {self.num_queries}",
                  f"mrr: {self.mrr:.6f}", *(f"hits@{k}: {self.hits[k]:.6f}" for k in HITS_KS), "",
                  "relation\tqueries\tmrr\thits@1\thits@3\thits@10"]
-        lines += ["%s\t%d\t%.6f\t%.6f\t%.6f\t%.6f" % row for row in self._rows(relation_names)]
+        lines += ["%s\t%d\t%.6f\t%.6f\t%.6f\t%.6f" % row for row in self._rows()]
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path: str | Path, relation_names: dict[int, str] | None = None) -> None:
-        rows = [("ALL", self.num_queries, self.mrr, *(self.hits[k] for k in HITS_KS)), *self._rows(relation_names)]
+    def to_csv(self, path: str | Path) -> None:
+        rows = [("ALL", self.num_queries, self.mrr, *(self.hits[k] for k in HITS_KS)), *self._rows()]
         lines = ["relation,queries,mrr,hits@1,hits@3,hits@10", *("%s,%d,%.6f,%.6f,%.6f,%.6f" % row for row in rows)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -438,19 +440,18 @@ class PerRelationTable:
     mrr: np.ndarray  # (num_relations, num_models)
     ordinal: np.ndarray  # same shape; 1 = best relation for that model
 
-    def _lines(self, relation_names: dict[int, str] | None, sep: str, digits: int, columns) -> str:
-        names = relation_names or {}
+    def _lines(self, sep: str, digits: int, columns) -> str:
         lines = [sep.join(["relation", *(c for m in self.models for c in columns(m))])]
-        lines += [sep.join([names.get(rel, str(rel)), *(f"{self.mrr[i, j]:.{digits}f}{sep}{self.ordinal[i, j]}"
-                                                        for j in range(len(self.models)))])
+        lines += [sep.join([_RELATION_NAMES.get(rel, str(rel)),
+                            *(f"{m:.{digits}f}{sep}{o}" for m, o in zip(self.mrr[i], self.ordinal[i]))])
                   for i, rel in enumerate(self.relations)]
         return "\n".join(lines) + "\n"
 
-    def to_text(self, relation_names: dict[int, str] | None = None) -> str:
-        return self._lines(relation_names, "\t", 4, lambda m: (m, "rank"))
+    def to_text(self) -> str:
+        return self._lines("\t", 4, lambda m: (m, "rank"))
 
-    def to_csv(self, path: str | Path, relation_names: dict[int, str] | None = None) -> None:
-        text = self._lines(relation_names, ",", 6, lambda m: (f"{m}_mrr", f"{m}_rank"))
+    def to_csv(self, path: str | Path) -> None:
+        text = self._lines(",", 6, lambda m: (f"{m}_mrr", f"{m}_rank"))
         Path(path).write_text(text, encoding="utf-8")
 
 

@@ -198,6 +198,29 @@ def test_pipeline_train_eval_analyze_export(workspace, capsys):
     assert dot.read_bytes() == dot2.read_bytes()
 
 
+def test_every_command_writes_one_manifest_with_the_same_keys(workspace):
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    (workspace / "one_epoch.cfg").write_text("dim=8\nmax_epochs=1\neval_every=1\n")
+    commands = {
+        "generate": (["--config", str(workspace / "gen.cfg"), "--out", str(graph)], workspace / "g.tsv.manifest.json"),
+        "split": (["--in", str(graph), "--seed", "3", "--out", str(splits)], splits / "manifest.json"),
+        "train": (["--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "one_epoch.cfg"),
+                   "--out", str(ckpt)], workspace / "m.npz.manifest.json"),
+        "eval": (["--checkpoint", str(ckpt), "--split-dir", str(splits), "--out", str(workspace / "eval")],
+                 workspace / "eval" / "manifest.json"),
+        "analyze": (["--in", str(graph), "--out", str(workspace / "analysis")],
+                    workspace / "analysis" / "manifest.json"),
+        "export": (["--in", str(graph), "--report", str(workspace / "analysis" / "criticality.csv"),
+                    "--out", str(workspace / "g.dot")], workspace / "g.dot.manifest.json"),
+    }
+    for command, (argv, manifest_path) in commands.items():
+        assert main([command, *argv]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest) == {"command", "config", "seeds", "inputs", "outputs", "version", "duration_seconds"}
+        assert manifest["command"] == command
+        assert manifest["duration_seconds"] >= 0
+
+
 def test_train_grid_flag(workspace, capsys, monkeypatch):
     import chainlens.training as training_mod
 
@@ -348,6 +371,7 @@ def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
     assert filtered < raw
     assert f"filtered MRR {filtered:.4f} fell below raw MRR {raw:.4f}" in captured.err
     assert "OK" not in captured.out
+    assert not (out / "manifest.json").exists()
 
 
 def test_eval_both_scores_each_block_once(workspace, monkeypatch):
@@ -610,6 +634,7 @@ def test_split_check_fail_names_the_triple_by_labels(workspace, capsys, monkeypa
     code = main(["split", "--in", str(graph), "--check", "--out", str(workspace / "splits")])
     assert code == 2
     assert "transductive check: FAIL (held-out triple B -supplies_to-> C)" in capsys.readouterr().out
+    assert not (workspace / "splits" / "manifest.json").exists()
 
 
 def tamper_entity_rows(blocks):

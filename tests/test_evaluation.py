@@ -520,11 +520,19 @@ def test_type_constrained_candidates_restrict_ranking():
 def test_report_text_and_csv(tmp_path):
     p, queries = ranks_fixture_params()
     report = evaluate(p, queries, None, setting="raw")
-    text = report.to_text({0: "supplies_to"})
+    text = report.to_text()
     assert "mrr: 0.583333" in text
     assert "supplies_to" in text
     csv_path = tmp_path / "report.csv"
-    report.to_csv(csv_path, {0: "supplies_to"})
+    report.to_csv(csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "relation,queries,mrr,hits@1,hits@3,hits@10"
     assert lines[1].startswith("ALL,3,0.583333")
+
+
+def test_reports_name_built_in_relations_and_number_the_rest():
+    rel = len(RelationType)  # one past the built-in relations
+    report = EvalReport.from_ranks(np.array([[0, 0, 1], [0, rel, 1]]), np.array([1.0, 2.0]), "raw", "realistic")
+    assert [line.split("\t")[0] for line in report.to_text().splitlines()[-2:]] == ["supplies_to", str(rel)]
+    table_text = per_relation_table({"M": report}).to_text()
+    assert [line.split("\t")[0] for line in table_text.splitlines()[1:]] == ["supplies_to", str(rel)]
