@@ -30,6 +30,7 @@ Critical paths are enumerated as arrays too, one path length at a time.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -272,7 +273,9 @@ def scope_suppliers(graph: Graph) -> np.ndarray:
     codes = graph.type_codes()
     pairs = pairs[(codes[pairs[:, 0]] == ENTITY_TYPE_INDEX[EntityType.BUSINESS_SCOPE])
                   & (codes[pairs[:, 1]] == ENTITY_TYPE_INDEX[EntityType.SUPPLIER])]
-    return np.unique(pairs, axis=0)
+    n = max(graph.num_entities, 1)
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])  # one int64 key per pair sorts as the pairs do
+    return np.column_stack([keys // n, keys % n])
 
 
 def sole_supplier_scopes(graph: Graph) -> list[tuple[int, int]]:
@@ -285,30 +288,24 @@ def sole_supplier_scopes(graph: Graph) -> list[tuple[int, int]]:
     return [tuple(p) for p in pairs[first[count == 1]].tolist()]
 
 
-def critical_paths(
-    graph: Graph, report: CriticalityReport, max_depth: int = 3
-) -> list[list[int]]:
-    """Simple supplies_to chains into the hub that contain a critical supplier.
-
-    The hub is the maximum-aggregated-score node (smallest id on ties).
-    Paths are listed source-to-hub, with 1..max_depth edges, in deterministic
-    (length, node-sequence) order.  All simple paths of one length are rows of
-    one array, grown by a column of predecessors for the next length.
-    """
+def _critical_path_rows(graph: Graph, report: CriticalityReport, max_depth: int) -> Iterator[np.ndarray]:
+    """The simple supplies_to chains into the hub with 1..max_depth edges that
+    contain a critical supplier: one array per length, a path per row, listed
+    hub-first and in no set order.  All simple paths of one length are rows
+    of one array, grown by a column of predecessors for the next length."""
     if report.num_nodes != graph.num_entities:
         raise ValueError("report does not match graph (node counts differ)")
     if graph.num_entities == 0:
-        return []
+        return
     hub = int(np.argmax(report.aggregated))
     t = graph.triples_array()
     t = t[(t[:, 1] == RELATION_INDEX[RelationType.SUPPLIES_TO]) & (t[:, 0] != t[:, 2])]
-    preds = t[np.argsort(t[:, 2], kind="stable"), 0]  # grouped by object; each length is sorted when emitted
+    preds = t[np.argsort(t[:, 2], kind="stable"), 0]  # grouped by object
     indptr = np.zeros(graph.num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(t[:, 2], minlength=graph.num_entities), out=indptr[1:])
     flagged = np.asarray(report.is_critical, dtype=bool)
 
     paths, has_flag = np.array([[hub]]), flagged[[hub]]  # hub-first rows, and whether a row holds a flag
-    found: list[list[int]] = []
     for _ in range(max_depth):
         head = paths[:, -1]
         deg = indptr[head + 1] - indptr[head]
@@ -319,8 +316,26 @@ def critical_paths(
         paths = np.column_stack([grown[simple], new[simple]])
         has_flag = has_flag[rows[simple]] | flagged[new[simple]]
         if not len(paths):
-            break
-        emitted = paths[has_flag, ::-1]  # source-to-hub
-        emitted = emitted[np.lexsort(emitted.T[::-1])]
-        found += emitted.tolist()
+            return
+        yield paths[has_flag]
+
+
+def critical_paths(
+    graph: Graph, report: CriticalityReport, max_depth: int = 3
+) -> list[list[int]]:
+    """Simple supplies_to chains into the hub that contain a critical supplier.
+
+    The hub is the maximum-aggregated-score node (smallest id on ties).
+    Paths are listed source-to-hub, with 1..max_depth edges, in deterministic
+    (length, node-sequence) order.
+    """
+    found: list[list[int]] = []
+    for paths in _critical_path_rows(graph, report, max_depth):
+        paths = paths[:, ::-1]  # source-to-hub
+        found += paths[np.lexsort(paths.T[::-1])].tolist()
     return found
+
+
+def count_critical_paths(graph: Graph, report: CriticalityReport, max_depth: int = 3) -> int:
+    """``len(critical_paths(graph, report, max_depth))``, without building the paths."""
+    return sum(len(paths) for paths in _critical_path_rows(graph, report, max_depth))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .analytics import criticality, critical_paths, sole_supplier_scopes
+from .analytics import count_critical_paths, criticality, sole_supplier_scopes
 from .dataset import (
     TEST_FILE,
     TRAIN_FILE,
@@ -313,10 +313,9 @@ def cmd_analyze(args) -> Manifest:
     report.to_csv(csv_path)
     summary_path.write_text(report.summary_text(), encoding="utf-8")
     n_critical = int(report.is_critical.sum())
-    paths = critical_paths(suppliers, report)
     print(
         f"analyzed {suppliers.num_entities} suppliers: {n_critical} critical "
-        f"(threshold {args.threshold:g}), {len(paths)} critical supply paths"
+        f"(threshold {args.threshold:g}), {count_critical_paths(suppliers, report)} critical supply paths"
     )
     outputs = [str(csv_path), str(summary_path)]
     if args.sole_scopes:

@@ -15,16 +15,22 @@ with everything and would otherwise rank first.
 
 :func:`rank_queries` ranks queries in blocks and returns both settings from
 one score pass.  Queries are grouped by relation and each group is cut into
-blocks of k rows, sized so that the (k, N) score block takes about
-``BLOCK_BYTES``.  A block is scored by the scorer that
-:func:`~chainlens.models.score_objects` is built on, and each row's raw rank
-is read from counts of scores above and equal to its true-object score.
-Subtracting the known-true objects, held by a :class:`FilterIndex` in CSR
-form (one flat sorted object array with per-(s, r) offsets), from those
-counts gives the filtered rank.  The blocks are ranked on ``RANK_WORKERS``
-threads, one per usable processor, with the same ranks as on one.
-:func:`rank_object` ranks one query from its score vector and is the
-reference the blocks are tested against: their ranks are equal.
+blocks of k rows, sized so that the (k, N) float64 score block takes about
+``BLOCK_BYTES``.  Each row's raw rank is read from counts of scores above
+and equal to its true-object score.  Subtracting the known-true objects,
+held by a :class:`FilterIndex` in CSR form (one flat sorted object array
+with per-(s, r) offsets), from those counts gives the filtered rank.
+RESCAL, ComplEx and TuckER blocks are scored by the scorer that
+:func:`~chainlens.models.score_objects` is built on.  TransE and RotatE
+blocks are screened in float32 and settled in float64: a float32 pass,
+whose distance from the float64 scores is bounded per row, decides every
+candidate that scores clearly above or below the true object, and the
+few within the bound, like the true object and the filtered ones, get
+their exact float64 scores.  The ranks are those of the float64 block.
+The blocks are ranked on ``RANK_WORKERS`` threads, one per usable
+processor, with the same ranks as on one.  :func:`rank_object` ranks one
+query from its score vector and is the reference the blocks are tested
+against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import RELATION_BY_INDEX
-from .models import ModelParams, _ObjectScorer, _relation_groups, score_objects
+from .models import ModelKind, ModelParams, _ObjectScorer, _relation_groups, _ScreenedScorer, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
@@ -286,34 +292,111 @@ def _rank_block(
     Without a ``filter_index`` the filtered ranks are the raw ones.  ``mask``
     is a (k, N) bool work buffer.
     """
-    rows = np.arange(len(scores))
-    true_score = scores[rows, o]
+    true_score = scores[np.arange(len(scores)), o]
     counts = []
     for compare in (np.greater, np.equal):
         compare(scores, true_score[:, None], out=mask)
         if allowed is not None:
             mask &= allowed
         counts.append(mask.sum(axis=1))
-    greater, ties = counts
-    n_candidates = np.full(len(rows), scores.shape[1] if allowed is None else np.count_nonzero(allowed))
+    dropped = None
+    if filter_index is not None:
+        row, obj = _filtered_pairs(filter_index, s, r, o, allowed)
+        dropped = row, scores[row, obj]
+    return _ranks(*counts, true_score, o, scores.shape[1], allowed, tie_policy, dropped)
+
+
+def _filtered_pairs(filter_index: FilterIndex, s: np.ndarray, r: np.ndarray, o: np.ndarray,
+                    allowed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, object) of the candidates that the filtered setting drops: the
+    known-true objects of (s[row], r[row]) other than o[row]."""
+    row, obj = filter_index.pairs(s, r)
+    drop = obj != o[row]
+    if allowed is not None:
+        drop &= allowed[obj]
+    return row[drop], obj[drop]
+
+
+def _ranks(greater, ties, true_score, o, num_entities: int, allowed, tie_policy: str, dropped):
+    """Raw and filtered ranks from the counts of allowed candidates scoring above and equal to each true score.
+
+    ``dropped`` is None without a filter index, else the rows and scores of
+    the candidates that the filtered setting drops.
+    """
+    k = len(o)
+    n_candidates = np.full(k, num_entities if allowed is None else np.count_nonzero(allowed))
     if allowed is not None:
         # a true object outside the candidates is still ranked, tying itself
         outside = ~allowed[o]
         ties += outside
         n_candidates += outside
     raw = _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
-    if filter_index is None:
+    if dropped is None:
         return raw, raw
-    row, obj = filter_index.pairs(s, r)
-    drop = obj != o[row]
-    if allowed is not None:
-        drop &= allowed[obj]
-    row, obj = row[drop], obj[drop]
-    dropped = scores[row, obj]
-    greater -= np.bincount(row[dropped > true_score[row]], minlength=len(rows))
-    ties -= np.bincount(row[dropped == true_score[row]], minlength=len(rows))
-    n_candidates -= np.bincount(row, minlength=len(rows))
+    row, scores = dropped
+    greater -= np.bincount(row[scores > true_score[row]], minlength=k)
+    ties -= np.bincount(row[scores == true_score[row]], minlength=k)
+    n_candidates -= np.bincount(row, minlength=k)
     return raw, _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+
+
+def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
+    """float64 ``x``, a rounded sum, moved one float64 step toward ``toward``
+    (+inf or -inf) and rounded to float32 in that direction: past the exact sum."""
+    x = np.nextafter(x, toward)
+    x32 = x.astype(np.float32)
+    short = x32 < x if toward > 0 else x32 > x
+    return np.where(short, np.nextafter(x32, np.float32(toward)), x32)
+
+
+def _rank_screened(
+    scorer: _ScreenedScorer,
+    s: np.ndarray,
+    r: np.ndarray,
+    o: np.ndarray,
+    ws: dict,
+    filter_index: FilterIndex | None,
+    allowed: np.ndarray | None,
+    tie_policy: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rank_block`'s ranks of a TransE or RotatE block from a float32 screen.
+
+    Each row's true score t is exact, and every float32 score lies within δ
+    of its float64 one, so a candidate whose float32 score is above t + δ
+    scores above t, and one below t - δ scores below it; both thresholds
+    are rounded outward to float32.  The candidates in between, and the
+    filter's known objects, are settled with exact float64 scores.  A block
+    whose float32 pass cannot be trusted is ranked from the float64 kernel's
+    scores, half its rows at a time.
+    """
+    k = len(s)
+    q, screen, delta = scorer.screen(s, r, ws)
+    if screen is None:
+        ranks = np.empty((2, k))
+        step = ws["planes64"].shape[1]
+        for start in range(0, k, step):
+            part = slice(start, start + step)
+            scores = scorer.exact_block(q[part], ws)
+            ranks[:, part] = _rank_block(scores, s[part], r[part], o[part], filter_index, allowed, tie_policy,
+                                         ws["above"][:len(scores)])
+        return ranks[0], ranks[1]
+    true_score = scorer.pair_scores(q, np.arange(k), o, ws)
+    above, band = ws["above"][:k], ws["band"][:k]
+    np.greater(screen, _outward32(true_score + delta, np.inf)[:, None], out=above)
+    np.greater_equal(screen, _outward32(true_score - delta, -np.inf)[:, None], out=band)
+    if allowed is not None:
+        above &= allowed
+        band &= allowed
+    band ^= above
+    row, obj = np.divmod(np.flatnonzero(band), band.shape[1])  # 2-D np.nonzero took 15 times as long
+    exact = scorer.pair_scores(q, row, obj, ws)
+    greater = above.sum(axis=1) + np.bincount(row[exact > true_score[row]], minlength=k)
+    ties = np.bincount(row[exact == true_score[row]], minlength=k)
+    dropped = None
+    if filter_index is not None:
+        row, obj = _filtered_pairs(filter_index, s, r, o, allowed)
+        dropped = row, scorer.pair_scores(q, row, obj, ws)
+    return _ranks(greater, ties, true_score, o, screen.shape[1], allowed, tie_policy, dropped)
 
 
 #: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
@@ -373,24 +456,31 @@ def rank_queries(
     pending = [(rel, group[start:start + step]) for rel, group in zip(rels.tolist(), groups)
                for start in range(0, len(group), step)][::-1]
     pending_lock = threading.Lock()
-    scorer = _ObjectScorer(params, rels)
+    screened = params.kind in (ModelKind.TRANSE, ModelKind.ROTATE)
+    scorer = _ScreenedScorer(params) if screened else _ObjectScorer(params, rels)
 
-    def rank_blocks(workspace: list[np.ndarray], mask: np.ndarray) -> None:
+    def rank_blocks(workspace) -> None:
         while True:
             with pending_lock:
                 if not pending:
                     return
                 rel, block = pending.pop()
-            scores = scorer(s[block], r[block], workspace)
+            sb, rb, ob = s[block], r[block], o[block]
             allowed = None if candidate_index is None else candidate_index[rel]
-            ranks["raw"][block], ranks["filtered"][block] = _rank_block(
-                scores, s[block], r[block], o[block], filter_index, allowed, tie_policy, mask[:len(block)])
+            if screened:
+                ranked = _rank_screened(scorer, sb, rb, ob, workspace, filter_index, allowed, tie_policy)
+            else:
+                *buffers, mask = workspace
+                ranked = _rank_block(scorer(sb, rb, buffers), sb, rb, ob, filter_index, allowed, tie_policy,
+                                     mask[:len(block)])
+            ranks["raw"][block], ranks["filtered"][block] = ranked
 
     rows = min(step, max(map(len, groups), default=0))
-    workspaces = [(scorer.workspace(rows), np.empty((rows, params.num_entities), dtype=bool))
+    workspaces = [scorer.workspace(rows) if screened
+                  else [*scorer.workspace(rows), np.empty((rows, params.num_entities), dtype=bool)]
                   for _ in range(min(RANK_WORKERS, len(pending)))]
     if len(workspaces) == 1:
-        rank_blocks(*workspaces[0])
+        rank_blocks(workspaces[0])
     elif workspaces:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
 
@@ -401,7 +491,7 @@ def rank_queries(
             if cpus:
                 os.sched_setaffinity(0, {cpus[i % len(cpus)]})  # 0: this thread
                 os.sched_setaffinity(0, cpus)
-            rank_blocks(*workspaces[i])
+            rank_blocks(workspaces[i])
 
         futures = [_rank_pool().submit(work, i) for i in range(len(workspaces))]
         try:

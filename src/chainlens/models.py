@@ -44,9 +44,14 @@ buffers for the distance models TransE and RotatE.  It is built on
 ``_ObjectScorer``, which prepares what every block reuses once (M_r, the
 float64 views, E transposed) and scores each block into buffers the caller
 allocates; ``evaluation.rank_queries`` shares one scorer between the threads
-that rank its blocks.  Its gathers clip ids too, so ``score_objects`` and
-``rank_queries`` check them first.  The BLAS thread count of the GEMM models is left as
-the environment sets it.
+that rank the GEMM models' blocks.  TransE and RotatE blocks are ranked from
+``_ScreenedScorer`` instead: the same distance kernel run in float32, on
+float32 copies of the exact query rows and of E transposed, with
+``_distance_bound`` bounding each row's distance from the float64 scores,
+and the float64 scores of the few (query, entity) pairs that ranking must
+settle, equal to ``score_objects``' bit for bit.  Its gathers clip ids too,
+so ``score_objects`` and ``rank_queries`` check them first.  The BLAS
+thread count of the GEMM models is left as the environment sets it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -255,6 +260,27 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _transposed(a: np.ndarray, dtype) -> np.ndarray:
+    """A ``dtype`` copy of a.T.  Copied 64 rows at a time, it took a third of
+    the time of a plain transposed copy (6,940 x 128 float64, 2-vCPU Xeon)."""
+    a_t = np.empty(a.shape[::-1], dtype=dtype)
+    for start in range(0, len(a), 64):
+        a_t[:, start:start + 64] = a[start:start + 64].T
+    return a_t
+
+
+def _query_rows(kind: ModelKind, E: np.ndarray, R: np.ndarray, s: np.ndarray, r: np.ndarray, q: np.ndarray,
+                w: np.ndarray) -> None:
+    """Write the query rows of (s[i], r[i], ?) into q: E[s] + R[r] for TransE, E[s] * R[r] for ComplEx and for
+    RotatE, whose R holds the rotations exp(i theta).  w takes R[r].  The gathers clip ids."""
+    np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
+    np.take(R, r, axis=0, out=w, mode="clip")
+    if kind is ModelKind.TRANSE:
+        q += w
+    else:
+        q *= w
+
+
 class _ObjectScorer:
     """Scores queries (s, r, ?) against all N entities, as (k, N) blocks.
 
@@ -275,12 +301,8 @@ class _ObjectScorer:
         else:
             if kind is ModelKind.ROTATE:
                 self.R = np.exp(1j * R)
-            # E_t[2d] holds the real parts of dimension d, E_t[2d + 1] the imaginary ones.  Copied 64 rows
-            # at a time, it took a third of the time of a plain transposed copy (6,940 x 128, 2-vCPU Xeon).
-            E64 = E.view(np.float64)
-            self.E_t = np.empty(E64.shape[::-1])
-            for start in range(0, len(E64), 64):
-                self.E_t[:, start:start + 64] = E64[start:start + 64].T
+            # E_t[2d] holds the real parts of dimension d, E_t[2d + 1] the imaginary ones
+            self.E_t = _transposed(E.view(np.float64), np.float64)
 
     def workspace(self, k: int) -> list[np.ndarray]:
         """Buffers for blocks of up to k queries: the (k, N) scores, the (k, d) query rows, the relation
@@ -296,8 +318,8 @@ class _ObjectScorer:
         gathers clip ids, so callers check them first."""
         out, q, w, *bufs = (buf[:len(s)] for buf in workspace)
         E, kind = self.E, self.kind
-        np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
         if kind in _BILINEAR:
+            np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
             rels, groups = _relation_groups(r)
             for rel, rows in zip(rels.tolist(), groups):
                 if len(rows) == len(s):
@@ -305,11 +327,7 @@ class _ObjectScorer:
                 else:
                     out[rows] = (q[rows] @ self.M[rel]) @ E.T
             return out
-        np.take(self.R, r, axis=0, out=w, mode="clip")
-        if kind is ModelKind.TRANSE:
-            q += w
-        else:
-            q *= w
+        _query_rows(kind, E, self.R, s, r, q, w)
         if kind is ModelKind.COMPLEX:
             # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
             np.matmul(q.view(np.float64), self.E64.T, out=out)
@@ -343,6 +361,150 @@ def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray
             np.subtract(q[:, d, None], e_t[d], out=buf)
             np.abs(buf, out=buf)
             out -= buf
+
+
+# float32's unit roundoff, and its least normal number: an operation whose
+# result lies below that in magnitude is off by at most that much, under
+# gradual underflow and flush-to-zero alike.
+_U32 = 2.0 ** -24
+_TINY32 = 2.0 ** -126
+# Query rows and entities of an L1 norm below this are screened in float32:
+# no cast, square or sum of theirs can overflow float32.
+_SCREEN_LIMIT = 2.0 ** 60
+
+
+def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
+    """A bound δ on |s32 - s64| for a query row and any entity whose L1 norms sum to at most ``l1``.
+
+    s64 is :func:`_negated_distance_sums`' float64 score of the pair and s32
+    that kernel's score of the pair cast to float32, computed in float32;
+    ``terms`` is the number of terms the kernel sums (the float columns for
+    TransE, the (re, im) pairs for RotatE).  Both scores are compared with
+    the exact score s of the float64 values, in the standard model
+    fl(x op y) = (x op y)(1 + e) + t, |e| <= u, |t| <= ``_TINY32``, which
+    covers underflow (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., SIAM 2002, §2.1; γ_n = nu / (1 - nu), §3.1):
+
+    * TransE: the casts and the subtraction put each |q_d - e_d| off by at
+      most (2u + u²)(|q_d| + |e_d|) + (3 + 2u)t, and the sequential sum of
+      the n terms adds γ_n times their sum and n t (1 + γ_n) (§4.2).  So
+      |s32 - s| <= (γ_n + 3u) l1 + 5 (1 + γ_n) n t.
+    * RotatE: the two differences as above; the squares, their sum and
+      the square root add 2u + u² relatively and, from squares that
+      underflow, 2 (1 + u) sqrt(t) (the square root is 1/2-Hölder).  Each
+      modulus is off by at most 5u times its four |q| + |e| plus 3 sqrt(t),
+      and |s32 - s| <= (γ_n + 6u) l1 + 4 (1 + γ_n) n sqrt(t).
+
+    Both need γ_n <= 0.1 and no overflow (see ``_SCREEN_LIMIT``).  The same
+    bounds with float64's u and t, which are smaller, hold for |s64 - s|,
+    so δ is twice the float32 bound.  The float64 rounding of l1 and δ
+    (relative, under 1e-13) is far inside that factor of two: float64's
+    bound is about 2^-29 of float32's.
+    """
+    gamma = terms * _U32 / (1 - terms * _U32)
+    if rotate:
+        return 2 * ((gamma + 6 * _U32) * l1 + 4 * (1 + gamma) * terms * math.sqrt(_TINY32))
+    return 2 * ((gamma + 3 * _U32) * l1 + 5 * (1 + gamma) * terms * _TINY32)
+
+
+class _ScreenedScorer:
+    """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
+
+    :meth:`screen` scores a block with :func:`_negated_distance_sums` on
+    float32 copies of the exact float64 query rows and of E transposed, and
+    bounds how far each row's scores lie from the float64 kernel's
+    (:func:`_distance_bound`).  :meth:`pair_scores` gives the float64
+    kernel's own scores of chosen pairs, and :meth:`exact_block` whole rows
+    of them, for a block whose float32 pass cannot be trusted.  E transposed
+    is held in float32 only, and the largest entity L1 norm is taken over
+    row chunks.  Like :class:`_ObjectScorer`, a scorer does not change once
+    built, so threads may share one, each with a :meth:`workspace` of its own.
+    """
+
+    #: (query, entity) pairs that pair_scores scores at once
+    PAIR_ROWS = 128
+
+    def __init__(self, params: ModelParams) -> None:
+        self.kind, self.E = params.kind, params.blocks["entity"]
+        self.rotate = params.kind is ModelKind.ROTATE
+        self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
+        self.E64 = self.E.view(np.float64)
+        self.E_t = _transposed(self.E64, np.float32)
+        self.terms = self.E64.shape[1] // 2 if self.rotate else self.E64.shape[1]
+        # np.max, unlike max(), keeps a NaN
+        self.e_l1 = float(np.max([np.abs(self.E64[i:i + 256]).sum(axis=1).max()
+                                  for i in range(0, len(self.E64), 256)], initial=0.0))
+        self.screenable = self.terms * _U32 <= 0.05 and self.e_l1 < _SCREEN_LIMIT
+
+    def workspace(self, k: int) -> dict[str, np.ndarray]:
+        """Buffers for blocks of up to k queries.  The float32 scores and
+        kernel buffers share their memory with the float64 ones of
+        :meth:`exact_block`, which takes half as many rows at a time."""
+        n, width = self.E64.shape
+        planes, half = (3 if self.rotate else 2), (k + 1) // 2
+        memory = np.empty(max((planes * k * n + 1) // 2, planes * half * n))
+        return {
+            "q": np.empty((k, self.E.shape[1]), dtype=self.E.dtype),
+            "w": np.empty((k, self.E.shape[1]), dtype=self.R.dtype),
+            "q32": np.empty((k, width), dtype=np.float32),
+            "planes32": memory.view(np.float32)[:planes * k * n].reshape(planes, k, n),
+            "planes64": memory[:planes * half * n].reshape(planes, half, n),
+            "above": np.empty((k, n), dtype=bool),
+            "band": np.empty((k, n), dtype=bool),
+            "pairs": np.empty((2, self.PAIR_ROWS, width)),
+        }
+
+    def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """The exact float64 query rows of (s[i], r[i], ?) as a real view, and,
+        if the float32 pass can be trusted, its (k, N) scores and each row's
+        bound δ, else None for both.  It cannot when a query row's or an
+        entity's L1 norm is ``_SCREEN_LIMIT`` or more or not finite, or when
+        a float32 score is not finite.  The gathers clip ids."""
+        k = len(s)
+        q, w = ws["q"][:k], ws["w"][:k]
+        _query_rows(self.kind, self.E, self.R, s, r, q, w)
+        q = q.view(np.float64)
+        q_l1 = np.abs(q, out=w.view(np.float64)).sum(axis=1)  # w is spent
+        if not (self.screenable and q_l1.max() < _SCREEN_LIMIT):
+            return q, None, None
+        q32 = ws["q32"][:k]
+        np.copyto(q32, q, casting="same_kind")
+        out, *bufs = ws["planes32"][:, :k]
+        _negated_distance_sums(q32, self.E_t, bufs, out)
+        if not np.isfinite(out.min()):  # min keeps a NaN
+            return q, None, None
+        return q, out, _distance_bound(q_l1 + self.e_l1, self.terms, self.rotate)
+
+    def pair_scores(self, q: np.ndarray, rows: np.ndarray, objs: np.ndarray, ws: dict) -> np.ndarray:
+        """The float64 scores of the pairs (query row q[rows[i]], entity objs[i]).
+
+        Each equals its entry of :func:`_negated_distance_sums`' block bit for
+        bit: the same operations on the same values, summed in the same order.
+        """
+        out = np.zeros(len(rows))
+        diffs, entities = ws["pairs"]
+        for start in range(0, len(rows), len(diffs)):
+            m = min(len(diffs), len(rows) - start)
+            diff, e = diffs[:m], entities[:m]
+            np.take(q, rows[start:start + m], axis=0, out=diff, mode="clip")
+            np.subtract(diff, np.take(self.E64, objs[start:start + m], axis=0, out=e, mode="clip"), out=diff)
+            if self.rotate:
+                np.multiply(diff, diff, out=diff)
+                terms = np.add(diff[:, 0::2], diff[:, 1::2], out=e[:, :self.terms])
+                np.sqrt(terms, out=terms)
+            else:
+                terms = np.abs(diff, out=diff)
+            total = out[start:start + m]
+            for column in terms.T:
+                total -= column
+        return out
+
+    def exact_block(self, q: np.ndarray, ws: dict) -> np.ndarray:
+        """The float64 kernel's (len(q), N) scores of query rows q, for up to
+        half a block's rows, written into the float32 planes' memory."""
+        out, *bufs = ws["planes64"][:, :len(q)]
+        _negated_distance_sums(q, self.E64.T, bufs, out)
+        return out
 
 
 # ---------------------------------------------------------------------------

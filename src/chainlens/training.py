@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path, PurePosixPath
 
@@ -171,19 +172,29 @@ def adam_step(
 PROC_SELF_CGROUP = "/proc/self/cgroup"
 CGROUP_V2 = ("/sys/fs/cgroup", "memory.max")
 CGROUP_V1_MEMORY = ("/sys/fs/cgroup/memory", "memory.limit_in_bytes")
+# The file beside each limit file that holds the cgroup's memory in use, and
+# the kernel's estimate of the memory that can be allocated without swapping
+CGROUP_USAGE = {"memory.max": "memory.current", "memory.limit_in_bytes": "memory.usage_in_bytes"}
+PROC_MEMINFO = "/proc/meminfo"
 
 
-def memory_limit() -> int:
-    """Bytes this process may hold: the least memory limit set on its cgroup or an ancestor, else physical RAM.
+def _read_bytes(path: Path) -> int | None:
+    """The byte count a cgroup file holds, or None if it is missing, unreadable or not a number ("max")."""
+    try:
+        text = path.read_text(encoding="ascii").strip()
+    except (OSError, UnicodeDecodeError):
+        return None
+    return int(text) if text.isdigit() else None
+
+
+def _cgroup_levels() -> Iterator[tuple[Path, str]]:
+    """(directory, limit file name) of every level of this process's memory cgroups, from the root down.
 
     ``/proc/self/cgroup`` names the process's cgroup v2 (its ``0::`` line)
     and its cgroup v1 memory cgroup (the line whose controllers include
-    ``memory``).  Their limit files are only read, under the hierarchy's
-    mount point, at every level from the root to the process's own cgroup;
-    a level that is not there (a cgroup namespace, or a mount of a subtree,
-    shows only part of the path) is passed over, and "max" sets no limit.
+    ``memory``), under each hierarchy's mount point.  A cgroup outside the
+    process's cgroup namespace is seen only as the mount's root.
     """
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     try:
         listing = Path(PROC_SELF_CGROUP).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError):
@@ -197,16 +208,48 @@ def memory_limit() -> int:
         else:
             continue
         parts = PurePosixPath(path).parts[1:]
-        if ".." in parts:  # a cgroup outside this process's cgroup namespace: only the mount's root is seen
+        if ".." in parts:
             parts = ()
         for depth in range(len(parts) + 1):
-            try:
-                text = Path(mount, *parts[:depth], name).read_text(encoding="ascii").strip()
-            except (OSError, UnicodeDecodeError):
-                continue
-            if text.isdigit():
-                limit = min(limit, int(text))
+            yield Path(mount, *parts[:depth]), name
+
+
+def memory_limit() -> int:
+    """Bytes this process may hold: the least memory limit set on its cgroup or an ancestor, else physical RAM.
+
+    The limit files are only read.  A level that is not there (a cgroup
+    namespace, or a mount of a subtree, shows only part of the path) is
+    passed over, and "max" sets no limit.
+    """
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for directory, name in _cgroup_levels():
+        value = _read_bytes(directory / name)
+        if value is not None:
+            limit = min(limit, value)
     return limit
+
+
+def memory_available() -> int:
+    """Bytes this process may allocate now: the least of :func:`memory_limit`,
+    each limited cgroup level's limit less the memory it has in use
+    (``memory.current``; ``memory.usage_in_bytes`` in cgroup v1), and
+    ``MemAvailable`` in ``/proc/meminfo``.  Files are only read; one that is
+    missing or unreadable is passed over."""
+    free = memory_limit()
+    for directory, name in _cgroup_levels():
+        limit, used = _read_bytes(directory / name), _read_bytes(directory / CGROUP_USAGE[name])
+        if limit is not None and used is not None:
+            free = min(free, max(limit - used, 0))
+    try:
+        meminfo = Path(PROC_MEMINFO).read_text(encoding="ascii").splitlines()
+    except (OSError, UnicodeDecodeError):
+        meminfo = []
+    for line in meminfo:
+        key, _, value = line.partition(":")
+        fields = value.split()
+        if key == "MemAvailable" and fields and fields[0].isdigit():
+            free = min(free, int(fields[0]) * 1024)  # in kB
+    return free
 
 
 def _needed_bytes(kind: ModelKind, n_train: int, num_entities: int, num_relations: int,
@@ -255,17 +298,17 @@ def train(
     final parameters are returned.
 
     A run whose :func:`~chainlens.models.training_bytes` exceed
-    :func:`memory_limit` raises :class:`ConfigError` before it allocates.
+    :func:`memory_available` raises :class:`ConfigError` before it allocates.
     Every batch's step writes into one workspace, built with the Adam state.
     """
     train_triples = np.asarray(train_triples, dtype=np.int64)
     valid_triples = np.asarray(valid_triples, dtype=np.int64)
     if train_triples.ndim != 2 or train_triples.shape[1] != 3:
         raise ConfigError("train_triples must be an (M, 3) id array")
-    needed, limit = _needed_bytes(kind, len(train_triples), num_entities, num_relations, config), memory_limit()
-    if needed > limit:
+    needed, free = _needed_bytes(kind, len(train_triples), num_entities, num_relations, config), memory_available()
+    if needed > free:
         raise ConfigError(f"{kind.value} at dim {config.dim} needs about {needed / 2**30:,.2f} GiB to train, "
-                          f"more than the {limit / 2**30:,.2f} GiB memory limit")
+                          f"more than the {free / 2**30:,.2f} GiB memory limit of what is free now")
     filter_index = build_filter_index([train_triples, valid_triples]) if len(valid_triples) else None
 
     params = init_params(kind, num_entities, num_relations, config)
@@ -354,7 +397,7 @@ def grid_search(
     :func:`train` recorded at its best epoch, or one evaluation of its
     parameters when it never evaluated.  Ties break toward the smaller dim,
     then the smaller learning rate.  Points whose training would exceed
-    :func:`memory_limit` are skipped and listed in ``skipped``; if none is
+    :func:`memory_available` are skipped and listed in ``skipped``; if none is
     left, :class:`ConfigError`.
     """
     configs = [replace(base_config, dim=dim, learning_rate=lr) for dim in GRID_DIMS for lr in GRID_LEARNING_RATES]
@@ -363,10 +406,10 @@ def grid_search(
     result: GridResult | None = None
     runs: list[tuple[int, float, float]] = []
     skipped: list[tuple[int, float, int]] = []
-    limit = memory_limit()
+    free = memory_available()
     for config in configs:
         needed = _needed_bytes(kind, len(train_triples), num_entities, num_relations, config)
-        if needed > limit:
+        if needed > free:
             skipped.append((config.dim, config.learning_rate, needed))
             logger.info("grid %s dim=%d lr=%g: skipped, needs %d bytes", kind.value, config.dim,
                         config.learning_rate, needed)
@@ -393,5 +436,5 @@ def grid_search(
                 skipped=skipped,
             )
     if result is None:
-        raise ConfigError(f"no {kind.value} grid point fits the {limit / 2**30:,.2f} GiB memory limit")
+        raise ConfigError(f"no {kind.value} grid point fits the {free / 2**30:,.2f} GiB memory limit of what is free")
     return result

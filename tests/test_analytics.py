@@ -12,6 +12,7 @@ from chainlens.analytics import (
     METRIC_NAMES,
     betweenness,
     closeness,
+    count_critical_paths,
     criticality,
     critical_paths,
     degree_centrality,
@@ -22,7 +23,7 @@ from chainlens.analytics import (
 )
 from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, RelationType, Schema
 
-from conftest import random_supplier_graph, supplier_chain
+from conftest import random_supplier_graph, random_typed_graph, supplier_chain
 from reference_analytics import critical_paths as depth_first_critical_paths
 from reference_analytics import two_sweep_centralities, unique_frontier_bfs_levels
 
@@ -505,6 +506,21 @@ def test_sole_supplier_scopes_cases():
     assert sole_supplier_scopes(g) == [(solo, s2)]
 
 
+def test_scope_suppliers_equal_the_distinct_pair_rows(default_graph):
+    for g in (default_graph, *(random_typed_graph(np.random.default_rng(seed), 80, 400) for seed in range(3))):
+        t = g.triples_array()
+        t = t[t[:, 1] == RELATION_INDEX[RelationType.RELATED_TO]]
+        pairs = np.concatenate([t[:, [0, 2]], t[:, [2, 0]]])
+        codes = g.type_codes()
+        pairs = pairs[(codes[pairs[:, 0]] == analytics.ENTITY_TYPE_INDEX[EntityType.BUSINESS_SCOPE])
+                      & (codes[pairs[:, 1]] == analytics.ENTITY_TYPE_INDEX[EntityType.SUPPLIER])]
+        expected = np.unique(pairs.reshape(-1, 2), axis=0)
+        found = analytics.scope_suppliers(g)
+        assert found.dtype == expected.dtype and found.shape == expected.shape
+        np.testing.assert_array_equal(found, expected)
+    assert analytics.scope_suppliers(Graph()).shape == (0, 2)
+
+
 def test_sole_supplier_scopes_matches_incidence_scan(default_graph):
     result = dict(sole_supplier_scopes(default_graph))
     counts = {}
@@ -592,4 +608,6 @@ def test_critical_paths_equal_the_depth_first_oracle(network):
     for threshold in np.concatenate([[scores.min() - 1.0], np.unique(scores)]):
         flagged = replace(report, is_critical=scores > threshold, threshold=float(threshold))
         for depth in range(5):
-            assert critical_paths(g, flagged, depth) == depth_first_critical_paths(g, flagged, depth)
+            expected = depth_first_critical_paths(g, flagged, depth)
+            assert critical_paths(g, flagged, depth) == expected
+            assert count_critical_paths(g, flagged, depth) == len(expected)

@@ -375,21 +375,21 @@ def test_eval_filtered_below_raw_exits_2(workspace, capsys, monkeypatch):
 
 
 def test_eval_both_scores_each_block_once(workspace, monkeypatch):
-    from chainlens.models import _ObjectScorer
+    from chainlens.models import _ScreenedScorer
 
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
     main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
     main(["train", "--model", "TransE", "--split-dir", str(splits),
           "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
-    score_block = _ObjectScorer.__call__
+    score_block = _ScreenedScorer.screen  # TransE blocks are scored by the float32 screen
     scored = []
 
     def counting_score_block(self, s, *args):
         scored.append(len(s))
         return score_block(self, s, *args)
 
-    monkeypatch.setattr(_ObjectScorer, "__call__", counting_score_block)
+    monkeypatch.setattr(_ScreenedScorer, "screen", counting_score_block)
     calls = {}
     for setting in ("filtered", "both"):
         before = len(scored)

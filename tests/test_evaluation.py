@@ -352,7 +352,6 @@ def test_public_functions_run_on_the_calling_thread(ranking_case, fresh_pool):
     a tracer that wraps those (it keeps one span stack, for one thread) sees
     every call on the calling thread."""
     graph, triples, queries = ranking_case
-    params = init_params(ModelKind.TUCKER, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
     calls = []
 
@@ -371,8 +370,10 @@ def test_public_functions_run_on_the_calling_thread(ranking_case, fresh_pool):
                     if vars(owner).get(name) is fn:
                         fresh_pool.setattr(owner, name, wrapped)
     index = evaluation.build_filter_index([triples])
-    evaluation.rank_queries(params, queries, index)
-    evaluation.evaluate(params, queries, index)
+    for kind in (ModelKind.TUCKER, ModelKind.ROTATE):  # a scored block, and a screened one
+        params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+        evaluation.rank_queries(params, queries, index)
+        evaluation.evaluate(params, queries, index)
     assert evaluation._pool is not None
     assert {"rank_queries", "evaluate", "build_filter_index", "block_rows"} <= {name for name, _ in calls}
     assert {thread for _, thread in calls} == {threading.main_thread()}

@@ -1,0 +1,207 @@
+"""TransE and RotatE ranked from a float32 screen, settled in float64.
+
+The ranks must equal those of the exact float64 blocks that score_objects
+gives, ranked by _rank_block, whatever the embeddings: exact ties, near
+ties, float32 underflow, and magnitudes the screen must not trust.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chainlens.evaluation as evaluation
+import chainlens.models as models
+from chainlens.evaluation import SETTINGS, TIE_POLICIES, build_filter_index, rank_queries
+from chainlens.models import ModelKind, init_params, score_objects
+from chainlens.training import TrainConfig
+
+DISTANCE_KINDS = [ModelKind.TRANSE, ModelKind.ROTATE]
+
+
+def float64_ranks(params, queries, index, policy, candidates):
+    """Raw and filtered ranks of each query from score_objects' exact block, ranked by _rank_block."""
+    ranks = np.empty((2, len(queries)))
+    for rel in np.unique(queries[:, 1]):
+        rows = np.flatnonzero(queries[:, 1] == rel)
+        s, r, o = queries[rows].T
+        scores = score_objects(params, s, r)
+        allowed = None if candidates is None else candidates[rel]
+        ranks[:, rows] = evaluation._rank_block(scores, s, r, o, index, allowed, policy,
+                                                np.empty(scores.shape, dtype=bool))
+    return ranks
+
+
+def assert_ranks_equal_float64(params, queries, index, candidates):
+    for policy in TIE_POLICIES:
+        for filt in (None, index):
+            for cand in (None, candidates):
+                ranks = rank_queries(params, queries, filt, policy, cand)
+                expected = float64_ranks(params, queries, filt, policy, cand)
+                for i, setting in enumerate(SETTINGS):
+                    assert ranks[setting].tobytes() == expected[i].tobytes(), (policy, setting, filt, cand)
+
+
+def edge_case(kind, case, seed=3, n_ent=60, n_rel=3):
+    """Params, queries, a filter index and a candidate table where the screen meets ``case``."""
+    rng = np.random.default_rng(seed)
+    p = init_params(kind, n_ent, n_rel, TrainConfig(dim=4, seed=seed))
+    E = p.blocks["entity"].view(np.float64)
+    queries = np.column_stack([rng.integers(n_ent, size=40), rng.integers(n_rel, size=40),
+                               rng.integers(n_ent, size=40)])
+    if case == "duplicates":  # exact ties with the true objects
+        E[50:55] = E[queries[:5, 2]]
+        E[55:] = E[queries[0, 2]]
+    elif case == "one ulp":  # an entity 1 ulp from the true object in one coordinate
+        for j, o in zip(range(50, 60), queries[:10, 2]):
+            E[j] = E[o]
+            E[j, j % E.shape[1]] = np.nextafter(E[o, j % E.shape[1]], np.inf if j % 2 else -np.inf)
+    elif case == "underflow":  # float32 subnormals, and values below them
+        E *= 1e-40 / np.abs(E).max()
+        E[::7] *= 1e-6
+        if kind is ModelKind.TRANSE:
+            p.blocks["relation"] *= 1e-40
+    elif case == "huge entities":  # the whole call falls back to float64
+        E *= 2.0 ** 60
+    elif case == "huge relation":  # the blocks of one relation fall back
+        if kind is ModelKind.TRANSE:
+            p.blocks["relation"][1] = 2.0 ** 61
+        else:
+            p.blocks["relation"][1, 0] = np.nan
+    index = build_filter_index([queries[::2], np.column_stack([queries[:, :2], np.roll(queries[:, 2], 1)])])
+    candidates = rng.random((n_rel, n_ent)) < 0.6
+    return p, queries, index, candidates
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "one ulp", "underflow", "huge entities", "huge relation"])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_screened_ranks_equal_float64_ranks(kind, case, monkeypatch):
+    """Under every tie policy, raw and filtered, with and without a candidate
+    table, in blocks of 8 queries on the rank pool."""
+    p, queries, index, candidates = edge_case(kind, case)
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 8 * p.num_entities)
+    assert_ranks_equal_float64(p, queries, index, candidates)
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_edge_cases_reach_the_band_and_the_fallback(kind):
+    """The edge cases do what they are named for: exact ties settled in float64,
+    and blocks the screen refuses."""
+    p, queries, _, _ = edge_case(kind, "duplicates")
+    scorer = models._ScreenedScorer(p)
+    ws = scorer.workspace(len(queries))
+    s, r, o = queries.T
+    q, screen, delta = scorer.screen(s, r, ws)
+    assert screen is not None and (delta > 0).all()
+    exact = score_objects(p, s, r)
+    ties = exact == exact[np.arange(len(o)), o][:, None]
+    assert ties.sum() > len(o)  # duplicate rows tie their true objects
+    assert (np.abs(screen - exact) <= delta[:, None]).all()
+    for case in ("huge entities", "huge relation"):
+        p, queries, _, _ = edge_case(kind, case)
+        scorer = models._ScreenedScorer(p)
+        s, r, _ = queries[queries[:, 1] == 1].T
+        assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
+    assert models._ScreenedScorer(edge_case(kind, "underflow")[0]).screenable
+
+
+def random_rows(rng, shape, lo, hi):
+    """Signed values of magnitudes log-uniform in [10^lo, 10^hi], some of them 0."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(lo, hi, size=shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(), lo=st.floats(-30, 15), span=st.floats(0, 45),
+       half_width=st.integers(1, 24), n_ent=st.integers(1, 20), k=st.integers(1, 4))
+def test_float32_scores_lie_within_the_bound(seed, rotate, lo, span, half_width, n_ent, k):
+    """|s32 - s64| <= δ elementwise, for magnitudes from 1e-30 to 1e15, entity
+    rows near query rows (cancellation) included."""
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 15.0)
+    width = 2 * half_width if rotate else half_width + rng.integers(0, 2)
+    q = random_rows(rng, (k, width), lo, hi)
+    E = random_rows(rng, (n_ent, width), lo, hi)
+    E[: min(k, n_ent)] = q[: min(k, n_ent)] * (1 + random_rows(rng, (min(k, n_ent), width), -8, -4))
+    bufs = 2 if rotate else 1
+    s64 = np.empty((k, n_ent))
+    models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent)) for _ in range(bufs)], s64)
+    s32 = np.empty((k, n_ent), dtype=np.float32)
+    models._negated_distance_sums(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32),
+                                  [np.empty((k, n_ent), dtype=np.float32) for _ in range(bufs)], s32)
+    l1 = np.abs(q).sum(axis=1) + np.abs(E).sum(axis=1).max()
+    delta = models._distance_bound(l1, width // 2 if rotate else width, rotate)
+    assert (np.abs(s32.astype(np.float64) - s64) <= delta[:, None]).all()
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(DISTANCE_KINDS), scale=st.floats(-30, 15),
+       levels=st.integers(1, 4))
+def test_screened_ranks_equal_float64_ranks_on_tie_heavy_tables(seed, kind, scale, levels):
+    """Embeddings on a few levels, so that many candidates tie the true object
+    or miss it by a rounding, at magnitudes from 1e-30 to 1e15."""
+    rng = np.random.default_rng(seed)
+    n_ent, n_rel = 12, 2
+    p = init_params(kind, n_ent, n_rel, TrainConfig(dim=3, seed=0))
+    E = p.blocks["entity"].view(np.float64)
+    E[:] = rng.integers(-levels, levels + 1, size=E.shape) * 10.0 ** scale
+    if kind is ModelKind.TRANSE:
+        p.blocks["relation"][:] = rng.integers(-levels, levels + 1, size=p.blocks["relation"].shape) * 10.0 ** scale
+    else:
+        p.blocks["relation"][:] = rng.integers(0, 4, size=p.blocks["relation"].shape) * (np.pi / 2)
+    queries = np.column_stack([rng.integers(n_ent, size=10), rng.integers(n_rel, size=10),
+                               rng.integers(n_ent, size=10)])
+    index = build_filter_index([queries[::3]])
+    candidates = rng.random((n_rel, n_ent)) < 0.7
+    assert_ranks_equal_float64(p, queries, index, candidates)
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_pair_scores_equal_score_objects_bit_for_bit(kind):
+    n_ent = 300
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=7))
+    rng = np.random.default_rng(7)
+    s, r = rng.integers(n_ent, size=5), rng.integers(3, size=5)
+    scorer = models._ScreenedScorer(p)
+    ws = scorer.workspace(len(s))
+    q = scorer.screen(s, r, ws)[0]
+    rows, objs = np.divmod(np.arange(len(s) * n_ent), n_ent)  # every pair: many chunks of PAIR_ROWS
+    assert len(rows) > 3 * scorer.PAIR_ROWS
+    exact = scorer.pair_scores(q, rows, objs, ws)
+    assert exact.tobytes() == score_objects(p, s, r).reshape(-1).tobytes()
+    assert scorer.exact_block(q[:3], ws).tobytes() == score_objects(p, s[:3], r[:3]).tobytes()
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
+    """Every (k, N) and (k, d) buffer of a screened block is the workspace's:
+    what a warm block allocates is per-row counts and the few pairs it settles."""
+    n_ent, k = 200, 1024
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=2))
+    rng = np.random.default_rng(2)
+    s, r, o = rng.integers(n_ent, size=k), rng.integers(3, size=k), rng.integers(n_ent, size=k)
+    index = build_filter_index([np.column_stack([s, r, o])[::2]])
+    scorer = models._ScreenedScorer(p)
+    ws = scorer.workspace(k)
+    expected = np.stack(evaluation._rank_screened(scorer, s, r, o, ws, index, None, "realistic"))
+    tracemalloc.start()
+    try:
+        ranks = np.stack(evaluation._rank_screened(scorer, s, r, o, ws, index, None, "realistic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ws["q"].nbytes, (peak, ws["q"].nbytes)
+    assert ranks.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(ranks, float64_ranks(p, np.column_stack([s, r, o]), index, "realistic", None))
+
+
+def test_screened_scorer_holds_no_float64_entity_copy():
+    p = init_params(ModelKind.ROTATE, 500, 3, TrainConfig(dim=16, seed=1))
+    scorer = models._ScreenedScorer(p)
+    assert scorer.E_t.dtype == np.float32 and scorer.E_t.shape == (32, 500)
+    assert np.shares_memory(scorer.E64, p.blocks["entity"])
+    ws = scorer.workspace(9)
+    assert ws["planes32"].dtype == np.float32 and np.shares_memory(ws["planes32"], ws["planes64"])
+    assert ws["planes64"].shape == (3, 5, 500)

@@ -430,6 +430,49 @@ def test_memory_limit_reads_the_own_nested_cgroup_and_its_ancestors(monkeypatch,
     assert training_mod.memory_limit() == 2097152
 
 
+@pytest.mark.parametrize("version", ["v2", "v1"])
+def test_memory_available_takes_what_each_cgroup_and_the_machine_have_free(monkeypatch, tmp_path, version):
+    """The least of the limit, each limited level's limit less its usage, and MemAvailable."""
+    import chainlens.training as training_mod
+
+    v2, v1 = cgroup_files(monkeypatch, tmp_path, "4:memory:/pods/box\n0::/pods/box\n")
+    mount, name, used = (v2, "memory.max", "memory.current") if version == "v2" else \
+        (v1, "memory.limit_in_bytes", "memory.usage_in_bytes")
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(meminfo))
+    (mount / "pods" / "box").mkdir(parents=True)
+    (mount / "pods" / name).write_text("8388608\n")
+    (mount / "pods" / "box" / name).write_text("4194304\n")
+    assert training_mod.memory_available() == training_mod.memory_limit() == 4194304  # no usage, no meminfo
+    (mount / "pods" / "box" / used).write_text("1048576\n")
+    assert training_mod.memory_available() == 3145728 < training_mod.memory_limit()
+    (mount / "pods" / used).write_text("6291456\n")  # the parent has less free than its child
+    assert training_mod.memory_available() == 2097152
+    meminfo.write_text("MemTotal:       16000000 kB\nMemFree:          100000 kB\nMemAvailable:       1024 kB\n")
+    assert training_mod.memory_available() == 1048576
+    (mount / "pods" / "box" / used).write_text("9999999\n")  # over its limit: nothing is free
+    assert training_mod.memory_available() == 0
+
+
+def test_train_refuses_a_run_over_what_is_free_under_the_limit(monkeypatch, tmp_path):
+    import chainlens.training as training_mod
+
+    triples = tiny_triples()
+    cfg = TrainConfig(dim=8, max_epochs=1, batch_size=16)
+    needed = training_bytes(ModelKind.TRANSE, 15, 2, 8, 16, 1)
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text(f"MemAvailable: {(needed - 1) // 1024} kB\n")
+    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(meminfo))
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: 2 * needed)
+    monkeypatch.setattr(training_mod, "init_params", lambda *args: pytest.fail("allocated parameters"))
+    with pytest.raises(ConfigError, match="GiB memory limit of what is free now"):
+        train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
+    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed - 1)  # with MemAvailable unread
+    meminfo.unlink()
+    with pytest.raises(ConfigError):
+        train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
+
+
 def test_memory_limit_without_a_cgroup_listing_is_physical_ram(monkeypatch, tmp_path):
     import os
 
