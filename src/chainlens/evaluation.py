@@ -16,21 +16,20 @@ with everything and would otherwise rank first.
 :func:`rank_queries` ranks queries in blocks and returns both settings from
 one score pass.  Queries are grouped by relation and each group is cut into
 blocks of k rows, sized so that the (k, N) float64 score block takes about
-``BLOCK_BYTES``.  Each row's raw rank is read from counts of scores above
-and equal to its true-object score.  Subtracting the known-true objects,
-held by a :class:`FilterIndex` in CSR form (one flat sorted object array
-with per-(s, r) offsets), from those counts gives the filtered rank.
-RESCAL, ComplEx and TuckER blocks are scored by the scorer that
-:func:`~chainlens.models.score_objects` is built on.  TransE and RotatE
-blocks are screened in float32 and settled in float64: a float32 pass,
-whose distance from the float64 scores is bounded per row, decides every
-candidate that scores clearly above or below the true object, and the
-few within the bound, like the true object and the filtered ones, get
-their exact float64 scores.  The ranks are those of the float64 block.
-The blocks are ranked on ``RANK_WORKERS`` threads, one per usable
-processor, with the same ranks as on one.  :func:`rank_object` ranks one
-query from its score vector and is the reference the blocks are tested
-against: their ranks are equal.
+``BLOCK_BYTES``.  Every model's blocks are ranked by one ranker,
+:func:`_rank_block`, from bracketed scores that the model's scorer hands
+over: a (k, N) score block with, for each row, the true object's exact
+score t and a lower and an upper bound around it, and a function that gives
+the exact score of any (row, entity) pair.  A candidate scoring above the
+upper bound scores above t, one below the lower bound below it, and the few
+in between are settled with their exact scores, as are the known-true
+objects that the filtered setting drops, held by a :class:`FilterIndex` in
+CSR form (one flat sorted object array with per-(s, r) offsets).  How the
+scores are bracketed is the scorers' business (see :mod:`chainlens.models`);
+the ranks are those of the exact scores.  The blocks are ranked on
+``RANK_WORKERS`` threads, one per usable processor, with the same ranks as
+on one.  :func:`rank_object` ranks one query from its score vector and is
+the reference the blocks are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import RELATION_BY_INDEX
-from .models import ModelKind, ModelParams, _ObjectScorer, _relation_groups, _ScreenedScorer, score_objects
+from .models import ModelParams, _block_scorer, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
@@ -276,127 +275,50 @@ def rank_object(
     return RankResult(query=query, rank=rank, num_candidates=n_candidates, setting=setting, tie_policy=tie_policy)
 
 
-def _rank_block(
-    scores: np.ndarray,
-    s: np.ndarray,
-    r: np.ndarray,
-    o: np.ndarray,
-    filter_index: FilterIndex | None,
-    allowed: np.ndarray | None,
-    tie_policy: str,
-    mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) score block.
+def _rank_block(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, true_score: np.ndarray, exact,
+                s: np.ndarray, r: np.ndarray, o: np.ndarray, filter_index: FilterIndex | None,
+                allowed: np.ndarray | None, tie_policy: str, ws: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) block of bracketed scores.
 
-    ``allowed`` marks the candidate objects, None meaning all entities.
-    Without a ``filter_index`` the filtered ranks are the raw ones.  ``mask``
-    is a (k, N) bool work buffer.
+    Row i's true object scores ``true_score[i]`` exactly, within [lower[i],
+    upper[i]].  Every candidate scoring above ``upper`` scores above the
+    true object, and every one below ``lower`` below it; the candidates in
+    between, other than the true object, and the candidates that the
+    filtered setting drops are settled with ``exact(rows, objects)``, their
+    exact scores.  ``allowed`` marks the candidate objects, None meaning all
+    entities.  Without a ``filter_index`` the filtered ranks are the raw
+    ones.  ``ws["above"]`` and ``ws["band"]`` are (k, N) bool work buffers.
     """
-    true_score = scores[np.arange(len(scores)), o]
-    counts = []
-    for compare in (np.greater, np.equal):
-        compare(scores, true_score[:, None], out=mask)
-        if allowed is not None:
-            mask &= allowed
-        counts.append(mask.sum(axis=1))
-    dropped = None
-    if filter_index is not None:
-        row, obj = _filtered_pairs(filter_index, s, r, o, allowed)
-        dropped = row, scores[row, obj]
-    return _ranks(*counts, true_score, o, scores.shape[1], allowed, tie_policy, dropped)
-
-
-def _filtered_pairs(filter_index: FilterIndex, s: np.ndarray, r: np.ndarray, o: np.ndarray,
-                    allowed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(row, object) of the candidates that the filtered setting drops: the
-    known-true objects of (s[row], r[row]) other than o[row]."""
+    k = len(o)
+    above, band = ws["above"][:k], ws["band"][:k]
+    np.greater(scores, upper[:, None], out=above)
+    np.greater_equal(scores, lower[:, None], out=band)
+    band ^= above
+    if allowed is not None:
+        above &= allowed
+        band &= allowed
+    band[np.arange(k), o] = False  # the true object ties itself once, counted below
+    row, obj = np.divmod(np.flatnonzero(band), band.shape[1])  # 2-D np.nonzero took 15 times as long
+    settled = exact(row, obj)
+    greater = above.sum(axis=1) + np.bincount(row[settled > true_score[row]], minlength=k)
+    ties = 1 + np.bincount(row[settled == true_score[row]], minlength=k)
+    n_candidates = np.full(k, scores.shape[1] if allowed is None else np.count_nonzero(allowed))
+    if allowed is not None:
+        n_candidates += ~allowed[o]  # a true object outside the candidates is still ranked
+    raw = _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+    if filter_index is None:
+        return raw, raw
+    # the known-true objects of (s[row], r[row]) other than o[row], among the candidates
     row, obj = filter_index.pairs(s, r)
     drop = obj != o[row]
     if allowed is not None:
         drop &= allowed[obj]
-    return row[drop], obj[drop]
-
-
-def _ranks(greater, ties, true_score, o, num_entities: int, allowed, tie_policy: str, dropped):
-    """Raw and filtered ranks from the counts of allowed candidates scoring above and equal to each true score.
-
-    ``dropped`` is None without a filter index, else the rows and scores of
-    the candidates that the filtered setting drops.
-    """
-    k = len(o)
-    n_candidates = np.full(k, num_entities if allowed is None else np.count_nonzero(allowed))
-    if allowed is not None:
-        # a true object outside the candidates is still ranked, tying itself
-        outside = ~allowed[o]
-        ties += outside
-        n_candidates += outside
-    raw = _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
-    if dropped is None:
-        return raw, raw
-    row, scores = dropped
-    greater -= np.bincount(row[scores > true_score[row]], minlength=k)
-    ties -= np.bincount(row[scores == true_score[row]], minlength=k)
+    row, obj = row[drop], obj[drop]
+    settled = exact(row, obj)
+    greater -= np.bincount(row[settled > true_score[row]], minlength=k)
+    ties -= np.bincount(row[settled == true_score[row]], minlength=k)
     n_candidates -= np.bincount(row, minlength=k)
     return raw, _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
-
-
-def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
-    """float64 ``x``, a rounded sum, moved one float64 step toward ``toward``
-    (+inf or -inf) and rounded to float32 in that direction: past the exact sum."""
-    x = np.nextafter(x, toward)
-    x32 = x.astype(np.float32)
-    short = x32 < x if toward > 0 else x32 > x
-    return np.where(short, np.nextafter(x32, np.float32(toward)), x32)
-
-
-def _rank_screened(
-    scorer: _ScreenedScorer,
-    s: np.ndarray,
-    r: np.ndarray,
-    o: np.ndarray,
-    ws: dict,
-    filter_index: FilterIndex | None,
-    allowed: np.ndarray | None,
-    tie_policy: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rank_block`'s ranks of a TransE or RotatE block from a float32 screen.
-
-    Each row's true score t is exact, and every float32 score lies within δ
-    of its float64 one, so a candidate whose float32 score is above t + δ
-    scores above t, and one below t - δ scores below it; both thresholds
-    are rounded outward to float32.  The candidates in between, and the
-    filter's known objects, are settled with exact float64 scores.  A block
-    whose float32 pass cannot be trusted is ranked from the float64 kernel's
-    scores, half its rows at a time.
-    """
-    k = len(s)
-    q, screen, delta = scorer.screen(s, r, ws)
-    if screen is None:
-        ranks = np.empty((2, k))
-        step = ws["planes64"].shape[1]
-        for start in range(0, k, step):
-            part = slice(start, start + step)
-            scores = scorer.exact_block(q[part], ws)
-            ranks[:, part] = _rank_block(scores, s[part], r[part], o[part], filter_index, allowed, tie_policy,
-                                         ws["above"][:len(scores)])
-        return ranks[0], ranks[1]
-    true_score = scorer.pair_scores(q, np.arange(k), o, ws)
-    above, band = ws["above"][:k], ws["band"][:k]
-    np.greater(screen, _outward32(true_score + delta, np.inf)[:, None], out=above)
-    np.greater_equal(screen, _outward32(true_score - delta, -np.inf)[:, None], out=band)
-    if allowed is not None:
-        above &= allowed
-        band &= allowed
-    band ^= above
-    row, obj = np.divmod(np.flatnonzero(band), band.shape[1])  # 2-D np.nonzero took 15 times as long
-    exact = scorer.pair_scores(q, row, obj, ws)
-    greater = above.sum(axis=1) + np.bincount(row[exact > true_score[row]], minlength=k)
-    ties = np.bincount(row[exact == true_score[row]], minlength=k)
-    dropped = None
-    if filter_index is not None:
-        row, obj = _filtered_pairs(filter_index, s, r, o, allowed)
-        dropped = row, scorer.pair_scores(q, row, obj, ws)
-    return _ranks(greater, ties, true_score, o, screen.shape[1], allowed, tie_policy, dropped)
 
 
 #: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
@@ -456,10 +378,9 @@ def rank_queries(
     pending = [(rel, group[start:start + step]) for rel, group in zip(rels.tolist(), groups)
                for start in range(0, len(group), step)][::-1]
     pending_lock = threading.Lock()
-    screened = params.kind in (ModelKind.TRANSE, ModelKind.ROTATE)
-    scorer = _ScreenedScorer(params) if screened else _ObjectScorer(params, rels)
+    scorer = _block_scorer(params, rels)
 
-    def rank_blocks(workspace) -> None:
+    def rank_blocks(workspace: dict) -> None:
         while True:
             with pending_lock:
                 if not pending:
@@ -467,18 +388,12 @@ def rank_queries(
                 rel, block = pending.pop()
             sb, rb, ob = s[block], r[block], o[block]
             allowed = None if candidate_index is None else candidate_index[rel]
-            if screened:
-                ranked = _rank_screened(scorer, sb, rb, ob, workspace, filter_index, allowed, tie_policy)
-            else:
-                *buffers, mask = workspace
-                ranked = _rank_block(scorer(sb, rb, buffers), sb, rb, ob, filter_index, allowed, tie_policy,
-                                     mask[:len(block)])
-            ranks["raw"][block], ranks["filtered"][block] = ranked
+            for rows, *part in scorer.bracketed(sb, rb, ob, workspace):
+                ranks["raw"][block[rows]], ranks["filtered"][block[rows]] = _rank_block(
+                    *part, sb[rows], rb[rows], ob[rows], filter_index, allowed, tie_policy, workspace)
 
     rows = min(step, max(map(len, groups), default=0))
-    workspaces = [scorer.workspace(rows) if screened
-                  else [*scorer.workspace(rows), np.empty((rows, params.num_entities), dtype=bool)]
-                  for _ in range(min(RANK_WORKERS, len(pending)))]
+    workspaces = [scorer.workspace(rows) for _ in range(min(RANK_WORKERS, len(pending)))]
     if len(workspaces) == 1:
         rank_blocks(workspaces[0])
     elif workspaces:

@@ -11,7 +11,8 @@ or per-edge objects: a node line from its label, type code, color code and
 size, an edge line by filling the (subject, object) ids of its lexsorted
 (s, r, o) row into its relation's line template, which already holds the
 relation name and color.  Labels are escaped as DOT strings (``\\`` and
-``"``), as XML text (``xml.sax.saxutils.escape``) and as ASCII JSON strings
+``"``), as XML text (``&``, ``<`` and ``>``, as ``xml.sax.saxutils.escape``
+does, without importing it) and as ASCII JSON strings
 (``json.encoder.encode_basestring_ascii``, the C escaper of ``json.dumps``);
 the JSON layout is that of ``json.dumps(..., indent=2, sort_keys=True)``.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -86,16 +86,21 @@ def _render_dot(labels, types, colors, sizes, rows) -> str:
     return "\n".join(lines)
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped as XML character data; ``&`` goes first, so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _render_graphml(labels, types, colors, sizes, rows) -> str:
-    type_names = [escape(name) for name in ENTITY_TYPE_NAMES]
+    type_names = [_xml_text(name) for name in ENTITY_TYPE_NAMES]
     edge = [
-        f'    <edge source="n%d" target="n%d">\n      <data key="d_rel">{escape(name)}</data>\n'
+        f'    <edge source="n%d" target="n%d">\n      <data key="d_rel">{_xml_text(name)}</data>\n'
         f'      <data key="d_ecol">{color}</data>\n    </edge>'
         for name, color in _RELATIONS
     ]
     lines = [_GRAPHML_HEAD]
     lines += [
-        f'    <node id="n{i}">\n      <data key="d_label">{escape(label)}</data>\n'
+        f'    <node id="n{i}">\n      <data key="d_label">{_xml_text(label)}</data>\n'
         f'      <data key="d_type">{type_names[t]}</data>\n      <data key="d_color">{_NODE_COLORS[c]}</data>\n'
         f'      <data key="d_size">{size}</data>\n    </node>'
         for i, (label, t, c, size) in enumerate(zip(labels, types, colors, sizes))

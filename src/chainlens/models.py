@@ -43,15 +43,22 @@ float64 views for ComplEx, and a loop over the embedding dimension on (k, N)
 buffers for the distance models TransE and RotatE.  It is built on
 ``_ObjectScorer``, which prepares what every block reuses once (M_r, the
 float64 views, E transposed) and scores each block into buffers the caller
-allocates; ``evaluation.rank_queries`` shares one scorer between the threads
-that rank the GEMM models' blocks.  TransE and RotatE blocks are ranked from
-``_ScreenedScorer`` instead: the same distance kernel run in float32, on
-float32 copies of the exact query rows and of E transposed, with
-``_distance_bound`` bounding each row's distance from the float64 scores,
-and the float64 scores of the few (query, entity) pairs that ranking must
-settle, equal to ``score_objects``' bit for bit.  Its gathers clip ids too,
-so ``score_objects`` and ``rank_queries`` check them first.  The BLAS
-thread count of the GEMM models is left as the environment sets it.
+allocates.  ``evaluation.rank_queries`` ranks every model through the scorer
+that ``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives
+a thread a dict of buffers for blocks of up to k queries, the ranking's two
+(k, N) bool masks ``above`` and ``band`` among them, and ``bracketed(s, r,
+o, workspace)`` yields a block's parts ``(rows, scores, lower, upper,
+true_score, exact)``: the block rows a part covers, their scores, per row
+bounds around the true object's exact score, and ``exact(rows, objects)``,
+the exact scores of chosen pairs.  ``_ObjectScorer`` yields its float64
+block with both bounds at the true score.  ``_ScreenedScorer`` (TransE and
+RotatE) yields the distance kernel's scores in float32, on float32 copies of
+the exact query rows and of E transposed, with bounds t -/+ δ
+(``_distance_bound``) rounded outward to float32 and exact scores equal to
+``score_objects``' bit for bit; a block whose float32 pass cannot be trusted
+comes as two exact float64 halves.  The gathers clip ids, so
+``score_objects`` and ``rank_queries`` check them first.  The BLAS thread
+count of the GEMM models is left as the environment sets it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -304,19 +311,23 @@ class _ObjectScorer:
             # E_t[2d] holds the real parts of dimension d, E_t[2d + 1] the imaginary ones
             self.E_t = _transposed(E.view(np.float64), np.float64)
 
-    def workspace(self, k: int) -> list[np.ndarray]:
-        """Buffers for blocks of up to k queries: the (k, N) scores, the (k, d) query rows, the relation
-        rows (q M_r for RESCAL and TuckER), and one (k, N) work buffer for TransE, two for RotatE."""
+    def workspace(self, k: int) -> dict:
+        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q``, the
+        relation rows ``w`` (q M_r for RESCAL and TuckER), the (k, N) ``work`` buffers of TransE (one) and
+        RotatE (two), and the ranking's two (k, N) masks ``above`` and ``band``."""
         n, d = self.E.shape
         w = np.empty((k, d), dtype=self.E.dtype if self.kind in _BILINEAR else self.R.dtype)
         extra = {ModelKind.TRANSE: 1, ModelKind.ROTATE: 2}.get(self.kind, 0)
-        return [np.empty((k, n)), np.empty((k, d), dtype=self.E.dtype), w, *(np.empty((k, n)) for _ in range(extra))]
+        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype), "w": w,
+                "work": [np.empty((k, n)) for _ in range(extra)],
+                "above": np.empty((k, n), dtype=bool), "band": np.empty((k, n), dtype=bool)}
 
-    def __call__(self, s: np.ndarray, r: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
+    def __call__(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
         """The (k, N) scores of the queries (s[i], r[i], ?), written into the
         first k rows of the workspace's score buffer, which is returned.  The
         gathers clip ids, so callers check them first."""
-        out, q, w, *bufs = (buf[:len(s)] for buf in workspace)
+        k = len(s)
+        out, q, w = ws["scores"][:k], ws["q"][:k], ws["w"][:k]
         E, kind = self.E, self.kind
         if kind in _BILINEAR:
             np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
@@ -332,8 +343,18 @@ class _ObjectScorer:
             # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
             np.matmul(q.view(np.float64), self.E64.T, out=out)
         else:
-            _negated_distance_sums(q.view(np.float64), self.E_t, bufs, out)
+            _negated_distance_sums(q.view(np.float64), self.E_t, [buf[:k] for buf in ws["work"]], out)
         return out
+
+    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict):
+        """The block of the queries (s[i], r[i], o[i]) as one part of exact scores (see :func:`_exact_part`)."""
+        yield _exact_part(slice(0, len(s)), self(s, r, ws), o)
+
+
+def _exact_part(rows: slice, scores: np.ndarray, o: np.ndarray) -> tuple:
+    """A part whose float64 ``scores`` are exact: both bounds at each row's true score t."""
+    t = scores[np.arange(len(scores)), o]
+    return rows, scores, t, t, t, lambda i, j: scores[i, j]
 
 
 def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
@@ -407,6 +428,15 @@ def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
     return 2 * ((gamma + 3 * _U32) * l1 + 5 * (1 + gamma) * terms * _TINY32)
 
 
+def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
+    """float64 ``x``, a rounded sum, moved one float64 step toward ``toward``
+    (+inf or -inf) and rounded to float32 in that direction: past the exact sum."""
+    x = np.nextafter(x, toward)
+    x32 = x.astype(np.float32)
+    short = x32 < x if toward > 0 else x32 > x
+    return np.where(short, np.nextafter(x32, np.float32(toward)), x32)
+
+
 class _ScreenedScorer:
     """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
 
@@ -414,11 +444,11 @@ class _ScreenedScorer:
     float32 copies of the exact float64 query rows and of E transposed, and
     bounds how far each row's scores lie from the float64 kernel's
     (:func:`_distance_bound`).  :meth:`pair_scores` gives the float64
-    kernel's own scores of chosen pairs, and :meth:`exact_block` whole rows
-    of them, for a block whose float32 pass cannot be trusted.  E transposed
-    is held in float32 only, and the largest entity L1 norm is taken over
-    row chunks.  Like :class:`_ObjectScorer`, a scorer does not change once
-    built, so threads may share one, each with a :meth:`workspace` of its own.
+    kernel's own scores of chosen pairs; :meth:`bracketed` hands both to the
+    ranker.  E transposed is held in float32 only, and the largest entity L1
+    norm is taken over row chunks.  Like :class:`_ObjectScorer`, a scorer
+    does not change once built, so threads may share one, each with a
+    :meth:`workspace` of its own.
     """
 
     #: (query, entity) pairs that pair_scores scores at once
@@ -437,9 +467,10 @@ class _ScreenedScorer:
         self.screenable = self.terms * _U32 <= 0.05 and self.e_l1 < _SCREEN_LIMIT
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for blocks of up to k queries.  The float32 scores and
-        kernel buffers share their memory with the float64 ones of
-        :meth:`exact_block`, which takes half as many rows at a time."""
+        """Buffers for blocks of up to k queries, with the ranking's two (k, N)
+        masks ``above`` and ``band``.  The float32 scores and kernel buffers
+        share their memory with the float64 ones of the fallback, which
+        takes half as many rows at a time."""
         n, width = self.E64.shape
         planes, half = (3 if self.rotate else 2), (k + 1) // 2
         memory = np.empty(max((planes * k * n + 1) // 2, planes * half * n))
@@ -499,12 +530,29 @@ class _ScreenedScorer:
                 total -= column
         return out
 
-    def exact_block(self, q: np.ndarray, ws: dict) -> np.ndarray:
-        """The float64 kernel's (len(q), N) scores of query rows q, for up to
-        half a block's rows, written into the float32 planes' memory."""
-        out, *bufs = ws["planes64"][:, :len(q)]
-        _negated_distance_sums(q, self.E64.T, bufs, out)
-        return out
+    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict):
+        """The block of the queries (s[i], r[i], o[i]) as one part, its float32 screen bracketed by
+        t -/+ δ rounded outward, or, if the screen cannot be trusted, as two exact float64 halves,
+        written one after the other into the float32 planes' memory."""
+        q, screen, delta = self.screen(s, r, ws)
+        if screen is None:
+            step = ws["planes64"].shape[1]
+            for start in range(0, len(s), step):
+                rows = slice(start, start + step)
+                out, *bufs = ws["planes64"][:, :len(q[rows])]
+                _negated_distance_sums(q[rows], self.E64.T, bufs, out)
+                yield _exact_part(rows, out, o[rows])
+            return
+        t = self.pair_scores(q, np.arange(len(s)), o, ws)
+        yield (slice(0, len(s)), screen, _outward32(t - delta, -np.inf), _outward32(t + delta, np.inf), t,
+               lambda i, j: self.pair_scores(q, i, j, ws))
+
+
+def _block_scorer(params: ModelParams, rels: np.ndarray) -> _ObjectScorer | _ScreenedScorer:
+    """The scorer whose bracketed parts rank ``params``' blocks of the relations ``rels``."""
+    if params.kind in (ModelKind.TRANSE, ModelKind.ROTATE):
+        return _ScreenedScorer(params)
+    return _ObjectScorer(params, rels)
 
 
 # ---------------------------------------------------------------------------

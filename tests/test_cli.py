@@ -382,14 +382,14 @@ def test_eval_both_scores_each_block_once(workspace, monkeypatch):
     main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
     main(["train", "--model", "TransE", "--split-dir", str(splits),
           "--config", str(workspace / "train.cfg"), "--out", str(ckpt)])
-    score_block = _ScreenedScorer.screen  # TransE blocks are scored by the float32 screen
+    bracketed = _ScreenedScorer.bracketed  # TransE blocks are handed to the ranker by the screened scorer
     scored = []
 
-    def counting_score_block(self, s, *args):
+    def counting_bracketed(self, s, *args):
         scored.append(len(s))
-        return score_block(self, s, *args)
+        return bracketed(self, s, *args)
 
-    monkeypatch.setattr(_ScreenedScorer, "screen", counting_score_block)
+    monkeypatch.setattr(_ScreenedScorer, "bracketed", counting_bracketed)
     calls = {}
     for setting in ("filtered", "both"):
         before = len(scored)

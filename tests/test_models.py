@@ -221,7 +221,7 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < workspace[1].nbytes, (peak, workspace[1].nbytes)
+    assert peak < workspace["q"].nbytes, (peak, workspace["q"].nbytes)
     assert scores.tobytes() == expected.tobytes() == score_objects(p, s, r).tobytes()
 
 

@@ -1,6 +1,8 @@
 """The public surface of ``chainlens`` and its runtime dependencies."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,15 @@ def test_runtime_imports_are_the_standard_library_and_numpy():
     imports = {path.name: imported_modules(path) for path in SOURCES}
     assert "numpy" in set().union(*imports.values())
     assert {name: mods - allowed for name, mods in imports.items() if mods - allowed} == {}
+
+
+def test_cli_import_loads_no_xml_or_network_module():
+    """GraphML text is escaped without xml.sax.saxutils, whose import pulls in
+    urllib.request, http.client, email, ssl and socket.  (numpy itself loads
+    urllib.parse, so urllib is not checked.)"""
+    heavy = ("xml", "email", "http", "ssl", "socket", "urllib.request")
+    code = f"import sys, chainlens.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

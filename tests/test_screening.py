@@ -1,8 +1,9 @@
 """TransE and RotatE ranked from a float32 screen, settled in float64.
 
-The ranks must equal those of the exact float64 blocks that score_objects
-gives, ranked by _rank_block, whatever the embeddings: exact ties, near
-ties, float32 underflow, and magnitudes the screen must not trust.
+The ranks must equal those that the scalar reference rank_object gives from
+score_objects' exact float64 scores, whatever the embeddings: exact ties,
+near ties, float32 underflow, and magnitudes the screen must not trust.
+Every model's blocks go through the same ranker, which must reuse its masks.
 """
 import tracemalloc
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import chainlens.evaluation as evaluation
 import chainlens.models as models
-from chainlens.evaluation import SETTINGS, TIE_POLICIES, build_filter_index, rank_queries
+from chainlens.evaluation import SETTINGS, TIE_POLICIES, Query, build_filter_index, rank_object, rank_queries
 from chainlens.models import ModelKind, init_params, score_objects
 from chainlens.training import TrainConfig
 
@@ -21,16 +22,9 @@ DISTANCE_KINDS = [ModelKind.TRANSE, ModelKind.ROTATE]
 
 
 def float64_ranks(params, queries, index, policy, candidates):
-    """Raw and filtered ranks of each query from score_objects' exact block, ranked by _rank_block."""
-    ranks = np.empty((2, len(queries)))
-    for rel in np.unique(queries[:, 1]):
-        rows = np.flatnonzero(queries[:, 1] == rel)
-        s, r, o = queries[rows].T
-        scores = score_objects(params, s, r)
-        allowed = None if candidates is None else candidates[rel]
-        ranks[:, rows] = evaluation._rank_block(scores, s, r, o, index, allowed, policy,
-                                                np.empty(scores.shape, dtype=bool))
-    return ranks
+    """Raw and filtered ranks of each query from the scalar reference, rank_object."""
+    return np.array([[rank_object(params, Query(*map(int, query)), index, setting, policy, candidates).rank
+                      for query in queries] for setting in SETTINGS])
 
 
 def assert_ranks_equal_float64(params, queries, index, candidates):
@@ -92,17 +86,25 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind):
     scorer = models._ScreenedScorer(p)
     ws = scorer.workspace(len(queries))
     s, r, o = queries.T
-    q, screen, delta = scorer.screen(s, r, ws)
-    assert screen is not None and (delta > 0).all()
+    (rows, screen, lower, upper, true_score, _), = scorer.bracketed(s, r, o, ws)
+    assert rows == slice(0, len(o)) and screen.dtype == np.float32 and (lower < true_score).all()
+    assert (true_score < upper).all()
     exact = score_objects(p, s, r)
-    ties = exact == exact[np.arange(len(o)), o][:, None]
+    assert true_score.tobytes() == exact[np.arange(len(o)), o].tobytes()
+    ties = exact == true_score[:, None]
     assert ties.sum() > len(o)  # duplicate rows tie their true objects
+    assert (screen[ties] >= np.repeat(lower, ties.sum(axis=1))).all()  # and fall in the band
+    assert (screen[ties] <= np.repeat(upper, ties.sum(axis=1))).all()
+    _, screen, delta = scorer.screen(s, r, ws)
     assert (np.abs(screen - exact) <= delta[:, None]).all()
     for case in ("huge entities", "huge relation"):
         p, queries, _, _ = edge_case(kind, case)
         scorer = models._ScreenedScorer(p)
-        s, r, _ = queries[queries[:, 1] == 1].T
+        s, r, o = queries[queries[:, 1] == 1].T
         assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
+        parts = [(rows, scores.dtype) for rows, scores, *_ in scorer.bracketed(s, r, o, scorer.workspace(len(s)))]
+        half = (len(s) + 1) // 2
+        assert parts == [(slice(0, half), np.float64), (slice(half, 2 * half), np.float64)]
     assert models._ScreenedScorer(edge_case(kind, "underflow")[0]).screenable
 
 
@@ -164,6 +166,7 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind):
     p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=7))
     rng = np.random.default_rng(7)
     s, r = rng.integers(n_ent, size=5), rng.integers(3, size=5)
+    o = rng.integers(n_ent, size=5)
     scorer = models._ScreenedScorer(p)
     ws = scorer.workspace(len(s))
     q = scorer.screen(s, r, ws)[0]
@@ -171,7 +174,23 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind):
     assert len(rows) > 3 * scorer.PAIR_ROWS
     exact = scorer.pair_scores(q, rows, objs, ws)
     assert exact.tobytes() == score_objects(p, s, r).reshape(-1).tobytes()
-    assert scorer.exact_block(q[:3], ws).tobytes() == score_objects(p, s[:3], r[:3]).tobytes()
+    scorer.screenable = False  # the fallback's exact float64 halves
+    halves = 0
+    for part, scores, lower, upper, true_score, settle in scorer.bracketed(s, r, o, ws):
+        halves += 1
+        assert scores.tobytes() == score_objects(p, s[part], r[part]).tobytes()
+        assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
+        assert true_score.tobytes() == scores[np.arange(len(scores)), o[part]].tobytes()
+        assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
+    assert halves == 2
+
+
+def rank_one_block(scorer, s, r, o, ws, index):
+    """Raw and filtered ranks of one block, ranked part by part as rank_queries ranks it."""
+    ranks = np.empty((2, len(s)))
+    for rows, *part in scorer.bracketed(s, r, o, ws):
+        ranks[:, rows] = evaluation._rank_block(*part, s[rows], r[rows], o[rows], index, None, "realistic", ws)
+    return ranks
 
 
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
@@ -185,16 +204,40 @@ def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
     index = build_filter_index([np.column_stack([s, r, o])[::2]])
     scorer = models._ScreenedScorer(p)
     ws = scorer.workspace(k)
-    expected = np.stack(evaluation._rank_screened(scorer, s, r, o, ws, index, None, "realistic"))
+    expected = rank_one_block(scorer, s, r, o, ws, index)
     tracemalloc.start()
     try:
-        ranks = np.stack(evaluation._rank_screened(scorer, s, r, o, ws, index, None, "realistic"))
+        ranks = rank_one_block(scorer, s, r, o, ws, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < ws["q"].nbytes, (peak, ws["q"].nbytes)
     assert ranks.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(ranks, float64_ranks(p, np.column_stack([s, r, o]), index, "realistic", None))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_warm_ranked_block_allocates_less_than_one_mask(kind):
+    """Every model's ranking reuses the workspace's two (k, N) masks: a warm
+    block, ranked raw and filtered, allocates less than one of them."""
+    n_ent, k = 400, 1024
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=2))
+    rng = np.random.default_rng(2)
+    s, r, o = rng.integers(n_ent, size=k), np.full(k, 1), rng.integers(n_ent, size=k)  # one relation, as in a block
+    index = build_filter_index([np.column_stack([s, r, o])[::2]])
+    scorer = models._block_scorer(p, np.unique(r))
+    ws = scorer.workspace(k)
+    expected = rank_one_block(scorer, s, r, o, ws, index)
+    tracemalloc.start()
+    try:
+        ranks = rank_one_block(scorer, s, r, o, ws, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ws["above"].nbytes, (peak, ws["above"].nbytes)
+    assert ranks.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(ranks[:, :50], float64_ranks(p, np.column_stack([s, r, o])[:50], index,
+                                                               "realistic", None))
 
 
 def test_screened_scorer_holds_no_float64_entity_copy():
@@ -205,3 +248,29 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     ws = scorer.workspace(9)
     assert ws["planes32"].dtype == np.float32 and np.shares_memory(ws["planes32"], ws["planes64"])
     assert ws["planes64"].shape == (3, 5, 500)
+    s, r, o = np.arange(9), np.arange(9) % 3, np.arange(9, 0, -1)
+    scorer.screenable = False  # the fallback writes its float64 halves into the float32 planes' memory
+    assert [np.shares_memory(scores, ws["planes32"]) for _, scores, *_ in scorer.bracketed(s, r, o, ws)] == [True] * 2
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_each_true_object_is_scored_once_in_float64(kind, monkeypatch):
+    """The true scores are the first pairs settled; neither the band nor the filter settles them again."""
+    p, queries, index, _ = edge_case(kind, "duplicates")
+    s, r, o = queries.T
+    settled = []
+    pair_scores = models._ScreenedScorer.pair_scores
+
+    def recording(self, q, rows, objs, ws):
+        settled.append((rows.copy(), objs.copy()))
+        return pair_scores(self, q, rows, objs, ws)
+
+    monkeypatch.setattr(models._ScreenedScorer, "pair_scores", recording)
+    scorer = models._ScreenedScorer(p)
+    ranks = rank_one_block(scorer, s, r, o, scorer.workspace(len(s)), index)
+    (true_rows, true_objs), *after = settled
+    assert (true_rows == np.arange(len(o))).all() and (true_objs == o).all()
+    assert len(after) == 2 and sum(map(len, (rows for rows, _ in after))) > 0
+    for rows, objs in after:
+        assert not (objs == o[rows]).any()
+    np.testing.assert_array_equal(ranks, float64_ranks(p, queries, index, "realistic", None))
