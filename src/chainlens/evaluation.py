@@ -27,9 +27,10 @@ objects that the filtered setting drops, held by a :class:`FilterIndex` in
 CSR form (one flat sorted object array with per-(s, r) offsets).  How the
 scores are bracketed is the scorers' business (see :mod:`chainlens.models`);
 the ranks are those of the exact scores.  The blocks are ranked on
-``RANK_WORKERS`` threads, one per usable processor, with the same ranks as
-on one.  :func:`rank_object` ranks one query from its score vector and is
-the reference the blocks are tested against: their ranks are equal.
+``RANK_WORKERS`` threads, one per usable processor, each with its scorer
+workspace and the ranker's two (k, N) bool masks, with the same ranks as on
+one.  :func:`rank_object` ranks one query from its score vector and is the
+reference the blocks are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def rank_object(
 
 def _rank_block(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, true_score: np.ndarray, exact,
                 s: np.ndarray, r: np.ndarray, o: np.ndarray, filter_index: FilterIndex | None,
-                allowed: np.ndarray | None, tie_policy: str, ws: dict) -> tuple[np.ndarray, np.ndarray]:
+                allowed: np.ndarray | None, tie_policy: str, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) block of bracketed scores.
 
     Row i's true object scores ``true_score[i]`` exactly, within [lower[i],
@@ -287,10 +288,10 @@ def _rank_block(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, true_s
     filtered setting drops are settled with ``exact(rows, objects)``, their
     exact scores.  ``allowed`` marks the candidate objects, None meaning all
     entities.  Without a ``filter_index`` the filtered ranks are the raw
-    ones.  ``ws["above"]`` and ``ws["band"]`` are (k, N) bool work buffers.
+    ones.  ``masks`` is a (2, k', N) bool work buffer, k' >= k.
     """
     k = len(o)
-    above, band = ws["above"][:k], ws["band"][:k]
+    above, band = masks[:, :k]
     np.greater(scores, upper[:, None], out=above)
     np.greater_equal(scores, lower[:, None], out=band)
     band ^= above
@@ -362,8 +363,9 @@ def rank_queries(
     one relation, on ``RANK_WORKERS`` threads when there are several blocks:
     each thread takes the next block when it has finished one and writes that
     block's rows of the rank arrays, so the ranks are those of one thread.
-    The shared operands and each thread's buffers are prepared in the calling
-    thread, so no thread's malloc arena keeps a block's memory.
+    The shared operands and each thread's buffers (its scorer workspace and
+    the ranker's two (k, N) masks) are prepared in the calling thread, so no
+    thread's malloc arena keeps a block's memory.
     """
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
@@ -380,7 +382,7 @@ def rank_queries(
     pending_lock = threading.Lock()
     scorer = _block_scorer(params, rels)
 
-    def rank_blocks(workspace: dict) -> None:
+    def rank_blocks(workspace: dict, masks: np.ndarray) -> None:
         while True:
             with pending_lock:
                 if not pending:
@@ -388,14 +390,14 @@ def rank_queries(
                 rel, block = pending.pop()
             sb, rb, ob = s[block], r[block], o[block]
             allowed = None if candidate_index is None else candidate_index[rel]
-            for rows, *part in scorer.bracketed(sb, rb, ob, workspace):
-                ranks["raw"][block[rows]], ranks["filtered"][block[rows]] = _rank_block(
-                    *part, sb[rows], rb[rows], ob[rows], filter_index, allowed, tie_policy, workspace)
+            ranks["raw"][block], ranks["filtered"][block] = _rank_block(
+                *scorer.bracketed(sb, rb, ob, workspace), sb, rb, ob, filter_index, allowed, tie_policy, masks)
 
     rows = min(step, max(map(len, groups), default=0))
-    workspaces = [scorer.workspace(rows) for _ in range(min(RANK_WORKERS, len(pending)))]
+    workspaces = [(scorer.workspace(rows), np.empty((2, rows, params.num_entities), dtype=bool))
+                  for _ in range(min(RANK_WORKERS, len(pending)))]
     if len(workspaces) == 1:
-        rank_blocks(workspaces[0])
+        rank_blocks(*workspaces[0])
     elif workspaces:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
 
@@ -406,7 +408,7 @@ def rank_queries(
             if cpus:
                 os.sched_setaffinity(0, {cpus[i % len(cpus)]})  # 0: this thread
                 os.sched_setaffinity(0, cpus)
-            rank_blocks(workspaces[i])
+            rank_blocks(*workspaces[i])
 
         futures = [_rank_pool().submit(work, i) for i in range(len(workspaces))]
         try:

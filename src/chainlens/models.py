@@ -19,46 +19,39 @@ subject gradients, and G_r = S^T O, the rows weighted by their loss
 coefficients, is RESCAL's relation gradient, from which TuckER's relation
 and core gradients are one contraction each with W and w.
 
-The training step (``batch_loss_and_gradients``) writes into a workspace
-built once per run, ``_BatchWorkspace``: the dense gradient blocks, cleared
-each batch, and every gathered row, product, score, loss and scatter index,
-written with ``out=`` into the batch's first rows.  It allocates no array
-of a batch's size, which glibc would otherwise map and fault in afresh on
-every batch.  Its gathers clip ids (numpy's default mode buffers a copy of
-``out``), so the step checks the ids itself first.  TransE, ComplEx and
-RotatE score each half of the batch on its own and keep its forward results
-for its gradient.  Every per-row scatter (entity rows, and the relation rows
-of the elementwise models) goes through ``_scatter_rows``: one
-``np.add.at`` on a flat view of the block (complex128 pairs of float64
-where the rows allow), which adds the same values in the same order as the
-row-wise ``np.add.at`` and so gives the same bits, in a fraction of the
-time.  The losses of all five models,
-and the elementwise models' gradients, are bit-identical to the allocating
-step kept as the oracle in ``tests/reference_models.py``; RESCAL's and
-TuckER's gradients agree with it within 1e-12.
+Each score is written once per shape.  Per triple, the training step's
+forward passes are the formulas, and ``score_batch`` runs them on a
+workspace of its own.  The step (``batch_loss_and_gradients``) writes into
+``_BatchWorkspace``, built once per run: the gradient blocks, cleared each
+batch, and every gathered row, product, score, loss and scatter index,
+written with ``out=`` into the batch's first rows, so that no array of a
+batch's size is mapped and faulted in afresh on every batch.  TransE,
+ComplEx and RotatE score each half of the batch on its own and keep its
+forward results for its gradient.  Every per-row scatter goes through
+``_scatter_rows``: one ``np.add.at`` on a flat view of the block, with the
+bits of the row-wise ``np.add.at`` in a fraction of its time.  Losses, and
+the elementwise models' gradients, are bit-identical to the allocating step
+in ``tests/reference_models.py``; RESCAL's and TuckER's gradients agree
+with it within 1e-12.
 
-``score_objects`` scores k queries against all N entities as one (k, N)
-block: a GEMM per relation for the bilinear models, one real GEMM on the
-float64 views for ComplEx, and a loop over the embedding dimension on (k, N)
-buffers for the distance models TransE and RotatE.  It is built on
-``_ObjectScorer``, which prepares what every block reuses once (M_r, the
-float64 views, E transposed) and scores each block into buffers the caller
-allocates.  ``evaluation.rank_queries`` ranks every model through the scorer
-that ``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives
-a thread a dict of buffers for blocks of up to k queries, the ranking's two
-(k, N) bool masks ``above`` and ``band`` among them, and ``bracketed(s, r,
-o, workspace)`` yields a block's parts ``(rows, scores, lower, upper,
-true_score, exact)``: the block rows a part covers, their scores, per row
-bounds around the true object's exact score, and ``exact(rows, objects)``,
-the exact scores of chosen pairs.  ``_ObjectScorer`` yields its float64
-block with both bounds at the true score.  ``_ScreenedScorer`` (TransE and
-RotatE) yields the distance kernel's scores in float32, on float32 copies of
-the exact query rows and of E transposed, with bounds t -/+ δ
-(``_distance_bound``) rounded outward to float32 and exact scores equal to
-``score_objects``' bit for bit; a block whose float32 pass cannot be trusted
-comes as two exact float64 halves.  The gathers clip ids, so
-``score_objects`` and ``rank_queries`` check them first.  The BLAS thread
-count of the GEMM models is left as the environment sets it.
+Per block, ``score_objects`` scores k queries against all N entities as a
+(k, N) block: a GEMM per relation for RESCAL and TuckER and one real GEMM on
+the float64 views for ComplEx (``_ObjectScorer``), a loop over the
+dimension on (k, N) buffers for TransE and RotatE (``_DistanceScorer``).
+``evaluation.rank_queries`` ranks every model through the scorer that
+``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives a
+thread its buffers for blocks of up to k queries, and ``bracketed(s, r, o,
+workspace)`` returns a block's ``(scores, lower, upper, true_score,
+exact)``: its scores, per row bounds around the true object's exact score,
+and ``exact(rows, objects)``, the exact scores of chosen pairs.
+``_ObjectScorer`` hands over its float64 block with both bounds at the true
+score.  ``_ScreenedScorer`` (TransE and RotatE) hands over the distance
+kernel's float32 scores with bounds t -/+ δ (``_distance_bound``) rounded
+outward, and exact scores equal to ``score_objects``' bit for bit; a block
+whose float32 pass cannot be trusted comes as ``score_objects``' block.
+Every gather clips ids (numpy's "raise" mode buffers a copy of ``out``), so
+``_check_ids`` checks them first.  The BLAS thread count of the GEMM models
+is left as the environment sets it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -224,27 +217,30 @@ def _relation_groups(r: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return rels, np.split(order, starts[1:])
 
 
+def _check_ids(params: ModelParams, entities: np.ndarray, relations: np.ndarray) -> None:
+    """IndexError unless every id of ``entities`` names an entity and every id of ``relations`` a relation."""
+    for name, ids, bound in (("entity", entities, params.num_entities), ("relation", relations, params.num_relations)):
+        if ids.size and not (0 <= ids.min() and ids.max() < bound):
+            raise IndexError(f"an id lies outside {params.num_entities} entities and {params.num_relations} "
+                             f"relations: {name} ids {ids.min()}..{ids.max()}")
+
+
 def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
-    """Scores for an (B, 3) array of (subject, relation, object) id triples."""
+    """Scores for an (B, 3) array of (subject, relation, object) id triples, from the training step's
+    forward pass.  ``IndexError`` for an id outside the tables."""
     triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
-    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
-    E, R = params.blocks["entity"], params.blocks["relation"]
-    kind = params.kind
-    if kind is ModelKind.TRANSE:
-        return -np.abs(E[s] + R[r] - E[o]).sum(axis=1)
-    if kind in _BILINEAR:
-        out = np.empty(len(triples))
-        rels, groups = _relation_groups(r)
-        M = _relation_matrices(params, rels)
-        for k, rows in enumerate(groups):
-            out[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
-        return out
-    if kind is ModelKind.COMPLEX:
-        return np.real(np.sum(E[s] * R[r] * np.conj(E[o]), axis=1))
-    if kind is ModelKind.ROTATE:
-        rot = np.exp(1j * R)[r]
-        return -np.abs(E[s] * rot - E[o]).sum(axis=1)
-    raise ValueError(f"unhandled model kind {kind}")  # pragma: no cover
+    _check_ids(params, triples[:, ::2], triples[:, 1])
+    ws, scores = _BatchWorkspace(params, len(triples)), np.empty(len(triples))
+    if params.kind in _BILINEAR:
+        _bilinear_forward(params, triples, ws, scores)
+    else:
+        _start_halves(params, ws)
+        _HALVES[params.kind][0](params, triples, ws.buf["pos"], ws, scores)
+    return scores
+
+
+# Models scored as a distance, screened in float32 for ranking.
+_DISTANCE = (ModelKind.TRANSE, ModelKind.ROTATE)
 
 
 def score_objects(params: ModelParams, s, r) -> np.ndarray:
@@ -259,11 +255,12 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     scalar = np.ndim(s) == 0 and np.ndim(r) == 0
     s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
                                np.atleast_1d(np.asarray(r, dtype=np.int64)))
-    for name, ids, bound in (("entity", s, params.num_entities), ("relation", r, params.num_relations)):
-        if ids.size and not (0 <= ids.min() and ids.max() < bound):
-            raise IndexError(f"{name} ids must lie in [0, {bound}), got {ids.min()}..{ids.max()}")
-    scorer = _ObjectScorer(params, np.unique(r))
-    out = scorer(s, r, scorer.workspace(len(s)))
+    _check_ids(params, s, r)
+    if params.kind in _DISTANCE:
+        out = _DistanceScorer(params).exact(s, r)
+    else:
+        scorer = _ObjectScorer(params, np.unique(r))
+        out = scorer(s, r, scorer.workspace(len(s)))
     return out[0] if scalar else out
 
 
@@ -289,38 +286,26 @@ def _query_rows(kind: ModelKind, E: np.ndarray, R: np.ndarray, s: np.ndarray, r:
 
 
 class _ObjectScorer:
-    """Scores queries (s, r, ?) against all N entities, as (k, N) blocks.
+    """Scores RESCAL, TuckER and ComplEx queries (s, r, ?) against all N entities, as (k, N) blocks.
 
-    What every block reuses is prepared once: M_r of each relation of
-    ``rels`` (built one relation at a time, as for a block of one relation),
-    the float64 view of E, the rotations exp(i theta) and E transposed.  It
-    does not change after that, so threads may share a scorer, each scoring
-    into a :meth:`workspace` of its own.
+    Prepared once: M_r of each relation of ``rels`` (built one relation at a
+    time, as for a block of one relation) and ComplEx's float64 view of E.
+    Threads may share a scorer, each scoring into a :meth:`workspace` of its own.
     """
 
     def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
-        self.kind = kind = params.kind
-        self.E, self.R = E, R = params.blocks["entity"], params.blocks["relation"]
-        if kind in _BILINEAR:
+        self.kind, self.E, self.R = params.kind, params.blocks["entity"], params.blocks["relation"]
+        if self.kind in _BILINEAR:
             self.M = {rel: _relation_matrices(params, np.array([rel]))[0] for rel in rels.tolist()}
-        elif kind is ModelKind.COMPLEX:
-            self.E64 = E.view(np.float64)
         else:
-            if kind is ModelKind.ROTATE:
-                self.R = np.exp(1j * R)
-            # E_t[2d] holds the real parts of dimension d, E_t[2d + 1] the imaginary ones
-            self.E_t = _transposed(E.view(np.float64), np.float64)
+            self.E64 = self.E.view(np.float64)
 
-    def workspace(self, k: int) -> dict:
-        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q``, the
-        relation rows ``w`` (q M_r for RESCAL and TuckER), the (k, N) ``work`` buffers of TransE (one) and
-        RotatE (two), and the ranking's two (k, N) masks ``above`` and ``band``."""
+    def workspace(self, k: int) -> dict[str, np.ndarray]:
+        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q`` and the
+        relation rows ``w`` (q M_r for RESCAL and TuckER)."""
         n, d = self.E.shape
-        w = np.empty((k, d), dtype=self.E.dtype if self.kind in _BILINEAR else self.R.dtype)
-        extra = {ModelKind.TRANSE: 1, ModelKind.ROTATE: 2}.get(self.kind, 0)
-        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype), "w": w,
-                "work": [np.empty((k, n)) for _ in range(extra)],
-                "above": np.empty((k, n), dtype=bool), "band": np.empty((k, n), dtype=bool)}
+        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
+                "w": np.empty((k, d), dtype=self.E.dtype)}
 
     def __call__(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
         """The (k, N) scores of the queries (s[i], r[i], ?), written into the
@@ -328,8 +313,8 @@ class _ObjectScorer:
         gathers clip ids, so callers check them first."""
         k = len(s)
         out, q, w = ws["scores"][:k], ws["q"][:k], ws["w"][:k]
-        E, kind = self.E, self.kind
-        if kind in _BILINEAR:
+        E = self.E
+        if self.kind in _BILINEAR:
             np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
             rels, groups = _relation_groups(r)
             for rel, rows in zip(rels.tolist(), groups):
@@ -338,23 +323,19 @@ class _ObjectScorer:
                 else:
                     out[rows] = (q[rows] @ self.M[rel]) @ E.T
             return out
-        _query_rows(kind, E, self.R, s, r, q, w)
-        if kind is ModelKind.COMPLEX:
-            # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
-            np.matmul(q.view(np.float64), self.E64.T, out=out)
-        else:
-            _negated_distance_sums(q.view(np.float64), self.E_t, [buf[:k] for buf in ws["work"]], out)
-        return out
+        _query_rows(self.kind, E, self.R, s, r, q, w)
+        # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
+        return np.matmul(q.view(np.float64), self.E64.T, out=out)
 
-    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict):
-        """The block of the queries (s[i], r[i], o[i]) as one part of exact scores (see :func:`_exact_part`)."""
-        yield _exact_part(slice(0, len(s)), self(s, r, ws), o)
+    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
+        """The block of the queries (s[i], r[i], o[i]), its exact scores bracketed (see :func:`_exact_bracketed`)."""
+        return _exact_bracketed(self(s, r, ws), o)
 
 
-def _exact_part(rows: slice, scores: np.ndarray, o: np.ndarray) -> tuple:
-    """A part whose float64 ``scores`` are exact: both bounds at each row's true score t."""
+def _exact_bracketed(scores: np.ndarray, o: np.ndarray) -> tuple:
+    """Bracketed float64 ``scores`` that are exact: both bounds at each row's true score t."""
     t = scores[np.arange(len(scores)), o]
-    return rows, scores, t, t, t, lambda i, j: scores[i, j]
+    return scores, t, t, t, lambda i, j: scores[i, j]
 
 
 def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
@@ -382,6 +363,26 @@ def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray
             np.subtract(q[:, d, None], e_t[d], out=buf)
             np.abs(buf, out=buf)
             out -= buf
+
+
+class _DistanceScorer:
+    """TransE and RotatE queries (s, r, ?) scored in float64 against all N entities: :meth:`exact`, the
+    block of ``score_objects`` and of the float32 screen's fallback.  RotatE's R holds exp(i theta)."""
+
+    def __init__(self, params: ModelParams) -> None:
+        self.kind, self.E = params.kind, params.blocks["entity"]
+        self.rotate = params.kind is ModelKind.ROTATE
+        self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
+        self.E64 = self.E.view(np.float64)
+
+    def exact(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The (k, N) scores of the queries (s[i], r[i], ?), in buffers allocated per call.  The gathers clip ids."""
+        k, (n, d) = len(s), self.E.shape
+        q, w = np.empty((k, d), dtype=self.E.dtype), np.empty((k, d), dtype=self.R.dtype)
+        _query_rows(self.kind, self.E, self.R, s, r, q, w)
+        out, bufs = np.empty((k, n)), [np.empty((k, n)) for _ in range(1 + self.rotate)]
+        _negated_distance_sums(q.view(np.float64), _transposed(self.E64, np.float64), bufs, out)
+        return out
 
 
 # float32's unit roundoff, and its least normal number: an operation whose
@@ -437,17 +438,14 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
     return np.where(short, np.nextafter(x32, np.float32(toward)), x32)
 
 
-class _ScreenedScorer:
+class _ScreenedScorer(_DistanceScorer):
     """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
 
     :meth:`screen` scores a block with :func:`_negated_distance_sums` on
-    float32 copies of the exact float64 query rows and of E transposed, and
-    bounds how far each row's scores lie from the float64 kernel's
-    (:func:`_distance_bound`).  :meth:`pair_scores` gives the float64
-    kernel's own scores of chosen pairs; :meth:`bracketed` hands both to the
-    ranker.  E transposed is held in float32 only, and the largest entity L1
-    norm is taken over row chunks.  Like :class:`_ObjectScorer`, a scorer
-    does not change once built, so threads may share one, each with a
+    float32 copies of the exact query rows and of E transposed (held in
+    float32 only), and bounds how far each row's scores lie from the float64
+    kernel's (:func:`_distance_bound`); :meth:`pair_scores` gives the float64
+    kernel's scores of chosen pairs.  Threads may share a scorer, each with a
     :meth:`workspace` of its own.
     """
 
@@ -455,10 +453,7 @@ class _ScreenedScorer:
     PAIR_ROWS = 128
 
     def __init__(self, params: ModelParams) -> None:
-        self.kind, self.E = params.kind, params.blocks["entity"]
-        self.rotate = params.kind is ModelKind.ROTATE
-        self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
-        self.E64 = self.E.view(np.float64)
+        super().__init__(params)
         self.E_t = _transposed(self.E64, np.float32)
         self.terms = self.E64.shape[1] // 2 if self.rotate else self.E64.shape[1]
         # np.max, unlike max(), keeps a NaN
@@ -467,21 +462,15 @@ class _ScreenedScorer:
         self.screenable = self.terms * _U32 <= 0.05 and self.e_l1 < _SCREEN_LIMIT
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for blocks of up to k queries, with the ranking's two (k, N)
-        masks ``above`` and ``band``.  The float32 scores and kernel buffers
-        share their memory with the float64 ones of the fallback, which
-        takes half as many rows at a time."""
+        """Buffers for blocks of up to k queries: the (k, d) query rows ``q`` and relation rows ``w``, the
+        float32 query rows ``q32``, the float32 (k, N) scores and kernel buffers ``planes32``, and the
+        ``pairs`` that :meth:`pair_scores` settles at once."""
         n, width = self.E64.shape
-        planes, half = (3 if self.rotate else 2), (k + 1) // 2
-        memory = np.empty(max((planes * k * n + 1) // 2, planes * half * n))
         return {
             "q": np.empty((k, self.E.shape[1]), dtype=self.E.dtype),
             "w": np.empty((k, self.E.shape[1]), dtype=self.R.dtype),
             "q32": np.empty((k, width), dtype=np.float32),
-            "planes32": memory.view(np.float32)[:planes * k * n].reshape(planes, k, n),
-            "planes64": memory[:planes * half * n].reshape(planes, half, n),
-            "above": np.empty((k, n), dtype=bool),
-            "band": np.empty((k, n), dtype=bool),
+            "planes32": np.empty((2 + self.rotate, k, n), dtype=np.float32),
             "pairs": np.empty((2, self.PAIR_ROWS, width)),
         }
 
@@ -530,29 +519,20 @@ class _ScreenedScorer:
                 total -= column
         return out
 
-    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict):
-        """The block of the queries (s[i], r[i], o[i]) as one part, its float32 screen bracketed by
-        t -/+ δ rounded outward, or, if the screen cannot be trusted, as two exact float64 halves,
-        written one after the other into the float32 planes' memory."""
+    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
+        """The block of the queries (s[i], r[i], o[i]): its float32 screen bracketed by t -/+ δ rounded
+        outward, or, if the screen cannot be trusted, the :meth:`exact` block (see :func:`_exact_bracketed`)."""
         q, screen, delta = self.screen(s, r, ws)
         if screen is None:
-            step = ws["planes64"].shape[1]
-            for start in range(0, len(s), step):
-                rows = slice(start, start + step)
-                out, *bufs = ws["planes64"][:, :len(q[rows])]
-                _negated_distance_sums(q[rows], self.E64.T, bufs, out)
-                yield _exact_part(rows, out, o[rows])
-            return
+            return _exact_bracketed(self.exact(s, r), o)
         t = self.pair_scores(q, np.arange(len(s)), o, ws)
-        yield (slice(0, len(s)), screen, _outward32(t - delta, -np.inf), _outward32(t + delta, np.inf), t,
-               lambda i, j: self.pair_scores(q, i, j, ws))
+        return (screen, _outward32(t - delta, -np.inf), _outward32(t + delta, np.inf), t,
+                lambda i, j: self.pair_scores(q, i, j, ws))
 
 
 def _block_scorer(params: ModelParams, rels: np.ndarray) -> _ObjectScorer | _ScreenedScorer:
-    """The scorer whose bracketed parts rank ``params``' blocks of the relations ``rels``."""
-    if params.kind in (ModelKind.TRANSE, ModelKind.ROTATE):
-        return _ScreenedScorer(params)
-    return _ObjectScorer(params, rels)
+    """The scorer whose bracketed blocks rank ``params``' queries of the relations ``rels``."""
+    return _ScreenedScorer(params) if params.kind in _DISTANCE else _ObjectScorer(params, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +614,7 @@ def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int) -> dict[str, tu
     if kind is ModelKind.TRANSE:
         half, shared = {"u": real}, {"t": real, "g": real}
     elif kind is ModelKind.COMPLEX:
-        half, shared = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx}
+        half, shared = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}
         specs["csum"] = ((rows,), cplx)
     else:
         half, shared = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx, "nz": np.dtype(bool)}
@@ -728,8 +708,9 @@ def _complex_forward(params, triples, h, ws, scores) -> None:
     np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
     np.multiply(es, np.take(R, triples[:, 1], axis=0, out=h["w"][:m], mode="clip"), out=esw)
     np.take(E, triples[:, 2], axis=0, out=eo, mode="clip")
-    c = b["c"][:m]
-    np.multiply(esw, np.conjugate(eo, out=c), out=c)
+    # conj(eo) has a buffer of its own: written over it, the product of a (1, 1) block took another
+    # numpy loop, an ulp off the score formula's
+    c = np.multiply(esw, np.conjugate(eo, out=b["conj_eo"][:m]), out=b["c"][:m])
     np.copyto(scores, np.sum(c, axis=1, out=b["csum"][:m]).real)
 
 
@@ -770,6 +751,13 @@ def _rotate_backward(params, triples, h, ws, coeff) -> None:
     ws.scatter("relation", triples[:, 1], np.multiply(coeff, c.imag, out=mod))
 
 
+def _start_halves(params: ModelParams, ws: _BatchWorkspace) -> None:
+    """What the forward passes of a batch's halves share: RotatE's rotations exp(i theta) of every relation."""
+    if params.kind is ModelKind.ROTATE:
+        rotations = ws.buf["rotations"]
+        np.exp(np.multiply(1j, params.blocks["relation"], out=rotations), out=rotations)
+
+
 _HALVES = {
     ModelKind.TRANSE: (_transe_forward, _transe_backward),
     ModelKind.COMPLEX: (_complex_forward, _complex_backward),
@@ -786,8 +774,7 @@ def _elementwise_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, mar
     """
     forward, backward = _HALVES[params.kind]
     n, b = len(pos), ws.buf
-    if params.kind is ModelKind.ROTATE:
-        np.exp(np.multiply(1j, params.blocks["relation"], out=b["rotations"]), out=b["rotations"])
+    _start_halves(params, ws)
     scores = b["scores"][:2 * n]
     forward(params, pos, b["pos"], ws, scores[:n])
     forward(params, neg, b["neg"], ws, scores[n:])
@@ -804,25 +791,19 @@ def _elementwise_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, mar
     return losses, ws.grads
 
 
-def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
-                   ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """RESCAL and TuckER: one forward pass over [pos; neg], grouped by relation once.
+def _bilinear_forward(params: ModelParams, triples: np.ndarray, ws: _BatchWorkspace,
+                      scores: np.ndarray) -> tuple:
+    """RESCAL and TuckER: the scores of ``triples`` into ``scores``, from S M_r of each relation's rows.
 
-    Each M_r is built once per batch and serves both halves (``corrupt_batch``
-    keeps a pair's relation).  Sorted by relation, each group is a
-    contiguous block of rows; S M_r gives its scores and, weighted by the
-    rows' loss coefficients (-1/B for an active positive of a B-pair batch,
-    1/B for an active negative, 0 for an inactive pair), the object
-    gradients.
+    The triples are sorted by relation once, so each relation's rows are one
+    block and its M_r is built once.  Returns the sort order, the sorted
+    triples, their relations, their blocks and the M_r; S, O and S M_r stay
+    in the workspace.
     """
-    half, b = len(pos), ws.buf
-    n = 2 * half
+    n, b = len(triples), ws.buf
     E, R = params.blocks["entity"], params.blocks["relation"]
-    gR = ws.grads["relation"]
-    pairs = b["pairs"][:n]
-    pairs[:half], pairs[half:] = pos, neg
-    order = np.argsort(pairs[:, 1], kind="stable")
-    X = np.take(pairs, order, axis=0, out=b["sorted"][:n], mode="clip")
+    order = np.argsort(triples[:, 1], kind="stable")
+    X = np.take(triples, order, axis=0, out=b["sorted"][:n], mode="clip")
     rels, starts = np.unique(X[:, 1], return_index=True)
     blocks = [slice(lo, hi) for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n])]
     S = np.take(E, X[:, 0], axis=0, out=b["S"][:n], mode="clip")
@@ -836,11 +817,29 @@ def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin
     sorted_scores = b["sorted_scores"][:n]
     for k, rows in enumerate(blocks):
         np.einsum("ij,ij->i", np.matmul(S[rows], M[k], out=SM[rows]), O[rows], out=sorted_scores[rows])
-    scores = b["scores"][:n]
     scores[order] = sorted_scores
+    return order, X, rels, blocks, M
+
+
+def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
+                   ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """RESCAL and TuckER: one forward pass over [pos; neg], whose M_r serve both halves.
+
+    S M_r, weighted by the rows' loss coefficients (-1/B for an active
+    positive of a B-pair batch, 1/B for an active negative, 0 for an
+    inactive pair), gives the object gradients.
+    """
+    half, b = len(pos), ws.buf
+    n = 2 * half
+    gR = ws.grads["relation"]
+    pairs = b["pairs"][:n]
+    pairs[:half], pairs[half:] = pos, neg
+    scores = b["scores"][:n]
+    order, X, rels, blocks, M = _bilinear_forward(params, pairs, ws, scores)
     losses, active = _hinge(margin, scores, ws)
     if not active.any():
         return losses, ws.grads
+    S, O, SM = b["S"][:n], b["O"][:n], b["SM"][:n]
     scale, coeff = 1.0 / half, b["coeff"][:n]
     np.multiply(active, -scale, out=coeff[:half])
     np.multiply(active, scale, out=coeff[half:])
@@ -855,7 +854,7 @@ def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin
     if params.kind is ModelKind.TUCKER:
         # relation rows sum_a G[r, a, :] W[a]^T, the products for each a written over the spent
         # M_r, and core slices W'[a] = sum_r w_r G[r, a, :]
-        G, W = b["G"][:len(rels)], params.blocks["core"]
+        G, W, w = b["G"][:len(rels)], params.blocks["core"], b["rel_rows"][:len(rels)]
         P = np.matmul(G.transpose(1, 0, 2), W.transpose(0, 2, 1), out=b["M"][:, :len(rels)])
         gR[rels] = np.sum(P, axis=0, out=b["rel_grads"][:len(rels)])
         np.matmul(w.T, G.transpose(1, 0, 2), out=ws.grads["core"])
@@ -874,11 +873,8 @@ def batch_loss_and_gradients(
     into it: they stay valid until its next step.
     """
     pos, neg = np.asarray(pos, dtype=np.int64), np.asarray(neg, dtype=np.int64)
-    for triples in (pos, neg):  # the gathers clip ids, so that they need no buffered copy of their output
-        if len(triples) and (triples.min() < 0 or triples[:, 1].max() >= params.num_relations
-                             or triples[:, ::2].max() >= params.num_entities):
-            raise IndexError(f"a triple names an id outside {params.num_entities} entities "
-                             f"and {params.num_relations} relations")
+    for triples in (pos, neg):
+        _check_ids(params, triples[:, ::2], triples[:, 1])
     ws = _BatchWorkspace(params, len(pos)) if workspace is None else workspace
     if len(pos) > ws.rows:
         raise ValueError(f"a batch of {len(pos)} pairs does not fit a workspace for {ws.rows}")

@@ -3,6 +3,11 @@
 ``negative_sample``, ``margin_ranking_loss`` and ``gradients`` are the
 single-triple and single-pair forms of what training does in batches.
 
+``reference_score_batch`` writes each model's score formula out on gathered
+rows, as ``models.score_batch`` did before it became the training step's
+forward pass: TransE's, ComplEx's and RotatE's scores must match it bit for
+bit, RESCAL's and TuckER's within 1e-12.
+
 ``einsum_score_batch`` and ``einsum_batch_loss_and_gradients`` write RESCAL
 and TuckER scores and hinge gradients directly, as einsums in which every
 operand carries the batch index, with no grouping by relation.  TuckER's
@@ -12,7 +17,7 @@ at small dims.
 ``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
 training step as it was before the flat scatters, the in-place Adam update
 and the per-run workspace: fresh gradient blocks (``zero_grads``) per batch,
-each half scored by ``score_batch`` and its active rows' gradients
+each half scored by ``reference_score_batch`` and its active rows' gradients
 accumulated on their own, row-wise ``np.add.at`` into the 2-D gradient
 blocks, TuckER's M_r by ``tensordot`` and its relation gradient by
 ``einsum``, and Adam written as plain array expressions, with TransE's row
@@ -27,9 +32,9 @@ import numpy as np
 from chainlens.models import (
     ModelKind,
     _relation_groups,
+    _relation_matrices,
     apply_constraints,
     batch_loss_and_gradients,
-    score_batch,
 )
 from chainlens.training import _float_view
 
@@ -66,6 +71,26 @@ def gradients(params, pos, neg, margin):
     pos_arr = np.array([pos], dtype=np.int64)
     neg_arr = np.array([neg], dtype=np.int64)
     return batch_loss_and_gradients(params, pos_arr, neg_arr, margin)[1]
+
+
+def reference_score_batch(params, triples):
+    """Scores for an (B, 3) array of (subject, relation, object) id triples, formula by formula."""
+    triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
+    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    kind = params.kind
+    if kind is ModelKind.TRANSE:
+        return -np.abs(E[s] + R[r] - E[o]).sum(axis=1)
+    if kind in (ModelKind.RESCAL, ModelKind.TUCKER):
+        out = np.empty(len(triples))
+        rels, groups = _relation_groups(r)
+        for M_r, rows in zip(_relation_matrices(params, rels), groups):  # an empty batch has no M_r
+            out[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M_r, E[o[rows]])
+        return out
+    if kind is ModelKind.COMPLEX:
+        return np.real(np.sum(E[s] * R[r] * np.conj(E[o]), axis=1))
+    rot = np.exp(1j * R)[r]
+    return -np.abs(E[s] * rot - E[o]).sum(axis=1)
 
 
 def einsum_score_batch(params, triples):
@@ -171,7 +196,7 @@ def add_at_accumulate_score_grads(params, grads, triples, coeff):
 
 def add_at_batch_loss_and_gradients(params, pos, neg, margin):
     """Per-pair hinge losses and the gradient of their batch mean, by ``add_at_accumulate_score_grads``."""
-    losses = np.maximum(0.0, margin + score_batch(params, neg) - score_batch(params, pos))
+    losses = np.maximum(0.0, margin + reference_score_batch(params, neg) - reference_score_batch(params, pos))
     grads = zero_grads(params)
     active = losses > 0.0
     if active.any():

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens.models as models
@@ -30,6 +30,7 @@ from reference_models import (
     gradients,
     margin_ranking_loss,
     negative_sample,
+    reference_score_batch,
     tensordot_relation_matrices,
 )
 
@@ -204,25 +205,71 @@ def test_score_objects_refuses_ids_outside_the_tables(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_batch_refuses_ids_outside_the_tables(kind):
+    # its gathers clip ids, so [-1, r, o] would otherwise score the last entity
+    p = make_params(kind, n_ent=10, n_rel=3, dim=4, seed=1)
+    for bad in ([-1, 0, 2], [10, 0, 2], [1, -1, 2], [1, 3, 2], [1, 0, -1], [1, 0, 10]):
+        with pytest.raises(IndexError, match="10 entities and 3 relations"):
+            score_batch(p, np.array([[0, 1, 2], bad]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_batch_of_an_empty_batch_is_empty(kind):
+    p = make_params(kind, n_ent=10, n_rel=3, dim=4, seed=1)
+    scores = score_batch(p, np.empty((0, 3), dtype=np.int64))
+    assert scores.shape == (0,) and scores.dtype == np.float64
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), dim=st.integers(1, 9), n_ent=st.integers(1, 12), n_rel=st.integers(1, 4),
+       size=st.integers(0, 40), one_relation=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size, one_relation, seed):
+    """score_batch, the training step's forward pass, against each model's formula
+    written out: the same bits for TransE, ComplEx and RotatE, within 1e-12 for
+    RESCAL and TuckER, at odd and even dims, with one or several relations per
+    batch, the empty batch included."""
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    r = np.full(size, rng.integers(n_rel)) if one_relation else rng.integers(n_rel, size=size)
+    triples = np.column_stack([rng.integers(n_ent, size=size), r, rng.integers(n_ent, size=size)])
+    got, expected = score_batch(p, triples), reference_score_batch(p, triples)
+    assert got.shape == expected.shape == (size,)
+    if kind in models._BILINEAR:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
-    """The scorer gathers straight into the workspace: numpy's "raise" mode
-    would buffer a copy of the (k, d) query rows on every block."""
+    """The scorers gather straight into the workspace: numpy's "raise" mode
+    would buffer a copy of the (k, d) query rows on every block.  A ranked
+    TransE or RotatE block's warm call is its float32 screen; their exact
+    float64 block allocates its buffers on each call."""
     n_ent, k = 200, 1024
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
     rng = np.random.default_rng(2)
     s = rng.integers(n_ent, size=k)
     r = np.full(k, 1) if kind in models._BILINEAR else rng.integers(3, size=k)  # a bilinear block has one relation
-    scorer = models._ObjectScorer(p, np.unique(r))
+    if kind in models._DISTANCE:
+        scorer = models._ScreenedScorer(p)
+        assert scorer.exact(s, r).tobytes() == score_objects(p, s, r).tobytes()
+        call = lambda ws: scorer.screen(s, r, ws)[1]
+    else:
+        scorer = models._ObjectScorer(p, np.unique(r))
+        call = lambda ws: scorer(s, r, ws)
     workspace = scorer.workspace(k)
-    expected = scorer(s, r, workspace).copy()
+    expected = call(workspace).copy()
     tracemalloc.start()
     try:
-        scores = scorer(s, r, workspace)
+        scores = call(workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < workspace["q"].nbytes, (peak, workspace["q"].nbytes)
-    assert scores.tobytes() == expected.tobytes() == score_objects(p, s, r).tobytes()
+    assert scores.tobytes() == expected.tobytes()
+    if kind not in models._DISTANCE:
+        assert scores.tobytes() == score_objects(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -230,33 +277,37 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
 @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
 def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, workers):
     """The distance kernel scores each entity on its own: ranges of entities
-    scored on threads that share one scorer's E transposed give the bits of
-    one call over all entities.  Ranges may be empty (seven of one entity)."""
+    scored on threads that share one E transposed give the bits of one call
+    over all entities, in float64 (the exact block) and in float32 (the
+    screen, whose E transposed the rank pool shares).  Ranges may be empty
+    (seven of one entity)."""
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
     rng = np.random.default_rng(n_ent)
     k = block_rows(n_ent)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
-    expected = score_objects(p, s, r)
-    scorer = models._ObjectScorer(p, np.unique(r))
-    q = scorer.E[s] + scorer.R[r] if kind is ModelKind.TRANSE else scorer.E[s] * scorer.R[r]
-    q = q.view(np.float64)
+    scorer = models._ScreenedScorer(p)
+    ws = scorer.workspace(k)
+    q, screen, _ = scorer.screen(s, r, ws)
+    cases = [(q, models._transposed(scorer.E64, np.float64), score_objects(p, s, r)),
+             (ws["q32"][:k], scorer.E_t, screen.copy())]
     n_bufs = 1 if kind is ModelKind.TRANSE else 2
-    out = np.empty((k, n_ent))
-
-    def score_range(bounds):
-        lo, hi = bounds
-        bufs = [np.empty((k, hi - lo)) for _ in range(n_bufs)]
-        models._negated_distance_sums(q, scorer.E_t[:, lo:hi], bufs, out[:, lo:hi])
-
     edges = np.linspace(0, n_ent, workers + 1).astype(int)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in range(3):
-                out.fill(np.nan)
-                list(pool.map(score_range, zip(edges[:-1], edges[1:])))
-                assert out.tobytes() == expected.tobytes()
+        for q_rows, e_t, expected in cases:
+            out = np.empty_like(expected)
+
+            def score_range(bounds):
+                lo, hi = bounds
+                bufs = [np.empty((k, hi - lo), dtype=out.dtype) for _ in range(n_bufs)]
+                models._negated_distance_sums(q_rows, e_t[:, lo:hi], bufs, out[:, lo:hi])
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(3):
+                    out.fill(np.nan)
+                    list(pool.map(score_range, zip(edges[:-1], edges[1:])))
+                    assert out.tobytes() == expected.tobytes(), expected.dtype
     finally:
         sys.setswitchinterval(interval)
 

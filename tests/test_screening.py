@@ -86,8 +86,8 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind):
     scorer = models._ScreenedScorer(p)
     ws = scorer.workspace(len(queries))
     s, r, o = queries.T
-    (rows, screen, lower, upper, true_score, _), = scorer.bracketed(s, r, o, ws)
-    assert rows == slice(0, len(o)) and screen.dtype == np.float32 and (lower < true_score).all()
+    screen, lower, upper, true_score, _ = scorer.bracketed(s, r, o, ws)
+    assert screen.shape == (len(o), p.num_entities) and screen.dtype == np.float32 and (lower < true_score).all()
     assert (true_score < upper).all()
     exact = score_objects(p, s, r)
     assert true_score.tobytes() == exact[np.arange(len(o)), o].tobytes()
@@ -102,9 +102,8 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind):
         scorer = models._ScreenedScorer(p)
         s, r, o = queries[queries[:, 1] == 1].T
         assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
-        parts = [(rows, scores.dtype) for rows, scores, *_ in scorer.bracketed(s, r, o, scorer.workspace(len(s)))]
-        half = (len(s) + 1) // 2
-        assert parts == [(slice(0, half), np.float64), (slice(half, 2 * half), np.float64)]
+        scores = scorer.bracketed(s, r, o, scorer.workspace(len(s)))[0]
+        assert scores.dtype == np.float64 and scores.tobytes() == score_objects(p, s, r).tobytes()
     assert models._ScreenedScorer(edge_case(kind, "underflow")[0]).screenable
 
 
@@ -174,23 +173,22 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind):
     assert len(rows) > 3 * scorer.PAIR_ROWS
     exact = scorer.pair_scores(q, rows, objs, ws)
     assert exact.tobytes() == score_objects(p, s, r).reshape(-1).tobytes()
-    scorer.screenable = False  # the fallback's exact float64 halves
-    halves = 0
-    for part, scores, lower, upper, true_score, settle in scorer.bracketed(s, r, o, ws):
-        halves += 1
-        assert scores.tobytes() == score_objects(p, s[part], r[part]).tobytes()
-        assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
-        assert true_score.tobytes() == scores[np.arange(len(scores)), o[part]].tobytes()
-        assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
-    assert halves == 2
+    scorer.screenable = False  # the fallback's exact float64 block
+    scores, lower, upper, true_score, settle = scorer.bracketed(s, r, o, ws)
+    assert scores.tobytes() == score_objects(p, s, r).tobytes()
+    assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
+    assert true_score.tobytes() == scores[np.arange(len(scores)), o].tobytes()
+    assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
 
 
-def rank_one_block(scorer, s, r, o, ws, index):
-    """Raw and filtered ranks of one block, ranked part by part as rank_queries ranks it."""
-    ranks = np.empty((2, len(s)))
-    for rows, *part in scorer.bracketed(s, r, o, ws):
-        ranks[:, rows] = evaluation._rank_block(*part, s[rows], r[rows], o[rows], index, None, "realistic", ws)
-    return ranks
+def ranker_masks(k, n_ent):
+    """The ranker's two (k, N) bool masks, as rank_queries allocates them for each worker."""
+    return np.empty((2, k, n_ent), dtype=bool)
+
+
+def rank_one_block(scorer, s, r, o, ws, masks, index):
+    """Raw and filtered ranks of one block, ranked as rank_queries ranks it."""
+    return np.array(evaluation._rank_block(*scorer.bracketed(s, r, o, ws), s, r, o, index, None, "realistic", masks))
 
 
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
@@ -203,11 +201,11 @@ def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
     s, r, o = rng.integers(n_ent, size=k), rng.integers(3, size=k), rng.integers(n_ent, size=k)
     index = build_filter_index([np.column_stack([s, r, o])[::2]])
     scorer = models._ScreenedScorer(p)
-    ws = scorer.workspace(k)
-    expected = rank_one_block(scorer, s, r, o, ws, index)
+    ws, masks = scorer.workspace(k), ranker_masks(k, n_ent)
+    expected = rank_one_block(scorer, s, r, o, ws, masks, index)
     tracemalloc.start()
     try:
-        ranks = rank_one_block(scorer, s, r, o, ws, index)
+        ranks = rank_one_block(scorer, s, r, o, ws, masks, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,23 +216,25 @@ def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_warm_ranked_block_allocates_less_than_one_mask(kind):
-    """Every model's ranking reuses the workspace's two (k, N) masks: a warm
-    block, ranked raw and filtered, allocates less than one of them."""
+    """Every model's ranking reuses the ranker's two (k, N) masks, which no
+    scorer's workspace holds: a warm block, ranked raw and filtered,
+    allocates less than one of them."""
     n_ent, k = 400, 1024
     p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=2))
     rng = np.random.default_rng(2)
     s, r, o = rng.integers(n_ent, size=k), np.full(k, 1), rng.integers(n_ent, size=k)  # one relation, as in a block
     index = build_filter_index([np.column_stack([s, r, o])[::2]])
     scorer = models._block_scorer(p, np.unique(r))
-    ws = scorer.workspace(k)
-    expected = rank_one_block(scorer, s, r, o, ws, index)
+    ws, masks = scorer.workspace(k), ranker_masks(k, n_ent)
+    assert not any(buf.dtype == bool for buf in ws.values())
+    expected = rank_one_block(scorer, s, r, o, ws, masks, index)
     tracemalloc.start()
     try:
-        ranks = rank_one_block(scorer, s, r, o, ws, index)
+        ranks = rank_one_block(scorer, s, r, o, ws, masks, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ws["above"].nbytes, (peak, ws["above"].nbytes)
+    assert peak < masks[0].nbytes, (peak, masks[0].nbytes)
     assert ranks.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(ranks[:, :50], float64_ranks(p, np.column_stack([s, r, o])[:50], index,
                                                                "realistic", None))
@@ -246,11 +246,8 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     assert scorer.E_t.dtype == np.float32 and scorer.E_t.shape == (32, 500)
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
     ws = scorer.workspace(9)
-    assert ws["planes32"].dtype == np.float32 and np.shares_memory(ws["planes32"], ws["planes64"])
-    assert ws["planes64"].shape == (3, 5, 500)
-    s, r, o = np.arange(9), np.arange(9) % 3, np.arange(9, 0, -1)
-    scorer.screenable = False  # the fallback writes its float64 halves into the float32 planes' memory
-    assert [np.shares_memory(scores, ws["planes32"]) for _, scores, *_ in scorer.bracketed(s, r, o, ws)] == [True] * 2
+    assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (3, 9, 500)
+    assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
 
 
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
@@ -267,7 +264,7 @@ def test_each_true_object_is_scored_once_in_float64(kind, monkeypatch):
 
     monkeypatch.setattr(models._ScreenedScorer, "pair_scores", recording)
     scorer = models._ScreenedScorer(p)
-    ranks = rank_one_block(scorer, s, r, o, scorer.workspace(len(s)), index)
+    ranks = rank_one_block(scorer, s, r, o, scorer.workspace(len(s)), ranker_masks(len(s), p.num_entities), index)
     (true_rows, true_objs), *after = settled
     assert (true_rows == np.arange(len(o))).all() and (true_objs == o).all()
     assert len(after) == 2 and sum(map(len, (rows for rows, _ in after))) > 0
