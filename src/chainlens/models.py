@@ -45,13 +45,20 @@ workspace)`` returns a block's ``(scores, lower, upper, true_score,
 exact)``: its scores, per row bounds around the true object's exact score,
 and ``exact(rows, objects)``, the exact scores of chosen pairs.
 ``_ObjectScorer`` hands over its float64 block with both bounds at the true
-score.  ``_ScreenedScorer`` (TransE and RotatE) hands over the distance
-kernel's float32 scores with bounds t -/+ δ (``_distance_bound``) rounded
-outward, and exact scores equal to ``score_objects``' bit for bit; a block
-whose float32 pass cannot be trusted comes as ``score_objects``' block.
-Every gather clips ids (numpy's "raise" mode buffers a copy of ``out``), so
-``_check_ids`` checks them first.  The BLAS thread count of the GEMM models
-is left as the environment sets it.
+score.  ``_ScreenedScorer`` (TransE and RotatE) hands over a float32 screen
+with bounds rounded outward, and exact scores equal to ``score_objects``'
+bit for bit.  TransE's screen is the distance kernel in float32, within δ
+of the float64 kernel (``_distance_bound``): bounds t -/+ δ.  RotatE's
+takes one float32 GEMM per complex dimension, |q - e|² + c = |q|² + c +
+|e|² - 2 Re(q conj(e)) for a whole (k, N) block, then a square root and a
+subtraction: three passes over the block where the distance kernel makes
+seven.  Its offset c covers the GEMM's rounding, so no square is negative
+and its scores lie at most δ above the float64 kernel's but up to δ +
+sum_j sqrt(2 c_j) below them (``_rotate_lhs``): bounds t - that and t + δ.
+A block whose float32 pass cannot be trusted comes as ``score_objects``'
+block.  Every gather clips ids (numpy's "raise" mode buffers a copy of
+``out``), so ``_check_ids`` checks them first.  The BLAS thread count is
+left as the environment sets it: the GEMM models and RotatE's screen use it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -230,7 +237,7 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     forward pass.  ``IndexError`` for an id outside the tables."""
     triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
     _check_ids(params, triples[:, ::2], triples[:, 1])
-    ws, scores = _BatchWorkspace(params, len(triples)), np.empty(len(triples))
+    ws, scores = _BatchWorkspace(params, len(triples), backward=False), np.empty(len(triples))
     if params.kind in _BILINEAR:
         _bilinear_forward(params, triples, ws, scores)
     else:
@@ -401,8 +408,10 @@ def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
     s64 is :func:`_negated_distance_sums`' float64 score of the pair and s32
     that kernel's score of the pair cast to float32, computed in float32;
     ``terms`` is the number of terms the kernel sums (the float columns for
-    TransE, the (re, im) pairs for RotatE).  Both scores are compared with
-    the exact score s of the float64 values, in the standard model
+    TransE, the (re, im) pairs for RotatE).  RotatE's screen is a GEMM per
+    pair of columns instead, which :func:`_rotate_lhs` bounds from the
+    per-modulus errors derived here.  Both scores are compared with the
+    exact score s of the float64 values, in the standard model
     fl(x op y) = (x op y)(1 + e) + t, |e| <= u, |t| <= ``_TINY32``, which
     covers underflow (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., SIAM 2002, §2.1; γ_n = nu / (1 - nu), §3.1):
@@ -429,6 +438,100 @@ def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
     return 2 * ((gamma + 3 * _U32) * l1 + 5 * (1 + gamma) * terms * _TINY32)
 
 
+def _rotate_operands(E64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RotatE's right-hand screen operands, for entities E64 with (re, im) column pairs.
+
+    Returns B, (terms, 4, N) float32, whose B[j] holds the rows re ê_j, im
+    ê_j, 1 and |ê_j|² of every entity, ê being E rounded to float32, and
+    each dimension's largest |ê_j|² in float64.  |ê_j|² is re² + im² in
+    float64, where the squares of float32 values are exact, rounded to
+    float32 in B.  Entities are copied 64 at a time, as in :func:`_transposed`.
+    """
+    n, width = E64.shape
+    B = np.empty((width // 2, 4, n), dtype=np.float32)
+    for start in range(0, n, 64):
+        B[:, :2, start:start + 64] = E64[start:start + 64].reshape(-1, width // 2, 2).transpose(1, 2, 0)
+    B[:, 2] = 1.0
+    e_sq = np.empty(width // 2)
+    for j, b in enumerate(B):
+        squares = np.square(b[:2], dtype=np.float64)
+        np.add(squares[0], squares[1], out=squares[0])
+        b[3] = squares[0]
+        e_sq[j] = np.max(squares[0], initial=0.0)
+    return B, e_sq
+
+
+def _rotate_lhs(q32: np.ndarray, e_sq: np.ndarray, A: np.ndarray, Z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """RotatE's left-hand screen operands for float32 query rows q32 ((re, im) column pairs), and the bound they add.
+
+    Writes A_j = [-2 re q̂_j, -2 im q̂_j, |q̂_j|² + c_ij, 1] for each query
+    row i into ``A`` (terms, k, 4), whose last column is 1 already, |q̂_j|²
+    + c_ij into ``Z`` and the offsets c_ij into ``c`` (both (k, terms)
+    float64), then √(2 c_ij) into ``c``.  ``e_sq`` holds each dimension's
+    largest |ê_j|² (:func:`_rotate_operands`).  Returns each row's (1 +
+    γ_n)(1 + u) Σ_j √(2 c_ij): how much further than δ (see
+    :func:`_distance_bound`) below the float64 kernel's scores the screen's
+    may lie.
+
+    The screen writes x̃ = fl(A_j · B_j), a float32 dot product of four
+    terms, for every entity, then fl(√x̃), and sums those as the distance
+    kernel does.  With a = q̂_j and b = ê_j, the float32 query and entity
+    values, in the model of :func:`_distance_bound` (u, t, γ_n), u' being
+    float64's unit roundoff and m = e_sq_j (1 + u') >= |b|²:
+
+    * The exact dot product is α + β - 2 Re(a conj(b)) = |a - b|² + c +
+      (α - |a|² - c) + (β - |b|²), where α = fl32(fl64(|a|²) + c) is off
+      by at most (u + 3u')(|a|² + c) + t and β = fl32(fl64(|b|²)) by at
+      most (u + 2u') m + t.
+    * In any order, fused multiply-adds or not, the float32 dot product is
+      off by at most γ_4 times the sum of its |products| (Higham §3.1),
+      which is at most |a|² + |b|² + α + β since 2 |re a re b| + 2 |im a
+      im b| <= 2 |a| |b|, plus 8 t for its seven operations' underflow.
+
+    Together that is at most 9.001 u (|a|² + m) + 5.001 u c + 10.001 t,
+    less than c_ij = 10 u (fl64(|a|²) + e_sq_j) + 16 t, rounded in float64.
+    So |a - b|² <= x̃ <= |a - b|² + 2c: no x̃ is negative, and √x̃ lies in
+    [|a - b|, |a - b| + √(2c)].  The casts put |a - b| within u times the
+    four |q| + |e| plus 4 t of the exact modulus |q_j - e_j|, and the root
+    adds u relatively, so each float32 term lies within the distance
+    kernel's per-modulus error (5u times the four |q| + |e| plus 3 √t) of
+    the exact modulus, but for up to (1 + u) √(2c) more upward.  The
+    sequential sum scales those extras by at most 1 + γ_n.  The screen's
+    scores are then at most δ above the float64 kernel's, and at most δ +
+    (1 + γ_n)(1 + u) Σ_j √(2 c_ij) below them.  Under ``_SCREEN_LIMIT``,
+    |a|², |b|², c and every partial sum stay below 2^125: nothing
+    overflows.  The float64 rounding of that sum, under 1e-13 relatively,
+    is far inside δ's factor of two.
+    """
+    k, terms = c.shape
+    pairs = q32.reshape(k, terms, 2)
+    np.multiply(pairs.transpose(1, 0, 2), -2, out=A[:, :, :2])  # exact
+    np.square(pairs[:, :, 0], out=Z, dtype=np.float64)  # the squares of float32 values are exact in float64
+    Z += np.square(pairs[:, :, 1], out=c, dtype=np.float64)
+    np.add(Z, e_sq, out=c)
+    c *= 10 * _U32
+    c += 16 * _TINY32
+    Z += c
+    np.copyto(A[:, :, 2], Z.T, casting="same_kind")
+    c *= 2
+    gamma = terms * _U32 / (1 - terms * _U32)
+    return (1 + gamma) * (1 + _U32) * np.sqrt(c, out=c).sum(axis=1)
+
+
+def _rotate_screen(A: np.ndarray, B: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """Write RotatE's float32 screen, -sum_j fl(√fl(A_j · B_j)), into ``out`` (k, N).
+
+    Each dimension takes one float32 GEMM, (k, 4) by (4, N), into ``buf``
+    (see :func:`_rotate_lhs`), its square root and a subtraction: three
+    passes over the (k, N) buffers, against seven in
+    :func:`_negated_distance_sums`.
+    """
+    out.fill(0.0)
+    for a, b in zip(A, B):
+        np.sqrt(np.matmul(a, b, out=buf), out=buf)
+        out -= buf
+
+
 def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
     """float64 ``x``, a rounded sum, moved one float64 step toward ``toward``
     (+inf or -inf) and rounded to float32 in that direction: past the exact sum."""
@@ -441,20 +544,27 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
 class _ScreenedScorer(_DistanceScorer):
     """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
 
-    :meth:`screen` scores a block with :func:`_negated_distance_sums` on
-    float32 copies of the exact query rows and of E transposed (held in
-    float32 only), and bounds how far each row's scores lie from the float64
-    kernel's (:func:`_distance_bound`); :meth:`pair_scores` gives the float64
-    kernel's scores of chosen pairs.  Threads may share a scorer, each with a
-    :meth:`workspace` of its own.
+    :meth:`screen` scores a block in float32 from float32 copies of the
+    exact query rows and of the entities, held in float32 only: TransE with
+    :func:`_negated_distance_sums` on E transposed (``E_t``), RotatE with
+    one GEMM per complex dimension on the operands ``B`` of
+    :func:`_rotate_operands`.  It bounds how far below and above the
+    float64 kernel's scores each row's may lie (:func:`_distance_bound`,
+    and for RotatE :func:`_rotate_lhs`'s offsets); :meth:`pair_scores`
+    gives the float64 kernel's scores of chosen pairs.  Threads may share a
+    scorer, each with a :meth:`workspace` of its own.
     """
 
-    #: (query, entity) pairs that pair_scores scores at once
-    PAIR_ROWS = 128
+    #: (query, entity) pairs that pair_scores scores at once.  RotatE settles about 60 pairs per query; on
+    #: the 10x init checkpoint, 512 ranked its queries 5-10% faster than 128 (two workers, 2-vCPU Xeon).
+    PAIR_ROWS = 512
 
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
-        self.E_t = _transposed(self.E64, np.float32)
+        if self.rotate:
+            self.B, self.e_sq = _rotate_operands(self.E64)
+        else:
+            self.E_t = _transposed(self.E64, np.float32)
         self.terms = self.E64.shape[1] // 2 if self.rotate else self.E64.shape[1]
         # np.max, unlike max(), keeps a NaN
         self.e_l1 = float(np.max([np.abs(self.E64[i:i + 256]).sum(axis=1).max()
@@ -463,37 +573,52 @@ class _ScreenedScorer(_DistanceScorer):
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
         """Buffers for blocks of up to k queries: the (k, d) query rows ``q`` and relation rows ``w``, the
-        float32 query rows ``q32``, the float32 (k, N) scores and kernel buffers ``planes32``, and the
-        ``pairs`` that :meth:`pair_scores` settles at once."""
+        float32 query rows ``q32``, the float32 (k, N) scores and kernel buffer ``planes32``, RotatE's
+        left-hand operands ``A`` and its (k, terms) ``Z`` and ``c`` (:func:`_rotate_lhs`), and the ``pairs``
+        that :meth:`pair_scores` settles at once."""
         n, width = self.E64.shape
-        return {
+        ws = {
             "q": np.empty((k, self.E.shape[1]), dtype=self.E.dtype),
             "w": np.empty((k, self.E.shape[1]), dtype=self.R.dtype),
             "q32": np.empty((k, width), dtype=np.float32),
-            "planes32": np.empty((2 + self.rotate, k, n), dtype=np.float32),
+            # zeroed: a GEMM or GEMV that scales its output by 0 first would keep a NaN found there
+            "planes32": np.zeros((2, k, n), dtype=np.float32),
             "pairs": np.empty((2, self.PAIR_ROWS, width)),
         }
+        if self.rotate:
+            ws |= {"A": np.ones((self.terms, k, 4), dtype=np.float32), "Z": np.empty((k, self.terms)),
+                   "c": np.empty((k, self.terms))}
+        return ws
 
-    def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple[np.ndarray, np.ndarray | None,
+                                                                         np.ndarray | None, np.ndarray | None]:
         """The exact float64 query rows of (s[i], r[i], ?) as a real view, and,
-        if the float32 pass can be trusted, its (k, N) scores and each row's
-        bound δ, else None for both.  It cannot when a query row's or an
-        entity's L1 norm is ``_SCREEN_LIMIT`` or more or not finite, or when
-        a float32 score is not finite.  The gathers clip ids."""
+        if the float32 pass can be trusted, its (k, N) scores and, per row, how
+        far below and above the float64 kernel's scores they may lie, else
+        None for those three.  It cannot when a query row's or an entity's L1
+        norm is ``_SCREEN_LIMIT`` or more or not finite, or when a float32
+        score is not finite.  The gathers clip ids."""
         k = len(s)
         q, w = ws["q"][:k], ws["w"][:k]
         _query_rows(self.kind, self.E, self.R, s, r, q, w)
         q = q.view(np.float64)
         q_l1 = np.abs(q, out=w.view(np.float64)).sum(axis=1)  # w is spent
         if not (self.screenable and q_l1.max() < _SCREEN_LIMIT):
-            return q, None, None
+            return q, None, None, None
         q32 = ws["q32"][:k]
         np.copyto(q32, q, casting="same_kind")
-        out, *bufs = ws["planes32"][:, :k]
-        _negated_distance_sums(q32, self.E_t, bufs, out)
+        out, buf = ws["planes32"][:, :k]
+        delta = _distance_bound(q_l1 + self.e_l1, self.terms, self.rotate)
+        if self.rotate:
+            A = ws["A"][:, :k]
+            below = delta + _rotate_lhs(q32, self.e_sq, A, ws["Z"][:k], ws["c"][:k])
+            _rotate_screen(A, self.B, buf, out)
+        else:
+            below = delta
+            _negated_distance_sums(q32, self.E_t, [buf], out)
         if not np.isfinite(out.min()):  # min keeps a NaN
-            return q, None, None
-        return q, out, _distance_bound(q_l1 + self.e_l1, self.terms, self.rotate)
+            return q, None, None, None
+        return q, out, below, delta
 
     def pair_scores(self, q: np.ndarray, rows: np.ndarray, objs: np.ndarray, ws: dict) -> np.ndarray:
         """The float64 scores of the pairs (query row q[rows[i]], entity objs[i]).
@@ -520,13 +645,14 @@ class _ScreenedScorer(_DistanceScorer):
         return out
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
-        """The block of the queries (s[i], r[i], o[i]): its float32 screen bracketed by t -/+ δ rounded
-        outward, or, if the screen cannot be trusted, the :meth:`exact` block (see :func:`_exact_bracketed`)."""
-        q, screen, delta = self.screen(s, r, ws)
+        """The block of the queries (s[i], r[i], o[i]): its float32 screen bracketed by t - below and t + above
+        rounded outward (see :meth:`screen`), or, if the screen cannot be trusted, the :meth:`exact` block
+        (see :func:`_exact_bracketed`)."""
+        q, screen, below, above = self.screen(s, r, ws)
         if screen is None:
             return _exact_bracketed(self.exact(s, r), o)
         t = self.pair_scores(q, np.arange(len(s)), o, ws)
-        return (screen, _outward32(t - delta, -np.inf), _outward32(t + delta, np.inf), t,
+        return (screen, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t,
                 lambda i, j: self.pair_scores(q, i, j, ws))
 
 
@@ -582,46 +708,53 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray, index: np.nd
     np.add.at(flat, cols.reshape(-1), np.ascontiguousarray(rows).view(dtype).reshape(-1))
 
 
-def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int) -> dict[str, tuple | dict[str, tuple]]:
+def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int,
+                     backward: bool = True) -> dict[str, tuple | dict[str, tuple]]:
     """(shape, dtype) of each buffer of a step over up to ``rows`` pairs, the gradient blocks aside.
 
-    Every model has the scores (positives, then negatives), the losses and
-    the active mask.  RESCAL and TuckER hold [pos; neg] as given (``pairs``)
-    and sorted by relation, the sorted rows' gathered subjects S and objects
-    O, S M_r, and the loss coefficients in both orders.  TuckER adds the
-    batch's relation rows, their M_r (stored as W x_2 w_r leaves it,
-    relation second), G per relation and the relation gradient rows.  The
-    other models keep each half's forward results (the dicts ``pos`` and
-    ``neg``) for its gradient, the active rows of a partly active half
-    (``act``) and of its triples, the flat scatter ``index`` and its
-    ``columns``, and shared work buffers; RotatE also exp(i theta) of every
-    relation.
+    The forward passes write these: RESCAL and TuckER hold [pos; neg]
+    sorted by relation, the sorted rows' gathered subjects S and objects O,
+    S M_r and the sorted scores, and TuckER the batch's relation rows and
+    their M_r (stored as W x_2 w_r leaves it, relation second).  The other
+    models keep a half's forward results (the dict ``pos``) and shared work
+    buffers; RotatE also exp(i theta) of every relation.  With ``backward``
+    (the step's), every model adds the scores (positives, then negatives),
+    the losses and the active mask.  RESCAL and TuckER add [pos; neg] as
+    given (``pairs``), the loss coefficients in both orders and, for
+    TuckER, G per relation and the relation gradient rows.  The others add
+    the other half's forward results (``neg``), the active rows of a
+    partly active half (``act``) and of its triples, the flat scatter
+    ``index`` and its ``columns``, and the backward passes' work buffers.
     """
     real, cplx, ids = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
-    specs = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool))}
+    step = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool))}
     if kind in _BILINEAR:
         n = 2 * rows
-        specs |= {"pairs": ((n, 3), ids), "sorted": ((n, 3), ids),
-                  "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
-                  "coeff": ((n,), real), "sorted_coeff": ((n,), real), "sorted_scores": ((n,), real),
-                  "columns": ((d,), ids)}
+        specs = {"sorted": ((n, 3), ids), "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
+                 "sorted_scores": ((n,), real)}
+        step |= {"pairs": ((n, 3), ids), "coeff": ((n,), real), "sorted_coeff": ((n,), real), "columns": ((d,), ids)}
         if kind is ModelKind.TUCKER:
-            specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real), "G": ((r, d, d), real),
-                      "rel_grads": ((r, d), real)}
-        return specs
+            specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real)}
+            step |= {"G": ((r, d, d), real), "rel_grads": ((r, d), real)}
+        return specs | step if backward else specs
     width = d if kind is ModelKind.TRANSE else 2 * d
-    specs |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
+    step |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
     if kind is ModelKind.TRANSE:
-        half, shared = {"u": real}, {"t": real, "g": real}
+        half, shared, shared_step = {"u": real}, {"t": real}, {"g": real}
     elif kind is ModelKind.COMPLEX:
-        half, shared = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}
-        specs["csum"] = ((rows,), cplx)
+        half, shared, shared_step = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}, {}
     else:
-        half, shared = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx, "nz": np.dtype(bool)}
+        half, shared, shared_step = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx}, {"nz": bool}
+    specs = {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared.items()}
+    specs["pos"] = {buf: ((rows, d), dtype) for buf, dtype in half.items()}
+    if kind is ModelKind.COMPLEX:
+        specs["csum"] = ((rows,), cplx)
+    elif kind is ModelKind.ROTATE:
         specs["rotations"] = ((r, d), cplx)
-    for name in ("pos", "neg", "act"):
-        specs[name] = {buf: ((rows, d), dtype) for buf, dtype in half.items()}
-    return specs | {name: ((rows, d), dtype) for name, dtype in shared.items()}
+    if not backward:
+        return specs
+    step |= {name: specs["pos"] for name in ("neg", "act")}
+    return specs | step | {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared_step.items()}
 
 
 class _BatchWorkspace:
@@ -632,18 +765,20 @@ class _BatchWorkspace:
     ``buf["neg"]`` and ``buf["act"]`` are dicts of a half's).  A step clears
     the gradient blocks and writes into the first rows of the buffers, so a
     shorter last batch reuses them.  RESCAL's and TuckER's scatter index is
-    O's memory, spent by the time they scatter.
+    O's memory, spent by the time they scatter.  Without ``backward`` it
+    holds only what the forward passes write, and no gradient blocks.
     """
 
-    def __init__(self, params: ModelParams, rows: int) -> None:
+    def __init__(self, params: ModelParams, rows: int, backward: bool = True) -> None:
         self.rows = rows
-        self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
-        specs = _workspace_specs(params.kind, params.num_relations, params.dim, rows)
+        self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()} if backward else {}
+        specs = _workspace_specs(params.kind, params.num_relations, params.dim, rows, backward)
         self.buf = {name: {k: np.empty(*v) for k, v in spec.items()} if isinstance(spec, dict) else np.empty(*spec)
                     for name, spec in specs.items()}
-        self.buf["columns"][:] = np.arange(len(self.buf["columns"]))
-        if params.kind in _BILINEAR:
-            self.buf["index"] = self.buf["O"].reshape(-1).view(np.int64)
+        if backward:
+            self.buf["columns"][:] = np.arange(len(self.buf["columns"]))
+            if params.kind in _BILINEAR:
+                self.buf["index"] = self.buf["O"].reshape(-1).view(np.int64)
 
     def scatter(self, block: str, idx: np.ndarray, rows: np.ndarray) -> None:
         """Add rows[i] into row idx[i] of gradient block ``block``, for every i in turn."""
@@ -715,12 +850,14 @@ def _complex_forward(params, triples, h, ws, scores) -> None:
 
 
 def _complex_backward(params, triples, h, ws, coeff) -> None:
+    # every complex product is written apart from its operands (see _complex_forward): the spent conj(eo) and c
+    # take turns, and the scatters read the one not being written
     m, b = len(triples), ws.buf
-    c, es, w, eo = b["c"][:m], h["es"][:m], h["w"][:m], h["eo"][:m]
-    np.multiply(coeff, np.multiply(np.conjugate(w, out=c), eo, out=c), out=c)
-    ws.scatter("entity", triples[:, 0], c)
-    np.multiply(coeff, np.multiply(np.conjugate(es, out=c), eo, out=c), out=c)
-    ws.scatter("relation", triples[:, 1], c)
+    c, x, es, w, eo = b["c"][:m], b["conj_eo"][:m], h["es"][:m], h["w"][:m], h["eo"][:m]
+    np.multiply(coeff, np.multiply(np.conjugate(w, out=x), eo, out=c), out=x)
+    ws.scatter("entity", triples[:, 0], x)
+    np.multiply(coeff, np.multiply(np.conjugate(es, out=x), eo, out=c), out=x)
+    ws.scatter("relation", triples[:, 1], x)
     ws.scatter("entity", triples[:, 2], np.multiply(coeff, h["esw"][:m], out=c))
 
 
@@ -743,12 +880,14 @@ def _rotate_backward(params, triples, h, ws, coeff) -> None:
     np.negative(gu, out=c)
     gu.fill(0)
     np.divide(c, mod, out=gu, where=nz)
+    # every complex product is written apart from its operands (see _complex_forward); es, spent once
+    # conj(es) is taken, is the second buffer
     np.conjugate(rot, out=rot)
-    np.multiply(coeff, np.multiply(rot, gu, out=c), out=c)
-    ws.scatter("entity", triples[:, 0], c)
-    ws.scatter("entity", triples[:, 2], np.multiply(-coeff, gu, out=c))
-    np.multiply(np.multiply(np.conjugate(es, out=c), gu, out=c), rot, out=c)
+    np.multiply(np.multiply(np.conjugate(es, out=c), gu, out=es), rot, out=c)
     ws.scatter("relation", triples[:, 1], np.multiply(coeff, c.imag, out=mod))
+    np.multiply(coeff, np.multiply(rot, gu, out=c), out=es)
+    ws.scatter("entity", triples[:, 0], es)
+    ws.scatter("entity", triples[:, 2], np.multiply(-coeff, gu, out=c))
 
 
 def _start_halves(params: ModelParams, ws: _BatchWorkspace) -> None:

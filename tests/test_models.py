@@ -220,6 +220,22 @@ def test_score_batch_of_an_empty_batch_is_empty(kind):
     assert scores.shape == (0,) and scores.dtype == np.float64
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_batch_allocates_less_than_one_entity_block(kind):
+    """score_batch builds only the forward passes' buffers: no gradient block."""
+    p = make_params(kind, n_ent=2000, n_rel=3, dim=64, seed=5)
+    triples = np.array([[3, 1, 1999]])
+    expected = score_batch(p, triples)
+    tracemalloc.start()
+    try:
+        scores = score_batch(p, triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.blocks["entity"].nbytes, (peak, p.blocks["entity"].nbytes)
+    assert scores.tobytes() == expected.tobytes() == reference_score_batch(p, triples).tobytes()
+
+
 @settings(deadline=None)
 @given(kind=st.sampled_from(ALL_KINDS), dim=st.integers(1, 9), n_ent=st.integers(1, 12), n_rel=st.integers(1, 4),
        size=st.integers(0, 40), one_relation=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -278,18 +294,21 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
 def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, workers):
     """The distance kernel scores each entity on its own: ranges of entities
     scored on threads that share one E transposed give the bits of one call
-    over all entities, in float64 (the exact block) and in float32 (the
-    screen, whose E transposed the rank pool shares).  Ranges may be empty
-    (seven of one entity)."""
+    over all entities, in float64 (the exact block) and in TransE's float32
+    screen, whose E transposed the rank pool shares.  (RotatE's screen is a
+    GEMM per dimension, whose bits may depend on the block's width: see
+    test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call.)
+    Ranges may be empty (seven of one entity)."""
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
     rng = np.random.default_rng(n_ent)
     k = block_rows(n_ent)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     scorer = models._ScreenedScorer(p)
     ws = scorer.workspace(k)
-    q, screen, _ = scorer.screen(s, r, ws)
-    cases = [(q, models._transposed(scorer.E64, np.float64), score_objects(p, s, r)),
-             (ws["q32"][:k], scorer.E_t, screen.copy())]
+    q, screen, _, _ = scorer.screen(s, r, ws)
+    cases = [(q, models._transposed(scorer.E64, np.float64), score_objects(p, s, r))]
+    if kind is ModelKind.TRANSE:
+        cases.append((ws["q32"][:k], scorer.E_t, screen.copy()))
     n_bufs = 1 if kind is ModelKind.TRANSE else 2
     edges = np.linspace(0, n_ent, workers + 1).astype(int)
     interval = sys.getswitchinterval()
@@ -308,6 +327,34 @@ def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, wor
                     out.fill(np.nan)
                     list(pool.map(score_range, zip(edges[:-1], edges[1:])))
                     assert out.tobytes() == expected.tobytes(), expected.dtype
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_ent", [1, 2, 1023])
+def test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call(n_ent):
+    """RotatE's screen operands B are shared by the rank pool's threads, each
+    scoring whole blocks into a workspace of its own: every thread's blocks
+    have the bits and bounds of one call."""
+    p = make_params(ModelKind.ROTATE, n_ent=n_ent, n_rel=3, dim=8, seed=4)
+    rng = np.random.default_rng(n_ent)
+    k = min(block_rows(n_ent), 64)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
+    scorer = models._ScreenedScorer(p)
+    _, screen, below, above = (x.copy() for x in scorer.screen(s, r, scorer.workspace(k)))
+
+    def screen_blocks(_):
+        ws = scorer.workspace(k)
+        for _ in range(5):
+            _, got, got_below, got_above = scorer.screen(s, r, ws)
+            assert got.tobytes() == screen.tobytes()
+            assert got_below.tobytes() == below.tobytes() and got_above.tobytes() == above.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(screen_blocks, range(4)))
     finally:
         sys.setswitchinterval(interval)
 
@@ -505,12 +552,15 @@ def test_gradients_equal_the_add_at_reference_bit_for_bit(kind):
     # second model's smaller margin leaves some TransE and RotatE hinges inactive
     # (the workspace test below has partly active batches of every kind), and the
     # odd dim of the third makes the real blocks scatter as float64, not complex128.
+    # At dim 1, batches of one and two pairs are where numpy takes other loops for a
+    # complex product written over one of its own operands.
     # RESCAL's and TuckER's gradients agree within 1e-12 (see assert_gradient_matches)
     n_ent, n_rel = 30, 5
     rng = np.random.default_rng(12)
-    for dim, margin in ((16, 1.0), (64, 0.5), (7, 1.0)):
+    for dim, margin, sizes in ((16, 1.0, (512, 40, 1)), (64, 0.5, (512, 40, 1)), (7, 1.0, (512, 40, 1)),
+                               (1, 1.0, (1, 2) * 10)):
         p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=dim)
-        for size in (512, 40, 1):
+        for size in sizes:
             pos = np.column_stack([rng.integers(n_ent, size=size), rng.integers(n_rel, size=size),
                                    rng.integers(n_ent, size=size)])
             neg = corrupt_batch(pos, n_ent, rng)

@@ -56,6 +56,14 @@ def edge_case(kind, case, seed=3, n_ent=60, n_rel=3):
         E[::7] *= 1e-6
         if kind is ModelKind.TRANSE:
             p.blocks["relation"] *= 1e-40
+    elif case == "true object at the query":  # E[o] = E[s] + R[r] or E[s] exp(i theta_r): every |q - e| is 0
+        queries[:20, 0], queries[:20, 2] = np.arange(20), np.arange(30, 50)
+        s, r = queries[:20, 0], queries[:20, 1]
+        rows = p.blocks["entity"]
+        if kind is ModelKind.TRANSE:
+            rows[30:50] = rows[s] + p.blocks["relation"][r]
+        else:
+            rows[30:50] = rows[s] * np.exp(1j * p.blocks["relation"][r])
     elif case == "huge entities":  # the whole call falls back to float64
         E *= 2.0 ** 60
     elif case == "huge relation":  # the blocks of one relation fall back
@@ -68,7 +76,8 @@ def edge_case(kind, case, seed=3, n_ent=60, n_rel=3):
     return p, queries, index, candidates
 
 
-@pytest.mark.parametrize("case", ["random", "duplicates", "one ulp", "underflow", "huge entities", "huge relation"])
+@pytest.mark.parametrize("case", ["random", "duplicates", "one ulp", "underflow", "true object at the query",
+                                  "huge entities", "huge relation"])
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
 def test_screened_ranks_equal_float64_ranks(kind, case, monkeypatch):
     """Under every tie policy, raw and filtered, with and without a candidate
@@ -95,8 +104,15 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind):
     assert ties.sum() > len(o)  # duplicate rows tie their true objects
     assert (screen[ties] >= np.repeat(lower, ties.sum(axis=1))).all()  # and fall in the band
     assert (screen[ties] <= np.repeat(upper, ties.sum(axis=1))).all()
-    _, screen, delta = scorer.screen(s, r, ws)
-    assert (np.abs(screen - exact) <= delta[:, None]).all()
+    _, screen, below, above = scorer.screen(s, r, ws)
+    assert_within(exact, screen, below, above)
+    p, queries, _, _ = edge_case(kind, "true object at the query")
+    scorer = models._ScreenedScorer(p)
+    s, r, o = queries[:20].T
+    _, screen, below, above = scorer.screen(s, r, scorer.workspace(len(s)))
+    exact = score_objects(p, s, r)
+    assert (exact[np.arange(len(o)), o] == 0).all()  # the squares cancel to 0
+    assert_within(exact, screen, below, above)
     for case in ("huge entities", "huge relation"):
         p, queries, _, _ = edge_case(kind, case)
         scorer = models._ScreenedScorer(p)
@@ -114,27 +130,73 @@ def random_rows(rng, shape, lo, hi):
     return values
 
 
+def assert_within(exact, screen, below, above):
+    """exact - screen lies in [-above, below], row by row and elementwise."""
+    diff = exact - screen.astype(np.float64)
+    assert (-above[:, None] <= diff).all() and (diff <= below[:, None]).all()
+
+
+def assert_rotate_screen_within_bound(q, E):
+    """RotatE's screen of the query rows q against the entities E (float64, (re, im) column pairs) lies within
+    its bounds of the float64 kernel's block.  The query rows are entities of their own, rotated by 0."""
+    k, n_ent = len(q), len(E)
+    p = init_params(ModelKind.ROTATE, n_ent + k, 1, TrainConfig(dim=q.shape[1] // 2, seed=0))
+    p.blocks["entity"].view(np.float64)[:] = np.vstack([E, q])
+    p.blocks["relation"][:] = 0.0
+    s, r = np.arange(n_ent, n_ent + k), np.zeros(k, dtype=np.int64)
+    scorer = models._ScreenedScorer(p)
+    _, screen, below, above = scorer.screen(s, r, scorer.workspace(k))
+    assert screen is not None
+    assert (above <= below).all()
+    assert_within(scorer.exact(s, r), screen, below, above)
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(), lo=st.floats(-30, 15), span=st.floats(0, 45),
        half_width=st.integers(1, 24), n_ent=st.integers(1, 20), k=st.integers(1, 4))
 def test_float32_scores_lie_within_the_bound(seed, rotate, lo, span, half_width, n_ent, k):
-    """|s32 - s64| <= δ elementwise, for magnitudes from 1e-30 to 1e15, entity
-    rows near query rows (cancellation) included."""
+    """|s32 - s64| <= δ elementwise for TransE, and s64 - s32 within [-δ, δ +
+    RotatE's offsets] for RotatE's screen, for magnitudes from 1e-30 to 1e15,
+    entity rows near query rows (cancellation) included."""
     rng = np.random.default_rng(seed)
     hi = min(lo + span, 15.0)
     width = 2 * half_width if rotate else half_width + rng.integers(0, 2)
     q = random_rows(rng, (k, width), lo, hi)
     E = random_rows(rng, (n_ent, width), lo, hi)
     E[: min(k, n_ent)] = q[: min(k, n_ent)] * (1 + random_rows(rng, (min(k, n_ent), width), -8, -4))
-    bufs = 2 if rotate else 1
+    if rotate:
+        assert_rotate_screen_within_bound(q, E)
+        return
     s64 = np.empty((k, n_ent))
-    models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent)) for _ in range(bufs)], s64)
+    models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent))], s64)
     s32 = np.empty((k, n_ent), dtype=np.float32)
     models._negated_distance_sums(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32),
-                                  [np.empty((k, n_ent), dtype=np.float32) for _ in range(bufs)], s32)
+                                  [np.empty((k, n_ent), dtype=np.float32)], s32)
     l1 = np.abs(q).sum(axis=1) + np.abs(E).sum(axis=1).max()
-    delta = models._distance_bound(l1, width // 2 if rotate else width, rotate)
+    delta = models._distance_bound(l1, width, False)
     assert (np.abs(s32.astype(np.float64) - s64) <= delta[:, None]).all()
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-30, 15), span=st.floats(0, 45), terms=st.integers(1, 24),
+       n_ent=st.integers(1, 20), k=st.integers(1, 4), huge=st.booleans())
+def test_rotate_screen_lies_within_its_bounds(seed, lo, span, terms, n_ent, k, huge):
+    """exact - screen lies in [-δ, δ + (1 + γ_n)(1 + u) Σ_j √(2 c_ij)] elementwise,
+    where the GEMM's squares cancel: entity coordinates equal to the query's
+    (|q_j - e_j| = 0) or one float64 ulp from them, magnitudes from 1e-30 to
+    1e15, and one coordinate of a row at ±2^59, just inside the screen's limit."""
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 15.0)
+    q = random_rows(rng, (k, 2 * terms), lo, hi)
+    E = random_rows(rng, (n_ent, 2 * terms), lo, hi)
+    for i in range(n_ent):
+        j = rng.random(terms) < 0.5  # complex coordinates the entity shares with a query row, or misses by an ulp
+        cols = np.repeat(j, 2)
+        E[i, cols] = q[i % k, cols] if i % 3 else np.nextafter(q[i % k, cols], rng.choice([-np.inf, np.inf]))
+    if huge:
+        for rows in (q, E):
+            rows[rng.integers(len(rows)), rng.integers(2 * terms)] = rng.choice([-1.0, 1.0]) * 2.0 ** 59
+    assert_rotate_screen_within_bound(q, E)
 
 
 @settings(deadline=None)
@@ -161,7 +223,7 @@ def test_screened_ranks_equal_float64_ranks_on_tie_heavy_tables(seed, kind, scal
 
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
 def test_pair_scores_equal_score_objects_bit_for_bit(kind):
-    n_ent = 300
+    n_ent = 700
     p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=7))
     rng = np.random.default_rng(7)
     s, r = rng.integers(n_ent, size=5), rng.integers(3, size=5)
@@ -243,10 +305,10 @@ def test_warm_ranked_block_allocates_less_than_one_mask(kind):
 def test_screened_scorer_holds_no_float64_entity_copy():
     p = init_params(ModelKind.ROTATE, 500, 3, TrainConfig(dim=16, seed=1))
     scorer = models._ScreenedScorer(p)
-    assert scorer.E_t.dtype == np.float32 and scorer.E_t.shape == (32, 500)
+    assert scorer.B.dtype == np.float32 and scorer.B.shape == (16, 4, 500) and not hasattr(scorer, "E_t")
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
     ws = scorer.workspace(9)
-    assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (3, 9, 500)
+    assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (2, 9, 500)
     assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
 
 
