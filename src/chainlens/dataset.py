@@ -20,6 +20,19 @@ file with a line boundary other than ``\\n`` is first rewritten once as
 ``"\\n".join(text.splitlines())``.  ``tests/reference_reader.py`` keeps the
 str-level reader that this one must agree with.
 
+Each file is read on its own into a view: its (label, type) keys in
+first-appearance order and its rows in their local ids.  The views are
+merged in file order into one numbering.  A parsed regular file's view is
+saved beside it as ``<name>.parsed.npz``, its parse memo, with the sha256 of
+the bytes parsed, in the manner of hash-checked ``.pyc`` files (PEP 552).
+The next read hashes the file and takes the memo's view in place of a parse
+only if the hash, the memo version and the name tables match, the arrays
+load without unpickling, the view is one the parser could have made (its
+labels, their numbering, its ids and codes), and every row is legal under
+the schema in use; otherwise the file is parsed, so every error still names
+``path:line``, and the memo replaced.  The memo version changes with what
+the parser makes of a file.  A memo that cannot be written is left out.
+
 The synthetic generator emits a schema-valid network shaped like a real
 multi-tier supply base: a single hub supplier supplied by every tier-1
 supplier, tier-2 supplying tier-1 and tier-3 supplying tier-2 under linear
@@ -30,18 +43,26 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import logging
 import math
 import os
+import stat
+import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from itertools import count, repeat
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
 from .graph import (
     DEFAULT_SCHEMA,
     ENTITY_TYPE_INDEX,
+    ENTITY_TYPE_NAMES,
     EntityType,
     Graph,
     GraphError,
@@ -56,6 +77,8 @@ from .graph import (
 TRAIN_FILE = "train.tsv"
 VALID_FILE = "valid.tsv"
 TEST_FILE = "test.tsv"
+
+logger = logging.getLogger(__name__)
 
 _HEADER = "# subject\tsubject_type\tpredicate\tobject\tobject_type"
 
@@ -101,19 +124,23 @@ _WORD_MASKS = np.frombuffer(b"".join(bytes(8 - k).rjust(8, b"\xff") for k in ran
 _PAD = 8 * -(-max(len(name.encode("utf-8")) for name in (*_RELATION_CODES, *_ENTITY_CODES)) // 8)
 
 
-def _read_text(path: Path) -> tuple[bytearray, int]:
-    """The UTF-8 bytes of a text file, then ``_PAD`` zero bytes, and the number of text bytes.
-
-    Every line boundary is a ``\\n``: a file with any other boundary is
-    rewritten once as ``"\\n".join(text.splitlines())``.  Raises
-    :class:`ParseError` for bytes that are not UTF-8.
-    """
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
-        size = fh.readinto(memoryview(data)[: len(data) - _PAD])
-        rest = fh.read()  # all of a pipe, whose size fstat gives as 0
+def _read_bytes(fh) -> tuple[bytearray, int]:
+    """All of an open file's bytes, then ``_PAD`` zero bytes, and the number of file bytes."""
+    data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
+    size = fh.readinto(memoryview(data)[: len(data) - _PAD])
+    rest = fh.read()  # all of a pipe, whose size fstat gives as 0
     if rest:
         data, size = data[:size] + rest + bytes(_PAD), size + len(rest)
+    return data, size
+
+
+def _as_text(data: bytearray, size: int, path: Path) -> tuple[bytearray, int]:
+    """``_read_bytes``' result with every line boundary a ``\\n``.
+
+    A file with any other boundary is rewritten once as
+    ``"\\n".join(text.splitlines())``.  Raises :class:`ParseError` for bytes
+    that are not UTF-8.
+    """
     breaks = _ASCII_BREAKS
     if not data.isascii():
         utf8_text(memoryview(data)[:size], path, ParseError)
@@ -293,9 +320,18 @@ def _vocabulary(vocab: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
     return labels, (heads & 0xFF).astype(np.uint8)
 
 
-def _read_file(path: Path, schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
-    """(k, 3) id triples of every triple line of one file, with new entities numbered in ``vocab``."""
-    data, size = _read_text(Path(path))
+class _FileView(NamedTuple):
+    """One triple file read on its own: its (label, type) keys in first-appearance order, numbered from 0 (the
+    local ids), and its rows in those ids."""
+
+    labels: list[str]
+    codes: np.ndarray  # (n,) uint8 type code of each label
+    rows: np.ndarray  # (k, 3) int64 local subject id, relation code, local object id
+
+
+def _parse(path: Path, data: bytearray, size: int, schema: Schema) -> _FileView:
+    """The view of the ``_as_text`` bytes ``data[:size]`` of the file at ``path``."""
+    vocab: dict[bytes, int] = {}
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[:size] == ord("\n"))
     if size and data[size - 1] != ord("\n"):
@@ -308,7 +344,135 @@ def _read_file(path: Path, schema: Schema, vocab: dict[bytes, int]) -> np.ndarra
         rows = _parse_batch(path, data, buf, starts, batch, i + 1, schema, vocab)
         spo[k : k + len(rows)] = rows
         k += len(rows)
-    return spo[:k]
+    return _FileView(*_vocabulary(vocab), spo[:k])
+
+
+#: A triple file's parse memo is written beside it, under its name plus this suffix.
+MEMO_SUFFIX = ".parsed.npz"
+#: The version of the parser's output that a memo holds; a memo of another version is not read.  It goes up
+#: whenever what the parser makes of some file changes (``tests/test_reader.py`` ties it to a sample's parse)
+#: or the memo's layout does.
+_MEMO_VERSION = 2
+#: A memo's ``meta`` member, after the sha256 of the bytes parsed: the version, then the names that its
+#: relation and type codes stand for.
+_MEMO_META = "\n".join([f"chainlens parse memo {_MEMO_VERSION}", "\t".join(r.value for r in RELATION_BY_INDEX),
+                        "\t".join(ENTITY_TYPE_NAMES)]).encode("utf-8")
+#: What loading a memo that is not one of ours may raise; a truncated one raises BadZipFile.
+_MEMO_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+#: Bytes that no parsed label holds: the field separator and every line boundary but ``\n``, which joins labels.
+_NOT_IN_LABELS = (b"\t", *_ASCII_BREAKS, *_WIDE_BREAKS)
+
+
+def _load_memo(memo: Path, digest: bytes, schema: Schema) -> _FileView | None:
+    """The view in ``memo``, or None unless it is a view the parser could have made of the bytes whose sha256
+    is ``digest`` under ``schema``.
+
+    The memo must hold that sha256, this version and these names; its arrays
+    must load without unpickling, as a memo holding an object array is
+    refused, with the expected dtypes and shapes.  Its labels must be
+    nonempty, free of tabs and line breaks, and distinct within their type,
+    and no subject's may start with ``#``.  Its rows must number the labels
+    in first-appearance order, subject before object, as the parser does,
+    with every relation and type code known and every row legal under
+    ``schema``.
+    """
+    try:
+        with np.load(memo, allow_pickle=False) as z:
+            meta, text, codes, rows = z["meta"], z["labels"], z["codes"], z["rows"]
+        if not (meta.dtype == text.dtype == codes.dtype == np.uint8 and meta.ndim == text.ndim == codes.ndim == 1
+                and meta.tobytes() == digest + _MEMO_META and rows.dtype == np.int64 and rows.ndim == 2
+                and rows.shape[1] == 3):
+            return None
+        raw = text.tobytes()
+        labels = raw.decode("utf-8").split("\n") if len(codes) else []
+    except _MEMO_ERRORS:  # a UnicodeDecodeError is a ValueError
+        return None
+    n = len(codes)
+    if (len(labels) != n or not all(labels) or any(b in raw for b in _NOT_IN_LABELS)
+            or (n and codes.max() >= len(ENTITY_TYPE_NAMES))
+            or (len(set(labels)) < n and len(set(zip(codes.tolist(), labels))) < n)):
+        return None
+    if not len(rows):
+        return _FileView(labels, codes, rows) if n == 0 else None
+    ends = rows[:, 0::2].ravel()
+    seen = np.maximum.accumulate(ends)  # the largest id so far; each new id must be one past it
+    hashed = text[np.concatenate(([0], np.flatnonzero(text == ord("\n")) + 1))] == ord("#")  # by label
+    if not (ends[0] == 0 and ends.min() >= 0 and (ends[1:] <= seen[:-1] + 1).all() and seen[-1] == n - 1
+            and rows[:, 1].min() >= 0 and rows[:, 1].max() < len(RELATION_BY_INDEX)
+            and not hashed[rows[:, 0]].any()
+            and schema.legal(rows[:, 1], codes[rows[:, 0]], codes[rows[:, 2]]).all()):
+        return None
+    return _FileView(labels, codes, rows)
+
+
+def _write_memo(memo: Path, digest: bytes, view: _FileView) -> None:
+    """Write ``view`` to ``memo`` as the view of the bytes whose sha256 is ``digest``.
+
+    The memo is written to a temp file and renamed over ``memo``, so a reader
+    sees a whole memo or none.  An OSError, as in a read-only directory,
+    leaves no memo and is not raised.
+    """
+    buf = io.BytesIO()  # one write to the file, not one per zip member
+    np.savez(buf, meta=np.frombuffer(digest + _MEMO_META, dtype=np.uint8),
+             labels=np.frombuffer("\n".join(view.labels).encode("utf-8"), dtype=np.uint8),
+             codes=view.codes, rows=view.rows)
+    tmp = memo.with_name(f"{memo.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(buf.getbuffer())
+        os.replace(tmp, memo)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+def _read_view(path: Path, schema: Schema) -> _FileView:
+    """The view of one triple file: from its memo when ``_load_memo`` trusts it, else parsed.
+
+    A parsed regular file gets a fresh memo; a pipe or other non-regular file
+    gets none.
+    """
+    start = time.perf_counter()
+    with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        data, size = _read_bytes(fh)
+    memo = path.with_name(path.name + MEMO_SUFFIX)
+    digest = hashlib.sha256(memoryview(data)[:size]).digest() if regular else b""
+    view = _load_memo(memo, digest, schema) if regular and memo.is_file() else None  # a FIFO memo would block
+    parsed = view is None
+    if parsed:
+        view = _parse(path, *_as_text(data, size, path), schema)
+        if regular:
+            _write_memo(memo, digest, view)
+    logger.info("%s: %s in %.1f ms", path, "parsed" if parsed else "read from its memo",
+                1e3 * (time.perf_counter() - start))
+    return view
+
+
+def _merge(views: list[_FileView]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """The files' keys under one numbering, in first-appearance order over the files, and each file's rows in it.
+
+    The first file's local ids are kept; a later file's keys are looked up,
+    and only its new ones are numbered, in its own order.  A later file's
+    rows are renumbered in place.
+    """
+    first = views[0]
+    if len(views) == 1:
+        return first.labels, first.codes, [first.rows]
+    labels, codes, arrays = list(first.labels), [first.codes], [first.rows]
+    ids = dict(zip(zip(first.codes.tolist(), first.labels), count()))
+    for view in views[1:]:
+        keys = list(zip(view.codes.tolist(), view.labels))
+        local = np.fromiter(map(ids.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+        fresh = np.flatnonzero(local < 0)
+        local[fresh] = np.arange(len(labels), len(labels) + len(fresh))
+        ids.update(zip(map(keys.__getitem__, fresh.tolist()), local[fresh].tolist()))
+        labels += map(view.labels.__getitem__, fresh.tolist())
+        codes.append(view.codes[fresh])
+        rows = view.rows
+        rows[:, 0::2] = local[rows[:, 0::2]]
+        arrays.append(rows)
+    return labels, np.concatenate(codes), arrays
 
 
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
@@ -318,11 +482,9 @@ def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.nda
     files; the graph keeps each distinct triple once, in first-appearance
     order, while the per-file arrays keep every line.
     """
-    vocab: dict[bytes, int] = {}
-    arrays = [_read_file(path, schema, vocab) for path in paths]
-    labels, codes = _vocabulary(vocab)
+    labels, codes, arrays = _merge([_read_view(Path(path), schema) for path in paths])
     spo = np.concatenate(arrays)
-    _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(vocab), 1) + spo[:, 2],
+    _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(labels), 1) + spo[:, 2],
                          return_index=True)
     graph = Graph(labels, codes, spo[np.sort(first)])
     return graph, arrays

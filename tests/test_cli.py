@@ -728,3 +728,48 @@ def test_eval_refuses_a_checkpoint_that_is_not_an_npz_archive(workspace, capsys,
     code = main(["eval", "--checkpoint", str(ckpt), "--split-dir", str(splits), "--out", str(workspace / "eval")])
     assert code == 2
     assert f"{ckpt}: not a readable .npz archive" in capsys.readouterr().err
+
+
+def test_pipeline_run_twice_in_one_directory_reads_memos_and_writes_the_golden_bytes(tmp_path, monkeypatch,
+                                                                                    capsys):
+    from test_golden import GOLDEN, digest
+
+    graph, analysis = str(tmp_path / "graph.tsv"), tmp_path / "analysis"
+    monkeypatch.setenv("CHAINLENS_LOG", "info")
+    reads = []
+    for _ in range(2):
+        assert main(["generate", "--out", graph]) == 0
+        assert main(["split", "--in", graph, "--out", str(tmp_path / "split")]) == 0
+        assert main(["analyze", "--in", graph, "--sole-scopes", "--out", str(analysis)]) == 0
+        for fmt in ("dot", "graphml", "json"):
+            assert main(["export", "--in", graph, "--report", str(analysis / "criticality.csv"),
+                         "--format", fmt, "--out", str(tmp_path / "export" / f"graph.{fmt}")]) == 0
+        assert {name: digest(tmp_path / name) for name in GOLDEN} == GOLDEN
+        log = capsys.readouterr().err.splitlines()
+        reads.append([line.split(": ", 2)[2].split(" in ")[0] for line in log
+                      if line.startswith(f"INFO chainlens.dataset: {graph}: ")])
+    # the first split parses graph.tsv and writes its memo; every later read of it is from the memo
+    assert reads == [["parsed"] + ["read from its memo"] * 4, ["read from its memo"] * 5]
+
+
+def test_schema_flag_refuses_a_graph_whose_memo_was_written_under_another_schema(workspace, capsys):
+    from dataclasses import replace
+
+    from chainlens.dataset import MEMO_SUFFIX
+    from chainlens.graph import DEFAULT_SCHEMA, EntityType, RelationType
+
+    graph, schema = workspace / "g.tsv", workspace / "strict.tsv"
+    assert main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)]) == 0
+    assert main(["analyze", "--in", str(graph), "--out", str(workspace / "a")]) == 0  # memo under the default
+    assert Path(str(graph) + MEMO_SUFFIX).is_file()
+    rules = dict(DEFAULT_SCHEMA.rules)
+    rules[RelationType.LOCATED_IN] = (frozenset({EntityType.SMELTER}), rules[RelationType.LOCATED_IN][1])
+    write_schema(replace(DEFAULT_SCHEMA, rules=rules), schema)
+    errors = []
+    for _ in range(2):  # from the memo's file, then with no memo
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(graph), "--schema", str(schema), "--out", str(workspace / "b")]) == 2
+        errors.append(capsys.readouterr().err)
+        Path(str(graph) + MEMO_SUFFIX).unlink(missing_ok=True)
+    assert f"{graph}:" in errors[0] and "Supplier is not a valid source for located_in" in errors[0]
+    assert errors[0] == errors[1]

@@ -1,6 +1,9 @@
-"""The byte-level triple reader against the str-level reference in ``reference_reader.py``."""
+"""The byte-level triple reader against the str-level reference in ``reference_reader.py``, and its parse memos."""
 
+import hashlib
+import logging
 import os
+import re
 import threading
 import tracemalloc
 
@@ -10,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens.dataset as dataset_mod
-from chainlens.dataset import ParseError, load_split_dir, load_triples
-from chainlens.graph import DEFAULT_SCHEMA, EntityType, RelationType, SchemaViolation
+from chainlens.dataset import MEMO_SUFFIX, ParseError, load_split_dir, load_triples
+from chainlens.graph import DEFAULT_SCHEMA, RELATION_BY_INDEX, EntityType, RelationType, Schema, SchemaViolation
 
 from reference_reader import reference_read_triples
 
@@ -161,6 +164,7 @@ def test_reader_reads_a_pipe(tmp_path):
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert graph.num_triples == 5_000
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]  # no memo of a pipe
 
 
 def test_reader_refuses_bytes_that_are_not_utf8(tmp_path):
@@ -188,3 +192,298 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
         tracemalloc.stop()
     assert peak < 16_000_000
     assert long_label in graph.labels and graph.num_triples == 10_000
+
+
+# ---------------------------------------------------------------------------
+# Parse memos
+# ---------------------------------------------------------------------------
+
+SMALL = ("a\tSupplier\tsupplies_to\tb\tSupplier\n"
+         "b\tSupplier\tsupplies_to\tc\tSupplier\n"
+         "c\tSupplier\tlocated_in\tZürich\tCountry\n")
+
+
+def memo_of(path):
+    return path.with_name(path.name + MEMO_SUFFIX)
+
+
+def graph_state(graph, arrays=()):
+    """What a read gives, as plain values: labels, type codes, the graph's triples and the per-file arrays."""
+    return (graph.labels, graph.type_codes().tolist(), graph.triples_array().tolist(),
+            [(a.dtype.str, a.tolist()) for a in arrays])
+
+
+def parsed_state(paths, schema=DEFAULT_SCHEMA):
+    """``graph_state`` of ``_read_triples(paths)`` with every memo of them deleted first."""
+    for path in paths:
+        memo_of(path).unlink(missing_ok=True)
+    return graph_state(*dataset_mod._read_triples(paths, schema))
+
+
+def rewrite_memo(path, **fields):
+    """Replace fields of the memo of ``path``, keeping the others."""
+    with np.load(memo_of(path)) as memo:
+        kept = {name: memo[name] for name in memo.files}
+    with open(memo_of(path), "wb") as fh:
+        np.savez(fh, **{**kept, **fields})
+
+
+def refuse_parsing(mp):
+    """Make parsing fail, so that a read that succeeds came from memos only."""
+    def parse(*args):
+        raise AssertionError("parsed a file that has a memo")
+    mp.setattr(dataset_mod, "_parse", parse)
+
+
+def test_memo_is_written_on_the_first_read_and_read_on_the_next(tmp_path, caplog):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    caplog.set_level(logging.INFO, logger="chainlens.dataset")
+    first = graph_state(load_triples(path))
+    assert memo_of(path).is_file()
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_parsing(mp)
+        assert graph_state(load_triples(path)) == first
+    messages = [r.getMessage() for r in caplog.records if r.name == "chainlens.dataset"]
+    assert len(messages) == 2
+    assert messages[0].startswith(f"{path}: parsed in ") and messages[0].endswith(" ms")
+    assert messages[1].startswith(f"{path}: read from its memo in ") and messages[1].endswith(" ms")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "g.tsv" + MEMO_SUFFIX]  # no temp file left
+
+
+def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    load_triples(path)
+    st = path.stat()
+    path.write_bytes(path.read_bytes().replace(b"c\t", b"d\t"))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert path.stat().st_size == st.st_size
+    assert load_triples(path).labels == ["a", "b", "d", "Zürich"]
+    with pytest.MonkeyPatch.context() as mp:  # the stale memo was replaced
+        refuse_parsing(mp)
+        assert load_triples(path).labels == ["a", "b", "d", "Zürich"]
+
+
+def test_truncated_memo_is_replaced(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(load_triples(path))
+    whole = memo_of(path).read_bytes()
+    memo_of(path).write_bytes(whole[: len(whole) // 2])
+    assert graph_state(load_triples(path)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_parsing(mp)
+        assert graph_state(load_triples(path)) == expected
+
+
+UNPICKLED = []
+
+
+def record_unpickling():
+    UNPICKLED.append("unpickled")
+
+
+class Tripwire:
+    """Records that it was unpickled."""
+
+    def __reduce__(self):
+        return record_unpickling, ()
+
+
+def test_memo_with_an_object_array_is_never_unpickled(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(load_triples(path))
+    rewrite_memo(path, labels=np.array([Tripwire()], dtype=object))
+    assert graph_state(load_triples(path)) == expected
+    assert UNPICKLED == []
+
+
+#: Every relation between any two types, so that a memo's renumbered rows stay legal.
+ANYTHING_GOES = Schema({rel: (frozenset(EntityType), frozenset(EntityType)) for rel in RelationType})
+
+
+def rewrite_meta(path, line, change):
+    """Apply ``change`` to line ``line`` of the memo's meta (0 the version, 1 the relations, 2 the types)."""
+    with np.load(memo_of(path)) as memo:
+        meta = memo["meta"].tobytes()
+    lines = meta[32:].split(b"\n")  # after the sha256
+    lines[line] = change(lines[line])
+    rewrite_memo(path, meta=np.frombuffer(meta[:32] + b"\n".join(lines), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("table", ["relations", "types"])
+def test_memo_in_other_names_is_not_used(tmp_path, table):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(load_triples(path, ANYTHING_GOES))
+    with np.load(memo_of(path)) as memo:
+        rows, codes = memo["rows"], memo["codes"]
+    # the same memo with the names in reverse order and the codes renumbered to match
+    if table == "relations":
+        rows[:, 1] = len(RELATION_BY_INDEX) - 1 - rows[:, 1]
+        rewrite_memo(path, rows=rows)
+    else:
+        rewrite_memo(path, codes=(len(EntityType) - 1 - codes).astype(np.uint8))
+    rewrite_meta(path, 1 if table == "relations" else 2, lambda names: b"\t".join(names.split(b"\t")[::-1]))
+    assert graph_state(load_triples(path, ANYTHING_GOES)) == expected
+
+
+def test_memo_of_another_version_is_not_used(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(load_triples(path))
+    with np.load(memo_of(path)) as memo:  # a parse that an older parser might have made
+        labels = np.frombuffer(memo["labels"].tobytes().replace(b"a", b"x"), dtype=np.uint8)
+    rewrite_memo(path, labels=labels)
+    rewrite_meta(path, 0, lambda version: version.replace(str(dataset_mod._MEMO_VERSION).encode(), b"1"))
+    assert graph_state(load_triples(path)) == expected
+
+
+#: Faults in ``SMALL``'s memo, which holds a, b, c and Zürich, each a Supplier but Zürich, a Country, in rows
+#: (0, supplies_to, 1), (1, supplies_to, 2), (2, located_in, 3); each fault changes what a read of it would give.
+FAULTS = ["subject past the labels", "negative object", "unknown relation", "unknown type", "a label missing",
+          "a label too many", "a label never used", "rows as int32", "ids out of first-appearance order",
+          "a duplicate key", "an empty label", "a label with a tab", "a label with a carriage return",
+          "a label with U+2028", "a subject starting with #"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_memo_the_parser_could_not_have_made_is_not_used(tmp_path, fault):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA))
+    with np.load(memo_of(path)) as memo:
+        rows, codes, labels = memo["rows"], memo["codes"], memo["labels"].tobytes().decode("utf-8").split("\n")
+    if fault == "subject past the labels":
+        rows[0, 0] = len(codes)
+    elif fault == "negative object":
+        rows[0, 2] = -1
+    elif fault == "unknown relation":
+        rows[0, 1] = len(RELATION_BY_INDEX)
+    elif fault == "unknown type":
+        codes[0] = len(EntityType)
+    elif fault == "a label missing":
+        labels = labels[:-1]
+    elif fault == "a label too many":
+        labels = labels + ["d"]
+    elif fault == "a label never used":
+        labels, codes = labels + ["d"], np.append(codes, codes[0])
+    elif fault == "rows as int32":
+        rows = rows.astype(np.int32)
+    elif fault == "ids out of first-appearance order":  # the same triples, with b and c numbered the other way
+        labels[1], labels[2] = labels[2], labels[1]
+        rows[:, 0::2] = np.array([0, 2, 1, 3])[rows[:, 0::2]]
+    elif fault == "a duplicate key":  # two ids for (b, Supplier)
+        labels[2] = "b"
+    elif fault == "a subject starting with #":
+        labels[0] = "#a"
+    else:
+        labels[1] = {"an empty label": "", "a label with a tab": "b\tx", "a label with a carriage return": "b\rx",
+                     "a label with U+2028": "b\u2028x"}[fault]
+    rewrite_memo(path, rows=rows, codes=codes,
+                 labels=np.frombuffer("\n".join(labels).encode("utf-8"), dtype=np.uint8))
+    assert graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA)) == expected
+
+
+#: The sha256 of ``parse_sample``'s result under each memo version.  A change to what the parser makes of some
+#: file, as a new comment, label or line-break rule, changes it: the change must then give
+#: ``dataset._MEMO_VERSION`` a new number, and this table its digest, so that no memo of the old parse is read.
+SAMPLE_PARSES = {2: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399"}
+
+
+def parse_sample(tmp_path):
+    """``graph_state`` of a fresh read of two files that hold every kind of line, label and line break the
+    strategies above draw, as accepted input: one broken at ``\\n`` only, one at every line boundary."""
+    lines = []
+    for i, label in enumerate(LABELS):
+        subject = "a" if label.startswith("#") else label
+        lines += [f"{subject}\tSupplier\tsupplies_to\t{LABELS[i - 1]}\tSupplier",
+                  f"{subject}\tSupplier\tlocated_in\t{label}\tCountry", COMMENTS[i % len(COMMENTS)],
+                  BLANKS[i % len(BLANKS)]]
+    paths = [tmp_path / "plain.tsv", tmp_path / "mixed.tsv"]
+    paths[0].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths[1].write_text("".join(line + BREAKS[i % len(BREAKS)] for i, line in enumerate(lines[::-1])),
+                        encoding="utf-8")
+    state = parsed_state(paths)
+    assert state[:3] == graph_state(reference_read_triples(paths, DEFAULT_SCHEMA)[0])[:3]
+    return state
+
+
+def test_memo_version_names_the_parse_it_holds(tmp_path):
+    digest = hashlib.sha256(repr(parse_sample(tmp_path)).encode("utf-8")).hexdigest()
+    assert SAMPLE_PARSES.get(dataset_mod._MEMO_VERSION) == digest
+
+
+def test_memo_rows_illegal_under_the_schema_raise_the_parsers_error(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    load_triples(path)  # a memo written under the default schema
+    rules = dict(DEFAULT_SCHEMA.rules)
+    rules[RelationType.LOCATED_IN] = (frozenset({EntityType.SMELTER}), rules[RelationType.LOCATED_IN][1])
+    strict = Schema(rules)
+    with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(path))}:3: Supplier is not a valid source") as got:
+        load_triples(path, strict)
+    memo_of(path).unlink()
+    with pytest.raises(SchemaViolation) as parsed:
+        load_triples(path, strict)
+    assert str(got.value) == str(parsed.value)
+
+
+def test_memo_that_cannot_be_written_leaves_the_parsed_graph(tmp_path, monkeypatch):
+    path = tmp_path / "g.tsv"
+    path.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(load_triples(path))
+    memo_of(path).unlink()
+
+    def replace(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+    monkeypatch.setattr(os, "replace", replace)
+    assert graph_state(load_triples(path)) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]  # no memo, no temp file
+
+
+#: Subject labels: any of ``LABELS`` that a line may start with; ``#`` labels are objects only.
+SUBJECTS = [label for label in LABELS if not label.startswith("#")]
+
+
+@st.composite
+def memo_files(draw) -> list[bytes]:
+    """One to three clean triple files drawn from a few shared entities, with duplicate lines and entities."""
+    entities = draw(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(ENTITY_NAMES)), min_size=1,
+                             max_size=8))
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines = []
+        for _ in range(draw(st.integers(0, 12))):
+            relation = draw(st.sampled_from(list(RelationType)))
+            sources = [e for e in entities
+                       if e[0] in SUBJECTS and EntityType(e[1]) in DEFAULT_SCHEMA.source_types(relation)]
+            targets = [e for e in entities if EntityType(e[1]) in DEFAULT_SCHEMA.target_types(relation)]
+            if sources and targets:
+                (s, s_type), (o, o_type) = draw(st.sampled_from(sources)), draw(st.sampled_from(targets))
+                lines.append(f"{s}\t{s_type}\t{relation.value}\t{o}\t{o_type}")
+            else:
+                lines.append(draw(st.sampled_from(COMMENTS + BLANKS)))
+        files.append(("\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))).encode("utf-8"))
+    return files
+
+
+@given(files=memo_files(), kept=st.lists(st.booleans(), min_size=3, max_size=3))
+@settings(deadline=None)
+def test_memos_read_as_parsing_does(tmp_path_factory, files, kept):
+    root = tmp_path_factory.mktemp("memo")
+    paths = [root / f"part{i}.tsv" for i in range(len(files))]
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+    expected = parsed_state(paths)
+    assert expected[:3] == graph_state(reference_read_triples(paths, DEFAULT_SCHEMA)[0])[:3]
+    assert all(memo_of(path).is_file() for path in paths)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_parsing(mp)
+        assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
+    for path, keep in zip(paths, kept):  # some files from memos, some parsed, in one read
+        if not keep:
+            memo_of(path).unlink()
+    assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected

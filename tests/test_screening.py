@@ -243,6 +243,26 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind):
     assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
 
 
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_pair_scores_of_one_pair_and_of_a_zero_row_equal_score_objects_bit_for_bit(kind):
+    """Chunks of one pair and of ``PAIR_ROWS`` + 1 pairs, and a row whose every modulus is 0, which must score
+    +0.0 as score_objects does: compared as int64 views, so the sign of a zero counts."""
+    n_ent = 50
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=5))
+    p.blocks["relation"][0] = 0.0  # TransE adds 0 and RotatE rotates by exp(0): the query row of (s, 0, ?) is E[s]
+    s, r = np.array([3, 8, 8]), np.array([0, 0, 1])
+    scorer = models._ScreenedScorer(p)
+    ws = scorer.workspace(len(s))
+    q = scorer.screen(s, r, ws)[0]
+    expected = score_objects(p, s, r)
+    assert expected[0, 3].view(np.int64) == np.float64(0.0).view(np.int64)
+    for rows, objs in [([0], [3]), ([1], [5]), ([0, 1, 2], [3, 8, 0]),
+                       np.divmod(np.arange(scorer.PAIR_ROWS + 1) % (len(s) * n_ent), n_ent)]:
+        rows, objs = np.asarray(rows), np.asarray(objs)
+        got = scorer.pair_scores(q, rows, objs, ws)
+        np.testing.assert_array_equal(got.view(np.int64), expected[rows, objs].view(np.int64))
+
+
 def ranker_masks(k, n_ent):
     """The ranker's two (k, N) bool masks, as rank_queries allocates them for each worker."""
     return np.empty((2, k, n_ent), dtype=bool)
