@@ -30,8 +30,11 @@ Critical paths are enumerated as arrays too, one path length at a time.
 from __future__ import annotations
 
 import csv
+import io
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,28 @@ def _pearson_matrix(raw: dict[str, np.ndarray]) -> np.ndarray:
     return corr
 
 
+#: Rows per written piece of a criticality CSV; bounds the text held at once.
+CHUNK_ROWS = 4096
+
+#: the characters for which csv.writer might quote a cell (",", '"' and line breaks)
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one cell of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _formatted(values: np.ndarray, spec: str) -> Iterator[str]:
+    """``format(v, spec)`` for each of ``values``, formatted once per distinct float64 bit pattern."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    cells = [format(v, spec) for v in bits.view(np.float64).tolist()]
+    return map(cells.__getitem__, inverse.tolist())
+
+
 @dataclass
 class CriticalityReport:
     labels: list[str]
@@ -187,21 +212,28 @@ class CriticalityReport:
         return len(self.labels)
 
     def to_csv(self, path: str | Path) -> None:
-        cols = ["node"] + list(METRIC_NAMES) + [f"norm_{m}" for m in METRIC_NAMES]
-        cols += ["aggregated_score", "is_critical"]
-        raw = [np.asarray(self.raw[m]).tolist() for m in METRIC_NAMES]
-        normalized = [np.asarray(self.normalized[m]).tolist() for m in METRIC_NAMES]
-        aggregated, critical = np.asarray(self.aggregated).tolist(), np.asarray(self.is_critical).tolist()
+        """Write one row per node: its label, the raw metrics (``%.6g``), the
+        normalized metrics and the aggregated score (``%.6f``), and the flag.
+
+        The file is built column by column: each metric column is formatted
+        once per distinct value, the cells of a row are joined with ``","``,
+        and the rows are written ``CHUNK_ROWS`` at a time.  A label is quoted
+        as ``csv.writer`` quotes it under ``QUOTE_MINIMAL``.
+        """
+        labels = self.labels
+        if _CSV_QUOTED.search("".join(labels)):
+            labels = [_csv_cell(label) if _CSV_QUOTED.search(label) else label for label in labels]
+        columns = [labels]
+        columns += [_formatted(self.raw[m], ".6g") for m in METRIC_NAMES]
+        columns += [_formatted(self.normalized[m], ".6f") for m in METRIC_NAMES]
+        columns.append(_formatted(self.aggregated, ".6f"))
+        columns.append(map(("0", "1").__getitem__, np.asarray(self.is_critical, dtype=bool).tolist()))
+        rows = map(",".join, zip(*columns, strict=True))
+        header = ["node", *METRIC_NAMES, *(f"norm_{m}" for m in METRIC_NAMES), "aggregated_score", "is_critical"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for i, label in enumerate(self.labels):
-                cells = [label]
-                cells += [f"{col[i]:.6g}" for col in raw]
-                cells += [f"{col[i]:.6f}" for col in normalized]
-                cells.append(f"{aggregated[i]:.6f}")
-                cells.append("1" if critical[i] else "0")
-                writer.writerow(cells)
+            fh.write(",".join(header) + "\n")
+            for _ in range(0, len(labels), CHUNK_ROWS):
+                fh.write("\n".join(islice(rows, CHUNK_ROWS)) + "\n")
 
     def summary_text(self) -> str:
         lines = [

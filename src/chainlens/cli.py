@@ -336,10 +336,14 @@ def cmd_analyze(args) -> Manifest:
     )
 
 
+_FLAGS = {"0": False, "1": True}
+
+
 def _read_critical_flags(report: str) -> dict[str, bool]:
     """The ``node`` -> ``is_critical == "1"`` map of a criticality CSV, read in one pass.
 
-    A node on two rows raises :class:`ExportMismatch`: its flag would be ambiguous.
+    A node on two rows, or an ``is_critical`` cell other than ``0`` or ``1``,
+    raises :class:`ExportMismatch`: its flag would be ambiguous.
     """
     with open(report, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -352,7 +356,9 @@ def _read_critical_flags(report: str) -> dict[str, bool]:
             for row in filter(None, rows):
                 if row[node] in flags:
                     raise ExportMismatch(f"{report}: line {rows.line_num} repeats node {row[node]!r}")
-                flags[row[node]] = row[flag] == "1"
+                if row[flag] not in _FLAGS:
+                    raise ExportMismatch(f"{report}: line {rows.line_num} has is_critical {row[flag]!r}, not 0 or 1")
+                flags[row[node]] = _FLAGS[row[flag]]
         except IndexError:
             raise ExportMismatch(f"{report}: line {rows.line_num} has fewer cells than the header") from None
         return flags

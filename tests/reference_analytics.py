@@ -6,13 +6,18 @@ each frontier with ``np.unique``), counting closeness with ``np.add.at``; the
 one sweep must give their bits.
 ``critical_paths`` is the recursive depth-first enumeration that the array
 version must reproduce list for list.
+``write_criticality_csv`` is ``CriticalityReport.to_csv`` as it was, one
+row at a time through ``csv.writer``; the column-wise writer must write
+its bytes.
 """
 
+import csv
 from collections import defaultdict
 
 import numpy as np
 
 from chainlens import analytics
+from chainlens.analytics import METRIC_NAMES
 from chainlens.graph import RELATION_INDEX, RelationType
 
 
@@ -104,3 +109,22 @@ def critical_paths(graph, report, max_depth=3):
     extend([hub])
     found.sort(key=lambda p: (len(p), p))
     return found
+
+
+def write_criticality_csv(report, path):
+    """``report.to_csv(path)``, built cell by cell and written row by row."""
+    cols = ["node"] + list(METRIC_NAMES) + [f"norm_{m}" for m in METRIC_NAMES]
+    cols += ["aggregated_score", "is_critical"]
+    raw = [np.asarray(report.raw[m]).tolist() for m in METRIC_NAMES]
+    normalized = [np.asarray(report.normalized[m]).tolist() for m in METRIC_NAMES]
+    aggregated, critical = np.asarray(report.aggregated).tolist(), np.asarray(report.is_critical).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for i, label in enumerate(report.labels):
+            cells = [label]
+            cells += [f"{col[i]:.6g}" for col in raw]
+            cells += [f"{col[i]:.6f}" for col in normalized]
+            cells.append(f"{aggregated[i]:.6f}")
+            cells.append("1" if critical[i] else "0")
+            writer.writerow(cells)

@@ -25,7 +25,7 @@ from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, R
 
 from conftest import random_supplier_graph, random_typed_graph, supplier_chain
 from reference_analytics import critical_paths as depth_first_critical_paths
-from reference_analytics import two_sweep_centralities, unique_frontier_bfs_levels
+from reference_analytics import two_sweep_centralities, unique_frontier_bfs_levels, write_criticality_csv
 
 
 # -- brute-force oracles -----------------------------------------------------
@@ -489,6 +489,33 @@ def test_criticality_csv_and_summary(tmp_path):
     assert len(lines) == 1 + g.num_entities
     summary = report.summary_text()
     assert "correlation" in summary and "threshold" in summary
+
+
+CSV_LABELS = ["plain", "Acme, Inc", 'say "hi"', " leading", "trailing ", "Zürich Süd 東京", "#hash", "", "line\nbreak",
+              "carriage\rreturn", '"', ","]
+CSV_VALUES = [1e-07, 123456789.0, 0.0, -0.0, 1.5, 1234567.0, 0.1 + 0.2, 1e300, np.nan, np.inf, -2.5e-12, 3.0]
+
+
+def csv_report(n):
+    """A report of the first ``n`` awkward labels, with each metric column a rotation of awkward values."""
+    def column(shift):
+        return np.array([CSV_VALUES[(i + shift) % len(CSV_VALUES)] for i in range(n)])
+    raw = {m: column(k) for k, m in enumerate(METRIC_NAMES)}
+    normalized = {m: column(k + 5) for k, m in enumerate(METRIC_NAMES)}
+    aggregated = column(7)
+    return analytics.CriticalityReport(CSV_LABELS[:n], raw, normalized, aggregated, np.arange(n) % 3 == 0, 10.0,
+                                       None, {})
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, analytics.CHUNK_ROWS])
+def test_criticality_csv_equals_the_row_by_row_reference(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(analytics, "CHUNK_ROWS", chunk)
+    reports = [csv_report(n) for n in sorted({0, 1, chunk, chunk + 1, len(CSV_LABELS)}) if n <= len(CSV_LABELS)]
+    reports.append(criticality(random_supplier_graph(np.random.default_rng(8), 40, 120)))
+    for report in reports:
+        report.to_csv(tmp_path / "crit.csv")
+        write_criticality_csv(report, tmp_path / "reference.csv")
+        assert (tmp_path / "crit.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # -- sole supplier scopes ----------------------------------------------------

@@ -469,6 +469,39 @@ def test_export_refuses_a_report_naming_a_node_twice(workspace, capsys):
     assert not out.exists()
 
 
+def test_export_refuses_an_is_critical_cell_other_than_0_or_1(workspace, capsys):
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["analyze", "--in", str(graph), "--out", str(analysis)])
+    report = analysis / "criticality.csv"
+    lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
+    flagged = [i for i, line in enumerate(lines) if line.endswith(",1\n")]
+    assert flagged
+    for i in flagged:
+        lines[i] = lines[i][:-2] + "true\n"
+    report.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    out = workspace / "g.dot"
+    code = main(["export", "--in", str(graph), "--report", str(report), "--format", "dot", "--out", str(out)])
+    assert code == 2
+    assert f"line {flagged[0] + 1} has is_critical 'true', not 0 or 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_graphml_export_refuses_a_label_xml_cannot_carry(workspace, capsys):
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    graph.write_text("Acme\x01Corp\tSupplier\tsupplies_to\tBeta\tSupplier\n", encoding="utf-8")
+    assert main(["analyze", "--in", str(graph), "--out", str(analysis)]) == 0
+    args = ["export", "--in", str(graph), "--report", str(analysis / "criticality.csv")]
+    for fmt in ("dot", "json"):
+        assert main(args + ["--format", fmt, "--out", str(workspace / f"g.{fmt}")]) == 0
+    capsys.readouterr()
+    out = workspace / "g.graphml"
+    assert main(args + ["--format", "graphml", "--out", str(out)]) == 2
+    assert "label 'Acme\\x01Corp' cannot be written to GraphML" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_mismatched_report_exits_2(workspace, capsys):
     graph = workspace / "g.tsv"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])

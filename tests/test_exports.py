@@ -1,12 +1,14 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from chainlens import exports
 from chainlens.dataset import GeneratorConfig, generate_synthetic
 from chainlens.exports import FORMATS, ExportMismatch, export_graph
-from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
+from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, GraphError, RelationType
 
 from reference_exports import reference_export_text
 
@@ -119,10 +121,13 @@ def test_export_of_an_empty_graph_equals_reference(tmp_path, fmt):
         assert path.read_text() == '{\n  "edges": [],\n  "nodes": []\n}\n'
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_export_escapes_labels_as_reference(tmp_path, fmt):
+AWKWARD_LABELS = ['Zürich "Süd" GmbH', "back\\slash \\\"", "<b>A&B</b> > C", "東京 \U0001F69A", "tab\tline\nbreak\x01"]
+#: the awkward labels without the one character (U+0001) that XML 1.0 cannot carry
+XML_LABELS = [label.replace("\x01", "") for label in AWKWARD_LABELS]
+
+
+def awkward_graph(labels):
     g = Graph()
-    labels = ['Zürich "Süd" GmbH', "back\\slash \\\"", "<b>A&B</b> > C", "東京 \U0001F69A", "tab\tline\nbreak\x01"]
     sups = [g.add_entity(label, EntityType.SUPPLIER) for label in labels]
     scope = g.add_entity("Scope <&> \"x\"", EntityType.BUSINESS_SCOPE)
     g.add_entity("empty & unrelated scope", EntityType.BUSINESS_SCOPE)
@@ -132,7 +137,71 @@ def test_export_escapes_labels_as_reference(tmp_path, fmt):
     for s in sups[:3]:
         g.add_triple(s, RelationType.RELATED_TO, scope, DEFAULT_SCHEMA)
     g.add_triple(sups[0], RelationType.LOCATED_IN, country, DEFAULT_SCHEMA)
-    flags = {label: i % 2 == 0 for i, label in enumerate(labels)}
+    return g, {label: i % 2 == 0 for i, label in enumerate(labels)}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_escapes_labels_as_reference(tmp_path, fmt):
+    g, flags = awkward_graph(AWKWARD_LABELS)
+    if fmt == "graphml":  # XML 1.0 cannot carry U+0001; GraphML refuses the label before opening the file
+        with pytest.raises(GraphError, match=re.escape(repr(AWKWARD_LABELS[-1]))):
+            export_graph(g, flags, fmt, tmp_path / "g.graphml")
+        assert not (tmp_path / "g.graphml").exists()
+        return
     path = assert_export_equals_reference(tmp_path, g, flags, fmt)
     if fmt == "json":
         assert [n["label"] for n in json.loads(path.read_text())["nodes"]] == g.labels
+
+
+def test_graphml_escapes_labels_as_reference(tmp_path):
+    g, flags = awkward_graph(XML_LABELS)
+    path = assert_export_equals_reference(tmp_path, g, flags, "graphml")
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    labels = [d.text for d in ET.parse(path).getroot().findall(".//g:node/g:data[@key='d_label']", ns)]
+    assert labels == g.labels
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_graphml_refuses_a_label_xml_cannot_carry_before_opening_the_file(tmp_path, char):
+    g = Graph()
+    acme = g.add_entity(f"Acme{char}Corp", EntityType.SUPPLIER)
+    g.add_triple(acme, RelationType.SUPPLIES_TO, g.add_entity("Beta", EntityType.SUPPLIER), DEFAULT_SCHEMA)
+    flags = {f"Acme{char}Corp": True, "Beta": False}
+    path = tmp_path / "g.graphml"
+    path.write_text("kept")
+    with pytest.raises(GraphError, match=re.escape(repr(f"Acme{char}Corp"))):
+        export_graph(g, flags, "graphml", path)
+    assert path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", " ", "\ud7ff", "\ue000", "\ufffd", "\U00010000", "\U0010ffff"])
+def test_graphml_writes_every_xml_char_as_reference(tmp_path, char):
+    g, flags = awkward_graph([f"Acme{char}Corp", "Beta"])
+    assert_export_equals_reference(tmp_path, g, flags, "graphml")
+
+
+def chain_graph(edges):
+    """``edges`` + 1 suppliers, a scope and a country; edge i leaves supplier i by supplies_to,
+    related_to or located_in in turn, so consecutive edges differ in relation."""
+    g = Graph()
+    sups = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(edges + 1)]
+    scope = g.add_entity("scope", EntityType.BUSINESS_SCOPE)
+    country = g.add_entity("country", EntityType.COUNTRY)
+    for i in range(edges):
+        relation, o = [(RelationType.SUPPLIES_TO, sups[i + 1]), (RelationType.RELATED_TO, scope),
+                       (RelationType.LOCATED_IN, country)][i % 3]
+        g.add_triple(sups[i], relation, o, DEFAULT_SCHEMA)
+    return g, {f"s{i}": i % 2 == 0 for i in range(edges + 1)}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_export_equals_reference_across_chunk_boundaries(tmp_path, monkeypatch, chunk, fmt):
+    monkeypatch.setattr(exports, "CHUNK_ROWS", chunk)
+    for edges in sorted({0, 1, chunk, chunk + 1}):
+        g, flags = chain_graph(edges)
+        assert g.num_triples == edges
+        assert_export_equals_reference(tmp_path, g, flags, fmt)
+    assert_export_equals_reference(tmp_path, Graph(), {}, fmt)
+    g, flags = awkward_graph(XML_LABELS if fmt == "graphml" else AWKWARD_LABELS)
+    assert_export_equals_reference(tmp_path, g, flags, fmt)
