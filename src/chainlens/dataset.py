@@ -20,18 +20,22 @@ file with a line boundary other than ``\\n`` is first rewritten once as
 ``"\\n".join(text.splitlines())``.  ``tests/reference_reader.py`` keeps the
 str-level reader that this one must agree with.
 
-Each file is read on its own into a view: its (label, type) keys in
-first-appearance order and its rows in their local ids.  The views are
-merged in file order into one numbering.  A parsed regular file's view is
-saved beside it as ``<name>.parsed.npz``, its parse memo, with the sha256 of
-the bytes parsed, in the manner of hash-checked ``.pyc`` files (PEP 552).
-The next read hashes the file and takes the memo's view in place of a parse
-only if the hash, the memo version and the name tables match, the arrays
-load without unpickling, the view is one the parser could have made (its
-labels, their numbering, its ids and codes), and every row is legal under
-the schema in use; otherwise the file is parsed, so every error still names
-``path:line``, and the memo replaced.  The memo version changes with what
-the parser makes of a file.  A memo that cannot be written is left out.
+The files of one read (``graph.tsv``, or a split directory's three) are one
+view: parsed in order with one vocabulary, so their (label, type) keys are
+numbered in first-appearance order over the files, with every file's rows in
+those ids and each file's row count.  A parsed set of regular files saves its
+view beside the first file, as its parse memo, with the sha256 of each file's
+bytes, in the manner of hash-checked ``.pyc`` files (PEP 552).  The memo is
+named by the files' names joined by ``+``, plus ``.parsed.npz``:
+``graph.tsv.parsed.npz``, or ``train.tsv+valid.tsv+test.tsv.parsed.npz``.  The
+next read of the same files hashes them and takes the memo's view in place of
+a parse only if the hashes, the memo version and the name tables match, the
+arrays load without unpickling, the row counts fit the files and the rows,
+the view is one the parser could have made (its labels, their numbering, its
+ids and codes), and every row is legal under the schema in use; otherwise the
+whole set is parsed, so every error still names ``path:line``, and the memo
+replaced.  The memo version changes with what the parser makes of a file or
+with the memo's layout.  A memo that cannot be written is left out.
 
 The synthetic generator emits a schema-valid network shaped like a real
 multi-tier supply base: a single hub supplier supplied by every tier-1
@@ -71,6 +75,7 @@ from .graph import (
     RelationType,
     Schema,
     SchemaViolation,
+    config_lines,
     utf8_text,
 )
 
@@ -320,18 +325,9 @@ def _vocabulary(vocab: dict[bytes, int]) -> tuple[list[str], np.ndarray]:
     return labels, (heads & 0xFF).astype(np.uint8)
 
 
-class _FileView(NamedTuple):
-    """One triple file read on its own: its (label, type) keys in first-appearance order, numbered from 0 (the
-    local ids), and its rows in those ids."""
-
-    labels: list[str]
-    codes: np.ndarray  # (n,) uint8 type code of each label
-    rows: np.ndarray  # (k, 3) int64 local subject id, relation code, local object id
-
-
-def _parse(path: Path, data: bytearray, size: int, schema: Schema) -> _FileView:
-    """The view of the ``_as_text`` bytes ``data[:size]`` of the file at ``path``."""
-    vocab: dict[bytes, int] = {}
+def _parse(path: Path, data: bytearray, size: int, schema: Schema, vocab: dict[bytes, int]) -> np.ndarray:
+    """(k, 3) id triples of the ``_as_text`` bytes ``data[:size]`` of the file at ``path``, new keys numbered in
+    ``vocab``."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf[:size] == ord("\n"))
     if size and data[size - 1] != ord("\n"):
@@ -344,16 +340,27 @@ def _parse(path: Path, data: bytearray, size: int, schema: Schema) -> _FileView:
         rows = _parse_batch(path, data, buf, starts, batch, i + 1, schema, vocab)
         spo[k : k + len(rows)] = rows
         k += len(rows)
-    return _FileView(*_vocabulary(vocab), spo[:k])
+    return spo[:k]
 
 
-#: A triple file's parse memo is written beside it, under its name plus this suffix.
+class _View(NamedTuple):
+    """A set of triple files read as one: their (label, type) keys in first-appearance order over the files,
+    numbered from 0, every file's rows in those ids, one file after another, and each file's row count."""
+
+    labels: list[str]
+    codes: np.ndarray  # (n,) uint8 type code of each label
+    rows: np.ndarray  # (k, 3) int64 subject id, relation code, object id
+    counts: np.ndarray  # (files,) int64 rows of each file
+
+
+#: A file set's parse memo is written beside its first file, under the files' names joined by ``+`` plus this
+#: suffix.
 MEMO_SUFFIX = ".parsed.npz"
 #: The version of the parser's output that a memo holds; a memo of another version is not read.  It goes up
 #: whenever what the parser makes of some file changes (``tests/test_reader.py`` ties it to a sample's parse)
 #: or the memo's layout does.
-_MEMO_VERSION = 2
-#: A memo's ``meta`` member, after the sha256 of the bytes parsed: the version, then the names that its
+_MEMO_VERSION = 3
+#: A memo's ``meta`` member, after the sha256 of each file's bytes: the version, then the names that its
 #: relation and type codes stand for.
 _MEMO_META = "\n".join([f"chainlens parse memo {_MEMO_VERSION}", "\t".join(r.value for r in RELATION_BY_INDEX),
                         "\t".join(ENTITY_TYPE_NAMES)]).encode("utf-8")
@@ -363,13 +370,14 @@ _MEMO_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 _NOT_IN_LABELS = (b"\t", *_ASCII_BREAKS, *_WIDE_BREAKS)
 
 
-def _load_memo(memo: Path, digest: bytes, schema: Schema) -> _FileView | None:
-    """The view in ``memo``, or None unless it is a view the parser could have made of the bytes whose sha256
-    is ``digest`` under ``schema``.
+def _load_memo(memo: Path, digests: list[bytes], schema: Schema) -> _View | None:
+    """The view in ``memo``, or None unless it is a view the parser could have made of the files whose bytes
+    have the sha256s ``digests`` under ``schema``.
 
-    The memo must hold that sha256, this version and these names; its arrays
-    must load without unpickling, as a memo holding an object array is
-    refused, with the expected dtypes and shapes.  Its labels must be
+    The memo must hold those sha256s, this version and these names; its
+    arrays must load without unpickling, as a memo holding an object array
+    is refused, with the expected dtypes and shapes, and one row count per
+    file, none negative, that add up to its rows.  Its labels must be
     nonempty, free of tabs and line breaks, and distinct within their type,
     and no subject's may start with ``#``.  Its rows must number the labels
     in first-appearance order, subject before object, as the parser does,
@@ -378,10 +386,11 @@ def _load_memo(memo: Path, digest: bytes, schema: Schema) -> _FileView | None:
     """
     try:
         with np.load(memo, allow_pickle=False) as z:
-            meta, text, codes, rows = z["meta"], z["labels"], z["codes"], z["rows"]
+            meta, text, codes, rows, counts = z["meta"], z["labels"], z["codes"], z["rows"], z["counts"]
         if not (meta.dtype == text.dtype == codes.dtype == np.uint8 and meta.ndim == text.ndim == codes.ndim == 1
-                and meta.tobytes() == digest + _MEMO_META and rows.dtype == np.int64 and rows.ndim == 2
-                and rows.shape[1] == 3):
+                and meta.tobytes() == b"".join(digests) + _MEMO_META and rows.dtype == np.int64 and rows.ndim == 2
+                and rows.shape[1] == 3 and counts.dtype == np.int64 and counts.shape == (len(digests),)
+                and counts.min() >= 0 and counts.sum() == len(rows)):
             return None
         raw = text.tobytes()
         labels = raw.decode("utf-8").split("\n") if len(codes) else []
@@ -393,7 +402,7 @@ def _load_memo(memo: Path, digest: bytes, schema: Schema) -> _FileView | None:
             or (len(set(labels)) < n and len(set(zip(codes.tolist(), labels))) < n)):
         return None
     if not len(rows):
-        return _FileView(labels, codes, rows) if n == 0 else None
+        return _View(labels, codes, rows, counts) if n == 0 else None
     ends = rows[:, 0::2].ravel()
     seen = np.maximum.accumulate(ends)  # the largest id so far; each new id must be one past it
     hashed = text[np.concatenate(([0], np.flatnonzero(text == ord("\n")) + 1))] == ord("#")  # by label
@@ -402,20 +411,20 @@ def _load_memo(memo: Path, digest: bytes, schema: Schema) -> _FileView | None:
             and not hashed[rows[:, 0]].any()
             and schema.legal(rows[:, 1], codes[rows[:, 0]], codes[rows[:, 2]]).all()):
         return None
-    return _FileView(labels, codes, rows)
+    return _View(labels, codes, rows, counts)
 
 
-def _write_memo(memo: Path, digest: bytes, view: _FileView) -> None:
-    """Write ``view`` to ``memo`` as the view of the bytes whose sha256 is ``digest``.
+def _write_memo(memo: Path, digests: list[bytes], view: _View) -> None:
+    """Write ``view`` to ``memo`` as the view of the files whose bytes have the sha256s ``digests``.
 
     The memo is written to a temp file and renamed over ``memo``, so a reader
     sees a whole memo or none.  An OSError, as in a read-only directory,
     leaves no memo and is not raised.
     """
     buf = io.BytesIO()  # one write to the file, not one per zip member
-    np.savez(buf, meta=np.frombuffer(digest + _MEMO_META, dtype=np.uint8),
+    np.savez(buf, meta=np.frombuffer(b"".join(digests) + _MEMO_META, dtype=np.uint8),
              labels=np.frombuffer("\n".join(view.labels).encode("utf-8"), dtype=np.uint8),
-             codes=view.codes, rows=view.rows)
+             codes=view.codes, rows=view.rows, counts=view.counts)
     tmp = memo.with_name(f"{memo.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -426,68 +435,41 @@ def _write_memo(memo: Path, digest: bytes, view: _FileView) -> None:
             tmp.unlink()
 
 
-def _read_view(path: Path, schema: Schema) -> _FileView:
-    """The view of one triple file: from its memo when ``_load_memo`` trusts it, else parsed.
-
-    A parsed regular file gets a fresh memo; a pipe or other non-regular file
-    gets none.
-    """
-    start = time.perf_counter()
-    with open(path, "rb") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        data, size = _read_bytes(fh)
-    memo = path.with_name(path.name + MEMO_SUFFIX)
-    digest = hashlib.sha256(memoryview(data)[:size]).digest() if regular else b""
-    view = _load_memo(memo, digest, schema) if regular and memo.is_file() else None  # a FIFO memo would block
-    parsed = view is None
-    if parsed:
-        view = _parse(path, *_as_text(data, size, path), schema)
-        if regular:
-            _write_memo(memo, digest, view)
-    logger.info("%s: %s in %.1f ms", path, "parsed" if parsed else "read from its memo",
-                1e3 * (time.perf_counter() - start))
-    return view
-
-
-def _merge(views: list[_FileView]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
-    """The files' keys under one numbering, in first-appearance order over the files, and each file's rows in it.
-
-    The first file's local ids are kept; a later file's keys are looked up,
-    and only its new ones are numbered, in its own order.  A later file's
-    rows are renumbered in place.
-    """
-    first = views[0]
-    if len(views) == 1:
-        return first.labels, first.codes, [first.rows]
-    labels, codes, arrays = list(first.labels), [first.codes], [first.rows]
-    ids = dict(zip(zip(first.codes.tolist(), first.labels), count()))
-    for view in views[1:]:
-        keys = list(zip(view.codes.tolist(), view.labels))
-        local = np.fromiter(map(ids.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
-        fresh = np.flatnonzero(local < 0)
-        local[fresh] = np.arange(len(labels), len(labels) + len(fresh))
-        ids.update(zip(map(keys.__getitem__, fresh.tolist()), local[fresh].tolist()))
-        labels += map(view.labels.__getitem__, fresh.tolist())
-        codes.append(view.codes[fresh])
-        rows = view.rows
-        rows[:, 0::2] = local[rows[:, 0::2]]
-        arrays.append(rows)
-    return labels, np.concatenate(codes), arrays
-
-
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
     """Read triple files into one graph plus one (k, 3) id-triple array per file.
 
     Entities get ids by (label, type) in first-appearance order over the
     files; the graph keeps each distinct triple once, in first-appearance
-    order, while the per-file arrays keep every line.
+    order, while the per-file arrays keep every line.  The files are one
+    view: from their memo when ``_load_memo`` trusts it, else parsed in
+    order with one vocabulary.  A parsed set of regular files gets a fresh
+    memo; a set that holds a pipe or other non-regular file gets none.
     """
-    labels, codes, arrays = _merge([_read_view(Path(path), schema) for path in paths])
-    spo = np.concatenate(arrays)
+    start = time.perf_counter()
+    files, regular = [], True
+    for path in paths:
+        with open(path, "rb") as fh:
+            regular = regular and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            files.append(_read_bytes(fh))
+    memo = paths[0].with_name("+".join(path.name for path in paths) + MEMO_SUFFIX)
+    digests = [hashlib.sha256(memoryview(data)[:size]).digest() for data, size in files] if regular else []
+    view = _load_memo(memo, digests, schema) if regular and memo.is_file() else None  # a FIFO memo would block
+    parsed = view is None
+    if parsed:
+        vocab: dict[bytes, int] = {}
+        arrays = [_parse(path, *_as_text(data, size, path), schema, vocab) for path, (data, size) in zip(paths, files)]
+    del files  # the memo and the graph are built without the bytes: about 1 MB less peak RSS at 10x
+    if parsed:
+        view = _View(*_vocabulary(vocab), np.concatenate(arrays), np.array(list(map(len, arrays)), dtype=np.int64))
+        if regular:
+            _write_memo(memo, digests, view)
+    logger.info("%s: %s in %.1f ms", ", ".join(map(str, paths)), "parsed" if parsed else "read from its memo",
+                1e3 * (time.perf_counter() - start))
+    labels, codes, spo, counts = view
     _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(labels), 1) + spo[:, 2],
                          return_index=True)
     graph = Graph(labels, codes, spo[np.sort(first)])
-    return graph, arrays
+    return graph, np.split(spo, np.cumsum(counts)[:-1])
 
 
 def load_triples(path: str | Path, schema: Schema = DEFAULT_SCHEMA) -> Graph:
@@ -538,10 +520,7 @@ def export_triples(graph: Graph, path: str | Path) -> None:
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a plain ``key=value`` config file, ignoring blanks and # comments."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(utf8_text(Path(path).read_bytes(), path, ParseError).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in config_lines(path, ParseError):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -52,6 +53,17 @@ def utf8_text(data, path, error: type[Exception]) -> str:
     except UnicodeDecodeError as exc:
         lineno = len((bytes(data[: exc.start]).decode("utf-8") + "x").splitlines())
         raise error(f"{path}:{lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+
+
+def config_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` of each line of the UTF-8 file at ``path``, stripped, skipping blank and ``#`` lines.
+
+    Bytes that are not UTF-8 raise ``error`` as :func:`utf8_text` does.
+    """
+    for lineno, raw in enumerate(utf8_text(Path(path).read_bytes(), path, error).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 class EntityType(Enum):
@@ -182,10 +194,7 @@ class Schema:
         starting with ``#`` and blank lines are ignored.
         """
         rules: dict[RelationType, tuple[frozenset, frozenset]] = {}
-        for lineno, raw in enumerate(utf8_text(Path(path).read_bytes(), path, SchemaError).splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in config_lines(path, SchemaError):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")

@@ -203,8 +203,9 @@ SMALL = ("a\tSupplier\tsupplies_to\tb\tSupplier\n"
          "c\tSupplier\tlocated_in\tZürich\tCountry\n")
 
 
-def memo_of(path):
-    return path.with_name(path.name + MEMO_SUFFIX)
+def memo_of(*paths):
+    """The memo of a read of ``paths``: beside the first file, named by all of them."""
+    return paths[0].with_name("+".join(path.name for path in paths) + MEMO_SUFFIX)
 
 
 def graph_state(graph, arrays=()):
@@ -214,17 +215,16 @@ def graph_state(graph, arrays=()):
 
 
 def parsed_state(paths, schema=DEFAULT_SCHEMA):
-    """``graph_state`` of ``_read_triples(paths)`` with every memo of them deleted first."""
-    for path in paths:
-        memo_of(path).unlink(missing_ok=True)
+    """``graph_state`` of ``_read_triples(paths)`` with their memo deleted first."""
+    memo_of(*paths).unlink(missing_ok=True)
     return graph_state(*dataset_mod._read_triples(paths, schema))
 
 
-def rewrite_memo(path, **fields):
-    """Replace fields of the memo of ``path``, keeping the others."""
-    with np.load(memo_of(path)) as memo:
-        kept = {name: memo[name] for name in memo.files}
-    with open(memo_of(path), "wb") as fh:
+def rewrite_memo(memo, **fields):
+    """Replace fields of ``memo``, keeping the others."""
+    with np.load(memo) as z:
+        kept = {name: z[name] for name in z.files}
+    with open(memo, "wb") as fh:
         np.savez(fh, **{**kept, **fields})
 
 
@@ -235,20 +235,38 @@ def refuse_parsing(mp):
     mp.setattr(dataset_mod, "_parse", parse)
 
 
+def write_small_split(split):
+    """A split directory of ``SMALL``'s three lines, one per file."""
+    split.mkdir()
+    for name, line in zip(["train.tsv", "valid.tsv", "test.tsv"], SMALL.splitlines(keepends=True)):
+        (split / name).write_text(line, encoding="utf-8")
+    return [split / "train.tsv", split / "valid.tsv", split / "test.tsv"]
+
+
+def split_state(split):
+    """``graph_state`` of ``load_split_dir(split)``."""
+    graph, *arrays = load_split_dir(split)
+    return graph_state(graph, arrays)
+
+
 def test_memo_is_written_on_the_first_read_and_read_on_the_next(tmp_path, caplog):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
     caplog.set_level(logging.INFO, logger="chainlens.dataset")
-    first = graph_state(load_triples(path))
-    assert memo_of(path).is_file()
-    with pytest.MonkeyPatch.context() as mp:
-        refuse_parsing(mp)
-        assert graph_state(load_triples(path)) == first
-    messages = [r.getMessage() for r in caplog.records if r.name == "chainlens.dataset"]
-    assert len(messages) == 2
-    assert messages[0].startswith(f"{path}: parsed in ") and messages[0].endswith(" ms")
-    assert messages[1].startswith(f"{path}: read from its memo in ") and messages[1].endswith(" ms")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "g.tsv" + MEMO_SUFFIX]  # no temp file left
+    (tmp_path / "one").mkdir()
+    (tmp_path / "one" / "g.tsv").write_text(SMALL, encoding="utf-8")
+    for paths in [tmp_path / "one" / "g.tsv"], write_small_split(tmp_path / "split"):  # one file, then a set
+        caplog.clear()
+        first = graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA))
+        assert memo_of(*paths).is_file()
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_parsing(mp)
+            assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == first
+        messages = [r.getMessage() for r in caplog.records if r.name == "chainlens.dataset"]
+        assert len(messages) == 2  # one per read, not one per file
+        read = ", ".join(map(str, paths))
+        assert messages[0].startswith(f"{read}: parsed in ") and messages[0].endswith(" ms")
+        assert messages[1].startswith(f"{read}: read from its memo in ") and messages[1].endswith(" ms")
+        names = sorted([*(path.name for path in paths), memo_of(*paths).name])
+        assert sorted(path.name for path in paths[0].parent.iterdir()) == names  # no temp file left
 
 
 def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
@@ -295,7 +313,7 @@ def test_memo_with_an_object_array_is_never_unpickled(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text(SMALL, encoding="utf-8")
     expected = graph_state(load_triples(path))
-    rewrite_memo(path, labels=np.array([Tripwire()], dtype=object))
+    rewrite_memo(memo_of(path), labels=np.array([Tripwire()], dtype=object))
     assert graph_state(load_triples(path)) == expected
     assert UNPICKLED == []
 
@@ -310,7 +328,7 @@ def rewrite_meta(path, line, change):
         meta = memo["meta"].tobytes()
     lines = meta[32:].split(b"\n")  # after the sha256
     lines[line] = change(lines[line])
-    rewrite_memo(path, meta=np.frombuffer(meta[:32] + b"\n".join(lines), dtype=np.uint8))
+    rewrite_memo(memo_of(path), meta=np.frombuffer(meta[:32] + b"\n".join(lines), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("table", ["relations", "types"])
@@ -323,9 +341,9 @@ def test_memo_in_other_names_is_not_used(tmp_path, table):
     # the same memo with the names in reverse order and the codes renumbered to match
     if table == "relations":
         rows[:, 1] = len(RELATION_BY_INDEX) - 1 - rows[:, 1]
-        rewrite_memo(path, rows=rows)
+        rewrite_memo(memo_of(path), rows=rows)
     else:
-        rewrite_memo(path, codes=(len(EntityType) - 1 - codes).astype(np.uint8))
+        rewrite_memo(memo_of(path), codes=(len(EntityType) - 1 - codes).astype(np.uint8))
     rewrite_meta(path, 1 if table == "relations" else 2, lambda names: b"\t".join(names.split(b"\t")[::-1]))
     assert graph_state(load_triples(path, ANYTHING_GOES)) == expected
 
@@ -336,26 +354,31 @@ def test_memo_of_another_version_is_not_used(tmp_path):
     expected = graph_state(load_triples(path))
     with np.load(memo_of(path)) as memo:  # a parse that an older parser might have made
         labels = np.frombuffer(memo["labels"].tobytes().replace(b"a", b"x"), dtype=np.uint8)
-    rewrite_memo(path, labels=labels)
+    rewrite_memo(memo_of(path), labels=labels)
     rewrite_meta(path, 0, lambda version: version.replace(str(dataset_mod._MEMO_VERSION).encode(), b"1"))
     assert graph_state(load_triples(path)) == expected
 
 
-#: Faults in ``SMALL``'s memo, which holds a, b, c and Zürich, each a Supplier but Zürich, a Country, in rows
-#: (0, supplies_to, 1), (1, supplies_to, 2), (2, located_in, 3); each fault changes what a read of it would give.
+#: Faults in the memo of ``SMALL`` cut into two files after its first line.  The memo holds a, b, c and Zürich,
+#: each a Supplier but Zürich, a Country, rows (0, supplies_to, 1), (1, supplies_to, 2), (2, located_in, 3) and
+#: counts (1, 2); each fault changes what a read of it would give.
 FAULTS = ["subject past the labels", "negative object", "unknown relation", "unknown type", "a label missing",
           "a label too many", "a label never used", "rows as int32", "ids out of first-appearance order",
           "a duplicate key", "an empty label", "a label with a tab", "a label with a carriage return",
-          "a label with U+2028", "a subject starting with #"]
+          "a label with U+2028", "a subject starting with #", "counts not adding up to the rows",
+          "a count too many", "a negative count"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_memo_the_parser_could_not_have_made_is_not_used(tmp_path, fault):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA))
-    with np.load(memo_of(path)) as memo:
+    paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    first, rest = SMALL.split("\n", 1)
+    paths[0].write_text(first + "\n", encoding="utf-8")
+    paths[1].write_text(rest, encoding="utf-8")
+    expected = graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA))
+    with np.load(memo_of(*paths)) as memo:
         rows, codes, labels = memo["rows"], memo["codes"], memo["labels"].tobytes().decode("utf-8").split("\n")
+        counts = memo["counts"]
     if fault == "subject past the labels":
         rows[0, 0] = len(codes)
     elif fault == "negative object":
@@ -379,18 +402,27 @@ def test_memo_the_parser_could_not_have_made_is_not_used(tmp_path, fault):
         labels[2] = "b"
     elif fault == "a subject starting with #":
         labels[0] = "#a"
+    elif fault == "counts not adding up to the rows":
+        counts = np.array([2, 2])
+    elif fault == "a count too many":  # the rows of a third, empty file
+        counts = np.array([1, 2, 0])
+    elif fault == "a negative count":  # adds up to the rows, and would give the first file all of them
+        counts = np.array([4, -1])
     else:
         labels[1] = {"an empty label": "", "a label with a tab": "b\tx", "a label with a carriage return": "b\rx",
                      "a label with U+2028": "b\u2028x"}[fault]
-    rewrite_memo(path, rows=rows, codes=codes,
+    rewrite_memo(memo_of(*paths), rows=rows, codes=codes, counts=counts,
                  labels=np.frombuffer("\n".join(labels).encode("utf-8"), dtype=np.uint8))
-    assert graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA)) == expected
+    assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
 
 
 #: The sha256 of ``parse_sample``'s result under each memo version.  A change to what the parser makes of some
 #: file, as a new comment, label or line-break rule, changes it: the change must then give
 #: ``dataset._MEMO_VERSION`` a new number, and this table its digest, so that no memo of the old parse is read.
-SAMPLE_PARSES = {2: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399"}
+#: Version 3 changed only the memo's layout (one memo per file set, with each file's row count), so its digest is
+#: version 2's.
+SAMPLE_PARSES = {2: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399",
+                 3: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399"}
 
 
 def parse_sample(tmp_path):
@@ -470,20 +502,60 @@ def memo_files(draw) -> list[bytes]:
     return files
 
 
-@given(files=memo_files(), kept=st.lists(st.booleans(), min_size=3, max_size=3))
+@given(files=memo_files(), changed=st.integers(0, 2))
 @settings(deadline=None)
-def test_memos_read_as_parsing_does(tmp_path_factory, files, kept):
+def test_memos_read_as_parsing_does(tmp_path_factory, files, changed):
     root = tmp_path_factory.mktemp("memo")
     paths = [root / f"part{i}.tsv" for i in range(len(files))]
     for path, data in zip(paths, files):
         path.write_bytes(data)
     expected = parsed_state(paths)
     assert expected[:3] == graph_state(reference_read_triples(paths, DEFAULT_SCHEMA)[0])[:3]
-    assert all(memo_of(path).is_file() for path in paths)
+    assert sorted(p.name for p in root.iterdir()) == sorted([*(p.name for p in paths), memo_of(*paths).name])
     with pytest.MonkeyPatch.context() as mp:
         refuse_parsing(mp)
         assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
-    for path, keep in zip(paths, kept):  # some files from memos, some parsed, in one read
-        if not keep:
-            memo_of(path).unlink()
-    assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
+    # one file of the set changed, by a comment that changes no triple, so the whole set is parsed again
+    path = paths[changed % len(paths)]
+    path.write_bytes(b"# changed\n" + path.read_bytes())
+    parsed = []
+    with pytest.MonkeyPatch.context() as mp:
+        parse = dataset_mod._parse
+        mp.setattr(dataset_mod, "_parse", lambda path, *args: parsed.append(path) or parse(path, *args))
+        assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
+    assert parsed == paths
+    with pytest.MonkeyPatch.context() as mp:  # and the memo was replaced
+        refuse_parsing(mp)
+        assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
+
+
+def test_a_file_and_a_set_that_holds_it_keep_a_memo_each(tmp_path):
+    split = tmp_path / "split"
+    paths = write_small_split(split)
+    alone = graph_state(load_triples(paths[0]))
+    together = split_state(split)
+    assert sorted(p.name for p in split.iterdir()) == sorted(["train.tsv", "valid.tsv", "test.tsv",
+                                                              "train.tsv" + MEMO_SUFFIX,
+                                                              "train.tsv+valid.tsv+test.tsv" + MEMO_SUFFIX])
+    with pytest.MonkeyPatch.context() as mp:  # neither read replaced the other's memo
+        refuse_parsing(mp)
+        for _ in range(2):
+            assert graph_state(load_triples(paths[0])) == alone
+            assert split_state(split) == together
+
+
+def test_set_memo_is_not_used_when_one_file_holds_other_bytes_of_the_same_length_and_time(tmp_path):
+    split = tmp_path / "split"
+    paths = write_small_split(split)
+    load_split_dir(split)
+    before = memo_of(*paths).read_bytes()
+    st = paths[2].stat()
+    paths[2].write_bytes(paths[2].read_bytes().replace(b"c\t", b"d\t"))
+    os.utime(paths[2], ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert paths[2].stat().st_size == st.st_size
+    got = split_state(split)
+    assert got[0] == ["a", "b", "c", "d", "Zürich"]
+    assert memo_of(*paths).read_bytes() != before
+    with pytest.MonkeyPatch.context() as mp:  # the stale memo was replaced
+        refuse_parsing(mp)
+        assert split_state(split) == got
