@@ -22,9 +22,19 @@ interpretable):
 Betweenness and closeness come from one level-synchronous BFS sweep over
 batches of sources on a CSR adjacency (Brandes 2001; Kepner & Gilbert 2011):
 the levels that Brandes' dependencies are accumulated over also give each
-source's reached count and distance sum.  Betweenness matches per-source
-Brandes up to summation order; closeness and the integer metrics are exact.
-Critical paths are enumerated as arrays too, one path length at a time.
+source's reached count and distance sum.  The levels are sparse: a batch
+keeps a visited bitmap and, per level, only the (source, node) pairs it
+first reached, with their path counts and the DAG edges into them.  A batch
+is sized by bytes (``BFS_BYTES``): the first as if each source reached every
+node and scanned every edge, each later one from the bytes per source that
+the batch before it held, and at most twice its sources.  Each node's path
+counts and dependencies add their terms in the order the frontier reached
+them, and betweenness adds each node's dependencies in source order, so no
+result depends on the batch sizes.  Betweenness matches per-source Brandes
+up to summation order; closeness and the integer metrics are exact.
+Triangles are counted as degree-ordered wedges (Chiba & Nishizeki 1985), in
+chunks of ``WEDGE_BYTES``.  Critical paths are enumerated as arrays too, one
+path length at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import ENTITY_TYPE_INDEX, RELATION_INDEX, EntityType, Graph, RelationType
+from .graph import ENTITY_TYPE_INDEX, RELATION_INDEX, EntityType, Graph, RelationType, run_starts, sorted_unique
 
 METRIC_NAMES = ("in_degree", "out_degree", "betweenness", "closeness", "triangle_count")
 
@@ -51,48 +61,129 @@ def degree_centrality(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(t[:, 2], minlength=n), np.bincount(t[:, 0], minlength=n)
 
 
-#: Bytes of one (k, n) float64 array of a BFS batch; sets k, the sources per batch.
+#: Bytes that one batch of the BFS sweep may hold: its visited bitmap (a byte
+#: per (source, node) pair) and its levels.  Sets the sources per batch.
 BFS_BYTES = 1 << 22
 
+#: Bytes a batch holds per pair reached, per DAG edge and per edge scanned in
+#: its widest level, at its most (measured with tracemalloc): a pair's key,
+#: sigma and delta and the words that sort its delta into source order; an
+#: edge's two positions and its weight; a scanned edge's parent, CSR slot,
+#: child key and masks.
+_PAIR_BYTES, _EDGE_BYTES, _SCAN_BYTES = 56, 24, 40
 
-def _bfs_levels(graph: Graph):
-    """Level-synchronous BFS from every node, k sources at a time.
+_Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    Yields ``(first, sigma, levels)`` per batch.  Flat key ``r * n + v`` is node
-    v in the BFS from ``first + r``; sigma (reused by the next batch) counts
-    shortest paths by key; levels[d-1] = ``(fresh, parents, children)`` holds the
-    sorted keys first reached at depth d and the DAG edges into them (last empty).
+
+def _batch_sources(left: int, bytes_per_source: float, previous: int) -> int:
+    """Sources in the next BFS batch: as many of the ``left`` as BFS_BYTES
+    holds at ``bytes_per_source``, and at most twice the ``previous`` batch's."""
+    k = min(left, int(BFS_BYTES // bytes_per_source))
+    return max(1, min(k, 2 * previous) if previous else k)
+
+
+def _bfs_batch(n: int, indptr: np.ndarray, succ: np.ndarray, seen: np.ndarray, first: int,
+               k: int) -> tuple[list[_Level], int]:
+    """The levels of the BFS from sources ``first .. first + k - 1``, and the
+    most edges one level scanned; ``seen`` marks the keys reached."""
+    outdeg = np.diff(indptr)
+    keys = np.arange(k) * (n + 1) + first
+    seen[keys] = True
+    none = np.zeros(0, dtype=np.int64)
+    levels, widest = [(keys, np.ones(k), none, none)], 0
+    while True:
+        base = keys // n * n
+        nodes = keys - base
+        deg = outdeg[nodes]
+        parents = np.repeat(np.arange(keys.size), deg)
+        widest = max(widest, parents.size)
+        edge = np.repeat(indptr[nodes] - (np.cumsum(deg) - deg), deg)
+        edge += np.arange(edge.size)
+        children = np.repeat(base, deg)
+        children += succ[edge]
+        dag = np.flatnonzero(~seen[children])
+        if not dag.size:
+            return levels, widest
+        # One sort of (child key, parent position) words orders the DAG edges by child and,
+        # within a child, by parent, while each parent's edges stay in CSR order: sigma and
+        # delta add each node's terms in the order the frontier reached them.  Keys and
+        # positions are below k * n, so a word fits in 63 bits for any bitmap that fits in memory.
+        shift = keys.size.bit_length()
+        edges = children[dag] << shift
+        edges |= parents[dag]
+        edges.sort()
+        parents = edges & ((1 << shift) - 1)
+        edges >>= shift
+        fresh = run_starts(edges)
+        children = np.cumsum(fresh) - 1  # each edge's child as a position in keys
+        keys = edges[fresh]
+        seen[keys] = True
+        sigma = np.bincount(children, weights=levels[-1][1][parents], minlength=keys.size)
+        levels.append((keys, sigma, parents, children))
+
+
+def _bfs_levels(graph: Graph) -> Iterator[tuple[int, list[_Level]]]:
+    """Level-synchronous BFS from every node, in batches of sources.
+
+    Yields ``(first, levels)`` per batch of the sources ``first, first + 1, ...``.
+    Flat key ``r * n + v`` is node v in the BFS from ``first + r``.
+    ``levels[d] = (keys, sigma, parents, children)``: the sorted keys first
+    reached at depth d, their shortest-path counts, and the DAG edges into
+    them, as positions in ``levels[d - 1]`` and ``levels[d]``, sorted by child
+    and then by parent (``levels[0]`` holds the sources and no edges).  The
+    list is emptied when the next batch is asked for.
+
+    The first batch is sized by the bytes a source could hold at most; each
+    later one by the bytes per source that the batch before it held, and
+    holds at most twice its sources.
     """
     n = graph.num_entities
     t = graph.triples_array()
-    keys = np.unique(t[:, 0] * n + t[:, 2])  # CSR; self-loops are never on a shortest path
+    succ = sorted_unique(t[:, 0] * n + t[:, 2])  # CSR; self-loops are never on a shortest path
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    k = max(1, min(n, BFS_BYTES // (8 * max(n, 1))))
-    dist = np.full(k * n, -1, dtype=np.int64)
-    sigma = np.zeros(k * n)
-    for first in range(0, n, k):
-        sources = np.arange(min(k, n - first)) * (n + 1) + first
-        dist[sources], sigma[sources] = 0, 1.0
-        frontier, depth, levels = sources, 0, []
-        while frontier.size:
-            depth += 1
-            starts = indptr[frontier % n]
-            deg = indptr[frontier % n + 1] - starts
-            parents = np.repeat(frontier, deg)
-            edge = np.arange(parents.size) + np.repeat(starts - (np.cumsum(deg) - deg), deg)
-            children = parents - parents % n + keys[edge] % n
-            fresh = children[dist[children] < 0]
-            dist[fresh] = depth
-            on_dag = dist[children] == depth
-            parents, children = parents[on_dag], children[on_dag]
-            np.add.at(sigma, children, sigma[parents])
-            fresh.sort()  # a copy of children's keys; sorted, repeats are adjacent
-            frontier = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))] if fresh.size else fresh
-            levels.append((frontier, parents, children))
-        yield first, sigma, levels
-        touched = np.concatenate([sources] + [fresh for fresh, _, _ in levels])
-        dist[touched], sigma[touched] = -1, 0.0
+    np.cumsum(np.bincount(succ // n, minlength=n), out=indptr[1:])
+    succ %= n
+    seen = np.zeros(0, dtype=bool)  # reused, and cleared after each batch
+    # at most, a source reaches every node, and scans every edge in one level onto its DAG
+    first, k, per_source = 0, 0, (1 + _PAIR_BYTES) * n + (_EDGE_BYTES + _SCAN_BYTES) * succ.size
+    while first < n:
+        k = _batch_sources(n - first, per_source, k)
+        if seen.size < k * n:
+            seen = np.zeros(k * n, dtype=bool)
+        levels, widest = _bfs_batch(n, indptr, succ, seen, first, k)
+        yield first, levels
+        pairs = edges = 0
+        for keys, _, parents, _ in levels:
+            seen[keys] = False
+            pairs, edges = pairs + keys.size, edges + parents.size
+        levels.clear()  # the next batch is built without this one's arrays
+        per_source = (k * n + _PAIR_BYTES * pairs + _EDGE_BYTES * edges + _SCAN_BYTES * widest) / k
+        first += k
+
+
+def _add_batch(acc: np.ndarray, reached: np.ndarray, total: np.ndarray, first: int, levels: list[_Level]) -> None:
+    """Add one batch's pair dependencies to ``acc``, and its reached counts
+    and distance sums to ``reached`` and ``total``."""
+    n = acc.size
+    deltas = [np.zeros(levels[-1][0].size)]
+    for (_, sigma, parents, children), (_, up_sigma, _, _) in zip(levels[:0:-1], levels[-2::-1]):
+        weight = up_sigma[parents] / sigma[children] * (1.0 + deltas[-1][children])
+        deltas.append(np.bincount(parents, weights=weight, minlength=up_sigma.size))
+    # sources excluded; sorted keys add each node's dependencies in source order
+    keys = np.concatenate([level[0] for level in levels[1:]])
+    shift = keys.size.bit_length()
+    keys <<= shift
+    keys |= np.arange(keys.size)
+    keys.sort(kind="stable")  # timsort: the words come in one sorted run per level
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    delta = np.concatenate(deltas[-2::-1])
+    del deltas  # frees the per-level copies before the gather below
+    np.add.at(acc, keys - keys // n * n, delta[order])
+    for depth, (fresh, _, _, _) in enumerate(levels[1:], start=1):
+        counts = np.bincount(fresh // n)  # fresh nodes per source of the batch
+        reached[first:first + counts.size] += counts
+        total[first:first + counts.size] += depth * counts
 
 
 def shortest_path_centralities(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -103,20 +194,11 @@ def shortest_path_centralities(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     each depth of the same levels.
     """
     n = graph.num_entities
-    acc, delta = np.zeros(n), None
+    acc = np.zeros(n)
     reached, total = np.zeros((2, n), dtype=np.int64)
-    for first, sigma, levels in _bfs_levels(graph):
-        delta = np.zeros_like(sigma) if delta is None else delta
-        for _, parents, children in reversed(levels):
-            np.add.at(delta, parents, sigma[parents] / sigma[children] * (1.0 + delta[children]))
-        # sources excluded; sorted keys add each node's dependencies in source order
-        keys = np.sort(np.concatenate([fresh for fresh, _, _ in levels]))
-        np.add.at(acc, keys % n, delta[keys])
-        delta[np.concatenate([parents for _, parents, _ in levels])] = 0.0
-        for depth, (fresh, _, _) in enumerate(levels, start=1):
-            counts = np.bincount(fresh // n)  # fresh nodes per source of the batch
-            reached[first:first + counts.size] += counts
-            total[first:first + counts.size] += depth * counts
+    for first, levels in _bfs_levels(graph):
+        if len(levels) > 1:
+            _add_batch(acc, reached, total, first, levels)
     hit = reached > 0
     return acc, np.where(hit, (reached / np.where(hit, total, 1)) * (reached / max(n - 1, 1)), 0.0)
 
@@ -131,21 +213,46 @@ def closeness(graph: Graph) -> np.ndarray:
     return shortest_path_centralities(graph)[1]
 
 
+#: Bytes of one int64 array over a chunk of wedges; sets the wedges per chunk.
+WEDGE_BYTES = 1 << 18
+
+
 def triangle_count(graph: Graph) -> np.ndarray:
-    """Per-node triangle counts on the undirected simple projection."""
+    """Per-node triangle counts on the undirected simple projection.
+
+    Nodes are ranked by (degree, id) and each edge is oriented from its
+    lower- to its higher-ranked end, so each triangle is one wedge u -> v -> w
+    whose closing edge u -> w is also oriented (Chiba & Nishizeki 1985).  The
+    wedges are listed and looked up ``WEDGE_BYTES // 8`` at a time.
+    """
     n = graph.num_entities
-    nbrs: list[set[int]] = [set() for _ in range(n)]
     t = graph.triples_array()
-    for s, o in t[t[:, 0] != t[:, 2]][:, [0, 2]].tolist():
-        nbrs[s].add(o)
-        nbrs[o].add(s)
+    s, o = t[:, 0], t[:, 2]
+    edges = sorted_unique((np.minimum(s, o) * n + np.maximum(s, o))[s != o])
+    ends = np.stack([edges // n, edges % n])
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.bincount(ends.ravel(), minlength=n), kind="stable")] = np.arange(n)
+    ends = rank[ends]
+    keys = np.sort(ends.min(axis=0) * n + ends.max(axis=0))  # oriented, by rank: sorted, their own CSR
+    tails, heads = keys // n, keys % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    fan = indptr[heads + 1] - indptr[heads]  # per oriented edge, the wedges it starts
+    last = np.cumsum(fan)
+    begin = last - fan
+    total = int(last[-1]) if last.size else 0
     counts = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        nv = nbrs[v]
-        # each triangle at v counted twice over ordered neighbor pairs
-        c = sum(len(nv & nbrs[u]) for u in nv)
-        counts[v] = c // 2
-    return counts
+    size = max(1, WEDGE_BYTES // 8)
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        a, b = np.searchsorted(last, [lo, hi - 1], side="right")  # the edges that start wedges lo .. hi - 1
+        edge = np.repeat(np.arange(a, b + 1), fan[a:b + 1])[lo - begin[a]:hi - begin[a]]
+        u, v = tails[edge], heads[edge]
+        w = heads[indptr[v] + np.arange(lo, hi) - begin[edge]]
+        closing = u * n + w
+        hit = keys[np.minimum(np.searchsorted(keys, closing), keys.size - 1)] == closing
+        counts += np.bincount(np.concatenate([u[hit], v[hit], w[hit]]), minlength=n)
+    return counts[rank]
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
@@ -306,7 +413,7 @@ def scope_suppliers(graph: Graph) -> np.ndarray:
     pairs = pairs[(codes[pairs[:, 0]] == ENTITY_TYPE_INDEX[EntityType.BUSINESS_SCOPE])
                   & (codes[pairs[:, 1]] == ENTITY_TYPE_INDEX[EntityType.SUPPLIER])]
     n = max(graph.num_entities, 1)
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])  # one int64 key per pair sorts as the pairs do
+    keys = sorted_unique(pairs[:, 0] * n + pairs[:, 1])  # one int64 key per pair sorts as the pairs do
     return np.column_stack([keys // n, keys % n])
 
 

@@ -435,6 +435,15 @@ def _write_memo(memo: Path, digests: list[bytes], view: _View) -> None:
             tmp.unlink()
 
 
+def _memo_exists(memo: Path) -> bool:
+    """Whether ``memo`` is a regular file (a FIFO memo would block); False also where the file system
+    refuses its name, as one over the name length limit, which ``Path.is_file`` raises on."""
+    try:
+        return memo.is_file()
+    except OSError:
+        return False
+
+
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
     """Read triple files into one graph plus one (k, 3) id-triple array per file.
 
@@ -453,7 +462,7 @@ def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.nda
             files.append(_read_bytes(fh))
     memo = paths[0].with_name("+".join(path.name for path in paths) + MEMO_SUFFIX)
     digests = [hashlib.sha256(memoryview(data)[:size]).digest() for data, size in files] if regular else []
-    view = _load_memo(memo, digests, schema) if regular and memo.is_file() else None  # a FIFO memo would block
+    view = _load_memo(memo, digests, schema) if regular and _memo_exists(memo) else None
     parsed = view is None
     if parsed:
         vocab: dict[bytes, int] = {}

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import RELATION_BY_INDEX
+from .graph import RELATION_BY_INDEX, run_starts, sorted_unique
 from .models import ModelParams, _block_scorer, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
@@ -188,11 +188,12 @@ def build_filter_index(triple_sets: list[np.ndarray]) -> FilterIndex:
     num_objects = int(o.max()) + 1 if len(o) else 0
     pair_key = s * num_relations + r
     # one sort orders pairs and, within a pair, objects; it also drops duplicates
-    unique = np.unique(pair_key * num_objects + o)
-    keys, starts = np.unique(unique // max(num_objects, 1), return_index=True)
+    unique = sorted_unique(pair_key * num_objects + o)
+    pairs = unique // max(num_objects, 1)
+    starts = np.flatnonzero(run_starts(pairs))
     return FilterIndex(
         num_relations=num_relations,
-        keys=keys,
+        keys=pairs[starts],
         offsets=np.append(starts, len(unique)),
         objects=unique % max(num_objects, 1),
     )

@@ -66,6 +66,23 @@ def config_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int
             yield lineno, line
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Bool mask of the 1-D sorted ``keys`` that differ from the key before them (the first always does)."""
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of 1-D integer keys, from one sort and an adjacent-difference mask.
+
+    numpy 2's ``np.unique`` hashes the keys before it sorts them; the sort
+    alone is several times faster on int64 keys.
+    """
+    keys = np.sort(keys)
+    return keys[run_starts(keys)]
+
+
 class EntityType(Enum):
     SUPPLIER = "Supplier"
     MANUFACTURER_PART = "ManufacturerPart"

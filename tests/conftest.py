@@ -8,7 +8,8 @@ from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph
 # A larger fuzz budget for the property tests that leave max_examples at its
 # default (the reader against its reference, the gradient scatter against
 # np.add.at, score_batch against the score formulas, the screened ranks
-# against float64 ranks): pytest --hypothesis-profile=ci
+# against float64 ranks, the centralities and triangles against their
+# references): pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=2_000)
 
 

@@ -1,9 +1,10 @@
 """Analytics as they were before the shared sweep and the array path expansion.
 
 ``two_sweep_centralities`` runs betweenness and closeness each on its own
-level-synchronous BFS (``unique_frontier_bfs_levels``, which deduplicates
-each frontier with ``np.unique``), counting closeness with ``np.add.at``; the
-one sweep must give their bits.
+level-synchronous BFS (``unique_frontier_bfs_levels``, which keeps dense
+(k, n) distances and path counts and deduplicates each frontier with
+``np.unique``), counting closeness with ``np.add.at``; the one sweep must
+give their bits, and its sparse levels must convert to these levels.
 ``critical_paths`` is the recursive depth-first enumeration that the array
 version must reproduce list for list.
 ``write_criticality_csv`` is ``CriticalityReport.to_csv`` as it was, one
@@ -16,22 +17,29 @@ from collections import defaultdict
 
 import numpy as np
 
-from chainlens import analytics
 from chainlens.analytics import METRIC_NAMES
 from chainlens.graph import RELATION_INDEX, RelationType
 
 
-def unique_frontier_bfs_levels(graph):
+def unique_frontier_bfs_levels(graph, sizes=None):
+    """Yields ``(first, sigma, levels)`` per batch of ``sizes[i]`` sources (by
+    default 2**22 // (8 n) each), with sigma dense over the batch's keys
+    ``r * n + v`` and levels[d-1] = ``(fresh, parents, children)``: the sorted
+    keys first reached at depth d and the DAG edges into them as keys, in the
+    order the frontier expands (the last level empty)."""
     n = graph.num_entities
     t = graph.triples_array()
     keys = np.unique(t[:, 0] * n + t[:, 2])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    k = max(1, min(n, analytics.BFS_BYTES // (8 * max(n, 1))))
-    dist = np.full(k * n, -1, dtype=np.int64)
-    sigma = np.zeros(k * n)
-    for first in range(0, n, k):
-        sources = np.arange(min(k, n - first)) * (n + 1) + first
+    if sizes is None:
+        k = max(1, min(n, (1 << 22) // (8 * max(n, 1))))
+        sizes = [min(k, n - first) for first in range(0, n, k)]
+    dist = np.full(max(sizes, default=0) * n, -1, dtype=np.int64)
+    sigma = np.zeros(dist.size)
+    first = 0
+    for size in sizes:
+        sources = np.arange(size) * (n + 1) + first
         dist[sources], sigma[sources] = 0, 1.0
         frontier, depth, levels = sources, 0, []
         while frontier.size:
@@ -51,6 +59,7 @@ def unique_frontier_bfs_levels(graph):
         yield first, sigma, levels
         touched = np.concatenate([sources] + [fresh for fresh, _, _ in levels])
         dist[touched], sigma[touched] = -1, 0.0
+        first += size
 
 
 def two_sweep_centralities(graph):

@@ -1,6 +1,7 @@
+import tracemalloc
 from collections import deque
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, cycle
 
 import numpy as np
 import pytest
@@ -199,18 +200,51 @@ def assert_centralities_match_oracles(g):
     np.testing.assert_array_equal(closeness(g), brute_closeness(g))
 
 
-@pytest.mark.parametrize("rows", [3, 4])
+def force_batches(mp, rows):
+    """Make the BFS sweep's batches hold ``rows`` sources each or, for a tuple,
+    its sizes in turn, cycling, as far as sources are left."""
+    sizes = cycle(rows if isinstance(rows, tuple) else [rows])
+    mp.setattr(analytics, "_batch_sources", lambda left, bytes_per_source, previous: min(left, next(sizes)))
+
+
+def assert_levels_equal_the_dense_reference(g):
+    """Each batch's sparse levels, as keys, sigma bits and (parent key, child key)
+    DAG edges, equal the dense reference's levels over the same batches.  The
+    sweep keeps a level's edges sorted by child and, within a child, in the
+    reference's order; the reference lists each parent's edges by ascending
+    child, so the sorted order adds every sum in the reference's order."""
+    batches = [(first, list(levels)) for first, levels in analytics._bfs_levels(g)]  # each list is emptied next
+    sizes = [levels[0][0].size for _, levels in batches]
+    n = g.num_entities
+    assert [first for first, _ in batches] == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == n
+    reference = unique_frontier_bfs_levels(g, sizes)
+    for (first, levels), (ref_first, ref_sigma, ref_levels) in zip(batches, reference, strict=True):
+        keys, sigma, parents, children = levels[0]
+        assert first == ref_first and keys.tolist() == (np.arange(keys.size) * (n + 1) + first).tolist()
+        assert sigma.tobytes() == np.ones(keys.size).tobytes() and parents.size == children.size == 0
+        assert len(levels) == len(ref_levels) and not ref_levels[-1][0].size  # the reference ends on an empty level
+        for (up_keys, _, _, _), (keys, sigma, parents, children), (fresh, ref_parents, ref_children) in zip(
+                levels, levels[1:], ref_levels):
+            assert keys.tolist() == fresh.tolist()
+            assert sigma.tobytes() == ref_sigma[fresh].tobytes()
+            by_child = np.argsort(ref_children, kind="stable")
+            assert up_keys[parents].tolist() == ref_parents[by_child].tolist()
+            assert keys[children].tolist() == ref_children[by_child].tolist()
+
+
+@pytest.mark.parametrize("rows", [3, 4, (1, 3, 2)])
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_bfs_matches_oracles_across_batches(seed, rows, monkeypatch):
     rng = np.random.default_rng(400 + seed)
-    n = int(rng.integers(2 * rows + 1, 41))
-    n += n % rows == 0  # a short last batch
+    cycle_rows = sum(rows) if isinstance(rows, tuple) else rows
+    n = int(rng.integers(2 * cycle_rows + 1, 41))
+    n += n % cycle_rows == 0  # a short last batch
     g = random_supplier_graph(rng, n, int(rng.integers(n, 3 * n)))
-    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * n * rows)
+    force_batches(monkeypatch, rows)
     assert_centralities_match_oracles(g)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("rows", [1, 3, 64, (5, 1, 2)])
 @pytest.mark.parametrize("seed", range(6))
 def test_one_sweep_equals_two_bit_for_bit(seed, rows, monkeypatch):
     """criticality's one sweep gives the bits of the standalone metrics and of
@@ -218,7 +252,7 @@ def test_one_sweep_equals_two_bit_for_bit(seed, rows, monkeypatch):
     rng = np.random.default_rng(600 + seed)
     n = int(rng.integers(5, 41))
     g = (random_dag if seed % 2 else random_supplier_graph)(rng, n, int(rng.integers(n, 3 * n)))
-    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * n * rows)
+    force_batches(monkeypatch, rows)
     raw = criticality(g).raw
     shared, (between, close) = shortest_path_centralities(g), two_sweep_centralities(g)
     for name, value, alone, former in (("betweenness", shared[0], betweenness(g), between),
@@ -228,16 +262,40 @@ def test_one_sweep_equals_two_bit_for_bit(seed, rows, monkeypatch):
     np.testing.assert_array_equal(raw["closeness"], brute_closeness(g))
 
 
-@pytest.mark.parametrize("rows", [1, 4, 64])
+@pytest.mark.parametrize("rows", [1, 4, 64, (2, 7, 1)])
 def test_batched_bfs_levels_equal_those_with_unique_frontiers(rows, monkeypatch):
     g = random_supplier_graph(np.random.default_rng(11), 30, 90)
-    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * 30 * rows)
-    for (first, sigma, levels), (ref_first, ref_sigma, ref_levels) in zip(analytics._bfs_levels(g),
-                                                                          unique_frontier_bfs_levels(g)):
-        assert first == ref_first and sigma.tobytes() == ref_sigma.tobytes()
-        assert len(levels) == len(ref_levels)
-        for level, ref_level in zip(levels, ref_levels):
-            assert all(np.array_equal(a, b) for a, b in zip(level, ref_level))
+    force_batches(monkeypatch, rows)
+    sizes = list(rows if isinstance(rows, tuple) else [rows]) * 30
+    assert [levels[0][0].size for _, levels in analytics._bfs_levels(g)] == [
+        min(size, 30 - first) for first, size in zip(np.cumsum([0] + sizes), sizes) if first < 30]
+    assert_levels_equal_the_dense_reference(g)
+
+
+def test_batches_are_sized_from_the_bytes_the_batch_before_held(monkeypatch):
+    """The first batch fits the most bytes a source could hold in BFS_BYTES;
+    each later one fits the bytes per source that the batch before it held,
+    and holds at most twice its sources."""
+    g = random_supplier_graph(np.random.default_rng(12), 60, 120)
+    n, pairs = g.num_entities, np.unique(g.triples_array()[:, [0, 2]], axis=0)
+    outdeg = np.bincount(pairs[:, 0], minlength=n)
+    most = (1 + analytics._PAIR_BYTES) * n + (analytics._EDGE_BYTES + analytics._SCAN_BYTES) * len(pairs)
+    monkeypatch.setattr(analytics, "BFS_BYTES", 3 * most)
+    sizes, held = [], []
+    for _, levels in analytics._bfs_levels(g):
+        k = levels[0][0].size
+        widest = max(int(outdeg[keys % n].sum()) for keys, _, _, _ in levels)  # the edges each level scanned
+        held.append(k * n + analytics._PAIR_BYTES * sum(level[0].size for level in levels)
+                    + analytics._EDGE_BYTES * sum(level[2].size for level in levels) + analytics._SCAN_BYTES * widest)
+        sizes.append(k)
+    assert sizes[0] == 3 and sum(sizes) == n
+    doubled = fitted = 0
+    for i in range(1, len(sizes)):
+        fits = int(analytics.BFS_BYTES // (held[i - 1] / sizes[i - 1]))
+        assert sizes[i] == max(1, min(n - sum(sizes[:i]), fits, 2 * sizes[i - 1]))
+        doubled += sizes[i] == 2 * sizes[i - 1] < fits
+        fitted += sizes[i] == fits < 2 * sizes[i - 1]
+    assert doubled and fitted  # both bounds decided a batch
 
 
 def test_batched_bfs_empty_and_single_node():
@@ -260,9 +318,9 @@ def test_batched_bfs_ignores_self_loops():
     assert_centralities_match_oracles(g)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 64])
+@pytest.mark.parametrize("rows", [1, 2, 64, (3, 1)])
 def test_batched_bfs_isolated_and_reciprocal(rows, monkeypatch):
-    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * 7 * rows)
+    force_batches(monkeypatch, rows)
     g = Graph()
     ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(7)]  # s6 isolated
     for a, b in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 4), (4, 2), (5, 3)):
@@ -288,7 +346,7 @@ def test_batched_bfs_collapses_parallel_relations():
 def test_betweenness_diamond_chain_closed_form(monkeypatch):
     # j0 -> {a0, b0} -> j1 -> ... -> j40: 2**40 shortest paths from j0 to j40
     m = 40
-    monkeypatch.setattr(analytics, "BFS_BYTES", 8 * (3 * m + 1) * 16)
+    force_batches(monkeypatch, 16)
     g = Graph()
     junctions = [g.add_entity(f"j{i}", EntityType.SUPPLIER) for i in range(m + 1)]
     middles = []
@@ -367,6 +425,106 @@ def test_triangles_match_oracle(seed):
     rng = np.random.default_rng(300 + seed)
     g = random_supplier_graph(rng, int(rng.integers(5, 41)), int(rng.integers(5, 80)))
     np.testing.assert_array_equal(triangle_count(g), brute_triangles(g))
+
+
+def add_loops_and_reciprocals(g, rng, count):
+    """Add ``count`` self-loops and the reverse of ``count`` edges, where missing."""
+    n, t = g.num_entities, g.triples_array()
+    pairs = [(a, a) for a in rng.integers(n, size=count).tolist()]
+    pairs += [(o, s) for s, _, o in t[rng.integers(len(t), size=count)].tolist()] if len(t) else []
+    for a, b in pairs:
+        if not g.has_triple(a, RelationType.SUPPLIES_TO, b):
+            g.add_triple(a, RelationType.SUPPLIES_TO, b, DEFAULT_SCHEMA)
+
+
+@pytest.mark.parametrize("wedges", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_triangles_match_oracle_in_chunks_of_a_few_wedges(seed, wedges, monkeypatch):
+    rng = np.random.default_rng(330 + seed)
+    n = int(rng.integers(5, 25))
+    g = random_supplier_graph(rng, n, int(rng.integers(n, 4 * n)))
+    add_loops_and_reciprocals(g, rng, 4)
+    monkeypatch.setattr(analytics, "WEDGE_BYTES", 8 * wedges)
+    np.testing.assert_array_equal(triangle_count(g), brute_triangles(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
+def test_triangles_on_a_complete_graph_closed_form(n, monkeypatch):
+    g = Graph()
+    ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(n)]
+    for a in ids:
+        for b in ids:  # both directions of every pair, and a self-loop on every node
+            g.add_triple(a, RelationType.SUPPLIES_TO, b, DEFAULT_SCHEMA)
+    monkeypatch.setattr(analytics, "WEDGE_BYTES", 8 * 5)
+    assert triangle_count(g).tolist() == [(n - 1) * (n - 2) // 2] * n  # C(n - 1, 2) at every node
+
+
+@st.composite
+def sweep_cases(draw):
+    """Up to 10 suppliers with supplies_to edges (cycles, reciprocal pairs and
+    self-loops included) and related_to edges that repeat some of them, with
+    the batch sizes of the BFS sweep and the wedges per triangle chunk."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    rules = dict(DEFAULT_SCHEMA.rules)
+    rules[RelationType.RELATED_TO] = (frozenset({EntityType.SUPPLIER}), frozenset({EntityType.SUPPLIER}))
+    schema = Schema(rules)
+    g = Graph()
+    ids = [g.add_entity(f"s{i}", EntityType.SUPPLIER) for i in range(n)]
+    for rel, size in ((RelationType.SUPPLIES_TO, 40), (RelationType.RELATED_TO, 8)):
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=size)):
+            if not g.has_triple(ids[a], rel, ids[b]):
+                g.add_triple(ids[a], rel, ids[b], schema)
+    return g, draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)), draw(st.integers(1, 40))
+
+
+@settings(deadline=None)
+@given(sweep_cases())
+def test_centralities_and_triangles_equal_their_references(case):
+    """Across batch and chunk sizes: the sweep's levels equal the dense
+    reference's, its betweenness and closeness equal the two former sweeps'
+    bits and the brute-force oracles, and the triangles equal brute force."""
+    g, sizes, wedges = case
+    with pytest.MonkeyPatch.context() as mp:
+        force_batches(mp, tuple(sizes))
+        mp.setattr(analytics, "WEDGE_BYTES", 8 * wedges)
+        assert_levels_equal_the_dense_reference(g)
+        (between, close), (two_between, two_close) = shortest_path_centralities(g), two_sweep_centralities(g)
+        assert between.tobytes() == two_between.tobytes() and close.tobytes() == two_close.tobytes()
+        np.testing.assert_allclose(between, brute_betweenness(g), rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(close, brute_closeness(g))
+        np.testing.assert_array_equal(triangle_count(g), brute_triangles(g))
+
+
+def test_both_kernels_hold_a_bounded_multiple_of_their_byte_budgets(monkeypatch):
+    """On a dense digraph, with budgets far below one batch of every source or
+    one chunk of every wedge, each kernel's traced peak stays under 4 times its
+    budget plus 128 bytes per triple (for the arrays built once per graph),
+    where one unbudgeted pass takes several times that; the results still
+    equal the references."""
+    rng = np.random.default_rng(13)
+    g = random_supplier_graph(rng, 150, 5000)
+    add_loops_and_reciprocals(g, rng, 20)
+    between, close = two_sweep_centralities(g)
+    triangles = brute_triangles(g)
+    fixed = 128 * len(g.triples_array())
+    for name, budget, kernel in (("BFS_BYTES", 1 << 16, shortest_path_centralities),
+                                 ("WEDGE_BYTES", 1 << 12, triangle_count)):
+        peaks = []
+        for size in (1 << 40, budget):
+            monkeypatch.setattr(analytics, name, size)
+            tracemalloc.start()
+            try:
+                got = kernel(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if kernel is triangle_count:
+                np.testing.assert_array_equal(got, triangles)
+            else:
+                assert got[0].tobytes() == between.tobytes() and got[1].tobytes() == close.tobytes()
+        unbudgeted, budgeted = peaks
+        assert budgeted < 4 * budget + fixed < unbudgeted, (name, budgeted, unbudgeted)
 
 
 # -- normalize ---------------------------------------------------------------

@@ -234,6 +234,20 @@ def test_filter_index_lookup():
     np.testing.assert_array_equal(objects, [4])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_index_equals_its_np_unique_construction(seed):
+    rng = np.random.default_rng(seed)
+    sets = [rng.integers(0, [40, 3, 40], size=(int(rng.integers(0, 300)), 3)) for _ in range(3)]
+    index = build_filter_index(sets)
+    triples = np.concatenate(sets)
+    num_objects = int(triples[:, 2].max()) + 1
+    unique = np.unique((triples[:, 0] * index.num_relations + triples[:, 1]) * num_objects + triples[:, 2])
+    keys, starts = np.unique(unique // num_objects, return_index=True)
+    np.testing.assert_array_equal(index.keys, keys)
+    np.testing.assert_array_equal(index.offsets, np.append(starts, len(unique)))
+    np.testing.assert_array_equal(index.objects, unique % num_objects)
+
+
 def reference_ranks(params, queries, filter_index, setting, tie_policy, candidate_index=None):
     return np.array([
         rank_object(params, Query(int(s), int(r), int(o)), filter_index, setting, tie_policy, candidate_index).rank

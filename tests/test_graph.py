@@ -15,6 +15,8 @@ from chainlens.graph import (
     SchemaError,
     SchemaViolation,
     UnknownEntity,
+    run_starts,
+    sorted_unique,
 )
 
 from conftest import random_typed_graph, supplier_chain, write_schema
@@ -249,3 +251,24 @@ def test_graph_from_columns_is_unchecked_and_consistent():
     assert copy.vocabulary_sha256() == g.vocabulary_sha256()
     swapped = Graph(["s1", "s0", "s2"], g.type_codes(), g.triples_array())
     assert swapped.vocabulary_sha256() != g.vocabulary_sha256()
+
+
+# -- sort-based unique --------------------------------------------------------
+
+@pytest.mark.parametrize("keys", [[], [7], [3, 3, 3, 3], [-2, 5, -2, 0, 5]])
+def test_sorted_unique_cases(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = sorted_unique(keys)
+    assert got.dtype == np.int64 and got.tolist() == np.unique(keys).tolist()
+    ordered = np.sort(keys)
+    assert run_starts(ordered).tolist() == [i == 0 or ordered[i] != ordered[i - 1] for i in range(ordered.size)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sorted_unique_equals_np_unique_on_random_int64(seed):
+    rng = np.random.default_rng(seed)
+    high = [2, 50, 10**6, 2**62][seed % 4]
+    keys = rng.integers(-high, high, size=int(rng.integers(1, 5000)), dtype=np.int64)
+    before = keys.copy()
+    np.testing.assert_array_equal(sorted_unique(keys), np.unique(keys))
+    np.testing.assert_array_equal(keys, before)  # the input is not sorted in place

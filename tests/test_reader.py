@@ -476,6 +476,16 @@ def test_memo_that_cannot_be_written_leaves_the_parsed_graph(tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]  # no memo, no temp file
 
 
+def test_file_whose_memo_name_is_too_long_is_parsed_without_a_memo(tmp_path):
+    short = tmp_path / "g.tsv"
+    short.write_text(SMALL, encoding="utf-8")
+    expected = graph_state(*dataset_mod._read_triples([short], DEFAULT_SCHEMA))
+    path = tmp_path / ("g" * 246 + ".tsv")  # a 250-byte name: its memo's name is over the 255-byte limit
+    path.write_text(SMALL, encoding="utf-8")
+    assert graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA)) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([short.name, memo_of(short).name, path.name])
+
+
 #: Subject labels: any of ``LABELS`` that a line may start with; ``#`` labels are objects only.
 SUBJECTS = [label for label in LABELS if not label.startswith("#")]
 
