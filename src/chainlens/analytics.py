@@ -44,12 +44,21 @@ import io
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .graph import ENTITY_TYPE_INDEX, RELATION_INDEX, EntityType, Graph, RelationType, run_starts, sorted_unique
+from .graph import (
+    ENTITY_TYPE_INDEX,
+    RELATION_INDEX,
+    EntityType,
+    Graph,
+    RelationType,
+    check_utf8_labels,
+    line_chunks,
+    run_starts,
+    sorted_unique,
+)
 
 METRIC_NAMES = ("in_degree", "out_degree", "betweenness", "closeness", "triangle_count")
 
@@ -281,9 +290,6 @@ def _pearson_matrix(raw: dict[str, np.ndarray]) -> np.ndarray:
     return corr
 
 
-#: Rows per written piece of a criticality CSV; bounds the text held at once.
-CHUNK_ROWS = 4096
-
 #: the characters for which csv.writer might quote a cell (",", '"' and line breaks)
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
@@ -295,12 +301,12 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _formatted(values: np.ndarray, spec: str) -> Iterator[str]:
-    """``format(v, spec)`` for each of ``values``, formatted once per distinct float64 bit pattern."""
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    """``format(v, spec) + ","`` for each of ``values``, formatted once per distinct float64 bit pattern."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    cells = [format(v, spec) for v in bits.view(np.float64).tolist()]
-    return map(cells.__getitem__, inverse.tolist())
+    cells = np.array([format(v, spec) + "," for v in bits.view(np.float64).tolist()], dtype=object)
+    return cells[inverse].tolist()
 
 
 @dataclass
@@ -323,24 +329,24 @@ class CriticalityReport:
         normalized metrics and the aggregated score (``%.6f``), and the flag.
 
         The file is built column by column: each metric column is formatted
-        once per distinct value, the cells of a row are joined with ``","``,
-        and the rows are written ``CHUNK_ROWS`` at a time.  A label is quoted
-        as ``csv.writer`` quotes it under ``QUOTE_MINIMAL``.
+        once per distinct value, each cell with the comma that follows it,
+        and the rows are written ``CHUNK_ROWS`` at a time by
+        :func:`~chainlens.graph.line_chunks`.  A label is quoted as
+        ``csv.writer`` quotes it under ``QUOTE_MINIMAL``.  Raises
+        :class:`GraphError` for a label that UTF-8 cannot encode, before
+        ``path`` is opened.
         """
         labels = self.labels
+        check_utf8_labels(labels, "a criticality CSV")
         if _CSV_QUOTED.search("".join(labels)):
             labels = [_csv_cell(label) if _CSV_QUOTED.search(label) else label for label in labels]
-        columns = [labels]
-        columns += [_formatted(self.raw[m], ".6g") for m in METRIC_NAMES]
-        columns += [_formatted(self.normalized[m], ".6f") for m in METRIC_NAMES]
-        columns.append(_formatted(self.aggregated, ".6f"))
-        columns.append(map(("0", "1").__getitem__, np.asarray(self.is_critical, dtype=bool).tolist()))
-        rows = map(",".join, zip(*columns, strict=True))
+        columns = [labels, ",", *(_formatted(self.raw[m], ".6g") for m in METRIC_NAMES),
+                   *(_formatted(self.normalized[m], ".6f") for m in METRIC_NAMES), _formatted(self.aggregated, ".6f"),
+                   np.where(np.asarray(self.is_critical, dtype=bool), "1\n", "0\n").tolist()]
         header = ["node", *METRIC_NAMES, *(f"norm_{m}" for m in METRIC_NAMES), "aggregated_score", "is_critical"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for _ in range(0, len(labels), CHUNK_ROWS):
-                fh.write("\n".join(islice(rows, CHUNK_ROWS)) + "\n")
+            fh.writelines(line_chunks(len(labels), *columns))
 
     def summary_text(self) -> str:
         lines = [

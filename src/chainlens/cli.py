@@ -252,7 +252,7 @@ def cmd_eval(args) -> Manifest | int:
             f"checkpoint was trained on {params.num_entities} entities but the split "
             f"directory has {graph.num_entities}"
         )
-    if params.vocabulary_sha256 not in (None, graph.vocabulary_sha256()):
+    if params.vocabulary_sha256 is not None and params.vocabulary_sha256 != graph.vocabulary_sha256():
         raise GraphError(
             "checkpoint was trained on a different entity vocabulary (ordered label/type "
             "list) than the split directory's, so its entity ids would rank the wrong entities"

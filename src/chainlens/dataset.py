@@ -10,6 +10,20 @@ serves ``load_triples`` and ``load_split_dir``, and one writer
 on the id columns of a :class:`~chainlens.graph.Graph` and build no
 per-triple objects.
 
+The writer sorts lines as ``(subject label, subject type, relation, object
+label, object type)`` tuples sort.  Each entity gets the rank of its (label,
+type) among the graph's distinct keys in tuple order (equal keys share one
+rank), and each relation the rank of its name, so one ``np.argsort`` of the
+int64 key ``(rank[s] * R + relation rank) * N + rank[o]`` orders the rows.
+The lines are joined from pieces built once per graph (once for a split's
+three files): ``"label TAB type TAB"`` and ``"label TAB type NEWLINE"`` per
+entity and ``"relation TAB"`` per relation, taken by row through object
+arrays and written by :func:`~chainlens.graph.line_chunks`, ``CHUNK_ROWS``
+lines to one ``"".join``.  Every label check (one that would not read back,
+or that UTF-8 cannot encode) runs before the file is opened.
+``tests/reference_writer.py`` keeps the tuple-sorting writer that this one
+must agree with byte for byte.
+
 The reader works on each file's bytes in numpy, after the manner of
 structural-index parsers (Langdale and Lemire 2019, arXiv 1902.08318): one
 pass finds the newlines, and one per batch of lines finds the tabs, so each
@@ -75,7 +89,9 @@ from .graph import (
     RelationType,
     Schema,
     SchemaViolation,
+    check_utf8_labels,
     config_lines,
+    line_chunks,
     utf8_text,
 )
 
@@ -496,10 +512,40 @@ def _unreadable(label: str, subject: bool) -> bool:
     return (subject and label.startswith("#")) or "\t" in label or label.splitlines() != [label]
 
 
-def _write_triples(graph: Graph, spo: np.ndarray, path: Path) -> None:
+#: Per relation index, its line piece and its name's place in sorted order; per type code, its name's place.
+_RELATION_PIECES = np.array([r.value + "\t" for r in RELATION_BY_INDEX], dtype=object)
+_RELATION_RANK = np.argsort(np.argsort([r.value for r in RELATION_BY_INDEX]))
+_TYPE_RANK = np.argsort(np.argsort(ENTITY_TYPE_NAMES))
+
+
+class _LinePieces(NamedTuple):
+    """A graph's triple-line pieces per entity, as object arrays, and the ranks that sort its lines."""
+
+    subjects: np.ndarray  # "label TAB type TAB"
+    objects: np.ndarray  # "label TAB type NEWLINE"
+    rank: np.ndarray  # the entity's (label, type) key's place among the distinct keys, in tuple order
+
+
+def _line_pieces(graph: Graph) -> _LinePieces:
+    labels, codes = np.array(graph.labels, dtype=object), graph.type_codes()
+    type_rank = _TYPE_RANK[codes]
+    # ids in (label, type name) order: a stable sort by label of the ids in type-name order
+    order = np.array(sorted(np.argsort(type_rank, kind="stable").tolist(), key=graph.labels.__getitem__), dtype=np.intp)
+    # entities with equal (label, type) share one rank, so that their lines order by what follows the key
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (labels[order[1:]] != labels[order[:-1]]) | (type_rank[order[1:]] != type_rank[order[:-1]])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(new_key) - 1
+    ends = [f"\t{name}\t" for name in ENTITY_TYPE_NAMES], [f"\t{name}\n" for name in ENTITY_TYPE_NAMES]
+    return _LinePieces(*(labels + np.array(end, dtype=object)[codes] for end in ends), rank)
+
+
+def _write_triples(graph: Graph, spo: np.ndarray, path: Path, pieces: _LinePieces | None = None) -> None:
     """Write id-triple rows of ``graph`` in the shared format, lines sorted.
 
-    Raises :class:`GraphError` for a label that would not read back.
+    ``pieces`` are the graph's :func:`_line_pieces`, built here if not
+    given.  Raises :class:`GraphError`, before ``path`` is opened, for a
+    label that would not read back or that UTF-8 cannot encode.
     """
     role = np.zeros(graph.num_entities, dtype=np.int8)  # 2 for a subject, 1 for an object only
     role[spo[:, 2]] = 1
@@ -513,8 +559,16 @@ def _write_triples(graph: Graph, spo: np.ndarray, path: Path) -> None:
                      or "\n#" in subjects):
         label = next(label for label, r in zip(labels, role[ids].tolist()) if _unreadable(label, r == 2))
         raise GraphError(f"label {label!r} cannot be written to a triple file: it would not read back")
-    lines = [_HEADER, *map("\t".join, graph.label_triples(spo))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    check_utf8_labels(labels, "a triple file")
+    if pieces is None:
+        pieces = _line_pieces(graph)
+    rank = pieces.rank
+    key = (rank[spo[:, 0]] * len(RELATION_BY_INDEX) + _RELATION_RANK[spo[:, 1]]) * len(rank) + rank[spo[:, 2]]
+    spo = spo[np.argsort(key)]
+    columns = (pieces.subjects[spo[:, 0]], _RELATION_PIECES[spo[:, 1]], pieces.objects[spo[:, 2]])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_HEADER + "\n")
+        fh.writelines(line_chunks(len(spo), *(column.tolist() for column in columns)))
 
 
 def export_triples(graph: Graph, path: str | Path) -> None:
@@ -1121,7 +1175,7 @@ def transductive_split(graph: Graph, config: SplitConfig) -> SplitResult:
     if graph.num_triples == 0:
         raise SplitInfeasible("graph has no triples to split")
     spo = graph.triples_array()
-    spo = spo[np.lexsort((spo[:, 2], spo[:, 1], spo[:, 0]))]
+    spo = spo[np.argsort((spo[:, 0] * len(RELATION_BY_INDEX) + spo[:, 1]) * graph.num_entities + spo[:, 2])]
     m = len(spo)
     first = np.full(graph.num_entities, m)  # each entity's first incident row, m if none
     np.minimum.at(first, spo[:, [0, 2]], np.arange(m)[:, None])
@@ -1183,8 +1237,9 @@ _SPLIT_FILES = (TRAIN_FILE, VALID_FILE, TEST_FILE)
 def write_split(graph: Graph, result: SplitResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    pieces = _line_pieces(graph)
     for name, spo in zip(_SPLIT_FILES, (result.train_ids, result.validation_ids, result.test_ids)):
-        _write_triples(graph, spo, out / name)
+        _write_triples(graph, spo, out / name, pieces)
 
 
 def load_split_dir(

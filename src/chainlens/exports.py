@@ -14,13 +14,13 @@ pieces: constant strings, and per-row strings taken from columns (a node's
 id string, escaped label, type, color and size; an edge's subject and
 object id strings, and its relation's head or tail, which already holds
 the relation name and color).  Each id's decimal string is built once.
-:func:`_chunks` fills one list for ``CHUNK_ROWS`` lines by one slice
-assignment per column and joins it with one ``"".join``, so no line is
-formatted on its own.  The renderers yield those pieces, and
-:func:`export_graph` writes each as it arrives: an export holds one chunk
-of text at a time, not the file.  Every check that can fail (the report
-join, and for GraphML the labels' characters) runs before the output file
-is opened.
+:func:`~chainlens.graph.line_chunks` fills one list for ``CHUNK_ROWS``
+lines by one slice assignment per column and joins it with one
+``"".join``, so no line is formatted on its own.  The renderers yield those
+pieces, and :func:`export_graph` writes each as it arrives: an export holds
+one chunk of text at a time, not the file.  Every check that can fail (the
+report join, and the labels' characters) runs before the output file is
+opened.
 
 Labels are escaped as DOT strings (``\\`` and ``"``), as XML text (``&``,
 ``<`` and ``>``, as ``xml.sax.saxutils.escape`` does, without importing it)
@@ -28,23 +28,29 @@ and as ASCII JSON strings (``json.encoder.encode_basestring_ascii``, the C
 escaper of ``json.dumps``); the JSON layout is that of
 ``json.dumps(..., indent=2, sort_keys=True)``.  GraphML refuses a label
 holding a character outside XML 1.0's ``Char`` production, which no
-escape can carry.
+escape can carry, and DOT one that UTF-8 cannot encode (a lone surrogate).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import scope_suppliers
-from .graph import ENTITY_TYPE_INDEX, ENTITY_TYPE_NAMES, RELATION_BY_INDEX, EntityType, Graph, GraphError, RelationType
-
-#: Nodes or edges per written piece of an export; bounds the text held at once.
-CHUNK_ROWS = 4096
+from .graph import (
+    ENTITY_TYPE_INDEX,
+    ENTITY_TYPE_NAMES,
+    RELATION_BY_INDEX,
+    EntityType,
+    Graph,
+    GraphError,
+    RelationType,
+    check_utf8_labels,
+    line_chunks,
+)
 
 _RED, _YELLOW, _GRAY, _PURPLE = range(4)
 _NODE_COLORS = ("red", "yellow", "gray", "purple")
@@ -110,30 +116,15 @@ def _check_xml_labels(labels: list[str]) -> None:
         raise GraphError(f"label {label!r} cannot be written to GraphML: XML 1.0 cannot carry one of its characters")
 
 
-def _chunks(n: int, *parts):
-    """The lines of ``n`` rows, ``CHUNK_ROWS`` rows to a piece.
-
-    A row's line joins ``parts`` in order; each part is a constant string
-    or an iterable that yields one string per row.
-    """
-    template = [part if isinstance(part, str) else None for part in parts]
-    columns = [(slot, iter(part)) for slot, part in enumerate(parts) if not isinstance(part, str)]
-    for start in range(0, n, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n - start)
-        pieces = template * rows
-        for slot, column in columns:
-            pieces[slot::len(template)] = islice(column, rows)
-        yield "".join(pieces)
-
-
 def _render_dot(ids, labels, types, colors, sizes, edges):
     s, r, o = edges
     labels = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
     tails = [f' [relation="{name}", color="{color}"];\n' for name, color in _RELATIONS]
     yield "digraph chainlens {\n"
-    yield from _chunks(len(ids), "  n", ids, ' [label="', labels, '", entity_type="',
-                       map(ENTITY_TYPE_NAMES.__getitem__, types), '", color="', colors, '", size="', sizes, '"];\n')
-    yield from _chunks(len(r), "  n", s, " -> n", o, map(tails.__getitem__, r))
+    yield from line_chunks(len(ids), "  n", ids, ' [label="', labels, '", entity_type="',
+                           map(ENTITY_TYPE_NAMES.__getitem__, types), '", color="', colors, '", size="', sizes,
+                           '"];\n')
+    yield from line_chunks(len(r), "  n", s, " -> n", o, map(tails.__getitem__, r))
     yield "}\n"
 
 
@@ -150,11 +141,11 @@ def _render_graphml(ids, labels, types, colors, sizes, edges):
         for name, color in _RELATIONS
     ]
     yield _GRAPHML_HEAD
-    yield from _chunks(len(ids), '    <node id="n', ids, '">\n      <data key="d_label">', map(_xml_text, labels),
-                       '</data>\n      <data key="d_type">', map(type_names.__getitem__, types),
-                       '</data>\n      <data key="d_color">', colors,
-                       '</data>\n      <data key="d_size">', sizes, "</data>\n    </node>\n")
-    yield from _chunks(len(r), '    <edge source="n', s, '" target="n', o, map(tails.__getitem__, r))
+    yield from line_chunks(len(ids), '    <node id="n', ids, '">\n      <data key="d_label">',
+                           map(_xml_text, labels), '</data>\n      <data key="d_type">',
+                           map(type_names.__getitem__, types), '</data>\n      <data key="d_color">', colors,
+                           '</data>\n      <data key="d_size">', sizes, "</data>\n    </node>\n")
+    yield from line_chunks(len(r), '    <edge source="n', s, '" target="n', o, map(tails.__getitem__, r))
     yield "  </graph>\n</graphml>\n"
 
 
@@ -175,11 +166,13 @@ def _render_json(ids, labels, types, colors, sizes, edges):
         for name, color in _RELATIONS
     ]
     yield '{\n  "edges": '
-    yield from _json_list(_chunks(len(r), map(heads.__getitem__, r), s, '",\n      "target": "n', o, '"\n    },\n'))
+    yield from _json_list(line_chunks(len(r), map(heads.__getitem__, r), s, '",\n      "target": "n', o,
+                                      '"\n    },\n'))
     yield ',\n  "nodes": '
-    yield from _json_list(_chunks(len(ids), '    {\n      "color": "', colors, '",\n      "entity_type": ',
-                                  map(type_names.__getitem__, types), ',\n      "id": "n', ids, '",\n      "label": ',
-                                  map(_json_str, labels), ',\n      "size": ', sizes, "\n    },\n"))
+    yield from _json_list(line_chunks(len(ids), '    {\n      "color": "', colors, '",\n      "entity_type": ',
+                                      map(type_names.__getitem__, types), ',\n      "id": "n', ids,
+                                      '",\n      "label": ', map(_json_str, labels), ',\n      "size": ', sizes,
+                                      "\n    },\n"))
     yield "\n}\n"
 
 
@@ -197,13 +190,16 @@ def export_graph(
 
     Raises :class:`ExportMismatch` for a report that does not key exactly
     the graph's suppliers, and :class:`GraphError` for a GraphML export of
-    a label that XML 1.0 cannot carry, both before ``path`` is opened.
+    a label that XML 1.0 cannot carry or a DOT export of one that UTF-8
+    cannot encode, all before ``path`` is opened.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     types, colors, sizes = _node_columns(graph, critical_by_label)
     if fmt == "graphml":
         _check_xml_labels(graph.labels)
+    elif fmt == "dot":
+        check_utf8_labels(graph.labels, "DOT")
     ids = list(map(str, range(graph.num_entities)))
     pieces = _RENDERERS[fmt](ids, graph.labels, types, colors, sizes, _edge_columns(graph, ids))
     with open(path, "w", encoding="utf-8") as fh:

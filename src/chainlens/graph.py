@@ -21,6 +21,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,48 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """
     keys = np.sort(keys)
     return keys[run_starts(keys)]
+
+
+#: Rows per written piece of a file rendered by :func:`line_chunks`; bounds the text held at once.
+CHUNK_ROWS = 4096
+
+
+def line_chunks(n: int, *parts) -> Iterator[str]:
+    """The lines of ``n`` rows, ``CHUNK_ROWS`` rows to a piece.
+
+    A row's line joins ``parts`` in order; each part is a constant string
+    or an iterable that yields one string per row.  A piece is one
+    ``"".join`` of a list filled by one slice assignment per iterable part,
+    so no line is formatted on its own.  An iterable part that yields fewer
+    or more than ``n`` strings raises ``ValueError``.
+    """
+    template = [part if isinstance(part, str) else None for part in parts]
+    columns = [(slot, iter(part)) for slot, part in enumerate(parts) if not isinstance(part, str)]
+    for start in range(0, n, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n - start)
+        pieces = template * rows
+        for slot, column in columns:
+            pieces[slot::len(template)] = islice(column, rows)
+        yield "".join(pieces)
+    for slot, column in columns:
+        if next(column, None) is not None:
+            raise ValueError(f"part {slot} holds more than {n} rows")
+
+
+def check_utf8_labels(labels: list[str], target: str) -> None:
+    """Raise :class:`GraphError` naming the first label that UTF-8 cannot encode (one with a lone surrogate).
+
+    One encode of the joined labels when every label is clean; ``target``
+    names what the labels were to be written to.
+    """
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        end = 0
+        for label in labels:  # the label that holds the joined text's first unencodable character
+            end += len(label)
+            if end > exc.start:
+                raise GraphError(f"label {label!r} cannot be written to {target}: UTF-8 cannot encode it") from None
 
 
 class EntityType(Enum):
@@ -415,17 +458,7 @@ class Graph:
             self._pending.clear()
         return self._spo
 
-    def _type_names(self) -> list[str]:
-        return list(map(ENTITY_TYPE_NAMES.__getitem__, self._types))
-
-    def label_triples(self, spo: np.ndarray | None = None) -> list[tuple[str, str, str, str, str]]:
-        """Sorted label-level rows of ``spo`` (default: every triple), the canonical file form."""
-        s, r, o = (self.triples_array() if spo is None else spo).T.tolist()
-        labels, types, relations = self.labels, self._type_names(), [r.value for r in RELATION_BY_INDEX]
-        return sorted(zip(map(labels.__getitem__, s), map(types.__getitem__, s), map(relations.__getitem__, r),
-                          map(labels.__getitem__, o), map(types.__getitem__, o)))
-
     def vocabulary_sha256(self) -> str:
         """sha256 of the ordered (label, type) list, which fixes what each entity id means."""
-        names = list(zip(self.labels, self._type_names()))
+        names = list(zip(self.labels, map(ENTITY_TYPE_NAMES.__getitem__, self._types)))
         return hashlib.sha256(json.dumps(names, ensure_ascii=False).encode("utf-8")).hexdigest()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens.graph as graph_mod
 from chainlens import analytics
 from chainlens.analytics import (
     METRIC_NAMES,
@@ -22,7 +24,7 @@ from chainlens.analytics import (
     sole_supplier_scopes,
     triangle_count,
 )
-from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, RelationType, Schema
+from chainlens.graph import DEFAULT_SCHEMA, RELATION_INDEX, EntityType, Graph, GraphError, RelationType, Schema
 
 from conftest import random_supplier_graph, random_typed_graph, supplier_chain
 from reference_analytics import critical_paths as depth_first_critical_paths
@@ -665,15 +667,24 @@ def csv_report(n):
                                        None, {})
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, analytics.CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [1, 2, 3, graph_mod.CHUNK_ROWS])
 def test_criticality_csv_equals_the_row_by_row_reference(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(analytics, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(graph_mod, "CHUNK_ROWS", chunk)
     reports = [csv_report(n) for n in sorted({0, 1, chunk, chunk + 1, len(CSV_LABELS)}) if n <= len(CSV_LABELS)]
     reports.append(criticality(random_supplier_graph(np.random.default_rng(8), 40, 120)))
     for report in reports:
         report.to_csv(tmp_path / "crit.csv")
         write_criticality_csv(report, tmp_path / "reference.csv")
         assert (tmp_path / "crit.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_criticality_csv_refuses_a_label_utf8_cannot_encode_before_opening_the_file(tmp_path):
+    report = replace(csv_report(3), labels=["a", "sup\ud800", "b"])
+    path = tmp_path / "crit.csv"
+    path.write_text("kept")
+    with pytest.raises(GraphError, match=re.escape(repr("sup\ud800")) + ".*UTF-8 cannot encode it"):
+        report.to_csv(path)
+    assert path.read_text() == "kept"
 
 
 # -- sole supplier scopes ----------------------------------------------------

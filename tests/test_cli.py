@@ -619,6 +619,24 @@ def test_eval_accepts_checkpoint_without_vocabulary_digest(workspace):
                  "--out", str(workspace / "eval_init")]) == 0
 
 
+def test_eval_of_a_checkpoint_without_vocabulary_digest_never_hashes_the_vocabulary(workspace, monkeypatch):
+    from chainlens.graph import Graph
+    from chainlens.models import init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    g, *_ = load_split_dir(splits)
+    save_checkpoint(init_params(ModelKind.TRANSE, g.num_entities, 11, TrainConfig(dim=8, seed=0)),
+                    workspace / "init.npz")
+    hashed = []
+    monkeypatch.setattr(Graph, "vocabulary_sha256", lambda self: hashed.append(self) or "0" * 64)
+    assert main(["eval", "--checkpoint", str(workspace / "init.npz"), "--split-dir", str(splits),
+                 "--out", str(workspace / "eval_init")]) == 0
+    assert hashed == []
+
+
 def split_with_unseen_test_supplier(workspace):
     """A split directory whose test.tsv names a supplier that no training triple has."""
     graph, splits = workspace / "g.tsv", workspace / "splits"

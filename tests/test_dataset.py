@@ -41,6 +41,7 @@ from chainlens.training import TrainConfig
 from conftest import random_typed_graph
 from reference_generator import reference_generate_synthetic
 from reference_split import reference_transductive_split
+from reference_writer import label_triples
 
 
 def rows(spo) -> set[tuple[int, int, int]]:
@@ -112,7 +113,7 @@ def test_round_trip_default_graph(tmp_path, default_graph):
     path = tmp_path / "g.tsv"
     export_triples(default_graph, path)
     reloaded = load_triples(path)
-    assert reloaded.label_triples() == default_graph.label_triples()
+    assert label_triples(reloaded) == label_triples(default_graph)
     # line count = edges + header
     assert len(path.read_text().splitlines()) == default_graph.num_triples + 1
 
@@ -142,10 +143,26 @@ def test_writer_refuses_a_label_that_would_not_read_back(tmp_path, subject, obj,
         write_split(g, result, tmp_path / "split")
 
 
+@pytest.mark.parametrize("subject, obj", [("sup\ud800", "B"), ("A", "sup\ud800")])
+def test_writer_refuses_a_label_utf8_cannot_encode_before_opening_the_file(tmp_path, subject, obj):
+    g = two_supplier_graph(subject, obj)
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(GraphError, match=re.escape(repr("sup\ud800"))):
+        export_triples(g, path)
+    assert path.read_bytes() == b"kept\n"
+    (tmp_path / "split").mkdir()
+    (tmp_path / "split" / "train.tsv").write_bytes(b"kept\n")
+    result = SplitResult(g.triples_array(), g.triples_array()[:0], g.triples_array()[:0])
+    with pytest.raises(GraphError, match=re.escape(repr("sup\ud800"))):
+        write_split(g, result, tmp_path / "split")
+    assert (tmp_path / "split" / "train.tsv").read_bytes() == b"kept\n"
+
+
 def test_writer_keeps_object_only_hash_labels(tmp_path):
     g = two_supplier_graph("A", "#B")
     export_triples(g, tmp_path / "g.tsv")
-    assert load_triples(tmp_path / "g.tsv").label_triples() == g.label_triples()
+    assert label_triples(load_triples(tmp_path / "g.tsv")) == label_triples(g)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -154,7 +171,7 @@ def test_round_trip_random_graphs(tmp_path_factory, seed):
     g = random_typed_graph(np.random.default_rng(seed), 15, 30)
     path = tmp_path_factory.mktemp("rt") / "g.tsv"
     export_triples(g, path)
-    assert load_triples(path).label_triples() == g.label_triples()
+    assert label_triples(load_triples(path)) == label_triples(g)
 
 
 # -- generator ---------------------------------------------------------------
@@ -572,7 +589,7 @@ def test_reader_batches_give_the_same_graph(tmp_path, default_graph, monkeypatch
     assert batched.labels == whole.labels
     np.testing.assert_array_equal(batched.type_codes(), whole.type_codes())
     np.testing.assert_array_equal(batched.triples_array(), whole.triples_array())
-    assert batched.label_triples() == default_graph.label_triples()
+    assert label_triples(batched) == label_triples(default_graph)
     text[9] = text[9].replace("\t", "\tNope\t", 1)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ParseError, match=r":10: expected 5 tab-separated fields, got 6"):

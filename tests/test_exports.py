@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chainlens import exports
+import chainlens.graph as graph_mod
 from chainlens.dataset import GeneratorConfig, generate_synthetic
 from chainlens.exports import FORMATS, ExportMismatch, export_graph
 from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, GraphError, RelationType
@@ -174,6 +174,21 @@ def test_graphml_refuses_a_label_xml_cannot_carry_before_opening_the_file(tmp_pa
     assert path.read_text() == "kept"
 
 
+@pytest.mark.parametrize("label", ["sup\ud800", "\udfff", "a\ud83d"])
+def test_dot_refuses_a_label_utf8_cannot_encode_before_opening_the_file_and_json_escapes_it(tmp_path, label):
+    g = Graph()
+    acme = g.add_entity(label, EntityType.SUPPLIER)
+    g.add_triple(acme, RelationType.SUPPLIES_TO, g.add_entity("Beta", EntityType.SUPPLIER), DEFAULT_SCHEMA)
+    flags = {label: True, "Beta": False}
+    path = tmp_path / "g.dot"
+    path.write_text("kept")
+    with pytest.raises(GraphError, match=re.escape(repr(label)) + ".*UTF-8 cannot encode it"):
+        export_graph(g, flags, "dot", path)
+    assert path.read_text() == "kept"
+    export_graph(g, flags, "json", tmp_path / "g.json")
+    assert [n["label"] for n in json.loads((tmp_path / "g.json").read_text())["nodes"]] == [label, "Beta"]
+
+
 @pytest.mark.parametrize("char", ["\t", "\n", "\r", " ", "\ud7ff", "\ue000", "\ufffd", "\U00010000", "\U0010ffff"])
 def test_graphml_writes_every_xml_char_as_reference(tmp_path, char):
     g, flags = awkward_graph([f"Acme{char}Corp", "Beta"])
@@ -197,7 +212,7 @@ def chain_graph(edges):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_export_equals_reference_across_chunk_boundaries(tmp_path, monkeypatch, chunk, fmt):
-    monkeypatch.setattr(exports, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(graph_mod, "CHUNK_ROWS", chunk)
     for edges in sorted({0, 1, chunk, chunk + 1}):
         g, flags = chain_graph(edges)
         assert g.num_triples == edges

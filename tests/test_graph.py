@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens.graph as graph_mod
 from chainlens.graph import (
     DEFAULT_SCHEMA,
     ENTITY_TYPE_INDEX,
@@ -15,11 +16,13 @@ from chainlens.graph import (
     SchemaError,
     SchemaViolation,
     UnknownEntity,
+    line_chunks,
     run_starts,
     sorted_unique,
 )
 
 from conftest import random_typed_graph, supplier_chain, write_schema
+from reference_writer import label_triples
 
 
 def test_add_entity_assigns_fresh_dense_ids():
@@ -150,7 +153,7 @@ def test_project_subgraph_supplier_network(default_graph):
 def test_project_subgraph_identity():
     g = supplier_chain(5)
     same = g.project_subgraph(set(EntityType), set(RelationType))
-    assert same.label_triples() == g.label_triples()
+    assert label_triples(same) == label_triples(g)
     assert same.num_entities == g.num_entities
 
 
@@ -174,8 +177,8 @@ def test_projection_soundness_and_completeness(seed):
     keep_types = {EntityType.SUPPLIER, EntityType.COUNTRY, EntityType.BUSINESS_SCOPE}
     keep_rels = {RelationType.SUPPLIES_TO, RelationType.LOCATED_IN, RelationType.RELATED_TO}
     sub = g.project_subgraph(keep_types, keep_rels)
-    sub_set = set(sub.label_triples())
-    full_set = set(g.label_triples())
+    sub_set = set(label_triples(sub))
+    full_set = set(label_triples(g))
     assert sub_set <= full_set
     expected = {
         row
@@ -244,13 +247,31 @@ def test_triples_array_is_the_stored_read_only_column():
 def test_graph_from_columns_is_unchecked_and_consistent():
     g = supplier_chain(3)
     copy = Graph(g.labels, g.type_codes(), g.triples_array())
-    assert copy.label_triples() == g.label_triples()
+    assert label_triples(copy) == label_triples(g)
     assert copy.has_triple(0, RelationType.SUPPLIES_TO, 1)
     with pytest.raises(DuplicateTriple):
         copy.add_triple(0, RelationType.SUPPLIES_TO, 1, DEFAULT_SCHEMA)
     assert copy.vocabulary_sha256() == g.vocabulary_sha256()
     swapped = Graph(["s1", "s0", "s2"], g.type_codes(), g.triples_array())
     assert swapped.vocabulary_sha256() != g.vocabulary_sha256()
+
+
+# -- chunked lines -----------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, graph_mod.CHUNK_ROWS])
+def test_line_chunks_join_the_parts_of_each_row(monkeypatch, chunk):
+    monkeypatch.setattr(graph_mod, "CHUNK_ROWS", chunk)
+    for n in range(5):
+        names = [f"n{i}" for i in range(n)]
+        pieces = list(line_chunks(n, "<", names, ",", map(str, range(n)), ">\n"))
+        assert len(pieces) == -(-n // chunk)
+        assert "".join(pieces) == "".join(f"<n{i},{i}>\n" for i in range(n))
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_line_chunks_refuse_a_part_of_another_length(rows):
+    with pytest.raises(ValueError):
+        list(line_chunks(3, "x", ["a"] * 3, ["b"] * rows))
 
 
 # -- sort-based unique --------------------------------------------------------
