@@ -461,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
         manifest = args.func(args)
         if isinstance(manifest, int):  # the command's own check failed
             return manifest
+        if args.schema:  # every command reads the schema file it is given
+            manifest = replace(manifest, inputs=[*manifest.inputs, args.schema])
         manifest.write(args.command, time.perf_counter() - started)
         return 0
     except UsageError as exc:

@@ -20,7 +20,8 @@ three files): ``"label TAB type TAB"`` and ``"label TAB type NEWLINE"`` per
 entity and ``"relation TAB"`` per relation, taken by row through object
 arrays and written by :func:`~chainlens.graph.line_chunks`, ``CHUNK_ROWS``
 lines to one ``"".join``.  Every label check (one that would not read back,
-or that UTF-8 cannot encode) runs before the file is opened.
+or that UTF-8 cannot encode) runs once, over all the rows to be written,
+before any file is opened.
 ``tests/reference_writer.py`` keeps the tuple-sorting writer that this one
 must agree with byte for byte.
 
@@ -540,13 +541,8 @@ def _line_pieces(graph: Graph) -> _LinePieces:
     return _LinePieces(*(labels + np.array(end, dtype=object)[codes] for end in ends), rank)
 
 
-def _write_triples(graph: Graph, spo: np.ndarray, path: Path, pieces: _LinePieces | None = None) -> None:
-    """Write id-triple rows of ``graph`` in the shared format, lines sorted.
-
-    ``pieces`` are the graph's :func:`_line_pieces`, built here if not
-    given.  Raises :class:`GraphError`, before ``path`` is opened, for a
-    label that would not read back or that UTF-8 cannot encode.
-    """
+def _check_labels(graph: Graph, spo: np.ndarray) -> None:
+    """Raise :class:`GraphError` for a label of the rows ``spo`` that would not read back or UTF-8 cannot encode."""
     role = np.zeros(graph.num_entities, dtype=np.int8)  # 2 for a subject, 1 for an object only
     role[spo[:, 2]] = 1
     role[spo[:, 0]] = 2
@@ -560,8 +556,13 @@ def _write_triples(graph: Graph, spo: np.ndarray, path: Path, pieces: _LinePiece
         label = next(label for label, r in zip(labels, role[ids].tolist()) if _unreadable(label, r == 2))
         raise GraphError(f"label {label!r} cannot be written to a triple file: it would not read back")
     check_utf8_labels(labels, "a triple file")
-    if pieces is None:
-        pieces = _line_pieces(graph)
+
+
+def _write_triples(pieces: _LinePieces, spo: np.ndarray, path: Path) -> None:
+    """Write id-triple rows in the shared format, lines sorted, from their graph's :func:`_line_pieces`.
+
+    The rows' labels must have passed :func:`_check_labels`.
+    """
     rank = pieces.rank
     key = (rank[spo[:, 0]] * len(RELATION_BY_INDEX) + _RELATION_RANK[spo[:, 1]]) * len(rank) + rank[spo[:, 2]]
     spo = spo[np.argsort(key)]
@@ -573,7 +574,9 @@ def _write_triples(graph: Graph, spo: np.ndarray, path: Path, pieces: _LinePiece
 
 def export_triples(graph: Graph, path: str | Path) -> None:
     """Write a graph in the shared triple format with sorted line order."""
-    _write_triples(graph, graph.triples_array(), Path(path))
+    spo = graph.triples_array()
+    _check_labels(graph, spo)
+    _write_triples(_line_pieces(graph), spo, Path(path))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,11 +1238,14 @@ _SPLIT_FILES = (TRAIN_FILE, VALID_FILE, TEST_FILE)
 
 
 def write_split(graph: Graph, result: SplitResult, out_dir: str | Path) -> None:
+    """Write a split's three parts as the triple files of ``out_dir``, once the labels of all three pass."""
+    parts = (result.train_ids, result.validation_ids, result.test_ids)
+    _check_labels(graph, np.concatenate(parts))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pieces = _line_pieces(graph)
-    for name, spo in zip(_SPLIT_FILES, (result.train_ids, result.validation_ids, result.test_ids)):
-        _write_triples(graph, spo, out / name, pieces)
+    for name, spo in zip(_SPLIT_FILES, parts):
+        _write_triples(pieces, spo, out / name)
 
 
 def load_split_dir(

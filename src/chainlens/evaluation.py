@@ -26,18 +26,19 @@ in between are settled with their exact scores, as are the known-true
 objects that the filtered setting drops, held by a :class:`FilterIndex` in
 CSR form (one flat sorted object array with per-(s, r) offsets).  How the
 scores are bracketed is the scorers' business (see :mod:`chainlens.models`);
-the ranks are those of the exact scores.  The blocks are ranked on
+the ranks are those of the exact scores.  The blocks are ranked on up to
 ``RANK_WORKERS`` threads, one per usable processor, each with its scorer
 workspace and the ranker's two (k, N) bool masks, with the same ranks as on
-one.  :func:`rank_object` ranks one query from its score vector and is the
-reference the blocks are tested against: their ranks are equal.
+one; the threads live for one call.  :func:`rank_object` ranks one query
+from its score vector and is the reference the blocks are tested against:
+their ranks are equal.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,28 +327,6 @@ def _rank_block(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, true_s
 #: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
 RANK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _rank_pool() -> ThreadPoolExecutor:
-    """The worker threads of :func:`rank_queries`, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=RANK_WORKERS, thread_name_prefix="chainlens-rank")
-        return _pool
-
-
-def _forget_rank_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_rank_pool)
-
 
 def rank_queries(
     params: ModelParams,
@@ -361,12 +340,15 @@ def rank_queries(
     Returns ``{"raw": ranks, "filtered": ranks}`` from one score pass; each
     rank equals :func:`rank_object`'s for the same query, setting and
     arguments.  Queries are ranked in blocks of :func:`block_rows` queries of
-    one relation, on ``RANK_WORKERS`` threads when there are several blocks:
-    each thread takes the next block when it has finished one and writes that
-    block's rows of the rank arrays, so the ranks are those of one thread.
-    The shared operands and each thread's buffers (its scorer workspace and
-    the ranker's two (k, N) masks) are prepared in the calling thread, so no
-    thread's malloc arena keeps a block's memory.
+    one relation, on ``min(RANK_WORKERS, blocks)`` threads that the call
+    starts and joins before it returns; with one block or one processor it
+    starts none.  Each thread takes the next block when it has finished one
+    and writes that block's rows of the rank arrays, so the ranks are those
+    of one thread.  When a block raises, the other threads stop after their
+    current block and the error is raised here.  The shared operands and
+    each thread's buffers (its scorer workspace and the ranker's two (k, N)
+    masks) are prepared in the calling thread, so no thread's malloc arena
+    keeps a block's memory.
     """
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
@@ -409,15 +391,16 @@ def rank_queries(
             if cpus:
                 os.sched_setaffinity(0, {cpus[i % len(cpus)]})  # 0: this thread
                 os.sched_setaffinity(0, cpus)
-            rank_blocks(*workspaces[i])
+            try:
+                rank_blocks(*workspaces[i])
+            finally:
+                pending.clear()  # on an error, the other workers stop after their current block
 
-        futures = [_rank_pool().submit(work, i) for i in range(len(workspaces))]
-        try:
-            for future in futures:
-                future.result()
-        finally:
-            pending.clear()  # on an error, the other workers stop after their current block
-            wait(futures)
+        with ThreadPoolExecutor(len(workspaces), thread_name_prefix="chainlens-rank") as pool:
+            try:
+                list(pool.map(work, range(len(workspaces))))
+            finally:
+                pending.clear()  # so does an interrupt of the calling thread
     return ranks
 
 

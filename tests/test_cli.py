@@ -198,10 +198,11 @@ def test_pipeline_train_eval_analyze_export(workspace, capsys):
     assert dot.read_bytes() == dot2.read_bytes()
 
 
-def test_every_command_writes_one_manifest_with_the_same_keys(workspace):
+def pipeline_commands(workspace):
+    """Each command's arguments and manifest path, for a run of the whole pipeline in command order."""
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
     (workspace / "one_epoch.cfg").write_text("dim=8\nmax_epochs=1\neval_every=1\n")
-    commands = {
+    return {
         "generate": (["--config", str(workspace / "gen.cfg"), "--out", str(graph)], workspace / "g.tsv.manifest.json"),
         "split": (["--in", str(graph), "--seed", "3", "--out", str(splits)], splits / "manifest.json"),
         "train": (["--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "one_epoch.cfg"),
@@ -213,12 +214,28 @@ def test_every_command_writes_one_manifest_with_the_same_keys(workspace):
         "export": (["--in", str(graph), "--report", str(workspace / "analysis" / "criticality.csv"),
                     "--out", str(workspace / "g.dot")], workspace / "g.dot.manifest.json"),
     }
-    for command, (argv, manifest_path) in commands.items():
+
+
+def test_every_command_writes_one_manifest_with_the_same_keys(workspace):
+    for command, (argv, manifest_path) in pipeline_commands(workspace).items():
         assert main([command, *argv]) == 0
         manifest = json.loads(manifest_path.read_text())
         assert set(manifest) == {"command", "config", "seeds", "inputs", "outputs", "version", "duration_seconds"}
         assert manifest["command"] == command
         assert manifest["duration_seconds"] >= 0
+
+
+def test_every_command_lists_the_schema_file_it_is_given_among_its_inputs(workspace):
+    from chainlens.graph import DEFAULT_SCHEMA
+
+    schema = workspace / "schema.tsv"
+    write_schema(DEFAULT_SCHEMA, schema)
+    for command, (argv, manifest_path) in pipeline_commands(workspace).items():
+        assert main([command, *argv]) == 0
+        without = json.loads(manifest_path.read_text())["inputs"]
+        assert str(schema) not in without
+        assert main([command, *argv, "--schema", str(schema)]) == 0
+        assert json.loads(manifest_path.read_text())["inputs"] == sorted([*without, str(schema)]), command
 
 
 def test_train_grid_flag(workspace, capsys, monkeypatch):

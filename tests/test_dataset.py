@@ -159,6 +159,23 @@ def test_writer_refuses_a_label_utf8_cannot_encode_before_opening_the_file(tmp_p
     assert (tmp_path / "split" / "train.tsv").read_bytes() == b"kept\n"
 
 
+def test_split_refused_by_its_last_part_writes_no_file(tmp_path):
+    # "#X" is an object in the training part and a subject only in the test part
+    g = Graph()
+    a, x, b = (g.add_entity(label, EntityType.SUPPLIER) for label in ("A", "#X", "B"))
+    g.add_triple(a, RelationType.SUPPLIES_TO, x, DEFAULT_SCHEMA)
+    g.add_triple(x, RelationType.SUPPLIES_TO, b, DEFAULT_SCHEMA)
+    spo = g.triples_array()
+    result = SplitResult(spo[spo[:, 0] == a], spo[:0], spo[spo[:, 0] == x])
+    out = tmp_path / "split"
+    out.mkdir()
+    (out / "test.tsv").write_bytes(b"stale\n")
+    with pytest.raises(GraphError, match=re.escape(repr("#X"))):
+        write_split(g, result, out)
+    assert sorted(p.name for p in out.iterdir()) == ["test.tsv"]
+    assert (out / "test.tsv").read_bytes() == b"stale\n"
+
+
 def test_writer_keeps_object_only_hash_labels(tmp_path):
     g = two_supplier_graph("A", "#B")
     export_triples(g, tmp_path / "g.tsv")

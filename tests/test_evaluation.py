@@ -257,27 +257,17 @@ def reference_ranks(params, queries, filter_index, setting, tie_policy, candidat
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """monkeypatch, with every rank pool that the test starts shut down after
-    it, and the worker threads interleaved as often as the interpreter allows."""
-    started = []
-    make_pool = evaluation._rank_pool
-
-    def recording_pool():
-        pool = make_pool()
-        if pool not in started:
-            started.append(pool)
-        return pool
-
-    monkeypatch.setattr(evaluation, "_pool", None)
-    monkeypatch.setattr(evaluation, "_rank_pool", recording_pool)
+    """monkeypatch, with the worker threads interleaved as often as the interpreter allows."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         yield monkeypatch
     finally:
         sys.setswitchinterval(interval)
-        for pool in started:
-            pool.shutdown()
+
+
+def rank_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("chainlens-rank")]
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +304,6 @@ def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrain
     one_worker = {}
     for workers in (1, 2, 3):
         fresh_pool.setattr(evaluation, "RANK_WORKERS", workers)
-        fresh_pool.setattr(evaluation, "_pool", None)  # a pool of this many threads
         for policy in TIE_POLICIES:
             ranks = rank_queries(params, queries, index, policy, candidates)
             assert set(ranks) == set(SETTINGS)
@@ -332,10 +321,61 @@ def test_no_thread_starts_for_one_block_or_one_processor(ranking_case, fresh_poo
     rank_queries(params, one_block)
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 1)
     rank_queries(params, queries)
-    assert evaluation._pool is None and threading.active_count() == threads
+    assert threading.active_count() == threads
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    rankers = set()
+    rank_block = evaluation._rank_block
+
+    def recording_rank_block(*args):
+        rankers.add(threading.current_thread().name)
+        return rank_block(*args)
+
+    fresh_pool.setattr(evaluation, "_rank_block", recording_rank_block)
     rank_queries(params, queries)
-    assert evaluation._pool is not None and threading.active_count() > threads
+    assert rankers and all(name.startswith("chainlens-rank") for name in rankers)
+    assert not rank_threads() and threading.active_count() == threads  # the call's threads are gone
+
+
+@pytest.mark.parametrize("failing", ["chainlens-rank_0", "chainlens-rank_1"])
+def test_a_failing_block_stops_every_worker_and_leaves_no_thread(ranking_case, fresh_pool, failing):
+    """The error of one worker's block comes out of rank_queries, whichever
+    worker it is; every other worker starts at most one more block, and no
+    worker thread outlives the call."""
+    graph, triples, queries = ranking_case
+    params = init_params(ModelKind.TRANSE, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
+    fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
+    fresh_pool.setattr(evaluation, "BLOCK_BYTES", 8 * graph.num_entities * 4)  # 4 queries per block
+    assert len(queries) > 100 * 4  # so a worker that is not stopped starts many more blocks
+
+    class BlockFailed(Exception):
+        pass
+
+    lock = threading.Lock()
+    started = {}  # thread name: blocks started
+    after_error = {}  # thread name: blocks started after the error
+    failed = threading.Event()
+    both_ranking = threading.Barrier(2, timeout=30)
+    rank_block = evaluation._rank_block
+
+    def failing_rank_block(*args):
+        name = threading.current_thread().name
+        with lock:
+            started[name] = count = started.get(name, 0) + 1
+            if failed.is_set():
+                after_error[name] = after_error.get(name, 0) + 1
+        if count == 1:
+            both_ranking.wait()  # each worker holds a block
+        if name == failing and count == 2:
+            failed.set()
+            raise BlockFailed(name)
+        return rank_block(*args)
+
+    fresh_pool.setattr(evaluation, "_rank_block", failing_rank_block)
+    with pytest.raises(BlockFailed, match=failing):
+        rank_queries(params, queries)
+    assert set(started) == {"chainlens-rank_0", "chainlens-rank_1"}
+    assert failing not in after_error and all(count <= 1 for count in after_error.values())
+    assert not rank_threads()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -343,7 +383,7 @@ def test_forked_child_ranks_with_its_own_pool(ranking_case, fresh_pool):
     graph, triples, queries = ranking_case
     params = init_params(ModelKind.TRANSE, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
-    expected = rank_queries(params, queries)["raw"]  # the parent's pool now exists
+    expected = rank_queries(params, queries)["raw"]
     pid = os.fork()
     if pid == 0:  # child: exit at once, never return into pytest
         code = 1
@@ -388,7 +428,6 @@ def test_public_functions_run_on_the_calling_thread(ranking_case, fresh_pool):
         params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
         evaluation.rank_queries(params, queries, index)
         evaluation.evaluate(params, queries, index)
-    assert evaluation._pool is not None
     assert {"rank_queries", "evaluate", "build_filter_index", "block_rows"} <= {name for name, _ in calls}
     assert {thread for _, thread in calls} == {threading.main_thread()}
 
