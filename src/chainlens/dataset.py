@@ -38,19 +38,15 @@ str-level reader that this one must agree with.
 The files of one read (``graph.tsv``, or a split directory's three) are one
 view: parsed in order with one vocabulary, so their (label, type) keys are
 numbered in first-appearance order over the files, with every file's rows in
-those ids and each file's row count.  A parsed set of regular files saves its
-view beside the first file, as its parse memo, with the sha256 of each file's
-bytes, in the manner of hash-checked ``.pyc`` files (PEP 552).  The memo is
-named by the files' names joined by ``+``, plus ``.parsed.npz``:
-``graph.tsv.parsed.npz``, or ``train.tsv+valid.tsv+test.tsv.parsed.npz``.  The
-next read of the same files hashes them and takes the memo's view in place of
-a parse only if the hashes, the memo version and the name tables match, the
-arrays load without unpickling, the row counts fit the files and the rows,
-the view is one the parser could have made (its labels, their numbering, its
-ids and codes), and every row is legal under the schema in use; otherwise the
-whole set is parsed, so every error still names ``path:line``, and the memo
-replaced.  The memo version changes with what the parser makes of a file or
-with the memo's layout.  A memo that cannot be written is left out.
+those ids and each file's row count.  The process keeps the views of the last
+two file sets it parsed, a graph file and its split directory in a pipeline,
+each under the sha256 of each of its files' bytes, in the manner of
+hash-checked ``.pyc`` files (PEP 552).  A later read of files with the same
+bytes, by any path and a pipe too, takes the kept view in place of a parse if
+every row is legal under the schema in use; otherwise the files are parsed,
+so every error still names ``path:line``.  A kept view's arrays are
+read-only, and so are the per-file arrays a read returns, which are views of
+its rows.  A read writes nothing.
 
 The synthetic generator emits a schema-valid network shaped like a real
 multi-tier supply base: a single hub supplier supplied by every tier-1
@@ -62,15 +58,11 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import logging
 import math
 import os
-import stat
 import time
-import zipfile
 from dataclasses import asdict, dataclass, field
 from itertools import count, repeat
 from pathlib import Path
@@ -370,95 +362,12 @@ class _View(NamedTuple):
     counts: np.ndarray  # (files,) int64 rows of each file
 
 
-#: A file set's parse memo is written beside its first file, under the files' names joined by ``+`` plus this
-#: suffix.
-MEMO_SUFFIX = ".parsed.npz"
-#: The version of the parser's output that a memo holds; a memo of another version is not read.  It goes up
-#: whenever what the parser makes of some file changes (``tests/test_reader.py`` ties it to a sample's parse)
-#: or the memo's layout does.
-_MEMO_VERSION = 3
-#: A memo's ``meta`` member, after the sha256 of each file's bytes: the version, then the names that its
-#: relation and type codes stand for.
-_MEMO_META = "\n".join([f"chainlens parse memo {_MEMO_VERSION}", "\t".join(r.value for r in RELATION_BY_INDEX),
-                        "\t".join(ENTITY_TYPE_NAMES)]).encode("utf-8")
-#: What loading a memo that is not one of ours may raise; a truncated one raises BadZipFile.
-_MEMO_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
-#: Bytes that no parsed label holds: the field separator and every line boundary but ``\n``, which joins labels.
-_NOT_IN_LABELS = (b"\t", *_ASCII_BREAKS, *_WIDE_BREAKS)
-
-
-def _load_memo(memo: Path, digests: list[bytes], schema: Schema) -> _View | None:
-    """The view in ``memo``, or None unless it is a view the parser could have made of the files whose bytes
-    have the sha256s ``digests`` under ``schema``.
-
-    The memo must hold those sha256s, this version and these names; its
-    arrays must load without unpickling, as a memo holding an object array
-    is refused, with the expected dtypes and shapes, and one row count per
-    file, none negative, that add up to its rows.  Its labels must be
-    nonempty, free of tabs and line breaks, and distinct within their type,
-    and no subject's may start with ``#``.  Its rows must number the labels
-    in first-appearance order, subject before object, as the parser does,
-    with every relation and type code known and every row legal under
-    ``schema``.
-    """
-    try:
-        with np.load(memo, allow_pickle=False) as z:
-            meta, text, codes, rows, counts = z["meta"], z["labels"], z["codes"], z["rows"], z["counts"]
-        if not (meta.dtype == text.dtype == codes.dtype == np.uint8 and meta.ndim == text.ndim == codes.ndim == 1
-                and meta.tobytes() == b"".join(digests) + _MEMO_META and rows.dtype == np.int64 and rows.ndim == 2
-                and rows.shape[1] == 3 and counts.dtype == np.int64 and counts.shape == (len(digests),)
-                and counts.min() >= 0 and counts.sum() == len(rows)):
-            return None
-        raw = text.tobytes()
-        labels = raw.decode("utf-8").split("\n") if len(codes) else []
-    except _MEMO_ERRORS:  # a UnicodeDecodeError is a ValueError
-        return None
-    n = len(codes)
-    if (len(labels) != n or not all(labels) or any(b in raw for b in _NOT_IN_LABELS)
-            or (n and codes.max() >= len(ENTITY_TYPE_NAMES))
-            or (len(set(labels)) < n and len(set(zip(codes.tolist(), labels))) < n)):
-        return None
-    if not len(rows):
-        return _View(labels, codes, rows, counts) if n == 0 else None
-    ends = rows[:, 0::2].ravel()
-    seen = np.maximum.accumulate(ends)  # the largest id so far; each new id must be one past it
-    hashed = text[np.concatenate(([0], np.flatnonzero(text == ord("\n")) + 1))] == ord("#")  # by label
-    if not (ends[0] == 0 and ends.min() >= 0 and (ends[1:] <= seen[:-1] + 1).all() and seen[-1] == n - 1
-            and rows[:, 1].min() >= 0 and rows[:, 1].max() < len(RELATION_BY_INDEX)
-            and not hashed[rows[:, 0]].any()
-            and schema.legal(rows[:, 1], codes[rows[:, 0]], codes[rows[:, 2]]).all()):
-        return None
-    return _View(labels, codes, rows, counts)
-
-
-def _write_memo(memo: Path, digests: list[bytes], view: _View) -> None:
-    """Write ``view`` to ``memo`` as the view of the files whose bytes have the sha256s ``digests``.
-
-    The memo is written to a temp file and renamed over ``memo``, so a reader
-    sees a whole memo or none.  An OSError, as in a read-only directory,
-    leaves no memo and is not raised.
-    """
-    buf = io.BytesIO()  # one write to the file, not one per zip member
-    np.savez(buf, meta=np.frombuffer(b"".join(digests) + _MEMO_META, dtype=np.uint8),
-             labels=np.frombuffer("\n".join(view.labels).encode("utf-8"), dtype=np.uint8),
-             codes=view.codes, rows=view.rows, counts=view.counts)
-    tmp = memo.with_name(f"{memo.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(buf.getbuffer())
-        os.replace(tmp, memo)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
-
-def _memo_exists(memo: Path) -> bool:
-    """Whether ``memo`` is a regular file (a FIFO memo would block); False also where the file system
-    refuses its name, as one over the name length limit, which ``Path.is_file`` raises on."""
-    try:
-        return memo.is_file()
-    except OSError:
-        return False
+#: File sets whose parse the process keeps: a graph file and its split directory.
+_KEPT_VIEWS = 2
+#: The views of the last ``_KEPT_VIEWS`` file sets parsed, oldest first, each after the sha256 of each of its
+#: files' bytes.  The tuple is replaced whole, never changed in place, so a reader on another thread or in a
+#: forked child sees one whole tuple without a lock; two parses at once may keep only one of their views.
+_views: tuple[tuple[tuple[bytes, ...], _View], ...] = ()
 
 
 def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.ndarray]]:
@@ -467,29 +376,31 @@ def _read_triples(paths: list[Path], schema: Schema) -> tuple[Graph, list[np.nda
     Entities get ids by (label, type) in first-appearance order over the
     files; the graph keeps each distinct triple once, in first-appearance
     order, while the per-file arrays keep every line.  The files are one
-    view: from their memo when ``_load_memo`` trusts it, else parsed in
-    order with one vocabulary.  A parsed set of regular files gets a fresh
-    memo; a set that holds a pipe or other non-regular file gets none.
+    view: a kept view of files with the same bytes when every row of it is
+    legal under ``schema``, else parsed in order with one vocabulary and
+    kept in place of the oldest kept view.
     """
+    global _views
     start = time.perf_counter()
-    files, regular = [], True
+    files = []
     for path in paths:
         with open(path, "rb") as fh:
-            regular = regular and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             files.append(_read_bytes(fh))
-    memo = paths[0].with_name("+".join(path.name for path in paths) + MEMO_SUFFIX)
-    digests = [hashlib.sha256(memoryview(data)[:size]).digest() for data, size in files] if regular else []
-    view = _load_memo(memo, digests, schema) if regular and _memo_exists(memo) else None
+    digests = tuple(hashlib.sha256(memoryview(data)[:size]).digest() for data, size in files)
+    view = next((v for kept, v in _views if kept == digests), None)
+    if view is not None and not schema.legal(view.rows[:, 1], view.codes[view.rows[:, 0]],
+                                             view.codes[view.rows[:, 2]]).all():
+        view = None  # the parse raises the error, naming path:line
     parsed = view is None
     if parsed:
         vocab: dict[bytes, int] = {}
         arrays = [_parse(path, *_as_text(data, size, path), schema, vocab) for path, (data, size) in zip(paths, files)]
-    del files  # the memo and the graph are built without the bytes: about 1 MB less peak RSS at 10x
+    del files  # the view and the graph are built without the bytes: about 1 MB less peak RSS at 10x
     if parsed:
         view = _View(*_vocabulary(vocab), np.concatenate(arrays), np.array(list(map(len, arrays)), dtype=np.int64))
-        if regular:
-            _write_memo(memo, digests, view)
-    logger.info("%s: %s in %.1f ms", ", ".join(map(str, paths)), "parsed" if parsed else "read from its memo",
+        view.codes.flags.writeable = view.rows.flags.writeable = False
+        _views = (*_views, (digests, view))[-_KEPT_VIEWS:]
+    logger.info("%s: %s in %.1f ms", ", ".join(map(str, paths)), "parsed" if parsed else "reused an earlier parse",
                 1e3 * (time.perf_counter() - start))
     labels, codes, spo, counts = view
     _, first = np.unique((spo[:, 0] * len(RELATION_INDEX) + spo[:, 1]) * max(len(labels), 1) + spo[:, 2],

@@ -214,32 +214,23 @@ def _cgroup_levels() -> Iterator[tuple[Path, str]]:
             yield Path(mount, *parts[:depth]), name
 
 
-def memory_limit() -> int:
-    """Bytes this process may hold: the least memory limit set on its cgroup or an ancestor, else physical RAM.
-
-    The limit files are only read.  A level that is not there (a cgroup
-    namespace, or a mount of a subtree, shows only part of the path) is
-    passed over, and "max" sets no limit.
-    """
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for directory, name in _cgroup_levels():
-        value = _read_bytes(directory / name)
-        if value is not None:
-            limit = min(limit, value)
-    return limit
-
-
 def memory_available() -> int:
-    """Bytes this process may allocate now: the least of :func:`memory_limit`,
-    each limited cgroup level's limit less the memory it has in use
-    (``memory.current``; ``memory.usage_in_bytes`` in cgroup v1), and
-    ``MemAvailable`` in ``/proc/meminfo``.  Files are only read; one that is
-    missing or unreadable is passed over."""
-    free = memory_limit()
+    """Bytes this process may allocate now: the least of physical RAM, the
+    memory limit set on its cgroup or an ancestor, that limit less the
+    memory the level has in use (``memory.current``;
+    ``memory.usage_in_bytes`` in cgroup v1), and ``MemAvailable`` in
+    ``/proc/meminfo``.
+
+    Files are only read.  A level that is not there (a cgroup namespace, or
+    a mount of a subtree, shows only part of the path) is passed over, "max"
+    sets no limit, and a file that is missing or unreadable is passed over.
+    """
+    free = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for directory, name in _cgroup_levels():
-        limit, used = _read_bytes(directory / name), _read_bytes(directory / CGROUP_USAGE[name])
-        if limit is not None and used is not None:
-            free = min(free, max(limit - used, 0))
+        limit = _read_bytes(directory / name)
+        if limit is not None:
+            used = _read_bytes(directory / CGROUP_USAGE[name])
+            free = min(free, limit if used is None else max(limit - used, 0))
     try:
         meminfo = Path(PROC_MEMINFO).read_text(encoding="ascii").splitlines()
     except (OSError, UnicodeDecodeError):

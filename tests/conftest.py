@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import chainlens.dataset as dataset_mod
 from chainlens.dataset import GeneratorConfig, SplitConfig, generate_synthetic, transductive_split
 from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph, RelationType
 
@@ -21,6 +22,12 @@ def write_schema(schema, path) -> None:
         names = [",".join(sorted(t.value for t in types)) for types in (src, tgt)]
         lines.append("\t".join([rel.value, *names]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_parses(monkeypatch):
+    """Each test starts with no parse kept from another test's reads."""
+    monkeypatch.setattr(dataset_mod, "_views", ())
 
 
 @pytest.fixture(scope="session")

@@ -307,7 +307,7 @@ def test_train_grid_skips_and_lists_points_over_the_memory_limit(workspace, caps
     split_graph, train_arr, *_ = load_split_dir(splits)
     needed = {dim: training_bytes(ModelKind.TRANSE, split_graph.num_entities, len(RELATION_BY_INDEX), dim,
                                   min(64, len(train_arr)), 1) for dim in (8, 16)}
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed[8])
+    monkeypatch.setattr(training_mod, "memory_available", lambda: needed[8])
     capsys.readouterr()
     code = main(["train", "--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "train.cfg"),
                  "--grid", "--out", str(ckpt)])
@@ -816,28 +816,30 @@ def test_pipeline_run_twice_in_one_directory_reads_memos_and_writes_the_golden_b
         log = capsys.readouterr().err.splitlines()
         reads.append([line.split(": ", 2)[2].split(" in ")[0] for line in log
                       if line.startswith(f"INFO chainlens.dataset: {graph}: ")])
-    # the first split parses graph.tsv and writes its memo; every later read of it is from the memo
-    assert reads == [["parsed"] + ["read from its memo"] * 4, ["read from its memo"] * 5]
+    # the first split parses graph.tsv and the process keeps the parse; every later read of the same bytes reuses it
+    assert reads == [["parsed"] + ["reused an earlier parse"] * 4, ["reused an earlier parse"] * 5]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis", "export", "graph.tsv", "graph.tsv.manifest.json",
+                                                          "split"]
 
 
-def test_schema_flag_refuses_a_graph_whose_memo_was_written_under_another_schema(workspace, capsys):
+def test_schema_flag_refuses_a_graph_whose_memo_was_written_under_another_schema(workspace, capsys, monkeypatch):
     from dataclasses import replace
 
-    from chainlens.dataset import MEMO_SUFFIX
+    import chainlens.dataset as dataset_mod
     from chainlens.graph import DEFAULT_SCHEMA, EntityType, RelationType
 
     graph, schema = workspace / "g.tsv", workspace / "strict.tsv"
     assert main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)]) == 0
-    assert main(["analyze", "--in", str(graph), "--out", str(workspace / "a")]) == 0  # memo under the default
-    assert Path(str(graph) + MEMO_SUFFIX).is_file()
+    assert main(["analyze", "--in", str(graph), "--out", str(workspace / "a")]) == 0  # kept under the default
+    assert len(dataset_mod._views) == 1
     rules = dict(DEFAULT_SCHEMA.rules)
     rules[RelationType.LOCATED_IN] = (frozenset({EntityType.SMELTER}), rules[RelationType.LOCATED_IN][1])
     write_schema(replace(DEFAULT_SCHEMA, rules=rules), schema)
     errors = []
-    for _ in range(2):  # from the memo's file, then with no memo
+    for _ in range(2):  # from the kept parse, then with none kept
         capsys.readouterr()
         assert main(["analyze", "--in", str(graph), "--schema", str(schema), "--out", str(workspace / "b")]) == 2
         errors.append(capsys.readouterr().err)
-        Path(str(graph) + MEMO_SUFFIX).unlink(missing_ok=True)
+        monkeypatch.setattr(dataset_mod, "_views", ())
     assert f"{graph}:" in errors[0] and "Supplier is not a valid source for located_in" in errors[0]
     assert errors[0] == errors[1]

@@ -1,6 +1,6 @@
-"""The byte-level triple reader against the str-level reference in ``reference_reader.py``, and its parse memos."""
+"""The byte-level triple reader against the str-level reference in ``reference_reader.py``, and the parses a
+process keeps for reuse."""
 
-import hashlib
 import logging
 import os
 import re
@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens.dataset as dataset_mod
-from chainlens.dataset import MEMO_SUFFIX, ParseError, load_split_dir, load_triples
-from chainlens.graph import DEFAULT_SCHEMA, RELATION_BY_INDEX, EntityType, RelationType, Schema, SchemaViolation
+from chainlens.dataset import ParseError, load_split_dir, load_triples
+from chainlens.graph import DEFAULT_SCHEMA, EntityType, RelationType, Schema, SchemaViolation
 
 from reference_reader import reference_read_triples
 
@@ -106,6 +106,7 @@ def test_reader_matches_reference(tmp_path_factory, files, corrupt, batch):
     expected = read_with(reference_read_triples, paths)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset_mod, "READ_BATCH_LINES", batch)
+        mp.setattr(dataset_mod, "_views", ())  # parsed at this batch size, not reused from another example
         got = read_with(dataset_mod._read_triples, paths)
     if isinstance(expected, UnicodeDecodeError):
         bad = paths[corrupt[0]]
@@ -164,7 +165,12 @@ def test_reader_reads_a_pipe(tmp_path):
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert graph.num_triples == 5_000
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]  # no memo of a pipe
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]
+    fifo.unlink()
+    fifo.write_bytes(lines)
+    with pytest.MonkeyPatch.context() as mp:  # the pipe's parse was kept like a file's
+        refuse_parsing(mp)
+        assert graph_state(load_triples(fifo)) == graph_state(graph)
 
 
 def test_reader_refuses_bytes_that_are_not_utf8(tmp_path):
@@ -195,17 +201,12 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parse memos
+# Parse reuse: the views a process keeps of the file sets it parsed, its parse memos
 # ---------------------------------------------------------------------------
 
 SMALL = ("a\tSupplier\tsupplies_to\tb\tSupplier\n"
          "b\tSupplier\tsupplies_to\tc\tSupplier\n"
          "c\tSupplier\tlocated_in\tZürich\tCountry\n")
-
-
-def memo_of(*paths):
-    """The memo of a read of ``paths``: beside the first file, named by all of them."""
-    return paths[0].with_name("+".join(path.name for path in paths) + MEMO_SUFFIX)
 
 
 def graph_state(graph, arrays=()):
@@ -215,23 +216,15 @@ def graph_state(graph, arrays=()):
 
 
 def parsed_state(paths, schema=DEFAULT_SCHEMA):
-    """``graph_state`` of ``_read_triples(paths)`` with their memo deleted first."""
-    memo_of(*paths).unlink(missing_ok=True)
+    """``graph_state`` of ``_read_triples(paths)`` with no parse kept before it."""
+    dataset_mod._views = ()
     return graph_state(*dataset_mod._read_triples(paths, schema))
 
 
-def rewrite_memo(memo, **fields):
-    """Replace fields of ``memo``, keeping the others."""
-    with np.load(memo) as z:
-        kept = {name: z[name] for name in z.files}
-    with open(memo, "wb") as fh:
-        np.savez(fh, **{**kept, **fields})
-
-
 def refuse_parsing(mp):
-    """Make parsing fail, so that a read that succeeds came from memos only."""
+    """Make parsing fail, so that a read that succeeds reused a kept parse."""
     def parse(*args):
-        raise AssertionError("parsed a file that has a memo")
+        raise AssertionError("parsed a file whose parse was kept")
     mp.setattr(dataset_mod, "_parse", parse)
 
 
@@ -256,7 +249,6 @@ def test_memo_is_written_on_the_first_read_and_read_on_the_next(tmp_path, caplog
     for paths in [tmp_path / "one" / "g.tsv"], write_small_split(tmp_path / "split"):  # one file, then a set
         caplog.clear()
         first = graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA))
-        assert memo_of(*paths).is_file()
         with pytest.MonkeyPatch.context() as mp:
             refuse_parsing(mp)
             assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == first
@@ -264,9 +256,18 @@ def test_memo_is_written_on_the_first_read_and_read_on_the_next(tmp_path, caplog
         assert len(messages) == 2  # one per read, not one per file
         read = ", ".join(map(str, paths))
         assert messages[0].startswith(f"{read}: parsed in ") and messages[0].endswith(" ms")
-        assert messages[1].startswith(f"{read}: read from its memo in ") and messages[1].endswith(" ms")
-        names = sorted([*(path.name for path in paths), memo_of(*paths).name])
-        assert sorted(path.name for path in paths[0].parent.iterdir()) == names  # no temp file left
+        assert messages[1].startswith(f"{read}: reused an earlier parse in ") and messages[1].endswith(" ms")
+
+
+def test_a_read_creates_no_file_in_its_directory(tmp_path):
+    (tmp_path / "g.tsv").write_text(SMALL, encoding="utf-8")
+    paths = write_small_split(tmp_path / "split")
+    for _ in range(2):  # parsed, then reused
+        load_triples(tmp_path / "g.tsv")
+        load_split_dir(tmp_path / "split")
+        load_triples(paths[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "split"]
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == ["test.tsv", "train.tsv", "valid.tsv"]
 
 
 def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
@@ -278,212 +279,54 @@ def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
     assert path.stat().st_size == st.st_size
     assert load_triples(path).labels == ["a", "b", "d", "Zürich"]
-    with pytest.MonkeyPatch.context() as mp:  # the stale memo was replaced
+    with pytest.MonkeyPatch.context() as mp:  # the new bytes' parse was kept
         refuse_parsing(mp)
         assert load_triples(path).labels == ["a", "b", "d", "Zürich"]
-
-
-def test_truncated_memo_is_replaced(tmp_path):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(load_triples(path))
-    whole = memo_of(path).read_bytes()
-    memo_of(path).write_bytes(whole[: len(whole) // 2])
-    assert graph_state(load_triples(path)) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        refuse_parsing(mp)
-        assert graph_state(load_triples(path)) == expected
-
-
-UNPICKLED = []
-
-
-def record_unpickling():
-    UNPICKLED.append("unpickled")
-
-
-class Tripwire:
-    """Records that it was unpickled."""
-
-    def __reduce__(self):
-        return record_unpickling, ()
-
-
-def test_memo_with_an_object_array_is_never_unpickled(tmp_path):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(load_triples(path))
-    rewrite_memo(memo_of(path), labels=np.array([Tripwire()], dtype=object))
-    assert graph_state(load_triples(path)) == expected
-    assert UNPICKLED == []
-
-
-#: Every relation between any two types, so that a memo's renumbered rows stay legal.
-ANYTHING_GOES = Schema({rel: (frozenset(EntityType), frozenset(EntityType)) for rel in RelationType})
-
-
-def rewrite_meta(path, line, change):
-    """Apply ``change`` to line ``line`` of the memo's meta (0 the version, 1 the relations, 2 the types)."""
-    with np.load(memo_of(path)) as memo:
-        meta = memo["meta"].tobytes()
-    lines = meta[32:].split(b"\n")  # after the sha256
-    lines[line] = change(lines[line])
-    rewrite_memo(memo_of(path), meta=np.frombuffer(meta[:32] + b"\n".join(lines), dtype=np.uint8))
-
-
-@pytest.mark.parametrize("table", ["relations", "types"])
-def test_memo_in_other_names_is_not_used(tmp_path, table):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(load_triples(path, ANYTHING_GOES))
-    with np.load(memo_of(path)) as memo:
-        rows, codes = memo["rows"], memo["codes"]
-    # the same memo with the names in reverse order and the codes renumbered to match
-    if table == "relations":
-        rows[:, 1] = len(RELATION_BY_INDEX) - 1 - rows[:, 1]
-        rewrite_memo(memo_of(path), rows=rows)
-    else:
-        rewrite_memo(memo_of(path), codes=(len(EntityType) - 1 - codes).astype(np.uint8))
-    rewrite_meta(path, 1 if table == "relations" else 2, lambda names: b"\t".join(names.split(b"\t")[::-1]))
-    assert graph_state(load_triples(path, ANYTHING_GOES)) == expected
-
-
-def test_memo_of_another_version_is_not_used(tmp_path):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(load_triples(path))
-    with np.load(memo_of(path)) as memo:  # a parse that an older parser might have made
-        labels = np.frombuffer(memo["labels"].tobytes().replace(b"a", b"x"), dtype=np.uint8)
-    rewrite_memo(memo_of(path), labels=labels)
-    rewrite_meta(path, 0, lambda version: version.replace(str(dataset_mod._MEMO_VERSION).encode(), b"1"))
-    assert graph_state(load_triples(path)) == expected
-
-
-#: Faults in the memo of ``SMALL`` cut into two files after its first line.  The memo holds a, b, c and Zürich,
-#: each a Supplier but Zürich, a Country, rows (0, supplies_to, 1), (1, supplies_to, 2), (2, located_in, 3) and
-#: counts (1, 2); each fault changes what a read of it would give.
-FAULTS = ["subject past the labels", "negative object", "unknown relation", "unknown type", "a label missing",
-          "a label too many", "a label never used", "rows as int32", "ids out of first-appearance order",
-          "a duplicate key", "an empty label", "a label with a tab", "a label with a carriage return",
-          "a label with U+2028", "a subject starting with #", "counts not adding up to the rows",
-          "a count too many", "a negative count"]
-
-
-@pytest.mark.parametrize("fault", FAULTS)
-def test_memo_the_parser_could_not_have_made_is_not_used(tmp_path, fault):
-    paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
-    first, rest = SMALL.split("\n", 1)
-    paths[0].write_text(first + "\n", encoding="utf-8")
-    paths[1].write_text(rest, encoding="utf-8")
-    expected = graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA))
-    with np.load(memo_of(*paths)) as memo:
-        rows, codes, labels = memo["rows"], memo["codes"], memo["labels"].tobytes().decode("utf-8").split("\n")
-        counts = memo["counts"]
-    if fault == "subject past the labels":
-        rows[0, 0] = len(codes)
-    elif fault == "negative object":
-        rows[0, 2] = -1
-    elif fault == "unknown relation":
-        rows[0, 1] = len(RELATION_BY_INDEX)
-    elif fault == "unknown type":
-        codes[0] = len(EntityType)
-    elif fault == "a label missing":
-        labels = labels[:-1]
-    elif fault == "a label too many":
-        labels = labels + ["d"]
-    elif fault == "a label never used":
-        labels, codes = labels + ["d"], np.append(codes, codes[0])
-    elif fault == "rows as int32":
-        rows = rows.astype(np.int32)
-    elif fault == "ids out of first-appearance order":  # the same triples, with b and c numbered the other way
-        labels[1], labels[2] = labels[2], labels[1]
-        rows[:, 0::2] = np.array([0, 2, 1, 3])[rows[:, 0::2]]
-    elif fault == "a duplicate key":  # two ids for (b, Supplier)
-        labels[2] = "b"
-    elif fault == "a subject starting with #":
-        labels[0] = "#a"
-    elif fault == "counts not adding up to the rows":
-        counts = np.array([2, 2])
-    elif fault == "a count too many":  # the rows of a third, empty file
-        counts = np.array([1, 2, 0])
-    elif fault == "a negative count":  # adds up to the rows, and would give the first file all of them
-        counts = np.array([4, -1])
-    else:
-        labels[1] = {"an empty label": "", "a label with a tab": "b\tx", "a label with a carriage return": "b\rx",
-                     "a label with U+2028": "b\u2028x"}[fault]
-    rewrite_memo(memo_of(*paths), rows=rows, codes=codes, counts=counts,
-                 labels=np.frombuffer("\n".join(labels).encode("utf-8"), dtype=np.uint8))
-    assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
-
-
-#: The sha256 of ``parse_sample``'s result under each memo version.  A change to what the parser makes of some
-#: file, as a new comment, label or line-break rule, changes it: the change must then give
-#: ``dataset._MEMO_VERSION`` a new number, and this table its digest, so that no memo of the old parse is read.
-#: Version 3 changed only the memo's layout (one memo per file set, with each file's row count), so its digest is
-#: version 2's.
-SAMPLE_PARSES = {2: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399",
-                 3: "c451e30c2ec840fc26612734b98f3aa2d22ec940bfe553de399520e6cfb35399"}
-
-
-def parse_sample(tmp_path):
-    """``graph_state`` of a fresh read of two files that hold every kind of line, label and line break the
-    strategies above draw, as accepted input: one broken at ``\\n`` only, one at every line boundary."""
-    lines = []
-    for i, label in enumerate(LABELS):
-        subject = "a" if label.startswith("#") else label
-        lines += [f"{subject}\tSupplier\tsupplies_to\t{LABELS[i - 1]}\tSupplier",
-                  f"{subject}\tSupplier\tlocated_in\t{label}\tCountry", COMMENTS[i % len(COMMENTS)],
-                  BLANKS[i % len(BLANKS)]]
-    paths = [tmp_path / "plain.tsv", tmp_path / "mixed.tsv"]
-    paths[0].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths[1].write_text("".join(line + BREAKS[i % len(BREAKS)] for i, line in enumerate(lines[::-1])),
-                        encoding="utf-8")
-    state = parsed_state(paths)
-    assert state[:3] == graph_state(reference_read_triples(paths, DEFAULT_SCHEMA)[0])[:3]
-    return state
-
-
-def test_memo_version_names_the_parse_it_holds(tmp_path):
-    digest = hashlib.sha256(repr(parse_sample(tmp_path)).encode("utf-8")).hexdigest()
-    assert SAMPLE_PARSES.get(dataset_mod._MEMO_VERSION) == digest
 
 
 def test_memo_rows_illegal_under_the_schema_raise_the_parsers_error(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text(SMALL, encoding="utf-8")
-    load_triples(path)  # a memo written under the default schema
+    load_triples(path)  # a parse kept under the default schema
     rules = dict(DEFAULT_SCHEMA.rules)
     rules[RelationType.LOCATED_IN] = (frozenset({EntityType.SMELTER}), rules[RelationType.LOCATED_IN][1])
     strict = Schema(rules)
     with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(path))}:3: Supplier is not a valid source") as got:
         load_triples(path, strict)
-    memo_of(path).unlink()
+    dataset_mod._views = ()
     with pytest.raises(SchemaViolation) as parsed:
         load_triples(path, strict)
     assert str(got.value) == str(parsed.value)
+    with pytest.MonkeyPatch.context() as mp:  # the refused read left the kept parse in place
+        load_triples(path)
+        refuse_parsing(mp)
+        load_triples(path)
 
 
-def test_memo_that_cannot_be_written_leaves_the_parsed_graph(tmp_path, monkeypatch):
-    path = tmp_path / "g.tsv"
-    path.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(load_triples(path))
-    memo_of(path).unlink()
+def test_arrays_a_read_returns_are_read_only_and_later_reads_are_unchanged(tmp_path):
+    split = tmp_path / "split"
+    write_small_split(split)
+    expected = split_state(split)
+    graph, *arrays = load_split_dir(split)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 9
+    graph.add_entity("d", EntityType.SUPPLIER)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_parsing(mp)
+        assert split_state(split) == expected
 
-    def replace(src, dst):
-        raise PermissionError(13, "Permission denied", str(dst))
-    monkeypatch.setattr(os, "replace", replace)
-    assert graph_state(load_triples(path)) == expected
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]  # no memo, no temp file
 
-
-def test_file_whose_memo_name_is_too_long_is_parsed_without_a_memo(tmp_path):
-    short = tmp_path / "g.tsv"
-    short.write_text(SMALL, encoding="utf-8")
-    expected = graph_state(*dataset_mod._read_triples([short], DEFAULT_SCHEMA))
-    path = tmp_path / ("g" * 246 + ".tsv")  # a 250-byte name: its memo's name is over the 255-byte limit
-    path.write_text(SMALL, encoding="utf-8")
-    assert graph_state(*dataset_mod._read_triples([path], DEFAULT_SCHEMA)) == expected
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([short.name, memo_of(short).name, path.name])
+def test_a_third_file_set_read_drops_the_oldest_kept_parse(tmp_path):
+    paths = [tmp_path / f"g{i}.tsv" for i in range(3)]
+    for i, path in enumerate(paths):
+        path.write_text(SMALL.replace("a\t", f"a{i}\t"), encoding="utf-8")
+        load_triples(path)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_parsing(mp)
+        assert [load_triples(path).labels[0] for path in paths[1:]] == ["a1", "a2"]
+        with pytest.raises(AssertionError, match="parsed a file whose parse was kept"):
+            load_triples(paths[0])
 
 
 #: Subject labels: any of ``LABELS`` that a line may start with; ``#`` labels are objects only.
@@ -491,7 +334,7 @@ SUBJECTS = [label for label in LABELS if not label.startswith("#")]
 
 
 @st.composite
-def memo_files(draw) -> list[bytes]:
+def shared_entity_files(draw) -> list[bytes]:
     """One to three clean triple files drawn from a few shared entities, with duplicate lines and entities."""
     entities = draw(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(ENTITY_NAMES)), min_size=1,
                              max_size=8))
@@ -512,16 +355,15 @@ def memo_files(draw) -> list[bytes]:
     return files
 
 
-@given(files=memo_files(), changed=st.integers(0, 2))
+@given(files=shared_entity_files(), changed=st.integers(0, 2))
 @settings(deadline=None)
-def test_memos_read_as_parsing_does(tmp_path_factory, files, changed):
-    root = tmp_path_factory.mktemp("memo")
+def test_repeated_reads_equal_parsing(tmp_path_factory, files, changed):
+    root = tmp_path_factory.mktemp("reuse")
     paths = [root / f"part{i}.tsv" for i in range(len(files))]
     for path, data in zip(paths, files):
         path.write_bytes(data)
     expected = parsed_state(paths)
     assert expected[:3] == graph_state(reference_read_triples(paths, DEFAULT_SCHEMA)[0])[:3]
-    assert sorted(p.name for p in root.iterdir()) == sorted([*(p.name for p in paths), memo_of(*paths).name])
     with pytest.MonkeyPatch.context() as mp:
         refuse_parsing(mp)
         assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
@@ -534,9 +376,10 @@ def test_memos_read_as_parsing_does(tmp_path_factory, files, changed):
         mp.setattr(dataset_mod, "_parse", lambda path, *args: parsed.append(path) or parse(path, *args))
         assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
     assert parsed == paths
-    with pytest.MonkeyPatch.context() as mp:  # and the memo was replaced
+    with pytest.MonkeyPatch.context() as mp:  # and the new parse was kept
         refuse_parsing(mp)
         assert graph_state(*dataset_mod._read_triples(paths, DEFAULT_SCHEMA)) == expected
+    assert sorted(p.name for p in root.iterdir()) == sorted(p.name for p in paths)
 
 
 def test_a_file_and_a_set_that_holds_it_keep_a_memo_each(tmp_path):
@@ -544,10 +387,7 @@ def test_a_file_and_a_set_that_holds_it_keep_a_memo_each(tmp_path):
     paths = write_small_split(split)
     alone = graph_state(load_triples(paths[0]))
     together = split_state(split)
-    assert sorted(p.name for p in split.iterdir()) == sorted(["train.tsv", "valid.tsv", "test.tsv",
-                                                              "train.tsv" + MEMO_SUFFIX,
-                                                              "train.tsv+valid.tsv+test.tsv" + MEMO_SUFFIX])
-    with pytest.MonkeyPatch.context() as mp:  # neither read replaced the other's memo
+    with pytest.MonkeyPatch.context() as mp:  # neither read replaced the other's kept parse
         refuse_parsing(mp)
         for _ in range(2):
             assert graph_state(load_triples(paths[0])) == alone
@@ -558,14 +398,12 @@ def test_set_memo_is_not_used_when_one_file_holds_other_bytes_of_the_same_length
     split = tmp_path / "split"
     paths = write_small_split(split)
     load_split_dir(split)
-    before = memo_of(*paths).read_bytes()
     st = paths[2].stat()
     paths[2].write_bytes(paths[2].read_bytes().replace(b"c\t", b"d\t"))
     os.utime(paths[2], ns=(st.st_atime_ns, st.st_mtime_ns))
     assert paths[2].stat().st_size == st.st_size
     got = split_state(split)
     assert got[0] == ["a", "b", "c", "d", "Zürich"]
-    assert memo_of(*paths).read_bytes() != before
-    with pytest.MonkeyPatch.context() as mp:  # the stale memo was replaced
+    with pytest.MonkeyPatch.context() as mp:  # the new bytes' parse was kept
         refuse_parsing(mp)
         assert split_state(split) == got

@@ -366,7 +366,7 @@ def test_train_over_the_memory_limit_refuses_before_it_allocates(monkeypatch):
     triples = tiny_triples()
     cfg = TrainConfig(dim=8, max_epochs=1, batch_size=16)
     needed = training_bytes(ModelKind.TRANSE, 15, 2, 8, 16, 1)
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed - 1)
+    monkeypatch.setattr(training_mod, "memory_available", lambda: needed - 1)
     monkeypatch.setattr(training_mod, "init_params", lambda *args: pytest.fail("allocated parameters"))
     with pytest.raises(ConfigError, match="TransE at dim 8 needs about .* GiB to train, more than the"):
         train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
@@ -377,11 +377,12 @@ def test_memory_limit_is_positive_and_at_most_physical_ram():
 
     import chainlens.training as training_mod
 
-    assert 0 < training_mod.memory_limit() <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < training_mod.memory_available() <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def cgroup_files(monkeypatch, tmp_path, listing):
-    """Point memory_limit at a /proc/self/cgroup holding ``listing`` and at empty hierarchies under tmp_path."""
+    """Point memory_available at a /proc/self/cgroup holding ``listing``, at empty hierarchies under tmp_path
+    and at a /proc/meminfo that is missing."""
     import chainlens.training as training_mod
 
     proc = tmp_path / "proc_self_cgroup"
@@ -390,6 +391,7 @@ def cgroup_files(monkeypatch, tmp_path, listing):
     monkeypatch.setattr(training_mod, "PROC_SELF_CGROUP", str(proc))
     monkeypatch.setattr(training_mod, "CGROUP_V2", (str(v2), "memory.max"))
     monkeypatch.setattr(training_mod, "CGROUP_V1_MEMORY", (str(v1), "memory.limit_in_bytes"))
+    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(tmp_path / "meminfo"))
     return v2, v1
 
 
@@ -399,10 +401,10 @@ def test_memory_limit_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path
     v2, v1 = cgroup_files(monkeypatch, tmp_path, "4:memory:/\n0::/\n")
     v2.mkdir()
     (v2 / "memory.max").write_text("max\n")
-    physical = training_mod.memory_limit()  # "max" and a missing file set no limit
+    physical = training_mod.memory_available()  # "max" and a missing file set no limit
     v1.mkdir()
     (v1 / "memory.limit_in_bytes").write_text("1048576\n")
-    assert training_mod.memory_limit() == 1048576 < physical
+    assert training_mod.memory_available() == 1048576 < physical
 
 
 @pytest.mark.parametrize("version", ["v2", "v1"])
@@ -417,17 +419,17 @@ def test_memory_limit_reads_the_own_nested_cgroup_and_its_ancestors(monkeypatch,
                                 else (v1, "memory.limit_in_bytes", "pods/pod1", "box"))
     (mount / parent / own).mkdir(parents=True)
     (mount / name).write_text("max\n" if version == "v2" else "9223372036854771712\n")
-    physical = training_mod.memory_limit()
+    physical = training_mod.memory_available()
     (mount / parent / own / name).write_text("3145728\n")
-    assert training_mod.memory_limit() == 3145728 < physical
+    assert training_mod.memory_available() == 3145728 < physical
     (mount / parent / name).write_text("2097152\n")
-    assert training_mod.memory_limit() == 2097152
+    assert training_mod.memory_available() == 2097152
     # another controller's path, or a cgroup this process is not in, sets nothing
     (v1 / "other").mkdir(parents=True, exist_ok=True)
     (v1 / "other" / "memory.limit_in_bytes").write_text("1024\n")
     (mount / parent / "sibling").mkdir()
     (mount / parent / "sibling" / name).write_text("1024\n")
-    assert training_mod.memory_limit() == 2097152
+    assert training_mod.memory_available() == 2097152
 
 
 @pytest.mark.parametrize("version", ["v2", "v1"])
@@ -439,13 +441,12 @@ def test_memory_available_takes_what_each_cgroup_and_the_machine_have_free(monke
     mount, name, used = (v2, "memory.max", "memory.current") if version == "v2" else \
         (v1, "memory.limit_in_bytes", "memory.usage_in_bytes")
     meminfo = tmp_path / "meminfo"
-    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(meminfo))
     (mount / "pods" / "box").mkdir(parents=True)
     (mount / "pods" / name).write_text("8388608\n")
     (mount / "pods" / "box" / name).write_text("4194304\n")
-    assert training_mod.memory_available() == training_mod.memory_limit() == 4194304  # no usage, no meminfo
+    assert training_mod.memory_available() == 4194304  # the least limit, with no usage and no meminfo
     (mount / "pods" / "box" / used).write_text("1048576\n")
-    assert training_mod.memory_available() == 3145728 < training_mod.memory_limit()
+    assert training_mod.memory_available() == 3145728
     (mount / "pods" / used).write_text("6291456\n")  # the parent has less free than its child
     assert training_mod.memory_available() == 2097152
     meminfo.write_text("MemTotal:       16000000 kB\nMemFree:          100000 kB\nMemAvailable:       1024 kB\n")
@@ -460,14 +461,15 @@ def test_train_refuses_a_run_over_what_is_free_under_the_limit(monkeypatch, tmp_
     triples = tiny_triples()
     cfg = TrainConfig(dim=8, max_epochs=1, batch_size=16)
     needed = training_bytes(ModelKind.TRANSE, 15, 2, 8, 16, 1)
+    v2, _ = cgroup_files(monkeypatch, tmp_path, "0::/\n")
+    v2.mkdir()
+    (v2 / "memory.max").write_text(f"{2 * needed}\n")
     meminfo = tmp_path / "meminfo"
     meminfo.write_text(f"MemAvailable: {(needed - 1) // 1024} kB\n")
-    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(meminfo))
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: 2 * needed)
     monkeypatch.setattr(training_mod, "init_params", lambda *args: pytest.fail("allocated parameters"))
     with pytest.raises(ConfigError, match="GiB memory limit of what is free now"):
         train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: needed - 1)  # with MemAvailable unread
+    (v2 / "memory.max").write_text(f"{needed - 1}\n")  # with MemAvailable unread
     meminfo.unlink()
     with pytest.raises(ConfigError):
         train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
@@ -479,7 +481,8 @@ def test_memory_limit_without_a_cgroup_listing_is_physical_ram(monkeypatch, tmp_
     import chainlens.training as training_mod
 
     monkeypatch.setattr(training_mod, "PROC_SELF_CGROUP", str(tmp_path / "missing"))
-    assert training_mod.memory_limit() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(training_mod, "PROC_MEMINFO", str(tmp_path / "missing"))
+    assert training_mod.memory_available() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def test_grid_skips_points_over_the_memory_limit(monkeypatch):
@@ -488,12 +491,12 @@ def test_grid_skips_points_over_the_memory_limit(monkeypatch):
     set_grid(monkeypatch, (8, 16), (0.01,))
     triples = tiny_triples()
     fits = training_bytes(ModelKind.TUCKER, 15, 2, 8, 16, 1)
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: fits)
+    monkeypatch.setattr(training_mod, "memory_available", lambda: fits)
     base = TrainConfig(max_epochs=5, eval_every=5, batch_size=16, seed=1)
     result = grid_search(ModelKind.TUCKER, triples, triples[:8], 15, 2, base)
     assert [(d, lr) for d, lr, _ in result.runs] == [(8, 0.01)]
     assert result.skipped == [(16, 0.01, training_bytes(ModelKind.TUCKER, 15, 2, 16, 16, 1))]
-    monkeypatch.setattr(training_mod, "memory_limit", lambda: fits - 1)
+    monkeypatch.setattr(training_mod, "memory_available", lambda: fits - 1)
     with pytest.raises(ConfigError, match="no TuckER grid point fits"):
         grid_search(ModelKind.TUCKER, triples, triples[:8], 15, 2, base)
 
