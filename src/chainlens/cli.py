@@ -1,12 +1,13 @@
 """Command-line front end: generate, split, train, eval, analyze, export.
 
 One binary with subcommands sharing config and manifest machinery.  Each
-``cmd_<name>`` handler returns a :class:`Manifest` of its effective config,
-seeds and paths; :func:`main` times the handler and writes that manifest
-alongside the outputs with the command name, tool version and wall-clock
-duration, so reruns are checkable.  A handler whose own check fails returns
-its exit code instead, and no manifest is written.  All randomness flows
-from a single per-run seed.
+``cmd_<name>`` handler returns what it computed: its effective config, seeds
+and output paths.  :func:`main` reads the clock on entry, runs the handler and
+writes the manifest with the command name, tool version, the wall-clock time
+of the whole command, and the path and inputs it derives from the arguments,
+so reruns are checkable.  A handler whose own check fails returns its exit
+code instead, and no manifest is written.  All randomness flows from a single
+per-run seed.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 infeasible
 operation, 4 training diverged (no checkpoint is written).  The environment
@@ -23,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -124,37 +125,21 @@ def _load_split(split_dir, schema: Schema):
     return graph, *parts
 
 
-@dataclass(frozen=True)
-class Manifest:
-    """What a command ran on and wrote: :func:`main` adds the command, version and duration."""
-
-    path: Path
-    config: dict
-    seeds: list[int]
-    inputs: list[str]
-    outputs: list[str]
-
-    def write(self, command: str, duration_seconds: float) -> None:
-        manifest = {
-            "command": command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": sorted(self.inputs),
-            "outputs": sorted(self.outputs),
-            "version": __version__,
-            "duration_seconds": round(duration_seconds, 6),
-        }
-        self.path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _config(cls, args):
+    """``cls``'s defaults, then the ``--config`` file's values, then ``--seed``."""
+    cfg = cls.from_file(args.config) if args.config else cls()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> Manifest:
-    cfg = GeneratorConfig.from_file(args.config) if args.config else GeneratorConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+Computed = tuple[dict, list[int], list[str]]  # a handler's effective config, seeds and output paths
+
+
+def cmd_generate(args) -> Computed:
+    cfg = _config(GeneratorConfig, args)
     schema = _load_schema(args)
     graph = generate_synthetic(cfg, schema)
     out = Path(args.out)
@@ -162,23 +147,15 @@ def cmd_generate(args) -> Manifest:
     export_triples(graph, out)
     stats = graph.stats()
     print(f"generated {stats.total_entities} entities, {stats.total_triples} triples -> {out}")
-    return Manifest(
-        Path(str(out) + ".manifest.json"),
-        cfg.to_kv(),
-        [cfg.seed],
-        [args.config] if args.config else [],
-        [str(out)],
-    )
+    return cfg.to_kv(), [cfg.seed], [str(out)]
 
 
-def cmd_split(args) -> Manifest | int:
+def cmd_split(args) -> Computed | int:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
-    cfg = SplitConfig.from_file(args.config) if args.config else SplitConfig()
+    cfg = _config(SplitConfig, args)
     if args.fractions is not None:
         cfg = replace(cfg, validation_fraction=args.fractions[0], test_fraction=args.fractions[1])
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     result = transductive_split(graph, cfg)
     out_dir = Path(args.out)
     write_split(graph, result, out_dir)
@@ -191,21 +168,13 @@ def cmd_split(args) -> Manifest | int:
             print(f"transductive check: FAIL (held-out triple {_triple_text(graph, row)})")
             return 2
         print("transductive check: PASS")
-    return Manifest(
-        out_dir / "manifest.json",
-        cfg.to_kv(),
-        [cfg.seed],
-        [str(args.in_path)] + ([args.config] if args.config else []),
-        [str(out_dir / n) for n in (TRAIN_FILE, VALID_FILE, TEST_FILE)],
-    )
+    return cfg.to_kv(), [cfg.seed], [str(out_dir / n) for n in (TRAIN_FILE, VALID_FILE, TEST_FILE)]
 
 
-def cmd_train(args) -> Manifest:
+def cmd_train(args) -> Computed:
     schema = _load_schema(args)
     graph, train_arr, valid_arr, _ = _load_split(args.split_dir, schema)
-    cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(TrainConfig, args)
     num_entities, num_relations = graph.num_entities, len(RELATION_BY_INDEX)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -232,16 +201,11 @@ def cmd_train(args) -> Manifest:
         + (f" (val hits@10 {last.hits10:.4f}, mrr {last.mrr:.4f} at final eval)" if last else "")
         + f" -> {out}"
     )
-    return Manifest(
-        Path(str(out) + ".manifest.json"),
-        {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv(), **grid_skipped},
-        [cfg.seed],
-        [str(args.split_dir)] + ([args.config] if args.config else []),
-        [str(out), str(history_path)],
-    )
+    config = {"model": args.model.value, "grid": bool(args.grid), **cfg.to_kv(), **grid_skipped}
+    return config, [cfg.seed], [str(out), str(history_path)]
 
 
-def cmd_eval(args) -> Manifest | int:
+def cmd_eval(args) -> Computed | int:
     schema = _load_schema(args)
     params = load_checkpoint(args.checkpoint)
     if not params.all_finite():
@@ -289,17 +253,12 @@ def cmd_eval(args) -> Manifest | int:
         table.to_csv(table_path)
         print(table.to_text(), end="")
         outputs.append(str(table_path))
-    return Manifest(
-        out_dir / "manifest.json",
-        {"checkpoint": str(args.checkpoint), "setting": args.setting, "tie_policy": args.tie,
-         "per_relation": bool(args.per_relation), "type_constrained": bool(args.type_constrained)},
-        [params.seed],
-        [str(args.checkpoint), str(args.split_dir)],
-        outputs,
-    )
+    config = {"checkpoint": str(args.checkpoint), "setting": args.setting, "tie_policy": args.tie,
+              "per_relation": bool(args.per_relation), "type_constrained": bool(args.type_constrained)}
+    return config, [params.seed], outputs
 
 
-def cmd_analyze(args) -> Manifest:
+def cmd_analyze(args) -> Computed:
     if not math.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     schema = _load_schema(args)
@@ -327,13 +286,7 @@ def cmd_analyze(args) -> Manifest:
             writer.writerows((graph.labels[scope_id], graph.labels[sup_id]) for scope_id, sup_id in scopes)
         outputs.append(str(scope_path))
         print(f"{len(scopes)} sole-supplier business scopes -> {scope_path}")
-    return Manifest(
-        out_dir / "manifest.json",
-        {"threshold": args.threshold, "sole_scopes": bool(args.sole_scopes)},
-        [],
-        [str(args.in_path)],
-        outputs,
-    )
+    return {"threshold": args.threshold, "sole_scopes": bool(args.sole_scopes)}, [], outputs
 
 
 _FLAGS = {"0": False, "1": True}
@@ -364,7 +317,7 @@ def _read_critical_flags(report: str) -> dict[str, bool]:
         return flags
 
 
-def cmd_export(args) -> Manifest:
+def cmd_export(args) -> Computed:
     schema = _load_schema(args)
     graph = load_triples(args.in_path, schema)
     critical_by_label = _read_critical_flags(args.report)
@@ -372,18 +325,16 @@ def cmd_export(args) -> Manifest:
     out.parent.mkdir(parents=True, exist_ok=True)
     export_graph(graph, critical_by_label, args.format, out)
     print(f"exported {args.format} -> {out}")
-    return Manifest(
-        Path(str(out) + ".manifest.json"),
-        {"format": args.format, "report": str(args.report)},
-        [],
-        [str(args.in_path), str(args.report)],
-        [str(out)],
-    )
+    return {"format": args.format, "report": str(args.report)}, [], [str(out)]
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and command frame
 # ---------------------------------------------------------------------------
+
+# The path arguments a command may read; a manifest's inputs are those given.
+_INPUT_ARGS = ("in_path", "split_dir", "checkpoint", "report", "config", "schema")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainlens", description=__doc__.splitlines()[0])
@@ -395,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--schema", help="schema description file (default: built-in)")
     p.add_argument("--out", required=True, help="output triple file")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, manifest="{}.manifest.json")
 
     p = sub.add_parser("split", help="transductive train/valid/test split")
     p.add_argument("--in", dest="in_path", required=True, help="input triple file")
@@ -406,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="schema description file")
     p.add_argument("--check", action="store_true", help="verify the transductive property")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, manifest="{}/manifest.json")
 
     p = sub.add_parser("train", help="train an embedding model on a split")
     p.add_argument("--model", required=True, type=_model_kind,
@@ -418,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true",
                    help=f"search dims {GRID_DIMS} x learning rates {GRID_LEARNING_RATES}")
     p.add_argument("--out", required=True, help="output checkpoint (.npz)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, manifest="{}.manifest.json")
 
     p = sub.add_parser("eval", help="rank test queries and report MRR / hits@k")
     p.add_argument("--checkpoint", required=True)
@@ -430,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict candidate objects to schema-legal target types")
     p.add_argument("--schema", help="schema description file")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, manifest="{}/manifest.json")
 
     p = sub.add_parser("analyze", help="criticality scores on the supplier subgraph")
     p.add_argument("--in", dest="in_path", required=True, help="input triple file")
@@ -439,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list business scopes with exactly one related supplier")
     p.add_argument("--schema", help="schema description file")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, manifest="{}/manifest.json")
 
     p = sub.add_parser("export", help="export an annotated graph for visualization")
     p.add_argument("--in", dest="in_path", required=True, help="input triple file")
@@ -447,23 +398,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="dot")
     p.add_argument("--schema", help="schema description file")
     p.add_argument("--out", required=True, help="output file")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, manifest="{}.manifest.json")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.perf_counter()
     _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        started = time.perf_counter()
-        manifest = args.func(args)
-        if isinstance(manifest, int):  # the command's own check failed
-            return manifest
-        if args.schema:  # every command reads the schema file it is given
-            manifest = replace(manifest, inputs=[*manifest.inputs, args.schema])
-        manifest.write(args.command, time.perf_counter() - started)
+        result = args.func(args)
+        if isinstance(result, int):  # the command's own check failed
+            return result
+        config, seeds, outputs = result
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "seeds": seeds,
+            "inputs": sorted(value for name in _INPUT_ARGS if (value := getattr(args, name, None))),
+            "outputs": sorted(outputs),
+            "version": __version__,
+            "duration_seconds": round(time.perf_counter() - started, 6),
+        }
+        path = Path(args.manifest.format(Path(args.out)))
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     except UsageError as exc:
         print(f"chainlens: usage error: {exc}", file=sys.stderr)

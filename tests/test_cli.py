@@ -202,9 +202,11 @@ def pipeline_commands(workspace):
     """Each command's arguments and manifest path, for a run of the whole pipeline in command order."""
     graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
     (workspace / "one_epoch.cfg").write_text("dim=8\nmax_epochs=1\neval_every=1\n")
+    (workspace / "split.cfg").write_text("validation_fraction=0.1\ntest_fraction=0.1\n")
     return {
         "generate": (["--config", str(workspace / "gen.cfg"), "--out", str(graph)], workspace / "g.tsv.manifest.json"),
-        "split": (["--in", str(graph), "--seed", "3", "--out", str(splits)], splits / "manifest.json"),
+        "split": (["--in", str(graph), "--config", str(workspace / "split.cfg"), "--seed", "3", "--out", str(splits)],
+                  splits / "manifest.json"),
         "train": (["--model", "TransE", "--split-dir", str(splits), "--config", str(workspace / "one_epoch.cfg"),
                    "--out", str(ckpt)], workspace / "m.npz.manifest.json"),
         "eval": (["--checkpoint", str(ckpt), "--split-dir", str(splits), "--out", str(workspace / "eval")],
@@ -230,12 +232,33 @@ def test_every_command_lists_the_schema_file_it_is_given_among_its_inputs(worksp
 
     schema = workspace / "schema.tsv"
     write_schema(DEFAULT_SCHEMA, schema)
+    graph, splits, ckpt = workspace / "g.tsv", workspace / "splits", workspace / "m.npz"
+    inputs = {  # exactly the path arguments of each command in pipeline_commands
+        "generate": [workspace / "gen.cfg"],
+        "split": [graph, workspace / "split.cfg"],
+        "train": [splits, workspace / "one_epoch.cfg"],
+        "eval": [ckpt, splits],
+        "analyze": [graph],
+        "export": [graph, workspace / "analysis" / "criticality.csv"],
+    }
     for command, (argv, manifest_path) in pipeline_commands(workspace).items():
         assert main([command, *argv]) == 0
-        without = json.loads(manifest_path.read_text())["inputs"]
-        assert str(schema) not in without
+        expected = sorted(map(str, inputs[command]))
+        assert json.loads(manifest_path.read_text())["inputs"] == expected, command
         assert main([command, *argv, "--schema", str(schema)]) == 0
-        assert json.loads(manifest_path.read_text())["inputs"] == sorted([*without, str(schema)]), command
+        assert json.loads(manifest_path.read_text())["inputs"] == sorted([*expected, str(schema)]), command
+
+
+def test_manifest_duration_covers_the_whole_command(workspace, monkeypatch):
+    import time
+
+    import chainlens.cli as cli
+
+    configure_logging = cli._configure_logging
+    monkeypatch.setattr(cli, "_configure_logging", lambda: (time.sleep(0.05), configure_logging()))
+    argv, manifest_path = pipeline_commands(workspace)["generate"]
+    assert main(["generate", *argv]) == 0
+    assert json.loads(manifest_path.read_text())["duration_seconds"] >= 0.05
 
 
 def test_train_grid_flag(workspace, capsys, monkeypatch):
@@ -798,8 +821,8 @@ def test_eval_refuses_a_checkpoint_that_is_not_an_npz_archive(workspace, capsys,
     assert f"{ckpt}: not a readable .npz archive" in capsys.readouterr().err
 
 
-def test_pipeline_run_twice_in_one_directory_reads_memos_and_writes_the_golden_bytes(tmp_path, monkeypatch,
-                                                                                    capsys):
+def test_pipeline_run_twice_in_one_directory_reuses_parses_and_writes_the_golden_bytes(tmp_path, monkeypatch,
+                                                                                      capsys):
     from test_golden import GOLDEN, digest
 
     graph, analysis = str(tmp_path / "graph.tsv"), tmp_path / "analysis"
@@ -822,7 +845,7 @@ def test_pipeline_run_twice_in_one_directory_reads_memos_and_writes_the_golden_b
                                                           "split"]
 
 
-def test_schema_flag_refuses_a_graph_whose_memo_was_written_under_another_schema(workspace, capsys, monkeypatch):
+def test_schema_flag_refuses_a_graph_whose_kept_parse_was_made_under_another_schema(workspace, capsys, monkeypatch):
     from dataclasses import replace
 
     import chainlens.dataset as dataset_mod

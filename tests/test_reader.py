@@ -201,7 +201,7 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parse reuse: the views a process keeps of the file sets it parsed, its parse memos
+# Parse reuse: the views a process keeps of the file sets it parsed
 # ---------------------------------------------------------------------------
 
 SMALL = ("a\tSupplier\tsupplies_to\tb\tSupplier\n"
