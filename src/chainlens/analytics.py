@@ -265,9 +265,9 @@ def triangle_count(graph: Graph) -> np.ndarray:
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
-    """Min-max scale onto [0, 10]; a constant vector maps to 0."""
+    """Min-max scale onto [0, 10]; a constant or empty vector maps to 0s."""
     values = np.asarray(values, dtype=float)
-    vmin, vmax = values.min(), values.max()
+    vmin, vmax = (values.min(), values.max()) if values.size else (0.0, 0.0)
     if vmax == vmin:
         return np.zeros_like(values)
     return (values - vmin) / (vmax - vmin) * 10.0
@@ -395,7 +395,7 @@ def criticality(graph: Graph, threshold: float = 10.0) -> CriticalityReport:
         "triangle_count": triangle_count(graph).astype(float),
     }
     normalized = {m: normalize(raw[m]) for m in METRIC_NAMES}
-    aggregated = np.sum([normalized[m] for m in METRIC_NAMES], axis=0) if graph.num_entities else np.zeros(0)
+    aggregated = np.sum([normalized[m] for m in METRIC_NAMES], axis=0)
     correlation = _pearson_matrix(raw) if graph.num_entities >= 2 else None
     return CriticalityReport(
         labels=list(graph.labels),

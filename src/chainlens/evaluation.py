@@ -23,15 +23,15 @@ score t and a lower and an upper bound around it, and a function that gives
 the exact score of any (row, entity) pair.  A candidate scoring above the
 upper bound scores above t, one below the lower bound below it, and the few
 in between are settled with their exact scores, as are the known-true
-objects that the filtered setting drops, held by a :class:`FilterIndex` in
-CSR form (one flat sorted object array with per-(s, r) offsets).  How the
-scores are bracketed is the scorers' business (see :mod:`chainlens.models`);
-the ranks are those of the exact scores.  The blocks are ranked on up to
-``RANK_WORKERS`` threads, one per usable processor, each with its scorer
-workspace and the ranker's two (k, N) bool masks, with the same ranks as on
-one; the threads live for one call.  :func:`rank_object` ranks one query
-from its score vector and is the reference the blocks are tested against:
-their ranks are equal.
+objects that the filtered setting drops, held by a :class:`FilterIndex` as
+one sorted array of triple keys, where each (s, r) pair's objects are one
+run.  How the scores are bracketed is the scorers' business (see
+:mod:`chainlens.models`); the ranks are those of the exact scores.  The
+blocks are ranked on up to ``RANK_WORKERS`` threads, one per usable
+processor, each with its scorer workspace and the ranker's two (k, N) bool
+masks, with the same ranks as on one; the threads live for one call.
+:func:`rank_object` ranks one query from its score vector and is the
+reference the blocks are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import RELATION_BY_INDEX, run_starts, sorted_unique
+from .graph import RELATION_BY_INDEX, sorted_unique
 from .models import ModelParams, _block_scorer, _relation_groups, score_objects
 
 HITS_KS = (1, 3, 10)
@@ -143,39 +143,29 @@ def block_rows(num_entities: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FilterIndex:
-    """Known-true object ids per (subject, relation), in CSR form.
+    """Known-true triples as the sorted distinct keys (s * num_relations + r) * num_objects + o.
 
-    ``keys`` holds the sorted distinct s * num_relations + r of the known
-    pairs; the objects of ``keys[i]`` are ``objects[offsets[i]:offsets[i + 1]]``,
-    sorted ascending.
+    The known-true objects of a pair (s, r) are one run of keys, in
+    ascending order: those in [(s * num_relations + r) * num_objects, that
+    plus num_objects).
     """
 
     num_relations: int
+    num_objects: int
     keys: np.ndarray
-    offsets: np.ndarray
-    objects: np.ndarray
-
-    def _spans(self, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end offsets of each pair (s[i], r[i]); start == end for unknown pairs."""
-        s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
-        if not len(self.keys):
-            return np.zeros(len(s), dtype=np.int64), np.zeros(len(s), dtype=np.int64)
-        key = s * self.num_relations + r
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        # a relation id outside [0, num_relations) would alias another pair's key
-        found = (self.keys[pos] == key) & (s >= 0) & (r >= 0) & (r < self.num_relations)
-        start = np.where(found, self.offsets[pos], 0)
-        end = np.where(found, self.offsets[pos + 1], 0)
-        return start, end
 
     def pairs(self, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, object) for every known-true object of every pair (s[row], r[row])."""
-        start, end = self._spans(s, r)
-        counts = end - start
+        """(row, object) for every known-true object of every pair (s[row], r[row]), objects ascending."""
+        s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
+        low = (s * self.num_relations + r) * self.num_objects
+        start = np.searchsorted(self.keys, low)
+        # r outside [0, num_relations) would alias another pair's keys; a negative s's keys lie below every key
+        known = (r >= 0) & (r < self.num_relations)
+        counts = np.where(known, np.searchsorted(self.keys, low + self.num_objects) - start, 0)
         rows = np.repeat(np.arange(len(counts)), counts)
         run_start = np.cumsum(counts) - counts
         positions = np.arange(counts.sum()) + np.repeat(start - run_start, counts)
-        return rows, self.objects[positions]
+        return rows, self.keys[positions] % self.num_objects
 
 
 def build_filter_index(triple_sets: list[np.ndarray]) -> FilterIndex:
@@ -184,20 +174,10 @@ def build_filter_index(triple_sets: list[np.ndarray]) -> FilterIndex:
         [np.empty((0, 3), dtype=np.int64)]
         + [np.asarray(arr, dtype=np.int64).reshape(-1, 3) for arr in triple_sets]
     )
-    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+    s, r, o = triples.T
     num_relations = int(r.max()) + 1 if len(r) else 0
     num_objects = int(o.max()) + 1 if len(o) else 0
-    pair_key = s * num_relations + r
-    # one sort orders pairs and, within a pair, objects; it also drops duplicates
-    unique = sorted_unique(pair_key * num_objects + o)
-    pairs = unique // max(num_objects, 1)
-    starts = np.flatnonzero(run_starts(pairs))
-    return FilterIndex(
-        num_relations=num_relations,
-        keys=pairs[starts],
-        offsets=np.append(starts, len(unique)),
-        objects=unique % max(num_objects, 1),
-    )
+    return FilterIndex(num_relations, num_objects, sorted_unique((s * num_relations + r) * num_objects + o))
 
 
 def type_constrained_candidates(graph, schema) -> np.ndarray:

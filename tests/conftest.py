@@ -10,7 +10,8 @@ from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph
 # default (the reader and the writer against their references, the gradient
 # scatter against np.add.at, score_batch against the score formulas, the
 # screened ranks against float64 ranks, the centralities and triangles against
-# their references): pytest --hypothesis-profile=ci
+# their references, the filter index against a brute-force lookup):
+# pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=2_000)
 
 

@@ -535,6 +535,9 @@ def test_normalize_cases():
     np.testing.assert_allclose(normalize(np.array([0.0, 5.0, 10.0])), [0.0, 5.0, 10.0])
     np.testing.assert_allclose(normalize(np.array([3.0, 3.0, 3.0])), [0.0, 0.0, 0.0])
     np.testing.assert_allclose(normalize(np.array([1.0, 2.0, 3.0])), [0.0, 5.0, 10.0])
+    np.testing.assert_array_equal(normalize(np.array([np.nan, 1.0, 2.0])), [np.nan] * 3)
+    empty = normalize(np.array([], dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -603,6 +606,17 @@ def test_criticality_single_node_has_no_correlation():
     report = criticality(g)
     assert report.correlation is None
     assert report.num_nodes == 1
+
+
+def test_criticality_of_a_graph_without_nodes_scores_none(tmp_path):
+    report = criticality(Graph())
+    assert report.num_nodes == 0 and report.correlation is None
+    assert report.aggregated.shape == report.is_critical.shape == (0,)
+    assert all(report.normalized[m].shape == (0,) for m in report.raw)
+    report.to_csv(tmp_path / "criticality.csv")
+    assert (tmp_path / "criticality.csv").read_text().splitlines() == [
+        "node,in_degree,out_degree,betweenness,closeness,triangle_count,norm_in_degree,norm_out_degree,"
+        "norm_betweenness,norm_closeness,norm_triangle_count,aggregated_score,is_critical"]
 
 
 def test_isolated_node_is_local():

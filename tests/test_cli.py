@@ -449,6 +449,18 @@ def test_analyze_threshold_above_cap_flags_nothing(workspace):
     assert all(r.endswith(",0") for r in rows)
 
 
+@pytest.mark.parametrize("text", ["C1\tComponent\tincludes\tS1\tSubstance\n", "# no triples\n"],
+                         ids=["no-supplier", "comment-only"])
+def test_analyze_and_export_a_graph_without_suppliers(tmp_path, text):
+    graph, analysis, out = tmp_path / "g.tsv", tmp_path / "an", tmp_path / "g.json"
+    graph.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--in", str(graph), "--out", str(analysis)]) == 0
+    assert len((analysis / "criticality.csv").read_text().splitlines()) == 1  # the header alone
+    assert "nodes: 0\n" in (analysis / "summary.txt").read_text()
+    assert main(["export", "--in", str(graph), "--report", str(analysis / "criticality.csv"),
+                 "--format", "json", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_analyze_refuses_a_non_finite_threshold(workspace, capsys, threshold):
     graph, analysis = workspace / "g.tsv", workspace / "an"

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainlens.evaluation as evaluation
@@ -239,13 +239,30 @@ def test_filter_index_equals_its_np_unique_construction(seed):
     rng = np.random.default_rng(seed)
     sets = [rng.integers(0, [40, 3, 40], size=(int(rng.integers(0, 300)), 3)) for _ in range(3)]
     index = build_filter_index(sets)
-    triples = np.concatenate(sets)
-    num_objects = int(triples[:, 2].max()) + 1
-    unique = np.unique((triples[:, 0] * index.num_relations + triples[:, 1]) * num_objects + triples[:, 2])
-    keys, starts = np.unique(unique // num_objects, return_index=True)
-    np.testing.assert_array_equal(index.keys, keys)
-    np.testing.assert_array_equal(index.offsets, np.append(starts, len(unique)))
-    np.testing.assert_array_equal(index.objects, unique % num_objects)
+    s, r, o = np.concatenate(sets).T
+    assert (index.num_relations, index.num_objects) == (r.max() + 1, o.max() + 1)
+    np.testing.assert_array_equal(index.keys, np.unique((s * index.num_relations + r) * index.num_objects + o))
+
+
+@given(sets=st.lists(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3), st.integers(0, 8)), max_size=40),
+                     max_size=3),
+       queries=st.lists(st.tuples(st.integers(-3, 11), st.integers(-2, 6)), max_size=30))
+@example(sets=[], queries=[(0, 0), (-1, 0), (0, -1)])
+@example(sets=[[(1, 0, 4), (0, 1, 3)]], queries=[(0, 2), (1, -1), (-1, 1)])  # (0, 2) and (1, -1) alias (1, 0) and (0, 1)
+@settings(deadline=None)
+def test_filter_index_pairs_equal_a_brute_force_lookup(sets, queries):
+    """pairs() against a dict of each pair's sorted objects, for the random queries and every known pair:
+    queries with negative ids, relation ids at or past num_relations and subjects past the largest find
+    no objects of another pair."""
+    known = {}
+    for s, r, o in (triple for triples in sets for triple in triples):
+        known.setdefault((s, r), set()).add(o)
+    queries = queries + sorted(known)
+    index = build_filter_index([np.array(triples, dtype=np.int64).reshape(-1, 3) for triples in sets])
+    s, r = np.array(queries, dtype=np.int64).reshape(-1, 2).T
+    rows, objects = index.pairs(s, r)
+    expected = [(row, o) for row, pair in enumerate(queries) for o in sorted(known.get(pair, ()))]
+    assert list(zip(rows.tolist(), objects.tolist())) == expected
 
 
 def reference_ranks(params, queries, filter_index, setting, tie_policy, candidate_index=None):

@@ -242,7 +242,7 @@ def split_state(split):
     return graph_state(graph, arrays)
 
 
-def test_memo_is_written_on_the_first_read_and_read_on_the_next(tmp_path, caplog):
+def test_a_parse_is_made_on_the_first_read_and_reused_on_the_next(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="chainlens.dataset")
     (tmp_path / "one").mkdir()
     (tmp_path / "one" / "g.tsv").write_text(SMALL, encoding="utf-8")
@@ -270,7 +270,7 @@ def test_a_read_creates_no_file_in_its_directory(tmp_path):
     assert sorted(p.name for p in (tmp_path / "split").iterdir()) == ["test.tsv", "train.tsv", "valid.tsv"]
 
 
-def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
+def test_a_parse_of_other_bytes_of_the_same_length_and_time_is_not_reused(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text(SMALL, encoding="utf-8")
     load_triples(path)
@@ -284,7 +284,7 @@ def test_memo_of_other_bytes_of_the_same_length_and_time_is_not_used(tmp_path):
         assert load_triples(path).labels == ["a", "b", "d", "Zürich"]
 
 
-def test_memo_rows_illegal_under_the_schema_raise_the_parsers_error(tmp_path):
+def test_kept_rows_illegal_under_the_schema_raise_the_parsers_error(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text(SMALL, encoding="utf-8")
     load_triples(path)  # a parse kept under the default schema
@@ -382,7 +382,7 @@ def test_repeated_reads_equal_parsing(tmp_path_factory, files, changed):
     assert sorted(p.name for p in root.iterdir()) == sorted(p.name for p in paths)
 
 
-def test_a_file_and_a_set_that_holds_it_keep_a_memo_each(tmp_path):
+def test_a_file_and_a_set_that_holds_it_keep_a_parse_each(tmp_path):
     split = tmp_path / "split"
     paths = write_small_split(split)
     alone = graph_state(load_triples(paths[0]))
@@ -394,7 +394,7 @@ def test_a_file_and_a_set_that_holds_it_keep_a_memo_each(tmp_path):
             assert split_state(split) == together
 
 
-def test_set_memo_is_not_used_when_one_file_holds_other_bytes_of_the_same_length_and_time(tmp_path):
+def test_set_parse_is_not_reused_when_a_file_has_other_bytes_of_same_length_and_time(tmp_path):
     split = tmp_path / "split"
     paths = write_small_split(split)
     load_split_dir(split)

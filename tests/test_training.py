@@ -372,7 +372,7 @@ def test_train_over_the_memory_limit_refuses_before_it_allocates(monkeypatch):
         train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
 
 
-def test_memory_limit_is_positive_and_at_most_physical_ram():
+def test_memory_available_is_positive_and_at_most_physical_ram():
     import os
 
     import chainlens.training as training_mod
@@ -395,7 +395,7 @@ def cgroup_files(monkeypatch, tmp_path, listing):
     return v2, v1
 
 
-def test_memory_limit_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path):
+def test_memory_available_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path):
     import chainlens.training as training_mod
 
     v2, v1 = cgroup_files(monkeypatch, tmp_path, "4:memory:/\n0::/\n")
@@ -408,7 +408,7 @@ def test_memory_limit_reads_a_cgroup_limit_and_ignores_max(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("version", ["v2", "v1"])
-def test_memory_limit_reads_the_own_nested_cgroup_and_its_ancestors(monkeypatch, tmp_path, version):
+def test_memory_available_reads_the_own_nested_cgroup_and_its_ancestors(monkeypatch, tmp_path, version):
     """A process in a nested cgroup with no cgroup namespace: the hierarchy's root sets no limit,
     its own cgroup and a parent do, and the least of them holds."""
     import chainlens.training as training_mod
@@ -475,7 +475,7 @@ def test_train_refuses_a_run_over_what_is_free_under_the_limit(monkeypatch, tmp_
         train(ModelKind.TRANSE, triples, triples[:8], 15, 2, cfg)
 
 
-def test_memory_limit_without_a_cgroup_listing_is_physical_ram(monkeypatch, tmp_path):
+def test_memory_available_without_a_cgroup_listing_is_physical_ram(monkeypatch, tmp_path):
     import os
 
     import chainlens.training as training_mod
