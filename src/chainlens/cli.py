@@ -64,6 +64,7 @@ from .graph import (
     RELATION_BY_INDEX,
     RelationType,
     Schema,
+    utf8_text,
 )
 from .models import CheckpointError, ModelKind, load_checkpoint, save_checkpoint
 from .training import (
@@ -216,6 +217,9 @@ def cmd_eval(args) -> Computed | int:
             f"checkpoint was trained on {params.num_entities} entities but the split "
             f"directory has {graph.num_entities}"
         )
+    if len(test_arr) and (rel := int(test_arr[:, 1].max())) >= params.num_relations:
+        raise GraphError(f"checkpoint was trained on {params.num_relations} relations but the split's test "
+                         f"queries use relation {RELATION_BY_INDEX[rel].value!r} (id {rel})")
     if params.vocabulary_sha256 is not None and params.vocabulary_sha256 != graph.vocabulary_sha256():
         raise GraphError(
             "checkpoint was trained on a different entity vocabulary (ordered label/type "
@@ -296,16 +300,18 @@ def _read_critical_flags(report: str) -> dict[str, bool]:
     """The ``node`` -> ``is_critical == "1"`` map of a criticality CSV, read in one pass.
 
     A node on two rows, or an ``is_critical`` cell other than ``0`` or ``1``,
-    raises :class:`ExportMismatch`: its flag would be ambiguous.
+    raises :class:`ExportMismatch`: its flag would be ambiguous.  So do bytes
+    that are not UTF-8 (the line is found from the file's bytes only then)
+    and a cell that the csv module refuses, such as one over its field limit.
     """
     with open(report, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
-        header = next(rows, [])
-        if "node" not in header or "is_critical" not in header:
-            raise ExportMismatch(f"{report}: no node and is_critical columns")
-        node, flag = header.index("node"), header.index("is_critical")
-        flags: dict[str, bool] = {}
         try:
+            header = next(rows, [])
+            if "node" not in header or "is_critical" not in header:
+                raise ExportMismatch(f"{report}: no node and is_critical columns")
+            node, flag = header.index("node"), header.index("is_critical")
+            flags: dict[str, bool] = {}
             for row in filter(None, rows):
                 if row[node] in flags:
                     raise ExportMismatch(f"{report}: line {rows.line_num} repeats node {row[node]!r}")
@@ -314,6 +320,11 @@ def _read_critical_flags(report: str) -> dict[str, bool]:
                 flags[row[node]] = _FLAGS[row[flag]]
         except IndexError:
             raise ExportMismatch(f"{report}: line {rows.line_num} has fewer cells than the header") from None
+        except csv.Error as exc:
+            raise ExportMismatch(f"{report}: line {rows.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            utf8_text(Path(report).read_bytes(), report, ExportMismatch)  # raises, naming the line
+            raise ExportMismatch(f"{report}: not valid UTF-8: {exc}") from None  # the file changed since
         return flags
 
 

@@ -35,30 +35,31 @@ in ``tests/reference_models.py``; RESCAL's and TuckER's gradients agree
 with it within 1e-12.
 
 Per block, ``score_objects`` scores k queries against all N entities as a
-(k, N) block: a GEMM per relation for RESCAL and TuckER and one real GEMM on
-the float64 views for ComplEx (``_ObjectScorer``), a loop over the
-dimension on (k, N) buffers for TransE and RotatE (``_DistanceScorer``).
-``evaluation.rank_queries`` ranks every model through the scorer that
-``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives a
-thread its buffers for blocks of up to k queries, and ``bracketed(s, r, o,
+(k, N) float64 block, for every model through ``_ObjectScorer``: a GEMM per
+relation for RESCAL and TuckER, one real GEMM on the float64 views for
+ComplEx, and a loop over the dimension on (k, N) buffers for TransE and
+RotatE.  ``evaluation.rank_queries`` ranks every model through the scorer
+that ``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives
+a thread its buffers for blocks of up to k queries, and ``bracketed(s, r, o,
 workspace)`` returns a block's ``(scores, lower, upper, true_score,
 exact)``: its scores, per row bounds around the true object's exact score,
 and ``exact(rows, objects)``, the exact scores of chosen pairs.
 ``_ObjectScorer`` hands over its float64 block with both bounds at the true
-score.  ``_ScreenedScorer`` (TransE and RotatE) hands over a float32 screen
-with bounds rounded outward, and exact scores equal to ``score_objects``'
-bit for bit.  TransE's screen is the distance kernel in float32, within δ
-of the float64 kernel (``_distance_bound``): bounds t -/+ δ.  RotatE's
-takes one float32 GEMM per complex dimension, |q - e|² + c = |q|² + c +
-|e|² - 2 Re(q conj(e)) for a whole (k, N) block, then a square root and a
-subtraction: three passes over the block where the distance kernel makes
-seven.  Its offset c covers the GEMM's rounding, so no square is negative
-and its scores lie at most δ above the float64 kernel's but up to δ +
-sum_j sqrt(2 c_j) below them (``_rotate_lhs``): bounds t - that and t + δ.
-A block whose float32 pass cannot be trusted comes as ``score_objects``'
-block.  Every gather clips ids (numpy's "raise" mode buffers a copy of
-``out``), so ``_check_ids`` checks them first.  The BLAS thread count is
-left as the environment sets it: the GEMM models and RotatE's screen use it.
+score.  Its subclass ``_ScreenedScorer`` (TransE and RotatE) hands over a
+float32 screen with bounds rounded outward, and exact scores equal to
+``score_objects``' bit for bit.  TransE's screen is the distance kernel in
+float32, within δ of the float64 kernel (``_distance_bound``): bounds
+t -/+ δ.  RotatE's takes one float32 GEMM per complex dimension, |q - e|² +
+c = |q|² + c + |e|² - 2 Re(q conj(e)) for a whole (k, N) block, then a
+square root and a subtraction: three passes over the block where the
+distance kernel makes seven.  Its offset c covers the GEMM's rounding, so
+no square is negative and its scores lie at most δ above the float64
+kernel's but up to δ + sum_j sqrt(2 c_j) below them (``_rotate_lhs``):
+bounds t - that and t + δ.  A block whose float32 pass cannot be trusted
+comes as ``_ObjectScorer``'s block, scored into float64 buffers of its own.
+Every gather clips ids (numpy's "raise" mode buffers a copy of ``out``), so
+``_check_ids`` checks them first.  The BLAS thread count is left as the
+environment sets it: the GEMM models and RotatE's screen use it.
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -263,11 +264,8 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
                                np.atleast_1d(np.asarray(r, dtype=np.int64)))
     _check_ids(params, s, r)
-    if params.kind in _DISTANCE:
-        out = _DistanceScorer(params).exact(s, r)
-    else:
-        scorer = _ObjectScorer(params, np.unique(r))
-        out = scorer(s, r, scorer.workspace(len(s)))
+    scorer = _ObjectScorer(params, np.unique(r))
+    out = scorer(s, r, scorer.workspace(len(s)))
     return out[0] if scalar else out
 
 
@@ -293,15 +291,19 @@ def _query_rows(kind: ModelKind, E: np.ndarray, R: np.ndarray, s: np.ndarray, r:
 
 
 class _ObjectScorer:
-    """Scores RESCAL, TuckER and ComplEx queries (s, r, ?) against all N entities, as (k, N) blocks.
+    """Queries (s, r, ?) of any model scored in float64 against all N entities, as (k, N) blocks.
 
-    Prepared once: M_r of each relation of ``rels`` (built one relation at a
-    time, as for a block of one relation) and ComplEx's float64 view of E.
-    Threads may share a scorer, each scoring into a :meth:`workspace` of its own.
+    Prepared once: M_r of each relation of ``rels`` for RESCAL and TuckER
+    (built one relation at a time, as for a block of one relation), and for
+    the others the float64 view ``E64`` of E and, for RotatE, the rotations
+    exp(i theta) as ``R``.  Threads may share a scorer, each scoring into a
+    :meth:`workspace` of its own.
     """
 
-    def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
-        self.kind, self.E, self.R = params.kind, params.blocks["entity"], params.blocks["relation"]
+    def __init__(self, params: ModelParams, rels: np.ndarray | None) -> None:
+        self.kind, self.E = params.kind, params.blocks["entity"]
+        self.rotate = params.kind is ModelKind.ROTATE
+        self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
         if self.kind in _BILINEAR:
             self.M = {rel: _relation_matrices(params, np.array([rel]))[0] for rel in rels.tolist()}
         else:
@@ -309,18 +311,21 @@ class _ObjectScorer:
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
         """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q`` and the
-        relation rows ``w`` (q M_r for RESCAL and TuckER)."""
+        relation rows ``w`` (q M_r for RESCAL and TuckER), and TransE's and RotatE's (k, N) kernel ``bufs``
+        (:func:`_negated_distance_sums`)."""
         n, d = self.E.shape
-        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
-                "w": np.empty((k, d), dtype=self.E.dtype)}
+        ws = {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
+              "w": np.empty((k, d), dtype=self.E.dtype)}
+        if self.kind in _DISTANCE:
+            ws["bufs"] = np.empty((1 + self.rotate, k, n))
+        return ws
 
     def __call__(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
         """The (k, N) scores of the queries (s[i], r[i], ?), written into the
         first k rows of the workspace's score buffer, which is returned.  The
         gathers clip ids, so callers check them first."""
         k = len(s)
-        out, q, w = ws["scores"][:k], ws["q"][:k], ws["w"][:k]
-        E = self.E
+        out, q, w, E = ws["scores"][:k], ws["q"][:k], ws["w"][:k], self.E
         if self.kind in _BILINEAR:
             np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
             rels, groups = _relation_groups(r)
@@ -331,18 +336,17 @@ class _ObjectScorer:
                     out[rows] = (q[rows] @ self.M[rel]) @ E.T
             return out
         _query_rows(self.kind, E, self.R, s, r, q, w)
+        if self.kind in _DISTANCE:
+            _negated_distance_sums(q.view(np.float64), _transposed(self.E64, np.float64), list(ws["bufs"][:, :k]), out)
+            return out
         # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
         return np.matmul(q.view(np.float64), self.E64.T, out=out)
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
-        """The block of the queries (s[i], r[i], o[i]), its exact scores bracketed (see :func:`_exact_bracketed`)."""
-        return _exact_bracketed(self(s, r, ws), o)
-
-
-def _exact_bracketed(scores: np.ndarray, o: np.ndarray) -> tuple:
-    """Bracketed float64 ``scores`` that are exact: both bounds at each row's true score t."""
-    t = scores[np.arange(len(scores)), o]
-    return scores, t, t, t, lambda i, j: scores[i, j]
+        """The float64 block of the queries (s[i], r[i], o[i]), which is exact: both bounds at each row's score t."""
+        scores = self(s, r, ws)
+        t = scores[np.arange(len(scores)), o]
+        return scores, t, t, t, lambda i, j: scores[i, j]
 
 
 def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
@@ -370,26 +374,6 @@ def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray
             np.subtract(q[:, d, None], e_t[d], out=buf)
             np.abs(buf, out=buf)
             out -= buf
-
-
-class _DistanceScorer:
-    """TransE and RotatE queries (s, r, ?) scored in float64 against all N entities: :meth:`exact`, the
-    block of ``score_objects`` and of the float32 screen's fallback.  RotatE's R holds exp(i theta)."""
-
-    def __init__(self, params: ModelParams) -> None:
-        self.kind, self.E = params.kind, params.blocks["entity"]
-        self.rotate = params.kind is ModelKind.ROTATE
-        self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
-        self.E64 = self.E.view(np.float64)
-
-    def exact(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The (k, N) scores of the queries (s[i], r[i], ?), in buffers allocated per call.  The gathers clip ids."""
-        k, (n, d) = len(s), self.E.shape
-        q, w = np.empty((k, d), dtype=self.E.dtype), np.empty((k, d), dtype=self.R.dtype)
-        _query_rows(self.kind, self.E, self.R, s, r, q, w)
-        out, bufs = np.empty((k, n)), [np.empty((k, n)) for _ in range(1 + self.rotate)]
-        _negated_distance_sums(q.view(np.float64), _transposed(self.E64, np.float64), bufs, out)
-        return out
 
 
 # float32's unit roundoff, and its least normal number: an operation whose
@@ -541,7 +525,7 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
     return np.where(short, np.nextafter(x32, np.float32(toward)), x32)
 
 
-class _ScreenedScorer(_DistanceScorer):
+class _ScreenedScorer(_ObjectScorer):
     """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
 
     :meth:`screen` scores a block in float32 from float32 copies of the
@@ -551,8 +535,9 @@ class _ScreenedScorer(_DistanceScorer):
     :func:`_rotate_operands`.  It bounds how far below and above the
     float64 kernel's scores each row's may lie (:func:`_distance_bound`,
     and for RotatE :func:`_rotate_lhs`'s offsets); :meth:`pair_scores`
-    gives the float64 kernel's scores of chosen pairs.  Threads may share a
-    scorer, each with a :meth:`workspace` of its own.
+    gives the float64 kernel's scores of chosen pairs.  A block the screen
+    cannot be trusted on is scored by :class:`_ObjectScorer`, into float64
+    buffers of its own: each thread's :meth:`workspace` holds none.
     """
 
     #: (query, entity) pairs that pair_scores scores at once.  RotatE settles about 60 pairs per query; on
@@ -560,7 +545,7 @@ class _ScreenedScorer(_DistanceScorer):
     PAIR_ROWS = 512
 
     def __init__(self, params: ModelParams) -> None:
-        super().__init__(params)
+        super().__init__(params, None)
         if self.rotate:
             self.B, self.e_sq = _rotate_operands(self.E64)
         else:
@@ -646,17 +631,17 @@ class _ScreenedScorer(_DistanceScorer):
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
         """The block of the queries (s[i], r[i], o[i]): its float32 screen bracketed by t - below and t + above
-        rounded outward (see :meth:`screen`), or, if the screen cannot be trusted, the :meth:`exact` block
-        (see :func:`_exact_bracketed`)."""
+        rounded outward (see :meth:`screen`), or, if the screen cannot be trusted, the exact float64 block
+        of :meth:`_ObjectScorer.bracketed`, scored into a workspace of its own."""
         q, screen, below, above = self.screen(s, r, ws)
         if screen is None:
-            return _exact_bracketed(self.exact(s, r), o)
+            return super().bracketed(s, r, o, super().workspace(len(s)))
         t = self.pair_scores(q, np.arange(len(s)), o, ws)
         return (screen, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t,
                 lambda i, j: self.pair_scores(q, i, j, ws))
 
 
-def _block_scorer(params: ModelParams, rels: np.ndarray) -> _ObjectScorer | _ScreenedScorer:
+def _block_scorer(params: ModelParams, rels: np.ndarray) -> _ObjectScorer:
     """The scorer whose bracketed blocks rank ``params``' queries of the relations ``rels``."""
     return _ScreenedScorer(params) if params.kind in _DISTANCE else _ObjectScorer(params, rels)
 

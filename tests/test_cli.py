@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,33 @@ def test_export_refuses_an_is_critical_cell_other_than_0_or_1(workspace, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("at_line", [1, 3])
+def test_export_refuses_a_report_that_is_not_utf8(workspace, capsys, at_line):
+    graph, report = workspace / "g.tsv", workspace / "report.csv"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    lines = [b"node,is_critical\n", b"TinyHub,1\n", b"SUP-0001,0\n"]
+    lines[at_line - 1] = b"\xff\xfe" + lines[at_line - 1]
+    data = b"".join(lines)
+    report.write_bytes(data)
+    capsys.readouterr()
+    out = workspace / "g.dot"
+    assert main(["export", "--in", str(graph), "--report", str(report), "--out", str(out)]) == 2
+    offset = data.index(b"\xff")
+    assert f"{report}:{at_line}: not valid UTF-8 (byte 0xff at offset {offset})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_refuses_a_report_cell_over_the_csv_field_limit(workspace, capsys):
+    graph, report = workspace / "g.tsv", workspace / "report.csv"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    report.write_text('node,is_critical\nTinyHub,1\n"' + "x" * 200_000 + '",0\n', encoding="utf-8")
+    capsys.readouterr()
+    out = workspace / "g.dot"
+    assert main(["export", "--in", str(graph), "--report", str(report), "--out", str(out)]) == 2
+    assert f"{report}: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graphml_export_refuses_a_label_xml_cannot_carry(workspace, capsys):
     graph, analysis = workspace / "g.tsv", workspace / "an"
     graph.write_text("Acme\x01Corp\tSupplier\tsupplies_to\tBeta\tSupplier\n", encoding="utf-8")
@@ -669,6 +697,30 @@ def test_eval_accepts_checkpoint_without_vocabulary_digest(workspace):
     assert load_checkpoint(workspace / "init.npz").vocabulary_sha256 is None
     assert main(["eval", "--checkpoint", str(workspace / "init.npz"), "--split-dir", str(splits),
                  "--out", str(workspace / "eval_init")]) == 0
+
+
+def test_eval_refuses_a_checkpoint_with_fewer_relations_than_the_test_queries_use(workspace, capsys):
+    from chainlens.models import init_params, save_checkpoint
+    from chainlens.training import TrainConfig
+
+    graph, splits = workspace / "g.tsv", workspace / "splits"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    main(["split", "--in", str(graph), "--seed", "3", "--out", str(splits)])
+    g, _, _, test = load_split_dir(splits)
+    top = int(test[:, 1].max())
+    assert 0 < top < len(RELATION_BY_INDEX) - 1
+    for num_relations in (top, top + 1):
+        params = init_params(ModelKind.TRANSE, g.num_entities, num_relations, TrainConfig(dim=8, seed=0))
+        save_checkpoint(replace(params, vocabulary_sha256=g.vocabulary_sha256()), workspace / "m.npz")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(workspace / "m.npz"), "--split-dir", str(splits),
+                     "--out", str(workspace / f"eval{num_relations}")])
+        if num_relations == top:  # one relation short of the test queries'
+            assert code == 2
+            assert (f"trained on {top} relations but the split's test queries use relation "
+                    f"{RELATION_BY_INDEX[top].value!r} (id {top})") in capsys.readouterr().err
+        else:  # every relation the test queries use
+            assert code == 0
 
 
 def test_eval_of_a_checkpoint_without_vocabulary_digest_never_hashes_the_vocabulary(workspace, monkeypatch):

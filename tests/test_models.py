@@ -259,33 +259,34 @@ def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size,
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     """The scorers gather straight into the workspace: numpy's "raise" mode
-    would buffer a copy of the (k, d) query rows on every block.  A ranked
-    TransE or RotatE block's warm call is its float32 screen; their exact
-    float64 block allocates its buffers on each call."""
+    would buffer a copy of the (k, d) query rows on every block.  Every
+    model's exact float64 block writes into its workspace, TransE's and
+    RotatE's allocating only E transposed (100-200 KB here, against q's 512
+    KB-1 MB).  A ranked TransE or RotatE block's warm call is its float32
+    screen."""
     n_ent, k = 200, 1024
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
     rng = np.random.default_rng(2)
     s = rng.integers(n_ent, size=k)
     r = np.full(k, 1) if kind in models._BILINEAR else rng.integers(3, size=k)  # a bilinear block has one relation
+    exact = models._ObjectScorer(p, np.unique(r))
+    calls = [(exact, lambda ws: exact(s, r, ws))]
     if kind in models._DISTANCE:
-        scorer = models._ScreenedScorer(p)
-        assert scorer.exact(s, r).tobytes() == score_objects(p, s, r).tobytes()
-        call = lambda ws: scorer.screen(s, r, ws)[1]
-    else:
-        scorer = models._ObjectScorer(p, np.unique(r))
-        call = lambda ws: scorer(s, r, ws)
-    workspace = scorer.workspace(k)
-    expected = call(workspace).copy()
-    tracemalloc.start()
-    try:
-        scores = call(workspace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < workspace["q"].nbytes, (peak, workspace["q"].nbytes)
-    assert scores.tobytes() == expected.tobytes()
-    if kind not in models._DISTANCE:
-        assert scores.tobytes() == score_objects(p, s, r).tobytes()
+        screened = models._ScreenedScorer(p)
+        calls.append((screened, lambda ws: screened.screen(s, r, ws)[1]))
+    for scorer, call in calls:
+        workspace = scorer.workspace(k)
+        expected = call(workspace).copy()
+        tracemalloc.start()
+        try:
+            scores = call(workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < workspace["q"].nbytes, (type(scorer).__name__, peak, workspace["q"].nbytes)
+        assert scores.tobytes() == expected.tobytes()
+        if scorer is exact:
+            assert scores.tobytes() == score_objects(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])

@@ -148,7 +148,7 @@ def assert_rotate_screen_within_bound(q, E):
     _, screen, below, above = scorer.screen(s, r, scorer.workspace(k))
     assert screen is not None
     assert (above <= below).all()
-    assert_within(scorer.exact(s, r), screen, below, above)
+    assert_within(score_objects(p, s, r), screen, below, above)
 
 
 @settings(deadline=None)
