@@ -53,6 +53,7 @@ from .graph import (
     RELATION_INDEX,
     EntityType,
     Graph,
+    GraphError,
     RelationType,
     check_utf8_labels,
     line_chunks,
@@ -292,6 +293,8 @@ def _pearson_matrix(raw: dict[str, np.ndarray]) -> np.ndarray:
 
 #: the characters for which csv.writer might quote a cell (",", '"' and line breaks)
 _CSV_QUOTED = re.compile('[,"\r\n]')
+#: csv's default field limit, in characters: ``export`` reads a report's cells under it
+_CSV_FIELD_LIMIT = 131_072
 
 
 def _csv_cell(text: str) -> str:
@@ -333,11 +336,16 @@ class CriticalityReport:
         and the rows are written ``CHUNK_ROWS`` at a time by
         :func:`~chainlens.graph.line_chunks`.  A label is quoted as
         ``csv.writer`` quotes it under ``QUOTE_MINIMAL``.  Raises
-        :class:`GraphError` for a label that UTF-8 cannot encode, before
-        ``path`` is opened.
+        :class:`GraphError` for a label that UTF-8 cannot encode or that is
+        longer than ``_CSV_FIELD_LIMIT`` characters, before ``path`` is opened.
         """
         labels = self.labels
         check_utf8_labels(labels, "a criticality CSV")
+        if len("".join(labels)) > _CSV_FIELD_LIMIT:
+            for label in labels:
+                if len(label) > _CSV_FIELD_LIMIT:
+                    raise GraphError(f"label {label[:40]!r}... of {len(label):,} characters cannot be written to a "
+                                     f"criticality CSV: csv reads no cell longer than {_CSV_FIELD_LIMIT:,}")
         if _CSV_QUOTED.search("".join(labels)):
             labels = [_csv_cell(label) if _CSV_QUOTED.search(label) else label for label in labels]
         columns = [labels, ",", *(_formatted(self.raw[m], ".6g") for m in METRIC_NAMES),

@@ -21,18 +21,20 @@ and core gradients are one contraction each with W and w.
 
 Each score is written once per shape.  Per triple, the training step's
 forward passes are the formulas, and ``score_batch`` runs them on a
-workspace of its own.  The step (``batch_loss_and_gradients``) writes into
+workspace of its own.  The step (``batch_loss_and_gradients``) is one path
+for every model: one forward pass over [pos; neg], the hinge, then, if a
+hinge is active, the backward pass, both passes the model's in ``_STEPS``.
+TransE's, ComplEx's and RotatE's backward pass runs on the positive half's
+forward results, then on the negative half's.  The step writes into
 ``_BatchWorkspace``, built once per run: the gradient blocks, cleared each
 batch, and every gathered row, product, score, loss and scatter index,
 written with ``out=`` into the batch's first rows, so that no array of a
-batch's size is mapped and faulted in afresh on every batch.  TransE,
-ComplEx and RotatE score each half of the batch on its own and keep its
-forward results for its gradient.  Every per-row scatter goes through
-``_scatter_rows``: one ``np.add.at`` on a flat view of the block, with the
-bits of the row-wise ``np.add.at`` in a fraction of its time.  Losses, and
-the elementwise models' gradients, are bit-identical to the allocating step
-in ``tests/reference_models.py``; RESCAL's and TuckER's gradients agree
-with it within 1e-12.
+batch's size is mapped and faulted in afresh on every batch.  Every per-row
+scatter goes through ``_scatter_rows``: one ``np.add.at`` on a flat view of
+the block, with the bits of the row-wise ``np.add.at`` in a fraction of its
+time.  Losses, and the elementwise models' gradients, are bit-identical to
+the allocating step in ``tests/reference_models.py``; RESCAL's and TuckER's
+gradients agree with it within 1e-12.
 
 Per block, ``score_objects`` scores k queries against all N entities as a
 (k, N) float64 block, for every model through ``_ObjectScorer``: a GEMM per
@@ -78,6 +80,7 @@ import math
 import zipfile
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -238,12 +241,8 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     forward pass.  ``IndexError`` for an id outside the tables."""
     triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
     _check_ids(params, triples[:, ::2], triples[:, 1])
-    ws, scores = _BatchWorkspace(params, len(triples), backward=False), np.empty(len(triples))
-    if params.kind in _BILINEAR:
-        _bilinear_forward(params, triples, ws, scores)
-    else:
-        _start_halves(params, ws)
-        _HALVES[params.kind][0](params, triples, ws.buf["pos"], ws, scores)
+    scores = np.empty(len(triples))
+    _STEPS[params.kind][0](params, triples, _BatchWorkspace(params, len(triples), backward=False), scores)
     return scores
 
 
@@ -697,27 +696,29 @@ def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int,
                      backward: bool = True) -> dict[str, tuple | dict[str, tuple]]:
     """(shape, dtype) of each buffer of a step over up to ``rows`` pairs, the gradient blocks aside.
 
-    The forward passes write these: RESCAL and TuckER hold [pos; neg]
-    sorted by relation, the sorted rows' gathered subjects S and objects O,
-    S M_r and the sorted scores, and TuckER the batch's relation rows and
-    their M_r (stored as W x_2 w_r leaves it, relation second).  The other
-    models keep a half's forward results (the dict ``pos``) and shared work
-    buffers; RotatE also exp(i theta) of every relation.  With ``backward``
-    (the step's), every model adds the scores (positives, then negatives),
-    the losses and the active mask.  RESCAL and TuckER add [pos; neg] as
-    given (``pairs``), the loss coefficients in both orders and, for
-    TuckER, G per relation and the relation gradient rows.  The others add
-    the other half's forward results (``neg``), the active rows of a
-    partly active half (``act``) and of its triples, the flat scatter
-    ``index`` and its ``columns``, and the backward passes' work buffers.
+    The forward passes write these, for n triples: [pos; neg] in a step
+    (n = 2 * rows), or ``score_batch``'s rows without ``backward`` (n =
+    rows).  RESCAL and TuckER hold the triples sorted by relation, the
+    sorted rows' gathered subjects S and objects O, S M_r and the sorted
+    scores, and TuckER the batch's relation rows and their M_r (stored as
+    W x_2 w_r leaves it, relation second).  The other models keep their
+    forward results (the dict ``fwd``) and shared work buffers; RotatE also
+    exp(i theta) of every relation.  With ``backward`` (the step's), every
+    model adds [pos; neg] (``pairs``), their scores, the losses and the
+    active mask.  RESCAL and TuckER add the loss coefficients in both orders
+    and, for TuckER, G per relation and the relation gradient rows.  The
+    others add the active rows of a partly active half's forward results
+    (``act``) and of its triples, the flat scatter ``index`` and its
+    ``columns``, and the backward passes' work buffers.
     """
     real, cplx, ids = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
-    step = {"scores": ((2 * rows,), real), "losses": ((rows,), real), "active": ((rows,), np.dtype(bool))}
+    n = 2 * rows if backward else rows
+    step = {"pairs": ((n, 3), ids), "scores": ((n,), real), "losses": ((rows,), real),
+            "active": ((rows,), np.dtype(bool))}
     if kind in _BILINEAR:
-        n = 2 * rows
         specs = {"sorted": ((n, 3), ids), "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
                  "sorted_scores": ((n,), real)}
-        step |= {"pairs": ((n, 3), ids), "coeff": ((n,), real), "sorted_coeff": ((n,), real), "columns": ((d,), ids)}
+        step |= {"coeff": ((n,), real), "sorted_coeff": ((n,), real), "columns": ((d,), ids)}
         if kind is ModelKind.TUCKER:
             specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real)}
             step |= {"G": ((r, d, d), real), "rel_grads": ((r, d), real)}
@@ -725,20 +726,20 @@ def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int,
     width = d if kind is ModelKind.TRANSE else 2 * d
     step |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
     if kind is ModelKind.TRANSE:
-        half, shared, shared_step = {"u": real}, {"t": real}, {"g": real}
+        fwd, shared, shared_step = {"u": real}, {"t": real}, {"g": real}
     elif kind is ModelKind.COMPLEX:
-        half, shared, shared_step = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}, {}
+        fwd, shared, shared_step = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}, {}
     else:
-        half, shared, shared_step = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx}, {"nz": bool}
-    specs = {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared.items()}
-    specs["pos"] = {buf: ((rows, d), dtype) for buf, dtype in half.items()}
+        fwd, shared, shared_step = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx}, {"nz": bool}
+    specs = {name: ((n, d), np.dtype(dtype)) for name, dtype in shared.items()}
+    specs["fwd"] = {buf: ((n, d), dtype) for buf, dtype in fwd.items()}
     if kind is ModelKind.COMPLEX:
-        specs["csum"] = ((rows,), cplx)
+        specs["csum"] = ((n,), cplx)
     elif kind is ModelKind.ROTATE:
         specs["rotations"] = ((r, d), cplx)
     if not backward:
         return specs
-    step |= {name: specs["pos"] for name in ("neg", "act")}
+    step["act"] = {buf: ((rows, d), dtype) for buf, dtype in fwd.items()}
     return specs | step | {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared_step.items()}
 
 
@@ -746,12 +747,13 @@ class _BatchWorkspace:
     """The training step's buffers, for batches of up to ``rows`` (positive, negative) pairs.
 
     Built once per training run: ``grads`` holds the gradient blocks and
-    ``buf`` the buffers of :func:`_workspace_specs`, by name (``buf["pos"]``,
-    ``buf["neg"]`` and ``buf["act"]`` are dicts of a half's).  A step clears
-    the gradient blocks and writes into the first rows of the buffers, so a
+    ``buf`` the buffers of :func:`_workspace_specs`, by name (``buf["fwd"]``
+    and ``buf["act"]`` are dicts of forward results).  A step clears the
+    gradient blocks and writes into the first rows of the buffers, so a
     shorter last batch reuses them.  RESCAL's and TuckER's scatter index is
     O's memory, spent by the time they scatter.  Without ``backward`` it
-    holds only what the forward passes write, and no gradient blocks.
+    holds only what the forward passes of ``rows`` triples write, and no
+    gradient blocks.
     """
 
     def __init__(self, params: ModelParams, rows: int, backward: bool = True) -> None:
@@ -798,14 +800,14 @@ def _hinge(margin: float, scores: np.ndarray, ws: _BatchWorkspace) -> tuple[np.n
     return losses, np.greater(losses, 0.0, out=b["active"][:n])
 
 
-# The elementwise models' halves.  A forward pass writes the half's buffers
+# The elementwise models' passes.  A forward pass writes the ``fwd`` rows
 # and the scores of its triples; a backward pass adds coeff * (d score /
-# d params) of the triples whose forward results the half holds.
+# d params) of the triples whose forward results ``h`` holds.
 
-def _transe_forward(params, triples, h, ws, scores) -> None:
+def _transe_forward(params, triples, ws, scores) -> None:
     E, R = params.blocks["entity"], params.blocks["relation"]
     m, b = len(triples), ws.buf
-    u, t = h["u"][:m], b["t"][:m]
+    u, t = b["fwd"]["u"][:m], b["t"][:m]
     np.take(E, triples[:, 0], axis=0, out=u, mode="clip")
     u += np.take(R, triples[:, 1], axis=0, out=t, mode="clip")
     u -= np.take(E, triples[:, 2], axis=0, out=t, mode="clip")
@@ -821,9 +823,9 @@ def _transe_backward(params, triples, h, ws, coeff) -> None:
     ws.scatter("entity", triples[:, 2], np.multiply(coeff, sgn, out=g))
 
 
-def _complex_forward(params, triples, h, ws, scores) -> None:
+def _complex_forward(params, triples, ws, scores) -> None:
     E, R = params.blocks["entity"], params.blocks["relation"]
-    m, b = len(triples), ws.buf
+    m, b, h = len(triples), ws.buf, ws.buf["fwd"]
     es, eo, esw = h["es"][:m], h["eo"][:m], h["esw"][:m]
     np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
     np.multiply(es, np.take(R, triples[:, 1], axis=0, out=h["w"][:m], mode="clip"), out=esw)
@@ -846,12 +848,14 @@ def _complex_backward(params, triples, h, ws, coeff) -> None:
     ws.scatter("entity", triples[:, 2], np.multiply(coeff, h["esw"][:m], out=c))
 
 
-def _rotate_forward(params, triples, h, ws, scores) -> None:
+def _rotate_forward(params, triples, ws, scores) -> None:
+    """RotatE's scores, from the rotations exp(i theta) of every relation, written once per call."""
     E = params.blocks["entity"]
-    m, b = len(triples), ws.buf
-    es, rot, u, mod = h["es"][:m], h["rot"][:m], h["u"][:m], h["mod"][:m]
+    m, b, h = len(triples), ws.buf, ws.buf["fwd"]
+    es, rot, u, mod, rotations = h["es"][:m], h["rot"][:m], h["u"][:m], h["mod"][:m], b["rotations"]
+    np.exp(np.multiply(1j, params.blocks["relation"], out=rotations), out=rotations)
     np.take(E, triples[:, 0], axis=0, out=es, mode="clip")
-    np.multiply(es, np.take(b["rotations"], triples[:, 1], axis=0, out=rot, mode="clip"), out=u)
+    np.multiply(es, np.take(rotations, triples[:, 1], axis=0, out=rot, mode="clip"), out=u)
     u -= np.take(E, triples[:, 2], axis=0, out=b["c"][:m], mode="clip")
     np.abs(u, out=mod)
     np.negative(np.sum(mod, axis=1, out=scores), out=scores)
@@ -875,44 +879,23 @@ def _rotate_backward(params, triples, h, ws, coeff) -> None:
     ws.scatter("entity", triples[:, 2], np.multiply(-coeff, gu, out=c))
 
 
-def _start_halves(params: ModelParams, ws: _BatchWorkspace) -> None:
-    """What the forward passes of a batch's halves share: RotatE's rotations exp(i theta) of every relation."""
-    if params.kind is ModelKind.ROTATE:
-        rotations = ws.buf["rotations"]
-        np.exp(np.multiply(1j, params.blocks["relation"], out=rotations), out=rotations)
-
-
-_HALVES = {
-    ModelKind.TRANSE: (_transe_forward, _transe_backward),
-    ModelKind.COMPLEX: (_complex_forward, _complex_backward),
-    ModelKind.ROTATE: (_rotate_forward, _rotate_backward),
-}
-
-
-def _elementwise_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
-                      ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """TransE, ComplEx and RotatE: each half scored on its own, its forward results kept for its gradient.
+def _elementwise_backward(backward, params, pairs, saved, active, ws) -> None:
+    """TransE, ComplEx and RotatE: the model's ``backward`` on the positive half's ``fwd`` rows, then the negative's.
 
     In a partly active batch, a half's backward pass reads the active rows
-    of its forward results, copied into ``act`` in order.
+    of its forward results, copied into ``act`` in order.  The halves keep
+    their own calls, in this order: the order of the scatters decides the
+    gradient's bits.
     """
-    forward, backward = _HALVES[params.kind]
-    n, b = len(pos), ws.buf
-    _start_halves(params, ws)
-    scores = b["scores"][:2 * n]
-    forward(params, pos, b["pos"], ws, scores[:n])
-    forward(params, neg, b["neg"], ws, scores[n:])
-    losses, active = _hinge(margin, scores, ws)
-    rows = np.flatnonzero(active)
-    if len(rows):
-        scale = 1.0 / n
-        for triples, half, coeff in ((pos, b["pos"], -scale), (neg, b["neg"], scale)):
-            if len(rows) < n:  # np.compress would buffer a copy of its output
-                for name, buf in half.items():
-                    np.take(buf, rows, axis=0, out=b["act"][name][:len(rows)], mode="clip")
-                triples, half = np.take(triples, rows, axis=0, out=b["act_triples"][:len(rows)], mode="clip"), b["act"]
-            backward(params, triples, half, ws, coeff)
-    return losses, ws.grads
+    n, b = len(active), ws.buf
+    rows, scale = np.flatnonzero(active), 1.0 / n
+    for half, coeff in ((slice(0, n), -scale), (slice(n, 2 * n), scale)):
+        triples, h = pairs[half], {name: buf[half] for name, buf in b["fwd"].items()}
+        if len(rows) < n:  # np.compress would buffer a copy of its output
+            for name, buf in h.items():
+                np.take(buf, rows, axis=0, out=b["act"][name][:len(rows)], mode="clip")
+            triples, h = np.take(triples, rows, axis=0, out=b["act_triples"][:len(rows)], mode="clip"), b["act"]
+        backward(params, triples, h, ws, coeff)
 
 
 def _bilinear_forward(params: ModelParams, triples: np.ndarray, ws: _BatchWorkspace,
@@ -945,24 +928,17 @@ def _bilinear_forward(params: ModelParams, triples: np.ndarray, ws: _BatchWorksp
     return order, X, rels, blocks, M
 
 
-def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin: float,
-                   ws: _BatchWorkspace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """RESCAL and TuckER: one forward pass over [pos; neg], whose M_r serve both halves.
+def _bilinear_backward(params: ModelParams, pairs: np.ndarray, saved: tuple, active: np.ndarray,
+                       ws: _BatchWorkspace) -> None:
+    """RESCAL and TuckER: both halves' gradients at once, from the forward pass's M_r.
 
     S M_r, weighted by the rows' loss coefficients (-1/B for an active
     positive of a B-pair batch, 1/B for an active negative, 0 for an
     inactive pair), gives the object gradients.
     """
-    half, b = len(pos), ws.buf
-    n = 2 * half
+    order, X, rels, blocks, M = saved
+    n, half, b = len(pairs), len(active), ws.buf
     gR = ws.grads["relation"]
-    pairs = b["pairs"][:n]
-    pairs[:half], pairs[half:] = pos, neg
-    scores = b["scores"][:n]
-    order, X, rels, blocks, M = _bilinear_forward(params, pairs, ws, scores)
-    losses, active = _hinge(margin, scores, ws)
-    if not active.any():
-        return losses, ws.grads
     S, O, SM = b["S"][:n], b["O"][:n], b["SM"][:n]
     scale, coeff = 1.0 / half, b["coeff"][:n]
     np.multiply(active, -scale, out=coeff[:half])
@@ -982,7 +958,16 @@ def _bilinear_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray, margin
         P = np.matmul(G.transpose(1, 0, 2), W.transpose(0, 2, 1), out=b["M"][:, :len(rels)])
         gR[rels] = np.sum(P, axis=0, out=b["rel_grads"][:len(rels)])
         np.matmul(w.T, G.transpose(1, 0, 2), out=ws.grads["core"])
-    return losses, ws.grads
+
+
+# Each model's (forward, backward) passes; the backward pass reads what the forward pass returns as ``saved``.
+_STEPS = {
+    ModelKind.RESCAL: (_bilinear_forward, _bilinear_backward),
+    ModelKind.TUCKER: (_bilinear_forward, _bilinear_backward),
+    ModelKind.TRANSE: (_transe_forward, partial(_elementwise_backward, _transe_backward)),
+    ModelKind.COMPLEX: (_complex_forward, partial(_elementwise_backward, _complex_backward)),
+    ModelKind.ROTATE: (_rotate_forward, partial(_elementwise_backward, _rotate_backward)),
+}
 
 
 def batch_loss_and_gradients(
@@ -991,10 +976,11 @@ def batch_loss_and_gradients(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-pair hinge losses and the gradient of their batch mean.
 
-    ``neg[i]`` is the corruption of ``pos[i]``.  The step writes into
-    ``workspace``, a :class:`_BatchWorkspace` for at least len(pos) pairs,
-    or into a new one.  The losses and gradient blocks returned are views
-    into it: they stay valid until its next step.
+    ``neg[i]`` is the corruption of ``pos[i]``.  One forward pass scores
+    [pos; neg]; the model's backward pass runs if any hinge is active.  The
+    step writes into ``workspace``, a :class:`_BatchWorkspace` for at least
+    len(pos) pairs, or into a new one.  The losses and gradient blocks
+    returned are views into it: they stay valid until its next step.
     """
     pos, neg = np.asarray(pos, dtype=np.int64), np.asarray(neg, dtype=np.int64)
     for triples in (pos, neg):
@@ -1004,8 +990,14 @@ def batch_loss_and_gradients(
         raise ValueError(f"a batch of {len(pos)} pairs does not fit a workspace for {ws.rows}")
     for g in ws.grads.values():
         g.fill(0.0)
-    step = _bilinear_step if params.kind in _BILINEAR else _elementwise_step
-    return step(params, pos, neg, margin, ws)
+    forward, backward = _STEPS[params.kind]
+    pairs, scores = ws.buf["pairs"][:2 * len(pos)], ws.buf["scores"][:2 * len(pos)]
+    pairs[:len(pos)], pairs[len(pos):] = pos, neg
+    saved = forward(params, pairs, ws, scores)
+    losses, active = _hinge(margin, scores, ws)
+    if active.any():
+        backward(params, pairs, saved, active, ws)
+    return losses, ws.grads
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ each half scored by ``reference_score_batch`` and its active rows' gradients
 accumulated on their own, row-wise ``np.add.at`` into the 2-D gradient
 blocks, TuckER's M_r by ``tensordot`` and its relation gradient by
 ``einsum``, and Adam written as plain array expressions, with TransE's row
-norms from ``np.linalg.norm``.  The current code
-must match them bit for bit, apart from RESCAL and TuckER, whose single
-forward pass over both halves rounds their gradients differently (within
-1e-12).
+norms from ``np.linalg.norm``.  The current step takes one forward pass
+over both halves for all five models and must match them bit for bit,
+apart from RESCAL's and TuckER's gradients: their backward pass covers
+both halves at once, and so rounds them differently (within 1e-12).
 """
 
 import numpy as np

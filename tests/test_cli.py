@@ -568,6 +568,23 @@ def test_export_refuses_a_report_cell_over_the_csv_field_limit(workspace, capsys
     assert not out.exists()
 
 
+def test_analyze_refuses_a_label_export_could_not_read_back(workspace, capsys):
+    # export reads a report under csv's field limit of 131,072 characters
+    graph, analysis = workspace / "g.tsv", workspace / "an"
+    main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])
+    triples = graph.read_text(encoding="utf-8")
+    graph.write_text(triples + "X" * 131_073 + "\tSupplier\tsupplies_to\tTinyHub\tSupplier\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(graph), "--out", str(analysis)]) == 2
+    assert f"label {'X' * 40!r}... of 131,073 characters cannot be written" in capsys.readouterr().err
+    assert not (analysis / "criticality.csv").exists()
+    graph.write_text(triples + "X" * 131_072 + "\tSupplier\tsupplies_to\tTinyHub\tSupplier\n", encoding="utf-8")
+    assert main(["analyze", "--in", str(graph), "--out", str(analysis)]) == 0
+    for fmt in ("dot", "graphml", "json"):
+        assert main(["export", "--in", str(graph), "--report", str(analysis / "criticality.csv"), "--format", fmt,
+                     "--out", str(workspace / f"g.{fmt}")]) == 0
+
+
 def test_graphml_export_refuses_a_label_xml_cannot_carry(workspace, capsys):
     graph, analysis = workspace / "g.tsv", workspace / "an"
     graph.write_text("Acme\x01Corp\tSupplier\tsupplies_to\tBeta\tSupplier\n", encoding="utf-8")

@@ -593,6 +593,8 @@ def workspace_batches(n_ent, n_rel, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_steps_on_one_workspace_equal_the_add_at_reference(kind):
+    """The losses are also max(0, margin + s[n:] - s[:n]) bit for bit, s being score_batch([pos; neg]):
+    the step and score_batch run one forward pass."""
     n_ent, n_rel = 30, 5
     p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=16, seed=3)
     ws = models._BatchWorkspace(p, 512)
@@ -602,6 +604,8 @@ def test_steps_on_one_workspace_equal_the_add_at_reference(kind):
         active = (ref_losses > 0).mean()
         assert active == 1.0 if case == "fully active" else active == 0.0 if case == "inactive" else 0 < active < 1
         assert_same_bits(losses, ref_losses, f"{case}: losses")
+        s, n = score_batch(p, np.concatenate([pos, neg])), len(pos)
+        assert_same_bits(losses, np.maximum(0.0, margin + s[n:] - s[:n]), f"{case}: losses from score_batch")
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert_gradient_matches(kind, grads[name], ref_grads[name], f"{case}: {name}")
