@@ -13,25 +13,28 @@ exactly (N + 1) / 2.  A query whose true-object score is not finite ranks
 last, at the number of candidates, under every policy: NaN compares false
 with everything and would otherwise rank first.
 
-:func:`rank_queries` ranks queries in blocks and returns both settings from
+:func:`rank_queries` ranks queries in jobs and returns both settings from
 one score pass.  Queries are grouped by relation and each group is cut into
-blocks of k rows, sized so that the (k, N) float64 score block takes about
-``BLOCK_BYTES``.  Every model's blocks are ranked by one ranker,
+jobs of k rows, sized so that the job's screen buffers take about
+``BLOCK_BYTES``.  Every model's jobs are ranked by one ranker,
 :func:`_rank_block`, from bracketed scores that the model's scorer hands
-over: a (k, N) score block with, for each row, the true object's exact
-score t and a lower and an upper bound around it, and a function that gives
-the exact score of any (row, entity) pair.  A candidate scoring above the
-upper bound scores above t, one below the lower bound below it, and the few
-in between are settled with their exact scores, as are the known-true
-objects that the filtered setting drops, held by a :class:`FilterIndex` as
-one sorted array of triple keys, where each (s, r) pair's objects are one
-run.  How the scores are bracketed is the scorers' business (see
-:mod:`chainlens.models`); the ranks are those of the exact scores.  The
-blocks are ranked on up to ``RANK_WORKERS`` threads, one per usable
-processor, each with its scorer workspace and the ranker's two (k, N) bool
-masks, with the same ranks as on one; the threads live for one call.
-:func:`rank_object` ranks one query from its score vector and is the
-reference the blocks are tested against: their ranks are equal.
+over: the job's scores as tiles of up to ``tile`` entities, with, for each
+row, the true object's exact score t and a lower and an upper bound around
+it, and a function that gives the exact score of any (row, entity) pair.
+A candidate scoring above the upper bound scores above t, one below the
+lower bound below it.  The ranker counts those tile by tile, and settles
+the few in between with their exact scores once per job, as it does the
+known-true objects that the filtered setting drops, held by a
+:class:`FilterIndex` as one sorted array of triple keys, where each (s, r)
+pair's objects are one run.  How the scores are bracketed is the scorers'
+business (see :mod:`chainlens.models`); the ranks are those of the exact
+scores.  Each job gives per query the candidates above t, the ties and the
+candidates, raw and filtered, and one :func:`_tie_rank` call per setting
+turns them into ranks.  The jobs are ranked on up to ``RANK_WORKERS``
+threads, one per usable processor, each with its scorer workspace and the
+ranker's two bool masks, with the same ranks as on one; the threads live
+for one call.  :func:`rank_object` ranks one query from its score vector and
+is the reference the jobs are tested against: their ranks are equal.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import RELATION_BY_INDEX, sorted_unique
-from .models import ModelParams, _block_scorer, _relation_groups, score_objects
+from .models import ModelParams, _relation_groups, _ScreenedScorer, score_objects
 
 HITS_KS = (1, 3, 10)
 SETTINGS = ("raw", "filtered")
@@ -129,16 +132,16 @@ class EvalReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Target size of one (k, N) float64 score block.  At 6,940 entities on a
-# 2-vCPU Xeon, smaller blocks slowed every model (per-call overhead) and
-# larger ones slowed TransE and RotatE, whose (k, N) work buffers then
-# spill out of the L2 cache.
+# Target size of one job's screen buffers.  At 6,940 entities on a 2-vCPU
+# Xeon, smaller blocks slowed every model (per-call overhead) and larger ones
+# slowed TransE and RotatE, whose (k, N) work buffers then spill out of the
+# L2 cache.
 BLOCK_BYTES = 1 << 20
 
 
-def block_rows(num_entities: int) -> int:
-    """Queries per score block when ranking against ``num_entities`` candidates."""
-    return max(1, BLOCK_BYTES // (8 * num_entities))
+def block_rows(columns: int, entry_bytes: int = 8) -> int:
+    """Queries per job whose screen buffers hold ``entry_bytes`` per query for each of ``columns`` entities."""
+    return max(1, BLOCK_BYTES // (entry_bytes * columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,50 +261,84 @@ def rank_object(
     return RankResult(query=query, rank=rank, num_candidates=n_candidates, setting=setting, tie_policy=tie_policy)
 
 
-def _rank_block(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, true_score: np.ndarray, exact,
-                s: np.ndarray, r: np.ndarray, o: np.ndarray, filter_index: FilterIndex | None,
-                allowed: np.ndarray | None, tie_policy: str, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered ranks of the k queries (s[i], r[i], o[i]) of one (k, N) block of bracketed scores.
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a (k, w) bool mask: summed in uint16 where w allows, which took a
+    third of the time of int64 sums or ``np.count_nonzero`` (256 x 1,024, 2-vCPU Xeon)."""
+    return mask.sum(axis=1, dtype=np.uint16 if mask.shape[1] < 1 << 16 else np.int64)
 
-    Row i's true object scores ``true_score[i]`` exactly, within [lower[i],
-    upper[i]].  Every candidate scoring above ``upper`` scores above the
-    true object, and every one below ``lower`` below it; the candidates in
-    between, other than the true object, and the candidates that the
-    filtered setting drops are settled with ``exact(rows, objects)``, their
-    exact scores.  ``allowed`` marks the candidate objects, None meaning all
-    entities.  Without a ``filter_index`` the filtered ranks are the raw
-    ones.  ``masks`` is a (2, k', N) bool work buffer, k' >= k.
+
+def _rank_block(tiles, lower: np.ndarray, upper: np.ndarray, true_score: np.ndarray, exact, s: np.ndarray,
+                r: np.ndarray, o: np.ndarray, filter_index: FilterIndex | None, allowed: np.ndarray | None,
+                masks: np.ndarray) -> np.ndarray:
+    """Raw and filtered rank counts of the k queries (s[i], r[i], o[i]) of one job of bracketed scores.
+
+    ``tiles`` are (start, (k, w) scores of the entities from start) in
+    entity order, over all N entities.  Row i's true object scores
+    ``true_score[i]`` exactly, within [lower[i], upper[i]].  Every candidate
+    scoring above ``upper`` scores above the true object, and every one
+    below ``lower`` below it.  The candidates in between, other than the
+    true object, and the candidates that the filtered setting drops are
+    settled with ``exact(rows, objects)``, their exact scores, once per
+    job.  When both bounds are the very array ``true_score``, the tiles'
+    scores are exact and those in between are the ties.  ``allowed`` marks
+    the candidate objects, None meaning all entities.  Without a
+    ``filter_index`` the filtered counts are the raw ones.  ``masks`` is a
+    (2, k' * w') bool work buffer, for k' >= k rows and tiles of w' >= w
+    entities.
+
+    Returns an int64 (2, 3, k) array: per setting (``SETTINGS`` order) the
+    candidates above the true object, the ties (the true object included)
+    and the candidates, for :func:`_tie_rank`.
     """
     k = len(o)
-    above, band = masks[:, :k]
-    np.greater(scores, upper[:, None], out=above)
-    np.greater_equal(scores, lower[:, None], out=band)
-    band ^= above
-    if allowed is not None:
-        above &= allowed
-        band &= allowed
-    band[np.arange(k), o] = False  # the true object ties itself once, counted below
-    row, obj = np.divmod(np.flatnonzero(band), band.shape[1])  # 2-D np.nonzero took 15 times as long
+    counts = np.zeros((2, 3, k), dtype=np.int64)
+    greater, ties, n_candidates = counts[0]
+    ties += 1  # the true object ties itself once, counted here
+    exact_tiles = lower is upper
+    band_rows, band_objs = [], []
+    for start, scores in tiles:
+        w = scores.shape[1]
+        above, band = masks[:, :k * w].reshape(2, k, w)
+        np.greater(scores, upper[:, None], out=above)
+        np.greater_equal(scores, lower[:, None], out=band)
+        band ^= above
+        if allowed is not None:
+            above &= allowed[start:start + w]
+            band &= allowed[start:start + w]
+        here = np.flatnonzero((start <= o) & (o < start + w))
+        band[here, o[here] - start] = False
+        greater += _row_counts(above)
+        n_candidates += w if allowed is None else np.count_nonzero(allowed[start:start + w])
+        if exact_tiles:
+            ties += _row_counts(band)
+        else:
+            row, obj = np.divmod(np.flatnonzero(band), w)  # 2-D np.nonzero took 15 times as long
+            band_rows.append(row)
+            band_objs.append(obj + start)
+    none = np.empty(0, dtype=np.intp)
+    row, obj = np.concatenate([none, *band_rows]), np.concatenate([none, *band_objs])
+    band = slice(0, len(row))
+    if filter_index is not None:
+        # the known-true objects of (s[i], r[i]) other than o[i], among the candidates, settled with the band
+        known_row, known_obj = filter_index.pairs(s, r)
+        drop = known_obj != o[known_row]
+        if allowed is not None:
+            drop &= allowed[known_obj]
+        row, obj = np.concatenate([row, known_row[drop]]), np.concatenate([obj, known_obj[drop]])
     settled = exact(row, obj)
-    greater = above.sum(axis=1) + np.bincount(row[settled > true_score[row]], minlength=k)
-    ties = 1 + np.bincount(row[settled == true_score[row]], minlength=k)
-    n_candidates = np.full(k, scores.shape[1] if allowed is None else np.count_nonzero(allowed))
+    higher, tied = settled > true_score[row], settled == true_score[row]
+    greater += np.bincount(row[band][higher[band]], minlength=k)
+    ties += np.bincount(row[band][tied[band]], minlength=k)
     if allowed is not None:
         n_candidates += ~allowed[o]  # a true object outside the candidates is still ranked
-    raw = _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
-    if filter_index is None:
-        return raw, raw
-    # the known-true objects of (s[row], r[row]) other than o[row], among the candidates
-    row, obj = filter_index.pairs(s, r)
-    drop = obj != o[row]
-    if allowed is not None:
-        drop &= allowed[obj]
-    row, obj = row[drop], obj[drop]
-    settled = exact(row, obj)
-    greater -= np.bincount(row[settled > true_score[row]], minlength=k)
-    ties -= np.bincount(row[settled == true_score[row]], minlength=k)
-    n_candidates -= np.bincount(row, minlength=k)
-    return raw, _tie_rank(greater, ties, n_candidates, true_score, tie_policy)
+    counts[1] = counts[0]
+    if filter_index is not None:
+        dropped = slice(band.stop, None)
+        greater, ties, n_candidates = counts[1]
+        greater -= np.bincount(row[dropped][higher[dropped]], minlength=k)
+        ties -= np.bincount(row[dropped][tied[dropped]], minlength=k)
+        n_candidates -= np.bincount(row[dropped], minlength=k)
+    return counts
 
 
 #: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
@@ -319,16 +356,17 @@ def rank_queries(
 
     Returns ``{"raw": ranks, "filtered": ranks}`` from one score pass; each
     rank equals :func:`rank_object`'s for the same query, setting and
-    arguments.  Queries are ranked in blocks of :func:`block_rows` queries of
-    one relation, on ``min(RANK_WORKERS, blocks)`` threads that the call
-    starts and joins before it returns; with one block or one processor it
-    starts none.  Each thread takes the next block when it has finished one
-    and writes that block's rows of the rank arrays, so the ranks are those
-    of one thread.  When a block raises, the other threads stop after their
-    current block and the error is raised here.  The shared operands and
-    each thread's buffers (its scorer workspace and the ranker's two (k, N)
-    masks) are prepared in the calling thread, so no thread's malloc arena
-    keeps a block's memory.
+    arguments.  Queries are ranked in jobs of the queries of one relation,
+    :func:`block_rows` of them for the scorer's tiles, on ``min(RANK_WORKERS,
+    jobs)`` threads that the call starts and joins before it returns; with
+    one job or one processor it starts none.  Each thread takes the next job
+    when it has finished one and writes that job's rank counts, which one
+    :func:`_tie_rank` call per setting turns into ranks, so the ranks are
+    those of one thread.  When a job raises, the other threads stop after
+    their current job and the error is raised here.  The shared operands and
+    each thread's buffers (its scorer workspace and the ranker's two masks)
+    are prepared in the calling thread, so no thread's malloc arena keeps a
+    job's memory.
     """
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     s, r, o = queries[:, 0], queries[:, 1], queries[:, 2]
@@ -336,31 +374,33 @@ def rank_queries(
     bad |= (r < 0) | (r >= params.num_relations)
     if bad.any():
         raise KeyError(f"query references unknown ids: {tuple(queries[np.argmax(bad)].tolist())}")
-    ranks = {setting: np.empty(len(queries)) for setting in SETTINGS}
-    step = block_rows(params.num_entities)
+    counts = np.empty((len(SETTINGS), 3, len(queries)), dtype=np.int64)
+    true_score = np.empty(len(queries))
     rels, groups = _relation_groups(r)
-    # popped from the end, so in block order
+    scorer = _ScreenedScorer(params, rels)
+    step = block_rows(scorer.tile, scorer.entry_bytes)
+    # popped from the end, so in job order
     pending = [(rel, group[start:start + step]) for rel, group in zip(rels.tolist(), groups)
                for start in range(0, len(group), step)][::-1]
     pending_lock = threading.Lock()
-    scorer = _block_scorer(params, rels)
 
-    def rank_blocks(workspace: dict, masks: np.ndarray) -> None:
+    def rank_jobs(workspace: dict, masks: np.ndarray) -> None:
         while True:
             with pending_lock:
                 if not pending:
                     return
-                rel, block = pending.pop()
-            sb, rb, ob = s[block], r[block], o[block]
+                rel, job = pending.pop()
+            sj, rj, oj = s[job], r[job], o[job]
             allowed = None if candidate_index is None else candidate_index[rel]
-            ranks["raw"][block], ranks["filtered"][block] = _rank_block(
-                *scorer.bracketed(sb, rb, ob, workspace), sb, rb, ob, filter_index, allowed, tie_policy, masks)
+            bracketed = scorer.bracketed(sj, rj, oj, workspace)
+            true_score[job] = bracketed[3]
+            counts[:, :, job] = _rank_block(*bracketed, sj, rj, oj, filter_index, allowed, masks)
 
     rows = min(step, max(map(len, groups), default=0))
-    workspaces = [(scorer.workspace(rows), np.empty((2, rows, params.num_entities), dtype=bool))
+    workspaces = [(scorer.workspace(rows), np.empty((2, rows * scorer.tile), dtype=bool))
                   for _ in range(min(RANK_WORKERS, len(pending)))]
     if len(workspaces) == 1:
-        rank_blocks(*workspaces[0])
+        rank_jobs(*workspaces[0])
     elif workspaces:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
 
@@ -372,16 +412,16 @@ def rank_queries(
                 os.sched_setaffinity(0, {cpus[i % len(cpus)]})  # 0: this thread
                 os.sched_setaffinity(0, cpus)
             try:
-                rank_blocks(*workspaces[i])
+                rank_jobs(*workspaces[i])
             finally:
-                pending.clear()  # on an error, the other workers stop after their current block
+                pending.clear()  # on an error, the other workers stop after their current job
 
         with ThreadPoolExecutor(len(workspaces), thread_name_prefix="chainlens-rank") as pool:
             try:
                 list(pool.map(work, range(len(workspaces))))
             finally:
                 pending.clear()  # so does an interrupt of the calling thread
-    return ranks
+    return {setting: _tie_rank(*counts[i], true_score, tie_policy) for i, setting in enumerate(SETTINGS)}
 
 
 def evaluate(

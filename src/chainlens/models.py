@@ -36,32 +36,37 @@ time.  Losses, and the elementwise models' gradients, are bit-identical to
 the allocating step in ``tests/reference_models.py``; RESCAL's and TuckER's
 gradients agree with it within 1e-12.
 
-Per block, ``score_objects`` scores k queries against all N entities as a
-(k, N) float64 block, for every model through ``_ObjectScorer``: a GEMM per
-relation for RESCAL and TuckER, one real GEMM on the float64 views for
-ComplEx, and a loop over the dimension on (k, N) buffers for TransE and
-RotatE.  ``evaluation.rank_queries`` ranks every model through the scorer
-that ``_block_scorer`` picks, shared by its threads: ``workspace(k)`` gives
-a thread its buffers for blocks of up to k queries, and ``bracketed(s, r, o,
-workspace)`` returns a block's ``(scores, lower, upper, true_score,
-exact)``: its scores, per row bounds around the true object's exact score,
-and ``exact(rows, objects)``, the exact scores of chosen pairs.
-``_ObjectScorer`` hands over its float64 block with both bounds at the true
-score.  Its subclass ``_ScreenedScorer`` (TransE and RotatE) hands over a
-float32 screen with bounds rounded outward, and exact scores equal to
-``score_objects``' bit for bit.  TransE's screen is the distance kernel in
-float32, within δ of the float64 kernel (``_distance_bound``): bounds
+A pair's exact score is a float64 sum over the real columns of its query
+row and of the entity, in column order: -Σ|q - e| for TransE, minus the
+moduli of the (re, im) pairs for RotatE, Σ q e for RESCAL, TuckER and
+ComplEx, whose query rows are E[s] M_r, one BLAS product per row, and E[s]
+* w_r.  ``score_objects`` scores k queries against all N entities as a (k, N)
+float64 block of exact scores, for every model through ``_ObjectScorer``: a
+loop over the columns on (k, N) buffers, so each entry has the same bits
+whatever k and the BLAS thread count are.  ``evaluation.rank_queries`` ranks
+every model through one ``_ScreenedScorer``, shared by its threads:
+``workspace(k)`` gives a thread its buffers for jobs of up to k queries, and
+``bracketed(s, r, o, workspace)`` returns a job's ``(tiles, lower, upper,
+true_score, exact)``: its float32 screen as column tiles, per row bounds
+around the true object's exact score, rounded outward, and ``exact(rows,
+objects)``, the exact scores of chosen pairs, equal to ``score_objects``'
+bit for bit.  TransE's screen is the distance kernel in float32, one tile of
+all N entities, within δ of the float64 kernel (``_distance_bound``): bounds
 t -/+ δ.  RotatE's takes one float32 GEMM per complex dimension, |q - e|² +
 c = |q|² + c + |e|² - 2 Re(q conj(e)) for a whole (k, N) block, then a
 square root and a subtraction: three passes over the block where the
 distance kernel makes seven.  Its offset c covers the GEMM's rounding, so
 no square is negative and its scores lie at most δ above the float64
 kernel's but up to δ + sum_j sqrt(2 c_j) below them (``_rotate_lhs``):
-bounds t - that and t + δ.  A block whose float32 pass cannot be trusted
-comes as ``_ObjectScorer``'s block, scored into float64 buffers of its own.
-Every gather clips ids (numpy's "raise" mode buffers a copy of ``out``), so
-``_check_ids`` checks them first.  The BLAS thread count is left as the
-environment sets it: the GEMM models and RotatE's screen use it.
+bounds t - that and t + δ.  RESCAL's, TuckER's and ComplEx's jobs hold the
+queries of one relation, screened with one float32 GEMM per tile of
+``_TILE`` entities, within δ of the exact scores (``_dot_bound``): bounds t
+-/+ δ.  A job whose float32 pass cannot be trusted comes as the exact
+float64 block, tile by tile, scored into float64 buffers of its own, with
+both bounds at t.  Every gather clips ids (numpy's "raise" mode buffers a
+copy of ``out``), so ``_check_ids`` checks them first.  The BLAS thread
+count is left as the environment sets it: the float32 screens use it, and
+the exact scores did not depend on it (see ``_ObjectScorer``).
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -246,8 +251,10 @@ def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     return scores
 
 
-# Models scored as a distance, screened in float32 for ranking.
+# Models scored as a distance, screened one block of all N entities at a time; the others are scored as a
+# dot product, screened against entity tiles of _TILE columns.
 _DISTANCE = (ModelKind.TRANSE, ModelKind.ROTATE)
+_TILE = 1024
 
 
 def score_objects(params: ModelParams, s, r) -> np.ndarray:
@@ -256,8 +263,8 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     ``s`` and ``r`` are ids or id arrays of k queries, broadcast against each
     other (a ``ValueError`` if their lengths cannot be).  Two scalar ids give
     the (N,) score vector, otherwise a (k, N) block with one row per query.
-    Each row is computed the same way whatever k is, apart from the summation
-    order BLAS picks for the bilinear models and ComplEx.
+    Each entry is its pair's exact score (see :class:`_ObjectScorer`), with
+    the same bits whatever k is.
     """
     scalar = np.ndim(s) == 0 and np.ndim(r) == 0
     s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
@@ -277,75 +284,93 @@ def _transposed(a: np.ndarray, dtype) -> np.ndarray:
     return a_t
 
 
-def _query_rows(kind: ModelKind, E: np.ndarray, R: np.ndarray, s: np.ndarray, r: np.ndarray, q: np.ndarray,
-                w: np.ndarray) -> None:
-    """Write the query rows of (s[i], r[i], ?) into q: E[s] + R[r] for TransE, E[s] * R[r] for ComplEx and for
-    RotatE, whose R holds the rotations exp(i theta).  w takes R[r].  The gathers clip ids."""
-    np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
-    np.take(R, r, axis=0, out=w, mode="clip")
-    if kind is ModelKind.TRANSE:
-        q += w
-    else:
-        q *= w
-
-
 class _ObjectScorer:
     """Queries (s, r, ?) of any model scored in float64 against all N entities, as (k, N) blocks.
 
+    A pair's exact score is a sum over the real columns c of its query row
+    Q_i and of the entity E_j, in c order: -Σ_c |Q_i[c] - E_j[c]| for
+    TransE, minus the sum of the moduli of the (re, im) column pairs for
+    RotatE, and Σ_c Q_i[c] E_j[c] for RESCAL, TuckER and ComplEx (64 real
+    terms at dim 64, or 128 for ComplEx's real view).  Q_i is E[s_i] +
+    R[r_i] for TransE, E[s_i] * R[r_i] for ComplEx and for RotatE, whose R
+    holds the rotations exp(i theta), and E[s_i] M_r for RESCAL and TuckER:
+    one BLAS product of a row by M_r per row, whose bits do not depend on
+    how many rows are built together, nor on the BLAS thread count (they
+    had the bits of ``np.dot`` per row at dims 7 to 512, under 1 and 2
+    OpenBLAS threads), unlike the rows of a (k, d) by (d, d) matmul.
+
     Prepared once: M_r of each relation of ``rels`` for RESCAL and TuckER
-    (built one relation at a time, as for a block of one relation), and for
-    the others the float64 view ``E64`` of E and, for RotatE, the rotations
-    exp(i theta) as ``R``.  Threads may share a scorer, each scoring into a
-    :meth:`workspace` of its own.
+    (built one relation at a time), the float64 view ``E64`` of E and, for
+    RotatE, the rotations as ``R``.  Threads may share a scorer, each
+    scoring into a :meth:`workspace` of its own.
     """
 
-    def __init__(self, params: ModelParams, rels: np.ndarray | None) -> None:
+    def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
         self.kind, self.E = params.kind, params.blocks["entity"]
         self.rotate = params.kind is ModelKind.ROTATE
         self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
+        self.E64 = self.E.view(np.float64)
         if self.kind in _BILINEAR:
             self.M = {rel: _relation_matrices(params, np.array([rel]))[0] for rel in rels.tolist()}
-        else:
-            self.E64 = self.E.view(np.float64)
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q`` and the
-        relation rows ``w`` (q M_r for RESCAL and TuckER), and TransE's and RotatE's (k, N) kernel ``bufs``
-        (:func:`_negated_distance_sums`)."""
+        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q`` and
+        relation rows ``w``, and the kernel's (k, N) ``bufs`` (two for RotatE)."""
         n, d = self.E.shape
-        ws = {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
-              "w": np.empty((k, d), dtype=self.E.dtype)}
+        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
+                "w": np.empty((k, d), dtype=self.R.dtype), "bufs": np.empty((1 + self.rotate, k, n))}
+
+    def query_rows(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
+        """Write the query rows of (s[i], r[i], ?) into the workspace's ``q``, and return their float64 view.
+        ``w`` takes R[r].  The gathers clip ids, so callers check them first."""
+        k = len(s)
+        q, w = ws["q"][:k], ws["w"][:k]
+        if self.kind in _BILINEAR:
+            # a stack of (1, d) by (d, d) products: numpy calls BLAS once per row, so each row has the bits of
+            # a one-row matmul, however many rows there are
+            np.take(self.E, s, axis=0, out=w, mode="clip")
+            rels, groups = _relation_groups(r)
+            for rel, rows in zip(rels.tolist(), groups):
+                if len(rows) == len(s):
+                    np.matmul(w[:, None], self.M[rel], out=q[:, None])
+                else:
+                    q[rows] = np.matmul(w[rows, None], self.M[rel])[:, 0]
+            return q
+        np.take(self.E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
+        np.take(self.R, r, axis=0, out=w, mode="clip")
+        if self.kind is ModelKind.TRANSE:
+            q += w
+        else:
+            q *= w
+        return q.view(np.float64)
+
+    def kernel(self, q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
+        """Write the exact scores of the float64 query rows q against the entities of ``e_t`` (some columns of
+        E64 transposed) into ``out``, with ``bufs`` of its shape."""
         if self.kind in _DISTANCE:
-            ws["bufs"] = np.empty((1 + self.rotate, k, n))
-        return ws
+            _negated_distance_sums(q, e_t, bufs, out)
+        else:
+            _dot_sums(q, e_t, bufs[0], out)
 
     def __call__(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
         """The (k, N) scores of the queries (s[i], r[i], ?), written into the
         first k rows of the workspace's score buffer, which is returned.  The
         gathers clip ids, so callers check them first."""
-        k = len(s)
-        out, q, w, E = ws["scores"][:k], ws["q"][:k], ws["w"][:k], self.E
-        if self.kind in _BILINEAR:
-            np.take(E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
-            rels, groups = _relation_groups(r)
-            for rel, rows in zip(rels.tolist(), groups):
-                if len(rows) == len(s):
-                    np.matmul(np.matmul(q, self.M[rel], out=w), E.T, out=out)
-                else:
-                    out[rows] = (q[rows] @ self.M[rel]) @ E.T
-            return out
-        _query_rows(self.kind, E, self.R, s, r, q, w)
-        if self.kind in _DISTANCE:
-            _negated_distance_sums(q.view(np.float64), _transposed(self.E64, np.float64), list(ws["bufs"][:, :k]), out)
-            return out
-        # Re(sum_k q_k conj(e_k)) is the real dot product of the (re, im) pairs
-        return np.matmul(q.view(np.float64), self.E64.T, out=out)
+        out = ws["scores"][:len(s)]
+        self.kernel(self.query_rows(s, r, ws), _transposed(self.E64, np.float64), list(ws["bufs"][:, :len(s)]), out)
+        return out
 
-    def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
-        """The float64 block of the queries (s[i], r[i], o[i]), which is exact: both bounds at each row's score t."""
-        scores = self(s, r, ws)
-        t = scores[np.arange(len(scores)), o]
-        return scores, t, t, t, lambda i, j: scores[i, j]
+
+def _dot_sums(q: np.ndarray, e_t: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_c q[i, c] E[j, c] for every query row i and entity j into ``out`` (k, N), summed in c order.
+
+    ``e_t`` is E transposed.  As in :func:`_negated_distance_sums`, the loop
+    runs over c on (k, N) buffers, in the same order whatever k is.
+    """
+    out.fill(0.0)
+    for c in range(e_t.shape[0]):
+        np.multiply(q[:, c, None], e_t[c], out=buf)
+        out += buf
 
 
 def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
@@ -380,8 +405,9 @@ def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray
 # gradual underflow and flush-to-zero alike.
 _U32 = 2.0 ** -24
 _TINY32 = 2.0 ** -126
-# Query rows and entities of an L1 norm below this are screened in float32:
-# no cast, square or sum of theirs can overflow float32.
+# Query rows and entities of a norm below this (L1 for TransE and RotatE, L2
+# for the others) are screened in float32: no cast, product, square or sum of
+# theirs can overflow float32.
 _SCREEN_LIMIT = 2.0 ** 60
 
 
@@ -419,6 +445,39 @@ def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
     if rotate:
         return 2 * ((gamma + 6 * _U32) * l1 + 4 * (1 + gamma) * terms * math.sqrt(_TINY32))
     return 2 * ((gamma + 3 * _U32) * l1 + 5 * (1 + gamma) * terms * _TINY32)
+
+
+def _dot_bound(q_l2: np.ndarray, e_l2: float, terms: int) -> np.ndarray:
+    """A bound δ on |s32 - s64| for query rows of L2 norm ``q_l2`` and any entity of L2 norm at most ``e_l2``.
+
+    s64 is :func:`_dot_sums`' float64 score Σ_c Q_c E_c of a pair of
+    ``terms`` real columns, and s32 the float32 GEMM's score of the pair
+    rounded to float32, a = fl32(Q) and b = fl32(E), summed in any order,
+    with fused multiply-adds or not.  Both are compared with the exact score
+    s, in the model of :func:`_distance_bound` (u, t, γ_n, n = ``terms``):
+
+    * The casts give |a_c - Q_c| <= u |Q_c| + t, and the same for b, so
+      |a_c b_c - Q_c E_c| <= (2u + u²) |Q_c E_c| + (1 + u) t (|Q_c| +
+      |E_c|) + t², and |a_c b_c| is at most (1 + u)² |Q_c E_c| plus the
+      same t terms.
+    * The float32 dot product of a and b is off by at most γ_n Σ_c |a_c
+      b_c| (Higham §3.1), plus 2n (1 + γ_n) t for the underflow of its 2n
+      - 1 operations, each scaled by at most n later roundings.
+
+    By Cauchy-Schwarz Σ |Q_c E_c| <= ‖Q‖₂ ‖E‖₂, and ‖x‖₁ <= √n ‖x‖₂, so,
+    with t² <= t, |s32 - s| <= (γ_n (1 + u)² + 2u + u²) ‖Q‖₂ ‖E‖₂ + (1 +
+    γ_n)((1 + u) √n t (‖Q‖₂ + ‖E‖₂) + 3n t).  It needs γ_n <= 0.1 and no
+    overflow: under ``_SCREEN_LIMIT`` every |a_c|, |b_c| and product, and
+    every partial sum, stays below 2^122.  So the screen is finite.  The
+    sequential float64 sum is off from s by at most γ_n Σ |Q_c E_c| + 2n (1
+    + γ_n) t with float64's u and t, which are smaller, so δ is twice the
+    float32 bound.  The float64 rounding of the norms and of δ (relative,
+    under 1e-13) is far inside that factor of two.
+    """
+    gamma = terms * _U32 / (1 - terms * _U32)
+    rounding = gamma * (1 + _U32) ** 2 + 2 * _U32 + _U32 ** 2
+    underflow = (1 + gamma) * ((1 + _U32) * math.sqrt(terms) * _TINY32 * (q_l2 + e_l2) + 3 * terms * _TINY32)
+    return 2 * (rounding * q_l2 * e_l2 + underflow)
 
 
 def _rotate_operands(E64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,39 +584,51 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
 
 
 class _ScreenedScorer(_ObjectScorer):
-    """TransE and RotatE query blocks scored in float32, and single (query, entity) pairs in float64.
+    """Query jobs of any model screened in float32, and single (query, entity) pairs scored exactly in float64.
 
-    :meth:`screen` scores a block in float32 from float32 copies of the
-    exact query rows and of the entities, held in float32 only: TransE with
-    :func:`_negated_distance_sums` on E transposed (``E_t``), RotatE with
-    one GEMM per complex dimension on the operands ``B`` of
-    :func:`_rotate_operands`.  It bounds how far below and above the
-    float64 kernel's scores each row's may lie (:func:`_distance_bound`,
-    and for RotatE :func:`_rotate_lhs`'s offsets); :meth:`pair_scores`
-    gives the float64 kernel's scores of chosen pairs.  A block the screen
-    cannot be trusted on is scored by :class:`_ObjectScorer`, into float64
-    buffers of its own: each thread's :meth:`workspace` holds none.
+    :meth:`screen` scores a job in float32 from float32 copies of the exact
+    query rows and of the entities, held in float32 only, as column tiles of
+    up to ``tile`` entities: TransE with :func:`_negated_distance_sums` on E
+    transposed (``E_t``) and RotatE with one GEMM per complex dimension on
+    the operands ``B`` of :func:`_rotate_operands`, in one tile of all N
+    entities; RESCAL, TuckER and ComplEx with one float32 GEMM per tile of
+    ``_TILE`` entities of E transposed.  It bounds how far below and above
+    the exact scores each row's may lie (:func:`_distance_bound`, for RotatE
+    with :func:`_rotate_lhs`'s offsets, and :func:`_dot_bound`);
+    :meth:`pair_scores` gives the exact scores of chosen pairs.  A job the
+    screen cannot be trusted on is scored by :meth:`_ObjectScorer.kernel`,
+    tile by tile into float64 buffers of its own: each thread's
+    :meth:`workspace` holds none.
     """
 
     #: (query, entity) pairs that pair_scores scores at once.  RotatE settles about 60 pairs per query; on
     #: the 10x init checkpoint, 512 ranked its queries 5-10% faster than 128 (two workers, 2-vCPU Xeon).
     PAIR_ROWS = 512
 
-    def __init__(self, params: ModelParams) -> None:
-        super().__init__(params, None)
+    def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
+        super().__init__(params, rels)
+        n, width = self.E64.shape
+        self.distance = self.kind in _DISTANCE
+        #: entities per screened tile, and bytes per (query, entity) entry of a job's screen buffers: TransE's
+        #: and RotatE's two float32 (k, N) planes, or the others' one float32 (k, tile) tile
+        self.tile, self.entry_bytes = (n, 8) if self.distance else (min(_TILE, n), 4)
         if self.rotate:
             self.B, self.e_sq = _rotate_operands(self.E64)
         else:
             self.E_t = _transposed(self.E64, np.float32)
-        self.terms = self.E64.shape[1] // 2 if self.rotate else self.E64.shape[1]
-        # np.max, unlike max(), keeps a NaN
-        self.e_l1 = float(np.max([np.abs(self.E64[i:i + 256]).sum(axis=1).max()
-                                  for i in range(0, len(self.E64), 256)], initial=0.0))
-        self.screenable = self.terms * _U32 <= 0.05 and self.e_l1 < _SCREEN_LIMIT
+        self.terms = width // 2 if self.rotate else width
+        # the largest L1 norm of an entity for TransE and RotatE, else L2; np.max, unlike max(), keeps a NaN
+        if self.distance:
+            self.e_norm = float(np.max([np.abs(self.E64[i:i + 256]).sum(axis=1).max() for i in range(0, n, 256)],
+                                       initial=0.0))
+        else:
+            self.e_norm = math.sqrt(np.max(np.einsum("ij,ij->i", self.E64, self.E64), initial=0.0))
+        self.screenable = self.terms * _U32 <= 0.05 and self.e_norm < _SCREEN_LIMIT
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for blocks of up to k queries: the (k, d) query rows ``q`` and relation rows ``w``, the
-        float32 query rows ``q32``, the float32 (k, N) scores and kernel buffer ``planes32``, RotatE's
+        """Buffers for jobs of up to k queries: the (k, d) query rows ``q`` and relation rows ``w``, the
+        float32 query rows ``q32``, TransE's and RotatE's float32 (k, N) scores and kernel buffer ``planes32``,
+        the others' float32 ``tile32``, flat so that each tile's (k, w) view is contiguous, RotatE's
         left-hand operands ``A`` and its (k, terms) ``Z`` and ``c`` (:func:`_rotate_lhs`), and the ``pairs``
         that :meth:`pair_scores` settles at once."""
         n, width = self.E64.shape
@@ -565,34 +636,44 @@ class _ScreenedScorer(_ObjectScorer):
             "q": np.empty((k, self.E.shape[1]), dtype=self.E.dtype),
             "w": np.empty((k, self.E.shape[1]), dtype=self.R.dtype),
             "q32": np.empty((k, width), dtype=np.float32),
-            # zeroed: a GEMM or GEMV that scales its output by 0 first would keep a NaN found there
-            "planes32": np.zeros((2, k, n), dtype=np.float32),
             "pairs": np.empty((2, self.PAIR_ROWS, width)),
         }
+        # zeroed: a GEMM or GEMV that scales its output by 0 first would keep a NaN found there
+        if self.distance:
+            ws["planes32"] = np.zeros((2, k, n), dtype=np.float32)
+        else:
+            ws["tile32"] = np.zeros(k * self.tile, dtype=np.float32)
         if self.rotate:
             ws |= {"A": np.ones((self.terms, k, 4), dtype=np.float32), "Z": np.empty((k, self.terms)),
                    "c": np.empty((k, self.terms))}
         return ws
 
-    def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple[np.ndarray, np.ndarray | None,
-                                                                         np.ndarray | None, np.ndarray | None]:
+    def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple:
         """The exact float64 query rows of (s[i], r[i], ?) as a real view, and,
-        if the float32 pass can be trusted, its (k, N) scores and, per row, how
-        far below and above the float64 kernel's scores they may lie, else
-        None for those three.  It cannot when a query row's or an entity's L1
-        norm is ``_SCREEN_LIMIT`` or more or not finite, or when a float32
-        score is not finite.  The gathers clip ids."""
+        if the float32 pass can be trusted, its tiles, and per row how far below
+        and above the exact scores they may lie, else None for those three.
+        The tiles are (start, (k, w) float32 scores of the w entities from
+        start) in entity order: TransE's and RotatE's one tile, scored here, or
+        the others' tiles, each scored when it is taken, into the buffer of the
+        one before.  The screen cannot be trusted when a query row's or an
+        entity's norm is ``_SCREEN_LIMIT`` or more or not finite, or, for
+        TransE and RotatE, when a float32 score is not finite.  The gathers
+        clip ids."""
         k = len(s)
-        q, w = ws["q"][:k], ws["w"][:k]
-        _query_rows(self.kind, self.E, self.R, s, r, q, w)
-        q = q.view(np.float64)
-        q_l1 = np.abs(q, out=w.view(np.float64)).sum(axis=1)  # w is spent
-        if not (self.screenable and q_l1.max() < _SCREEN_LIMIT):
+        q = self.query_rows(s, r, ws)
+        if self.distance:
+            norm = np.abs(q, out=ws["w"][:k].view(np.float64)).sum(axis=1)  # w is spent
+        else:
+            norm = np.sqrt(np.einsum("ij,ij->i", q, q))
+        if not (self.screenable and norm.max() < _SCREEN_LIMIT):
             return q, None, None, None
         q32 = ws["q32"][:k]
         np.copyto(q32, q, casting="same_kind")
+        if not self.distance:
+            delta = _dot_bound(norm, self.e_norm, self.terms)
+            return q, self._gemm_tiles(q32, ws["tile32"]), delta, delta
         out, buf = ws["planes32"][:, :k]
-        delta = _distance_bound(q_l1 + self.e_l1, self.terms, self.rotate)
+        delta = _distance_bound(norm + self.e_norm, self.terms, self.rotate)
         if self.rotate:
             A = ws["A"][:, :k]
             below = delta + _rotate_lhs(q32, self.e_sq, A, ws["Z"][:k], ws["c"][:k])
@@ -602,13 +683,32 @@ class _ScreenedScorer(_ObjectScorer):
             _negated_distance_sums(q32, self.E_t, [buf], out)
         if not np.isfinite(out.min()):  # min keeps a NaN
             return q, None, None, None
-        return q, out, below, delta
+        return q, [(0, out)], below, delta
+
+    def _gemm_tiles(self, q32: np.ndarray, buf: np.ndarray):
+        """The float32 screen q32 @ E^T, one GEMM per tile of entities, each written over the one before."""
+        k, n = len(q32), self.E_t.shape[1]
+        for start in range(0, n, self.tile):
+            w = min(self.tile, n - start)
+            yield start, np.matmul(q32, self.E_t[:, start:start + w], out=buf[:k * w].reshape(k, w))
+
+    def _exact_tiles(self, q: np.ndarray):
+        """The exact float64 scores of the query rows q, one tile at a time, scored into buffers of their own."""
+        k, n = len(q), len(self.E64)
+        e_t = _transposed(self.E64, np.float64)
+        out, bufs = np.empty(k * self.tile), np.empty((1 + self.rotate, k * self.tile))
+        for start in range(0, n, self.tile):
+            w = min(self.tile, n - start)
+            tile = out[:k * w].reshape(k, w)
+            self.kernel(q, e_t[:, start:start + w], [buf[:k * w].reshape(k, w) for buf in bufs], tile)
+            yield start, tile
 
     def pair_scores(self, q: np.ndarray, rows: np.ndarray, objs: np.ndarray, ws: dict) -> np.ndarray:
-        """The float64 scores of the pairs (query row q[rows[i]], entity objs[i]).
+        """The exact float64 scores of the pairs (query row q[rows[i]], entity objs[i]).
 
-        Each equals its entry of :func:`_negated_distance_sums`' block bit for
-        bit: the same operations on the same values, summed in the same order.
+        Each equals its entry of :meth:`_ObjectScorer.kernel`'s block bit for
+        bit: the same operations on the same values, one numpy call per term
+        across the pairs, summed in the same order.
         """
         out = np.zeros(len(rows))
         diffs, entities = ws["pairs"]
@@ -616,33 +716,39 @@ class _ScreenedScorer(_ObjectScorer):
             m = min(len(diffs), len(rows) - start)
             diff, e = diffs[:m], entities[:m]
             np.take(q, rows[start:start + m], axis=0, out=diff, mode="clip")
-            np.subtract(diff, np.take(self.E64, objs[start:start + m], axis=0, out=e, mode="clip"), out=diff)
-            if self.rotate:
+            np.take(self.E64, objs[start:start + m], axis=0, out=e, mode="clip")
+            if not self.distance:
+                terms = np.multiply(diff, e, out=diff)
+            elif self.rotate:
+                np.subtract(diff, e, out=diff)
                 np.multiply(diff, diff, out=diff)
                 terms = np.add(diff[:, 0::2], diff[:, 1::2], out=e[:, :self.terms])
                 np.sqrt(terms, out=terms)
             else:
-                terms = np.abs(diff, out=diff)
-            total = out[start:start + m]
+                terms = np.abs(np.subtract(diff, e, out=diff), out=diff)
+            total, add = out[start:start + m], np.subtract if self.distance else np.add
             for column in terms.T:
-                total -= column
+                add(total, column, out=total)
         return out
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
-        """The block of the queries (s[i], r[i], o[i]): its float32 screen bracketed by t - below and t + above
-        rounded outward (see :meth:`screen`), or, if the screen cannot be trusted, the exact float64 block
-        of :meth:`_ObjectScorer.bracketed`, scored into a workspace of its own."""
-        q, screen, below, above = self.screen(s, r, ws)
-        if screen is None:
-            return super().bracketed(s, r, o, super().workspace(len(s)))
+        """The job of the queries (s[i], r[i], o[i]) as ``(tiles, lower, upper, true_score, exact)``.
+
+        ``tiles`` are its float32 screen's (see :meth:`screen`), bracketed by
+        t - below and t + above rounded outward, t being each row's true
+        object's exact score, and ``exact(rows, objects)`` gives the exact
+        scores of chosen pairs.  If the screen cannot be trusted, the tiles
+        are the exact float64 scores, with both bounds the very array t.
+        """
+        q, tiles, below, above = self.screen(s, r, ws)
         t = self.pair_scores(q, np.arange(len(s)), o, ws)
-        return (screen, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t,
-                lambda i, j: self.pair_scores(q, i, j, ws))
 
+        def exact(rows, objs):
+            return self.pair_scores(q, rows, objs, ws)
 
-def _block_scorer(params: ModelParams, rels: np.ndarray) -> _ObjectScorer:
-    """The scorer whose bracketed blocks rank ``params``' queries of the relations ``rels``."""
-    return _ScreenedScorer(params) if params.kind in _DISTANCE else _ObjectScorer(params, rels)
+        if tiles is None:
+            return self._exact_tiles(q), t, t, t, exact
+        return tiles, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t, exact
 
 
 # ---------------------------------------------------------------------------

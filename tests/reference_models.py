@@ -14,6 +14,10 @@ operand carries the batch index, with no grouping by relation.  TuckER's
 cost grows as B * d^3 with no matrix products to run it, so tests call them
 at small dims.
 
+``exact_dot_scores`` writes out the exact score that RESCAL, TuckER and
+ComplEx are ranked by, Σ_c Q_i[c] E_j[c] summed in c order: ``score_objects``
+must match it bit for bit.
+
 ``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
 training step as it was before the flat scatters, the in-place Adam update
 and the per-run workspace: fresh gradient blocks (``zero_grads``) per batch,
@@ -139,6 +143,16 @@ def tensordot_relation_matrices(params, rels):
     if params.kind is ModelKind.RESCAL:
         return R[rels]
     return np.tensordot(R[rels], params.blocks["core"], axes=(1, 1))
+
+
+def exact_dot_scores(query_rows, entities):
+    """RESCAL's, TuckER's and ComplEx's exact scores of float64 query rows against every entity, written out:
+    sum_c Q_i[c] E_j[c] over the real columns (ComplEx's (re, im) pairs), one term at a time in c order."""
+    Q, E = query_rows.view(np.float64), entities.view(np.float64)
+    scores = np.zeros((len(Q), len(E)))
+    for c in range(Q.shape[1]):
+        scores += np.outer(Q[:, c], E[:, c])
+    return scores
 
 
 def zero_grads(params):

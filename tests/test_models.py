@@ -27,6 +27,7 @@ from reference_models import (
     add_at_batch_loss_and_gradients,
     einsum_batch_loss_and_gradients,
     einsum_score_batch,
+    exact_dot_scores,
     gradients,
     margin_ranking_loss,
     negative_sample,
@@ -179,7 +180,7 @@ def test_score_objects_block_matches_score_batch(kind):
     for i in range(len(s)):
         triples = np.column_stack([np.full(n_ent, s[i]), np.full(n_ent, r[i]), objects])
         np.testing.assert_allclose(block[i], score_batch(p, triples), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block[i], score_objects(p, int(s[i]), int(r[i])), rtol=0, atol=1e-12)
+        assert block[i].tobytes() == score_objects(p, int(s[i]), int(r[i])).tobytes()  # the same bits at any k
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -260,33 +261,32 @@ def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size,
 def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     """The scorers gather straight into the workspace: numpy's "raise" mode
     would buffer a copy of the (k, d) query rows on every block.  Every
-    model's exact float64 block writes into its workspace, TransE's and
-    RotatE's allocating only E transposed (100-200 KB here, against q's 512
-    KB-1 MB).  A ranked TransE or RotatE block's warm call is its float32
-    screen."""
+    model's exact float64 block writes into its workspace, allocating only E
+    transposed (100-200 KB here, against q's 512 KB-1 MB).  A ranked job's
+    warm call is its float32 screen, taken tile by tile."""
     n_ent, k = 200, 1024
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
     rng = np.random.default_rng(2)
     s = rng.integers(n_ent, size=k)
-    r = np.full(k, 1) if kind in models._BILINEAR else rng.integers(3, size=k)  # a bilinear block has one relation
+    r = np.full(k, 1) if kind not in models._DISTANCE else rng.integers(3, size=k)  # a GEMM job has one relation
     exact = models._ObjectScorer(p, np.unique(r))
-    calls = [(exact, lambda ws: exact(s, r, ws))]
-    if kind in models._DISTANCE:
-        screened = models._ScreenedScorer(p)
-        calls.append((screened, lambda ws: screened.screen(s, r, ws)[1]))
+    screened = models._ScreenedScorer(p, np.unique(r))
+    # the screen's tiles by their float64 sums: their bytes would take a copy of each tile
+    calls = [(exact, lambda ws: exact(s, r, ws)),
+             (screened, lambda ws: [tile.sum(dtype=np.float64) for _, tile in screened.screen(s, r, ws)[1]])]
     for scorer, call in calls:
         workspace = scorer.workspace(k)
-        expected = call(workspace).copy()
+        expected = np.array(call(workspace), copy=True)
         tracemalloc.start()
         try:
-            scores = call(workspace)
+            got = call(workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < workspace["q"].nbytes, (type(scorer).__name__, peak, workspace["q"].nbytes)
-        assert scores.tobytes() == expected.tobytes()
+        assert np.asarray(got).tobytes() == expected.tobytes()
         if scorer is exact:
-            assert scores.tobytes() == score_objects(p, s, r).tobytes()
+            assert expected.tobytes() == score_objects(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -304,9 +304,9 @@ def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, wor
     rng = np.random.default_rng(n_ent)
     k = block_rows(n_ent)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
-    scorer = models._ScreenedScorer(p)
+    scorer = models._ScreenedScorer(p, np.arange(3))
     ws = scorer.workspace(k)
-    q, screen, _, _ = scorer.screen(s, r, ws)
+    q, [(_, screen)], _, _ = scorer.screen(s, r, ws)
     cases = [(q, models._transposed(scorer.E64, np.float64), score_objects(p, s, r))]
     if kind is ModelKind.TRANSE:
         cases.append((ws["q32"][:k], scorer.E_t, screen.copy()))
@@ -341,13 +341,14 @@ def test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call(n_ent):
     rng = np.random.default_rng(n_ent)
     k = min(block_rows(n_ent), 64)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
-    scorer = models._ScreenedScorer(p)
-    _, screen, below, above = (x.copy() for x in scorer.screen(s, r, scorer.workspace(k)))
+    scorer = models._ScreenedScorer(p, np.arange(3))
+    _, [(_, screen)], below, above = scorer.screen(s, r, scorer.workspace(k))
+    screen = screen.copy()
 
     def screen_blocks(_):
         ws = scorer.workspace(k)
         for _ in range(5):
-            _, got, got_below, got_above = scorer.screen(s, r, ws)
+            _, [(_, got)], got_below, got_above = scorer.screen(s, r, ws)
             assert got.tobytes() == screen.tobytes()
             assert got_below.tobytes() == below.tobytes() and got_above.tobytes() == above.tobytes()
 
@@ -651,13 +652,30 @@ def test_tucker_relation_matrices_and_scores_equal_the_tensordot_forms(dim):
     E = p.blocks["entity"]
     rels, groups = models._relation_groups(r)
     M = tensordot_relation_matrices(p, rels)
-    scores, block = np.empty(len(triples)), np.empty((len(triples), n_ent))
+    scores = np.empty(len(triples))
     for k, rows in enumerate(groups):
         scores[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
-        # score_objects builds each relation's M_r on its own, as a ranking block of one relation does
-        block[rows] = (E[s[rows]] @ tensordot_relation_matrices(p, rels[k:k + 1])[0]) @ E.T
     assert_same_bits(score_batch(p, triples), scores, "score_batch")
-    assert_same_bits(score_objects(p, s, r), block, "score_objects")
+    # score_objects builds each relation's M_r on its own, as a ranking job of one relation does, and each query
+    # row E[s] M_r on its own
+    rows = [E[s[i]:s[i] + 1] @ tensordot_relation_matrices(p, r[i:i + 1])[0] for i in range(len(s))]
+    assert_same_bits(score_objects(p, s, r), exact_dot_scores(np.vstack(rows), E), "score_objects")
+
+
+@pytest.mark.parametrize("kind", [ModelKind.RESCAL, ModelKind.COMPLEX, ModelKind.TUCKER])
+def test_gemm_score_objects_equal_the_exact_score_written_out(kind):
+    """Each query row on its own (one-row matmuls E[s] M_r, or ComplEx's E[s] * w_r), then Σ_c Q_i[c] E_j[c]
+    in c order, at an odd dim, for mixed relations."""
+    n_ent, n_rel = 37, 4
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=7, seed=8)
+    rng = np.random.default_rng(8)
+    s, r = rng.integers(n_ent, size=25), rng.integers(n_rel, size=25)
+    E, R = p.blocks["entity"], p.blocks["relation"]
+    if kind is ModelKind.COMPLEX:
+        rows = E[s] * R[r]
+    else:
+        rows = np.vstack([E[s[i]:s[i] + 1] @ models._relation_matrices(p, r[i:i + 1])[0] for i in range(len(s))])
+    assert_same_bits(score_objects(p, s, r), exact_dot_scores(rows, E), kind.value)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 11])

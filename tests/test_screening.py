@@ -1,24 +1,36 @@
-"""TransE and RotatE ranked from a float32 screen, settled in float64.
+"""All five models ranked from a float32 screen, settled with exact float64 scores.
 
 The ranks must equal those that the scalar reference rank_object gives from
 score_objects' exact float64 scores, whatever the embeddings: exact ties,
 near ties, float32 underflow, and magnitudes the screen must not trust.
-Every model's blocks go through the same ranker, which must reuse its masks.
+TransE and RotatE are screened one block of all entities at a time, RESCAL,
+TuckER and ComplEx one GEMM per tile of entities.  A pair's exact score is a
+sum in a fixed order, so its bits do not depend on how many queries share a
+job, nor on the BLAS thread count.  Every model's jobs go through the same
+ranker, which must reuse its masks.
 """
+import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens
 import chainlens.evaluation as evaluation
 import chainlens.models as models
 from chainlens.evaluation import SETTINGS, TIE_POLICIES, Query, build_filter_index, rank_object, rank_queries
 from chainlens.models import ModelKind, init_params, score_objects
 from chainlens.training import TrainConfig
 
+ALL_KINDS = list(ModelKind)
 DISTANCE_KINDS = [ModelKind.TRANSE, ModelKind.ROTATE]
+GEMM_KINDS = [ModelKind.RESCAL, ModelKind.COMPLEX, ModelKind.TUCKER]
 
 
 def float64_ranks(params, queries, index, policy, candidates):
@@ -35,6 +47,29 @@ def assert_ranks_equal_float64(params, queries, index, candidates):
                 expected = float64_ranks(params, queries, filt, policy, cand)
                 for i, setting in enumerate(SETTINGS):
                     assert ranks[setting].tobytes() == expected[i].tobytes(), (policy, setting, filt, cand)
+
+
+def scorer_of(params):
+    """The ranking scorer of ``params``, for queries of every relation."""
+    return models._ScreenedScorer(params, np.arange(params.num_relations))
+
+
+def whole(tiles):
+    """A job's tiles as one (k, N) array, each copied before the next is scored over it."""
+    return np.hstack([tile.copy() for _, tile in tiles])
+
+
+@contextlib.contextmanager
+def tiles_of(width):
+    """RESCAL, TuckER and ComplEx screened in tiles of ``width`` entities (no fixture: Hypothesis tests use it)."""
+    saved, models._TILE = models._TILE, width
+    try:
+        yield
+    finally:
+        models._TILE = saved
+
+
+EDGE_CASES = ["random", "duplicates", "one ulp", "underflow", "huge entities", "huge relation", "nan relation"]
 
 
 def edge_case(kind, case, seed=3, n_ent=60, n_rel=3):
@@ -64,38 +99,57 @@ def edge_case(kind, case, seed=3, n_ent=60, n_rel=3):
             rows[30:50] = rows[s] + p.blocks["relation"][r]
         else:
             rows[30:50] = rows[s] * np.exp(1j * p.blocks["relation"][r])
-    elif case == "huge entities":  # the whole call falls back to float64
-        E *= 2.0 ** 60
-    elif case == "huge relation":  # the blocks of one relation fall back
+    elif case == "huge entities":  # the whole call falls back to float64: L1 norms, or L2 norms, of 2^60 or more
+        E *= 2.0 ** (60 if kind in DISTANCE_KINDS else 62)
+    elif case == "huge relation":  # the jobs of one relation fall back
         if kind is ModelKind.TRANSE:
             p.blocks["relation"][1] = 2.0 ** 61
-        else:
+        elif kind is ModelKind.ROTATE:
             p.blocks["relation"][1, 0] = np.nan
+        else:  # query rows of an L2 norm past 2^60
+            p.blocks["relation"][1] *= 2.0 ** 64
+    elif case == "nan relation":  # the query rows of one relation are not finite
+        p.blocks["relation"][1].flat[0] = np.nan
     index = build_filter_index([queries[::2], np.column_stack([queries[:, :2], np.roll(queries[:, 2], 1)])])
     candidates = rng.random((n_rel, n_ent)) < 0.6
     return p, queries, index, candidates
 
 
-@pytest.mark.parametrize("case", ["random", "duplicates", "one ulp", "underflow", "true object at the query",
-                                  "huge entities", "huge relation"])
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("kind, case", [(kind, case) for kind in ALL_KINDS for case in EDGE_CASES]
+                         + [(kind, "true object at the query") for kind in DISTANCE_KINDS])
 def test_screened_ranks_equal_float64_ranks(kind, case, monkeypatch):
     """Under every tie policy, raw and filtered, with and without a candidate
-    table, in blocks of 8 queries on the rank pool."""
+    table, in jobs of 8 queries on the rank pool, and for RESCAL, TuckER and
+    ComplEx in tiles of 16 entities, the last one short."""
     p, queries, index, candidates = edge_case(kind, case)
-    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 8 * p.num_entities)
+    monkeypatch.setattr(models, "_TILE", 16)
+    scorer = scorer_of(p)
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * scorer.entry_bytes * scorer.tile)
+    assert evaluation.block_rows(scorer.tile, scorer.entry_bytes) == 8
     assert_ranks_equal_float64(p, queries, index, candidates)
 
 
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
-def test_edge_cases_reach_the_band_and_the_fallback(kind):
+def assert_falls_back(p, s, r, o):
+    """The screen refuses the job, which is ranked from the exact float64 block of score_objects, tile by tile."""
+    scorer = scorer_of(p)
+    assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
+    tiles, lower, upper, true_score, _ = scorer.bracketed(s, r, o, scorer.workspace(len(s)))
+    assert lower is upper is true_score
+    scores = whole(tiles)
+    assert scores.dtype == np.float64 and scores.tobytes() == score_objects(p, s, r).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_edge_cases_reach_the_band_and_the_fallback(kind, monkeypatch):
     """The edge cases do what they are named for: exact ties settled in float64,
-    and blocks the screen refuses."""
+    and jobs the screen refuses."""
+    monkeypatch.setattr(models, "_TILE", 16)
     p, queries, _, _ = edge_case(kind, "duplicates")
-    scorer = models._ScreenedScorer(p)
+    scorer = scorer_of(p)
     ws = scorer.workspace(len(queries))
     s, r, o = queries.T
-    screen, lower, upper, true_score, _ = scorer.bracketed(s, r, o, ws)
+    tiles, lower, upper, true_score, _ = scorer.bracketed(s, r, o, ws)
+    screen = whole(tiles)
     assert screen.shape == (len(o), p.num_entities) and screen.dtype == np.float32 and (lower < true_score).all()
     assert (true_score < upper).all()
     exact = score_objects(p, s, r)
@@ -104,23 +158,20 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind):
     assert ties.sum() > len(o)  # duplicate rows tie their true objects
     assert (screen[ties] >= np.repeat(lower, ties.sum(axis=1))).all()  # and fall in the band
     assert (screen[ties] <= np.repeat(upper, ties.sum(axis=1))).all()
-    _, screen, below, above = scorer.screen(s, r, ws)
-    assert_within(exact, screen, below, above)
-    p, queries, _, _ = edge_case(kind, "true object at the query")
-    scorer = models._ScreenedScorer(p)
-    s, r, o = queries[:20].T
-    _, screen, below, above = scorer.screen(s, r, scorer.workspace(len(s)))
-    exact = score_objects(p, s, r)
-    assert (exact[np.arange(len(o)), o] == 0).all()  # the squares cancel to 0
-    assert_within(exact, screen, below, above)
-    for case in ("huge entities", "huge relation"):
+    _, tiles, below, above = scorer.screen(s, r, ws)
+    assert_within(exact, whole(tiles), below, above)
+    if kind in DISTANCE_KINDS:
+        p, queries, _, _ = edge_case(kind, "true object at the query")
+        scorer = scorer_of(p)
+        s, r, o = queries[:20].T
+        _, tiles, below, above = scorer.screen(s, r, scorer.workspace(len(s)))
+        exact = score_objects(p, s, r)
+        assert (exact[np.arange(len(o)), o] == 0).all()  # the squares cancel to 0
+        assert_within(exact, whole(tiles), below, above)
+    for case in ("huge entities", "huge relation", "nan relation"):
         p, queries, _, _ = edge_case(kind, case)
-        scorer = models._ScreenedScorer(p)
-        s, r, o = queries[queries[:, 1] == 1].T
-        assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
-        scores = scorer.bracketed(s, r, o, scorer.workspace(len(s)))[0]
-        assert scores.dtype == np.float64 and scores.tobytes() == score_objects(p, s, r).tobytes()
-    assert models._ScreenedScorer(edge_case(kind, "underflow")[0]).screenable
+        assert_falls_back(p, *queries[queries[:, 1] == 1].T)
+    assert scorer_of(edge_case(kind, "underflow")[0]).screenable
 
 
 def random_rows(rng, shape, lo, hi):
@@ -136,44 +187,56 @@ def assert_within(exact, screen, below, above):
     assert (-above[:, None] <= diff).all() and (diff <= below[:, None]).all()
 
 
-def assert_rotate_screen_within_bound(q, E):
-    """RotatE's screen of the query rows q against the entities E (float64, (re, im) column pairs) lies within
-    its bounds of the float64 kernel's block.  The query rows are entities of their own, rotated by 0."""
+def assert_screen_within_bound(kind, q, E):
+    """RotatE's or ComplEx's screen of the query rows q against the entities E (float64, (re, im) column pairs)
+    lies within its bounds of the exact block.  The query rows are entities of their own, rotated by 0 or
+    multiplied by 1, and ComplEx's entities are screened in tiles of 7."""
     k, n_ent = len(q), len(E)
-    p = init_params(ModelKind.ROTATE, n_ent + k, 1, TrainConfig(dim=q.shape[1] // 2, seed=0))
+    p = init_params(kind, n_ent + k, 1, TrainConfig(dim=q.shape[1] // 2, seed=0))
     p.blocks["entity"].view(np.float64)[:] = np.vstack([E, q])
-    p.blocks["relation"][:] = 0.0
+    p.blocks["relation"][:] = 0.0 if kind is ModelKind.ROTATE else 1.0
     s, r = np.arange(n_ent, n_ent + k), np.zeros(k, dtype=np.int64)
-    scorer = models._ScreenedScorer(p)
-    _, screen, below, above = scorer.screen(s, r, scorer.workspace(k))
-    assert screen is not None
+    with tiles_of(7):
+        scorer = scorer_of(p)
+        _, tiles, below, above = scorer.screen(s, r, scorer.workspace(k))
+        assert tiles is not None
+        screen = whole(tiles)
     assert (above <= below).all()
     assert_within(score_objects(p, s, r), screen, below, above)
 
 
 @settings(deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(), lo=st.floats(-30, 15), span=st.floats(0, 45),
-       half_width=st.integers(1, 24), n_ent=st.integers(1, 20), k=st.integers(1, 4))
-def test_float32_scores_lie_within_the_bound(seed, rotate, lo, span, half_width, n_ent, k):
-    """|s32 - s64| <= δ elementwise for TransE, and s64 - s32 within [-δ, δ +
-    RotatE's offsets] for RotatE's screen, for magnitudes from 1e-30 to 1e15,
-    entity rows near query rows (cancellation) included."""
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["TransE", "RotatE", "dot"]), lo=st.floats(-30, 15),
+       span=st.floats(0, 45), half_width=st.integers(1, 24), n_ent=st.integers(1, 20), k=st.integers(1, 4))
+def test_float32_scores_lie_within_the_bound(seed, model, lo, span, half_width, n_ent, k):
+    """|s32 - s64| <= δ elementwise for TransE and for the float32 GEMM of
+    RESCAL, TuckER and ComplEx (at odd widths too, and through ComplEx's
+    tiled screen at even ones), and s64 - s32 within [-δ, δ + RotatE's
+    offsets] for RotatE's screen, for magnitudes from 1e-30 to 1e15, entity
+    rows near query rows (cancellation) included."""
     rng = np.random.default_rng(seed)
     hi = min(lo + span, 15.0)
-    width = 2 * half_width if rotate else half_width + rng.integers(0, 2)
+    width = 2 * half_width if model == "RotatE" else half_width + rng.integers(0, 2)
     q = random_rows(rng, (k, width), lo, hi)
     E = random_rows(rng, (n_ent, width), lo, hi)
     E[: min(k, n_ent)] = q[: min(k, n_ent)] * (1 + random_rows(rng, (min(k, n_ent), width), -8, -4))
-    if rotate:
-        assert_rotate_screen_within_bound(q, E)
+    if model == "RotatE":
+        assert_screen_within_bound(ModelKind.ROTATE, q, E)
         return
     s64 = np.empty((k, n_ent))
-    models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent))], s64)
-    s32 = np.empty((k, n_ent), dtype=np.float32)
-    models._negated_distance_sums(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32),
-                                  [np.empty((k, n_ent), dtype=np.float32)], s32)
-    l1 = np.abs(q).sum(axis=1) + np.abs(E).sum(axis=1).max()
-    delta = models._distance_bound(l1, width, False)
+    if model == "dot":
+        models._dot_sums(q, np.ascontiguousarray(E.T), np.empty((k, n_ent)), s64)
+        s32 = np.matmul(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32))
+        delta = models._dot_bound(np.linalg.norm(q, axis=1), np.linalg.norm(E, axis=1).max(), width)
+        if width % 2 == 0:
+            assert_screen_within_bound(ModelKind.COMPLEX, q, E)
+    else:
+        models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent))], s64)
+        s32 = np.empty((k, n_ent), dtype=np.float32)
+        models._negated_distance_sums(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32),
+                                      [np.empty((k, n_ent), dtype=np.float32)], s32)
+        l1 = np.abs(q).sum(axis=1) + np.abs(E).sum(axis=1).max()
+        delta = models._distance_bound(l1, width, False)
     assert (np.abs(s32.astype(np.float64) - s64) <= delta[:, None]).all()
 
 
@@ -196,39 +259,51 @@ def test_rotate_screen_lies_within_its_bounds(seed, lo, span, terms, n_ent, k, h
     if huge:
         for rows in (q, E):
             rows[rng.integers(len(rows)), rng.integers(2 * terms)] = rng.choice([-1.0, 1.0]) * 2.0 ** 59
-    assert_rotate_screen_within_bound(q, E)
+    assert_screen_within_bound(ModelKind.ROTATE, q, E)
 
 
 @settings(deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(DISTANCE_KINDS), scale=st.floats(-30, 15),
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(ALL_KINDS), scale=st.floats(-30, 15),
        levels=st.integers(1, 4))
 def test_screened_ranks_equal_float64_ranks_on_tie_heavy_tables(seed, kind, scale, levels):
-    """Embeddings on a few levels, so that many candidates tie the true object
-    or miss it by a rounding, at magnitudes from 1e-30 to 1e15."""
+    """Entity embeddings on a few levels, and relations that keep them on a
+    grid (quarter turns, integer matrices and cores), so that many candidates
+    tie the true object or miss it by a rounding, at magnitudes from 1e-30
+    to 1e15; RESCAL, TuckER and ComplEx in tiles of 5 entities."""
     rng = np.random.default_rng(seed)
     n_ent, n_rel = 12, 2
     p = init_params(kind, n_ent, n_rel, TrainConfig(dim=3, seed=0))
     E = p.blocks["entity"].view(np.float64)
     E[:] = rng.integers(-levels, levels + 1, size=E.shape) * 10.0 ** scale
+    R = p.blocks["relation"]
     if kind is ModelKind.TRANSE:
-        p.blocks["relation"][:] = rng.integers(-levels, levels + 1, size=p.blocks["relation"].shape) * 10.0 ** scale
+        R[:] = rng.integers(-levels, levels + 1, size=R.shape) * 10.0 ** scale
+    elif kind is ModelKind.ROTATE:
+        R[:] = rng.integers(0, 4, size=R.shape) * (np.pi / 2)
+    elif kind is ModelKind.COMPLEX:
+        R[:] = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size=R.shape)]
     else:
-        p.blocks["relation"][:] = rng.integers(0, 4, size=p.blocks["relation"].shape) * (np.pi / 2)
+        R[:] = rng.integers(-1, 2, size=R.shape)
+        if kind is ModelKind.TUCKER:
+            p.blocks["core"][:] = rng.integers(-1, 2, size=p.blocks["core"].shape)
     queries = np.column_stack([rng.integers(n_ent, size=10), rng.integers(n_rel, size=10),
                                rng.integers(n_ent, size=10)])
     index = build_filter_index([queries[::3]])
     candidates = rng.random((n_rel, n_ent)) < 0.7
-    assert_ranks_equal_float64(p, queries, index, candidates)
+    with tiles_of(5):
+        assert_ranks_equal_float64(p, queries, index, candidates)
 
 
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
-def test_pair_scores_equal_score_objects_bit_for_bit(kind):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_pair_scores_equal_score_objects_bit_for_bit(kind, monkeypatch):
+    """Every pair of a block, in many chunks of ``PAIR_ROWS``, and the fallback's exact block in tiles of 256."""
+    monkeypatch.setattr(models, "_TILE", 256)
     n_ent = 700
     p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=7))
     rng = np.random.default_rng(7)
     s, r = rng.integers(n_ent, size=5), rng.integers(3, size=5)
     o = rng.integers(n_ent, size=5)
-    scorer = models._ScreenedScorer(p)
+    scorer = scorer_of(p)
     ws = scorer.workspace(len(s))
     q = scorer.screen(s, r, ws)[0]
     rows, objs = np.divmod(np.arange(len(s) * n_ent), n_ent)  # every pair: many chunks of PAIR_ROWS
@@ -236,22 +311,25 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind):
     exact = scorer.pair_scores(q, rows, objs, ws)
     assert exact.tobytes() == score_objects(p, s, r).reshape(-1).tobytes()
     scorer.screenable = False  # the fallback's exact float64 block
-    scores, lower, upper, true_score, settle = scorer.bracketed(s, r, o, ws)
+    tiles, lower, upper, true_score, settle = scorer.bracketed(s, r, o, ws)
+    scores = whole(tiles)
     assert scores.tobytes() == score_objects(p, s, r).tobytes()
-    assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
+    assert lower is upper is true_score
     assert true_score.tobytes() == scores[np.arange(len(scores)), o].tobytes()
     assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
 
 
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pair_scores_of_one_pair_and_of_a_zero_row_equal_score_objects_bit_for_bit(kind):
-    """Chunks of one pair and of ``PAIR_ROWS`` + 1 pairs, and a row whose every modulus is 0, which must score
-    +0.0 as score_objects does: compared as int64 views, so the sign of a zero counts."""
+    """Chunks of one pair and of ``PAIR_ROWS`` + 1 pairs, and a pair that must score +0.0 as score_objects does:
+    compared as int64 views, so the sign of a zero counts."""
     n_ent = 50
     p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=5))
-    p.blocks["relation"][0] = 0.0  # TransE adds 0 and RotatE rotates by exp(0): the query row of (s, 0, ?) is E[s]
+    # TransE adds 0 and RotatE rotates by exp(0): the query row of (s, 0, ?) is E[s], at distance 0 from itself.
+    # The other models' query rows of relation 0 are 0.
+    p.blocks["relation"][0] = 0.0
     s, r = np.array([3, 8, 8]), np.array([0, 0, 1])
-    scorer = models._ScreenedScorer(p)
+    scorer = scorer_of(p)
     ws = scorer.workspace(len(s))
     q = scorer.screen(s, r, ws)[0]
     expected = score_objects(p, s, r)
@@ -263,27 +341,83 @@ def test_pair_scores_of_one_pair_and_of_a_zero_row_equal_score_objects_bit_for_b
         np.testing.assert_array_equal(got.view(np.int64), expected[rows, objs].view(np.int64))
 
 
-def ranker_masks(k, n_ent):
-    """The ranker's two (k, N) bool masks, as rank_queries allocates them for each worker."""
-    return np.empty((2, k, n_ent), dtype=bool)
+EXACT_SCORES = """
+import hashlib, sys
+import numpy as np
+from chainlens.models import ModelKind, _ScreenedScorer, init_params, score_objects
+from chainlens.training import TrainConfig
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(11)
+for kind in ModelKind:
+    p = init_params(kind, 1500, 3, TrainConfig(dim=64, seed=11))
+    s, r, o = rng.integers(1500, size=256), rng.integers(3, size=256), rng.integers(1500, size=256)
+    digest.update(score_objects(p, s, r).tobytes())
+    scorer = _ScreenedScorer(p, np.arange(3))
+    digest.update(scorer.bracketed(s, r, o, scorer.workspace(256))[3].tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kind", GEMM_KINDS)
+def test_exact_scores_have_the_same_bits_in_jobs_of_any_size(kind):
+    """A pair's exact score, from score_objects blocks and from the true scores of
+    ranking jobs, has the same bits in jobs of 1, 8, 19 and 256 rows.  (The
+    entries of a float64 BLAS block of 1 and of 19 rows differ.)"""
+    n_ent = 1000
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=13))
+    rng = np.random.default_rng(13)
+    s, r, o = rng.integers(n_ent, size=256), np.full(256, 1), rng.integers(n_ent, size=256)
+    jobs = {rows: [slice(start, start + rows) for start in range(0, 256, rows)] for rows in (1, 8, 19, 256)}
+    blocks = {rows: np.vstack([score_objects(p, s[job], r[job]) for job in cut]).tobytes()
+              for rows, cut in jobs.items()}
+    assert len(set(blocks.values())) == 1
+    scorer = scorer_of(p)
+    ws = scorer.workspace(256)
+    true_scores = {rows: np.concatenate([scorer.bracketed(s[job], r[job], o[job], ws)[3] for job in cut]).tobytes()
+                   for rows, cut in jobs.items()}
+    assert len(set(true_scores.values())) == 1
+    assert true_scores[1] == np.frombuffer(blocks[1]).reshape(256, n_ent)[np.arange(256), o].tobytes()
+
+
+def test_exact_scores_have_the_same_bits_on_one_and_two_blas_threads():
+    """Every model's score_objects block and ranking true scores, in two fresh
+    processes under ``OPENBLAS_NUM_THREADS`` 1 and 2."""
+    src = str(Path(chainlens.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", EXACT_SCORES], env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests
+
+
+def ranker_masks(k, tile):
+    """The ranker's two bool masks, as rank_queries allocates them for each worker."""
+    return np.empty((2, k * tile), dtype=bool)
 
 
 def rank_one_block(scorer, s, r, o, ws, masks, index):
-    """Raw and filtered ranks of one block, ranked as rank_queries ranks it."""
-    return np.array(evaluation._rank_block(*scorer.bracketed(s, r, o, ws), s, r, o, index, None, "realistic", masks))
+    """Raw and filtered ranks of one job, ranked as rank_queries ranks it."""
+    bracketed = scorer.bracketed(s, r, o, ws)
+    counts = evaluation._rank_block(*bracketed, s, r, o, index, None, masks)
+    return np.array([evaluation._tie_rank(*setting, bracketed[3], "realistic") for setting in counts])
 
 
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
-    """Every (k, N) and (k, d) buffer of a screened block is the workspace's:
-    what a warm block allocates is per-row counts and the few pairs it settles."""
+    """Every (k, N), (k, tile) and (k, d) buffer of a screened job is the
+    workspace's: what a warm job allocates is per-row counts and bounds and
+    the few pairs it settles."""
     n_ent, k = 200, 1024
     p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=2))
     rng = np.random.default_rng(2)
     s, r, o = rng.integers(n_ent, size=k), rng.integers(3, size=k), rng.integers(n_ent, size=k)
     index = build_filter_index([np.column_stack([s, r, o])[::2]])
-    scorer = models._ScreenedScorer(p)
-    ws, masks = scorer.workspace(k), ranker_masks(k, n_ent)
+    scorer = scorer_of(p)
+    ws, masks = scorer.workspace(k), ranker_masks(k, scorer.tile)
     expected = rank_one_block(scorer, s, r, o, ws, masks, index)
     tracemalloc.start()
     try:
@@ -296,18 +430,20 @@ def test_warm_screened_block_allocates_less_than_its_query_rows(kind):
     np.testing.assert_array_equal(ranks, float64_ranks(p, np.column_stack([s, r, o]), index, "realistic", None))
 
 
-@pytest.mark.parametrize("kind", list(ModelKind))
-def test_warm_ranked_block_allocates_less_than_one_mask(kind):
-    """Every model's ranking reuses the ranker's two (k, N) masks, which no
-    scorer's workspace holds: a warm block, ranked raw and filtered,
-    allocates less than one of them."""
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_ranked_block_allocates_less_than_one_mask(kind, monkeypatch):
+    """Every model's ranking reuses the ranker's two masks, which no scorer's
+    workspace holds: a warm job, ranked raw and filtered, allocates less than
+    one of them.  RESCAL, TuckER and ComplEx take two tiles, the second one
+    short."""
+    monkeypatch.setattr(models, "_TILE", 256)
     n_ent, k = 400, 1024
     p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=2))
     rng = np.random.default_rng(2)
-    s, r, o = rng.integers(n_ent, size=k), np.full(k, 1), rng.integers(n_ent, size=k)  # one relation, as in a block
+    s, r, o = rng.integers(n_ent, size=k), np.full(k, 1), rng.integers(n_ent, size=k)  # one relation, as in a job
     index = build_filter_index([np.column_stack([s, r, o])[::2]])
-    scorer = models._block_scorer(p, np.unique(r))
-    ws, masks = scorer.workspace(k), ranker_masks(k, n_ent)
+    scorer = models._ScreenedScorer(p, np.unique(r))
+    ws, masks = scorer.workspace(k), ranker_masks(k, scorer.tile)
     assert not any(buf.dtype == bool for buf in ws.values())
     expected = rank_one_block(scorer, s, r, o, ws, masks, index)
     tracemalloc.start()
@@ -324,7 +460,7 @@ def test_warm_ranked_block_allocates_less_than_one_mask(kind):
 
 def test_screened_scorer_holds_no_float64_entity_copy():
     p = init_params(ModelKind.ROTATE, 500, 3, TrainConfig(dim=16, seed=1))
-    scorer = models._ScreenedScorer(p)
+    scorer = scorer_of(p)
     assert scorer.B.dtype == np.float32 and scorer.B.shape == (16, 4, 500) and not hasattr(scorer, "E_t")
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
     ws = scorer.workspace(9)
@@ -332,9 +468,28 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
 
 
-@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("kind", GEMM_KINDS)
+def test_gemm_scorer_holds_float32_entities_and_tile_sized_buffers(kind):
+    """E transposed in float32 is the one entity copy; a workspace holds one float32 tile and no (k, N) buffer."""
+    n_ent = 2500
+    p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=1))
+    scorer = scorer_of(p)
+    width = scorer.E64.shape[1]
+    assert scorer.E_t.dtype == np.float32 and scorer.E_t.shape == (width, n_ent)
+    assert np.shares_memory(scorer.E64, p.blocks["entity"])
+    assert (scorer.tile, scorer.entry_bytes) == (models._TILE, 4)
+    assert evaluation.block_rows(scorer.tile, scorer.entry_bytes) == 256  # a 1 MiB float32 tile
+    ws = scorer.workspace(9)
+    assert ws["tile32"].dtype == np.float32 and ws["tile32"].shape == (9 * scorer.tile,)
+    assert all(n_ent not in buf.shape for buf in ws.values())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_each_true_object_is_scored_once_in_float64(kind, monkeypatch):
-    """The true scores are the first pairs settled; neither the band nor the filter settles them again."""
+    """The true scores are the first pairs settled; the band and the filtered
+    objects are settled together, once per job after its last tile, and
+    without them."""
+    monkeypatch.setattr(models, "_TILE", 16)
     p, queries, index, _ = edge_case(kind, "duplicates")
     s, r, o = queries.T
     settled = []
@@ -345,11 +500,9 @@ def test_each_true_object_is_scored_once_in_float64(kind, monkeypatch):
         return pair_scores(self, q, rows, objs, ws)
 
     monkeypatch.setattr(models._ScreenedScorer, "pair_scores", recording)
-    scorer = models._ScreenedScorer(p)
-    ranks = rank_one_block(scorer, s, r, o, scorer.workspace(len(s)), ranker_masks(len(s), p.num_entities), index)
-    (true_rows, true_objs), *after = settled
+    scorer = scorer_of(p)
+    ranks = rank_one_block(scorer, s, r, o, scorer.workspace(len(s)), ranker_masks(len(s), scorer.tile), index)
+    (true_rows, true_objs), (rows, objs) = settled
     assert (true_rows == np.arange(len(o))).all() and (true_objs == o).all()
-    assert len(after) == 2 and sum(map(len, (rows for rows, _ in after))) > 0
-    for rows, objs in after:
-        assert not (objs == o[rows]).any()
+    assert len(rows) > 0 and not (objs == o[rows]).any()
     np.testing.assert_array_equal(ranks, float64_ranks(p, queries, index, "realistic", None))
