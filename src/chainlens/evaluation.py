@@ -33,8 +33,10 @@ candidates, raw and filtered, and one :func:`_tie_rank` call per setting
 turns them into ranks.  The jobs are ranked on up to ``RANK_WORKERS``
 threads, one per usable processor, each with its scorer workspace and the
 ranker's two bool masks, with the same ranks as on one; the threads live
-for one call.  :func:`rank_object` ranks one query from its score vector and
-is the reference the jobs are tested against: their ranks are equal.
+for one call, and a call of fewer than ``PARALLEL_PAIRS`` (query, entity)
+pairs starts none.  :func:`rank_object` ranks one query from its score
+vector and is the reference the jobs are tested against: their ranks are
+equal.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ class EvalReport:
 BLOCK_BYTES = 1 << 20
 
 
-def block_rows(columns: int, entry_bytes: int = 8) -> int:
-    """Queries per job whose screen buffers hold ``entry_bytes`` per query for each of ``columns`` entities."""
-    return max(1, BLOCK_BYTES // (entry_bytes * columns))
+def block_rows(row_bytes: int) -> int:
+    """Queries per job whose screen buffers, ``row_bytes`` per query (the scorer's), take about ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +281,10 @@ def _rank_block(tiles, lower: np.ndarray, upper: np.ndarray, true_score: np.ndar
     below ``lower`` below it.  The candidates in between, other than the
     true object, and the candidates that the filtered setting drops are
     settled with ``exact(rows, objects)``, their exact scores, once per
-    job.  When both bounds are the very array ``true_score``, the tiles'
-    scores are exact and those in between are the ties.  ``allowed`` marks
-    the candidate objects, None meaning all entities.  Without a
-    ``filter_index`` the filtered counts are the raw ones.  ``masks`` is a
-    (2, k' * w') bool work buffer, for k' >= k rows and tiles of w' >= w
-    entities.
+    job.  ``allowed`` marks the candidate objects, None meaning all
+    entities.  Without a ``filter_index`` the filtered counts are the raw
+    ones.  ``masks`` is a (2, k' * w') bool work buffer, for k' >= k rows
+    and tiles of w' >= w entities.
 
     Returns an int64 (2, 3, k) array: per setting (``SETTINGS`` order) the
     candidates above the true object, the ties (the true object included)
@@ -294,7 +294,6 @@ def _rank_block(tiles, lower: np.ndarray, upper: np.ndarray, true_score: np.ndar
     counts = np.zeros((2, 3, k), dtype=np.int64)
     greater, ties, n_candidates = counts[0]
     ties += 1  # the true object ties itself once, counted here
-    exact_tiles = lower is upper
     band_rows, band_objs = [], []
     for start, scores in tiles:
         w = scores.shape[1]
@@ -309,12 +308,9 @@ def _rank_block(tiles, lower: np.ndarray, upper: np.ndarray, true_score: np.ndar
         band[here, o[here] - start] = False
         greater += _row_counts(above)
         n_candidates += w if allowed is None else np.count_nonzero(allowed[start:start + w])
-        if exact_tiles:
-            ties += _row_counts(band)
-        else:
-            row, obj = np.divmod(np.flatnonzero(band), w)  # 2-D np.nonzero took 15 times as long
-            band_rows.append(row)
-            band_objs.append(obj + start)
+        row, obj = np.divmod(np.flatnonzero(band), w)  # 2-D np.nonzero took 15 times as long
+        band_rows.append(row)
+        band_objs.append(obj + start)
     none = np.empty(0, dtype=np.intp)
     row, obj = np.concatenate([none, *band_rows]), np.concatenate([none, *band_objs])
     band = slice(0, len(row))
@@ -343,6 +339,13 @@ def _rank_block(tiles, lower: np.ndarray, upper: np.ndarray, true_score: np.ndar
 
 #: Threads that rank score blocks, one per usable processor (the CPU affinity mask).
 RANK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: (query, entity) pairs below which a call ranks on the calling thread alone.  On a 2-vCPU Xeon, 345 queries
+#: of 688 entities (0.24M pairs) ranked 1.3-2.4x faster on one thread than on two for RESCAL, TuckER and
+#: ComplEx, whose small jobs' fixed cost of a few hundred numpy calls outweighs their screens while two
+#: threads contend for the GIL, and no slower for TransE and RotatE.  From about 0.5M pairs on TransE and
+#: RotatE ranked faster on two (10x, 75 random test queries: RotatE 41 ms on one, 32 ms on two); the GEMM
+#: models broke even near 2M.
+PARALLEL_PAIRS = 1 << 19
 
 
 def rank_queries(
@@ -359,8 +362,9 @@ def rank_queries(
     arguments.  Queries are ranked in jobs of the queries of one relation,
     :func:`block_rows` of them for the scorer's tiles, on ``min(RANK_WORKERS,
     jobs)`` threads that the call starts and joins before it returns; with
-    one job or one processor it starts none.  Each thread takes the next job
-    when it has finished one and writes that job's rank counts, which one
+    one job, one processor or fewer than ``PARALLEL_PAIRS`` (query, entity)
+    pairs it starts none.  Each thread takes the next job when it has
+    finished one and writes that job's rank counts, which one
     :func:`_tie_rank` call per setting turns into ranks, so the ranks are
     those of one thread.  When a job raises, the other threads stop after
     their current job and the error is raised here.  The shared operands and
@@ -378,7 +382,7 @@ def rank_queries(
     true_score = np.empty(len(queries))
     rels, groups = _relation_groups(r)
     scorer = _ScreenedScorer(params, rels)
-    step = block_rows(scorer.tile, scorer.entry_bytes)
+    step = block_rows(scorer.row_bytes)
     # popped from the end, so in job order
     pending = [(rel, group[start:start + step]) for rel, group in zip(rels.tolist(), groups)
                for start in range(0, len(group), step)][::-1]
@@ -397,8 +401,9 @@ def rank_queries(
             counts[:, :, job] = _rank_block(*bracketed, sj, rj, oj, filter_index, allowed, masks)
 
     rows = min(step, max(map(len, groups), default=0))
+    workers = RANK_WORKERS if len(queries) * params.num_entities >= PARALLEL_PAIRS else 1
     workspaces = [(scorer.workspace(rows), np.empty((2, rows * scorer.tile), dtype=bool))
-                  for _ in range(min(RANK_WORKERS, len(pending)))]
+                  for _ in range(min(workers, len(pending)))]
     if len(workspaces) == 1:
         rank_jobs(*workspaces[0])
     elif workspaces:

@@ -274,7 +274,9 @@ def reference_ranks(params, queries, filter_index, setting, tie_policy, candidat
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """monkeypatch, with the worker threads interleaved as often as the interpreter allows."""
+    """monkeypatch, with the rank pool used however few the pairs are, and the worker threads interleaved as
+    often as the interpreter allows."""
+    monkeypatch.setattr(evaluation, "PARALLEL_PAIRS", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -294,7 +296,7 @@ def ranking_case():
     n_ent = 2048
     graph = random_typed_graph(rng, n_ent, 300)
     triples = graph.triples_array()
-    rows = block_rows(n_ent)
+    rows = block_rows(8 * n_ent)  # TransE's and RotatE's jobs
     # supplies_to queries with random objects, some outside its candidate types
     extra = np.column_stack([rng.integers(n_ent, size=2 * rows + 5), np.zeros(2 * rows + 5, dtype=np.int64),
                              rng.integers(n_ent, size=2 * rows + 5)])
@@ -310,7 +312,7 @@ def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrain
     same bits on any number of workers; without a filter index (the "raw"
     cases) its filtered ranks are the raw ones."""
     graph, triples, queries = ranking_case
-    assert (queries[:, 1] == 0).sum() > 2 * block_rows(graph.num_entities)  # three blocks or more
+    assert (queries[:, 1] == 0).sum() > 2 * block_rows(8 * graph.num_entities)  # three blocks or more
     params = init_params(kind, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     index = build_filter_index([triples]) if filtered else None
     candidates = type_constrained_candidates(graph, DEFAULT_SCHEMA) if constrained else None
@@ -330,12 +332,16 @@ def test_batched_ranks_equal_rank_object(ranking_case, kind, filtered, constrain
 
 
 def test_no_thread_starts_for_one_block_or_one_processor(ranking_case, fresh_pool):
+    """Nor for fewer than PARALLEL_PAIRS (query, entity) pairs."""
     graph, triples, queries = ranking_case
     params = init_params(ModelKind.TRANSE, graph.num_entities, len(RelationType), TrainConfig(dim=8, seed=5))
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 2)
     threads = threading.active_count()
-    one_block = queries[queries[:, 1] == 0][:block_rows(graph.num_entities)]
+    one_block = queries[queries[:, 1] == 0][:block_rows(8 * graph.num_entities)]
     rank_queries(params, one_block)
+    fresh_pool.setattr(evaluation, "PARALLEL_PAIRS", len(queries) * graph.num_entities + 1)
+    rank_queries(params, queries)
+    fresh_pool.setattr(evaluation, "PARALLEL_PAIRS", 0)
     fresh_pool.setattr(evaluation, "RANK_WORKERS", 1)
     rank_queries(params, queries)
     assert threading.active_count() == threads
@@ -458,7 +464,7 @@ def test_batched_ranks_equal_rank_object_on_tie_tables(monkeypatch):
     candidates = np.zeros((2, n), dtype=bool)
     candidates[0, [1, 2, 4, 7]] = candidates[1, [0, 3, 8]] = True
     monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * n * 4)  # 4 queries per block
-    assert block_rows(n) == 4
+    assert block_rows(8 * n) == 4
     for policy in TIE_POLICIES:
         for cand in (None, candidates):
             ranks = rank_queries(p, queries, index, policy, cand)

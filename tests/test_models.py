@@ -261,9 +261,9 @@ def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size,
 def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     """The scorers gather straight into the workspace: numpy's "raise" mode
     would buffer a copy of the (k, d) query rows on every block.  Every
-    model's exact float64 block writes into its workspace, allocating only E
-    transposed (100-200 KB here, against q's 512 KB-1 MB).  A ranked job's
-    warm call is its float32 screen, taken tile by tile."""
+    model's exact float64 block writes into its workspace, on the E
+    transposed that its first call copied.  A ranked job's warm call is its
+    float32 screen, taken tile by tile, each with the bits of the cold call's."""
     n_ent, k = 200, 1024
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
     rng = np.random.default_rng(2)
@@ -271,22 +271,26 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     r = np.full(k, 1) if kind not in models._DISTANCE else rng.integers(3, size=k)  # a GEMM job has one relation
     exact = models._ObjectScorer(p, np.unique(r))
     screened = models._ScreenedScorer(p, np.unique(r))
-    # the screen's tiles by their float64 sums: their bytes would take a copy of each tile
-    calls = [(exact, lambda ws: exact(s, r, ws)),
-             (screened, lambda ws: [tile.sum(dtype=np.float64) for _, tile in screened.screen(s, r, ws)[1]])]
+    calls = [(exact, lambda ws: [exact(s, r, ws)]),
+             (screened, lambda ws: (tile for _, tile in screened.screen(s, r, ws)[1]))]
+
+    def bits(a):  # unsigned integers of the entries' width: equal bits, the sign of a zero included
+        return a.view(f"u{a.itemsize}")
+
     for scorer, call in calls:
         workspace = scorer.workspace(k)
-        expected = np.array(call(workspace), copy=True)
+        expected = [tile.copy() for tile in call(workspace)]
         tracemalloc.start()
         try:
-            got = call(workspace)
+            # each tile is written over the one before, so it is compared as it comes: a (k, w) bool temporary
+            same = [np.array_equal(bits(tile), bits(want)) for tile, want in zip(call(workspace), expected, strict=True)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < workspace["q"].nbytes, (type(scorer).__name__, peak, workspace["q"].nbytes)
-        assert np.asarray(got).tobytes() == expected.tobytes()
+        assert same and all(same)
         if scorer is exact:
-            assert expected.tobytes() == score_objects(p, s, r).tobytes()
+            assert expected[0].tobytes() == score_objects(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -302,12 +306,12 @@ def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, wor
     Ranges may be empty (seven of one entity)."""
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
     rng = np.random.default_rng(n_ent)
-    k = block_rows(n_ent)
-    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     scorer = models._ScreenedScorer(p, np.arange(3))
+    k = block_rows(scorer.row_bytes)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     ws = scorer.workspace(k)
     q, [(_, screen)], _, _ = scorer.screen(s, r, ws)
-    cases = [(q, models._transposed(scorer.E64, np.float64), score_objects(p, s, r))]
+    cases = [(q, scorer.E64_t, score_objects(p, s, r))]
     if kind is ModelKind.TRANSE:
         cases.append((ws["q32"][:k], scorer.E_t, screen.copy()))
     n_bufs = 1 if kind is ModelKind.TRANSE else 2
@@ -339,9 +343,9 @@ def test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call(n_ent):
     have the bits and bounds of one call."""
     p = make_params(ModelKind.ROTATE, n_ent=n_ent, n_rel=3, dim=8, seed=4)
     rng = np.random.default_rng(n_ent)
-    k = min(block_rows(n_ent), 64)
-    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     scorer = models._ScreenedScorer(p, np.arange(3))
+    k = min(block_rows(scorer.row_bytes), 64)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     _, [(_, screen)], below, above = scorer.screen(s, r, scorer.workspace(k))
     screen = screen.copy()
 

@@ -124,8 +124,9 @@ def test_screened_ranks_equal_float64_ranks(kind, case, monkeypatch):
     p, queries, index, candidates = edge_case(kind, case)
     monkeypatch.setattr(models, "_TILE", 16)
     scorer = scorer_of(p)
-    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * scorer.entry_bytes * scorer.tile)
-    assert evaluation.block_rows(scorer.tile, scorer.entry_bytes) == 8
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * scorer.row_bytes)
+    assert evaluation.block_rows(scorer.row_bytes) == 8
+    monkeypatch.setattr(evaluation, "PARALLEL_PAIRS", 0)  # the pool, however few the pairs
     assert_ranks_equal_float64(p, queries, index, candidates)
 
 
@@ -134,7 +135,7 @@ def assert_falls_back(p, s, r, o):
     scorer = scorer_of(p)
     assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
     tiles, lower, upper, true_score, _ = scorer.bracketed(s, r, o, scorer.workspace(len(s)))
-    assert lower is upper is true_score
+    assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
     scores = whole(tiles)
     assert scores.dtype == np.float64 and scores.tobytes() == score_objects(p, s, r).tobytes()
 
@@ -314,7 +315,7 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind, monkeypatch):
     tiles, lower, upper, true_score, settle = scorer.bracketed(s, r, o, ws)
     scores = whole(tiles)
     assert scores.tobytes() == score_objects(p, s, r).tobytes()
-    assert lower is upper is true_score
+    assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
     assert true_score.tobytes() == scores[np.arange(len(scores)), o].tobytes()
     assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
 
@@ -463,6 +464,8 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     scorer = scorer_of(p)
     assert scorer.B.dtype == np.float32 and scorer.B.shape == (16, 4, 500) and not hasattr(scorer, "E_t")
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
+    scorer.bracketed(np.array([0]), np.array([1]), np.array([2]), scorer.workspace(1))
+    assert "E64_t" not in vars(scorer)  # the exact blocks' float64 copy waits for a job that falls back
     ws = scorer.workspace(9)
     assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (2, 9, 500)
     assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
@@ -477,8 +480,10 @@ def test_gemm_scorer_holds_float32_entities_and_tile_sized_buffers(kind):
     width = scorer.E64.shape[1]
     assert scorer.E_t.dtype == np.float32 and scorer.E_t.shape == (width, n_ent)
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
-    assert (scorer.tile, scorer.entry_bytes) == (models._TILE, 4)
-    assert evaluation.block_rows(scorer.tile, scorer.entry_bytes) == 256  # a 1 MiB float32 tile
+    assert (scorer.tile, scorer.row_bytes) == (models._TILE, 4 * models._TILE)
+    assert evaluation.block_rows(scorer.row_bytes) == 256  # a 1 MiB float32 tile
+    scorer.bracketed(np.array([0]), np.array([1]), np.array([2]), scorer.workspace(1))
+    assert "E64_t" not in vars(scorer)  # the exact blocks' float64 copy waits for a job that falls back
     ws = scorer.workspace(9)
     assert ws["tile32"].dtype == np.float32 and ws["tile32"].shape == (9 * scorer.tile,)
     assert all(n_ent not in buf.shape for buf in ws.values())
