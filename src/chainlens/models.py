@@ -40,33 +40,33 @@ A pair's exact score is a float64 sum over the real columns of its query
 row and of the entity, in column order: -Σ|q - e| for TransE, minus the
 moduli of the (re, im) pairs for RotatE, Σ q e for RESCAL, TuckER and
 ComplEx, whose query rows are E[s] M_r, one BLAS product per row, and E[s]
-* w_r.  ``score_objects`` scores k queries against all N entities as a (k, N)
-float64 block of exact scores, for every model through ``_ObjectScorer``: a
-loop over the columns on (k, N) buffers, so each entry has the same bits
-whatever k and the BLAS thread count are.  ``evaluation.rank_queries`` ranks
-every model through one ``_ScreenedScorer``, shared by its threads:
-``workspace(k)`` gives a thread its buffers for jobs of up to k queries, and
-``bracketed(s, r, o, workspace)`` returns a job's ``(tiles, lower, upper,
-true_score, exact)``: its float32 screen as column tiles, per row bounds
-around the true object's exact score, rounded outward, and ``exact(rows,
-objects)``, the exact scores of chosen pairs, equal to ``score_objects``'
-bit for bit.  TransE's screen is the distance kernel in float32, one tile of
-all N entities, within δ of the float64 kernel (``_distance_bound``): bounds
-t -/+ δ.  RotatE's takes one float32 GEMM per complex dimension, |q - e|² +
-c = |q|² + c + |e|² - 2 Re(q conj(e)) for a whole (k, N) block, then a
-square root and a subtraction: three passes over the block where the
-distance kernel makes seven.  Its offset c covers the GEMM's rounding, so
-no square is negative and its scores lie at most δ above the float64
-kernel's but up to δ + sum_j sqrt(2 c_j) below them (``_rotate_lhs``):
+* w_r.  One method computes it, ``_ObjectScorer.pair_scores``, for chosen
+(query row, entity) pairs, one numpy call per column across the pairs, so
+each score has the same bits whatever pairs share the call and whatever
+the BLAS thread count is.  ``score_objects`` scores k queries against all N
+entities with it, one query's N pairs at a time, as a (k, N) float64 block.
+``evaluation.rank_queries`` ranks every model through one
+``_ScreenedScorer``, shared by its threads: ``workspace(k)`` gives a thread
+its buffers for jobs of up to k queries, and ``bracketed(s, r, o,
+workspace)`` returns a job's ``(tiles, lower, upper, true_score, exact)``:
+its float32 screen as column tiles, per row bounds around the true object's
+exact score, rounded outward, and ``exact(rows, objects)``, the
+``pair_scores`` of chosen pairs.  TransE's screen is the distance kernel in
+float32, one tile of all N entities, within δ of the exact scores
+(``_distance_bound``): bounds t -/+ δ.  RotatE's takes one float32 GEMM per
+complex dimension, |q - e|² + c = |q|² + c + |e|² - 2 Re(q conj(e)) for a
+whole (k, N) block, then a square root and a subtraction: three passes over
+the block where a column loop makes seven.  Its offset c covers the GEMM's
+rounding, so no square is negative and its scores lie at most δ above the
+exact scores but up to δ + sum_j sqrt(2 c_j) below them (``_rotate_lhs``):
 bounds t - that and t + δ.  RESCAL's, TuckER's and ComplEx's jobs hold the
 queries of one relation, screened with one float32 GEMM per tile of
 ``_TILE`` entities, within δ of the exact scores (``_dot_bound``): bounds t
--/+ δ.  A job whose float32 pass cannot be trusted comes as the exact
-float64 block, tile by tile, scored into float64 buffers of its own, with
-both bounds at t.  Every gather clips ids (numpy's "raise" mode buffers a
+-/+ δ.  A job whose float32 pass cannot be trusted comes as its exact
+scores, from ``pair_scores`` tile by tile, with both bounds at t.  Every gather clips ids (numpy's "raise" mode buffers a
 copy of ``out``), so ``_check_ids`` checks them first.  The BLAS thread
 count is left as the environment sets it: the float32 screens use it, and
-the exact scores did not depend on it (see ``_ObjectScorer``).
+the exact scores do not depend on it (see ``_ObjectScorer``).
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -85,7 +85,7 @@ import math
 import zipfile
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -264,19 +264,20 @@ def score_objects(params: ModelParams, s, r) -> np.ndarray:
     other (a ``ValueError`` if their lengths cannot be).  Two scalar ids give
     the (N,) score vector, otherwise a (k, N) block with one row per query.
     Each entry is its pair's exact score (see :class:`_ObjectScorer`), with
-    the same bits whatever k is.  Each call copies E transposed to float64
-    (3.5 MB, or 7 MB for ComplEx and RotatE, at 6,940 entities and dim 64)
-    and takes one numpy pass over the (k, N) block per real column, so
-    score many queries in one call rather than one per call.
-    ``evaluation.rank_queries`` ranks by the same exact scores and computes
-    them only for the pairs its float32 screen cannot place.
+    the same bits whatever k is.  The query rows are built once, then each
+    query's N pairs are scored in one :meth:`_ObjectScorer.pair_scores`
+    call: one numpy pass per real column over chunks of ``PAIR_ROWS``
+    pairs, with no copy of E.  ``evaluation.rank_queries`` ranks by the same
+    exact scores and computes them only for the pairs its float32 screen
+    cannot place.
     """
     scalar = np.ndim(s) == 0 and np.ndim(r) == 0
     s, r = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=np.int64)),
                                np.atleast_1d(np.asarray(r, dtype=np.int64)))
     _check_ids(params, s, r)
     scorer = _ObjectScorer(params, np.unique(r))
-    out = scorer(s, r, scorer.workspace(len(s)))
+    ws = scorer.workspace(len(s))
+    out = scorer.exact_block(scorer.query_rows(s, r, ws), 0, np.empty((len(s), params.num_entities)), ws)
     return out[0] if scalar else out
 
 
@@ -290,7 +291,7 @@ def _transposed(a: np.ndarray, dtype) -> np.ndarray:
 
 
 class _ObjectScorer:
-    """Queries (s, r, ?) of any model scored in float64 against all N entities, as (k, N) blocks.
+    """Queries (s, r, ?) of any model scored exactly in float64, against chosen entities.
 
     A pair's exact score is a sum over the real columns c of its query row
     Q_i and of the entity E_j, in c order: -Σ_c |Q_i[c] - E_j[c]| for
@@ -306,40 +307,44 @@ class _ObjectScorer:
 
     Prepared once: M_r of each relation of ``rels`` for RESCAL and TuckER
     (built one relation at a time), the float64 view ``E64`` of E and, for
-    RotatE, the rotations as ``R``; the blocks' operand ``E64_t`` is copied
-    on first use.  Threads may share a scorer, each scoring into a
-    :meth:`workspace` of its own.
+    RotatE, the rotations as ``R``; no copy of E is made.  Threads may share
+    a scorer, each scoring into a :meth:`workspace` of its own.
     """
+
+    #: (query, entity) pairs that pair_scores scores at once.  RotatE settles about 60 pairs per query; on
+    #: the 10x init checkpoint, 512 ranked its queries 5-10% faster than 128 (two workers, 2-vCPU Xeon).
+    PAIR_ROWS = 512
 
     def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
         self.kind, self.E = params.kind, params.blocks["entity"]
         self.rotate = params.kind is ModelKind.ROTATE
+        self.distance = self.kind in _DISTANCE
         self.R = np.exp(1j * params.blocks["relation"]) if self.rotate else params.blocks["relation"]
         self.E64 = self.E.view(np.float64)
+        #: the terms a pair's score sums: RotatE's (re, im) column pairs, the others' real columns
+        self.terms = self.E64.shape[1] // 2 if self.rotate else self.E64.shape[1]
         if self.kind in _BILINEAR:
             self.M = {rel: _relation_matrices(params, np.array([rel]))[0] for rel in rels.tolist()}
 
-    @cached_property
-    def E64_t(self) -> np.ndarray:
-        """E64 transposed, the exact blocks' operand: a float64 copy of E, made when a block first needs it."""
-        return _transposed(self.E64, np.float64)
-
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for blocks of up to k queries: the (k, N) ``scores``, the (k, d) query rows ``q`` and
-        relation rows ``w``, and the kernel's (k, N) ``bufs`` (two for RotatE)."""
-        n, d = self.E.shape
-        return {"scores": np.empty((k, n)), "q": np.empty((k, d), dtype=self.E.dtype),
-                "w": np.empty((k, d), dtype=self.R.dtype), "bufs": np.empty((1 + self.rotate, k, n))}
+        """Buffers for up to k queries: the (k, d) query rows ``q``, subject rows ``w`` and, but for RESCAL and
+        TuckER, relation rows ``r``, and the ``pairs`` that :meth:`pair_scores` scores at once."""
+        d = self.E.shape[1]
+        ws = {"q": np.empty((k, d), dtype=self.E.dtype), "w": np.empty((k, d), dtype=self.E.dtype),
+              "pairs": np.empty((2, self.PAIR_ROWS, self.E64.shape[1]))}
+        if self.kind not in _BILINEAR:
+            ws["r"] = np.empty((k, d), dtype=self.R.dtype)
+        return ws
 
     def query_rows(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
         """Write the query rows of (s[i], r[i], ?) into the workspace's ``q``, and return their float64 view.
-        ``w`` takes R[r].  The gathers clip ids, so callers check them first."""
+        ``w`` takes E[s] and ``r`` R[r].  The gathers clip ids, so callers check them first."""
         k = len(s)
         q, w = ws["q"][:k], ws["w"][:k]
+        np.take(self.E, s, axis=0, out=w, mode="clip")  # the "raise" mode would buffer a copy of w
         if self.kind in _BILINEAR:
             # a stack of (1, d) by (d, d) products: numpy calls BLAS once per row, so each row has the bits of
             # a one-row matmul, however many rows there are
-            np.take(self.E, s, axis=0, out=w, mode="clip")
             rels, groups = _relation_groups(r)
             for rel, rows in zip(rels.tolist(), groups):
                 if len(rows) == len(s):
@@ -347,68 +352,64 @@ class _ObjectScorer:
                 else:
                     q[rows] = np.matmul(w[rows, None], self.M[rel])[:, 0]
             return q
-        np.take(self.E, s, axis=0, out=q, mode="clip")  # the "raise" mode would buffer a copy of q
-        np.take(self.R, r, axis=0, out=w, mode="clip")
-        if self.kind is ModelKind.TRANSE:
-            q += w
-        else:
-            q *= w
+        # into q, not in place: numpy's in-place complex product of one element is rounded apart from that of many
+        (np.add if self.kind is ModelKind.TRANSE else np.multiply)(
+            w, np.take(self.R, r, axis=0, out=ws["r"][:k], mode="clip"), out=q)
         return q.view(np.float64)
 
-    def kernel(self, q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
-        """Write the exact scores of the float64 query rows q against the entities of ``e_t`` (some columns of
-        E64 transposed) into ``out``, with ``bufs`` of its shape."""
-        if self.kind in _DISTANCE:
-            _negated_distance_sums(q, e_t, bufs, out)
-        else:
-            _dot_sums(q, e_t, bufs[0], out)
+    def pair_scores(self, q: np.ndarray, rows: np.ndarray, objs: np.ndarray, ws: dict,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """The exact float64 scores of the pairs (query row q[rows[i]], entity objs[i]), written into ``out``
+        (a new array if None) and returned.
 
-    def __call__(self, s: np.ndarray, r: np.ndarray, ws: dict) -> np.ndarray:
-        """The (k, N) scores of the queries (s[i], r[i], ?), written into the
-        first k rows of the workspace's score buffer, which is returned.  The
-        gathers clip ids, so callers check them first."""
-        out = ws["scores"][:len(s)]
-        self.kernel(self.query_rows(s, r, ws), self.E64_t, list(ws["bufs"][:, :len(s)]), out)
+        Up to ``PAIR_ROWS`` pairs at a time are gathered into the workspace's
+        ``pairs``, their terms formed with one numpy call each, and summed
+        from 0 one column at a time in column order, so a pair's score has the
+        same bits whatever pairs share the call.  The gathers clip ids.
+        """
+        out = np.empty(len(rows)) if out is None else out
+        out.fill(0.0)
+        diffs, entities = ws["pairs"]
+        for start in range(0, len(rows), len(diffs)):
+            m = min(len(diffs), len(rows) - start)
+            diff, e = diffs[:m], entities[:m]
+            np.take(q, rows[start:start + m], axis=0, out=diff, mode="clip")
+            np.take(self.E64, objs[start:start + m], axis=0, out=e, mode="clip")
+            if not self.distance:
+                terms = np.multiply(diff, e, out=diff)
+            elif self.rotate:
+                np.subtract(diff, e, out=diff)
+                np.multiply(diff, diff, out=diff)
+                terms = np.add(diff[:, 0::2], diff[:, 1::2], out=e[:, :self.terms])
+                np.sqrt(terms, out=terms)
+            else:
+                terms = np.abs(np.subtract(diff, e, out=diff), out=diff)
+            total, add = out[start:start + m], np.subtract if self.distance else np.add
+            for column in terms.T:
+                add(total, column, out=total)
+        return out
+
+    def exact_block(self, q: np.ndarray, start: int, out: np.ndarray, ws: dict) -> np.ndarray:
+        """Write the exact scores of the query rows q against the w entities from ``start`` into ``out`` (k, w),
+        one query's w pairs per :meth:`pair_scores` call, and return it."""
+        objs = np.arange(start, start + out.shape[1])
+        for i, row in enumerate(out):
+            self.pair_scores(q, np.full(len(objs), i), objs, ws, out=row)
         return out
 
 
-def _dot_sums(q: np.ndarray, e_t: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_c q[i, c] E[j, c] for every query row i and entity j into ``out`` (k, N), summed in c order.
+def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """Write -sum_d |q[i, d] - E[j, d]| for every query row i and entity j into ``out`` (k, N): TransE's screen.
 
-    ``e_t`` is E transposed.  As in :func:`_negated_distance_sums`, the loop
-    runs over c on (k, N) buffers, in the same order whatever k is.
+    ``e_t`` is E transposed, here in float32 as q is.  The loop runs over the
+    dimension on (k, N) buffers, ``out`` and ``buf``, so no (k, N, d)
+    temporary is formed.
     """
     out.fill(0.0)
-    for c in range(e_t.shape[0]):
-        np.multiply(q[:, c, None], e_t[c], out=buf)
-        out += buf
-
-
-def _negated_distance_sums(q: np.ndarray, e_t: np.ndarray, bufs: list[np.ndarray], out: np.ndarray) -> None:
-    """Write -sum_d |q[i, d] - E[j, d]| for every query row i and entity j into ``out`` (k, N).
-
-    ``e_t`` is E transposed.  With two ``bufs`` (RotatE), q and E are real
-    views with (re, im) column pairs, and each pair contributes its modulus
-    sqrt(re^2 + im^2).  The loop runs over the dimension on (k, N) buffers,
-    so no (k, N, d) temporary is formed, in the same order whatever k is.
-    """
-    out.fill(0.0)
-    buf = bufs[0]
-    if len(bufs) == 2:
-        buf_im = bufs[1]
-        for d in range(0, e_t.shape[0], 2):
-            np.subtract(q[:, d, None], e_t[d], out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.subtract(q[:, d + 1, None], e_t[d + 1], out=buf_im)
-            np.multiply(buf_im, buf_im, out=buf_im)
-            buf += buf_im
-            np.sqrt(buf, out=buf)
-            out -= buf
-    else:
-        for d in range(e_t.shape[0]):
-            np.subtract(q[:, d, None], e_t[d], out=buf)
-            np.abs(buf, out=buf)
-            out -= buf
+    for d in range(e_t.shape[0]):
+        np.subtract(q[:, d, None], e_t[d], out=buf)
+        np.abs(buf, out=buf)
+        out -= buf
 
 
 # float32's unit roundoff, and its least normal number: an operation whose
@@ -425,12 +426,12 @@ _SCREEN_LIMIT = 2.0 ** 60
 def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
     """A bound δ on |s32 - s64| for a query row and any entity whose L1 norms sum to at most ``l1``.
 
-    s64 is :func:`_negated_distance_sums`' float64 score of the pair and s32
-    that kernel's score of the pair cast to float32, computed in float32;
-    ``terms`` is the number of terms the kernel sums (the float columns for
-    TransE, the (re, im) pairs for RotatE).  RotatE's screen is a GEMM per
-    pair of columns instead, which :func:`_rotate_lhs` bounds from the
-    per-modulus errors derived here.  Both scores are compared with the
+    s64 is the pair's exact float64 score (:meth:`_ObjectScorer.pair_scores`)
+    and s32 its terms and sum for the pair cast to float32, computed in
+    float32 (TransE's :func:`_negated_distance_sums`); ``terms`` is the
+    number of terms summed (the float columns for TransE, the (re, im) pairs
+    for RotatE).  RotatE's screen is a GEMM per pair of columns instead,
+    which :func:`_rotate_lhs` bounds from the per-modulus errors derived here.  Both scores are compared with the
     exact score s of the float64 values, in the standard model
     fl(x op y) = (x op y)(1 + e) + t, |e| <= u, |t| <= ``_TINY32``, which
     covers underflow (Higham, *Accuracy and Stability of Numerical
@@ -461,10 +462,10 @@ def _distance_bound(l1: np.ndarray, terms: int, rotate: bool) -> np.ndarray:
 def _dot_bound(q_l2: np.ndarray, e_l2: float, terms: int) -> np.ndarray:
     """A bound δ on |s32 - s64| for query rows of L2 norm ``q_l2`` and any entity of L2 norm at most ``e_l2``.
 
-    s64 is :func:`_dot_sums`' float64 score Σ_c Q_c E_c of a pair of
-    ``terms`` real columns, and s32 the float32 GEMM's score of the pair
-    rounded to float32, a = fl32(Q) and b = fl32(E), summed in any order,
-    with fused multiply-adds or not.  Both are compared with the exact score
+    s64 is the exact float64 score Σ_c Q_c E_c (:meth:`_ObjectScorer.pair_scores`)
+    of a pair of ``terms`` real columns, and s32 the float32 GEMM's score of
+    the pair rounded to float32, a = fl32(Q) and b = fl32(E), summed in any
+    order, with fused multiply-adds or not.  Both are compared with the exact score
     s, in the model of :func:`_distance_bound` (u, t, γ_n, n = ``terms``):
 
     * The casts give |a_c - Q_c| <= u |Q_c| + t, and the same for b, so
@@ -523,13 +524,12 @@ def _rotate_lhs(q32: np.ndarray, e_sq: np.ndarray, A: np.ndarray, Z: np.ndarray,
     float64), then √(2 c_ij) into ``c``.  ``e_sq`` holds each dimension's
     largest |ê_j|² (:func:`_rotate_operands`).  Returns each row's (1 +
     γ_n)(1 + u) Σ_j √(2 c_ij): how much further than δ (see
-    :func:`_distance_bound`) below the float64 kernel's scores the screen's
-    may lie.
+    :func:`_distance_bound`) below the exact scores the screen's may lie.
 
     The screen writes x̃ = fl(A_j · B_j), a float32 dot product of four
-    terms, for every entity, then fl(√x̃), and sums those as the distance
-    kernel does.  With a = q̂_j and b = ê_j, the float32 query and entity
-    values, in the model of :func:`_distance_bound` (u, t, γ_n), u' being
+    terms, for every entity, then fl(√x̃), and sums those in column order.
+    With a = q̂_j and b = ê_j, the float32 query and entity values, in the
+    model of :func:`_distance_bound` (u, t, γ_n), u' being
     float64's unit roundoff and m = e_sq_j (1 + u') >= |b|²:
 
     * The exact dot product is α + β - 2 Re(a conj(b)) = |a - b|² + c +
@@ -546,12 +546,12 @@ def _rotate_lhs(q32: np.ndarray, e_sq: np.ndarray, A: np.ndarray, Z: np.ndarray,
     So |a - b|² <= x̃ <= |a - b|² + 2c: no x̃ is negative, and √x̃ lies in
     [|a - b|, |a - b| + √(2c)].  The casts put |a - b| within u times the
     four |q| + |e| plus 4 t of the exact modulus |q_j - e_j|, and the root
-    adds u relatively, so each float32 term lies within the distance
-    kernel's per-modulus error (5u times the four |q| + |e| plus 3 √t) of
-    the exact modulus, but for up to (1 + u) √(2c) more upward.  The
+    adds u relatively, so each float32 term lies within the per-modulus
+    error of :func:`_distance_bound` (5u times the four |q| + |e| plus 3 √t)
+    of the exact modulus, but for up to (1 + u) √(2c) more upward.  The
     sequential sum scales those extras by at most 1 + γ_n.  The screen's
-    scores are then at most δ above the float64 kernel's, and at most δ +
-    (1 + γ_n)(1 + u) Σ_j √(2 c_ij) below them.  Under ``_SCREEN_LIMIT``,
+    scores are then at most δ above the exact scores, and at most δ + (1 +
+    γ_n)(1 + u) Σ_j √(2 c_ij) below them.  Under ``_SCREEN_LIMIT``,
     |a|², |b|², c and every partial sum stay below 2^125: nothing
     overflows.  The float64 rounding of that sum, under 1e-13 relatively,
     is far inside δ's factor of two.
@@ -576,8 +576,8 @@ def _rotate_screen(A: np.ndarray, B: np.ndarray, buf: np.ndarray, out: np.ndarra
 
     Each dimension takes one float32 GEMM, (k, 4) by (4, N), into ``buf``
     (see :func:`_rotate_lhs`), its square root and a subtraction: three
-    passes over the (k, N) buffers, against seven in
-    :func:`_negated_distance_sums`.
+    passes over the (k, N) buffers, against seven for a loop over the
+    columns.
     """
     out.fill(0.0)
     for a, b in zip(A, B):
@@ -595,7 +595,7 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
 
 
 class _ScreenedScorer(_ObjectScorer):
-    """Query jobs of any model screened in float32, and single (query, entity) pairs scored exactly in float64.
+    """Query jobs of any model screened in float32 and bracketed around their exact float64 scores.
 
     :meth:`screen` scores a job in float32 from float32 copies of the exact
     query rows and of the entities, held in float32 only, as column tiles of
@@ -607,20 +607,14 @@ class _ScreenedScorer(_ObjectScorer):
     the exact scores each row's may lie (:func:`_distance_bound`, for RotatE
     with :func:`_rotate_lhs`'s offsets, and :func:`_dot_bound`);
     :meth:`pair_scores` gives the exact scores of chosen pairs.  A job the
-    screen cannot be trusted on is scored by :meth:`_ObjectScorer.kernel` on
-    ``E64_t``, tile by tile into float64 buffers of its own: neither is
-    made unless a job needs them, and each thread's :meth:`workspace` holds
-    none.
+    screen cannot be trusted on comes as its exact scores, tile by tile from
+    :meth:`exact_block`, in a float64 buffer made only then: each thread's
+    :meth:`workspace` holds none.
     """
-
-    #: (query, entity) pairs that pair_scores scores at once.  RotatE settles about 60 pairs per query; on
-    #: the 10x init checkpoint, 512 ranked its queries 5-10% faster than 128 (two workers, 2-vCPU Xeon).
-    PAIR_ROWS = 512
 
     def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
         super().__init__(params, rels)
-        n, width = self.E64.shape
-        self.distance = self.kind in _DISTANCE
+        n = len(self.E64)
         #: entities per screened tile, and the bytes per query of a job's screen buffers: TransE's and RotatE's
         #: two float32 (k, N) planes, or the others' one float32 (k, tile) tile
         self.tile = n if self.distance else min(_TILE, n)
@@ -629,7 +623,6 @@ class _ScreenedScorer(_ObjectScorer):
             self.B, self.e_sq = _rotate_operands(self.E64)
         else:
             self.E_t = _transposed(self.E64, np.float32)
-        self.terms = width // 2 if self.rotate else width
         # the largest L1 norm of an entity for TransE and RotatE, else L2; np.max, unlike max(), keeps a NaN
         if self.distance:
             self.e_norm = float(np.max([np.abs(self.E64[i:i + 256]).sum(axis=1).max() for i in range(0, n, 256)],
@@ -639,18 +632,12 @@ class _ScreenedScorer(_ObjectScorer):
         self.screenable = self.terms * _U32 <= 0.05 and self.e_norm < _SCREEN_LIMIT
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
-        """Buffers for jobs of up to k queries: the (k, d) query rows ``q`` and relation rows ``w``, the
-        float32 query rows ``q32``, TransE's and RotatE's float32 (k, N) scores and kernel buffer ``planes32``,
-        the others' float32 ``tile32``, flat so that each tile's (k, w) view is contiguous, RotatE's
-        left-hand operands ``A`` and its (k, terms) ``Z`` and ``c`` (:func:`_rotate_lhs`), and the ``pairs``
-        that :meth:`pair_scores` settles at once."""
+        """Buffers for jobs of up to k queries: :meth:`_ObjectScorer.workspace`'s, the float32 query rows
+        ``q32``, TransE's and RotatE's float32 (k, N) scores and kernel buffer ``planes32``, the others' float32
+        ``tile32``, flat so that each tile's (k, w) view is contiguous, and RotatE's left-hand operands ``A``
+        and its (k, terms) ``Z`` and ``c`` (:func:`_rotate_lhs`)."""
         n, width = self.E64.shape
-        ws = {
-            "q": np.empty((k, self.E.shape[1]), dtype=self.E.dtype),
-            "w": np.empty((k, self.E.shape[1]), dtype=self.R.dtype),
-            "q32": np.empty((k, width), dtype=np.float32),
-            "pairs": np.empty((2, self.PAIR_ROWS, width)),
-        }
+        ws = super().workspace(k) | {"q32": np.empty((k, width), dtype=np.float32)}
         # zeroed: a GEMM or GEMV that scales its output by 0 first would keep a NaN found there
         if self.distance:
             ws["planes32"] = np.zeros((2, k, n), dtype=np.float32)
@@ -693,7 +680,7 @@ class _ScreenedScorer(_ObjectScorer):
             _rotate_screen(A, self.B, buf, out)
         else:
             below = delta
-            _negated_distance_sums(q32, self.E_t, [buf], out)
+            _negated_distance_sums(q32, self.E_t, buf, out)
         if not np.isfinite(out.min()):  # min keeps a NaN
             return q, None, None, None
         return q, [(0, out)], below, delta
@@ -705,43 +692,13 @@ class _ScreenedScorer(_ObjectScorer):
             w = min(self.tile, n - start)
             yield start, np.matmul(q32, self.E_t[:, start:start + w], out=buf[:k * w].reshape(k, w))
 
-    def _exact_tiles(self, q: np.ndarray):
-        """The exact float64 scores of the query rows q, one tile at a time, scored into buffers of their own."""
+    def _exact_tiles(self, q: np.ndarray, ws: dict):
+        """The exact float64 scores of the query rows q, one tile at a time, each written over the one before."""
         k, n = len(q), len(self.E64)
-        out, bufs = np.empty(k * self.tile), np.empty((1 + self.rotate, k * self.tile))
+        out = np.empty(k * self.tile)
         for start in range(0, n, self.tile):
             w = min(self.tile, n - start)
-            tile = out[:k * w].reshape(k, w)
-            self.kernel(q, self.E64_t[:, start:start + w], [buf[:k * w].reshape(k, w) for buf in bufs], tile)
-            yield start, tile
-
-    def pair_scores(self, q: np.ndarray, rows: np.ndarray, objs: np.ndarray, ws: dict) -> np.ndarray:
-        """The exact float64 scores of the pairs (query row q[rows[i]], entity objs[i]).
-
-        Each equals its entry of :meth:`_ObjectScorer.kernel`'s block bit for
-        bit: the same operations on the same values, one numpy call per term
-        across the pairs, summed in the same order.
-        """
-        out = np.zeros(len(rows))
-        diffs, entities = ws["pairs"]
-        for start in range(0, len(rows), len(diffs)):
-            m = min(len(diffs), len(rows) - start)
-            diff, e = diffs[:m], entities[:m]
-            np.take(q, rows[start:start + m], axis=0, out=diff, mode="clip")
-            np.take(self.E64, objs[start:start + m], axis=0, out=e, mode="clip")
-            if not self.distance:
-                terms = np.multiply(diff, e, out=diff)
-            elif self.rotate:
-                np.subtract(diff, e, out=diff)
-                np.multiply(diff, diff, out=diff)
-                terms = np.add(diff[:, 0::2], diff[:, 1::2], out=e[:, :self.terms])
-                np.sqrt(terms, out=terms)
-            else:
-                terms = np.abs(np.subtract(diff, e, out=diff), out=diff)
-            total, add = out[start:start + m], np.subtract if self.distance else np.add
-            for column in terms.T:
-                add(total, column, out=total)
-        return out
+            yield start, self.exact_block(q, start, out[:k * w].reshape(k, w), ws)
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
         """The job of the queries (s[i], r[i], o[i]) as ``(tiles, lower, upper, true_score, exact)``.
@@ -760,7 +717,7 @@ class _ScreenedScorer(_ObjectScorer):
             return self.pair_scores(q, rows, objs, ws)
 
         if tiles is None:
-            return self._exact_tiles(q), t, t, t, exact
+            return self._exact_tiles(q, ws), t, t, t, exact
         return tiles, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t, exact
 
 

@@ -14,8 +14,12 @@ operand carries the batch index, with no grouping by relation.  TuckER's
 cost grows as B * d^3 with no matrix products to run it, so tests call them
 at small dims.
 
-``exact_dot_scores`` writes out the exact score that RESCAL, TuckER and
-ComplEx are ranked by, Σ_c Q_i[c] E_j[c] summed in c order: ``score_objects``
+``exact_dot_scores``, ``exact_distance_scores`` and ``exact_rotate_scores``
+write out the exact scores that the models are ranked by: Σ_c Q_i[c] E_j[c]
+for RESCAL, TuckER and ComplEx, -Σ_c |Q_i[c] - E_j[c]| for TransE, and minus
+the moduli of the (re, im) differences for RotatE, each summed in column
+order.  ``exact_object_scores`` builds the query rows of (s, r, ?) and scores
+them with these: ``score_objects`` and every exact score of the ranking
 must match it bit for bit.
 
 ``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
@@ -153,6 +157,42 @@ def exact_dot_scores(query_rows, entities):
     for c in range(Q.shape[1]):
         scores += np.outer(Q[:, c], E[:, c])
     return scores
+
+
+def exact_distance_scores(query_rows, entities):
+    """TransE's exact scores of float64 query rows against every entity, written out:
+    -sum_c |Q_i[c] - E_j[c]|, one term at a time in c order."""
+    Q, E = query_rows.view(np.float64), entities.view(np.float64)
+    scores = np.zeros((len(Q), len(E)))
+    for c in range(Q.shape[1]):
+        scores -= np.abs(np.subtract.outer(Q[:, c], E[:, c]))
+    return scores
+
+
+def exact_rotate_scores(query_rows, entities):
+    """RotatE's exact scores of complex query rows against every entity, written out: minus the sum of
+    sqrt((q_re - e_re)^2 + (q_im - e_im)^2) over the (re, im) column pairs, one term at a time in column order."""
+    Q, E = query_rows.view(np.float64), entities.view(np.float64)
+    scores = np.zeros((len(Q), len(E)))
+    for c in range(0, Q.shape[1], 2):
+        re, im = np.subtract.outer(Q[:, c], E[:, c]), np.subtract.outer(Q[:, c + 1], E[:, c + 1])
+        scores -= np.sqrt(re * re + im * im)
+    return scores
+
+
+def exact_object_scores(params, s, r):
+    """Every entity's exact score as object of (s[i], r[i], ?), written out.  The query rows are E[s] + R[r]
+    (TransE), E[s] * R[r] (ComplEx), E[s] * exp(i R[r]) (RotatE), or one one-row matmul E[s_i] M_r per row, M_r
+    built for r_i alone (RESCAL, TuckER); each model's exact score then sums their terms in column order."""
+    E, R = params.blocks["entity"], params.blocks["relation"]
+    if params.kind is ModelKind.TRANSE:
+        return exact_distance_scores(E[s] + R[r], E)
+    if params.kind is ModelKind.ROTATE:
+        return exact_rotate_scores(E[s] * np.exp(1j * R[r]), E)
+    if params.kind is ModelKind.COMPLEX:
+        return exact_dot_scores(E[s] * R[r], E)
+    return exact_dot_scores(np.vstack([E[i:i + 1] @ _relation_matrices(params, np.array([rel]))[0]
+                                       for i, rel in zip(s, r)]), E)
 
 
 def zero_grads(params):

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainlens.models as models
@@ -28,6 +28,8 @@ from reference_models import (
     einsum_batch_loss_and_gradients,
     einsum_score_batch,
     exact_dot_scores,
+    exact_object_scores,
+    exact_rotate_scores,
     gradients,
     margin_ranking_loss,
     negative_sample,
@@ -261,9 +263,10 @@ def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size,
 def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     """The scorers gather straight into the workspace: numpy's "raise" mode
     would buffer a copy of the (k, d) query rows on every block.  Every
-    model's exact float64 block writes into its workspace, on the E
-    transposed that its first call copied.  A ranked job's warm call is its
-    float32 screen, taken tile by tile, each with the bits of the cold call's."""
+    model's exact float64 block is scored from E, its pairs gathered into
+    the workspace, with the bits of the scores written out.  A ranked job's
+    warm call is its float32 screen, taken tile by tile, each with the bits
+    of the cold call's."""
     n_ent, k = 200, 1024
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=64, seed=2)
     rng = np.random.default_rng(2)
@@ -271,7 +274,8 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     r = np.full(k, 1) if kind not in models._DISTANCE else rng.integers(3, size=k)  # a GEMM job has one relation
     exact = models._ObjectScorer(p, np.unique(r))
     screened = models._ScreenedScorer(p, np.unique(r))
-    calls = [(exact, lambda ws: [exact(s, r, ws)]),
+    block = np.empty((k, n_ent))
+    calls = [(exact, lambda ws: [exact.exact_block(exact.query_rows(s, r, ws), 0, block, ws)]),
              (screened, lambda ws: (tile for _, tile in screened.screen(s, r, ws)[1]))]
 
     def bits(a):  # unsigned integers of the entries' width: equal bits, the sign of a zero included
@@ -290,18 +294,19 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
         assert peak < workspace["q"].nbytes, (type(scorer).__name__, peak, workspace["q"].nbytes)
         assert same and all(same)
         if scorer is exact:
-            assert expected[0].tobytes() == score_objects(p, s, r).tobytes()
+            assert expected[0].tobytes() == exact_object_scores(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
 @pytest.mark.parametrize("n_ent", [1, 2, 1023])
 @pytest.mark.parametrize("kind", [ModelKind.TRANSE, ModelKind.ROTATE])
 def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, workers):
-    """The distance kernel scores each entity on its own: ranges of entities
-    scored on threads that share one E transposed give the bits of one call
-    over all entities, in float64 (the exact block) and in TransE's float32
-    screen, whose E transposed the rank pool shares.  (RotatE's screen is a
-    GEMM per dimension, whose bits may depend on the block's width: see
+    """Each entity is scored on its own: ranges of entities scored on threads
+    that share one scorer give the bits of one call over all entities, in
+    float64 (the exact scores of each range's pairs, against the scores
+    written out) and in TransE's float32 screen, whose E transposed the rank
+    pool shares.  (RotatE's screen is a GEMM per dimension, whose bits may
+    depend on the block's width: see
     test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call.)
     Ranges may be empty (seven of one entity)."""
     p = make_params(kind, n_ent=n_ent, n_rel=3, dim=8, seed=4)
@@ -311,26 +316,28 @@ def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, wor
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     ws = scorer.workspace(k)
     q, [(_, screen)], _, _ = scorer.screen(s, r, ws)
-    cases = [(q, scorer.E64_t, score_objects(p, s, r))]
+
+    def exact_range(lo, hi, out):  # the range's pairs, on a workspace of their own
+        rows, objs = np.divmod(np.arange(k * (hi - lo)), hi - lo)
+        out[:, lo:hi] = scorer.pair_scores(q, rows, objs + lo, scorer.workspace(1)).reshape(k, hi - lo)
+
+    def screen_range(lo, hi, out):
+        buf = np.empty((k, hi - lo), dtype=out.dtype)
+        models._negated_distance_sums(ws["q32"][:k], scorer.E_t[:, lo:hi], buf, out[:, lo:hi])
+
+    cases = [(exact_range, exact_object_scores(p, s, r))]
     if kind is ModelKind.TRANSE:
-        cases.append((ws["q32"][:k], scorer.E_t, screen.copy()))
-    n_bufs = 1 if kind is ModelKind.TRANSE else 2
+        cases.append((screen_range, screen.copy()))
     edges = np.linspace(0, n_ent, workers + 1).astype(int)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the worker threads as often as the interpreter allows
     try:
-        for q_rows, e_t, expected in cases:
+        for score_range, expected in cases:
             out = np.empty_like(expected)
-
-            def score_range(bounds):
-                lo, hi = bounds
-                bufs = [np.empty((k, hi - lo), dtype=out.dtype) for _ in range(n_bufs)]
-                models._negated_distance_sums(q_rows, e_t[:, lo:hi], bufs, out[:, lo:hi])
-
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in range(3):
                     out.fill(np.nan)
-                    list(pool.map(score_range, zip(edges[:-1], edges[1:])))
+                    list(pool.map(lambda bounds: score_range(*bounds, out), zip(edges[:-1], edges[1:])))
                     assert out.tobytes() == expected.tobytes(), expected.dtype
     finally:
         sys.setswitchinterval(interval)
@@ -464,10 +471,7 @@ def test_rotate_rotations_per_relation_equal_rotations_per_row():
     s, r, o = triples.T
     rot = np.exp(1j * R[r])
     np.testing.assert_array_equal(score_batch(p, triples), -np.abs(E[s] * rot - E[o]).sum(axis=1))
-    expected = np.empty((len(s), len(E)))
-    models._negated_distance_sums((E[s] * rot).view(np.float64), np.ascontiguousarray(E.view(np.float64).T),
-                                  [np.empty_like(expected), np.empty_like(expected)], expected)
-    np.testing.assert_array_equal(score_objects(p, s, r), expected)
+    np.testing.assert_array_equal(score_objects(p, s, r), exact_rotate_scores(E[s] * rot, E))
     neg = corrupt_batch(triples, 30, rng)
     _, got = batch_loss_and_gradients(p, triples, neg, 1e3)  # every hinge active
     gE, gR = np.zeros_like(E), np.zeros_like(R)
@@ -666,20 +670,33 @@ def test_tucker_relation_matrices_and_scores_equal_the_tensordot_forms(dim):
     assert_same_bits(score_objects(p, s, r), exact_dot_scores(np.vstack(rows), E), "score_objects")
 
 
-@pytest.mark.parametrize("kind", [ModelKind.RESCAL, ModelKind.COMPLEX, ModelKind.TUCKER])
-def test_gemm_score_objects_equal_the_exact_score_written_out(kind):
-    """Each query row on its own (one-row matmuls E[s] M_r, or ComplEx's E[s] * w_r), then Σ_c Q_i[c] E_j[c]
-    in c order, at an odd dim, for mixed relations."""
-    n_ent, n_rel = 37, 4
-    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=7, seed=8)
-    rng = np.random.default_rng(8)
-    s, r = rng.integers(n_ent, size=25), rng.integers(n_rel, size=25)
-    E, R = p.blocks["entity"], p.blocks["relation"]
-    if kind is ModelKind.COMPLEX:
-        rows = E[s] * R[r]
-    else:
-        rows = np.vstack([E[s[i]:s[i] + 1] @ models._relation_matrices(p, r[i:i + 1])[0] for i in range(len(s))])
-    assert_same_bits(score_objects(p, s, r), exact_dot_scores(rows, E), kind.value)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(deadline=None)
+@given(dim=st.integers(1, 9), n_ent=st.integers(1, 40), n_rel=st.integers(1, 4), k=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+@example(dim=1, n_ent=1, n_rel=1, k=1, seed=2)  # numpy's in-place product of one complex number rounds apart
+def test_score_objects_equal_the_exact_score_written_out(kind, dim, n_ent, n_rel, k, seed):
+    """score_objects against each model's exact score written out (each query row on its own, then its terms
+    summed in column order), bit for bit, at odd and even dims, for k mixed relations."""
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    s, r = rng.integers(n_ent, size=k), rng.integers(n_rel, size=k)
+    assert_same_bits(score_objects(p, s, r), exact_object_scores(p, s, r), kind.value)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_one_query_score_objects_allocates_less_than_half_the_entities(kind):
+    """score_objects scores straight from E, one chunk of pairs at a time: no copy of E, at 4,000 entities."""
+    p = make_params(kind, n_ent=4000, n_rel=3, dim=64, seed=6)
+    expected = score_objects(p, 7, 1)
+    tracemalloc.start()
+    try:
+        scores = score_objects(p, 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.blocks["entity"].nbytes / 2, (peak, p.blocks["entity"].nbytes)
+    assert scores.tobytes() == expected.tobytes() == exact_object_scores(p, [7], [1])[0].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 11])

@@ -28,6 +28,8 @@ from chainlens.evaluation import SETTINGS, TIE_POLICIES, Query, build_filter_ind
 from chainlens.models import ModelKind, init_params, score_objects
 from chainlens.training import TrainConfig
 
+from reference_models import exact_distance_scores, exact_dot_scores, exact_object_scores
+
 ALL_KINDS = list(ModelKind)
 DISTANCE_KINDS = [ModelKind.TRANSE, ModelKind.ROTATE]
 GEMM_KINDS = [ModelKind.RESCAL, ModelKind.COMPLEX, ModelKind.TUCKER]
@@ -131,13 +133,14 @@ def test_screened_ranks_equal_float64_ranks(kind, case, monkeypatch):
 
 
 def assert_falls_back(p, s, r, o):
-    """The screen refuses the job, which is ranked from the exact float64 block of score_objects, tile by tile."""
+    """The screen refuses the job, which is ranked from its exact float64 scores, tile by tile: the scores
+    written out, bit for bit."""
     scorer = scorer_of(p)
     assert scorer.screen(s, r, scorer.workspace(len(s)))[1] is None
     tiles, lower, upper, true_score, _ = scorer.bracketed(s, r, o, scorer.workspace(len(s)))
     assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
     scores = whole(tiles)
-    assert scores.dtype == np.float64 and scores.tobytes() == score_objects(p, s, r).tobytes()
+    assert scores.dtype == np.float64 and scores.tobytes() == exact_object_scores(p, s, r).tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -224,18 +227,17 @@ def test_float32_scores_lie_within_the_bound(seed, model, lo, span, half_width, 
     if model == "RotatE":
         assert_screen_within_bound(ModelKind.ROTATE, q, E)
         return
-    s64 = np.empty((k, n_ent))
     if model == "dot":
-        models._dot_sums(q, np.ascontiguousarray(E.T), np.empty((k, n_ent)), s64)
+        s64 = exact_dot_scores(q, E)
         s32 = np.matmul(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32))
         delta = models._dot_bound(np.linalg.norm(q, axis=1), np.linalg.norm(E, axis=1).max(), width)
         if width % 2 == 0:
             assert_screen_within_bound(ModelKind.COMPLEX, q, E)
     else:
-        models._negated_distance_sums(q, np.ascontiguousarray(E.T), [np.empty((k, n_ent))], s64)
+        s64 = exact_distance_scores(q, E)
         s32 = np.empty((k, n_ent), dtype=np.float32)
         models._negated_distance_sums(q.astype(np.float32), np.ascontiguousarray(E.T, dtype=np.float32),
-                                      [np.empty((k, n_ent), dtype=np.float32)], s32)
+                                      np.empty((k, n_ent), dtype=np.float32), s32)
         l1 = np.abs(q).sum(axis=1) + np.abs(E).sum(axis=1).max()
         delta = models._distance_bound(l1, width, False)
     assert (np.abs(s32.astype(np.float64) - s64) <= delta[:, None]).all()
@@ -297,7 +299,8 @@ def test_screened_ranks_equal_float64_ranks_on_tie_heavy_tables(seed, kind, scal
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pair_scores_equal_score_objects_bit_for_bit(kind, monkeypatch):
-    """Every pair of a block, in many chunks of ``PAIR_ROWS``, and the fallback's exact block in tiles of 256."""
+    """Every pair of a block, in many chunks of ``PAIR_ROWS``, and the fallback's exact block in tiles of 256,
+    against the exact scores written out."""
     monkeypatch.setattr(models, "_TILE", 256)
     n_ent = 700
     p = init_params(kind, n_ent, 3, TrainConfig(dim=16, seed=7))
@@ -310,11 +313,12 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind, monkeypatch):
     rows, objs = np.divmod(np.arange(len(s) * n_ent), n_ent)  # every pair: many chunks of PAIR_ROWS
     assert len(rows) > 3 * scorer.PAIR_ROWS
     exact = scorer.pair_scores(q, rows, objs, ws)
-    assert exact.tobytes() == score_objects(p, s, r).reshape(-1).tobytes()
+    expected = exact_object_scores(p, s, r)
+    assert exact.tobytes() == expected.reshape(-1).tobytes()
     scorer.screenable = False  # the fallback's exact float64 block
     tiles, lower, upper, true_score, settle = scorer.bracketed(s, r, o, ws)
     scores = whole(tiles)
-    assert scores.tobytes() == score_objects(p, s, r).tobytes()
+    assert scores.tobytes() == expected.tobytes()
     assert lower.tobytes() == upper.tobytes() == true_score.tobytes()
     assert true_score.tobytes() == scores[np.arange(len(scores)), o].tobytes()
     assert settle(np.array([0, 1]), np.array([4, 9])).tobytes() == scores[[0, 1], [4, 9]].tobytes()
@@ -322,8 +326,8 @@ def test_pair_scores_equal_score_objects_bit_for_bit(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pair_scores_of_one_pair_and_of_a_zero_row_equal_score_objects_bit_for_bit(kind):
-    """Chunks of one pair and of ``PAIR_ROWS`` + 1 pairs, and a pair that must score +0.0 as score_objects does:
-    compared as int64 views, so the sign of a zero counts."""
+    """Chunks of one pair and of ``PAIR_ROWS`` + 1 pairs, and a pair that must score +0.0 as the exact score
+    written out does: compared as int64 views, so the sign of a zero counts."""
     n_ent = 50
     p = init_params(kind, n_ent, 3, TrainConfig(dim=64, seed=5))
     # TransE adds 0 and RotatE rotates by exp(0): the query row of (s, 0, ?) is E[s], at distance 0 from itself.
@@ -333,7 +337,7 @@ def test_pair_scores_of_one_pair_and_of_a_zero_row_equal_score_objects_bit_for_b
     scorer = scorer_of(p)
     ws = scorer.workspace(len(s))
     q = scorer.screen(s, r, ws)[0]
-    expected = score_objects(p, s, r)
+    expected = exact_object_scores(p, s, r)
     assert expected[0, 3].view(np.int64) == np.float64(0.0).view(np.int64)
     for rows, objs in [([0], [3]), ([1], [5]), ([0, 1, 2], [3, 8, 0]),
                        np.divmod(np.arange(scorer.PAIR_ROWS + 1) % (len(s) * n_ent), n_ent)]:
@@ -464,8 +468,6 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     scorer = scorer_of(p)
     assert scorer.B.dtype == np.float32 and scorer.B.shape == (16, 4, 500) and not hasattr(scorer, "E_t")
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
-    scorer.bracketed(np.array([0]), np.array([1]), np.array([2]), scorer.workspace(1))
-    assert "E64_t" not in vars(scorer)  # the exact blocks' float64 copy waits for a job that falls back
     ws = scorer.workspace(9)
     assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (2, 9, 500)
     assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
@@ -482,8 +484,6 @@ def test_gemm_scorer_holds_float32_entities_and_tile_sized_buffers(kind):
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
     assert (scorer.tile, scorer.row_bytes) == (models._TILE, 4 * models._TILE)
     assert evaluation.block_rows(scorer.row_bytes) == 256  # a 1 MiB float32 tile
-    scorer.bracketed(np.array([0]), np.array([1]), np.array([2]), scorer.workspace(1))
-    assert "E64_t" not in vars(scorer)  # the exact blocks' float64 copy waits for a job that falls back
     ws = scorer.workspace(9)
     assert ws["tile32"].dtype == np.float32 and ws["tile32"].shape == (9 * scorer.tile,)
     assert all(n_ent not in buf.shape for buf in ws.values())
