@@ -201,12 +201,19 @@ def shortest_path_centralities(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Betweenness is Brandes' accumulation of pair dependencies over each
     batch's levels; closeness counts, per source, the nodes first reached at
-    each depth of the same levels.
+    each depth of the same levels.  :class:`GraphError` if a node is reached
+    by 2^1024 or more shortest paths from one source: its path count
+    overflows float64, and the dependencies divided by it would be NaN.
     """
     n = graph.num_entities
     acc = np.zeros(n)
     reached, total = np.zeros((2, n), dtype=np.int64)
     for first, levels in _bfs_levels(graph):
+        for keys, sigma, _, _ in levels[1:]:
+            if sigma.max() == np.inf:  # sums of positive counts are never NaN
+                source, node = divmod(int(keys[np.argmax(sigma)]), n)
+                raise GraphError(f"{graph.labels[node]!r} is reached by 2^1024 or more shortest paths from "
+                                 f"{graph.labels[first + source]!r}: betweenness cannot be computed in float64")
         if len(levels) > 1:
             _add_batch(acc, reached, total, first, levels)
     hit = reached > 0

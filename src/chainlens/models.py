@@ -19,11 +19,11 @@ subject gradients, and G_r = S^T O, the rows weighted by their loss
 coefficients, is RESCAL's relation gradient, from which TuckER's relation
 and core gradients are one contraction each with W and w.
 
-Each score is written once per shape.  Per triple, the training step's
-forward passes are the formulas, and ``score_batch`` runs them on a
-workspace of its own.  The step (``batch_loss_and_gradients``) is one path
-for every model: one forward pass over [pos; neg], the hinge, then, if a
-hinge is active, the backward pass, both passes the model's in ``_STEPS``.
+Each score is written once per shape: per triple in the training step's
+forward passes, and as the exact score below, which every public score and
+every rank reads.  The step (``batch_loss_and_gradients``) is one path for
+every model: one forward pass over [pos; neg], the hinge, then, if a hinge
+is active, the backward pass, both passes the model's in ``_STEPS``.
 TransE's, ComplEx's and RotatE's backward pass runs on the positive half's
 forward results, then on the negative half's.  The step writes into
 ``_BatchWorkspace``, built once per run: the gradient blocks, cleared each
@@ -43,30 +43,34 @@ ComplEx, whose query rows are E[s] M_r, one BLAS product per row, and E[s]
 * w_r.  One method computes it, ``_ObjectScorer.pair_scores``, for chosen
 (query row, entity) pairs, one numpy call per column across the pairs, so
 each score has the same bits whatever pairs share the call and whatever
-the BLAS thread count is.  ``score_objects`` scores k queries against all N
-entities with it, one query's N pairs at a time, as a (k, N) float64 block.
+the BLAS thread count is.  ``score_batch`` scores one pair per triple with
+it, so ``score_batch(p, [[s, r, o]])`` is ``score_objects(p, s, r)[o]`` bit
+for bit; ``score_objects`` scores k queries against all N entities, one
+query's N pairs at a time, as a (k, N) float64 block.
 ``evaluation.rank_queries`` ranks every model through one
 ``_ScreenedScorer``, shared by its threads: ``workspace(k)`` gives a thread
 its buffers for jobs of up to k queries, and ``bracketed(s, r, o,
 workspace)`` returns a job's ``(tiles, lower, upper, true_score, exact)``:
-its float32 screen as column tiles, per row bounds around the true object's
-exact score, rounded outward, and ``exact(rows, objects)``, the
-``pair_scores`` of chosen pairs.  TransE's screen is the distance kernel in
-float32, one tile of all N entities, within δ of the exact scores
-(``_distance_bound``): bounds t -/+ δ.  RotatE's takes one float32 GEMM per
-complex dimension, |q - e|² + c = |q|² + c + |e|² - 2 Re(q conj(e)) for a
-whole (k, N) block, then a square root and a subtraction: three passes over
-the block where a column loop makes seven.  Its offset c covers the GEMM's
-rounding, so no square is negative and its scores lie at most δ above the
-exact scores but up to δ + sum_j sqrt(2 c_j) below them (``_rotate_lhs``):
-bounds t - that and t + δ.  RESCAL's, TuckER's and ComplEx's jobs hold the
-queries of one relation, screened with one float32 GEMM per tile of
-``_TILE`` entities, within δ of the exact scores (``_dot_bound``): bounds t
--/+ δ.  A job whose float32 pass cannot be trusted comes as its exact
-scores, from ``pair_scores`` tile by tile, with both bounds at t.  Every gather clips ids (numpy's "raise" mode buffers a
-copy of ``out``), so ``_check_ids`` checks them first.  The BLAS thread
-count is left as the environment sets it: the float32 screens use it, and
-the exact scores do not depend on it (see ``_ObjectScorer``).
+its scores as column tiles, from one lazy tile loop, per row bounds around
+the true object's exact score, rounded outward, and ``exact(rows,
+objects)``, the ``pair_scores`` of chosen pairs.  TransE's tiles are the
+distance kernel in float32, one tile of all N entities, within δ of the
+exact scores (``_distance_bound``): bounds t -/+ δ.  RotatE's take one
+float32 GEMM per complex dimension, |q - e|² + c = |q|² + c + |e|² - 2 Re(q
+conj(e)) for a whole (k, N) block, then a square root and a subtraction:
+three passes over the block where a column loop makes seven.  Its offset c
+covers the GEMM's rounding, so no square is negative and its scores lie at
+most δ above the exact scores but up to δ + sum_j sqrt(2 c_j) below them
+(``_rotate_lhs``): bounds t - that and t + δ.  RESCAL's, TuckER's and
+ComplEx's jobs hold the queries of one relation, screened with one float32
+GEMM per tile of ``_TILE`` entities, within δ of the exact scores
+(``_dot_bound``): bounds t -/+ δ.  Under ``_SCREEN_LIMIT`` no float32 screen
+value overflows or is NaN; a job whose norms reach it, or are not finite,
+yields its exact scores tile by tile instead, with both bounds at t.  Every
+gather clips ids (numpy's "raise" mode buffers a copy of ``out``), so
+``_check_ids`` checks them first.  The BLAS thread count is left as the
+environment sets it: the float32 screens use it, and the exact scores do
+not depend on it (see ``_ObjectScorer``).
 
 Complex-valued blocks (ComplEx and RotatE entities, ComplEx relations) are
 stored as complex128 arrays; their "gradients" use the real-pair convention
@@ -242,13 +246,15 @@ def _check_ids(params: ModelParams, entities: np.ndarray, relations: np.ndarray)
 
 
 def score_batch(params: ModelParams, triples: np.ndarray) -> np.ndarray:
-    """Scores for an (B, 3) array of (subject, relation, object) id triples, from the training step's
-    forward pass.  ``IndexError`` for an id outside the tables."""
+    """Exact scores for an (B, 3) array of (subject, relation, object) id triples: each triple's
+    :meth:`_ObjectScorer.pair_scores`, with the bits of ``score_objects(params, s, r)[o]`` and of the ranks.
+    ``IndexError`` for an id outside the tables."""
     triples = np.atleast_2d(np.asarray(triples, dtype=np.int64))
-    _check_ids(params, triples[:, ::2], triples[:, 1])
-    scores = np.empty(len(triples))
-    _STEPS[params.kind][0](params, triples, _BatchWorkspace(params, len(triples), backward=False), scores)
-    return scores
+    s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+    _check_ids(params, triples[:, ::2], r)
+    scorer = _ObjectScorer(params, np.unique(r))
+    ws = scorer.workspace(len(triples))
+    return scorer.pair_scores(scorer.query_rows(s, r, ws), np.arange(len(triples)), o, ws)
 
 
 # Models scored as a distance, screened one block of all N entities at a time; the others are scored as a
@@ -380,8 +386,10 @@ class _ObjectScorer:
             elif self.rotate:
                 np.subtract(diff, e, out=diff)
                 np.multiply(diff, diff, out=diff)
-                terms = np.add(diff[:, 0::2], diff[:, 1::2], out=e[:, :self.terms])
-                np.sqrt(terms, out=terms)
+                # the moduli go to the spent entity rows' first m * terms floats, a contiguous (m, terms) block: into
+                # a strided view, the sum and the root would each buffer a copy
+                moduli = e.reshape(-1)[:m * self.terms].reshape(m, self.terms)
+                terms = np.sqrt(np.add(diff[:, 0::2], diff[:, 1::2], out=moduli), out=moduli)
             else:
                 terms = np.abs(np.subtract(diff, e, out=diff), out=diff)
             total, add = out[start:start + m], np.subtract if self.distance else np.add
@@ -597,26 +605,27 @@ def _outward32(x: np.ndarray, toward: float) -> np.ndarray:
 class _ScreenedScorer(_ObjectScorer):
     """Query jobs of any model screened in float32 and bracketed around their exact float64 scores.
 
-    :meth:`screen` scores a job in float32 from float32 copies of the exact
-    query rows and of the entities, held in float32 only, as column tiles of
-    up to ``tile`` entities: TransE with :func:`_negated_distance_sums` on E
-    transposed (``E_t``) and RotatE with one GEMM per complex dimension on
-    the operands ``B`` of :func:`_rotate_operands`, in one tile of all N
-    entities; RESCAL, TuckER and ComplEx with one float32 GEMM per tile of
-    ``_TILE`` entities of E transposed.  It bounds how far below and above
-    the exact scores each row's may lie (:func:`_distance_bound`, for RotatE
-    with :func:`_rotate_lhs`'s offsets, and :func:`_dot_bound`);
-    :meth:`pair_scores` gives the exact scores of chosen pairs.  A job the
-    screen cannot be trusted on comes as its exact scores, tile by tile from
+    :meth:`screen` builds a job's exact query rows, their float32 copies and
+    per row how far below and above the exact scores its float32 screen may
+    lie (:func:`_distance_bound`, for RotatE with :func:`_rotate_lhs`'s
+    offsets, and :func:`_dot_bound`).  :meth:`tiles` yields every job's
+    scores, one column tile of up to ``tile`` entities at a time: TransE's
+    float32 screen with :func:`_negated_distance_sums` on E transposed
+    (``E_t``) and RotatE's with one GEMM per complex dimension on the
+    operands ``B`` of :func:`_rotate_operands`, in one tile of all N
+    entities; RESCAL's, TuckER's and ComplEx's with one float32 GEMM per
+    tile of ``_TILE`` entities of E transposed.  A job the screen cannot be
+    trusted on yields its exact scores instead, tile by tile from
     :meth:`exact_block`, in a float64 buffer made only then: each thread's
-    :meth:`workspace` holds none.
+    :meth:`workspace` holds none.  :meth:`pair_scores` gives the exact
+    scores of chosen pairs.
     """
 
     def __init__(self, params: ModelParams, rels: np.ndarray) -> None:
         super().__init__(params, rels)
         n = len(self.E64)
-        #: entities per screened tile, and the bytes per query of a job's screen buffers: TransE's and RotatE's
-        #: two float32 (k, N) planes, or the others' one float32 (k, tile) tile
+        #: entities per tile, and the bytes per query of a job's float32 buffer: TransE's and RotatE's (k, N)
+        #: scores and kernel buffer, or the others' one (k, tile) tile
         self.tile = n if self.distance else min(_TILE, n)
         self.row_bytes = (8 if self.distance else 4) * self.tile
         if self.rotate:
@@ -633,32 +642,22 @@ class _ScreenedScorer(_ObjectScorer):
 
     def workspace(self, k: int) -> dict[str, np.ndarray]:
         """Buffers for jobs of up to k queries: :meth:`_ObjectScorer.workspace`'s, the float32 query rows
-        ``q32``, TransE's and RotatE's float32 (k, N) scores and kernel buffer ``planes32``, the others' float32
-        ``tile32``, flat so that each tile's (k, w) view is contiguous, and RotatE's left-hand operands ``A``
-        and its (k, terms) ``Z`` and ``c`` (:func:`_rotate_lhs`)."""
-        n, width = self.E64.shape
-        ws = super().workspace(k) | {"q32": np.empty((k, width), dtype=np.float32)}
-        # zeroed: a GEMM or GEMV that scales its output by 0 first would keep a NaN found there
-        if self.distance:
-            ws["planes32"] = np.zeros((2, k, n), dtype=np.float32)
-        else:
-            ws["tile32"] = np.zeros(k * self.tile, dtype=np.float32)
+        ``q32``, the flat float32 ``screen32`` of ``row_bytes`` per query, so that each (k, w) view of it is
+        contiguous, and RotatE's left-hand operands ``A`` and its (k, terms) ``Z`` and ``c``
+        (:func:`_rotate_lhs`)."""
+        ws = super().workspace(k) | {"q32": np.empty((k, self.E64.shape[1]), dtype=np.float32),
+                                     # zeroed: a GEMM that scales its output by 0 first would keep a NaN found there
+                                     "screen32": np.zeros(k * self.row_bytes // 4, dtype=np.float32)}
         if self.rotate:
             ws |= {"A": np.ones((self.terms, k, 4), dtype=np.float32), "Z": np.empty((k, self.terms)),
                    "c": np.empty((k, self.terms))}
         return ws
 
     def screen(self, s: np.ndarray, r: np.ndarray, ws: dict) -> tuple:
-        """The exact float64 query rows of (s[i], r[i], ?) as a real view, and,
-        if the float32 pass can be trusted, its tiles, and per row how far below
-        and above the exact scores they may lie, else None for those three.
-        The tiles are (start, (k, w) float32 scores of the w entities from
-        start) in entity order: TransE's and RotatE's one tile, scored here, or
-        the others' tiles, each scored when it is taken, into the buffer of the
-        one before.  The screen cannot be trusted when a query row's or an
-        entity's norm is ``_SCREEN_LIMIT`` or more or not finite, or, for
-        TransE and RotatE, when a float32 score is not finite.  The gathers
-        clip ids."""
+        """The exact float64 query rows of (s[i], r[i], ?) as a real view, and per row how far below and above
+        the exact scores the float32 screen may lie, or None for both if a query row's or an entity's norm is
+        ``_SCREEN_LIMIT`` or more or not finite: under that limit no screen value overflows or is NaN.  Writes
+        the screen's query operands, ``q32`` and RotatE's ``A``.  The gathers clip ids."""
         k = len(s)
         q = self.query_rows(s, r, ws)
         if self.distance:
@@ -666,58 +665,54 @@ class _ScreenedScorer(_ObjectScorer):
         else:
             norm = np.sqrt(np.einsum("ij,ij->i", q, q))
         if not (self.screenable and norm.max() < _SCREEN_LIMIT):
-            return q, None, None, None
+            return q, None, None
         q32 = ws["q32"][:k]
         np.copyto(q32, q, casting="same_kind")
         if not self.distance:
             delta = _dot_bound(norm, self.e_norm, self.terms)
-            return q, self._gemm_tiles(q32, ws["tile32"]), delta, delta
-        out, buf = ws["planes32"][:, :k]
+            return q, delta, delta
         delta = _distance_bound(norm + self.e_norm, self.terms, self.rotate)
         if self.rotate:
-            A = ws["A"][:, :k]
-            below = delta + _rotate_lhs(q32, self.e_sq, A, ws["Z"][:k], ws["c"][:k])
-            _rotate_screen(A, self.B, buf, out)
-        else:
-            below = delta
-            _negated_distance_sums(q32, self.E_t, buf, out)
-        if not np.isfinite(out.min()):  # min keeps a NaN
-            return q, None, None, None
-        return q, [(0, out)], below, delta
+            return q, delta + _rotate_lhs(q32, self.e_sq, ws["A"][:, :k], ws["Z"][:k], ws["c"][:k]), delta
+        return q, delta, delta
 
-    def _gemm_tiles(self, q32: np.ndarray, buf: np.ndarray):
-        """The float32 screen q32 @ E^T, one GEMM per tile of entities, each written over the one before."""
-        k, n = len(q32), self.E_t.shape[1]
-        for start in range(0, n, self.tile):
-            w = min(self.tile, n - start)
-            yield start, np.matmul(q32, self.E_t[:, start:start + w], out=buf[:k * w].reshape(k, w))
-
-    def _exact_tiles(self, q: np.ndarray, ws: dict):
-        """The exact float64 scores of the query rows q, one tile at a time, each written over the one before."""
+    def tiles(self, q: np.ndarray, ws: dict, screened: bool):
+        """A job's scores, as (start, (k, w) scores of the w entities from start) in entity order, each tile
+        written over the one before: the float32 screen of the operands :meth:`screen` wrote if ``screened``,
+        else the exact scores of the query rows q."""
         k, n = len(q), len(self.E64)
-        out = np.empty(k * self.tile)
+        buf = ws["screen32"] if screened else np.empty(k * self.tile)
         for start in range(0, n, self.tile):
             w = min(self.tile, n - start)
-            yield start, self.exact_block(q, start, out[:k * w].reshape(k, w), ws)
+            out = buf[:k * w].reshape(k, w)
+            if not screened:
+                self.exact_block(q, start, out, ws)
+            elif self.rotate:
+                _rotate_screen(ws["A"][:, :k], self.B, buf[k * w:2 * k * w].reshape(k, w), out)
+            elif self.distance:
+                _negated_distance_sums(ws["q32"][:k], self.E_t, buf[k * w:2 * k * w].reshape(k, w), out)
+            else:
+                np.matmul(ws["q32"][:k], self.E_t[:, start:start + w], out=out)
+            yield start, out
 
     def bracketed(self, s: np.ndarray, r: np.ndarray, o: np.ndarray, ws: dict) -> tuple:
         """The job of the queries (s[i], r[i], o[i]) as ``(tiles, lower, upper, true_score, exact)``.
 
-        ``tiles`` are its float32 screen's (see :meth:`screen`), bracketed by
-        t - below and t + above rounded outward, t being each row's true
-        object's exact score, and ``exact(rows, objects)`` gives the exact
-        scores of chosen pairs.  If the screen cannot be trusted, the tiles
-        are the exact float64 scores, with both bounds t: only the ties
-        are settled.
+        ``tiles`` are its :meth:`tiles`, bracketed by t - below and t + above
+        rounded outward, t being each row's true object's exact score, and
+        ``exact(rows, objects)`` gives the exact scores of chosen pairs.  If
+        the screen cannot be trusted, the tiles are the exact float64 scores,
+        with both bounds t: only the ties are settled.
         """
-        q, tiles, below, above = self.screen(s, r, ws)
+        q, below, above = self.screen(s, r, ws)
         t = self.pair_scores(q, np.arange(len(s)), o, ws)
 
         def exact(rows, objs):
             return self.pair_scores(q, rows, objs, ws)
 
-        if tiles is None:
-            return self._exact_tiles(q, ws), t, t, t, exact
+        tiles = self.tiles(q, ws, below is not None)
+        if below is None:
+            return tiles, t, t, t, exact
         return tiles, _outward32(t - below, -np.inf), _outward32(t + above, np.inf), t, exact
 
 
@@ -768,55 +763,51 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: np.ndarray, index: np.nd
     np.add.at(flat, cols.reshape(-1), np.ascontiguousarray(rows).view(dtype).reshape(-1))
 
 
-def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int,
-                     backward: bool = True) -> dict[str, tuple | dict[str, tuple]]:
+def _workspace_specs(kind: ModelKind, r: int, d: int, rows: int) -> dict[str, tuple | dict[str, tuple]]:
     """(shape, dtype) of each buffer of a step over up to ``rows`` pairs, the gradient blocks aside.
 
-    The forward passes write these, for n triples: [pos; neg] in a step
-    (n = 2 * rows), or ``score_batch``'s rows without ``backward`` (n =
-    rows).  RESCAL and TuckER hold the triples sorted by relation, the
-    sorted rows' gathered subjects S and objects O, S M_r and the sorted
-    scores, and TuckER the batch's relation rows and their M_r (stored as
-    W x_2 w_r leaves it, relation second).  The other models keep their
-    forward results (the dict ``fwd``) and shared work buffers; RotatE also
-    exp(i theta) of every relation.  With ``backward`` (the step's), every
-    model adds [pos; neg] (``pairs``), their scores, the losses and the
-    active mask.  RESCAL and TuckER add the loss coefficients in both orders
-    and, for TuckER, G per relation and the relation gradient rows.  The
-    others add the active rows of a partly active half's forward results
-    (``act``) and of its triples, the flat scatter ``index`` and its
-    ``columns``, and the backward passes' work buffers.
+    Every model holds [pos; neg] (``pairs``), their scores, the losses and
+    the active mask.  The forward pass over the n = 2 * rows triples of
+    [pos; neg] writes the rest: RESCAL and TuckER hold the triples sorted by
+    relation, the sorted rows' gathered subjects S and objects O, S M_r and
+    the sorted scores, and TuckER the batch's relation rows and their M_r
+    (stored as W x_2 w_r leaves it, relation second).  The other models keep
+    their forward results (the dict ``fwd``) and shared work buffers;
+    RotatE also exp(i theta) of every relation.  For the backward pass,
+    RESCAL and TuckER add the loss coefficients in both orders and, for
+    TuckER, G per relation and the relation gradient rows.  The others add
+    the active rows of a partly active half's forward results (``act``) and
+    of its triples, the flat scatter ``index`` and its ``columns``, and the
+    backward passes' work buffers.
     """
     real, cplx, ids = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
-    n = 2 * rows if backward else rows
-    step = {"pairs": ((n, 3), ids), "scores": ((n,), real), "losses": ((rows,), real),
-            "active": ((rows,), np.dtype(bool))}
+    n = 2 * rows
+    specs = {"pairs": ((n, 3), ids), "scores": ((n,), real), "losses": ((rows,), real),
+             "active": ((rows,), np.dtype(bool))}
     if kind in _BILINEAR:
-        specs = {"sorted": ((n, 3), ids), "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
-                 "sorted_scores": ((n,), real)}
-        step |= {"coeff": ((n,), real), "sorted_coeff": ((n,), real), "columns": ((d,), ids)}
+        specs |= {"sorted": ((n, 3), ids), "S": ((n, d), real), "O": ((n, d), real), "SM": ((n, d), real),
+                  "sorted_scores": ((n,), real), "coeff": ((n,), real), "sorted_coeff": ((n,), real),
+                  "columns": ((d,), ids)}
         if kind is ModelKind.TUCKER:
-            specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real)}
-            step |= {"G": ((r, d, d), real), "rel_grads": ((r, d), real)}
-        return specs | step if backward else specs
+            specs |= {"rel_rows": ((r, d), real), "M": ((d, r, d), real), "G": ((r, d, d), real),
+                      "rel_grads": ((r, d), real)}
+        return specs
     width = d if kind is ModelKind.TRANSE else 2 * d
-    step |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
+    specs |= {"index": ((rows * width,), ids), "columns": ((width,), ids), "act_triples": ((rows, 3), ids)}
     if kind is ModelKind.TRANSE:
         fwd, shared, shared_step = {"u": real}, {"t": real}, {"g": real}
     elif kind is ModelKind.COMPLEX:
         fwd, shared, shared_step = {"es": cplx, "w": cplx, "eo": cplx, "esw": cplx}, {"c": cplx, "conj_eo": cplx}, {}
     else:
         fwd, shared, shared_step = {"es": cplx, "rot": cplx, "u": cplx, "mod": real}, {"c": cplx}, {"nz": bool}
-    specs = {name: ((n, d), np.dtype(dtype)) for name, dtype in shared.items()}
+    specs |= {name: ((n, d), np.dtype(dtype)) for name, dtype in shared.items()}
     specs["fwd"] = {buf: ((n, d), dtype) for buf, dtype in fwd.items()}
+    specs["act"] = {buf: ((rows, d), dtype) for buf, dtype in fwd.items()}
     if kind is ModelKind.COMPLEX:
         specs["csum"] = ((n,), cplx)
     elif kind is ModelKind.ROTATE:
         specs["rotations"] = ((r, d), cplx)
-    if not backward:
-        return specs
-    step["act"] = {buf: ((rows, d), dtype) for buf, dtype in fwd.items()}
-    return specs | step | {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared_step.items()}
+    return specs | {name: ((rows, d), np.dtype(dtype)) for name, dtype in shared_step.items()}
 
 
 class _BatchWorkspace:
@@ -827,21 +818,18 @@ class _BatchWorkspace:
     and ``buf["act"]`` are dicts of forward results).  A step clears the
     gradient blocks and writes into the first rows of the buffers, so a
     shorter last batch reuses them.  RESCAL's and TuckER's scatter index is
-    O's memory, spent by the time they scatter.  Without ``backward`` it
-    holds only what the forward passes of ``rows`` triples write, and no
-    gradient blocks.
+    O's memory, spent by the time they scatter.
     """
 
-    def __init__(self, params: ModelParams, rows: int, backward: bool = True) -> None:
+    def __init__(self, params: ModelParams, rows: int) -> None:
         self.rows = rows
-        self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()} if backward else {}
-        specs = _workspace_specs(params.kind, params.num_relations, params.dim, rows, backward)
+        self.grads = {name: np.zeros_like(arr) for name, arr in params.blocks.items()}
+        specs = _workspace_specs(params.kind, params.num_relations, params.dim, rows)
         self.buf = {name: {k: np.empty(*v) for k, v in spec.items()} if isinstance(spec, dict) else np.empty(*spec)
                     for name, spec in specs.items()}
-        if backward:
-            self.buf["columns"][:] = np.arange(len(self.buf["columns"]))
-            if params.kind in _BILINEAR:
-                self.buf["index"] = self.buf["O"].reshape(-1).view(np.int64)
+        self.buf["columns"][:] = np.arange(len(self.buf["columns"]))
+        if params.kind in _BILINEAR:
+            self.buf["index"] = self.buf["O"].reshape(-1).view(np.int64)
 
     def scatter(self, block: str, idx: np.ndarray, rows: np.ndarray) -> None:
         """Add rows[i] into row idx[i] of gradient block ``block``, for every i in turn."""

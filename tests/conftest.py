@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,11 +10,23 @@ from chainlens.graph import DEFAULT_SCHEMA, ENTITY_TYPE_INDEX, EntityType, Graph
 
 # A larger fuzz budget for the property tests that leave max_examples at its
 # default (the reader and the writer against their references, the gradient
-# scatter against np.add.at, score_batch against the score formulas, the
-# screened ranks against float64 ranks, the centralities and triangles against
-# their references, the filter index against a brute-force lookup):
+# scatter against np.add.at, score_batch against score_objects and the exact
+# score written out, the training forward pass against the score formulas,
+# the screened ranks against float64 ranks, each screen's worst-case search,
+# the centralities and triangles against their references, the filter index
+# against a brute-force lookup):
 # pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=2_000)
+
+
+def pytest_collection_modifyitems(items):
+    """numpy's floating-point warnings (overflow, an invalid value, a division by zero) fail the tests here, so
+    that a NaN or an inf a computation meets is not passed on as a number.  Only this directory's tests: the
+    benchmark harness's own tests run as before."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 def write_schema(schema, path) -> None:

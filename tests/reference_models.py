@@ -4,9 +4,10 @@
 single-triple and single-pair forms of what training does in batches.
 
 ``reference_score_batch`` writes each model's score formula out on gathered
-rows, as ``models.score_batch`` did before it became the training step's
-forward pass: TransE's, ComplEx's and RotatE's scores must match it bit for
-bit, RESCAL's and TuckER's within 1e-12.
+rows: the training step's forward pass must match it bit for bit for
+TransE, ComplEx and RotatE, within 1e-12 for RESCAL and TuckER.
+(``models.score_batch`` returns the exact scores, which
+``exact_object_scores`` writes out.)
 
 ``einsum_score_batch`` and ``einsum_batch_loss_and_gradients`` write RESCAL
 and TuckER scores and hinge gradients directly, as einsums in which every
@@ -19,8 +20,8 @@ write out the exact scores that the models are ranked by: Σ_c Q_i[c] E_j[c]
 for RESCAL, TuckER and ComplEx, -Σ_c |Q_i[c] - E_j[c]| for TransE, and minus
 the moduli of the (re, im) differences for RotatE, each summed in column
 order.  ``exact_object_scores`` builds the query rows of (s, r, ?) and scores
-them with these: ``score_objects`` and every exact score of the ranking
-must match it bit for bit.
+them with these: ``score_batch``, ``score_objects`` and every exact score of
+the ranking must match it bit for bit.
 
 ``add_at_batch_loss_and_gradients`` and ``reference_adam_step`` are the
 training step as it was before the flat scatters, the in-place Adam update

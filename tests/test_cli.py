@@ -472,6 +472,19 @@ def test_analyze_refuses_a_non_finite_threshold(workspace, capsys, threshold):
     assert not (analysis / "criticality.csv").exists()
 
 
+def test_analyze_refuses_path_counts_that_overflow(tmp_path, capsys):
+    """A chain of 1,100 diamonds S_i -> {A_i, B_i} -> S_(i+1) doubles the shortest paths from S_0 at each stage:
+    past 2^1024 their float64 count is inf, and every betweenness but the two ends' would be NaN, with no node
+    flagged.  analyze exits 2 naming the first node reached that often, before any division warns."""
+    graph, analysis = tmp_path / "g.tsv", tmp_path / "an"
+    graph.write_text("".join(f"S{i}\tSupplier\tsupplies_to\t{mid}{i}\tSupplier\n"
+                             f"{mid}{i}\tSupplier\tsupplies_to\tS{i + 1}\tSupplier\n"
+                             for i in range(1100) for mid in "AB"), encoding="utf-8")
+    assert main(["analyze", "--in", str(graph), "--out", str(analysis)]) == 2
+    assert "'S1024' is reached by 2^1024 or more shortest paths from 'S0'" in capsys.readouterr().err
+    assert not (analysis / "criticality.csv").exists()
+
+
 def test_reports_quote_labels_so_export_reads_them_back(workspace, capsys):
     graph, analysis = workspace / "g.tsv", workspace / "an"
     main(["generate", "--config", str(workspace / "gen.cfg"), "--out", str(graph)])

@@ -225,7 +225,8 @@ def test_score_batch_of_an_empty_batch_is_empty(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_score_batch_allocates_less_than_one_entity_block(kind):
-    """score_batch builds only the forward passes' buffers: no gradient block."""
+    """score_batch gathers its one pair per triple into a workspace of its own: no copy of E, no gradient
+    block."""
     p = make_params(kind, n_ent=2000, n_rel=3, dim=64, seed=5)
     triples = np.array([[3, 1, 1999]])
     expected = score_batch(p, triples)
@@ -236,27 +237,57 @@ def test_score_batch_allocates_less_than_one_entity_block(kind):
     finally:
         tracemalloc.stop()
     assert peak < p.blocks["entity"].nbytes, (peak, p.blocks["entity"].nbytes)
-    assert scores.tobytes() == expected.tobytes() == reference_score_batch(p, triples).tobytes()
+    assert scores.tobytes() == expected.tobytes() == exact_object_scores(p, [3], [1])[0, 1999:].tobytes()
+
+
+def random_triples(rng, n_ent, n_rel, size, one_relation):
+    """``size`` random id triples, all of one relation or of mixed ones."""
+    r = np.full(size, rng.integers(n_rel)) if one_relation else rng.integers(n_rel, size=size)
+    return np.column_stack([rng.integers(n_ent, size=size), r, rng.integers(n_ent, size=size)])
 
 
 @settings(deadline=None)
 @given(kind=st.sampled_from(ALL_KINDS), dim=st.integers(1, 9), n_ent=st.integers(1, 12), n_rel=st.integers(1, 4),
        size=st.integers(0, 40), one_relation=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_score_batch_equals_the_formula_reference(kind, dim, n_ent, n_rel, size, one_relation, seed):
-    """score_batch, the training step's forward pass, against each model's formula
-    written out: the same bits for TransE, ComplEx and RotatE, within 1e-12 for
-    RESCAL and TuckER, at odd and even dims, with one or several relations per
-    batch, the empty batch included."""
+def test_score_batch_equals_score_objects_and_the_exact_score_written_out(kind, dim, n_ent, n_rel, size,
+                                                                         one_relation, seed):
+    """score_batch(p, t) is score_objects(p, s, r)[o] and the exact score written out, bit for bit (int64 views,
+    so the sign of a zero counts), at odd and even dims, dim 1 included, with one or several relations per
+    batch, the empty batch included: a triple's public score is the one its rank reads."""
+    p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=seed % 1000)
+    t = random_triples(np.random.default_rng(seed), n_ent, n_rel, size, one_relation)
+    got = score_batch(p, t)
+    assert got.shape == (size,) and got.dtype == np.float64
+    rows = np.arange(size)
+    np.testing.assert_array_equal(got.view(np.int64), score_objects(p, t[:, 0], t[:, 1])[rows, t[:, 2]].view(np.int64))
+    if size:
+        exact = exact_object_scores(p, t[:, 0], t[:, 1])[rows, t[:, 2]]
+        np.testing.assert_array_equal(got.view(np.int64), exact.view(np.int64))
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), dim=st.integers(1, 9), n_ent=st.integers(1, 12), n_rel=st.integers(1, 4),
+       size=st.integers(0, 40), one_relation=st.booleans(), margin=st.sampled_from([0.0, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_training_forward_equals_the_formula_reference(kind, dim, n_ent, n_rel, size, one_relation, margin, seed):
+    """The training step's forward pass over [pos; neg], as its workspace holds it, against each model's formula
+    written out, and its losses against max(0, margin + neg - pos) of those scores: the same bits for TransE,
+    ComplEx and RotatE, within 1e-12 for RESCAL and TuckER, at odd and even dims, with one or several
+    relations per batch, the empty batch included."""
     p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=dim, seed=seed % 1000)
     rng = np.random.default_rng(seed)
-    r = np.full(size, rng.integers(n_rel)) if one_relation else rng.integers(n_rel, size=size)
-    triples = np.column_stack([rng.integers(n_ent, size=size), r, rng.integers(n_ent, size=size)])
-    got, expected = score_batch(p, triples), reference_score_batch(p, triples)
-    assert got.shape == expected.shape == (size,)
+    pos, neg = (random_triples(rng, n_ent, n_rel, size, one_relation) for _ in range(2))
+    ws = models._BatchWorkspace(p, size)
+    losses, _ = batch_loss_and_gradients(p, pos, neg, margin, ws)
+    got, expected = ws.buf["scores"][:2 * size], reference_score_batch(p, np.concatenate([pos, neg]))
+    expected_losses = np.maximum(0.0, margin + expected[size:] - expected[:size])
+    assert got.shape == expected.shape == (2 * size,) and losses.shape == (size,)
     if kind in models._BILINEAR:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(losses, expected_losses, rtol=0, atol=2e-12)
     else:
         assert got.tobytes() == expected.tobytes()
+        assert losses.tobytes() == expected_losses.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -276,7 +307,7 @@ def test_warm_scorer_call_allocates_less_than_its_query_rows(kind):
     screened = models._ScreenedScorer(p, np.unique(r))
     block = np.empty((k, n_ent))
     calls = [(exact, lambda ws: [exact.exact_block(exact.query_rows(s, r, ws), 0, block, ws)]),
-             (screened, lambda ws: (tile for _, tile in screened.screen(s, r, ws)[1]))]
+             (screened, lambda ws: (tile for _, tile in screened.tiles(screened.screen(s, r, ws)[0], ws, True)))]
 
     def bits(a):  # unsigned integers of the entries' width: equal bits, the sign of a zero included
         return a.view(f"u{a.itemsize}")
@@ -315,7 +346,8 @@ def test_distance_scores_split_by_entity_range_equal_one_worker(kind, n_ent, wor
     k = block_rows(scorer.row_bytes)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
     ws = scorer.workspace(k)
-    q, [(_, screen)], _, _ = scorer.screen(s, r, ws)
+    q = scorer.screen(s, r, ws)[0]
+    [(_, screen)] = scorer.tiles(q, ws, True)
 
     def exact_range(lo, hi, out):  # the range's pairs, on a workspace of their own
         rows, objs = np.divmod(np.arange(k * (hi - lo)), hi - lo)
@@ -353,13 +385,19 @@ def test_rotate_screens_on_threads_sharing_one_scorer_equal_one_call(n_ent):
     scorer = models._ScreenedScorer(p, np.arange(3))
     k = min(block_rows(scorer.row_bytes), 64)
     s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
-    _, [(_, screen)], below, above = scorer.screen(s, r, scorer.workspace(k))
+
+    def screened(ws):
+        q, below, above = scorer.screen(s, r, ws)
+        [(_, tile)] = scorer.tiles(q, ws, True)
+        return tile, below, above
+
+    screen, below, above = screened(scorer.workspace(k))
     screen = screen.copy()
 
     def screen_blocks(_):
         ws = scorer.workspace(k)
         for _ in range(5):
-            _, [(_, got)], got_below, got_above = scorer.screen(s, r, ws)
+            got, got_below, got_above = screened(ws)
             assert got.tobytes() == screen.tobytes()
             assert got_below.tobytes() == below.tobytes() and got_above.tobytes() == above.tobytes()
 
@@ -470,10 +508,11 @@ def test_rotate_rotations_per_relation_equal_rotations_per_row():
     triples = np.column_stack([rng.integers(30, size=64), rng.integers(5, size=64), rng.integers(30, size=64)])
     s, r, o = triples.T
     rot = np.exp(1j * R[r])
-    np.testing.assert_array_equal(score_batch(p, triples), -np.abs(E[s] * rot - E[o]).sum(axis=1))
     np.testing.assert_array_equal(score_objects(p, s, r), exact_rotate_scores(E[s] * rot, E))
     neg = corrupt_batch(triples, 30, rng)
-    _, got = batch_loss_and_gradients(p, triples, neg, 1e3)  # every hinge active
+    ws = models._BatchWorkspace(p, 64)
+    _, got = batch_loss_and_gradients(p, triples, neg, 1e3, ws)  # every hinge active
+    np.testing.assert_array_equal(ws.buf["scores"][:64], -np.abs(E[s] * rot - E[o]).sum(axis=1))
     gE, gR = np.zeros_like(E), np.zeros_like(R)
     for (s, r, o), coeff in ((triples.T, -1 / 64), (neg.T, 1 / 64)):
         rot = np.exp(1j * R[r])
@@ -529,9 +568,11 @@ def test_bilinear_path_matches_einsum_reference(kind, batch):
     for name, arr in p.blocks.items():  # unit-scale entries, so 1e-12 is a tight bound
         p.blocks[name] = rng.normal(size=arr.shape)
     pos, neg, margin = bilinear_batch(batch, n_ent, n_rel)
-    for triples in (pos, neg):
-        np.testing.assert_allclose(score_batch(p, triples), einsum_score_batch(p, triples), rtol=0, atol=1e-12)
-    losses, grads = batch_loss_and_gradients(p, pos, neg, margin)
+    ws = models._BatchWorkspace(p, len(pos))
+    losses, grads = batch_loss_and_gradients(p, pos, neg, margin, ws)
+    triples = np.concatenate([pos, neg])
+    np.testing.assert_allclose(ws.buf["scores"][:len(triples)], einsum_score_batch(p, triples), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(score_batch(p, triples), einsum_score_batch(p, triples), rtol=0, atol=1e-12)
     ref_losses, ref_grads = einsum_batch_loss_and_gradients(p, pos, neg, margin)
     assert (ref_losses > 0).any()
     np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
@@ -602,8 +643,8 @@ def workspace_batches(n_ent, n_rel, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_steps_on_one_workspace_equal_the_add_at_reference(kind):
-    """The losses are also max(0, margin + s[n:] - s[:n]) bit for bit, s being score_batch([pos; neg]):
-    the step and score_batch run one forward pass."""
+    """The losses are also max(0, margin + s[n:] - s[:n]) bit for bit, s being the scores of [pos; neg] that
+    the step's one forward pass wrote into the workspace."""
     n_ent, n_rel = 30, 5
     p = make_params(kind, n_ent=n_ent, n_rel=n_rel, dim=16, seed=3)
     ws = models._BatchWorkspace(p, 512)
@@ -613,8 +654,9 @@ def test_steps_on_one_workspace_equal_the_add_at_reference(kind):
         active = (ref_losses > 0).mean()
         assert active == 1.0 if case == "fully active" else active == 0.0 if case == "inactive" else 0 < active < 1
         assert_same_bits(losses, ref_losses, f"{case}: losses")
-        s, n = score_batch(p, np.concatenate([pos, neg])), len(pos)
-        assert_same_bits(losses, np.maximum(0.0, margin + s[n:] - s[:n]), f"{case}: losses from score_batch")
+        n = len(pos)
+        s = ws.buf["scores"][:2 * n]
+        assert_same_bits(losses, np.maximum(0.0, margin + s[n:] - s[:n]), f"{case}: losses from the scores")
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert_gradient_matches(kind, grads[name], ref_grads[name], f"{case}: {name}")
@@ -663,7 +705,9 @@ def test_tucker_relation_matrices_and_scores_equal_the_tensordot_forms(dim):
     scores = np.empty(len(triples))
     for k, rows in enumerate(groups):
         scores[rows] = np.einsum("ij,ij->i", E[s[rows]] @ M[k], E[o[rows]])
-    assert_same_bits(score_batch(p, triples), scores, "score_batch")
+    forward = np.empty(len(triples))
+    models._bilinear_forward(p, triples, models._BatchWorkspace(p, len(triples)), forward)
+    assert_same_bits(forward, scores, "the training forward pass")
     # score_objects builds each relation's M_r on its own, as a ranking job of one relation does, and each query
     # row E[s] M_r on its own
     rows = [E[s[i]:s[i] + 1] @ tensordot_relation_matrices(p, r[i:i + 1])[0] for i in range(len(s))]
@@ -697,6 +741,30 @@ def test_warm_one_query_score_objects_allocates_less_than_half_the_entities(kind
         tracemalloc.stop()
     assert peak < p.blocks["entity"].nbytes / 2, (peak, p.blocks["entity"].nbytes)
     assert scores.tobytes() == expected.tobytes() == exact_object_scores(p, [7], [1])[0].tobytes()
+
+
+def test_warm_rotate_pair_scores_of_512_pairs_allocate_under_16_kib():
+    """RotatE's moduli are written into a contiguous (m, terms) block of the spent entity rows.  Written into a
+    strided view, the sum and the square root of 512 pairs at dim 64 each buffered a copy: 132,748 bytes."""
+    n_ent, k = 700, 8
+    p = make_params(ModelKind.ROTATE, n_ent=n_ent, n_rel=3, dim=64, seed=3)
+    rng = np.random.default_rng(3)
+    s, r = rng.integers(n_ent, size=k), rng.integers(3, size=k)
+    scorer = models._ObjectScorer(p, np.unique(r))
+    ws = scorer.workspace(k)
+    q = scorer.query_rows(s, r, ws)
+    rows, objs = rng.integers(k, size=scorer.PAIR_ROWS), rng.integers(n_ent, size=scorer.PAIR_ROWS)
+    out = np.empty(len(rows))
+    expected = scorer.pair_scores(q, rows, objs, ws, out).copy()
+    tracemalloc.start()
+    try:
+        scorer.pair_scores(q, rows, objs, ws, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
+    assert_same_bits(out, expected, "warm call")
+    assert_same_bits(out, exact_object_scores(p, s, r)[rows, objs], "the exact scores written out")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 11])

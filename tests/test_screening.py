@@ -61,6 +61,13 @@ def whole(tiles):
     return np.hstack([tile.copy() for _, tile in tiles])
 
 
+def screened(scorer, s, r, ws):
+    """A job's whole float32 screen and per row how far below and above the exact scores it may lie."""
+    q, below, above = scorer.screen(s, r, ws)
+    assert below is not None
+    return whole(scorer.tiles(q, ws, True)), below, above
+
+
 @contextlib.contextmanager
 def tiles_of(width):
     """RESCAL, TuckER and ComplEx screened in tiles of ``width`` entities (no fixture: Hypothesis tests use it)."""
@@ -162,16 +169,14 @@ def test_edge_cases_reach_the_band_and_the_fallback(kind, monkeypatch):
     assert ties.sum() > len(o)  # duplicate rows tie their true objects
     assert (screen[ties] >= np.repeat(lower, ties.sum(axis=1))).all()  # and fall in the band
     assert (screen[ties] <= np.repeat(upper, ties.sum(axis=1))).all()
-    _, tiles, below, above = scorer.screen(s, r, ws)
-    assert_within(exact, whole(tiles), below, above)
+    assert_within(exact, *screened(scorer, s, r, ws))
     if kind in DISTANCE_KINDS:
         p, queries, _, _ = edge_case(kind, "true object at the query")
         scorer = scorer_of(p)
         s, r, o = queries[:20].T
-        _, tiles, below, above = scorer.screen(s, r, scorer.workspace(len(s)))
         exact = score_objects(p, s, r)
         assert (exact[np.arange(len(o)), o] == 0).all()  # the squares cancel to 0
-        assert_within(exact, whole(tiles), below, above)
+        assert_within(exact, *screened(scorer, s, r, scorer.workspace(len(s))))
     for case in ("huge entities", "huge relation", "nan relation"):
         p, queries, _, _ = edge_case(kind, case)
         assert_falls_back(p, *queries[queries[:, 1] == 1].T)
@@ -202,9 +207,7 @@ def assert_screen_within_bound(kind, q, E):
     s, r = np.arange(n_ent, n_ent + k), np.zeros(k, dtype=np.int64)
     with tiles_of(7):
         scorer = scorer_of(p)
-        _, tiles, below, above = scorer.screen(s, r, scorer.workspace(k))
-        assert tiles is not None
-        screen = whole(tiles)
+        screen, below, above = screened(scorer, s, r, scorer.workspace(k))
     assert (above <= below).all()
     assert_within(score_objects(p, s, r), screen, below, above)
 
@@ -469,8 +472,8 @@ def test_screened_scorer_holds_no_float64_entity_copy():
     assert scorer.B.dtype == np.float32 and scorer.B.shape == (16, 4, 500) and not hasattr(scorer, "E_t")
     assert np.shares_memory(scorer.E64, p.blocks["entity"])
     ws = scorer.workspace(9)
-    assert ws["planes32"].dtype == np.float32 and ws["planes32"].shape == (2, 9, 500)
-    assert all(buf.dtype == np.float32 for buf in ws.values() if buf.shape[-1] == 500)
+    assert ws["screen32"].dtype == np.float32 and ws["screen32"].shape == (9 * 2 * 500,)  # scores, kernel buffer
+    assert all(500 not in buf.shape for name, buf in ws.items() if name != "screen32")
 
 
 @pytest.mark.parametrize("kind", GEMM_KINDS)
@@ -485,7 +488,7 @@ def test_gemm_scorer_holds_float32_entities_and_tile_sized_buffers(kind):
     assert (scorer.tile, scorer.row_bytes) == (models._TILE, 4 * models._TILE)
     assert evaluation.block_rows(scorer.row_bytes) == 256  # a 1 MiB float32 tile
     ws = scorer.workspace(9)
-    assert ws["tile32"].dtype == np.float32 and ws["tile32"].shape == (9 * scorer.tile,)
+    assert ws["screen32"].dtype == np.float32 and ws["screen32"].shape == (9 * scorer.tile,)
     assert all(n_ent not in buf.shape for buf in ws.values())
 
 
